@@ -19,6 +19,7 @@ from repro.common.errors import CompactionInProgressError, DualTableError
 from repro.mapreduce import InputSplit, Job
 from repro.hive.catalog import register_handler
 from repro.hive.expressions import Env, compile_expr, is_true, referenced_columns
+from repro.hive.vexpr import compile_batch
 from repro.hive.pushdown import (estimate_selection, extract_ranges,
                                  make_stripe_filter)
 from repro.hive.session import QueryResult
@@ -30,8 +31,8 @@ from repro.core.editlog import (EditBatch, recover_edit_logs,
 from repro.core.lookup import plan_lookup, run_lookup
 from repro.core.master import MasterTable
 from repro.core.metadata import DualTableMetadata
-from repro.core.record_id import RECORD_ID_BYTES
-from repro.core.udtf import delete_udtf, update_udtf
+from repro.core.record_id import RECORD_ID_BYTES, encode_record_id
+from repro.core.udtf import count_udtf_calls, delete_udtf, update_udtf
 from repro.core.union_read import (classify_merge_units, union_read_batches,
                                    union_read_file, union_read_overlay)
 from repro.parallel import parallel_map
@@ -46,6 +47,9 @@ class DualTableHandler(StorageHandler):
 
     kind = "dualtable"
     supports_inplace_mutation = False   # mutation goes through plans
+    #: region servers a job's splits spread over (JobRunner makespan
+    #: only); the sharded handler raises it to its shard count.
+    shard_fanout = 1
 
     def __init__(self, table, env):
         super().__init__(table, env)
@@ -81,6 +85,9 @@ class DualTableHandler(StorageHandler):
         self._compact_old = base + "/master.__old__"
         self._manifest_path = base + "/compact.manifest"
         self._txn_ids = itertools.count(1)
+        #: what an EditBatch stages to and publishes through; the
+        #: sharded handler swaps in its shard-routing target.
+        self._batch_target = self
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -611,7 +618,8 @@ class DualTableHandler(StorageHandler):
             result = session.update_via_overwrite(info, stmt,
                                                   extra_detail=detail)
         else:
-            result = self._edit_update(session, stmt, detail)
+            result = self._run_edit(session, stmt, detail, "update",
+                                    stmt.assignments)
         self._audit_cost_model(choice, plan, result)
         return result
 
@@ -639,7 +647,7 @@ class DualTableHandler(StorageHandler):
             result = session.delete_via_overwrite(info, stmt,
                                                   extra_detail=detail)
         else:
-            result = self._edit_delete(session, stmt, detail)
+            result = self._run_edit(session, stmt, detail, "delete", ())
         self._audit_cost_model(choice, plan, result)
         return result
 
@@ -748,83 +756,88 @@ class DualTableHandler(StorageHandler):
         }
 
     # -- EDIT plans ------------------------------------------------------
-    def _edit_update(self, session, stmt, detail):
+    def _run_edit(self, session, stmt, detail, verb, assignments):
+        """One EDIT-plan UPDATE/DELETE: a batch scan that emits deltas.
+
+        Per merged ColumnBatch the WHERE runs once over columns; only
+        the matched rows are taken, assigned and given a record id (from
+        the batch's provenance), so wall-clock cost follows the rows
+        *touched*.  Every charge comes from ``read_split_batches``, so
+        the simulated clock cannot tell this scan from the row-at-a-time
+        one it replaced (INTERNALS §8, write path).  ``compile_batch``
+        raises what the row compiler would, on the first row it would;
+        within a batch the whole WHERE runs before any assignment.
+        """
         schema = self.schema
         needed = set()
         if stmt.where is not None:
             needed |= referenced_columns(stmt.where)
-        for _, expr in stmt.assignments:
+        for _, expr in assignments:
             needed |= referenced_columns(expr)
         projection = [c.name for c in schema if c.name.lower() in needed]
         if not projection:
             projection = [schema.columns[0].name]
         env = Env()
         env.add_schema(projection, alias=stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        assigns = [(schema.index_of(name), compile_expr(expr, env))
-                   for name, expr in stmt.assignments]
+        where = (compile_batch(stmt.where, env)
+                 if stmt.where is not None else None)
+        targets = [schema.index_of(name) for name, _ in assignments]
+        setters = [compile_batch(expr, env) for _, expr in assignments]
         ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
         splits = self.scan_splits(projection, ranges)
-        batch = EditBatch(self, next(self._txn_ids))
+        edit_batch = EditBatch(self._batch_target, next(self._txn_ids))
+        batch_rows = session.batch_rows
 
         def map_fn(split, ctx):
             # Output-committer semantics: a failed/retried attempt's
             # buffer is dropped; only successful attempts reach the batch.
-            buffer = batch.task_buffer()
-            for record_id, values in self.read_split_with_rids(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    new_values = {idx: fn(values) for idx, fn in assigns}
-                    update_udtf(buffer, record_id, new_values, ctx)
-            batch.absorb(buffer, ctx.task_index)
+            buffer = edit_batch.task_buffer()
+            file_id = split.payload["file_id"]
+            for batch in self.read_split_batches(split, ctx,
+                                                 batch_rows=batch_rows):
+                if where is None:
+                    keep = range(batch.length)
+                else:
+                    keep = [i for i, flag in enumerate(
+                                where(batch.columns, batch.length))
+                            if flag is not None and flag is not False
+                            and flag != 0]
+                    if not keep:
+                        continue
+                keys = self._edit_keys(
+                    split, [encode_record_id(file_id, ordinal)
+                            for ordinal in batch.ordinals(keep)])
+                if not setters:
+                    for key in keys:
+                        delete_udtf(buffer, key)
+                    continue
+                matched = (batch if len(keep) == batch.length
+                           else batch.take(keep))
+                new_columns = [fn(matched.columns, matched.length)
+                               for fn in setters]
+                for key, new_values in zip(keys, zip(*new_columns)):
+                    update_udtf(buffer, key, dict(zip(targets, new_values)))
+            count_udtf_calls(ctx, verb, len(buffer.edits))
+            edit_batch.absorb(buffer, ctx.task_index)
             return ()
 
-        job = Job(name="update-edit", splits=splits, map_fn=map_fn,
-                  reduce_fn=None)
+        job = Job(name="%s-edit" % verb, splits=splits, map_fn=map_fn,
+                  reduce_fn=None,
+                  properties={"shard_fanout": self.shard_fanout})
         result = session.runner.run(job)
-        commit_seconds = self._commit_or_defer(session, batch)
+        commit_seconds = self._commit_or_defer(session, edit_batch)
         self.note_attached_bytes()
         jobs = session._dml_subquery_jobs + [result]
         sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
         return QueryResult(
             sim_seconds=sub + result.sim_seconds + commit_seconds,
-            jobs=jobs, affected=result.counters.get("updated", 0),
-            plan="update-edit", detail=detail)
+            jobs=jobs, affected=result.counters.get(verb + "d", 0),
+            plan="%s-edit" % verb, detail=detail)
 
-    def _edit_delete(self, session, stmt, detail):
-        schema = self.schema
-        needed = (referenced_columns(stmt.where)
-                  if stmt.where is not None else set())
-        projection = [c.name for c in schema if c.name.lower() in needed]
-        if not projection:
-            projection = [schema.columns[0].name]
-        env = Env()
-        env.add_schema(projection, alias=stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
-        splits = self.scan_splits(projection, ranges)
-        batch = EditBatch(self, next(self._txn_ids))
-
-        def map_fn(split, ctx):
-            buffer = batch.task_buffer()
-            for record_id, values in self.read_split_with_rids(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    delete_udtf(buffer, record_id, ctx)
-            batch.absorb(buffer, ctx.task_index)
-            return ()
-
-        job = Job(name="delete-edit", splits=splits, map_fn=map_fn,
-                  reduce_fn=None)
-        result = session.runner.run(job)
-        commit_seconds = self._commit_or_defer(session, batch)
-        self.note_attached_bytes()
-        jobs = session._dml_subquery_jobs + [result]
-        sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
-        return QueryResult(
-            sim_seconds=sub + result.sim_seconds + commit_seconds,
-            jobs=jobs, affected=result.counters.get("deleted", 0),
-            plan="delete-edit", detail=detail)
+    def _edit_keys(self, split, record_ids):
+        """EditBatch keys for one split's matched record ids (a sharded
+        table tags them with the owning shard)."""
+        return record_ids
 
     def _commit_or_defer(self, session, batch):
         """Commit the EditBatch now, or buffer it in the server txn.
@@ -877,11 +890,8 @@ class DualTableHandler(StorageHandler):
                                      attached_bytes=attached_bytes):
                 splits = self._compact_splits()
 
-                def map_fn(split, ctx):
-                    yield from self.read_split(split, ctx)
-
-                job = Job(name="compact", splits=splits, map_fn=map_fn,
-                          reduce_fn=None)
+                job = Job(name="compact", splits=splits,
+                          map_fn=self._compact_map_fn, reduce_fn=None)
                 result = session.runner.run(job)
                 write_seconds = run_with_retries(
                     session, lambda: self._commit_compact(result.outputs),
@@ -950,11 +960,8 @@ class DualTableHandler(StorageHandler):
                 splits = self._compact_splits(
                     paths=[v["path"] for v in victims])
 
-                def map_fn(split, ctx):
-                    yield from self.read_split(split, ctx)
-
                 job = Job(name="compact-partial", splits=splits,
-                          map_fn=map_fn, reduce_fn=None)
+                          map_fn=self._compact_map_fn, reduce_fn=None)
                 result = session.runner.run(job)
                 write_seconds = run_with_retries(
                     session,
@@ -977,6 +984,11 @@ class DualTableHandler(StorageHandler):
                     "mode": "partial", "files": len(victims),
                     "file_ids": [v["file_id"] for v in victims],
                     "rows_written": len(result.outputs)})
+
+    def _compact_map_fn(self, split, ctx):
+        """One master file's merged rows, read through batches."""
+        for batch in self.read_split_batches(split, ctx):
+            yield from batch.rows()
 
     def _compact_splits(self, paths=None):
         # scan_splits raises while _compacting; build splits directly.

@@ -21,13 +21,21 @@ def update_udtf(attached, record_id, new_values, ctx=None):
     """
     attached.put_update(record_id, new_values)
     if ctx is not None:
-        ctx.incr("updated")
-        ctx.cluster.metrics.incr("udtf.updates")
+        count_udtf_calls(ctx, "update", 1)
 
 
 def delete_udtf(attached, record_id, ctx=None):
     """Store a DELETE marker for one deleted record."""
     attached.put_delete(record_id)
     if ctx is not None:
-        ctx.incr("deleted")
-        ctx.cluster.metrics.incr("udtf.deletes")
+        count_udtf_calls(ctx, "delete", 1)
+
+
+def count_udtf_calls(ctx, verb, calls):
+    """Account ``calls`` UDTF invocations of ``verb`` ("update" |
+    "delete") to one task: the job counter behind the statement's
+    affected-row count plus the ``udtf.*`` metric.  The batch EDIT scan
+    calls the UDTFs without a ``ctx`` and accounts once per task."""
+    if calls:
+        ctx.incr(verb + "d", calls)
+        ctx.cluster.metrics.incr("udtf.%ss" % verb, calls)

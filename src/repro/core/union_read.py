@@ -23,6 +23,12 @@ The merge-stat contract (``deltas_applied`` / ``rows_deleted`` /
 ``deltas_skipped`` / ``trailing_deltas``) is shared by all three entry
 points; tests/test_merge_overlay.py fuzzes row-vs-overlay equality of
 rows *and* stats over adversarial delta distributions.
+
+Both batch merges keep **provenance**: a merged batch carries its source
+``row_base`` plus the sorted positions of the rows deleted from it
+(``ColumnBatch.dropped`` — a slice the merge computes anyway), so the
+EDIT scan can name a surviving row's record id lazily, for the rows a
+statement matches, instead of encoding one id per scanned row.
 """
 
 from bisect import bisect_left
@@ -150,6 +156,7 @@ def union_read_batches(file_id, orc_batches, delta_items, projection_map,
                 yield batch
                 continue
             merged_rows = []
+            dropped = []
             for offset, values in enumerate(batch.rows()):
                 record_id = encode_record_id(file_id, base + offset)
                 while current is not None and current[0] < record_id:
@@ -160,6 +167,7 @@ def union_read_batches(file_id, orc_batches, delta_items, projection_map,
                     current = next(delta_iter, None)
                     if delta.deleted:
                         deleted += 1
+                        dropped.append(base + offset)
                         continue
                     if delta.updates:
                         applied += 1
@@ -168,7 +176,8 @@ def union_read_batches(file_id, orc_batches, delta_items, projection_map,
                         continue
                 merged_rows.append(values)
             if merged_rows:
-                yield batch_from_rows(merged_rows, len(batch.columns))
+                yield batch_from_rows(merged_rows, len(batch.columns),
+                                      row_base=base, dropped=dropped)
         while current is not None:
             trailing += 1
             current = next(delta_iter, None)
@@ -259,7 +268,9 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
       columns are copied first), so a batch with both patches and
       deletes still costs exactly one copy per column;
     * columns a batch neither patches nor shrinks are shared with the
-      source batch zero-copy.
+      source batch zero-copy;
+    * every yielded batch keeps ``row_base``, and a shrunk one carries
+      its slice of the delete positions as ``dropped``.
 
     A batch no delta position falls into streams through unchanged —
     the zero-delta fast path now costs one ``bisect`` per batch.
@@ -310,13 +321,14 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
                     # unchanged; hand the source batch through.
                     yield batch
                 else:
-                    yield ColumnBatch(patched, batch.length)
+                    yield ColumnBatch(patched, batch.length, row_base=base)
                 continue
             survivors = batch.length - (d_hi - d_lo)
             if survivors == 0:
                 continue   # every row deleted; empty batches are not yielded
+            dropped = deletes[d_lo:d_hi]
             # Highest offset first so earlier deletes keep their index.
-            offsets = [p - base for p in reversed(deletes[d_lo:d_hi])]
+            offsets = [p - base for p in reversed(dropped)]
             source = batch.columns
             columns = patched if patched is not None else list(source)
             for position, column in enumerate(columns):
@@ -324,7 +336,8 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
                     column = columns[position] = list(column)
                 for offset in offsets:
                     del column[offset]
-            yield ColumnBatch(columns, survivors)
+            yield ColumnBatch(columns, survivors, row_base=base,
+                              dropped=dropped)
         trailing = len(positions) - cursor
     finally:
         if stats is not None:

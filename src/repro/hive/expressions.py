@@ -281,6 +281,31 @@ SCALAR_FUNCTIONS = {
 # ----------------------------------------------------------------------
 # Compiler.
 # ----------------------------------------------------------------------
+def fold_in_list(items):
+    """The candidates of an all-literal IN list as a frozenset, else None.
+
+    Folded once per compile instead of rebuilding a candidate list per
+    row.  ``frozenset`` and ``list`` membership agree (identity, then
+    ``==``) for every scalar the parser can put in a literal — int,
+    float, str, bool, NULL — because equal numbers hash equal
+    (``1 == 1.0 == True``), so ``1 IN (1.0)`` and ``'1' IN (1)`` answer
+    as before.  A list holding anything else — a column reference, a
+    materialized subquery set — stays on the general per-row path.
+    """
+    values = []
+    for item in items:
+        if isinstance(item, ast.Literal) \
+                and not isinstance(item.value, (set, frozenset)):
+            values.append(item.value)
+        elif isinstance(item, ast.UnaryMinus) \
+                and isinstance(item.operand, ast.Literal) \
+                and isinstance(item.operand.value, (int, float)):
+            values.append(-item.operand.value)   # how "-3" parses
+        else:
+            return None
+    return frozenset(values)
+
+
 def compile_expr(expr, env):
     """Compile an AST expression into ``fn(values_tuple) -> value``.
 
@@ -336,7 +361,10 @@ def compile_expr(expr, env):
         return apply_not
     if isinstance(expr, ast.UnaryMinus):
         inner = compile_expr(expr.operand, env)
-        return lambda values: None if inner(values) is None else -inner(values)
+        def apply_minus(values):
+            val = inner(values)
+            return None if val is None else -val
+        return apply_minus
     if isinstance(expr, ast.IsNull):
         inner = compile_expr(expr.operand, env)
         if expr.negated:
@@ -344,8 +372,17 @@ def compile_expr(expr, env):
         return lambda values: inner(values) is None
     if isinstance(expr, ast.InList):
         inner = compile_expr(expr.operand, env)
-        items = [compile_expr(item, env) for item in expr.items]
         negated = expr.negated
+        folded = fold_in_list(expr.items)
+        if folded is not None:
+            def apply_in_folded(values):
+                needle = inner(values)
+                if needle is None:
+                    return None
+                hit = needle in folded
+                return (not hit) if negated else hit
+            return apply_in_folded
+        items = [compile_expr(item, env) for item in expr.items]
         def apply_in(values):
             needle = inner(values)
             if needle is None:

@@ -24,7 +24,8 @@ import operator
 
 from repro.hive import ast_nodes as ast
 from repro.hive.expressions import (SCALAR_FUNCTIONS, SlotRef, _BINARY,
-                                    compile_expr, is_true, like_to_regex)
+                                    compile_expr, fold_in_list, is_true,
+                                    like_to_regex)
 
 #: C-level forms of the NULL-stripped binary ops, used by the
 #: ``col <op> literal`` fast path once the NULL/type checks are hoisted
@@ -285,8 +286,15 @@ def _vec_isnull(expr, env):
 
 def _vec_inlist(expr, env):
     inner = _vectorize(expr.operand, env)
-    items = [_vectorize(item, env) for item in expr.items]
     negated = expr.negated
+    folded = fold_in_list(expr.items)
+    if folded is not None:
+        if negated:
+            return lambda cols, n: [None if v is None else v not in folded
+                                    for v in inner(cols, n)]
+        return lambda cols, n: [None if v is None else v in folded
+                                for v in inner(cols, n)]
+    items = [_vectorize(item, env) for item in expr.items]
 
     def apply_in(cols, n):
         out = []

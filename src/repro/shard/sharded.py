@@ -30,16 +30,11 @@ exactly one shard's files and attached store are charged.
 import json
 
 from repro.common.errors import DualTableError
-from repro.mapreduce import Job, stable_hash
+from repro.mapreduce import stable_hash
 from repro.hive.catalog import TableInfo, register_handler
-from repro.hive.expressions import (Env, compile_expr, is_true,
-                                    referenced_columns)
-from repro.hive.pushdown import extract_ranges
 from repro.hive.session import QueryResult
-from repro.core.editlog import (EditBatch, recover_edit_logs,
-                                run_with_retries)
+from repro.core.editlog import recover_edit_logs, run_with_retries
 from repro.core.handler import DualTableHandler
-from repro.core.udtf import delete_udtf, update_udtf
 
 #: fixed hash-space resolution: rows map to one of 64 buckets, buckets
 #: map to shards.  Fixed for the life of the format — rebalancing moves
@@ -501,97 +496,20 @@ class ShardedDualTableHandler(DualTableHandler):
         return rows, observed, detail
 
     # ------------------------------------------------------------------
-    # EDIT-plan DML (per-shard delta application, one job).
+    # EDIT-plan DML: the core batch EDIT scan, one job over every shard
+    # (``read_split_batches`` above routes each split to its child).
     # ------------------------------------------------------------------
-    def _edit_update(self, session, stmt, detail):
-        schema = self.schema
-        needed = set()
-        if stmt.where is not None:
-            needed |= referenced_columns(stmt.where)
-        for _, expr in stmt.assignments:
-            needed |= referenced_columns(expr)
-        projection = [c.name for c in schema if c.name.lower() in needed]
-        if not projection:
-            projection = [schema.columns[0].name]
-        env = Env()
-        env.add_schema(projection, alias=stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        assigns = [(schema.index_of(name), compile_expr(expr, env))
-                   for name, expr in stmt.assignments]
-        ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
-        splits = self.scan_splits(projection, ranges)
-        batch = EditBatch(self._batch_target, next(self._txn_ids))
+    def _edit_keys(self, split, record_ids):
+        shard = split.payload.get("shard", 0)
+        return [(shard, record_id) for record_id in record_ids]
 
-        def map_fn(split, ctx):
-            shard = split.payload.get("shard", 0)
-            buffer = batch.task_buffer()
-            for record_id, values in \
-                    self.children[shard].read_split_with_rids(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    new_values = {idx: fn(values) for idx, fn in assigns}
-                    update_udtf(buffer, (shard, record_id), new_values, ctx)
-            batch.absorb(buffer, ctx.task_index)
-            return ()
-
-        job = Job(name="update-edit", splits=splits, map_fn=map_fn,
-                  reduce_fn=None,
-                  properties={"shard_fanout": self.num_shards})
-        result = session.runner.run(job)
-        commit_seconds = self._commit_edit_batch(session, batch)
-        self.note_attached_bytes()
-        jobs = session._dml_subquery_jobs + [result]
-        sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
-        return QueryResult(
-            sim_seconds=sub + result.sim_seconds + commit_seconds,
-            jobs=jobs, affected=result.counters.get("updated", 0),
-            plan="update-edit", detail=detail)
-
-    def _edit_delete(self, session, stmt, detail):
-        schema = self.schema
-        needed = (referenced_columns(stmt.where)
-                  if stmt.where is not None else set())
-        projection = [c.name for c in schema if c.name.lower() in needed]
-        if not projection:
-            projection = [schema.columns[0].name]
-        env = Env()
-        env.add_schema(projection, alias=stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
-        splits = self.scan_splits(projection, ranges)
-        batch = EditBatch(self._batch_target, next(self._txn_ids))
-
-        def map_fn(split, ctx):
-            shard = split.payload.get("shard", 0)
-            buffer = batch.task_buffer()
-            for record_id, values in \
-                    self.children[shard].read_split_with_rids(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    delete_udtf(buffer, (shard, record_id), ctx)
-            batch.absorb(buffer, ctx.task_index)
-            return ()
-
-        job = Job(name="delete-edit", splits=splits, map_fn=map_fn,
-                  reduce_fn=None,
-                  properties={"shard_fanout": self.num_shards})
-        result = session.runner.run(job)
-        commit_seconds = self._commit_edit_batch(session, batch)
-        self.note_attached_bytes()
-        jobs = session._dml_subquery_jobs + [result]
-        sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
-        return QueryResult(
-            sim_seconds=sub + result.sim_seconds + commit_seconds,
-            jobs=jobs, affected=result.counters.get("deleted", 0),
-            plan="delete-edit", detail=detail)
-
-    def _commit_edit_batch(self, session, batch):
+    def _commit_or_defer(self, session, batch):
         """Commit (or defer) the statement's routed batch.
 
         Heat accounting reads the shard tags off the edit list before
-        publish unpacks them; under an optimistic server transaction the
-        batch defers under the logical table name exactly like an
-        unsharded commit.
+        publish unpacks them; the batch then commits — or, under an
+        optimistic server transaction, defers under the logical table
+        name — exactly like an unsharded one.
         """
         edits = batch.edits
         if not edits:
@@ -606,13 +524,7 @@ class ShardedDualTableHandler(DualTableHandler):
                          per_shard[shard])
             metrics.incr("shard.heat.%s.%d" % (table, shard),
                          per_shard[shard])
-        txn = getattr(session, "current_txn", None)
-        if txn is not None and not txn.exclusive:
-            txn.defer_edit_batch(table, batch, session)
-            return 0.0
-        with self.env.cluster.tracer.span(
-                "phase", "dualtable:edit-commit", table=table):
-            return batch.commit(session)
+        return super()._commit_or_defer(session, batch)
 
     # ------------------------------------------------------------------
     # COMPACT (per shard; the logical statement folds every child).

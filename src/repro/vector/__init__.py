@@ -15,6 +15,8 @@ cache — treat every batch as immutable; filtering produces a new batch
 via :meth:`ColumnBatch.take`.
 """
 
+from bisect import bisect_right
+
 #: Default rows per batch; also the MaterializedSource split chunk size
 #: (the two are deliberately one knob — see HiveSession.set_batch_rows).
 DEFAULT_BATCH_ROWS = 20_000
@@ -47,15 +49,20 @@ class ColumnBatch:
     ``columns``  — one list per projected column, all of length
                    ``length`` (zero-width batches carry row count only);
     ``row_base`` — ordinal of the first row within its source ORC file,
-                   or None once provenance is lost (post-filter/merge).
+                   or None once provenance is lost (post-filter);
+    ``dropped``  — sorted file ordinals of the rows a delta merge deleted
+                   from this batch's span.  Together with ``row_base``
+                   they let :meth:`ordinals` resolve a surviving row to
+                   its file ordinal lazily, for the rows a caller picks.
     """
 
-    __slots__ = ("columns", "length", "row_base")
+    __slots__ = ("columns", "length", "row_base", "dropped")
 
-    def __init__(self, columns, length, row_base=None):
+    def __init__(self, columns, length, row_base=None, dropped=()):
         self.columns = columns
         self.length = length
         self.row_base = row_base
+        self.dropped = dropped
 
     def __len__(self):
         return self.length
@@ -66,27 +73,23 @@ class ColumnBatch:
             return iter([()] * self.length)
         return zip(*self.columns)
 
+    def ordinals(self, indices):
+        """File-ordinal row numbers of the rows at ``indices``: one pass
+        over ``dropped`` plus a bisect per *picked* row, nothing per
+        scanned row."""
+        base = self.row_base
+        if not self.dropped:
+            return [base + i for i in indices]
+        # gaps[k] = survivors ahead of the k-th dropped row; the survivor
+        # at index i sits behind every dropped row with gaps[k] <= i.
+        gaps = [position - base - k
+                for k, position in enumerate(self.dropped)]
+        return [base + i + bisect_right(gaps, i) for i in indices]
+
     def take(self, indices):
         """New batch holding only ``indices`` (in order); copies."""
         return ColumnBatch([[col[i] for i in indices]
                             for col in self.columns], len(indices))
-
-    def drop_sorted(self, offsets):
-        """New batch without the rows at sorted ``offsets``.
-
-        One list copy per column, then C-level ``del`` per dropped row
-        (highest offset first so earlier offsets stay valid), so the
-        per-row cost beyond the copy scales with the number of
-        *deletions* — the delta-merge accelerator's delete primitive.
-        """
-        reversed_offsets = offsets[::-1]
-        columns = []
-        for column in self.columns:
-            out = list(column)
-            for offset in reversed_offsets:
-                del out[offset]
-            columns.append(out)
-        return ColumnBatch(columns, self.length - len(offsets))
 
 
 def spliced(column, offsets, values, base=0):
@@ -98,13 +101,15 @@ def spliced(column, offsets, values, base=0):
     return out
 
 
-def batch_from_rows(rows, width):
+def batch_from_rows(rows, width, row_base=None, dropped=()):
     """One ColumnBatch from a list of row tuples."""
     if not rows:
-        return ColumnBatch([[] for _ in range(width)], 0)
-    if width == 0:
-        return ColumnBatch([], len(rows))
-    return ColumnBatch([list(col) for col in zip(*rows)], len(rows))
+        columns = [[] for _ in range(width)]
+    elif width == 0:
+        columns = []
+    else:
+        columns = [list(col) for col in zip(*rows)]
+    return ColumnBatch(columns, len(rows), row_base, dropped)
 
 
 def batches_from_rows(rows, width, batch_rows=DEFAULT_BATCH_ROWS):

@@ -12,7 +12,8 @@ even error *sites* agree).
 
 import random
 
-from repro.hive.expressions import Env, compile_expr
+from repro.hive import ast_nodes as ast
+from repro.hive.expressions import Env, compile_expr, fold_in_list
 from repro.hive.parser import parse
 from repro.hive.vexpr import compile_batch
 
@@ -177,3 +178,100 @@ def test_differential_split_batches_match_single_batch():
             pieces.extend(batch_fn([list(c) for c in zip(*chunk)],
                                    len(chunk)))
         assert pieces == whole, text
+
+
+# ----------------------------------------------------------------------
+# IN-list folding: literal lists compile to one frozenset per statement;
+# the row closure, the batch closure and the pre-folding semantics (a
+# candidate list rebuilt per row, linear ``in``) must all agree.
+# ----------------------------------------------------------------------
+def legacy_in(expr, env, values):
+    """``apply_in`` as it was before literal lists were folded."""
+    needle = compile_expr(expr.operand, env)(values)
+    if needle is None:
+        return None
+    candidates = []
+    for item in expr.items:
+        val = compile_expr(item, env)(values)
+        if isinstance(val, (frozenset, set)):
+            candidates.extend(val)
+        else:
+            candidates.append(val)
+    hit = needle in candidates
+    return (not hit) if expr.negated else hit
+
+
+def in_expr(text):
+    return parse("SELECT %s" % text).items[0].expr
+
+
+def subquery_in(negated=False):
+    """``j IN (<materialized subquery>, 5)`` as the executor rewrites it."""
+    return ast.InList(operand=ast.ColumnRef(name="j"),
+                      items=[ast.Literal(value=frozenset({1, 2.0, None})),
+                             ast.Literal(value=5)],
+                      negated=negated)
+
+
+FOLDED_IN_LISTS = [
+    "j IN (1, 2, 3)",
+    "j NOT IN (1, 2, 3)",
+    "j IN (1, 1, 2, 2, 1)",               # duplicates
+    "j IN (1, null)",                     # NULL inside the list
+    "j NOT IN (null, 3)",
+    "null IN (1, 2)",                     # NULL needle
+    "null NOT IN (1, null)",
+    "1 IN (1.0)",                         # 1 == 1.0 and hash alike
+    "f IN (2, 2.5, 3)",
+    "i IN (2.0, 5.0, -1.0, -3)",          # "-3" parses as UnaryMinus(3)
+    "'1' IN (1)",                         # no str/int coercion in IN
+    "s IN ('g1', 2, '')",
+    "j IN ('1', '2')",
+    "TRUE IN (1)",                        # bool is an int
+    "(j = 1) IN (0, 2)",
+    "(j = 1) NOT IN (1)",
+]
+
+GENERAL_IN_LISTS = [
+    "j IN (1, i)",                        # one column-ref item
+    "j NOT IN (i, 3, null)",
+    "f IN (i, j, 2.5)",
+    "s IN ('g1', s)",
+    "i IN (1, -j)",
+    "i IN (1, -null)",                    # only negated numbers fold
+]
+
+
+def check_in_list(expr, env, rows, cols):
+    expected = [legacy_in(expr, env, values) for values in rows]
+    assert [compile_expr(expr, env)(values) for values in rows] == expected
+    assert compile_batch(expr, env)(cols, len(rows)) == expected
+    return expected
+
+
+def test_in_list_folding_keeps_list_semantics():
+    rng = random.Random(SEED + 2)
+    rows = make_rows(rng, n=64)
+    cols = [list(column) for column in zip(*rows)]
+    env = Env().add_schema(COLUMNS)
+    for text in FOLDED_IN_LISTS:
+        expr = in_expr(text)
+        assert isinstance(fold_in_list(expr.items), frozenset), text
+        check_in_list(expr, env, rows, cols)
+    for text in GENERAL_IN_LISTS:
+        expr = in_expr(text)
+        assert fold_in_list(expr.items) is None, text
+        check_in_list(expr, env, rows, cols)
+    for negated in (False, True):
+        expr = subquery_in(negated)
+        assert fold_in_list(expr.items) is None
+        results = check_in_list(expr, env, rows, cols)
+        assert {True, False, None} == set(results)
+    # Spot-check the headline literals against their SQL-visible values.
+    one_row, one_col = [(None, 1, "g1", 2.5)], [[None], [1], ["g1"], [2.5]]
+    for text, value in [("1 IN (1.0)", True), ("'1' IN (1)", False),
+                        ("TRUE IN (1)", True), ("null IN (1, 2)", None),
+                        ("j IN (2, null)", False), ("j NOT IN (2, null)", True),
+                        ("i IN (1, 2)", None)]:
+        assert check_in_list(in_expr(text), env, one_row, one_col) \
+            == [value], text

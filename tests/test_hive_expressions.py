@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from repro.common.errors import AnalysisError
 from repro.hive import ast_nodes as ast
-from repro.hive.expressions import (Env, compile_expr, contains_aggregate,
-                                    is_true, like_to_regex,
-                                    referenced_columns, walk)
+from repro.hive.expressions import (SCALAR_FUNCTIONS, Env, compile_expr,
+                                    contains_aggregate, is_true,
+                                    like_to_regex, referenced_columns, walk)
 from repro.hive.parser import parse
 
 
@@ -45,6 +45,16 @@ class TestLiteralsAndArithmetic:
 
     def test_concat_operator(self):
         assert evaluate("'a' || 'b'") == "ab"
+
+
+class TestUnaryMinus:
+    def test_operand_is_evaluated_once(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(SCALAR_FUNCTIONS, "abs",
+                            lambda x: seen.append(x) or x)
+        assert evaluate("-abs(3)") == -3
+        assert evaluate("-abs(null)") is None
+        assert seen == [3, None]
 
 
 class TestComparisons:
@@ -101,6 +111,16 @@ class TestPredicates:
         assert evaluate("9 IN (1, 2, 3)") is False
         assert evaluate("9 NOT IN (1, 2)") is True
         assert evaluate("null IN (1, 2)") is None
+
+    def test_in_list_of_literals_compares_like_a_list(self):
+        # Literal lists are folded to a frozenset at compile time; the
+        # answers are those of the per-row list they replaced.
+        assert evaluate("1 IN (1.0)") is True
+        assert evaluate("'1' IN (1)") is False
+        assert evaluate("TRUE IN (1)") is True
+        assert evaluate("2 IN (1, null)") is False
+        assert evaluate("2 NOT IN (1, null, 1)") is True
+        assert evaluate("k IN (3, k)", row=(7,), columns=["k"]) is True
 
     def test_like(self):
         assert evaluate("'hello' LIKE 'he%'") is True

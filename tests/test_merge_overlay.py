@@ -16,7 +16,7 @@ from repro.common.rng import make_rng
 from repro.core import (build_overlay, union_read_batches, union_read_file,
                         union_read_overlay)
 from repro.core.attached import DeltaRecord
-from repro.core.record_id import encode_record_id
+from repro.core.record_id import decode_record_id, encode_record_id
 from repro.hive import HiveSession
 from repro.vector import ColumnBatch
 
@@ -70,10 +70,19 @@ def run_all_paths(spans, entries, projection=(0, 1, 2)):
     b_rows = [tuple(row) for batch in b_batches for row in batch.rows()]
     orc_rows = [(r, tuple(cell(r, c) for c in projection))
                 for first, n in spans for r in range(first, first + n)]
-    r_rows = [values for _, values in union_read_file(
-        FILE_ID, iter(orc_rows), items, projection_map, stats=r_stats)]
+    r_pairs = list(union_read_file(
+        FILE_ID, iter(orc_rows), items, projection_map, stats=r_stats))
+    r_rows = [values for _, values in r_pairs]
 
     assert o_rows == b_rows == r_rows
+    # Provenance: both batch merges can name every surviving row's file
+    # ordinal (row_base + dropped positions), matching the row merge's
+    # per-row record ids.
+    r_ordinals = [decode_record_id(record_id)[1] for record_id, _ in r_pairs]
+    for batches in (o_batches, b_batches):
+        assert [ordinal for batch in batches
+                for ordinal in batch.ordinals(range(batch.length))] \
+            == r_ordinals
     assert o_stats == b_stats == r_stats
     assert all(len(batch) > 0 for batch in o_batches + b_batches)
     return o_rows, o_stats
