@@ -87,6 +87,8 @@ class TableSchema:
             if key in self._index:
                 raise AnalysisError("duplicate column name: %s" % col.name)
             self._index[key] = i
+        self._coercers = [_PYTHON_COERCERS[col.physical_kind]
+                          for col in self.columns]
 
     def __len__(self):
         return len(self.columns)
@@ -125,19 +127,22 @@ class TableSchema:
         if len(row) != len(self.columns):
             raise AnalysisError(
                 "row arity %d != schema arity %d" % (len(row), len(self.columns)))
-        out = []
-        for col, value in zip(self.columns, row):
-            if value is None:
-                out.append(None)
-                continue
-            coercer = _PYTHON_COERCERS[col.physical_kind]
-            try:
-                out.append(coercer(value))
-            except (TypeError, ValueError) as exc:
-                raise AnalysisError(
-                    "cannot coerce %r to %s for column %s: %s"
-                    % (value, col.htype.value, col.name, exc)) from exc
-        return tuple(out)
+        try:
+            return tuple([
+                value if value is None or type(value) is coercer
+                else coercer(value)
+                for value, coercer in zip(row, self._coercers)])
+        except (TypeError, ValueError):
+            # Errors only: walk the row again to name the offending cell.
+            for col, value, coercer in zip(self.columns, row, self._coercers):
+                try:
+                    if value is not None:
+                        coercer(value)
+                except (TypeError, ValueError) as exc:
+                    raise AnalysisError(
+                        "cannot coerce %r to %s for column %s: %s"
+                        % (value, col.htype.value, col.name, exc)) from exc
+            raise
 
     def __repr__(self):
         cols = ", ".join("%s %s" % (c.name, c.htype.value) for c in self.columns)

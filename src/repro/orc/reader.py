@@ -24,10 +24,16 @@ belt-and-braces on top).
 import json
 import struct
 import zlib
+from itertools import repeat
 
 from repro.common.errors import CorruptOrcFileError
 from repro.orc.encodings import DECODERS
 from repro.orc.writer import MAGIC
+
+#: what a decoder raises on a stream that is not what an encoder wrote
+#: (UnicodeDecodeError is a ValueError).
+_DECODE_ERRORS = (zlib.error, IndexError, struct.error, StopIteration,
+                  ValueError)
 
 
 class StripeInfo:
@@ -148,9 +154,10 @@ class OrcReader:
             if stripe_filter is not None and not stripe_filter(stripe):
                 continue
             columns = self._decode_stripe_columns(stripe, indices)
-            for offset in range(stripe.num_rows):
-                yield (stripe.first_row + offset,
-                       tuple(col[offset] for col in columns))
+            # zip() of no columns is empty; an empty projection still
+            # yields one empty tuple per row.
+            values = zip(*columns) if columns else repeat((), stripe.num_rows)
+            yield from enumerate(values, stripe.first_row)
 
     def read_all(self, projection=None, stripe_filter=None):
         """Materialize :meth:`rows` into a list."""
@@ -201,8 +208,21 @@ class OrcReader:
             column = self._cache.get(key) if key is not None else None
             if column is None:
                 stream = self._data[start:start + length]
-                kind = self.schema[idx][1]
-                column = DECODERS[kind](stream)
+                name, kind = self.schema[idx]
+                try:
+                    column = DECODERS[kind](stream)
+                    # The bulk decoders tolerate trailing bytes, so this
+                    # is what keeps a short or long stream from becoming
+                    # silently wrong rows.
+                    if len(column) != stripe.num_rows:
+                        raise ValueError(
+                            "decodes to %d values, stripe has %d rows"
+                            % (len(column), stripe.num_rows))
+                except _DECODE_ERRORS as exc:
+                    raise CorruptOrcFileError(
+                        "corrupt %s stream in %r, stripe %d, column %r: "
+                        "%s: %s" % (kind, self._path, stripe.index, name,
+                                    type(exc).__name__, exc)) from exc
                 if key is not None:
                     self._cache.put(key, column, nbytes=length)
             out.append(column)

@@ -15,9 +15,10 @@ predicate pushdown in the reader.
 
 import json
 import struct
+from itertools import islice
 
 from repro.common.errors import OrcError
-from repro.orc.encodings import ENCODERS
+from repro.orc.encodings import ENCODERS, non_null_values
 
 MAGIC = b"ORCSIM1\x00"
 DEFAULT_STRIPE_ROWS = 5000
@@ -25,11 +26,12 @@ DEFAULT_STRIPE_ROWS = 5000
 _VALID_KINDS = ("int", "double", "string", "boolean")
 
 
-def _column_stats(kind, values):
-    non_null = [v for v in values if v is not None]
+def _column_stats(kind, count, non_null=(), distinct=()):
+    """Statistics of ``count`` values whose non-NULLs are ``non_null``
+    (``distinct`` is their set)."""
     stats = {
-        "count": len(values),
-        "nulls": len(values) - len(non_null),
+        "count": count,
+        "nulls": count - len(non_null),
         "min": None,
         "max": None,
         "ndv": 0,
@@ -37,7 +39,7 @@ def _column_stats(kind, values):
     if non_null:
         stats["min"] = min(non_null)
         stats["max"] = max(non_null)
-        stats["ndv"] = len(set(non_null))
+        stats["ndv"] = len(distinct)
         if kind in ("int", "double"):
             stats["sum"] = sum(non_null)
     return stats
@@ -103,8 +105,25 @@ class OrcWriter:
             self._flush_stripe()
 
     def write_rows(self, rows):
-        for row in rows:
-            self.write_row(row)
+        """Append ``rows`` a stripe's worth at a time, column-wise."""
+        arity = {len(self.schema)}
+        rows = iter(rows)
+        while True:
+            chunk = list(islice(
+                rows, self.stripe_rows - len(self._columns[0])))
+            if not chunk:
+                return
+            if self._finished or set(map(len, chunk)) != arity:
+                # write_row raises at the offending row, with the rows
+                # before it appended.
+                for row in chunk:
+                    self.write_row(row)
+                continue
+            for col, values in zip(self._columns, zip(*chunk)):
+                col.extend(values)
+            self._num_rows += len(chunk)
+            if len(self._columns[0]) >= self.stripe_rows:
+                self._flush_stripe()
 
     def _flush_stripe(self):
         n = len(self._columns[0])
@@ -112,11 +131,15 @@ class OrcWriter:
             return
         stripe = {"offset": len(self._body), "num_rows": n, "columns": []}
         for (name, kind), values in zip(self.schema, self._columns):
-            stream = ENCODERS[kind](values)
+            # One non-NULL pass and one set per column, shared by the
+            # statistics and the encoder's dictionary decision.
+            non_null = non_null_values(values)
+            distinct = set(non_null)
+            stream = ENCODERS[kind](values, non_null, distinct)
             stripe["columns"].append({
                 "offset": len(self._body),
                 "length": len(stream),
-                "stats": _column_stats(kind, values),
+                "stats": _column_stats(kind, n, non_null, distinct),
             })
             self._body.extend(stream)
         stripe["length"] = len(self._body) - stripe["offset"]
@@ -135,7 +158,7 @@ class OrcWriter:
             for stripe in self._stripes:
                 stats = stripe["columns"][idx]["stats"]
                 agg = stats if agg is None else _merge_stats(kind, agg, stats)
-            file_stats.append(agg or _column_stats(kind, []))
+            file_stats.append(agg or _column_stats(kind, 0))
         footer = {
             "schema": self.schema,
             "num_rows": self._num_rows,

@@ -1,5 +1,9 @@
 """Tests for the ORC-like columnar format: encodings, writer, reader."""
 
+import json
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,17 +12,23 @@ from repro.cluster import Cluster, ClusterProfile
 from repro.common.errors import CorruptOrcFileError, OrcError
 from repro.hdfs import HdfsFileSystem
 from repro.orc import OrcReader, OrcWriter, write_orc
-from repro.orc.encodings import (decode_boolean_column, decode_double_column,
-                                 decode_int_column, decode_string_column,
-                                 encode_boolean_column, encode_double_column,
-                                 encode_int_column, encode_string_column)
+from repro.orc.encodings import (ENCODERS, decode_boolean_column,
+                                 decode_double_column, decode_int_column,
+                                 decode_string_column, encode_boolean_column,
+                                 encode_double_column, encode_int_column,
+                                 encode_string_column)
+from repro.orc.writer import MAGIC
 
 
 # ----------------------------------------------------------------------
 # Encodings: round-trip properties.
 # ----------------------------------------------------------------------
-int_values = st.lists(st.one_of(st.none(),
-                                st.integers(-2**50, 2**50)), max_size=300)
+# The full int64 range plus a few values beyond it: a narrower range
+# (+-2**50) once hid a zigzag overflow on deltas >= 2**63.
+int_values = st.lists(
+    st.one_of(st.none(), st.integers(-2**63, 2**63 - 1),
+              st.sampled_from([2**63, -2**63 - 1, 2**64, -2**70, 2**100])),
+    max_size=300)
 double_values = st.lists(
     st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
     max_size=200)
@@ -69,6 +79,11 @@ class TestEncodings:
     def test_empty_columns(self):
         assert decode_int_column(encode_int_column([])) == []
         assert decode_double_column(encode_double_column([])) == []
+
+    @pytest.mark.parametrize("values", [[-(2**62), 2**62], [2**63]])
+    def test_zigzag_does_not_overflow_at_2_to_63(self, values):
+        # (n << 1) ^ (n >> 63) silently decoded these to other numbers.
+        assert decode_int_column(encode_int_column(values)) == values
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +239,100 @@ class TestCorruption:
         data[-30] ^= 0xFF
         with pytest.raises(CorruptOrcFileError):
             OrcReader(bytes(data))
+
+
+def _replace_last_stream(data, mutate):
+    """``data`` with its last stripe's last column stream replaced by
+    ``mutate(stream)`` and the footer's lengths patched to match."""
+    tail = len(MAGIC) + 8
+    (footer_len,) = struct.unpack("<Q", data[-tail:-len(MAGIC)])
+    footer_start = len(data) - tail - footer_len
+    footer = json.loads(data[footer_start:footer_start + footer_len])
+    stripe = footer["stripes"][-1]
+    column = stripe["columns"][-1]
+    start = column["offset"]
+    stream = mutate(data[start:start + column["length"]])
+    stripe["length"] += len(stream) - column["length"]
+    column["length"] = len(stream)
+    footer_bytes = json.dumps(footer, separators=(",", ":")).encode("utf-8")
+    return (data[:start] + stream + footer_bytes
+            + struct.pack("<Q", len(footer_bytes)) + MAGIC)
+
+
+class TestCorruptStreams:
+    """A damaged column stream is a typed error naming where it is,
+    never a raw zlib/IndexError and never silently wrong rows."""
+
+    COLUMNS = {
+        "int": [(i * 2654435761) % 99991 for i in range(40)],
+        "double": [i * 1.5 for i in range(40)],
+        "string": ["unique-value-%d" % i for i in range(40)],
+        "boolean": [i % 3 == 0 for i in range(40)],
+    }
+
+    def _file(self, kind, values):
+        return write_orc([("pad", "int"), ("c", kind)],
+                         [(i, v) for i, v in enumerate(values)],
+                         stripe_rows=25)
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    def test_flipped_byte(self, kind):
+        data = self._file(kind, self.COLUMNS[kind])
+        for at in (0, 2, -1):
+            def flip(stream):
+                damaged = bytearray(stream)
+                damaged[at] ^= 0x55
+                return bytes(damaged)
+            reader = OrcReader(_replace_last_stream(data, flip))
+            with pytest.raises(CorruptOrcFileError) as err:
+                reader.read_all()
+            assert "stripe 1" in str(err.value)
+            assert "'c'" in str(err.value)
+
+    @pytest.mark.parametrize("with_nulls", [False, True])
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    def test_truncated_payload_recompressed(self, kind, with_nulls):
+        values = list(self.COLUMNS[kind])
+        if with_nulls:
+            values[3] = values[30] = None
+        data = self._file(kind, values)
+        for cut in (1, 3, 9):
+            reader = OrcReader(_replace_last_stream(
+                data, lambda s: zlib.compress(zlib.decompress(s)[:-cut])))
+            with pytest.raises(CorruptOrcFileError):
+                reader.read_all()
+        # the undamaged column of the same stripe still reads
+        assert len(reader.read_all(projection=["pad"])) == 40
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    def test_count_differs_from_stripe_rows(self, kind):
+        data = self._file(kind, self.COLUMNS[kind])
+        for n in (0, 14, 16):               # the last stripe has 15 rows
+            reader = OrcReader(_replace_last_stream(
+                data, lambda s: ENCODERS[kind](self.COLUMNS[kind][:n])))
+            with pytest.raises(CorruptOrcFileError) as err:
+                reader.read_all()
+            assert "%d values" % n in str(err.value)
+            assert "15 rows" in str(err.value)
+
+    def test_error_names_the_path(self):
+        cluster = Cluster(ClusterProfile.laptop())
+        fs = HdfsFileSystem(cluster)
+        data = self._file("int", self.COLUMNS["int"])
+        fs.write_file("/t/bad.orc", _replace_last_stream(
+            data, lambda s: s[:-4] + b"\x00\x00\x00\x00"))
+        with pytest.raises(CorruptOrcFileError, match="/t/bad.orc"):
+            OrcReader(fs, "/t/bad.orc").read_all()
+
+    def test_unknown_string_mode_stays_typed(self):
+        data = self._file("string", self.COLUMNS["string"])
+
+        def bad_mode(stream):
+            raw = bytearray(zlib.decompress(stream))
+            raw[1 + 1 + 2] = 9            # count, bitmap length, 2 bitmap bytes
+            return zlib.compress(bytes(raw))
+        with pytest.raises(OrcError):
+            OrcReader(_replace_last_stream(data, bad_mode)).read_all()
 
 
 @given(st.lists(st.tuples(
