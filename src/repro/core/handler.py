@@ -563,7 +563,14 @@ class DualTableHandler(StorageHandler):
         for reader in readers:
             taken = 0
             for _, values in reader.rows(projection=projection):
-                if is_true(predicate(values)):
+                try:
+                    hit = is_true(predicate(values))
+                except Exception:
+                    # Sampling is only an estimate: call the ratio unknown
+                    # and let the statement fail where the scan evaluates
+                    # this row, with a typed error.
+                    return 0.0, total
+                if hit:
                     matched += 1
                 taken += 1
                 if taken >= per_reader:

@@ -5,6 +5,10 @@ engine can run map-side combiners: mappers emit partial accumulators,
 reducers merge them, finalize runs once per group.
 """
 
+import operator
+from functools import reduce
+from itertools import chain
+
 from repro.common.errors import AnalysisError
 from repro.hive import ast_nodes as ast
 from repro.hive.expressions import AGGREGATE_FUNCTIONS, SlotRef, walk
@@ -55,6 +59,46 @@ class AggregateSpec:
             return arg if acc is None else min(acc, arg)
         if self.name == "max":
             return arg if acc is None else max(acc, arg)
+        raise AnalysisError("unknown aggregate %s" % self.name)
+
+    def fold(self, acc, values, count):
+        """Fold a whole argument slice: ``add_value`` over ``values`` in
+        order, same accumulator value and type.  ``count(*)`` passes
+        ``values=None`` and the number of rows in ``count``.
+
+        Sums go through ``reduce(add)`` in row order — never builtin
+        ``sum()``, which is compensated for floats from Python 3.12 and
+        would move SUM/AVG bits against the per-row fold.
+        """
+        if self.count_star:
+            if not self.distinct:
+                return acc + count
+            values = (1,) * count
+        elif None in values:
+            values = [v for v in values if v is not None]
+        if not values:
+            # The very object, not an equal one: the shuffle-size sample
+            # pickles records, and pickle memoises a tuple that occurs
+            # twice — as the shared ``init()`` constant of two AVGs does.
+            return acc
+        if self.distinct:
+            acc.update(values)
+            return acc
+        if self.name == "count":
+            return acc + len(values)
+        if self.name == "avg":
+            return (reduce(operator.add, values, acc[0]),
+                    acc[1] + len(values))
+        if acc is not None:
+            values = chain((acc,), values)
+        if self.name == "sum":
+            return reduce(operator.add, values)
+        # builtin min/max keep the earlier of two equal (or unordered)
+        # items, exactly like the pairwise min(acc, arg) / max(acc, arg).
+        if self.name == "min":
+            return min(values)
+        if self.name == "max":
+            return max(values)
         raise AnalysisError("unknown aggregate %s" % self.name)
 
     def merge(self, a, b):

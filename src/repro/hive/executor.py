@@ -15,20 +15,23 @@ inter-job temp files.
 """
 
 import heapq
-
 from dataclasses import dataclass, field
+from itertools import repeat
+from math import isnan
+from operator import itemgetter, neg
 
 from repro.common.errors import AnalysisError, FaultInjectedError
 from repro.mapreduce import InputSplit, Job, estimate_record_bytes
 from repro.hive import ast_nodes as ast
 from repro.hive.aggregates import (AggregateSpec, rewrite_aggregates,
                                    validate_no_nested_aggregates)
-from repro.hive.expressions import (Env, compile_expr, contains_aggregate,
-                                    find_subqueries, is_true,
-                                    referenced_columns, walk)
+from repro.hive.expressions import (Env, SlotRef, compile_expr,
+                                    contains_aggregate, find_subqueries,
+                                    is_true, referenced_columns, walk)
 from repro.hive.pushdown import extract_ranges
 from repro.hive.vexpr import compile_batch, compile_batch_predicate
-from repro.vector import DEFAULT_BATCH_ROWS, batches_from_rows
+from repro.vector import (DEFAULT_BATCH_ROWS, batch_from_rows,
+                          batches_from_rows, gather, group_indices)
 
 
 # ----------------------------------------------------------------------
@@ -343,10 +346,17 @@ class SelectExecutor:
             relation.ranges = extract_ranges(combined)
             return relation
         env = relation.env
-        predicate = compile_expr(residual, env)
-        rows = [r for r in relation.rows if is_true(predicate(r))]
+        rows = self._filter_rows(residual, env, relation.rows)
         self.cluster.charge_cpu_rows(len(relation.rows))
         return MaterializedSource(rows, env, estimate_record_bytes(rows))
+
+    def _filter_rows(self, expr, env, rows):
+        """The rows of an in-memory relation that pass ``expr``."""
+        predicate = compile_batch_predicate(expr, env)
+        kept = []
+        for batch in batches_from_rows(rows, env.width, self.batch_rows):
+            kept.extend(predicate(batch).rows())
+        return kept
 
     def _split_where(self, stmt):
         """Partition WHERE conjuncts by which FROM binding they touch."""
@@ -429,8 +439,7 @@ class SelectExecutor:
             env.add_schema(result.names, alias=table_ref.binding)
             rows = result.rows
             if side_filter is not None:
-                predicate = compile_expr(side_filter, env)
-                rows = [r for r in rows if is_true(predicate(r))]
+                rows = self._filter_rows(side_filter, env, rows)
             return MaterializedSource(rows, env, estimate_record_bytes(rows))
         info = self.session.metastore.table(table_ref.name)
         return self._make_scan(info, table_ref.binding, side_filter, needed)
@@ -504,18 +513,23 @@ class SelectExecutor:
                 side, inner = split.payload
                 reader, key_bexprs, outer = sides[side]
                 local_i = 0
+                out = []
                 for batch in reader(inner, ctx):
                     key_cols = [fn(batch.columns, batch.length)
                                 for fn in key_bexprs]
-                    for i, values in enumerate(batch.rows()):
-                        key = tuple(kc[i] for kc in key_cols)
-                        if any(k is None for k in key):
+                    if not any(None in col for col in key_cols):
+                        out.extend(zip(zip(*key_cols),
+                                       zip(repeat(side), batch.rows())))
+                        continue
+                    for key, values in zip(zip(*key_cols), batch.rows()):
+                        if None in key:
                             if outer:
-                                yield (("\x00null", ctx.task_index, local_i),
-                                       (side, values))
+                                out.append((("\x00null", ctx.task_index,
+                                             local_i), (side, values)))
                                 local_i += 1
                             continue
-                        yield key, (side, values)
+                        out.append((key, (side, values)))
+                return out
         else:
             left_reader = left.make_reader()
             right_reader = right.make_reader()
@@ -555,11 +569,11 @@ class SelectExecutor:
             null_left = (None,) * left_width
             if isinstance(key, tuple) and key and key[0] == "\x00null":
                 # NULL join keys never match; outer sides still emit.
-                for lv in lefts:
-                    yield lv + null_right
-                for rv in rights:
-                    yield null_left + rv
-                return
+                return ([lv + null_right for lv in lefts]
+                        + [null_left + rv for rv in rights])
+            if kind == "inner" and leftover_fn is None:
+                return [lv + rv for lv in lefts for rv in rights]
+            out = []
             matched_right = set()
             for lv in lefts:
                 matched = False
@@ -568,13 +582,13 @@ class SelectExecutor:
                     if leftover_fn is None or is_true(leftover_fn(combined)):
                         matched = True
                         matched_right.add(i)
-                        yield combined
+                        out.append(combined)
                 if not matched and kind in ("left", "full"):
-                    yield lv + null_right
+                    out.append(lv + null_right)
             if kind in ("right", "full"):
-                for i, rv in enumerate(rights):
-                    if i not in matched_right:
-                        yield null_left + rv
+                out.extend(null_left + rv for i, rv in enumerate(rights)
+                           if i not in matched_right)
+            return out
 
         job = Job(name="join", splits=splits, map_fn=map_fn,
                   reduce_fn=reduce_fn,
@@ -630,47 +644,71 @@ class SelectExecutor:
             contains_aggregate(item.expr) for item in items)
         if stmt.having is not None and not is_aggregate:
             raise AnalysisError("HAVING requires GROUP BY or aggregates")
+        names = [_output_name(item, i) for i, item in enumerate(items)]
+        sort_keys, hidden = self._sort_keys(stmt, names)
         if is_aggregate:
             if stmt.distinct:
                 raise AnalysisError(
                     "SELECT DISTINCT cannot be combined with aggregates")
             self._reject_forced_lookup(relation, "aggregation")
-            names, rows = self._aggregate_stage(stmt, items, relation)
+            rows = self._aggregate_stage(stmt, items + hidden, relation)
         else:
-            names, rows = self._projection_stage(stmt, items, relation)
+            rows = self._projection_stage(items + hidden, relation)
             if stmt.distinct:
-                seen = set()
-                deduped = []
-                for row in rows:
-                    if row not in seen:
-                        seen.add(row)
-                        deduped.append(row)
                 self.cluster.charge_cpu_rows(len(rows))
-                rows = deduped
-        rows = self._order_and_limit(stmt, names, rows)
+                rows = list(dict.fromkeys(rows))
+        rows = self._order_and_limit(stmt, sort_keys, rows)
+        if hidden:
+            rows = list(map(itemgetter(slice(len(names))), rows))
         return QueryResultRows(names, rows)
 
-    def _projection_stage(self, stmt, items, relation):
-        names = [_output_name(item, i) for i, item in enumerate(items)]
-        compiled = [compile_expr(item.expr, relation.env) for item in items]
+    def _sort_keys(self, stmt, names):
+        """ORDER BY keys as batch expressions over the result rows.
+
+        A key that is not an expression over the output names (a
+        qualified or unprojected source column, an aggregate) becomes a
+        hidden trailing select item: the final stage computes it like any
+        other item — and raises ``AnalysisError`` there if it resolves
+        nowhere — and ``_finalize`` strips it after the sort.  Returns
+        ``([(batch_fn, descending)], hidden_items)``.
+        """
+        env = Env().add_schema(names)
+        keys, hidden = [], []
+        for order in stmt.order_by:
+            try:
+                fn = compile_batch(order.expr, env)
+            except AnalysisError:
+                if stmt.distinct:
+                    raise AnalysisError(
+                        "SELECT DISTINCT: ORDER BY key %r must be an "
+                        "output column" % (order.expr,)) from None
+                fn = compile_batch(SlotRef(index=len(names) + len(hidden)),
+                                   env)
+                hidden.append(ast.SelectItem(expr=order.expr, alias=None))
+            keys.append((fn, order.descending))
+        return keys, hidden
+
+    def _projection_stage(self, items, relation):
+        exprs = [item.expr for item in items]
         if isinstance(relation, MaterializedSource):
-            rows = [tuple(fn(r) for fn in compiled) for r in relation.rows]
+            rows = _project(
+                batches_from_rows(relation.rows, relation.env.width,
+                                  self.batch_rows),
+                [compile_batch(expr, relation.env) for expr in exprs])
             self.cluster.charge_cpu_rows(len(relation.rows))
-            return names, rows
+            return rows
+        compiled = [compile_expr(expr, relation.env) for expr in exprs]
         source_rows = self._try_lookup(relation)
         if source_rows is not None:
             rows = [tuple(fn(r) for fn in compiled) for r in source_rows]
             self.cluster.charge_cpu_rows(len(source_rows))
-            return names, rows
+            return rows
         if self.engine == "vectorized":
-            bexprs = [compile_batch(item.expr, relation.env)
-                      for item in items]
+            bexprs = [compile_batch(expr, relation.env) for expr in exprs]
             reader = relation.make_batch_reader(self.batch_rows)
 
             def map_fn(split, ctx):
-                for batch in reader(split, ctx):
-                    cols = [fn(batch.columns, batch.length) for fn in bexprs]
-                    yield from zip(*cols)
+                return _project(reader(split, ctx), bexprs)
         else:
             reader = relation.make_reader()
 
@@ -683,7 +721,7 @@ class SelectExecutor:
                   properties={"shard_fanout": self._fanout(relation)})
         result = self.runner.run(job)
         self.jobs.append(result)
-        return names, result.outputs
+        return result.outputs
 
     # ------------------------------------------------------------------
     # LOOKUP routing (the plan that skips MapReduce entirely).
@@ -841,22 +879,22 @@ class SelectExecutor:
         compiled = [compile_expr(e, post_env) for e in rewritten_items]
         having_fn = (compile_expr(having_rewritten, post_env)
                      if having_rewritten is not None else None)
-        names = [_output_name(item, i) for i, item in enumerate(items)]
         rows = []
         for raw in result.outputs:
             if having_fn is not None and not is_true(having_fn(raw)):
                 continue
             rows.append(tuple(fn(raw) for fn in compiled))
         self.cluster.charge_cpu_rows(len(result.outputs))
-        return names, rows
+        return rows
 
     def _vectorized_agg_map(self, relation, group_by, agg_calls, specs):
         """Map-side hash aggregation consuming ColumnBatches.
 
-        Keys and aggregate arguments are evaluated column-at-a-time;
-        accumulators fold pre-evaluated values via ``add_value``.  The
-        global-aggregate case (no GROUP BY) folds whole columns without
-        building any per-row key tuples.
+        Keys and aggregate arguments are evaluated column-at-a-time.  Per
+        batch, one pass groups row indices by key (first-seen order: it
+        decides the emitted record order, hence the shuffle-size sample)
+        and each group's argument slice is folded into its accumulator
+        by ``AggregateSpec.fold``; a global aggregate folds whole columns.
         """
         input_env = relation.env
         key_bexprs = [compile_batch(e, input_env) for e in group_by]
@@ -869,67 +907,59 @@ class SelectExecutor:
             table = {}
             for batch in reader(split, ctx):
                 cols, n = batch.columns, batch.length
-                key_cols = [fn(cols, n) for fn in key_bexprs]
+                if n == 0:
+                    continue        # no row: no group, not even ()
                 arg_cols = [None if fn is None else fn(cols, n)
                             for fn in arg_bexprs]
-                if not key_cols:
-                    accs = table.get(())
-                    if accs is None:
-                        accs = table[()] = [spec.init() for spec in specs]
-                    for j, spec in enumerate(specs):
-                        col = arg_cols[j]
-                        acc = accs[j]
-                        add_value = spec.add_value
-                        if col is None:
-                            for _ in range(n):
-                                acc = add_value(acc, 1)
-                        else:
-                            for value in col:
-                                acc = add_value(acc, value)
-                        accs[j] = acc
-                    continue
-                for i in range(n):
-                    key = tuple(kc[i] for kc in key_cols)
+                groups = (group_indices([fn(cols, n) for fn in key_bexprs])
+                          if key_bexprs else {(): range(n)})
+                for key, indices in groups.items():
                     accs = table.get(key)
                     if accs is None:
                         accs = table[key] = [spec.init() for spec in specs]
                     for j, spec in enumerate(specs):
                         col = arg_cols[j]
-                        accs[j] = spec.add_value(
-                            accs[j], 1 if col is None else col[i])
-            for key, accs in table.items():
-                yield key, accs
+                        if col is not None and len(indices) < n:
+                            col = gather(col, indices)
+                        accs[j] = spec.fold(accs[j], col, len(indices))
+            return list(table.items())
         return map_fn
 
-    def _order_and_limit(self, stmt, names, rows):
-        if stmt.order_by:
-            env = Env()
-            env.add_schema(names)
-            key_fns = []
-            for order in stmt.order_by:
-                try:
-                    fn = compile_expr(order.expr, env)
-                except AnalysisError:
-                    fn = None       # unresolvable: stable no-op key
-                key_fns.append((fn, order.descending))
+    def _order_and_limit(self, stmt, sort_keys, rows):
+        """Sort ``rows`` by ``sort_keys`` (see ``_sort_keys``) and apply
+        LIMIT; ties keep input order.
 
-            def sort_key(row):
-                return tuple(_NullsLast(fn(row) if fn else None, desc)
-                             for fn, desc in key_fns)
-
+        Keys are evaluated column-wise per chunk of ``batch_rows``.  With
+        a LIMIT k each chunk keeps only its k smallest rows — so a top-k
+        never holds a key for every row — and the survivors' raw keys
+        are ranked once more together, which gives each key column one
+        representation (``_sort_column``) for the final comparison.
+        Simulated cost is charged on the input rows however it is done.
+        """
+        limit = stmt.limit
+        if sort_keys:
             self.cluster.charge_cpu_rows(len(rows))
-            limit = stmt.limit
-            if limit is not None and 0 <= limit < len(rows):
-                # Top-k heap instead of a full sort.  heapq.nsmallest
-                # decorates with (key, input_index), so ties resolve in
-                # input order — exactly the stable full sort's prefix.
-                # Simulated cost is charged on the input rows either
-                # way; the heap is a wall-clock-only win.
-                rows = heapq.nsmallest(limit, rows, key=sort_key)
-            else:
-                rows = sorted(rows, key=sort_key)
-        if stmt.limit is not None:
-            rows = rows[:stmt.limit]
+            descs = [desc for _, desc in sort_keys]
+            key_cols = [[] for _ in sort_keys]
+            picked = []
+            for base in range(0, len(rows), self.batch_rows):
+                batch = batch_from_rows(rows[base:base + self.batch_rows],
+                                        len(rows[0]))
+                cols = [fn(batch.columns, batch.length)
+                        for fn, _ in sort_keys]
+                index = range(base, base + batch.length)
+                if limit is not None and limit < batch.length:
+                    local = _ranked(cols, descs, range(batch.length), limit)
+                    cols = [gather(col, local) for col in cols]
+                    index = [base + i for i in local]
+                for key_col, col in zip(key_cols, cols):
+                    key_col.extend(col)
+                picked.extend(index)
+            if limit is not None and limit >= len(picked):
+                limit = None
+            rows = gather(rows, _ranked(key_cols, descs, picked, limit))
+        if limit is not None:
+            rows = rows[:limit]
         return rows
 
     def _constant_select(self, stmt):
@@ -943,6 +973,43 @@ class SelectExecutor:
 # ----------------------------------------------------------------------
 # Helpers.
 # ----------------------------------------------------------------------
+def _project(batches, bexprs):
+    """``bexprs`` evaluated over each batch in turn, as row tuples."""
+    out = []
+    for batch in batches:
+        out.extend(zip(*[fn(batch.columns, batch.length) for fn in bexprs]))
+    return out
+
+
+def _sort_column(col, desc):
+    """One ORDER BY key column in its cheapest correctly-ordered form.
+
+    All exact ``int``, or all exact ``float`` without NaN: the plain
+    value, negated for DESC.  All exact ``str`` ascending: the plain
+    string.  Anything else (NULLs, bool, mixed types, NaN, DESC strings)
+    is wrapped in ``_NullsLast``.  Both forms order the values they
+    admit identically, so the choice is per column, never per query.
+    """
+    kinds = set(map(type, col))
+    if kinds == {int} or (kinds == {float} and not any(map(isnan, col))):
+        return list(map(neg, col)) if desc else col
+    if kinds == {str} and not desc:
+        return col
+    return list(map(_NullsLast, col, repeat(desc)))
+
+
+def _ranked(key_cols, descs, indices, limit):
+    """``indices`` ordered by their rows' keys (the first ``limit`` when
+    given).  Rows are decorated ``(key..., index)``, so ties resolve by
+    ascending index and no key column is compared past a difference."""
+    decorated = zip(*map(_sort_column, key_cols, descs), indices)
+    if limit is None:
+        ranked = sorted(decorated)
+    else:
+        ranked = heapq.nsmallest(limit, decorated)
+    return list(map(itemgetter(-1), ranked))
+
+
 class _NullsLast:
     """Sort wrapper: NULLs last, optional descending."""
 

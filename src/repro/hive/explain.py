@@ -170,6 +170,10 @@ def _explain_select(session, stmt, lines, indent=0):
         needed |= referenced_columns(stmt.where)
     for expr in stmt.group_by:
         needed |= referenced_columns(expr)
+    # A sort key outside the select list is read from storage too, as a
+    # hidden column the executor strips after the sort.
+    for order in stmt.order_by:
+        needed |= referenced_columns(order.expr)
     for ref in refs:
         _explain_scan(session, ref, stmt.where, needed, lines, indent + 1)
     for join in stmt.joins:

@@ -21,6 +21,7 @@ Two escape hatches keep the batch path exactly row-equivalent:
 """
 
 import operator
+from itertools import repeat
 
 from repro.hive import ast_nodes as ast
 from repro.hive.expressions import (SCALAR_FUNCTIONS, SlotRef, _BINARY,
@@ -34,6 +35,10 @@ from repro.hive.expressions import (SCALAR_FUNCTIONS, SlotRef, _BINARY,
 _RAW_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _RAW_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+#: exact literal type -> exact element types it compares with directly.
+_PLAIN_CMP_TYPES = {str: frozenset((str,)),
+                    int: frozenset((int, float)),
+                    float: frozenset((int, float))}
 
 
 class Unvectorizable(Exception):
@@ -215,18 +220,27 @@ def _vec_binary_literal(op, fn, inner, k, literal_on_left):
     if raw is not None:
         # _cmp coerces when exactly one side is a string; same-typed
         # pairs take the raw comparison, mixed pairs fall back to fn.
+        # A column whose exact element types all pair with k that way
+        # (so no NULL, no bool) needs no per-element test at all.
         k_is_str = isinstance(k, str)
-        if literal_on_left:
-            return lambda cols, n: [
-                None if b is None
-                else (raw(k, b) if isinstance(b, str) == k_is_str
-                      else fn(k, b))
-                for b in inner(cols, n)]
-        return lambda cols, n: [
-            None if a is None
-            else (raw(a, k) if isinstance(a, str) == k_is_str
-                  else fn(a, k))
-            for a in inner(cols, n)]
+        plain = _PLAIN_CMP_TYPES.get(type(k), frozenset())
+
+        def apply_cmp(cols, n):
+            col = inner(cols, n)
+            if plain.issuperset(map(type, col)):
+                if literal_on_left:
+                    return list(map(raw, repeat(k), col))
+                return list(map(raw, col, repeat(k)))
+            if literal_on_left:
+                return [None if b is None
+                        else (raw(k, b) if isinstance(b, str) == k_is_str
+                              else fn(k, b))
+                        for b in col]
+            return [None if a is None
+                    else (raw(a, k) if isinstance(a, str) == k_is_str
+                          else fn(a, k))
+                    for a in col]
+        return apply_cmp
     if literal_on_left:
         return lambda cols, n: [fn(k, b) for b in inner(cols, n)]
     return lambda cols, n: [fn(a, k) for a in inner(cols, n)]

@@ -70,8 +70,27 @@ class JobResult:
     counters: dict
 
 
+def _canonical_key(key):
+    """``key`` with every ``bool`` and integral ``float`` (also inside
+    tuples) replaced by the ``int`` it compares equal to."""
+    kind = type(key)
+    if kind is tuple:
+        return tuple(map(_canonical_key, key))
+    if kind is bool or (kind is float and key.is_integer()):
+        return int(key)
+    return key
+
+
 def stable_hash(key):
-    """Deterministic partitioning hash (repr-based, seed-independent)."""
+    """Deterministic partitioning hash (repr-based, seed-independent).
+
+    Agrees with ``==``: ``1``, ``1.0`` and ``True`` are one dict key and
+    one SQL value, so they must reach one reducer and one shard.  int,
+    str and None keys hash exactly as their ``repr`` always did.
+    """
+    kind = type(key)
+    if kind is not int and kind is not str:
+        key = _canonical_key(key)
     return zlib.crc32(repr(key).encode("utf-8", "backslashreplace"))
 
 

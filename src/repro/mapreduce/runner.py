@@ -39,6 +39,7 @@ applied).
 
 import heapq
 from collections import defaultdict
+from itertools import chain
 
 from repro.common.errors import FaultInjectedError, TaskFailedError
 from repro.common.retry import RetryPolicy
@@ -92,8 +93,8 @@ class JobRunner:
                                           profile.job_startup_s)
                 map_entries, map_outputs = self._run_maps(job, counters)
                 if job.is_map_only:
-                    outputs = [record for _, records in map_outputs
-                               for record in records]
+                    outputs = list(chain.from_iterable(
+                        records for _, records in map_outputs))
                     shuffle_seconds = 0.0
                     shuffle_bytes = 0
                     reduce_entries = []
@@ -331,15 +332,23 @@ class JobRunner:
     def _run_reduces(self, job, map_outputs, counters):
         num_reducers = max(1, job.num_reducers)
         partitions = [defaultdict(list) for _ in range(num_reducers)]
-        shuffle_records = 0
+        # key -> its value list inside its partition: ``stable_hash``
+        # runs once per distinct key.  Exact because it agrees with
+        # ``==`` — keys this dict merges share a partition slot anyway.
+        values_of = {}
         for _, records in map_outputs:
-            shuffle_records += len(records)
             for key, value in records:
-                partitions[stable_hash(key) % num_reducers][key].append(value)
-        all_records = [r for _, records in map_outputs for r in records]
+                try:
+                    values_of[key].append(value)
+                except KeyError:
+                    values = partitions[stable_hash(key) % num_reducers][key]
+                    values_of[key] = values
+                    values.append(value)
+        all_records = list(chain.from_iterable(
+            records for _, records in map_outputs))
         shuffle_bytes = estimate_record_bytes(all_records)
         charge = self.cluster.charge_shuffle(shuffle_bytes)
-        self.cluster.charge_cpu_rows(shuffle_records)  # sort cost
+        self.cluster.charge_cpu_rows(len(all_records))  # sort cost
         shuffle_seconds = charge.seconds
 
         specs = []

@@ -16,6 +16,8 @@ via :meth:`ColumnBatch.take`.
 """
 
 from bisect import bisect_right
+from collections import defaultdict
+from operator import itemgetter
 
 #: Default rows per batch; also the MaterializedSource split chunk size
 #: (the two are deliberately one knob — see HiveSession.set_batch_rows).
@@ -88,8 +90,22 @@ class ColumnBatch:
 
     def take(self, indices):
         """New batch holding only ``indices`` (in order); copies."""
-        return ColumnBatch([[col[i] for i in indices]
-                            for col in self.columns], len(indices))
+        return ColumnBatch([gather(col, indices) for col in self.columns],
+                           len(indices))
+
+
+def gather(seq, indices):
+    """``[seq[i] for i in indices]`` without a Python-level loop."""
+    return list(map(seq.__getitem__, indices))
+
+
+def group_indices(key_cols):
+    """Row indices grouped by key tuple: ``{key: [i, ...]}`` with keys in
+    first-seen order and each index list ascending."""
+    groups = defaultdict(list)
+    for i, key in enumerate(zip(*key_cols)):
+        groups[key].append(i)
+    return groups
 
 
 def spliced(column, offsets, values, base=0):
@@ -103,12 +119,9 @@ def spliced(column, offsets, values, base=0):
 
 def batch_from_rows(rows, width, row_base=None, dropped=()):
     """One ColumnBatch from a list of row tuples."""
-    if not rows:
-        columns = [[] for _ in range(width)]
-    elif width == 0:
-        columns = []
-    else:
-        columns = [list(col) for col in zip(*rows)]
+    # One C-level pass per column; zip(*rows) walks every row once per
+    # *cell* through as many iterators as there are rows.
+    columns = [list(map(itemgetter(i), rows)) for i in range(width)]
     return ColumnBatch(columns, len(rows), row_base, dropped)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterProfile
-from repro.common.errors import CompactionInProgressError
+from repro.common.errors import CompactionInProgressError, TaskFailedError
 from repro.core.record_id import encode_record_id
 from repro.hive import HiveSession
 
@@ -180,6 +180,33 @@ class TestCostModelIntegration:
         result = session.execute(
             "UPDATE dt SET tag = 'x' WHERE id % 2 = 0")
         assert 0.3 < result.detail["ratio"] < 0.7
+
+    @pytest.mark.parametrize("sharding", ["", " SHARDED BY (k) INTO 4"])
+    @pytest.mark.parametrize("mode", ["edit", "cost", "overwrite"])
+    def test_predicate_that_raises_while_sampling_fails_in_the_scan(
+            self, session, mode, sharding):
+        """Regression: an un-rangeable WHERE is sampled at plan time, and
+        a predicate raising there leaked a raw ``TypeError`` where the
+        same predicate in a SELECT raises ``TaskFailedError``."""
+        session.execute(
+            "CREATE TABLE t (k int, g string, v int) STORED AS DUALTABLE"
+            "%s TBLPROPERTIES ('dualtable.mode' = '%s')" % (sharding, mode))
+        session.load_rows("t", [(i, "g%d" % i, i) for i in range(20)])
+        handler = session.table("t").handler
+        with pytest.raises(TaskFailedError, match="concatenate"):
+            session.execute("SELECT k FROM t WHERE g + 1 > 0")
+        for dml in ("UPDATE t SET v = 1 WHERE g + 1 > 0",
+                    "DELETE FROM t WHERE g + 1 > 0"):
+            with pytest.raises(TaskFailedError, match="concatenate"):
+                session.execute(dml)
+            # no delta written, no edit log left behind
+            assert not session.env.fs.exists(handler.txn_dir)
+            assert all(child.attached.size_bytes == 0
+                       for child in getattr(handler, "children", [handler]))
+            assert session.execute(
+                "SELECT count(*), sum(v) FROM t").rows == [(20, 190)]
+        # EXPLAIN estimates with the same sampler and must not raise.
+        session.execute("EXPLAIN UPDATE t SET v = 1 WHERE g + 1 > 0")
 
     def test_detail_reports_costs(self, session):
         make_dualtable(session, mode="cost")

@@ -38,6 +38,12 @@ class TestExplainSelect:
         assert "day, v" in out
         assert "stripe-prunable predicate columns: day" in out
 
+    def test_scan_projection_lists_hidden_sort_column(self, session):
+        out = text(session.execute("EXPLAIN SELECT id FROM dt ORDER BY v"))
+        assert "projection: id, v" in out
+        out = text(session.execute("EXPLAIN SELECT id FROM dt ORDER BY id"))
+        assert "projection: id\n" in out
+
     def test_shows_join_and_aggregate(self, session):
         out = text(session.execute(
             "EXPLAIN SELECT a.day, count(*) FROM dt a "

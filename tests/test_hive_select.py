@@ -51,13 +51,81 @@ class TestBasics:
         assert [r[0] for r in result.rows] == [5]
 
     def test_order_by_and_limit(self, db):
+        # salary is not in the select list, and the fixture is loaded in
+        # descending salary order: only the ASC form shows a sort ran.
         result = db.execute("SELECT name FROM emp ORDER BY salary DESC "
                             "LIMIT 2")
         assert result.rows == [("ann",), ("bob",)]
+        result = db.execute("SELECT name FROM emp ORDER BY salary LIMIT 2")
+        assert result.rows == [("dan",), ("cat",)]
 
     def test_order_by_nulls_last(self, db):
         result = db.execute("SELECT name FROM emp ORDER BY salary")
+        assert result.rows == [("dan",), ("cat",), ("bob",), ("ann",),
+                               ("eve",)]
+        result = db.execute("SELECT name FROM emp ORDER BY salary DESC")
         assert result.rows[-1] == ("eve",)
+
+    def test_order_by_qualified_and_unprojected_keys(self, db):
+        """Regression: a key that was not an unqualified output name used
+        to compile to a no-op and the rows came back in scan order."""
+        rows = db.execute("SELECT name FROM emp e ORDER BY e.name DESC "
+                          "LIMIT 2").rows
+        assert rows == [("eve",), ("dan",)]
+        rows = db.execute("SELECT id AS kk FROM emp ORDER BY id DESC").rows
+        assert rows == [(5,), (4,), (3,), (2,), (1,)]
+        rows = db.execute("SELECT name FROM emp ORDER BY 0 - id LIMIT 1").rows
+        assert rows == [("eve",)]
+        result = db.execute("SELECT e.name, d.city FROM emp e JOIN dept d "
+                            "ON e.dept = d.dept ORDER BY e.salary")
+        assert result.names == ["name", "city"]
+        assert result.rows == [("dan", "nyc"), ("cat", "nyc"),
+                               ("bob", "sf"), ("ann", "sf")]
+        rows = db.execute("SELECT big.name FROM (SELECT name, salary "
+                          "FROM emp WHERE salary >= 90) big "
+                          "ORDER BY big.salary").rows
+        assert rows == [("cat",), ("bob",), ("ann",)]
+
+    def test_order_by_aggregate_not_in_select_list(self, db):
+        rows = db.execute("SELECT dept FROM emp GROUP BY dept "
+                          "ORDER BY count(*) DESC, dept").rows
+        assert rows == [("eng",), ("sales",), ("hr",)]
+        rows = db.execute("SELECT dept, count(*) FROM emp GROUP BY dept "
+                          "ORDER BY sum(salary)").rows
+        assert rows == [("sales", 2), ("eng", 2), ("hr", 1)]
+        rows = db.execute("SELECT e.dept, max(salary) FROM emp e "
+                          "GROUP BY e.dept ORDER BY e.dept DESC").rows
+        assert rows == [("sales", 90.0), ("hr", None), ("eng", 120.0)]
+
+    def test_order_by_unresolvable_key_is_an_error(self, db):
+        with pytest.raises(AnalysisError, match="nosuch"):
+            db.execute("SELECT name FROM emp ORDER BY nosuch")
+        with pytest.raises(AnalysisError, match="GROUP BY"):
+            db.execute("SELECT dept, count(*) FROM emp GROUP BY dept "
+                       "ORDER BY name")
+        with pytest.raises(AnalysisError):
+            db.execute("SELECT name FROM emp ORDER BY count(*)")
+        # As in Hive: after DISTINCT only output columns can order.
+        with pytest.raises(AnalysisError, match="DISTINCT"):
+            db.execute("SELECT DISTINCT dept FROM emp ORDER BY salary")
+        assert db.execute("SELECT DISTINCT dept FROM emp "
+                          "ORDER BY dept DESC").rows == \
+            [("sales",), ("hr",), ("eng",)]
+
+    def test_hidden_sort_column_moves_no_charge(self, db):
+        """The scan already read the sort column (``_needed_columns``);
+        carrying it through the projection costs nothing simulated."""
+        ledger = db.cluster.ledger
+        before = ledger.snapshot()
+        db.execute("SELECT name, salary FROM emp ORDER BY salary")
+        shown = ledger.diff(before)
+        before = ledger.snapshot()
+        db.execute("SELECT name FROM emp ORDER BY salary")
+        hidden = ledger.diff(before)
+        assert hidden["bytes"] == shown["bytes"]
+        assert hidden["ops"] == shown["ops"]
+        assert hidden["total_seconds"] == pytest.approx(
+            shown["total_seconds"], rel=1e-12)
 
     def test_constant_select(self, db):
         assert db.execute("SELECT 1 + 2, 'x'").rows == [(3, "x")]

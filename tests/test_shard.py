@@ -162,6 +162,24 @@ class TestLookupRouting:
         assert plan.files
         assert all(f["path"].startswith(prefix) for f in plan.files)
 
+    def test_point_read_with_an_equal_float_literal_finds_the_row(self):
+        """Regression: ``WHERE k = 5.0`` hashed ``repr(5.0)`` and was
+        routed to another shard than the one holding ``k = 5`` — ``[]``
+        from the sharded table, ``[(5, 5)]`` from the unsharded one,
+        while the UPDATE (a scan) reported one row."""
+        for shards in (4, 1):
+            session = make_session(shards)
+            assert handler_of(session).shard_map.shard_of(5.0) == \
+                handler_of(session).shard_map.shard_of(5)
+            for literal in ("5.0", "5"):
+                result = session.execute(
+                    "SELECT k, v FROM t WHERE k = %s" % literal)
+                assert result.rows == [(5, 5)], (shards, literal)
+            session.execute("UPDATE t SET v = 51 WHERE k = 5.0")
+            assert sorted(session.execute(
+                "SELECT k, v FROM t WHERE k IN (5.0, 6)").rows) == \
+                [(5, 51), (6, 6)]
+
     def test_open_range_fans_out_to_scan(self):
         session = make_session(4)
         handler = handler_of(session)
