@@ -67,11 +67,19 @@ def decode_edits(data):
         return None
 
 
-def apply_edits(attached, edits):
-    """Replay decoded edits into the Attached Table (idempotent)."""
+def apply_edits(handler, edits):
+    """Replay decoded edits into the Attached Table (idempotent).
+
+    The redo log holds a statement's SET values as evaluated; a cell is
+    stored as its column's declared type, like the row an OVERWRITE
+    rewrite would have written.
+    """
+    attached, coerce = handler.attached, handler.table.schema.coerce_value
     for kind, record_id, values in edits:
         if kind == "u":
-            attached.put_update(record_id, values)
+            attached.put_update(record_id, {column: coerce(column, value)
+                                            for column, value
+                                            in values.items()})
         elif kind == "d":
             attached.put_delete(record_id)
 
@@ -163,7 +171,7 @@ class EditBatch:
 
         def publish():
             faults.hit("dualtable.dml.publish", path=path)
-            apply_edits(handler.attached, edits)
+            apply_edits(handler, edits)
             if fs.exists(path):
                 fs.delete(path)
 
@@ -215,7 +223,7 @@ def recover_edit_logs(handler):
         if edits is None:
             outcomes.append((path, "rolled_back"))
         else:
-            apply_edits(handler.attached, edits)
+            apply_edits(handler, edits)
             outcomes.append((path, "rolled_forward"))
         fs.delete(path)
     return outcomes

@@ -19,7 +19,7 @@ from repro.common.errors import CompactionInProgressError, DualTableError
 from repro.mapreduce import InputSplit, Job
 from repro.hive.catalog import register_handler
 from repro.hive.expressions import Env, compile_expr, is_true, referenced_columns
-from repro.hive.vexpr import compile_batch
+from repro.hive.vexpr import compile_batch, compile_batch_select
 from repro.hive.pushdown import (estimate_selection, extract_ranges,
                                  make_stripe_filter)
 from repro.hive.session import QueryResult
@@ -436,15 +436,17 @@ class DualTableHandler(StorageHandler):
         return plan_lookup(self, ranges, projection=projection,
                            hit_faults=hit_faults)
 
-    def execute_lookup(self, plan, engine="row", batch_rows=None):
+    def execute_lookup(self, plan, engine="row", batch_rows=None,
+                       where=None):
         """Run one planned LOOKUP read at sub-job cost (no MR planner).
 
-        Returns ``(rows, sim_seconds, detail)``.  ``sim_seconds`` is the
-        ledger-observed device time of the read — there is no Job to sum,
-        so the statement's simulated latency is taken straight from the
-        charges the union-read merge recorded.  The detail carries the
-        same predicted-vs-observed audit shape DML plans emit, so EXPLAIN
-        ANALYZE prints a cost-model audit line for LOOKUPs too.
+        Returns ``(rows, examined, sim_seconds, detail)``; the first two
+        are :func:`~repro.core.lookup.run_lookup`'s.  ``sim_seconds`` is
+        the ledger-observed device time of the read — there is no Job to
+        sum, so the statement's simulated latency is taken straight from
+        the charges the union-read merge recorded.  The detail carries
+        the same predicted-vs-observed audit shape DML plans emit, so
+        EXPLAIN ANALYZE prints a cost-model audit line for LOOKUPs too.
         """
         self._check_not_compacting()
         self._ensure_recovered()
@@ -454,9 +456,9 @@ class DualTableHandler(StorageHandler):
         with cluster.tracer.span("phase", "dualtable:lookup", table=table,
                                  files=len(plan.files),
                                  est_rows=plan.est_rows) as span:
-            rows = run_lookup(self, plan, engine=engine,
-                              batch_rows=batch_rows)
-            span.annotate(rows=len(rows))
+            rows, examined = run_lookup(self, plan, engine=engine,
+                                        batch_rows=batch_rows, where=where)
+            span.annotate(rows=examined)
         delta = cluster.ledger.diff(before)
         observed = delta["total_seconds"]
         nbytes = sum(delta["bytes"].values())
@@ -490,7 +492,7 @@ class DualTableHandler(StorageHandler):
                   "scan_seconds": choice.scan_seconds,
                   "cost_difference": choice.cost_difference,
                   "audit": audit}
-        return rows, observed, detail
+        return rows, examined, observed, detail
 
     def note_lookup_eligible_scan(self):
         """A lookup-eligible read routed to the scan plan (advisor feed)."""
@@ -622,8 +624,8 @@ class DualTableHandler(StorageHandler):
         self._claim_txn_access(session, plan)
         if plan == "overwrite":
             info = session.metastore.table(self.table.name)
-            result = session.update_via_overwrite(info, stmt,
-                                                  extra_detail=detail)
+            result = session._rewrite_via_overwrite(
+                info, stmt, "update", stmt.assignments, extra_detail=detail)
         else:
             result = self._run_edit(session, stmt, detail, "update",
                                     stmt.assignments)
@@ -651,8 +653,8 @@ class DualTableHandler(StorageHandler):
         self._claim_txn_access(session, plan)
         if plan == "overwrite":
             info = session.metastore.table(self.table.name)
-            result = session.delete_via_overwrite(info, stmt,
-                                                  extra_detail=detail)
+            result = session._rewrite_via_overwrite(
+                info, stmt, "delete", (), extra_detail=detail)
         else:
             result = self._run_edit(session, stmt, detail, "delete", ())
         self._audit_cost_model(choice, plan, result)
@@ -771,8 +773,8 @@ class DualTableHandler(StorageHandler):
         the batch's provenance), so wall-clock cost follows the rows
         *touched*.  Every charge comes from ``read_split_batches``, so
         the simulated clock cannot tell this scan from the row-at-a-time
-        one it replaced (INTERNALS §8, write path).  ``compile_batch``
-        raises what the row compiler would, on the first row it would;
+        one it replaced (INTERNALS §8, write path).  The batch compilers
+        raise what the row compiler would, on the first row it would;
         within a batch the whole WHERE runs before any assignment.
         """
         schema = self.schema
@@ -786,8 +788,8 @@ class DualTableHandler(StorageHandler):
             projection = [schema.columns[0].name]
         env = Env()
         env.add_schema(projection, alias=stmt.alias)
-        where = (compile_batch(stmt.where, env)
-                 if stmt.where is not None else None)
+        select = (compile_batch_select(stmt.where, env)
+                  if stmt.where is not None else None)
         targets = [schema.index_of(name) for name, _ in assignments]
         setters = [compile_batch(expr, env) for _, expr in assignments]
         ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
@@ -802,15 +804,10 @@ class DualTableHandler(StorageHandler):
             file_id = split.payload["file_id"]
             for batch in self.read_split_batches(split, ctx,
                                                  batch_rows=batch_rows):
-                if where is None:
-                    keep = range(batch.length)
-                else:
-                    keep = [i for i, flag in enumerate(
-                                where(batch.columns, batch.length))
-                            if flag is not None and flag is not False
-                            and flag != 0]
-                    if not keep:
-                        continue
+                keep = (range(batch.length) if select is None
+                        else select(batch.columns, batch.length))
+                if not keep:
+                    continue
                 keys = self._edit_keys(
                     split, [encode_record_id(file_id, ordinal)
                             for ordinal in batch.ordinals(keep)])
@@ -832,6 +829,13 @@ class DualTableHandler(StorageHandler):
                   reduce_fn=None,
                   properties={"shard_fanout": self.shard_fanout})
         result = session.runner.run(job)
+        # A SET value its column cannot store fails the statement here,
+        # before anything is staged, with the AnalysisError the OVERWRITE
+        # rewrite raises; publishing coerces (``apply_edits``).
+        for kind, _, values in edit_batch.edits:
+            if kind == "u":
+                for target, value in values.items():
+                    schema.coerce_value(target, value)
         commit_seconds = self._commit_or_defer(session, edit_batch)
         self.note_attached_bytes()
         jobs = session._dml_subquery_jobs + [result]

@@ -26,7 +26,9 @@ plan with no double-charged cost.
 
 from dataclasses import dataclass
 
+from repro.hive.expressions import compile_expr, is_true
 from repro.hive.pushdown import make_stripe_filter
+from repro.hive.vexpr import compile_batch_predicate
 from repro.core.master import FILE_ID_KEY
 from repro.core.union_read import (union_read_batches, union_read_file,
                                    union_read_overlay)
@@ -197,8 +199,14 @@ def _projection_indices(names, projection):
 # ----------------------------------------------------------------------
 # Execution.
 # ----------------------------------------------------------------------
-def run_lookup(handler, plan, engine="row", batch_rows=None):
-    """Execute a planned LOOKUP; returns the merged value tuples.
+def run_lookup(handler, plan, engine="row", batch_rows=None, where=None):
+    """Execute a planned LOOKUP; returns ``(rows, examined)``.
+
+    ``where`` is the relation's residual filter as ``(expr, env)``, or
+    None.  ``rows`` holds the merged value tuples that pass it — the
+    vectorized engine filters each merged batch and builds tuples for
+    the survivors only — and ``examined`` counts the merged rows before
+    the filter, which is what every charge and counter goes by.
 
     Per candidate file this charges exactly what the scan path's union
     read charges for the same stripes — the ORC footer plus decoded
@@ -216,7 +224,12 @@ def run_lookup(handler, plan, engine="row", batch_rows=None):
     cluster.faults.hit("lookup.hbase_probe", table=handler.table.name)
     handler.attached.ensure_available()
     vectorized = engine == "vectorized"
+    predicate = None
+    if where is not None:
+        predicate = (compile_batch_predicate if vectorized
+                     else compile_expr)(*where)
     out = []
+    examined = 0
     for candidate in plan.files:
         with cluster.tracer.span("substrate",
                                  "lookup-read:%d" % candidate["file_id"],
@@ -247,6 +260,8 @@ def run_lookup(handler, plan, engine="row", batch_rows=None):
                         projection_map, stats=stats)
                 for batch in merged:
                     nrows += batch.length
+                    if predicate is not None:
+                        batch = predicate(batch)
                     out.extend(batch.rows())
             else:
                 orc_rows = reader.rows(projection=plan.projection,
@@ -255,6 +270,8 @@ def run_lookup(handler, plan, engine="row", batch_rows=None):
                         candidate["file_id"], orc_rows, deltas,
                         projection_map, stats=stats):
                     nrows += 1
-                    out.append(values)
+                    if predicate is None or is_true(predicate(values)):
+                        out.append(values)
             handler._note_union_read(span, nrows, stats)
-    return out
+            examined += nrows
+    return out, examined

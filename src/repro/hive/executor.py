@@ -783,9 +783,12 @@ class SelectExecutor:
         if mode != "lookup" and plan.choice.plan != "lookup":
             handler.note_lookup_eligible_scan()
             return None
+        where = ((relation.filter_expr, relation.env)
+                 if relation.filter_expr is not None else None)
         try:
-            rows, seconds, detail = handler.execute_lookup(
-                plan, engine=self.engine, batch_rows=self.batch_rows)
+            rows, examined, seconds, detail = handler.execute_lookup(
+                plan, engine=self.engine, batch_rows=self.batch_rows,
+                where=where)
         except FaultInjectedError as exc:
             if exc.fatal:
                 raise
@@ -793,11 +796,9 @@ class SelectExecutor:
             return None
         self.lookup_seconds += seconds
         self.lookup_details.append(detail)
-        if relation.filter_expr is not None:
-            predicate = compile_expr(relation.filter_expr, relation.env)
-            filtered = [r for r in rows if is_true(predicate(r))]
-            self.cluster.charge_cpu_rows(len(rows))
-            return filtered
+        if where is not None:
+            # The filter's CPU charge goes by the rows it examined.
+            self.cluster.charge_cpu_rows(examined)
         return rows
 
     def _reject_forced_lookup(self, relation, what):

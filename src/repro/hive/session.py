@@ -16,6 +16,7 @@ UPDATE/DELETE dispatch (the heart of the paper):
 import os
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 from repro.cluster import Cluster, ClusterProfile
 from repro.common.errors import AnalysisError, HiveError
@@ -31,7 +32,8 @@ from repro.hive.pushdown import extract_ranges
 from repro.hive.storage.hbase_handler import HBaseTableHandler
 from repro.hive.storage.orc_handler import OrcHdfsHandler
 from repro.hive.storage.partitioned_orc import PartitionedOrcHandler
-from repro.vector import DEFAULT_BATCH_ROWS
+from repro.hive.vexpr import compile_batch, compile_batch_select
+from repro.vector import DEFAULT_BATCH_ROWS, spliced
 
 register_handler("orc", OrcHdfsHandler)
 register_handler("orc-partitioned", PartitionedOrcHandler)
@@ -482,7 +484,7 @@ class HiveSession:
     def load_rows(self, table_name, rows):
         """LOAD-equivalent: bulk append python rows into a table."""
         info = self.metastore.table(table_name)
-        coerced = [info.schema.coerce_row(r) for r in rows]
+        coerced = info.schema.coerce_rows(rows)
         seconds = self._charged_parallel(
             lambda: info.handler.insert_rows(coerced, overwrite=False))
         return QueryResult(plan="load", affected=len(coerced),
@@ -592,7 +594,7 @@ class HiveSession:
             suffix = tuple(stmt.partition_spec[c]
                            for c in info.handler.partition_columns)
             rows = [tuple(r) + suffix for r in rows]
-        coerced = [info.schema.coerce_row(r) for r in rows]
+        coerced = info.schema.coerce_rows(rows)
         write_seconds = self._charged_parallel(
             lambda: info.handler.insert_rows(coerced,
                                              overwrite=stmt.overwrite))
@@ -612,7 +614,8 @@ class HiveSession:
             return handler.execute_update(self, stmt)
         if handler.supports_inplace_mutation:
             return self._update_hbase(info, stmt)
-        return self.update_via_overwrite(info, stmt)
+        return self._rewrite_via_overwrite(info, stmt, "update",
+                                           stmt.assignments)
 
     def _delete(self, stmt):
         info = self.metastore.table(stmt.table)
@@ -622,7 +625,7 @@ class HiveSession:
             return handler.execute_delete(self, stmt)
         if handler.supports_inplace_mutation:
             return self._delete_hbase(info, stmt)
-        return self.delete_via_overwrite(info, stmt)
+        return self._rewrite_via_overwrite(info, stmt, "delete", ())
 
     def _resolve_dml_subqueries(self, stmt):
         """Materialize scalar/IN subqueries in SET and WHERE clauses."""
@@ -662,36 +665,61 @@ class HiveSession:
         return partition_ranges, handler.affected_partitions(
             partition_ranges)
 
-    def update_via_overwrite(self, info, stmt, extra_detail=None):
-        """Listing-2 lowering: rewrite every row of the table."""
+    def _rewrite_via_overwrite(self, info, stmt, verb, assignments,
+                               extra_detail=None):
+        """Listing-2 lowering of one UPDATE/DELETE: rewrite every row.
+
+        Each map task scans ColumnBatches, selects the matched rows,
+        evaluates the SET expressions over them (old values), splices
+        the results into copied columns — or, for DELETE, drops the
+        matched rows — and hands the runner row tuples again, so the
+        charges are those of the row-at-a-time rewrite this replaced
+        (its oracle: ``tests/test_overwrite_batch.py``).
+        """
         handler = info.handler
+        schema = info.schema
         env = self._dml_env(info, stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        assigns = [(info.schema.index_of(name), compile_expr(expr, env))
-                   for name, expr in stmt.assignments]
+        select = (compile_batch_select(stmt.where, env)
+                  if stmt.where is not None else None)
+        targets = [schema.index_of(name) for name, _ in assignments]
+        setters = [compile_batch(expr, env) for _, expr in assignments]
         # INSERT OVERWRITE reads *all* columns; only partition-level
         # pruning is possible (every surviving row must be rewritten).
         scan_ranges, affected = self._overwrite_scope(handler, stmt.where)
         splits = handler.scan_splits(projection=None, ranges=scan_ranges)
+        batch_rows = self.batch_rows
+        counter = verb + "d"
 
         def map_fn(split, ctx):
-            for values in handler.read_split(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    ctx.incr("updated")
-                    row = list(values)
-                    for idx, fn in assigns:
-                        row[idx] = fn(values)
-                    yield tuple(row)
-                else:
-                    yield values
+            out = []
+            for batch in handler.read_split_batches(split, ctx,
+                                                    batch_rows=batch_rows):
+                columns, n = batch.columns, batch.length
+                keep = range(n) if select is None else select(columns, n)
+                if keep:
+                    ctx.incr(counter, len(keep))
+                    if verb == "delete":
+                        survives = spliced([True] * n, keep, repeat(False))
+                        columns = [compress(column, survives)
+                                   for column in columns]
+                    else:
+                        matched = (batch if len(keep) == n
+                                   else batch.take(keep))
+                        values = [fn(matched.columns, matched.length)
+                                  for fn in setters]
+                        columns = list(columns)
+                        for target, column in zip(targets, values):
+                            columns[target] = spliced(columns[target], keep,
+                                                      column)
+                out.extend(zip(*columns))
+            return out
 
-        job = Job(name="update-overwrite", splits=splits, map_fn=map_fn,
+        job = Job(name="%s-overwrite" % verb, splits=splits, map_fn=map_fn,
                   reduce_fn=None,
                   properties={"shard_fanout":
                               getattr(handler, "shard_fanout", 1)})
         result = self.runner.run(job)
-        rows = [info.schema.coerce_row(r) for r in result.outputs]
+        rows = schema.coerce_rows(result.outputs)
         if affected is not None:
             write_seconds = self._charged_parallel(
                 lambda: handler.replace_partitions(rows, affected))
@@ -704,44 +732,8 @@ class HiveSession:
         detail.update(extra_detail or {})
         return QueryResult(
             sim_seconds=sub_seconds + result.sim_seconds + write_seconds,
-            jobs=jobs, affected=result.counters.get("updated", 0),
-            plan="update-overwrite", detail=detail)
-
-    def delete_via_overwrite(self, info, stmt, extra_detail=None):
-        handler = info.handler
-        env = self._dml_env(info, stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        scan_ranges, affected = self._overwrite_scope(handler, stmt.where)
-        splits = handler.scan_splits(projection=None, ranges=scan_ranges)
-
-        def map_fn(split, ctx):
-            for values in handler.read_split(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    ctx.incr("deleted")
-                else:
-                    yield values
-
-        job = Job(name="delete-overwrite", splits=splits, map_fn=map_fn,
-                  reduce_fn=None,
-                  properties={"shard_fanout":
-                              getattr(handler, "shard_fanout", 1)})
-        result = self.runner.run(job)
-        rows = [info.schema.coerce_row(r) for r in result.outputs]
-        if affected is not None:
-            write_seconds = self._charged_parallel(
-                lambda: handler.replace_partitions(rows, affected))
-        else:
-            write_seconds = self._charged_parallel(
-                lambda: handler.insert_rows(rows, overwrite=True))
-        jobs = self._dml_subquery_jobs + [result]
-        sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)
-        detail = {"plan": "overwrite", "rows_written": len(rows)}
-        detail.update(extra_detail or {})
-        return QueryResult(
-            sim_seconds=sub_seconds + result.sim_seconds + write_seconds,
-            jobs=jobs, affected=result.counters.get("deleted", 0),
-            plan="delete-overwrite", detail=detail)
+            jobs=jobs, affected=result.counters.get(counter, 0),
+            plan="%s-overwrite" % verb, detail=detail)
 
     # -- Hive(HBase) baseline: in-place random writes ------------------
     def _update_hbase(self, info, stmt):

@@ -137,10 +137,6 @@ class OrcHdfsHandler(StorageHandler):
         """ORC readers over every file (used for stats estimation)."""
         return [self._reader(p) for p in self.file_paths()]
 
-    def validate_rows(self, rows):
-        coerce = self.schema.coerce_row
-        return [coerce(r) for r in rows]
-
     def ensure_exists(self):
         if not self.fs.exists(self.location):
             raise HiveError("table storage missing: %s" % self.location)

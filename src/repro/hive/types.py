@@ -8,6 +8,7 @@ workload).
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from repro.common.errors import AnalysisError
 
@@ -70,6 +71,11 @@ class Column:
     def physical_kind(self):
         return PHYSICAL_KIND[self.htype]
 
+    @property
+    def python_type(self):
+        """The exact Python type stored values of this column have."""
+        return _PYTHON_COERCERS[self.physical_kind]
+
 
 class TableSchema:
     """Ordered column list with name lookup and row validation."""
@@ -87,8 +93,7 @@ class TableSchema:
             if key in self._index:
                 raise AnalysisError("duplicate column name: %s" % col.name)
             self._index[key] = i
-        self._coercers = [_PYTHON_COERCERS[col.physical_kind]
-                          for col in self.columns]
+        self._coercers = [col.python_type for col in self.columns]
 
     def __len__(self):
         return len(self.columns)
@@ -134,15 +139,50 @@ class TableSchema:
                 for value, coercer in zip(row, self._coercers)])
         except (TypeError, ValueError):
             # Errors only: walk the row again to name the offending cell.
-            for col, value, coercer in zip(self.columns, row, self._coercers):
-                try:
-                    if value is not None:
-                        coercer(value)
-                except (TypeError, ValueError) as exc:
-                    raise AnalysisError(
-                        "cannot coerce %r to %s for column %s: %s"
-                        % (value, col.htype.value, col.name, exc)) from exc
+            for index, value in enumerate(row):
+                self.coerce_value(index, value)
             raise
+
+    def coerce_value(self, index, value):
+        """``value`` as column ``index`` stores it."""
+        coercer = self._coercers[index]
+        if value is None or type(value) is coercer:
+            return value
+        try:
+            return coercer(value)
+        except (TypeError, ValueError) as exc:
+            column = self.columns[index]
+            raise AnalysisError(
+                "cannot coerce %r to %s for column %s: %s"
+                % (value, column.htype.value, column.name, exc)) from exc
+
+    def coerce_rows(self, rows):
+        """``[coerce_row(r) for r in rows]``, worked column by column.
+
+        One C-level pass per column finds the types it holds; only a
+        column holding a foreign type is walked value by value, and rows
+        that need nothing come back as the tuples they are.  A row of the
+        wrong arity or a value that cannot be coerced hands the list to
+        :meth:`coerce_row`, which names the first bad row and cell.
+        """
+        rows = rows if isinstance(rows, list) else list(rows)
+        try:
+            if {len(self.columns)}.issuperset(map(len, rows)):
+                as_is = {tuple}.issuperset(map(type, rows))
+                columns = []
+                for index, coercer in enumerate(self._coercers):
+                    column = list(map(itemgetter(index), rows))
+                    if not {coercer, type(None)}.issuperset(
+                            map(type, column)):
+                        as_is = False
+                        column = [value if value is None
+                                  or type(value) is coercer
+                                  else coercer(value) for value in column]
+                    columns.append(column)
+                return rows if as_is else list(zip(*columns))
+        except (ArithmeticError, TypeError, ValueError):
+            pass
+        return [self.coerce_row(row) for row in rows]
 
     def __repr__(self):
         cols = ", ".join("%s %s" % (c.name, c.htype.value) for c in self.columns)

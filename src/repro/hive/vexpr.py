@@ -21,12 +21,13 @@ Two escape hatches keep the batch path exactly row-equivalent:
 """
 
 import operator
-from itertools import repeat
+from itertools import compress, repeat
 
 from repro.hive import ast_nodes as ast
 from repro.hive.expressions import (SCALAR_FUNCTIONS, SlotRef, _BINARY,
                                     compile_expr, fold_in_list, is_true,
-                                    like_to_regex)
+                                    like_to_regex, walk)
+from repro.vector import gather
 
 #: C-level forms of the NULL-stripped binary ops, used by the
 #: ``col <op> literal`` fast path once the NULL/type checks are hoisted
@@ -35,6 +36,8 @@ from repro.hive.expressions import (SCALAR_FUNCTIONS, SlotRef, _BINARY,
 _RAW_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _RAW_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+#: ``k <op> col`` as ``col <mirrored op> k``.
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: exact literal type -> exact element types it compares with directly.
 _PLAIN_CMP_TYPES = {str: frozenset((str,)),
                     int: frozenset((int, float)),
@@ -76,65 +79,143 @@ def compile_batch(expr, env):
     return apply
 
 
-def compile_batch_predicate(expr, env):
-    """Compile a WHERE filter into ``fn(batch) -> batch``.
+def compile_batch_select(expr, env):
+    """Compile a WHERE filter into ``fn(columns, n) -> positions``.
 
-    Applies SQL WHERE semantics (only TRUE survives) and compacts the
-    batch; returns the input batch unchanged when every row passes.
+    The one place a predicate becomes row positions: the result holds,
+    ascending, the indices of the rows on which ``expr`` is TRUE (a list,
+    or ``range(n)`` when no row was rejected) — exactly the rows the row
+    closure ``is_true`` on, and raising exactly what it raises.
 
-    A top-level conjunction is decomposed: ``a AND b AND c`` keeps a row
-    iff every conjunct is individually TRUE (three-valued AND is TRUE
-    only when all operands are TRUE, and NULL never passes WHERE), so
-    the flag columns merge in one zip pass instead of per-operand
-    three-valued merge passes.
+    A top-level conjunction runs one selection kernel per conjunct, each
+    over the rows its predecessors left *live* (neither FALSE nor
+    rejected), which is the set the row engine's short-circuiting AND
+    evaluates it on.  A NULL flag keeps its row live for the later
+    conjuncts — the row AND only stops at FALSE, so they may still raise
+    on it — but the row can no longer pass.
     """
     row_fn = compile_expr(expr, env)    # validates; the fallback path
 
-    def row_filter(batch):
-        keep = [i for i, values in enumerate(batch.rows())
+    def row_select(cols, n):
+        rows = zip(*cols) if cols else repeat((), n)
+        return [i for i, values in enumerate(rows)
                 if is_true(row_fn(values))]
+
+    try:
+        kernels = [(_select_kernel(c, env), _slots(c, env))
+                   for c in _conjuncts(expr)]
+    except Unvectorizable:
+        return row_select
+    last = kernels[-1][0]
+
+    def select(cols, n):
+        live = None     # rows no conjunct rejected so far (None: all n)
+        nulls = set()   # the live rows some conjunct was NULL on
+        try:
+            for kernel, slots in kernels:
+                if live is None:
+                    sub, m = cols, n
+                else:
+                    sub, m = list(cols), len(live)
+                    for slot in slots:
+                        sub[slot] = gather(cols[slot], live)
+                true, flags = kernel(sub, m)
+                if len(true) == m:
+                    continue        # nobody rejected: ``live`` stands
+                null = []
+                if flags is not None and kernel is not last \
+                        and None in flags:
+                    null = [i for i, v in enumerate(flags) if v is None]
+                if live is not None:
+                    true, null = gather(live, true), gather(live, null)
+                nulls.update(null)
+                live = sorted(true + null) if null else true
+        except Exception:
+            # Same shield as compile_batch: eager evaluation can raise
+            # where the row path short-circuits past the operand.
+            return row_select(cols, n)
+        if live is None:
+            return range(n)
+        if nulls:
+            return [i for i in live if i not in nulls]
+        return live
+    return select
+
+
+def compile_batch_predicate(expr, env):
+    """Compile a WHERE filter into ``fn(batch) -> batch``: select, then
+    take.  Returns the input batch unchanged when every row passes."""
+    select = compile_batch_select(expr, env)
+
+    def apply(batch):
+        keep = select(batch.columns, batch.length)
         if len(keep) == batch.length:
             return batch
         return batch.take(keep)
-
-    try:
-        fns = [_vectorize(c, env) for c in _conjuncts(expr)]
-    except Unvectorizable:
-        return row_filter
-
-    def apply(batch):
-        cols, n = batch.columns, batch.length
-        try:
-            flag_cols = [fn(cols, n) for fn in fns]
-            # Keep a row iff every conjunct is TRUE; the 2- and 3-way
-            # forms inline the checks (no per-row all() generator).
-            if len(flag_cols) == 1:
-                keep = [i for i, v in enumerate(flag_cols[0])
-                        if v is not None and v is not False and v != 0]
-            elif len(flag_cols) == 2:
-                keep = [i for i, (a, b) in
-                        enumerate(zip(flag_cols[0], flag_cols[1]))
-                        if a is not None and a is not False and a != 0
-                        and b is not None and b is not False and b != 0]
-            elif len(flag_cols) == 3:
-                keep = [i for i, (a, b, c) in
-                        enumerate(zip(flag_cols[0], flag_cols[1],
-                                      flag_cols[2]))
-                        if a is not None and a is not False and a != 0
-                        and b is not None and b is not False and b != 0
-                        and c is not None and c is not False and c != 0]
-            else:
-                keep = [i for i, vals in enumerate(zip(*flag_cols))
-                        if all(v is not None and v is not False and v != 0
-                               for v in vals)]
-        except Exception:
-            # Same shield as compile_batch: eager conjunct evaluation
-            # can raise where the row path short-circuits past it.
-            return row_filter(batch)
-        if len(keep) == n:
-            return batch
-        return batch.take(keep)
     return apply
+
+
+def _select_kernel(expr, env):
+    """One conjunct as ``fn(columns, n) -> (true positions, flags)``.
+
+    ``flags`` is None when no flag can be NULL, else the evaluated flag
+    list.  Kernel by input property (INTERNALS §8, selection vectors):
+
+    * ``col <cmp> literal`` over a column whose exact element types
+      compare with the literal directly (no NULL, no bool, no str/number
+      coercion) yields exact bools: ``=`` is a ``list.index`` scan, the
+      other comparisons feed ``itertools.compress`` straight from the
+      C-level operator, and no flag list is built;
+    * anything else evaluates the flag column and keeps the three-valued
+      test — ``compress`` goes by truthiness, and ``''`` is TRUE in a
+      WHERE.
+    """
+    flags_of = _vectorize(expr, env)
+
+    def by_flags(cols, n):
+        flags = flags_of(cols, n)
+        return [i for i, v in enumerate(flags)
+                if v is not None and v is not False and v != 0], flags
+
+    if not (isinstance(expr, ast.BinaryOp) and expr.op in _RAW_CMP):
+        return by_flags
+    if isinstance(expr.right, ast.Literal):
+        operand, k, raw = expr.left, expr.right.value, _RAW_CMP[expr.op]
+    elif isinstance(expr.left, ast.Literal):
+        operand, k = expr.right, expr.left.value
+        raw = _RAW_CMP[_MIRRORED[expr.op]]
+    else:
+        return by_flags
+    plain = _PLAIN_CMP_TYPES.get(type(k))
+    if plain is None or k != k:
+        # ``list.index`` tests identity before ``==`` and would find a
+        # NaN that ``=`` never matches.
+        return by_flags
+    inner = _vectorize(operand, env)
+    by_index = expr.op == "="
+
+    def by_literal(cols, n):
+        col = inner(cols, n)
+        if not plain.issuperset(map(type, col)):
+            return by_flags(cols, n)
+        if not by_index:
+            return list(compress(range(n), map(raw, col, repeat(k)))), None
+        hits, find, start = [], col.index, 0
+        try:
+            while True:
+                start = find(k, start) + 1
+                hits.append(start - 1)
+        except ValueError:
+            return hits, None
+    return by_literal
+
+
+def _slots(expr, env):
+    """The column positions ``expr`` reads (what a narrowed evaluation
+    has to gather)."""
+    return sorted({node.index if isinstance(node, SlotRef)
+                   else env.resolve(node) for node in walk(expr)
+                   if isinstance(node, (SlotRef, ast.ColumnRef))})
 
 
 def _conjuncts(expr):

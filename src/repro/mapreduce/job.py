@@ -94,6 +94,15 @@ def stable_hash(key):
     return zlib.crc32(repr(key).encode("utf-8", "backslashreplace"))
 
 
+def stable_hashes(keys):
+    """``[stable_hash(key) for key in keys]`` in one bulk pass when every
+    key is an exact int (whose ``repr`` is ASCII and needs no
+    canonical form)."""
+    if {int}.issuperset(map(type, keys)):
+        return list(map(zlib.crc32, map(str.encode, map(repr, keys))))
+    return list(map(stable_hash, keys))
+
+
 def estimate_record_bytes(records):
     """Cheap serialized-size estimate: sample-pickle up to 64 records."""
     import pickle

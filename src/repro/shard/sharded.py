@@ -28,9 +28,11 @@ exactly one shard's files and attached store are charged.
 """
 
 import json
+from collections import defaultdict
+from operator import itemgetter
 
 from repro.common.errors import DualTableError
-from repro.mapreduce import stable_hash
+from repro.mapreduce.job import stable_hash, stable_hashes
 from repro.hive.catalog import TableInfo, register_handler
 from repro.hive.session import QueryResult
 from repro.core.editlog import recover_edit_logs, run_with_retries
@@ -370,11 +372,7 @@ class ShardedDualTableHandler(DualTableHandler):
         if overwrite:
             for child in self.children:
                 child.insert_rows([], overwrite=True)
-        key_idx = self.schema.index_of(self.shard_key)
-        buckets = {}
-        for row in rows:
-            buckets.setdefault(ShardMap.bucket_of(row[key_idx]),
-                               []).append(row)
+        buckets = self._rows_by_bucket(rows)
         # One append per bucket, ascending: files never span buckets, so
         # the physical file set is independent of the shard count.
         for bucket in sorted(buckets):
@@ -383,6 +381,15 @@ class ShardedDualTableHandler(DualTableHandler):
         if overwrite:
             self.note_attached_bytes()
         return len(rows)
+
+    def _rows_by_bucket(self, rows):
+        """``{bucket: [row, ...]}`` in row order, the shard-key column
+        hashed in one bulk pass."""
+        keys = map(itemgetter(self.schema.index_of(self.shard_key)), rows)
+        buckets = defaultdict(list)
+        for digest, row in zip(stable_hashes(list(keys)), rows):
+            buckets[digest % NUM_BUCKETS].append(row)
+        return buckets
 
     def note_attached_bytes(self):
         total = 0
@@ -449,6 +456,11 @@ class ShardedDualTableHandler(DualTableHandler):
         shard_range = ranges.get(self.shard_key)
         if shard_range is None or shard_range.in_set is None:
             return None
+        # ``=`` coerces across types ('9' = 9) where the bucket hash
+        # does not: only a key of the column's own type pins a shard.
+        key_type = self.schema.column(self.shard_key).python_type
+        if not {key_type}.issuperset(map(type, shard_range.in_set)):
+            return None
         shards = {self.shard_map.shard_of(value)
                   for value in shard_range.in_set}
         if len(shards) != 1:
@@ -466,7 +478,8 @@ class ShardedDualTableHandler(DualTableHandler):
         plan.shard = shard
         return plan
 
-    def execute_lookup(self, plan, engine="row", batch_rows=None):
+    def execute_lookup(self, plan, engine="row", batch_rows=None,
+                       where=None):
         self._check_not_compacting()
         self._ensure_recovered()
         shard = getattr(plan, "shard", 0)
@@ -474,8 +487,8 @@ class ShardedDualTableHandler(DualTableHandler):
         # The child charges the read and emits the global plan/audit
         # counters exactly once; the wrapper adds the logical-table
         # series plus per-shard routing evidence.
-        rows, observed, detail = child.execute_lookup(
-            plan, engine=engine, batch_rows=batch_rows)
+        rows, examined, observed, detail = child.execute_lookup(
+            plan, engine=engine, batch_rows=batch_rows, where=where)
         table = self.table.name
         metrics = self.env.cluster.metrics
         metrics.incr("dualtable.lookups.%s" % table)
@@ -493,7 +506,7 @@ class ShardedDualTableHandler(DualTableHandler):
         metrics.incr("shard.heat.%s.%d" % (table, shard))
         detail = dict(detail)
         detail["shard"] = shard
-        return rows, observed, detail
+        return rows, examined, observed, detail
 
     # ------------------------------------------------------------------
     # EDIT-plan DML: the core batch EDIT scan, one job over every shard
@@ -766,12 +779,8 @@ class ShardedDualTableHandler(DualTableHandler):
     def _overwrite_child_bucketed(self, child, rows):
         """Replace one child's contents, keeping the bucket-grouped
         layout invariant (one append per bucket, ascending)."""
-        key_idx = self.schema.index_of(self.shard_key)
         child.insert_rows([], overwrite=True)
-        buckets = {}
-        for row in rows:
-            buckets.setdefault(ShardMap.bucket_of(row[key_idx]),
-                               []).append(row)
+        buckets = self._rows_by_bucket(rows)
         for bucket in sorted(buckets):
             child.insert_rows(buckets[bucket])
 

@@ -108,6 +108,101 @@ class TestUpdateCorrectness:
         assert [v for _, v in history[tag_index]] == ["v2", "v1"]
 
 
+class TestSetValuesTakeTheColumnType:
+    """Regression: the EDIT plan stored SET values as evaluated — a
+    float, or a string, in an int column read back as such, and the next
+    COMPACT died in the ORC encoder with a raw ``TypeError``.  Both plans
+    now store what the declared type makes of the value, and reject the
+    same statements with the same ``AnalysisError``."""
+
+    STATEMENTS = ["UPDATE t SET v = v / 2 WHERE k = 1",
+                  "UPDATE t SET grp = 5, w = 96 WHERE k < 3",
+                  "UPDATE t SET v = '12', w = k WHERE k = 2",
+                  "UPDATE t SET v = w * 1.5 WHERE k >= 7"]
+
+    @staticmethod
+    def _run(mode, sharded, statements, server=False):
+        session = HiveSession(profile=ClusterProfile.laptop())
+        session.execute(
+            "CREATE TABLE t (k int, grp string, v int, w double) "
+            "PRIMARY KEY (k) STORED AS DUALTABLE %s"
+            "TBLPROPERTIES ('dualtable.mode' = '%s')"
+            % ("SHARDED BY (k) INTO 4 " if sharded else "", mode))
+        session.load_rows("t", [(k, "g%d" % (k % 3), 3 * k, k / 2.0)
+                                for k in range(10)])
+        execute = session.execute
+        if server:
+            from repro.server import DualTableServer
+            execute = DualTableServer(session, concurrency=1) \
+                .connect().execute
+        for sql in statements:
+            execute(sql)
+        before = session.execute("SELECT * FROM t ORDER BY k").rows
+        session.execute("COMPACT TABLE t")
+        after = session.execute("SELECT * FROM t ORDER BY k").rows
+        return [[(type(v), v) for v in row] for row in before], \
+            [[(type(v), v) for v in row] for row in after]
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_edit_stores_what_overwrite_writes(self, sharded):
+        edit = self._run("edit", sharded, self.STATEMENTS)
+        overwrite = self._run("overwrite", sharded, self.STATEMENTS)
+        assert edit == overwrite
+        before, after = edit
+        assert before == after
+        assert before[1][2] == (int, 1)             # 3 / 2 = 1.5 -> 1
+        assert before[2] == [(int, 2), (str, "5"), (int, 12), (float, 2.0)]
+        assert before[0][3] == (float, 96.0)
+
+    def test_deferred_server_commit_coerces_too(self):
+        assert self._run("edit", False, self.STATEMENTS, server=True) \
+            == self._run("overwrite", False, self.STATEMENTS)
+
+    @pytest.mark.parametrize("mode", ["edit", "overwrite"])
+    def test_unstorable_value_is_a_typed_error_and_leaves_no_trace(
+            self, session, mode):
+        from repro.common.errors import AnalysisError
+        clean = self._run(mode, False, [])
+        session.execute(
+            "CREATE TABLE t (k int, grp string, v int, w double) "
+            "STORED AS DUALTABLE TBLPROPERTIES ('dualtable.mode' = '%s')"
+            % mode)
+        session.load_rows("t", [(k, "g%d" % (k % 3), 3 * k, k / 2.0)
+                                for k in range(10)])
+        handler = session.table("t").handler
+        with pytest.raises(AnalysisError) as err:
+            session.execute("UPDATE t SET w = 1, v = 'abc' WHERE k = 1")
+        assert str(err.value).startswith(
+            "cannot coerce 'abc' to int for column v:")
+        assert handler.attached.is_empty()
+        assert not session.fs.exists(handler.txn_dir) \
+            or not session.fs.list_files(handler.txn_dir)
+        rows = session.execute("SELECT * FROM t ORDER BY k").rows
+        assert [[(type(v), v) for v in row] for row in rows] == clean[0]
+
+    def test_redo_log_replay_coerces_like_the_first_publish(self, session):
+        """The staged log holds the values as evaluated; a recovery that
+        replays it must store the same cells the commit would have."""
+        from repro.common.errors import FaultInjectedError
+        from repro.faults import Fault, FaultPlan
+        session.execute(
+            "CREATE TABLE t (k int, grp string, v int, w double) "
+            "STORED AS DUALTABLE TBLPROPERTIES ('dualtable.mode' = 'edit')")
+        session.load_rows("t", [(k, "g%d" % (k % 3), 3 * k, k / 2.0)
+                                for k in range(10)])
+        session.cluster.faults.install(FaultPlan([
+            Fault("dualtable.dml.publish", nth_hit=1, kind="kill")]))
+        with pytest.raises(FaultInjectedError):
+            session.execute("UPDATE t SET v = v / 2, grp = 7 WHERE k = 1")
+        session.cluster.faults.uninstall()
+        session.table("t").handler.recover()
+        row = session.execute("SELECT * FROM t WHERE k = 1").rows[0]
+        assert [(type(v), v) for v in row] == [(int, 1), (str, "7"),
+                                               (int, 1), (float, 0.5)]
+        session.execute("COMPACT TABLE t")
+        assert session.execute("SELECT * FROM t WHERE k = 1").rows == [row]
+
+
 class TestDeleteCorrectness:
     def test_delete_hides_rows(self, session):
         make_dualtable(session)

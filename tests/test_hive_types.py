@@ -163,6 +163,62 @@ class TestCoerceRowParity:
             self.ALL.coerce_row((1, 2))
 
 
+class TestCoerceRows:
+    """``coerce_rows`` is ``coerce_row`` over a list, worked column by
+    column: same tuples (values *and* types), same first error."""
+
+    SCHEMA = TableSchema([("i", "int"), ("d", "double"), ("s", "string"),
+                          ("f", "boolean")])
+
+    def _same(self, rows):
+        try:
+            want = [self.SCHEMA.coerce_row(row) for row in rows]
+        except Exception as exc:                      # noqa: BLE001
+            with pytest.raises(type(exc)) as err:
+                self.SCHEMA.coerce_rows(rows)
+            assert str(err.value) == str(exc)
+            assert type(err.value.__cause__) is type(exc.__cause__)
+            return None
+        got = self.SCHEMA.coerce_rows(rows)
+        assert [_typed(row) for row in got] == [_typed(row) for row in want]
+        assert all(type(row) is tuple for row in got)
+        return got
+
+    def test_exact_rows_come_back_as_they_are(self):
+        rows = [(1, 1.5, "x", True), (None, None, None, None),
+                (2 ** 40, -0.0, "", False)]
+        assert self._same(rows) is rows
+        assert self._same([]) == []
+
+    def test_mixed_null_bool_in_int_and_str_in_int(self):
+        got = self._same([(True, 3, 12, 0), (None, None, None, None),
+                          ("12", "1.5", 1.5, "x"), (7, True, "s", True)])
+        assert got[0] == (1, 3.0, "12", False)
+
+    def test_a_bool_is_foreign_to_an_int_column(self):
+        got = self._same([(True, 1.0, "a", True), (2, 2.0, "b", False)])
+        assert _typed(got[0])[0] == (int, 1)
+
+    def test_list_rows_and_iterables(self):
+        assert self._same([[1, 1.5, "x", True], (2, 2.5, "y", False)]) \
+            == [(1, 1.5, "x", True), (2, 2.5, "y", False)]
+        rows = ((k, k / 2.0, "s", True) for k in range(3))
+        assert self.SCHEMA.coerce_rows(rows) == [
+            (0, 0.0, "s", True), (1, 0.5, "s", True), (2, 1.0, "s", True)]
+
+    def test_first_bad_cell_in_row_order_is_named(self):
+        # Column-wise, d's 'x' (row 2) would be met before i's 'later'
+        # (row 1); the error names row 1's, as coerce_row would.
+        self._same([(1, 1.0, "a", True), ("later", 1.0, "a", True),
+                    (3, "x", "a", True)])
+        self._same([(1, [1], "a", True)])
+        self._same([(float("inf"), 1.0, "a", True)])
+
+    def test_wrong_arity_raises_for_the_first_short_row(self):
+        self._same([(1, 1.0, "a", True), (2, 2.0), ("bad", 1.0, "a", True)])
+        self._same([("bad", 1.0, "a", True), (2, 2.0)])
+
+
 class TestValueCodec:
     @pytest.mark.parametrize("value", [
         None, True, False, 0, -17, 2**40, 3.5, -0.0, "", "héllo",

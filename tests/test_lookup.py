@@ -283,6 +283,124 @@ class TestScanParity:
 
 
 # ----------------------------------------------------------------------
+# The vectorized LOOKUP filters merged batches; the row engine, one
+# closure call per merged row, is its oracle.
+# ----------------------------------------------------------------------
+def _non_cache(counters):
+    return {name: value for name, value in counters.items()
+            if "cache" not in name}
+
+
+def _observe_lookups(engine, sharded, batch_rows, statements):
+    """Per-statement rows, plan, ledger, counters and span annotations."""
+    session = HiveSession(profile=ClusterProfile.laptop(workers=1),
+                          engine=engine, batch_rows=batch_rows)
+    # NULLs in v and name, so residual conjuncts see NULL flags.
+    rows = [(k, None if k % 7 == 3 else k * 10,
+             None if k % 5 == 4 else "n%03d" % k) for k in range(400)]
+    session.execute(
+        "CREATE TABLE t (k int, v int, name string, PRIMARY KEY (k)) "
+        "STORED AS DUALTABLE %s TBLPROPERTIES ('orc.rows_per_file' = '100', "
+        "'orc.stripe_rows' = '%d', 'dualtable.mode' = 'edit')"
+        % (("SHARDED BY (k) INTO 4", 5) if sharded else ("", 80)))
+    session.load_rows("t", rows)
+    session.execute("UPDATE t SET v = v + 1 WHERE k IN (12, 13, 205, 390)")
+    session.execute("DELETE FROM t WHERE k IN (14, 206)")
+    session.execute("SET dualtable.plan = lookup")
+    cluster = session.cluster
+    cluster.tracer.enable()
+    steps = []
+    for sql in statements:
+        cluster.tracer.clear()
+        before = _non_cache(cluster.metrics.counters)
+        try:
+            result = session.execute(sql)
+            outcome = (result.plan, result.rows, result.sim_seconds,
+                       result.detail)
+        except Exception as exc:                      # noqa: BLE001
+            outcome = (type(exc).__name__, str(exc))
+        after = _non_cache(cluster.metrics.counters)
+        steps.append({
+            "sql": sql, "outcome": outcome,
+            "ledger": cluster.ledger.snapshot(),
+            "counters": {name: after[name] - before.get(name, 0)
+                         for name in after
+                         if after[name] != before.get(name, 0)},
+            "spans": [(span.kind, span.name, dict(span.attrs), span.seconds,
+                       span.nbytes) for span in cluster.tracer.spans],
+        })
+    return steps
+
+
+class TestVectorizedLookupEqualsRowEngine:
+    UNSHARDED = [
+        "SELECT k, v, name FROM t WHERE k = 205",
+        "SELECT k, v FROM t WHERE k BETWEEN 5 AND 95 AND v > 300",
+        # Non-PK residual conjuncts; v and name hold NULLs.
+        "SELECT k, name FROM t WHERE k BETWEEN 0 AND 99 AND v % 20 = 0 "
+        "AND name LIKE 'n0%'",
+        "SELECT * FROM t WHERE k IN (12, 13, 14, 15, 390) "
+        "AND (v IS NULL OR v > 125)",
+        "SELECT k FROM t WHERE k BETWEEN 100 AND 180 AND name = 'n150'",
+        "SELECT k FROM t WHERE k BETWEEN 10 AND 60 AND v < 0",
+        # The residual raises on a string operand.
+        "SELECT k FROM t WHERE k BETWEEN 10 AND 60 AND name + 1 > 0",
+    ]
+    SHARDED = [
+        "SELECT k, v, name FROM t WHERE k = 205",
+        "SELECT k, v FROM t WHERE k = 13 AND v > 100",
+        "SELECT k, v FROM t WHERE k = 13 AND v > 1000",
+        "SELECT k, name FROM t WHERE k = 3 AND v IS NULL",
+        "SELECT k FROM t WHERE k = 14",
+        "SELECT k FROM t WHERE k = 8 AND name + 1 > 0",
+    ]
+
+    @pytest.mark.parametrize("batch_rows", [None, 64])
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_rows_ledger_counters_and_spans(self, sharded, batch_rows):
+        statements = self.SHARDED if sharded else self.UNSHARDED
+        vectorized = _observe_lookups("vectorized", sharded, batch_rows,
+                                      statements)
+        row = _observe_lookups("row", sharded, batch_rows, statements)
+        for got, want in zip(vectorized, row):
+            sql = got["sql"]
+            assert got["outcome"] == want["outcome"], sql
+            assert got["ledger"] == want["ledger"], sql
+            assert got["counters"] == want["counters"], sql
+            assert got["spans"] == want["spans"], sql
+        plans = [step["outcome"][0] for step in vectorized]
+        assert plans.count("lookup") == len(statements) - 1
+        assert plans[-1] == "TypeError"
+
+    def test_span_rows_and_cpu_charge_go_by_rows_examined(self):
+        """The residual filter narrows the result, not the accounting."""
+        warm_up, plain, filtered = _observe_lookups(
+            "vectorized", False, None,
+            ["SELECT k FROM t WHERE k = 1",
+             "SELECT k FROM t WHERE k BETWEEN 90 AND 180",     # two files
+             "SELECT k FROM t WHERE k BETWEEN 90 AND 180 "
+             "AND name = 'n150'"])
+        assert len(plain["outcome"][1]) == 91
+        assert filtered["outcome"][1] == [(150,)]
+
+        def examined(step):
+            return [attrs["rows"] for _, name, attrs, _, _ in step["spans"]
+                    if name == "dualtable:lookup"]
+
+        def cpu_rows(step, previous):
+            return (step["ledger"]["ops"][("cpu", "rows")]
+                    - previous["ledger"]["ops"][("cpu", "rows")])
+
+        assert examined(filtered) == examined(plain) == [120]
+        assert filtered["counters"]["unionread.rows"] \
+            == plain["counters"]["unionread.rows"] == 120
+        # The filter (the PK range is part of it) charges every row it
+        # examined; projection, on top, the rows it projects.
+        assert cpu_rows(plain, warm_up) == 120 + 91
+        assert cpu_rows(filtered, plain) == 120 + 1
+
+
+# ----------------------------------------------------------------------
 # EXPLAIN / EXPLAIN ANALYZE and observability.
 # ----------------------------------------------------------------------
 class TestObservability:

@@ -251,6 +251,13 @@ class TestStableHash:
         for key, value in pinned.items():
             assert stable_hash(key) == value, key
 
+    def test_bulk_hashes_equal_one_call_per_key(self):
+        from repro.mapreduce.job import stable_hashes
+        for keys in ([], [5, -1, 0, 2 ** 70, 7], [1, 1.0, True, 2],
+                     ["x", "\udc80", "é"], [None, 1.5, ("a", 1), 3],
+                     [float("nan"), 4]):
+            assert stable_hashes(keys) == [stable_hash(k) for k in keys]
+
     def test_equal_keys_of_different_type_hash_equal(self):
         assert stable_hash(1) == stable_hash(1.0) == stable_hash(True)
         assert stable_hash(0) == stable_hash(-0.0) == stable_hash(False)

@@ -14,6 +14,7 @@ from repro.cluster import ClusterProfile
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive.parser import parse
+from repro.hive.pushdown import ColumnRange
 from repro.advisor import WorkloadAdvisor, apply_findings
 from repro.server import Arrival, build_ledger_server
 from repro.shard import NUM_BUCKETS, ShardMap
@@ -179,6 +180,28 @@ class TestLookupRouting:
             assert sorted(session.execute(
                 "SELECT k, v FROM t WHERE k IN (5.0, 6)").rows) == \
                 [(5, 51), (6, 6)]
+
+    def test_key_of_another_type_is_not_routed_by_its_hash(self):
+        """Regression: ``WHERE k = '9'`` compares equal to ``k = 9`` but
+        hashes as a string, so the LOOKUP read another shard and answered
+        ``[]`` where the scan answers ``[(9, 2)]``.  Only a key of the
+        column's own type pins a shard; anything else is a scan."""
+        for shards in (4, 1):
+            for literal, want in (("'9'", [(9, 2)]), ("true", [(1, 1)]),
+                                  ("'9.0'", [(9, 2)]), ("'x'", [])):
+                session = make_session(shards)
+                sql = "SELECT k, v FROM t WHERE k = %s" % literal
+                result = session.execute(sql)
+                session.execute("SET dualtable.plan = scan")
+                assert result.rows == session.execute(sql).rows == want, \
+                    (shards, literal)
+                assert result.plan.startswith("select("), (shards, literal)
+        handler = handler_of(make_session(4))
+        for value in ("9", True, 9.0, 9):
+            point = ColumnRange(low=value, high=value,
+                                in_set=frozenset([value]))
+            plan = handler.plan_lookup({"k": point}, hit_faults=False)
+            assert (plan is not None) == (type(value) is int), value
 
     def test_open_range_fans_out_to_scan(self):
         session = make_session(4)
