@@ -110,6 +110,11 @@ class CompactionInProgressError(DualTableError):
     """Operations are blocked while COMPACT is running."""
 
 
+class CorruptDeltaError(DualTableError):
+    """An Attached-Table cell is not a delta this library wrote: an
+    unrecognised qualifier or an undecodable value."""
+
+
 class ServerError(ReproError):
     """Raised by the concurrent multi-session server (repro.server)."""
 

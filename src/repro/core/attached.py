@@ -15,11 +15,14 @@ import struct
 
 from dataclasses import dataclass, field
 
-from repro.core.record_id import file_key_range
+from repro.common.errors import CorruptDeltaError, HBaseError
+from repro.core.record_id import decode_record_id, file_key_range
 from repro.hive.valuecodec import decode_value, encode_value
 
 DELETE_MARKER = b"D"
 _UPDATE_PREFIX = b"u"
+#: what a value this library did not write makes the value codec raise.
+DECODE_ERRORS = (HBaseError, struct.error, UnicodeDecodeError)
 
 
 def update_qualifier(column_index):
@@ -35,12 +38,37 @@ def parse_qualifier(qualifier):
     return "unknown", None
 
 
+def corrupt_delta(table, record_id, problem):
+    return CorruptDeltaError("attached table %s, record id %s: %s"
+                             % (table, record_id.hex(), problem))
+
+
 @dataclass
 class DeltaRecord:
     """Resolved modification state of one record ID."""
 
     deleted: bool = False
     updates: dict = field(default_factory=dict)   # column_index -> value
+
+
+def resolve_delta(table, record_id, cells):
+    """The :class:`DeltaRecord` of one record's ``{qualifier: value}``."""
+    delta = DeltaRecord()
+    for qualifier, value in cells.items():
+        kind, column_index = parse_qualifier(qualifier)
+        if kind == "delete":
+            delta.deleted = True
+        elif kind == "update":
+            try:
+                delta.updates[column_index] = decode_value(value)
+            except DECODE_ERRORS as exc:
+                raise corrupt_delta(
+                    table, record_id, "undecodable value %r: %s"
+                    % (value, exc)) from exc
+        else:
+            raise corrupt_delta(table, record_id,
+                                "unrecognised qualifier %r" % qualifier)
+    return delta
 
 
 class AttachedTable:
@@ -117,114 +145,84 @@ class AttachedTable:
     # ------------------------------------------------------------------
     def put_update(self, record_id, new_values):
         """Store new field values: ``{column_index: python_value}``."""
-        self._invalidate_cache()
-        payload = {update_qualifier(idx): encode_value(val)
-                   for idx, val in new_values.items()}
-        self._htable().put(record_id, payload)
+        self._put(record_id, {update_qualifier(idx): encode_value(val)
+                              for idx, val in new_values.items()})
 
     def put_delete(self, record_id):
         """Store a DELETE marker for one record."""
-        self._invalidate_cache()
-        self._htable().put(record_id, {DELETE_MARKER: b"1"})
+        self._put(record_id, {DELETE_MARKER: b"1"})
+
+    def _put(self, record_id, payload):
+        """One delta write; drops the cache entries of that record's
+        master file only.
+
+        They drop before the store mutates and again after it: a reader
+        running between the two may have re-cached pre-put content.
+        """
+        cache = self._delta_cache()
+        prefix = (self.name, self.backend, decode_record_id(record_id)[0])
+        if cache is not None:
+            cache.invalidate_prefix(prefix)
+        try:
+            self._htable().put(record_id, payload)
+        finally:
+            if cache is not None:
+                cache.invalidate_prefix(prefix)
 
     # ------------------------------------------------------------------
     # Reads (the UNION READ merge input).
     # ------------------------------------------------------------------
-    def scan_file(self, file_id):
-        """Yield ``(record_id, DeltaRecord)`` for one master file, sorted.
+    def file_deltas(self, file_id):
+        """``(cells, overlay)`` of one master file: one charged scan.
 
-        The per-file result is memoized in the cluster's delta-range
-        cache together with the charges the materializing scan recorded;
-        a hit replays those charges verbatim, so simulated time is
-        byte-identical either way.  Every mutation path — ``put_update``,
-        ``put_delete``, ``clear`` (EDIT commit, COMPACT, INSERT
-        OVERWRITE, WAL-recovery replay) and a region-server crash —
-        drops the table's entries, so a hit always reflects current
-        content.  Cached DeltaRecords are shared: callers must not
-        mutate them.
-        """
-        start, stop = file_key_range(file_id)
-        cache = self._delta_cache()
-        cluster = self._service.cluster
-        if cache is None or cache.budget_bytes <= 0:
-            return self.scan_range(start, stop)
-        key = (self.name, self.backend, file_id)
-        cached = cache.get(key)
-        if cached is not None:
-            items, recorder = cached
-            recorder.replay(cluster)
-            return iter(items)
-        # Trigger any pending WAL recovery *before* capturing, so the
-        # replay charge applies once globally instead of being stored in
-        # (and re-charged from) the cache entry.
-        self.ensure_available()
-        with cluster.capture() as recorder:
-            items = list(self.scan_range(start, stop))
-        recorder.replay(cluster)
-        nbytes = sum(len(record_id) + 24 + 40 * len(delta.updates)
-                     for record_id, delta in items) + 64
-        cache.put(key, (items, recorder), nbytes=nbytes)
-        return iter(items)
-
-    def file_overlay(self, file_id, items=None):
-        """The file's :class:`~repro.core.union_read.DeltaOverlay`,
-        memoized per delta-epoch.
-
-        ``items`` is the already-materialized (and already-charged)
-        result of :meth:`scan_file` — building the overlay is pure CPU
-        re-arrangement of data the scan paid for, so this method charges
-        nothing; when ``items`` is omitted the charged scan runs here.
-
-        The overlay is cached keyed ``(table, backend, file_id,
-        "overlay")`` in the same delta-range cache as :meth:`scan_file`
-        results and the presence index, so every existing invalidation
-        path — ``put_update`` / ``put_delete`` / ``clear`` /
-        ``clear_file`` via ``_invalidate_cache``, a region-server crash
-        clearing the whole cache, LRU eviction — covers it for free; a
-        stale overlay is impossible by construction.  Overlays are
-        shared: callers must not mutate them.
+        ``cells`` are the scan's resolved rows, ``(record_id, {qualifier:
+        raw value})`` in record-id order, and ``overlay`` the columnar
+        :class:`~repro.core.union_read.DeltaOverlay` built from them —
+        all the batch read path touches.  Both are memoized in the
+        cluster's delta-range cache together with the charges the scan
+        recorded; a hit replays those charges verbatim, so simulated
+        time is byte-identical either way.  Every mutation drops the
+        entry (INTERNALS §6), so a hit always reflects current content;
+        it is shared, callers must not mutate it.
         """
         from repro.core.union_read import build_overlay
 
-        cache = self._delta_cache()
-        key = None
-        if cache is not None and cache.budget_bytes > 0:
-            key = (self.name, self.backend, file_id, "overlay")
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        if items is None:
-            items = list(self.scan_file(file_id))
-        overlay = build_overlay(items)
-        if key is not None:
-            npatch = sum(len(p[0]) for p in overlay.patches.values())
-            nbytes = 64 + 16 * (len(overlay.positions)
-                                + len(overlay.delete_positions)
-                                + len(overlay.applied_positions)) \
-                + 48 * npatch
-            cache.put(key, overlay, nbytes=nbytes)
-        return overlay
+        cluster = self._service.cluster
+
+        def fetch():
+            # Trigger any pending WAL recovery *before* capturing, so the
+            # replay charge applies once globally instead of being stored
+            # in (and re-charged from) the cache entry.
+            self.ensure_available()
+            with cluster.capture() as recorder:
+                cells = list(self._htable().scan(*file_key_range(file_id)))
+            return cells, build_overlay(cells, self.name), recorder
+
+        cells, overlay, recorder = self._memo(
+            (file_id, "deltas"), fetch, weigh=lambda entry: 128 + sum(
+                84 + 88 * len(data) for _, data in entry[0]))
+        recorder.replay(cluster)
+        return cells, overlay
+
+    def delta_items(self, cells):
+        """``(record_id, DeltaRecord)`` per delta row of ``cells`` — the
+        row merge's input, derived from the scan's cells on demand."""
+        return [(record_id, resolve_delta(self.name, record_id, data))
+                for record_id, data in cells]
+
+    def scan_file(self, file_id):
+        """:meth:`delta_items` of one master file; charged as
+        :meth:`file_deltas`."""
+        return iter(self.delta_items(self.file_deltas(file_id)[0]))
 
     def scan_range(self, start=None, stop=None):
-        for record_id, cells in self._htable().scan(start, stop):
-            yield record_id, self._resolve(cells)
+        return self.delta_items(self._htable().scan(start, stop))
 
     def get(self, record_id):
         cells = self._htable().get(record_id)
         if cells is None:
             return None
-        return self._resolve(cells)
-
-    @staticmethod
-    def _resolve(cells):
-        delta = DeltaRecord()
-        for qualifier, value in cells.items():
-            kind, column_index = parse_qualifier(qualifier)
-            if kind == "delete":
-                delta.deleted = True
-            elif kind == "update":
-                delta.updates[column_index] = decode_value(value)
-        return delta
+        return resolve_delta(self.name, record_id, cells)
 
     def history(self, record_id, versions=10):
         """Multi-version change history of one record's fields."""
@@ -250,43 +248,38 @@ class AttachedTable:
         return self._htable().is_empty()
 
     def has_entries_in_file(self, file_id):
-        """Metadata-level check used to decide if stripe pruning is safe."""
-        return self.file_delta_stats(file_id)[0] > 0
+        """Metadata-level check used to decide if stripe pruning is safe:
+        two bisects per store, no cell visited, nothing cached."""
+        return self._htable().any_in_range(*file_key_range(file_id))
 
     def file_delta_stats(self, file_id):
         """``(delta_bytes, delta_entries)`` for one master file.
 
         Control-plane metadata (uncharged), like the key-range scans it
         wraps — the compaction policy consults it for every candidate
-        file on every decision, and scan planning asks it per file to
-        decide whether stripe pruning (and the batch path's zero-delta
-        fast path) is safe.
+        file on every decision and the LOOKUP planner per indexed file.
 
-        The answer is memoized as a **delta-presence index** in the
-        delta-range cache, keyed ``(table, backend, file_id,
-        "presence")`` — one entry per master file recording how many
-        delta bytes/entries sit in its record-id key range.  Storing it
-        in the same cache as :meth:`scan_file` results means every
-        existing invalidation path (``put_update`` / ``put_delete`` /
-        ``clear`` / ``clear_file`` via ``_invalidate_cache``, HBase
-        COMPACT's group invalidation, a region-server crash clearing
-        the whole cache, LRU eviction) covers the index for free; a
-        stale presence answer is impossible by construction.
+        The answer is memoized as a **delta-presence index**, keyed
+        ``(table, backend, file_id, "presence")``.
         """
+        table, (start, stop) = self._htable(), file_key_range(file_id)
+        return self._memo((file_id, "presence"), lambda: (
+            table.bytes_in_range(start, stop),
+            table.rows_in_range(start, stop)))
+
+    def _memo(self, key, compute, weigh=None):
+        """``compute()``, memoized in the delta-range cache under the
+        file's key prefix, so whatever drops one of a file's entries
+        drops them all (INTERNALS §6)."""
         cache = self._delta_cache()
-        key = None
-        if cache is not None and cache.budget_bytes > 0:
-            key = (self.name, self.backend, file_id, "presence")
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        start, stop = file_key_range(file_id)
-        table = self._htable()
-        stats = (table.bytes_in_range(start, stop),
-                 table.rows_in_range(start, stop))
-        if key is not None:
-            cache.put(key, stats, nbytes=64)
-        return stats
+        if cache is None or cache.budget_bytes <= 0:
+            return compute()
+        key = (self.name, self.backend) + key
+        value = cache.get(key)
+        if value is None:
+            value = compute()
+            cache.put(key, value, nbytes=weigh(value) if weigh else 64)
+        return value
 
     def pk_dirty_in_file(self, file_id, column_index):
         """True if any delta in this file rewrites the PK column itself.
@@ -297,30 +290,13 @@ class AttachedTable:
         deletes of pruned rows are irrelevant.  The one unsound case is
         an UPDATE that sets the PK column: the LOOKUP planner must read
         such a file in full.  Control-plane metadata (uncharged, via
-        ``scan_silent``) memoized beside the presence index so every
-        cache-invalidation path covers it for free.
+        ``scan_silent``) memoized beside the presence index.
         """
-        cache = self._delta_cache()
-        key = None
-        if cache is not None and cache.budget_bytes > 0:
-            key = (self.name, self.backend, file_id, "pk-dirty",
-                   column_index)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        start, stop = file_key_range(file_id)
-        dirty = False
-        for _, cells in self._htable().scan_silent(start, stop):
-            for qualifier in cells:
-                kind, col = parse_qualifier(qualifier)
-                if kind == "update" and col == column_index:
-                    dirty = True
-                    break
-            if dirty:
-                break
-        if key is not None:
-            cache.put(key, dirty, nbytes=64)
-        return dirty
+        qualifier = update_qualifier(column_index)
+        return self._memo(
+            (file_id, "pk-dirty", column_index),
+            lambda: any(qualifier in cells for _, cells in
+                        self._htable().scan_silent(*file_key_range(file_id))))
 
     def entry_count(self):
         return self._htable().count_rows()

@@ -275,22 +275,21 @@ class DualTableHandler(StorageHandler):
     def _prepare_union_read(self, file_id, reader, stripe_filter):
         """Shared per-file merge setup for the row and batch read paths.
 
-        Materializes the (charged) delta scan, resolves it into the
-        memoized :class:`~repro.core.union_read.DeltaOverlay`, and
-        classifies the file's merge units (``unionread.batches_*``
-        counters) on the canonical per-stripe grid.  Eager
-        materialization reorders the delta-scan charges relative to the
-        interleaved master reads, which is ledger-neutral: charges
-        accumulate per (device, category) key, so only per-key order —
-        unchanged — matters.  Returns ``(items, overlay)``.
+        Fetches the file's deltas (the one charged, memoized scan,
+        :meth:`AttachedTable.file_deltas`) and classifies the file's
+        merge units (``unionread.batches_*`` counters) on the canonical
+        per-stripe grid.  Eager materialization reorders the delta-scan
+        charges relative to the interleaved master reads, which is
+        ledger-neutral: charges accumulate per (device, category) key,
+        so only per-key order — unchanged — matters.  Returns
+        ``(cells, overlay)``.
         """
-        items = list(self.attached.scan_file(file_id))
-        overlay = self.attached.file_overlay(file_id, items=items)
+        cells, overlay = self.attached.file_deltas(file_id)
         spans = [(s.first_row, s.num_rows) for s in reader.stripes
                  if stripe_filter is None or stripe_filter(s)]
         fast, dirty = classify_merge_units(spans, overlay.positions)
         self._note_merge_units(fast, dirty)
-        return items, overlay
+        return cells, overlay
 
     def _note_merge_units(self, fast, dirty):
         """Merge-unit accounting: how much of the scanned stripe grid
@@ -329,11 +328,12 @@ class DualTableHandler(StorageHandler):
             orc_rows = reader.rows(projection=projection,
                                    stripe_filter=stripe_filter)
             projection_map = self._projection_map(projection)
-            deltas, _ = self._prepare_union_read(
+            cells, _ = self._prepare_union_read(
                 payload["file_id"], reader, stripe_filter)
             stats = {}
             nrows = 0
-            for item in union_read_file(payload["file_id"], orc_rows, deltas,
+            for item in union_read_file(payload["file_id"], orc_rows,
+                                        self.attached.delta_items(cells),
                                         projection_map, stats=stats):
                 nrows += 1
                 yield item
@@ -344,7 +344,7 @@ class DualTableHandler(StorageHandler):
 
         Shares every charge and counter with :meth:`read_split_with_rids`
         (footer + stripe-column bytes via the ORC reader, the delta scan
-        via ``scan_file``, the per-output-row ``unionread`` CPU charge,
+        via ``file_deltas``, the per-output-row ``unionread`` CPU charge,
         the ``unionread.*`` metrics) — only the wall-clock work differs.
         Clean files stream straight through the zero-delta fast path
         under either strategy; dirty batches are merged with the
@@ -364,7 +364,7 @@ class DualTableHandler(StorageHandler):
                                          stripe_filter=stripe_filter,
                                          batch_rows=batch_rows)
             projection_map = self._projection_map(projection)
-            items, overlay = self._prepare_union_read(
+            cells, overlay = self._prepare_union_read(
                 payload["file_id"], reader, stripe_filter)
             stats = {}
             nrows = 0
@@ -374,8 +374,8 @@ class DualTableHandler(StorageHandler):
                                             stats=stats)
             else:
                 merged = union_read_batches(payload["file_id"], orc_batches,
-                                            items, projection_map,
-                                            stats=stats)
+                                            self.attached.delta_items(cells),
+                                            projection_map, stats=stats)
             for batch in merged:
                 nrows += batch.length
                 yield batch

@@ -211,7 +211,7 @@ def run_lookup(handler, plan, engine="row", batch_rows=None, where=None):
     Per candidate file this charges exactly what the scan path's union
     read charges for the same stripes — the ORC footer plus decoded
     stripe-column bytes via the (cache-parity) charged reader, the delta
-    scan via the memoized ``scan_file``, and the per-output-row
+    scan via the memoized ``file_deltas``, and the per-output-row
     ``unionread`` CPU charge — and feeds the same ``unionread.*``
     counters through ``handler._note_union_read``.  The vectorized
     engine shares every charge with the row engine by construction.
@@ -242,7 +242,7 @@ def run_lookup(handler, plan, engine="row", batch_rows=None, where=None):
                     [n for n, _ in reader.schema],
                     {plan.pk: plan.pk_range})
             projection_map = handler._projection_map(plan.projection)
-            deltas, overlay = handler._prepare_union_read(
+            cells, overlay = handler._prepare_union_read(
                 candidate["file_id"], reader, stripe_filter)
             stats = {}
             nrows = 0
@@ -256,7 +256,8 @@ def run_lookup(handler, plan, engine="row", batch_rows=None, where=None):
                         projection_map, stats=stats)
                 else:
                     merged = union_read_batches(
-                        candidate["file_id"], batches, deltas,
+                        candidate["file_id"], batches,
+                        handler.attached.delta_items(cells),
                         projection_map, stats=stats)
                 for batch in merged:
                     nrows += batch.length
@@ -267,7 +268,8 @@ def run_lookup(handler, plan, engine="row", batch_rows=None, where=None):
                 orc_rows = reader.rows(projection=plan.projection,
                                        stripe_filter=stripe_filter)
                 for _, values in union_read_file(
-                        candidate["file_id"], orc_rows, deltas,
+                        candidate["file_id"], orc_rows,
+                        handler.attached.delta_items(cells),
                         projection_map, stats=stats):
                     nrows += 1
                     if predicate is None or is_true(predicate(values)):

@@ -26,6 +26,13 @@ def decode_record_id(key):
     return struct.unpack(_FORMAT, key)
 
 
+def decode_row_numbers(keys):
+    """Row numbers of many record IDs at once (one ``struct.unpack``)."""
+    if set(map(len, keys)) - {RECORD_ID_BYTES}:
+        raise struct.error("record id is not %d bytes" % RECORD_ID_BYTES)
+    return list(struct.unpack(">" + "4xQ" * len(keys), b"".join(keys)))
+
+
 def file_key_range(file_id):
     """The half-open HBase key range covering one master file's records."""
     start = struct.pack(">I", file_id) + b"\x00" * 8

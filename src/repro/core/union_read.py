@@ -32,8 +32,15 @@ statement matches, instead of encoding one id per scanned row.
 """
 
 from bisect import bisect_left
+from itertools import chain, compress, repeat
+from operator import not_
 
-from repro.core.record_id import decode_record_id, encode_record_id
+from repro.common.errors import HBaseError
+from repro.core.attached import (DECODE_ERRORS, DELETE_MARKER, corrupt_delta,
+                                 parse_qualifier, resolve_delta)
+from repro.core.record_id import (RECORD_ID_BYTES, decode_row_numbers,
+                                  encode_record_id)
+from repro.hive.valuecodec import decode_values
 from repro.vector import ColumnBatch, batch_from_rows, spliced
 
 
@@ -209,7 +216,7 @@ class DeltaOverlay:
                              row merge).
 
     Overlays are immutable and memoized per (file, delta-epoch) in the
-    delta-range cache (:meth:`AttachedTable.file_overlay`); callers must
+    delta-range cache (:meth:`AttachedTable.file_deltas`); callers must
     not mutate them.
     """
 
@@ -227,29 +234,56 @@ class DeltaOverlay:
         return len(self.positions)
 
 
-def build_overlay(items):
-    """Resolve one file's sorted ``(record_id, DeltaRecord)`` items into
-    a :class:`DeltaOverlay` — one :func:`decode_record_id` per *delta*
-    instead of one :func:`encode_record_id` per master *row*."""
-    positions = []
-    delete_positions = []
-    applied_positions = []
-    patches = {}
-    for record_id, delta in items:
-        _, row_number = decode_record_id(record_id)
-        positions.append(row_number)
-        if delta.deleted:
-            delete_positions.append(row_number)
-            continue
-        if not delta.updates:
-            continue   # noop delta: matches a master row, changes nothing
-        applied_positions.append(row_number)
-        for column_index, new_value in delta.updates.items():
-            entry = patches.get(column_index)
-            if entry is None:
-                entry = patches[column_index] = ([], [])
-            entry[0].append(row_number)
-            entry[1].append(new_value)
+def build_overlay(cells, table=None):
+    """Resolve one file's sorted delta cells into a :class:`DeltaOverlay`.
+
+    ``cells`` are the Attached Table's resolved scan rows, ``(record_id,
+    {qualifier: raw value})`` in record-id order.  The work is per
+    *column* of the file's deltas, not per cell: one unpack names every
+    row position, each qualifier is parsed once, and every update
+    column decodes in one :func:`~repro.hive.valuecodec.decode_values`
+    call.  A cell this library did not write raises
+    :class:`~repro.common.errors.CorruptDeltaError` naming ``table``
+    and the record id — never a silently unpatched row.
+    """
+    if not cells:
+        return DeltaOverlay([], [], [], {})
+    record_ids, datas = zip(*cells)
+    try:
+        positions = decode_row_numbers(record_ids)
+        columns = {}
+        for qualifier in set(chain.from_iterable(datas)):
+            kind, column_index = parse_qualifier(qualifier)
+            if kind == "unknown":
+                raise HBaseError("unrecognised qualifier")
+            if kind == "update":
+                columns[column_index] = qualifier
+        # Delete wins over update: a marked row leaves the patch lists.
+        deleted = list(map(dict.__contains__, datas, repeat(DELETE_MARKER)))
+        live = list(map(not_, deleted))
+        delete_positions = list(compress(positions, deleted))
+        live_positions = list(compress(positions, live))
+        live_datas = list(compress(datas, live))
+        # A noop delta ({}) matches a master row and changes nothing.
+        applied_positions = list(compress(live_positions, live_datas))
+        patches = {}
+        for column_index in sorted(columns):
+            rows = live_positions
+            raw = list(map(dict.get, live_datas,
+                           repeat(columns[column_index])))
+            if None in raw:
+                present = [value is not None for value in raw]
+                rows = list(compress(rows, present))
+                raw = list(compress(raw, present))
+            if raw:     # else only DELETE-marked rows carry the column
+                patches[column_index] = (rows, decode_values(raw))
+    except DECODE_ERRORS as exc:
+        # Cell by cell, the resolver names the first foreign one; if it
+        # finds none, a row key is not a record id.
+        for record_id, data in cells:
+            resolve_delta(table, record_id, data)
+        odd = min(record_ids, key=lambda r: len(r) == RECORD_ID_BYTES)
+        raise corrupt_delta(table, odd, exc) from exc
     return DeltaOverlay(positions, delete_positions, applied_positions,
                         patches)
 

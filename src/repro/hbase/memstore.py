@@ -2,12 +2,14 @@
 
 import bisect
 
+from repro.hbase.cells import KeyValue
+
 
 class MemStore:
     """Sorted in-memory run of KeyValues awaiting a flush.
 
     Inserts keep the run sorted (bisect insertion — fine at simulation
-    scale and keeps scans allocation-free).
+    scale), so a key range is two bisects and a slice.
     """
 
     def __init__(self):
@@ -22,16 +24,26 @@ class MemStore:
         self._cells.insert(idx, cell)
         self._bytes += cell.size_bytes()
 
+    def bounds(self, start_row=None, stop_row=None):
+        """``(lo, hi)`` such that ``cells[lo:hi]`` is the key range
+        (``(row,)`` sorts before every sort key of that row)."""
+        keys = self._keys
+        lo = 0 if start_row is None else bisect.bisect_left(keys, (start_row,))
+        hi = (len(keys) if stop_row is None
+              else bisect.bisect_left(keys, (stop_row,), lo))
+        return lo, hi
+
     def scan(self, start_row=None, stop_row=None):
-        """Yield cells with ``start_row <= row < stop_row`` in sort order."""
-        lo = 0
-        if start_row is not None:
-            lo = bisect.bisect_left(self._keys, (start_row,))
-        for i in range(lo, len(self._cells)):
-            cell = self._cells[i]
-            if stop_row is not None and cell.row >= stop_row:
-                return
-            yield cell
+        """Cells with ``start_row <= row < stop_row`` in sort order."""
+        lo, hi = self.bounds(start_row, stop_row)
+        return self._cells[lo:hi]
+
+    def purge(self, start_row=None, stop_row=None):
+        """Drop the key range in place."""
+        lo, hi = self.bounds(start_row, stop_row)
+        self._bytes -= sum(map(KeyValue.size_bytes, self._cells[lo:hi]))
+        del self._cells[lo:hi]
+        del self._keys[lo:hi]
 
     def drain(self):
         """Return all cells (sorted) and empty the store."""

@@ -8,6 +8,7 @@ qualifier.
 """
 
 import heapq
+from operator import attrgetter
 
 from repro.hbase.cells import CellType, KeyValue, row_tombstone
 from repro.hbase.hfile import HFile
@@ -114,9 +115,10 @@ class Region:
         self.flush()
         if not self.hfiles:
             return None
-        cells = list(self._merged_cells())
+        cells = self._merged_cells()
         if major:
-            cells = list(_resolve(cells, versions=1, keep_deletes=False))
+            cells = [cell for _, row_cells in _group_by_row(cells)
+                     for cell in _resolve_row(row_cells, versions=1)]
         merged = HFile(cells)
         self.hfiles = [merged] if cells else []
         return merged
@@ -124,41 +126,43 @@ class Region:
     def purge_range(self, start_row=None, stop_row=None):
         """Physically drop every cell in range, tombstones included.
 
-        Rebuilds the memstore, HFiles and WAL without the range's cells
-        — the storage-level effect of a range-scoped major compaction.
-        The WAL is purged too, so a later :meth:`recover` cannot
-        resurrect reclaimed cells.
+        Cuts the range's slice out of the memstore and of each HFile
+        that holds part of it — the storage-level effect of a
+        range-scoped major compaction; stores outside the range are not
+        touched.  The WAL is purged too, so a later :meth:`recover`
+        cannot resurrect reclaimed cells.
         """
-        def in_range(row):
-            if start_row is not None and row < start_row:
-                return False
-            return stop_row is None or row < stop_row
-
-        kept = [c for c in self.memstore.scan() if not in_range(c.row)]
-        self.memstore = MemStore()
-        for cell in kept:
-            self.memstore.add(cell)
-        self.hfiles = [f for f in
-                       (HFile([c for c in f.scan() if not in_range(c.row)])
-                        for f in self.hfiles)
-                       if len(f)]
-        self.wal = [c for c in self.wal if not in_range(c.row)]
-        self.wal_bytes = sum(c.size_bytes() for c in self.wal)
+        self.memstore.purge(start_row, stop_row)
+        self.hfiles = [f for f in (f.without(start_row, stop_row)
+                                   for f in self.hfiles) if len(f)]
+        # The WAL is in arrival order, so its range is not a slice.
+        low = start_row or b""
+        gone = {id(c) for c in self.wal if c.row >= low
+                and (stop_row is None or c.row < stop_row)}
+        if gone:
+            self.wal = [c for c in self.wal if id(c) not in gone]
+            self.wal_bytes = sum(map(KeyValue.size_bytes, self.wal))
 
     # ------------------------------------------------------------------
     # Reads.
     # ------------------------------------------------------------------
-    def _merged_cells(self, start_row=None, stop_row=None):
-        sources = [self.memstore.scan(start_row, stop_row)]
-        sources.extend(f.scan(start_row, stop_row) for f in self.hfiles)
-        return heapq.merge(*sources, key=lambda c: c.sort_key())
+    def _stores(self):
+        return [self.memstore] + self.hfiles
 
-    def scan_cells(self, start_row=None, stop_row=None):
-        """Raw merged cell stream (pre-resolution), for cost accounting."""
-        return self._merged_cells(start_row, stop_row)
+    def _merged_cells(self, start_row=None, stop_row=None):
+        """The range's raw cells (pre-resolution) in sort order, a list.
+
+        Each store hands over a slice; they are merged only when more
+        than one of them holds cells of the range.
+        """
+        sources = [cells for cells in (store.scan(start_row, stop_row)
+                                       for store in self._stores()) if cells]
+        if len(sources) > 1:
+            return list(heapq.merge(*sources, key=KeyValue.sort_key))
+        return sources[0] if sources else []
 
     def scan(self, start_row=None, stop_row=None, versions=1):
-        """Yield resolved ``(row, {qualifier: value})`` in row order.
+        """Resolved ``(row, {qualifier: value})`` pairs in row order.
 
         With ``versions > 1`` the dict values are lists of ``(ts, value)``
         newest-first.
@@ -180,9 +184,18 @@ class Region:
         return self.memstore.size_bytes + sum(f.size_bytes for f in self.hfiles)
 
     def bytes_in_range(self, start_row=None, stop_row=None):
-        total = sum(c.size_bytes() for c in self.memstore.scan(start_row, stop_row))
-        total += sum(f.bytes_in_range(start_row, stop_row) for f in self.hfiles)
-        return total
+        return sum(sum(map(KeyValue.size_bytes,
+                           store.scan(start_row, stop_row)))
+                   for store in self._stores())
+
+    def any_in_range(self, start_row=None, stop_row=None):
+        """True if any raw cell, tombstones included, lies in range —
+        ``bytes_in_range(...) > 0`` without visiting a cell."""
+        for store in self._stores():
+            lo, hi = store.bounds(start_row, stop_row)
+            if lo != hi:
+                return True
+        return False
 
     def cell_count(self):
         return len(self.memstore) + sum(len(f) for f in self.hfiles)
@@ -191,19 +204,6 @@ class Region:
 # ----------------------------------------------------------------------
 # Version/tombstone resolution.
 # ----------------------------------------------------------------------
-def _resolve(cells, versions=1, keep_deletes=True):
-    """Resolve a sorted cell stream into surviving cells.
-
-    Used by major compaction (``keep_deletes=False``) to rewrite history.
-    """
-    for row, row_cells in _group_by_row(cells):
-        survivors = _resolve_row(row_cells, versions)
-        if keep_deletes:
-            yield from row_cells
-        else:
-            yield from survivors
-
-
 def _group_by_row(cells):
     current_row, bucket = None, []
     for cell in cells:
@@ -245,15 +245,33 @@ def _resolve_row(row_cells, versions):
     return survivors
 
 
+_CELL_TYPE = attrgetter("cell_type")
+
+
 def _resolve_rows(cells, versions=1):
+    """Resolved ``(row, data)`` pairs of a sorted cell run, as a list."""
+    out = []
+    if versions == 1 and not any(map(_CELL_TYPE, cells)):
+        # No tombstone in the run (``CellType.PUT`` is 0): nothing is
+        # shadowed by a delete, so the newest put of each (row,
+        # qualifier) — the first in sort order — is the survivor.
+        row = None
+        for cell in cells:
+            if cell.row != row:
+                row = cell.row
+                data = {}
+                out.append((row, data))
+            data.setdefault(cell.qualifier, cell.value)
+        return out
     for row, row_cells in _group_by_row(cells):
         survivors = _resolve_row(row_cells, versions)
         if not survivors:
             continue
         if versions == 1:
-            yield row, {c.qualifier: c.value for c in survivors}
+            out.append((row, {c.qualifier: c.value for c in survivors}))
         else:
             data = {}
             for c in survivors:
                 data.setdefault(c.qualifier, []).append((c.ts, c.value))
-            yield row, data
+            out.append((row, data))
+    return out

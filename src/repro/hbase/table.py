@@ -105,15 +105,11 @@ class HTable:
         """Yield resolved ``(row, cells)`` pairs in global row order."""
         self._service.ensure_available()
         for region in self._regions_in_range(start_row, stop_row):
-            raw_bytes = 0
-            nrows = 0
-            for row, data in region.scan(start_row, stop_row,
-                                         versions=versions):
-                nrows += 1
-                yield row, data
+            rows = region.scan(start_row, stop_row, versions=versions)
+            yield from rows
             if not self.system:
                 raw_bytes = region.bytes_in_range(start_row, stop_row)
-                self._cluster.charge_hbase_scan(raw_bytes, nrows)
+                self._cluster.charge_hbase_scan(raw_bytes, len(rows))
 
     def scan_all(self, **kwargs):
         return list(self.scan(**kwargs))
@@ -127,9 +123,7 @@ class HTable:
         """
         self._service.ensure_available()
         for region in self._regions_in_range(start_row, stop_row):
-            for row, data in region.scan(start_row, stop_row,
-                                         versions=versions):
-                yield row, data
+            yield from region.scan(start_row, stop_row, versions=versions)
 
     # ------------------------------------------------------------------
     # Maintenance.
@@ -187,10 +181,17 @@ class HTable:
         return sum(r.bytes_in_range(start_row, stop_row)
                    for r in self._regions_in_range(start_row, stop_row))
 
+    def any_in_range(self, start_row=None, stop_row=None):
+        """``bytes_in_range(...) > 0`` by key-range bounds alone:
+        control-plane and uncharged, it visits no cell."""
+        self._service.ensure_available()
+        return any(r.any_in_range(start_row, stop_row)
+                   for r in self._regions_in_range(start_row, stop_row))
+
     def rows_in_range(self, start_row=None, stop_row=None):
         """Live (resolved) row count in range; control-plane, uncharged."""
         self._service.ensure_available()
-        return sum(sum(1 for _ in region.scan(start_row, stop_row))
+        return sum(len(region.scan(start_row, stop_row))
                    for region in self._regions_in_range(start_row, stop_row))
 
     def cell_count(self):

@@ -6,6 +6,7 @@ NULLs and every physical kind.
 """
 
 import struct
+from operator import itemgetter
 
 from repro.common.errors import HBaseError
 
@@ -52,3 +53,24 @@ def decode_value(data):
     if tag == _STRING:
         return payload.decode("utf-8")
     raise HBaseError("unknown value tag %r" % tag)
+
+
+_TAG = itemgetter(0)
+_FIXED = {_INT[0]: "xq", _DOUBLE[0]: "xd"}
+
+
+def decode_values(cells):
+    """:func:`decode_value` over a list of cell values: all ints or all
+    doubles (one tag, every value 9 bytes) in one ``struct.unpack``, all
+    strings without the tag dispatch, anything else — NULLs, bools,
+    mixed types, a malformed value — value by value."""
+    if b"" not in cells:
+        tags = set(map(_TAG, cells))
+        if len(tags) == 1:
+            (tag,) = tags
+            if tag in _FIXED and set(map(len, cells)) == {9}:
+                return list(struct.unpack("<" + _FIXED[tag] * len(cells),
+                                          b"".join(cells)))
+            if tag == _STRING[0]:
+                return [str(cell[1:], "utf-8") for cell in cells]
+    return [decode_value(cell) for cell in cells]

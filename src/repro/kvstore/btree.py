@@ -152,30 +152,26 @@ class BTreeTable:
         self._charge_read_op(nbytes)
         return self._view(cells, versions)
 
+    def _bounds(self, start_row, stop_row):
+        """``(lo, hi)``: the key range as a slice of the sorted rows."""
+        keys = self._keys
+        lo = 0 if start_row is None else bisect.bisect_left(keys, start_row)
+        hi = (len(keys) if stop_row is None
+              else bisect.bisect_left(keys, stop_row, lo))
+        return lo, hi
+
     def scan(self, start_row=None, stop_row=None, versions=1):
-        lo = 0 if start_row is None else bisect.bisect_left(self._keys,
-                                                            start_row)
-        nbytes = 0
-        nrows = 0
-        for idx in range(lo, len(self._keys)):
-            row = self._keys[idx]
-            if stop_row is not None and row >= stop_row:
-                break
-            cells = self._rows[idx]
-            nbytes += self._row_bytes(row, cells)
-            nrows += 1
-            yield row, self._view(cells, versions)
-        self._charge_scan(nbytes, nrows)
+        lo, hi = self._bounds(start_row, stop_row)
+        nbytes = self.bytes_in_range(start_row, stop_row)
+        yield from self.scan_silent(start_row, stop_row, versions)
+        self._charge_scan(nbytes, hi - lo)
 
     def scan_silent(self, start_row=None, stop_row=None, versions=1):
         """Uncharged :meth:`scan` for control-plane planning stats."""
-        lo = 0 if start_row is None else bisect.bisect_left(self._keys,
-                                                            start_row)
-        for idx in range(lo, len(self._keys)):
-            row = self._keys[idx]
-            if stop_row is not None and row >= stop_row:
-                break
-            yield row, self._view(self._rows[idx], versions)
+        lo, hi = self._bounds(start_row, stop_row)
+        return zip(self._keys[lo:hi],
+                   [self._view(cells, versions)
+                    for cells in self._rows[lo:hi]])
 
     @staticmethod
     def _view(cells, versions):
@@ -212,22 +208,19 @@ class BTreeTable:
                    for row, cells in zip(self._keys, self._rows))
 
     def bytes_in_range(self, start_row=None, stop_row=None):
-        lo = 0 if start_row is None else bisect.bisect_left(self._keys,
-                                                            start_row)
-        total = 0
-        for idx in range(lo, len(self._keys)):
-            if stop_row is not None and self._keys[idx] >= stop_row:
-                break
-            total += self._row_bytes(self._keys[idx], self._rows[idx])
-        return total
+        lo, hi = self._bounds(start_row, stop_row)
+        return sum(map(self._row_bytes, self._keys[lo:hi],
+                       self._rows[lo:hi]))
 
     def rows_in_range(self, start_row=None, stop_row=None):
         """Row count in range; control-plane metadata, uncharged."""
-        lo = 0 if start_row is None else bisect.bisect_left(self._keys,
-                                                            start_row)
-        hi = (len(self._keys) if stop_row is None
-              else bisect.bisect_left(self._keys, stop_row))
-        return max(0, hi - lo)
+        lo, hi = self._bounds(start_row, stop_row)
+        return hi - lo
+
+    def any_in_range(self, start_row=None, stop_row=None):
+        """True if any row lies in range; control-plane, uncharged."""
+        lo, hi = self._bounds(start_row, stop_row)
+        return lo != hi
 
     def count_rows(self):
         return len(self._keys)

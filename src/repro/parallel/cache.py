@@ -17,6 +17,10 @@ Invalidation is by key prefix: keys are tuples whose first element is a
 group tag (an HDFS path or an Attached-Table name), so a whole table's
 entries drop in one call.  String tags match by ``startswith`` to cover
 path prefixes (a master directory invalidates every file under it).
+A key's first three elements name one *file* of the group — ``(table,
+backend, file_id)`` for delta entries, ``(path, size, crc)`` for ORC
+ones — and an index from that prefix to its keys makes dropping one
+file's entries cost the entries of that file, not a walk of the cache.
 """
 
 import threading
@@ -32,12 +36,25 @@ class ByteBudgetLRU:
         self.name = name
         self._lock = threading.Lock()
         self._entries = OrderedDict()    # key -> (value, nbytes)
+        self._by_prefix = {}             # key[:3] -> {keys of _entries}
         self._used = 0
 
     # ------------------------------------------------------------------
-    def _incr(self, event):
-        if self.metrics is not None:
-            self.metrics.incr("%s.%s" % (self.name, event))
+    def _incr(self, event, count=1):
+        if count and self.metrics is not None:
+            self.metrics.incr("%s.%s" % (self.name, event), count)
+
+    def _drop(self, key):
+        """Remove one entry, its bytes and its index slot (lock held)."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return 0
+        self._used -= entry[1]
+        keys = self._by_prefix[key[:3]]
+        keys.discard(key)
+        if not keys:
+            del self._by_prefix[key[:3]]
+        return 1
 
     def get(self, key):
         """The cached value, or None on a miss (counts either way)."""
@@ -52,23 +69,23 @@ class ByteBudgetLRU:
         return entry[0]
 
     def put(self, key, value, nbytes):
-        """Insert (or refresh) an entry, evicting LRU past the budget."""
+        """Insert (or refresh) an entry, evicting LRU past the budget.
+
+        Whatever ``key`` held before is superseded, also when the new
+        value is larger than the whole budget and so is not stored.
+        """
         nbytes = max(0, int(nbytes))
-        if self.budget_bytes <= 0 or nbytes > self.budget_bytes:
-            return
         evicted = 0
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._used -= old[1]
+            self._drop(key)
+            if self.budget_bytes <= 0 or nbytes > self.budget_bytes:
+                return
             self._entries[key] = (value, nbytes)
+            self._by_prefix.setdefault(key[:3], set()).add(key)
             self._used += nbytes
-            while self._used > self.budget_bytes and self._entries:
-                _, (_, freed) = self._entries.popitem(last=False)
-                self._used -= freed
-                evicted += 1
-        if evicted and self.metrics is not None:
-            self.metrics.incr("%s.evictions" % self.name, evicted)
+            while self._used > self.budget_bytes:
+                evicted += self._drop(next(iter(self._entries)))
+        self._incr("evictions", evicted)
 
     # ------------------------------------------------------------------
     # Invalidation (strict: callers hook every mutation of the backing
@@ -80,28 +97,33 @@ class ByteBudgetLRU:
         String tags match by prefix so a directory tag covers all file
         paths beneath it; non-string tags match by equality.
         """
-        dropped = 0
         with self._lock:
             if isinstance(tag, str):
-                doomed = [k for k in self._entries
-                          if isinstance(k[0], str) and k[0].startswith(tag)]
+                doomed = [p for p in self._by_prefix
+                          if isinstance(p[0], str) and p[0].startswith(tag)]
             else:
-                doomed = [k for k in self._entries if k[0] == tag]
-            for key in doomed:
-                _, freed = self._entries.pop(key)
-                self._used -= freed
-                dropped += 1
-        if dropped and self.metrics is not None:
-            self.metrics.incr("%s.invalidations" % self.name, dropped)
+                doomed = [p for p in self._by_prefix if p[0] == tag]
+            dropped = sum(self._drop(key) for prefix in doomed
+                          for key in list(self._by_prefix[prefix]))
+        self._incr("invalidations", dropped)
+        return dropped
+
+    def invalidate_prefix(self, prefix):
+        """Drop the entries whose key starts with the 3-tuple ``prefix``
+        (one file of a group) at the cost of those entries alone."""
+        with self._lock:
+            dropped = sum(self._drop(key) for key in
+                          list(self._by_prefix.get(prefix, ())))
+        self._incr("invalidations", dropped)
         return dropped
 
     def clear(self):
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
+            self._by_prefix.clear()
             self._used = 0
-        if dropped and self.metrics is not None:
-            self.metrics.incr("%s.invalidations" % self.name, dropped)
+        self._incr("invalidations", dropped)
         return dropped
 
     # ------------------------------------------------------------------

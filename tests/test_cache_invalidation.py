@@ -7,6 +7,16 @@ mutates through a different path (EDIT commit, COMPACT, INSERT
 OVERWRITE, region-server crash mid-statement), reads again, and checks
 the answer against ``fresh_rows`` — the same query re-run with every
 cache forcibly emptied.  Cached == fresh is the staleness oracle.
+
+A delta write (``put_update`` / ``put_delete``) drops the cache entries
+of the one master file its record id names; everything coarser —
+``clear``, ``clear_file``, HBase ``compact``, a region crash — still
+drops the table's group or the whole cache (INTERNALS §6).  That is why
+the ``cache.delta.*`` counters moved with per-file invalidation (more
+hits, fewer invalidations): they are outside the identity contract.
+Everything else in the fingerprint (``repro.shard.identity``: rows,
+ledger bytes / ops / seconds, non-cache counters) is unchanged, because
+a hit replays the charges its miss recorded.
 """
 
 import pytest
@@ -15,7 +25,9 @@ from repro.cluster import ClusterProfile
 from repro.common.errors import ReproError
 from repro.core import encode_record_id
 from repro.faults import Fault, FaultPlan
+from repro.hbase import HTable
 from repro.hive import HiveSession
+from repro.shard.identity import identity_fingerprint
 
 ROWS = [(i, i * 10) for i in range(40)]
 
@@ -228,6 +240,29 @@ class TestStripeIndexInvalidation:
         assert self.point(session, 17) == []
         assert self.fresh_point(session, 900) == [(900, 170, "s17")]
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_pk_moving_update_reprobes_that_file_only(self, workers):
+        session = self.build(workers=workers)
+        session.execute("UPDATE t SET v = v + 1 WHERE k IN (7, 17)")
+        assert self.point(session, 17) == [(17, 171, "s17")]
+        handler = session.table("t").handler
+        first, second = file_ids(handler)[:2]             # hold k=7, k=17
+
+        def probe(file_id):
+            return {key: value for key, value
+                    in entries_of(session, file_id).items()
+                    if key[3] == "pk-dirty"}
+
+        assert list(probe(first).values()) == [False]
+        assert list(probe(second).values()) == [False]
+        session.execute("UPDATE t SET k = 900 WHERE k = 17")
+        assert list(probe(first).values()) == [False]      # kept
+        assert probe(second) == {}                         # dropped
+        assert self.point(session, 900) == [(900, 171, "s17")]
+        assert list(probe(second).values()) == [True]      # re-run
+        assert self.point(session, 17) == []
+        assert self.fresh_point(session, 900) == [(900, 171, "s17")]
+
     def test_index_dropped_by_compact(self):
         session = self.build()
         session.execute("UPDATE t SET v = 1 WHERE k < 20")
@@ -257,7 +292,7 @@ class TestStripeIndexInvalidation:
 
 class TestOverlayInvalidation:
     """The memoized DeltaOverlay (INTERNALS §14) lives in the delta
-    cache keyed ``(table, backend, file_id, "overlay")``, so every
+    cache keyed ``(table, backend, file_id, "deltas")``, so every
     invalidation path that protects delta ranges must drop it too.
     Each test warms the overlay with a scan, mutates through one path,
     and re-checks the cached answer against the all-caches-dropped
@@ -271,7 +306,7 @@ class TestOverlayInvalidation:
     def warmed(self, session):
         select_all(session)
         cache = session.cluster.delta_cache
-        assert any(len(key) == 4 and key[3] == "overlay"
+        assert any(len(key) == 4 and key[3] == "deltas"
                    for key in cache._entries)
         return cache
 
@@ -341,6 +376,119 @@ class TestOverlayInvalidation:
         b = uncached.execute("SELECT k, v FROM t ORDER BY k")
         assert a.rows == b.rows
         assert a.sim_seconds == b.sim_seconds
+
+
+def file_ids(handler):
+    return [handler.master.file_id_of(path)
+            for path in handler.master.file_paths()]
+
+
+def entries_of(session, file_id):
+    """The delta cache's ``{key: value}`` for one master file."""
+    attached = session.table("t").handler.attached
+    prefix = (attached.name, attached.backend, file_id)
+    return {key: entry[0] for key, entry
+            in session.cluster.delta_cache._entries.items()
+            if key[:3] == prefix}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+class TestPerFileInvalidation:
+    """An EDIT drops the entries of the files it writes, no others."""
+
+    def dirty(self, workers):
+        session = build_session(workers=workers)
+        session.execute("UPDATE t SET v = v + 1 WHERE k % 10 = 0")
+        return session
+
+    def test_edit_of_file_a_keeps_file_b(self, workers):
+        session = self.dirty(workers)
+        select_all(session)                               # warm
+        a, *others = file_ids(session.table("t").handler)
+        assert entries_of(session, a)
+        kept = {f: entries_of(session, f) for f in others}
+        assert all(kept.values())
+        session.execute("UPDATE t SET v = -1 WHERE k = 3")
+        assert entries_of(session, a) == {}
+        for file_id, before in kept.items():
+            after = entries_of(session, file_id)
+            assert after.keys() == before.keys()
+            assert all(after[key] is before[key] for key in before)
+        expect = sorted((k, -1 if k == 3 else v + (k % 10 == 0))
+                        for k, v in ROWS)
+        assert select_all(session) == expect
+        assert fresh_rows(session) == expect
+
+    def test_identity_fingerprint_does_not_see_the_cache(self, workers):
+        """The same statements with the delta cache disabled: rows,
+        ledger and non-cache counters are equal to the last bit."""
+        def run(**profile):
+            session = HiveSession(profile=ClusterProfile.laptop(
+                workers=workers, **profile))
+            session.execute(
+                "CREATE TABLE t (k int, v int) STORED AS dualtable "
+                "TBLPROPERTIES ('orc.rows_per_file' = '10', "
+                "'dualtable.mode' = 'edit')")
+            session.load_rows("t", ROWS)
+            transcript = []
+            for sql in ("UPDATE t SET v = v + 1 WHERE k % 10 = 0",
+                        "SELECT k, v FROM t ORDER BY k",
+                        "UPDATE t SET v = -1 WHERE k = 3",
+                        "SELECT k, v FROM t ORDER BY k",
+                        "DELETE FROM t WHERE k = 13",
+                        "SELECT k, v FROM t ORDER BY k"):
+                transcript.append((sql, session.execute(sql).rows))
+            return identity_fingerprint(session, transcript)
+
+        assert run() == run(delta_cache_bytes=0)
+
+    def test_put_fault_then_retry_leaves_no_stale_entry(self, workers):
+        """The 2nd of a publish's 3 puts crashes; the retry layer
+        reruns the publish.  No touched file keeps an entry from
+        before its put, whichever attempt wrote it."""
+        session = self.dirty(workers)
+        select_all(session)                               # warm
+        handler = session.table("t").handler
+        touched = file_ids(handler)[:3]
+        faults = session.cluster.faults
+        faults.install(FaultPlan([Fault("hbase.put", nth_hit=2,
+                                        kind="crash")]))
+        session.execute("UPDATE t SET v = -7 WHERE k IN (3, 13, 23)")
+        assert len(faults.fired) == 1                     # and was retried
+        faults.install(None)
+        for file_id in touched:
+            assert entries_of(session, file_id) == {}
+        assert entries_of(session, file_ids(handler)[3])  # untouched: kept
+        expect = sorted((k, -7 if k in (3, 13, 23) else v + (k % 10 == 0))
+                        for k, v in ROWS)
+        assert select_all(session) == expect
+        assert fresh_rows(session) == expect
+
+    def test_reader_between_invalidation_and_put_cannot_pin_old_content(
+            self, workers, monkeypatch):
+        """Invalidation runs after the store mutation as well: a reader
+        that re-caches the file between the first invalidation and the
+        put sees pre-put content, and that entry must not survive."""
+        session = self.dirty(workers)
+        handler = session.table("t").handler
+        attached = handler.attached
+        file_id = file_ids(handler)[0]
+        record_id = encode_record_id(file_id, 3)
+        original = HTable.put
+
+        def put_with_a_reader_in_front(table, row, values, ts=None):
+            if table.name == attached.name:
+                assert all(rid != record_id for rid, _
+                           in attached.file_deltas(file_id)[0])
+                assert entries_of(session, file_id)       # re-cached
+            return original(table, row, values, ts=ts)
+
+        monkeypatch.setattr(HTable, "put", put_with_a_reader_in_front)
+        attached.put_update(record_id, {1: -9})
+        monkeypatch.undo()
+        assert entries_of(session, file_id) == {}
+        assert record_id in dict(attached.file_deltas(file_id)[0])
+        assert (3, -9) in select_all(session)
 
 
 class TestTrailingDeltas:

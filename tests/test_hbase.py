@@ -317,3 +317,156 @@ class TestService:
 
     def test_logical_clock_monotonic(self, service):
         assert service.next_ts() < service.next_ts() < service.next_ts()
+
+
+# ----------------------------------------------------------------------
+# A key range is a slice: equivalence with the per-cell generator route.
+# ----------------------------------------------------------------------
+def _in_range(row, start, stop):
+    return (start is None or row >= start) and (stop is None or row < stop)
+
+
+def _reference_cells(region, start, stop):
+    """The range's raw cells the way the generators produced them:
+    filter every store cell by cell, ``heapq.merge`` with a key
+    lambda."""
+    import heapq
+    sources = [[c for c in store._cells if _in_range(c.row, start, stop)]
+               for store in [region.memstore] + region.hfiles]
+    return list(heapq.merge(*sources, key=lambda c: c.sort_key()))
+
+
+def _reference_rows(region, start, stop, versions):
+    """Resolution through ``_group_by_row`` / ``_resolve_row`` only."""
+    from repro.hbase.region import _group_by_row, _resolve_row
+    out = []
+    for row, row_cells in _group_by_row(_reference_cells(region, start,
+                                                         stop)):
+        survivors = _resolve_row(row_cells, versions)
+        if not survivors:
+            continue
+        if versions == 1:
+            out.append((row, {c.qualifier: c.value for c in survivors}))
+        else:
+            data = {}
+            for c in survivors:
+                data.setdefault(c.qualifier, []).append((c.ts, c.value))
+            out.append((row, data))
+    return out
+
+
+def _reference_purge(region, start, stop):
+    """``purge_range`` as it was: rebuild every store from kept cells."""
+    kept = [c for c in region.memstore._cells
+            if not _in_range(c.row, start, stop)]
+    region.memstore = MemStore()
+    for cell in kept:
+        region.memstore.add(cell)
+    region.hfiles = [f for f in
+                     (HFile([c for c in f._cells
+                             if not _in_range(c.row, start, stop)])
+                      for f in region.hfiles) if len(f)]
+    region.wal = [c for c in region.wal if not _in_range(c.row, start, stop)]
+    region.wal_bytes = sum(c.size_bytes() for c in region.wal)
+
+
+def _build_region(ops, flush_points, with_deletes=True):
+    region = Region()
+    for ts, (op, row_i, qual_i, payload) in enumerate(ops, start=1):
+        row, qual = b"r%d" % row_i, b"q%d" % qual_i
+        if op == "put" or not with_deletes:
+            region.put(row, qual, b"v%d" % payload, ts)
+        elif op == "del_col":
+            region.delete_column(row, qual, ts)
+        else:
+            region.delete_row(row, ts)
+        if ts in flush_points:
+            region.flush()
+    return region
+
+
+def _state(region):
+    return ([c for c in region.memstore._cells], region.memstore.size_bytes,
+            region.memstore._keys,
+            [list(f._cells) for f in region.hfiles],
+            [f.size_bytes for f in region.hfiles],
+            list(region.wal), region.wal_bytes)
+
+
+_bound = st.one_of(st.none(), st.integers(0, 6).map(lambda i: b"r%d" % i))
+
+
+@given(_ops, st.sets(st.integers(0, 59)), _bound, _bound, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_range_slices_match_the_generator_route(ops, flush_points, start,
+                                                stop, with_deletes):
+    # Without tombstones the scan takes the first-cell-per-qualifier
+    # route; with them, ``_resolve_row`` — both against the same oracle.
+    region = _build_region(ops, flush_points, with_deletes)
+    cells = _reference_cells(region, start, stop)
+    assert region._merged_cells(start, stop) == cells
+    for versions in (1, 3):
+        assert region.scan(start, stop, versions=versions) == \
+            _reference_rows(region, start, stop, versions)
+    nbytes = sum(c.size_bytes() for c in cells)
+    assert region.bytes_in_range(start, stop) == nbytes
+    assert region.any_in_range(start, stop) == (nbytes > 0)
+    for store in [region.memstore] + region.hfiles:
+        assert store.scan(start, stop) == \
+            [c for c in store._cells if _in_range(c.row, start, stop)]
+
+
+@given(_ops, st.sets(st.integers(0, 59)), _bound, _bound)
+@settings(max_examples=150, deadline=None)
+def test_purge_range_by_slices_matches_the_rebuild(ops, flush_points, start,
+                                                   stop):
+    region = _build_region(ops, flush_points)
+    reference = _build_region(ops, flush_points)
+    region.purge_range(start, stop)
+    _reference_purge(reference, start, stop)
+    assert _state(region) == _state(reference)
+    assert not region.any_in_range(start, stop)
+    # The WAL was purged with the stores: a crash cannot resurrect the
+    # range, and what is replayed is exactly what the memstore held.
+    before = _state(region)
+    region.crash()
+    assert region.recover() == region.wal_bytes
+    assert _state(region) == before
+
+
+@given(_ops, st.sets(st.integers(0, 59)), _bound, _bound)
+@settings(max_examples=60, deadline=None)
+def test_table_scan_charge_is_raw_bytes_and_live_rows(ops, flush_points,
+                                                      start, stop):
+    """``HTable.scan`` charges, per region and after the range is
+    consumed, the raw cell bytes in range and the resolved row count."""
+    def build():
+        service = HBaseService(Cluster(ClusterProfile.laptop()))
+        table = service.create_table("t", split_points=[b"r3"])
+        for ts, (op, row_i, qual_i, payload) in enumerate(ops, start=1):
+            row, qual = b"r%d" % row_i, b"q%d" % qual_i
+            if op == "put":
+                table.put(row, {qual: b"v%d" % payload})
+            elif op == "del_col":
+                table.delete_column(row, qual)
+            else:
+                table.delete_row(row)
+            if ts in flush_points:
+                table.flush()
+        return service.cluster, table
+
+    cluster, table = build()
+    ref_cluster, ref_table = build()
+    rows = list(table.scan(start, stop))
+    expected = []
+    for region in ref_table._regions_in_range(start, stop):
+        live = _reference_rows(region, start, stop, 1)
+        expected.extend(live)
+        ref_cluster.charge_hbase_scan(
+            sum(c.size_bytes() for c in _reference_cells(region, start,
+                                                         stop)), len(live))
+    assert rows == expected
+    assert cluster.ledger.snapshot() == ref_cluster.ledger.snapshot()
+    assert table.rows_in_range(start, stop) == len(expected)
+    assert table.any_in_range(start, stop) == \
+        (table.bytes_in_range(start, stop) > 0)

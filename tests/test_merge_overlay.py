@@ -20,6 +20,8 @@ from repro.core.record_id import decode_record_id, encode_record_id
 from repro.hive import HiveSession
 from repro.vector import ColumnBatch
 
+from tests.delta_reference import cells_for_items
+
 FILE_ID = 3
 WIDTH = 3           # schema columns 0, 1, 2
 
@@ -57,7 +59,7 @@ def run_all_paths(spans, entries, projection=(0, 1, 2)):
     """
     items = items_for(entries)
     projection_map = {c: i for i, c in enumerate(projection)}
-    overlay = build_overlay(items)
+    overlay = build_overlay(cells_for_items(items))
 
     o_stats, b_stats, r_stats = {}, {}, {}
     o_batches = list(union_read_overlay(
@@ -169,7 +171,7 @@ class TestAdversarialDistributions:
     def test_overlay_shares_untouched_columns_zero_copy(self):
         projection = (0, 1, 2)
         items = items_for({1: delta(updates={1: "patched"})})
-        overlay = build_overlay(items)
+        overlay = build_overlay(cells_for_items(items))
         source = make_batches([(0, 4)], projection)
         out = list(union_read_overlay(
             FILE_ID, iter(source), overlay,

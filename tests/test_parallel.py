@@ -187,6 +187,98 @@ class TestByteBudgetLRU:
         assert cache.invalidate_group(7) == 1
         assert (77, "x") in cache
 
+    def test_oversized_refresh_supersedes_the_old_entry(self):
+        """``put(k, small)``; ``put(k, huge)`` used to return before
+        touching ``k``, so ``get(k)`` kept serving the stale value."""
+        cache = ByteBudgetLRU(10)
+        cache.put(("t", "b", 1, "x"), "old", 4)
+        cache.put(("t", "b", 1, "x"), "new, too big to keep", 11)
+        assert cache.get(("t", "b", 1, "x")) is None
+        assert len(cache) == 0 and cache.used_bytes == 0
+        assert cache._by_prefix == {}
+
+    def test_invalidate_prefix_drops_one_file_only(self):
+        metrics = MetricsRegistry()
+        cache = ByteBudgetLRU(1000, metrics=metrics, name="cache.t")
+        for file_id in (1, 2):
+            cache.put(("t", "hbase", file_id, "deltas"), file_id, 10)
+            cache.put(("t", "hbase", file_id, "pk-dirty", 0), False, 10)
+        cache.put(("t", "stripe-index", "/w/t/f1", 99), "index", 10)
+        assert cache.invalidate_prefix(("t", "hbase", 1)) == 2
+        assert metrics.counter("cache.t.invalidations") == 2
+        assert cache.invalidate_prefix(("t", "hbase", 1)) == 0
+        assert cache.invalidate_prefix(("t", "hbase")) == 0    # not a file
+        assert sorted(cache._entries) == [
+            ("t", "hbase", 2, "deltas"), ("t", "hbase", 2, "pk-dirty", 0),
+            ("t", "stripe-index", "/w/t/f1", 99)]
+        assert cache.used_bytes == 30
+
+    def test_prefix_index_follows_every_way_an_entry_leaves(self):
+        def indexed(cache):
+            return sorted(key for keys in cache._by_prefix.values()
+                          for key in keys)
+
+        cache = ByteBudgetLRU(40)
+        for i in range(6):                      # evicts as it goes
+            cache.put(("t", "b", i % 3, i), i, 10)
+            assert indexed(cache) == sorted(cache._entries)
+        cache.put(("t", "b", 2, 5), "again", 10)            # refresh
+        cache.put(("p", 1), "short key", 5)
+        assert indexed(cache) == sorted(cache._entries)
+        cache.invalidate_prefix(("t", "b", 2))
+        assert indexed(cache) == sorted(cache._entries)
+        cache.invalidate_group("t")
+        assert indexed(cache) == sorted(cache._entries) == [("p", 1)]
+        cache.clear()
+        assert cache._by_prefix == {} and cache.used_bytes == 0
+
+    def test_index_and_byte_count_hold_under_concurrent_use(self):
+        """Eight threads put, read, evict and invalidate over the same
+        few files; a lost update would leave the prefix index or the
+        byte count out of step with the entries."""
+        import sys
+        import time
+
+        cache = ByteBudgetLRU(600)
+        deadline = time.monotonic() + 1.0
+        errors = []
+
+        def work(seed):
+            try:
+                i = seed
+                while time.monotonic() < deadline:
+                    i += 7
+                    key = ("t", "b", i % 5, i % 11)
+                    cache.put(key, i, 10 + i % 50)
+                    cache.get(("t", "b", (i + 1) % 5, i % 11))
+                    if i % 13 == 0:
+                        cache.invalidate_prefix(("t", "b", i % 5))
+                    if i % 101 == 0:
+                        cache.invalidate_group("t")
+                    if i % 211 == 0:
+                        cache.clear()
+            except Exception as exc:           # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.used_bytes == sum(n for _, n in cache._entries.values())
+        assert cache.used_bytes <= cache.budget_bytes
+        assert sorted(key for keys in cache._by_prefix.values()
+                      for key in keys) == sorted(cache._entries)
+        assert all(cache._by_prefix.values())
+
     def test_clear(self):
         cache = ByteBudgetLRU(1000)
         cache.put(("a",), 1, 10)
