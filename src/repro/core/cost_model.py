@@ -219,7 +219,7 @@ class CostModel:
 
     def choose_lookup_plan(self, scan_bytes, total_files, lookup_bytes,
                            files_read, probe_bytes, probe_entries,
-                           job_startup_s=0.0, task_overhead_s=0.0):
+                           job_startup_s=0.0, task_overhead_s=0.0, rows=0):
         """Choose LOOKUP vs the MR scan plan for one point/range read.
 
         The scan plan pays the MapReduce fixed costs (job submission plus
@@ -228,12 +228,15 @@ class CostModel:
         stripes whose PK min/max admit the predicate (``lookup_bytes``
         over ``files_read`` candidate files) plus an attached-table probe
         of the candidates' delta ranges (``probe_bytes`` /
-        ``probe_entries``).  Positive difference ⇒ LOOKUP cheaper.
+        ``probe_entries``) and the union read's per-row merge CPU over
+        the ``rows`` it examines.  Positive difference ⇒ LOOKUP cheaper.
         """
         scan_cost = (job_startup_s + total_files * task_overhead_s
                      + self._master_read(scan_bytes))
         lookup_cost = (self._master_read(lookup_bytes)
-                       + self._attached_read(probe_bytes, probe_entries))
+                       + self._attached_read(probe_bytes, probe_entries)
+                       + rows * self.profile.op_scale
+                       * self.profile.unionread_row_cost_s)
         difference = scan_cost - lookup_cost
         return LookupChoice(
             plan="lookup" if difference > 0 else "scan",

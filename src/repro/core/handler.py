@@ -15,7 +15,8 @@ would be unsound).
 import itertools
 import json
 
-from repro.common.errors import CompactionInProgressError, DualTableError
+from repro.common.errors import (CompactionInProgressError, DualTableError,
+                                 FaultInjectedError)
 from repro.mapreduce import InputSplit, Job
 from repro.hive.catalog import register_handler
 from repro.hive.expressions import Env, compile_expr, is_true, referenced_columns
@@ -28,7 +29,8 @@ from repro.core.attached import AttachedTable
 from repro.core.cost_model import CostModel
 from repro.core.editlog import (EditBatch, recover_edit_logs,
                                 run_with_retries)
-from repro.core.lookup import plan_lookup, run_lookup
+from repro.core.lookup import (bounded_pk_range, keyed_batches, plan_lookup,
+                               run_lookup)
 from repro.core.master import MasterTable
 from repro.core.metadata import DualTableMetadata
 from repro.core.record_id import RECORD_ID_BYTES, encode_record_id
@@ -349,7 +351,9 @@ class DualTableHandler(StorageHandler):
         Clean files stream straight through the zero-delta fast path
         under either strategy; dirty batches are merged with the
         columnar overlay by default, or the per-row reference merge
-        under ``SET dualtable.merge = row`` (INTERNALS §14).
+        under ``SET dualtable.merge = row`` (INTERNALS §14).  A keyed
+        read's payload names the stripes its plan admitted
+        (``"stripes"``) instead of ranges to prune by.
         """
         payload = split.payload
         cluster = self.env.cluster
@@ -358,8 +362,12 @@ class DualTableHandler(StorageHandler):
                                  path=payload["path"]) as span:
             reader = self.master.reader(payload["path"])
             projection = payload["projection"]
-            stripe_filter = make_stripe_filter(
-                [n for n, _ in reader.schema], payload["ranges"] or {})
+            admitted = payload.get("stripes")
+            stripe_filter = (
+                make_stripe_filter([n for n, _ in reader.schema],
+                                   payload["ranges"] or {})
+                if admitted is None
+                else lambda stripe: stripe.index in admitted)
             orc_batches = reader.batches(projection=projection,
                                          stripe_filter=stripe_filter,
                                          batch_rows=batch_rows)
@@ -459,40 +467,38 @@ class DualTableHandler(StorageHandler):
             rows, examined = run_lookup(self, plan, engine=engine,
                                         batch_rows=batch_rows, where=where)
             span.annotate(rows=examined)
-        delta = cluster.ledger.diff(before)
-        observed = delta["total_seconds"]
-        nbytes = sum(delta["bytes"].values())
+        detail = self._keyed_detail(plan, "lookup", "lookup",
+                                    cluster.ledger.diff(before))
+        observed = detail["audit"]["observed_seconds"]
         metrics = cluster.metrics
         metrics.incr("dualtable.lookups.%s" % table)
         metrics.incr("dualtable.plan.lookup")
         metrics.incr("dualtable.plan.lookup.%s" % table)
         metrics.observe("dualtable.plan.lookup_seconds.%s" % table,
                         observed)
-        metrics.observe("dualtable.plan.lookup_bytes.%s" % table, nbytes)
-        choice = plan.choice
-        predicted = choice.lookup_seconds
-        rel_error = (abs(predicted - observed) / observed
-                     if observed > 0 else 0.0)
-        audit = {"plan": "lookup",
-                 "predicted_seconds": predicted,
-                 "observed_seconds": observed,
-                 "rel_error": rel_error}
-        metrics.incr("costmodel.audits")
-        metrics.incr("costmodel.audits.%s" % table)
-        metrics.observe("costmodel.rel_error", rel_error)
-        metrics.observe("costmodel.rel_error.lookup", rel_error)
-        metrics.observe("costmodel.rel_error.table.%s" % table, rel_error)
-        cluster.tracer.annotate(cost_audit=dict(audit))
-        detail = {"plan": "lookup",
-                  "files_read": len(plan.files),
-                  "total_files": plan.total_files,
-                  "est_rows": plan.est_rows,
-                  "lookup_bytes": nbytes,
-                  "lookup_seconds": choice.lookup_seconds,
-                  "scan_seconds": choice.scan_seconds,
-                  "cost_difference": choice.cost_difference,
-                  "audit": audit}
+        metrics.observe("dualtable.plan.lookup_bytes.%s" % table,
+                        detail["lookup_bytes"])
         return rows, examined, observed, detail
+
+    def _keyed_detail(self, plan, name, audited_as, delta):
+        """Result detail of one keyed read (LOOKUP or EDIT-by-key).
+
+        ``delta`` is the ledger diff over the read: there is no Job to
+        sum, so its device time *is* the read's simulated latency, and
+        the audit holds the keyed cost term
+        (``LookupChoice.lookup_seconds``) to it.
+        """
+        choice = plan.choice
+        return {"plan": name,
+                "files_read": len(plan.files),
+                "total_files": plan.total_files,
+                "est_rows": plan.est_rows,
+                "lookup_bytes": sum(delta["bytes"].values()),
+                "lookup_seconds": choice.lookup_seconds,
+                "scan_seconds": choice.scan_seconds,
+                "cost_difference": choice.cost_difference,
+                "audit": self._audit(audited_as, choice.lookup_seconds,
+                                     delta["total_seconds"])}
 
     def note_lookup_eligible_scan(self):
         """A lookup-eligible read routed to the scan plan (advisor feed)."""
@@ -547,6 +553,10 @@ class DualTableHandler(StorageHandler):
             selected, total = estimate_selection(readers, usable)
             if total == 0:
                 return 0.0, 0
+            pk_range = usable.get(self.primary_key)
+            if pk_range is not None and pk_range.in_set is not None:
+                # The PRIMARY KEY is unique: n keys touch at most n rows.
+                selected = min(selected, len(pk_range.in_set))
             return min(1.0, selected / total), total
         return self._sample_ratio(where, readers)
 
@@ -598,66 +608,61 @@ class DualTableHandler(StorageHandler):
         return total
 
     def execute_update(self, session, stmt):
-        self._check_not_compacting()
-        self._ensure_recovered()
-        self.env.cluster.metrics.incr(
-            "dualtable.updates.%s" % self.table.name)
-        with self.env.cluster.tracer.span(
-                "phase", "dualtable:plan", table=self.table.name,
-                dml="update") as span:
-            ratio, total_rows = self._estimate_ratio(stmt.where)
-            d_bytes = self.master.data_bytes()
-            update_cell_bytes = (RECORD_ID_BYTES
-                                 + _UPDATE_CELL_BYTES * len(stmt.assignments))
-            assignment_columns = set()
-            for _, expr in stmt.assignments:
-                assignment_columns |= referenced_columns(expr)
-            scan_bytes = self._edit_scan_bytes(stmt.where, assignment_columns)
-            choice = self.cost_model().choose_update_plan(
-                d_bytes, total_rows, ratio, update_cell_bytes,
-                edit_scan_bytes=scan_bytes)
-            plan = self._forced_or(choice.plan)
-            self._annotate_choice(span, choice, plan)
-        detail = self._detail(choice, plan)
-        self.metadata.record_ratio(self.table.name, ratio)
-        self._note_plan_choice(plan, choice)
-        self._claim_txn_access(session, plan)
-        if plan == "overwrite":
-            info = session.metastore.table(self.table.name)
-            result = session._rewrite_via_overwrite(
-                info, stmt, "update", stmt.assignments, extra_detail=detail)
-        else:
-            result = self._run_edit(session, stmt, detail, "update",
-                                    stmt.assignments)
-        self._audit_cost_model(choice, plan, result)
-        return result
+        return self._execute_dml(session, stmt, "update", stmt.assignments)
 
     def execute_delete(self, session, stmt):
+        return self._execute_dml(session, stmt, "delete", ())
+
+    def choose_dml_plan(self, where, assignments=None):
+        """The cost evaluator's EDIT-vs-OVERWRITE verdict for one UPDATE
+        (``assignments`` given) or DELETE; shared with EXPLAIN."""
+        ratio, total_rows = self._estimate_ratio(where)
+        d_bytes = self.master.data_bytes()
+        if assignments is None:
+            return self.cost_model().choose_delete_plan(
+                d_bytes, total_rows, ratio,
+                edit_scan_bytes=self._edit_scan_bytes(where))
+        read = set().union(*(referenced_columns(e) for _, e in assignments))
+        return self.cost_model().choose_update_plan(
+            d_bytes, total_rows, ratio,
+            RECORD_ID_BYTES + _UPDATE_CELL_BYTES * len(assignments),
+            edit_scan_bytes=self._edit_scan_bytes(where, read))
+
+    def _execute_dml(self, session, stmt, verb, assignments):
         self._check_not_compacting()
         self._ensure_recovered()
-        self.env.cluster.metrics.incr(
-            "dualtable.deletes.%s" % self.table.name)
-        with self.env.cluster.tracer.span(
-                "phase", "dualtable:plan", table=self.table.name,
-                dml="delete") as span:
-            ratio, total_rows = self._estimate_ratio(stmt.where)
-            d_bytes = self.master.data_bytes()
-            scan_bytes = self._edit_scan_bytes(stmt.where)
-            choice = self.cost_model().choose_delete_plan(
-                d_bytes, total_rows, ratio, edit_scan_bytes=scan_bytes)
+        cluster = self.env.cluster
+        cluster.metrics.incr("dualtable.%ss.%s" % (verb, self.table.name))
+        scan = None
+        if self.primary_key is not None and self.mode != "overwrite":
+            # A write that pins the PRIMARY KEY needs no job to find its
+            # rows, and no Eq. (1)/(2) evaluation to know it is an EDIT.
+            scan = self._edit_scan(stmt, assignments)
+            result = self._edit_by_key(session, scan, verb)
+            if result is not None:
+                return result
+        with cluster.tracer.span("phase", "dualtable:plan",
+                                 table=self.table.name, dml=verb) as span:
+            choice = self.choose_dml_plan(
+                stmt.where, assignments if verb == "update" else None)
             plan = self._forced_or(choice.plan)
             self._annotate_choice(span, choice, plan)
         detail = self._detail(choice, plan)
-        self.metadata.record_ratio(self.table.name, ratio)
+        self.metadata.record_ratio(self.table.name, choice.ratio)
         self._note_plan_choice(plan, choice)
         self._claim_txn_access(session, plan)
         if plan == "overwrite":
             info = session.metastore.table(self.table.name)
             result = session._rewrite_via_overwrite(
-                info, stmt, "delete", (), extra_detail=detail)
+                info, stmt, verb, assignments, extra_detail=detail)
         else:
-            result = self._run_edit(session, stmt, detail, "delete", ())
-        self._audit_cost_model(choice, plan, result)
+            result = self._run_edit(session, stmt, detail, verb, assignments,
+                                    scan)
+        predicted = (choice.edit_seconds if plan == "edit"
+                     else choice.overwrite_seconds)
+        result.detail["audit"] = self._audit(plan, predicted,
+                                             result.sim_seconds)
+        self._note_dml_done(plan, result)
         return result
 
     def _claim_txn_access(self, session, plan):
@@ -684,7 +689,7 @@ class DualTableHandler(StorageHandler):
                       edit_seconds=round(choice.edit_seconds, 6),
                       overwrite_seconds=round(choice.overwrite_seconds, 6))
 
-    def _note_plan_choice(self, plan, choice):
+    def _note_plan_choice(self, plan, choice=None):
         metrics = self.env.cluster.metrics
         table = self.table.name
         metrics.incr("dualtable.plan.%s" % plan)
@@ -692,8 +697,11 @@ class DualTableHandler(StorageHandler):
         # Workload-profile hooks (repro.advisor): per-table plan mix and
         # the regret signal — an executed plan whose predicted cost was
         # higher than the alternative's (only forced modes can regret;
-        # cost mode always takes the cheaper estimate).
+        # cost mode always takes the cheaper estimate).  EDIT-by-key
+        # (no ``choice``) never weighed OVERWRITE, so it cannot regret.
         metrics.incr("dualtable.plan.%s.%s" % (plan, table))
+        if choice is None:
+            return
         if self.mode != "cost" and plan != choice.plan:
             metrics.incr("dualtable.plan.forced")
             metrics.incr("dualtable.plan.forced.%s" % table)
@@ -707,46 +715,48 @@ class DualTableHandler(StorageHandler):
                 and choice.overwrite_seconds < choice.edit_seconds:
             metrics.incr("dualtable.plan.edit_regret.%s" % table)
 
-    def _audit_cost_model(self, choice, plan, result):
-        """Record predicted-vs-observed cost for the chosen plan.
+    def _audit(self, plan, predicted, observed):
+        """Record predicted-vs-observed cost for the executed plan.
 
-        The model's estimate covers device time for the plan's I/O; the
-        observation is the whole statement's ledger-derived run time
-        (startup, task overheads and commit included), so the relative
-        error measures how faithfully Section IV's equations track the
-        measured world — the audit SynchroStore-style systems feed back
-        into their planners.
+        For the job plans the model's estimate covers device time for
+        the plan's I/O and the observation is the whole statement's
+        ledger-derived run time (startup, task overheads and commit
+        included), so the relative error measures how faithfully Section
+        IV's equations track the measured world — the audit
+        SynchroStore-style systems feed back into their planners.  The
+        keyed plans (``lookup``, ``edit_by_key``) audit the keyed read.
         """
-        predicted = (choice.edit_seconds if plan == "edit"
-                     else choice.overwrite_seconds)
-        observed = result.sim_seconds
         rel_error = (abs(predicted - observed) / observed
                      if observed > 0 else 0.0)
         audit = {"plan": plan,
                  "predicted_seconds": predicted,
                  "observed_seconds": observed,
                  "rel_error": rel_error}
-        result.detail["audit"] = audit
         cluster = self.env.cluster
         table = self.table.name
         cluster.metrics.incr("costmodel.audits")
         cluster.metrics.observe("costmodel.rel_error", rel_error)
         cluster.metrics.observe("costmodel.rel_error.%s" % plan, rel_error)
-        # Workload-profile hooks (repro.advisor): per-table audit trail
-        # (drift detection needs a per-table error distribution), DML
-        # latency histogram on the simulated axis, and the bytes the
-        # plan rewrote (an OVERWRITE rewrites the whole master).
+        # Workload-profile hook (repro.advisor): drift detection needs a
+        # per-table error distribution.
         cluster.metrics.incr("costmodel.audits.%s" % table)
         cluster.metrics.observe("costmodel.rel_error.table.%s" % table,
                                 rel_error)
+        cluster.tracer.annotate(cost_audit=dict(audit))
+        return audit
+
+    def _note_dml_done(self, plan, result):
+        """Workload-profile hooks (repro.advisor): DML latency histogram
+        on the simulated axis and the bytes the plan rewrote (an
+        OVERWRITE rewrites the whole master)."""
+        cluster = self.env.cluster
+        table = self.table.name
         cluster.metrics.observe("dualtable.dml_seconds.%s" % table,
-                                observed)
+                                result.sim_seconds)
         if plan == "overwrite":
             cluster.metrics.incr("dualtable.bytes_rewritten.%s" % table,
                                  self.master.data_bytes())
         self.note_attached_bytes()
-        cluster.tracer.annotate(cost_audit=dict(audit))
-        return audit
 
     def _forced_or(self, cost_plan):
         if self.mode == "cost":
@@ -765,17 +775,17 @@ class DualTableHandler(StorageHandler):
         }
 
     # -- EDIT plans ------------------------------------------------------
-    def _run_edit(self, session, stmt, detail, verb, assignments):
-        """One EDIT-plan UPDATE/DELETE: a batch scan that emits deltas.
+    def _edit_scan(self, stmt, assignments):
+        """Compile one EDIT statement: ``(projection, ranges, stage)``.
 
-        Per merged ColumnBatch the WHERE runs once over columns; only
-        the matched rows are taken, assigned and given a record id (from
-        the batch's provenance), so wall-clock cost follows the rows
-        *touched*.  Every charge comes from ``read_split_batches``, so
-        the simulated clock cannot tell this scan from the row-at-a-time
-        one it replaced (INTERNALS §8, write path).  The batch compilers
+        ``stage(buffer, payload, batch)`` turns one merged ColumnBatch of
+        the file ``payload`` names into buffered UDTF calls: the WHERE
+        runs once over columns; only the matched rows are taken,
+        assigned and given a record id (from the batch's provenance), so
+        wall-clock cost follows the rows *touched*.  The batch compilers
         raise what the row compiler would, on the first row it would;
-        within a batch the whole WHERE runs before any assignment.
+        within a batch the whole WHERE runs before any assignment.  The
+        EDIT job and EDIT-by-key stage through the same closure.
         """
         schema = self.schema
         needed = set()
@@ -793,6 +803,35 @@ class DualTableHandler(StorageHandler):
         targets = [schema.index_of(name) for name, _ in assignments]
         setters = [compile_batch(expr, env) for _, expr in assignments]
         ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
+
+        def stage(buffer, payload, batch):
+            keep = (range(batch.length) if select is None
+                    else select(batch.columns, batch.length))
+            if not keep:
+                return
+            file_id = payload["file_id"]
+            keys = self._edit_keys(
+                payload, [encode_record_id(file_id, ordinal)
+                          for ordinal in batch.ordinals(keep)])
+            if not setters:
+                for key in keys:
+                    delete_udtf(buffer, key)
+                return
+            matched = (batch if len(keep) == batch.length
+                       else batch.take(keep))
+            new_columns = [fn(matched.columns, matched.length)
+                           for fn in setters]
+            for key, new_values in zip(keys, zip(*new_columns)):
+                update_udtf(buffer, key, dict(zip(targets, new_values)))
+
+        return projection, ranges, stage
+
+    def _run_edit(self, session, stmt, detail, verb, assignments, scan=None):
+        """One EDIT-plan UPDATE/DELETE as a job: a batch scan that emits
+        deltas.  Every charge comes from ``read_split_batches``, so the
+        simulated clock cannot tell this scan from the row-at-a-time one
+        it replaced (INTERNALS §8, write path)."""
+        projection, ranges, stage = scan or self._edit_scan(stmt, assignments)
         splits = self.scan_splits(projection, ranges)
         edit_batch = EditBatch(self._batch_target, next(self._txn_ids))
         batch_rows = session.batch_rows
@@ -801,26 +840,9 @@ class DualTableHandler(StorageHandler):
             # Output-committer semantics: a failed/retried attempt's
             # buffer is dropped; only successful attempts reach the batch.
             buffer = edit_batch.task_buffer()
-            file_id = split.payload["file_id"]
             for batch in self.read_split_batches(split, ctx,
                                                  batch_rows=batch_rows):
-                keep = (range(batch.length) if select is None
-                        else select(batch.columns, batch.length))
-                if not keep:
-                    continue
-                keys = self._edit_keys(
-                    split, [encode_record_id(file_id, ordinal)
-                            for ordinal in batch.ordinals(keep)])
-                if not setters:
-                    for key in keys:
-                        delete_udtf(buffer, key)
-                    continue
-                matched = (batch if len(keep) == batch.length
-                           else batch.take(keep))
-                new_columns = [fn(matched.columns, matched.length)
-                               for fn in setters]
-                for key, new_values in zip(keys, zip(*new_columns)):
-                    update_udtf(buffer, key, dict(zip(targets, new_values)))
+                stage(buffer, split.payload, batch)
             count_udtf_calls(ctx, verb, len(buffer.edits))
             edit_batch.absorb(buffer, ctx.task_index)
             return ()
@@ -829,25 +851,86 @@ class DualTableHandler(StorageHandler):
                   reduce_fn=None,
                   properties={"shard_fanout": self.shard_fanout})
         result = session.runner.run(job)
+        return self._finish_edit(session, edit_batch, verb, detail, [result],
+                                 result.sim_seconds,
+                                 result.counters.get(verb + "d", 0))
+
+    def _edit_by_key(self, session, scan, verb):
+        """EDIT-by-key: stage the statement from a keyed read, or None.
+
+        When the WHERE bounds the PRIMARY KEY (:func:`plan_lookup`
+        decides, ``dualtable.lookup.max_rows`` and the cost model's
+        job-startup / per-task terms gate it) the rows are found the way
+        LOOKUP finds them — stripe index, bucket masks, one union read
+        per candidate file — and staged into the statement's EditBatch:
+        no Job, no splits, no task loop.  ``SET dualtable.plan = scan``
+        forces the job and is the differential oracle.  A non-fatal
+        fault in the keyed read falls back to the job with nothing
+        staged (both fault points fire before the first charged byte).
+        """
+        projection, ranges, stage = scan
+        mode = session.plan_mode
+        cluster = self.env.cluster
+        try:
+            plan = self.plan_lookup(ranges, projection,
+                                    hit_faults=mode != "scan")
+            if plan is None or mode == "scan" or (
+                    mode != "lookup" and plan.choice.plan != "lookup"):
+                if plan is not None \
+                        or bounded_pk_range(self, ranges) is not None:
+                    self.note_lookup_eligible_scan()
+                return None
+            self._claim_txn_access(session, "edit")
+            edit_batch = EditBatch(self._batch_target, next(self._txn_ids))
+            buffer = edit_batch.task_buffer()
+            before = cluster.ledger.snapshot()
+            with cluster.tracer.span("phase", "dualtable:edit-by-key",
+                                     table=self.table.name,
+                                     files=len(plan.files),
+                                     est_rows=plan.est_rows):
+                for payload, batch in keyed_batches(self, plan,
+                                                    session.batch_rows):
+                    stage(buffer, payload, batch)
+        except FaultInjectedError as exc:
+            if exc.fatal:
+                raise
+            self.note_lookup_fallback()
+            return None
+        detail = self._keyed_detail(plan, "edit", "edit_by_key",
+                                    cluster.ledger.diff(before))
+        affected = len(buffer.edits)
+        if affected:
+            cluster.metrics.incr("udtf.%ss" % verb, affected)
+        edit_batch.absorb(buffer)
+        self._note_plan_choice("edit")
+        result = self._finish_edit(
+            session, edit_batch, verb, detail, [],
+            detail["audit"]["observed_seconds"], affected)
+        self._note_dml_done("edit", result)
+        return result
+
+    def _finish_edit(self, session, edit_batch, verb, detail, jobs,
+                     scan_seconds, affected):
+        """Commit (or defer) a staged EDIT statement; its QueryResult."""
         # A SET value its column cannot store fails the statement here,
         # before anything is staged, with the AnalysisError the OVERWRITE
         # rewrite raises; publishing coerces (``apply_edits``).
+        coerce = self.schema.coerce_value
         for kind, _, values in edit_batch.edits:
             if kind == "u":
                 for target, value in values.items():
-                    schema.coerce_value(target, value)
+                    coerce(target, value)
         commit_seconds = self._commit_or_defer(session, edit_batch)
         self.note_attached_bytes()
-        jobs = session._dml_subquery_jobs + [result]
         sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
         return QueryResult(
-            sim_seconds=sub + result.sim_seconds + commit_seconds,
-            jobs=jobs, affected=result.counters.get(verb + "d", 0),
+            sim_seconds=sub + scan_seconds + commit_seconds,
+            jobs=session._dml_subquery_jobs + jobs, affected=affected,
             plan="%s-edit" % verb, detail=detail)
 
-    def _edit_keys(self, split, record_ids):
-        """EditBatch keys for one split's matched record ids (a sharded
-        table tags them with the owning shard)."""
+    def _edit_keys(self, payload, record_ids):
+        """EditBatch keys for one split payload's matched record ids (a
+        sharded table tags them with the owning shard)."""
         return record_ids
 
     def _commit_or_defer(self, session, batch):

@@ -1,38 +1,46 @@
-"""The LOOKUP plan: point and small-range reads that skip MapReduce.
+"""The keyed access path: PK-pinned reads and writes that skip MapReduce.
 
-DualTable already holds the two halves of a hybrid table — sorted ORC
-master files with per-stripe min/max statistics, and an attached store
-of live deltas keyed by record ID.  A ``SELECT ... WHERE pk = v`` (or a
-small BETWEEN / IN range over the declared PRIMARY KEY) therefore never
-needs a MapReduce job: consult a control-plane **stripe index** to find
-the candidate stripes, probe the attached table for the candidate
-files' deltas, and merge the two streams under exactly the scan path's
-UNION READ semantics.  The win is the MR fixed cost (job startup + one
-task per file) plus every pruned stripe's bytes.
+DualTable already holds the two halves of a hybrid table — ORC master
+files with per-stripe min/max statistics, and an attached store of live
+deltas keyed by record ID.  A statement whose WHERE pins the declared
+PRIMARY KEY (equality, an IN list, a closed range) therefore never needs
+a MapReduce job to find its rows: consult a control-plane **stripe
+index** (min/max plus the hash buckets each stripe's keys fall in) for
+the candidate stripes, fetch the candidate files' deltas, and merge the
+two streams under exactly the scan path's UNION READ semantics.  A
+SELECT returns the merged rows (the LOOKUP plan); an UPDATE / DELETE
+stages deltas for them (EDIT-by-key, ``DualTableHandler._edit_by_key``).
+The win is the MR fixed cost (job startup + one task per file) plus
+every pruned stripe's bytes.
 
 Soundness of PK pruning on a *dirty* file: a delta that updates non-PK
-columns cannot move a row across PK ranges, and a delete of a pruned
-row is irrelevant — so stripe pruning by PK min/max stays sound unless
-some delta rewrites the PK column itself.  :func:`plan_lookup` checks
-that per file (:meth:`AttachedTable.pk_dirty_in_file`) and reads
-PK-dirty files in full.
+columns cannot move a row across PK ranges or hash buckets, and a delete
+of a pruned row is irrelevant — so pruning by the stored keys stays
+sound unless some delta rewrites the PK column itself.
+:func:`plan_lookup` checks that per file
+(:meth:`AttachedTable.pk_dirty_in_file`) and reads PK-dirty files in
+full.
 
 Planning is entirely uncharged control-plane work (metastore-style
 stats); execution charges exactly what the scan path's per-file union
 read charges for the same stripes.  Both fault points fire *before* the
-first charged byte, so a mid-lookup crash can fall back to the scan
-plan with no double-charged cost.
+first charged byte, so a crash in a keyed read can fall back to the job
+with no double-charged cost.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.hive.expressions import compile_expr, is_true
-from repro.hive.pushdown import make_stripe_filter
 from repro.hive.vexpr import compile_batch_predicate
+from repro.mapreduce.job import InputSplit, stable_hashes
 from repro.core.master import FILE_ID_KEY
-from repro.core.union_read import (union_read_batches, union_read_file,
-                                   union_read_overlay)
 from repro.orc import OrcReader
+
+#: fixed hash-space resolution: a key maps to one of 64 buckets.  The
+#: shard map assigns buckets to shards (rebalancing moves whole buckets,
+#: never re-hashes rows) and the stripe index keeps one bit per bucket.
+NUM_BUCKETS = 64
 
 #: allowed fault kinds per LOOKUP injection point.  Kept separate from
 #: :data:`repro.faults.injector.POINT_KINDS` (like SERVER_CHAOS_POINTS)
@@ -45,19 +53,26 @@ LOOKUP_CHAOS_POINTS = {
 
 @dataclass
 class LookupPlan:
-    """A fully planned LOOKUP read (control-plane only, nothing charged)."""
+    """A fully planned keyed read (control-plane only, nothing charged)."""
 
     pk: str                 # primary-key column (lowercase)
     pk_range: object        # pushdown.ColumnRange bounding it
     projection: list        # column names to decode, or None for all
-    files: list             # candidate file dicts (path/file_id/whole_file)
+    files: list             # candidate split payloads, canonical order
     choice: object          # cost_model.LookupChoice
     est_rows: int
     total_files: int
+    stripes: tuple = (0, 0)  # (candidate, total) stripes of those files
+    shards: tuple = (0,)     # shards consulted (a sharded table's plan)
+
+    @property
+    def shard(self):
+        """The one shard consulted, or None when the plan spans several."""
+        return self.shards[0] if len(self.shards) == 1 else None
 
 
 # ----------------------------------------------------------------------
-# Stripe min/max index (control-plane, cached in the delta cache).
+# Stripe min/max + bucket index (control-plane, cached in the delta cache).
 # ----------------------------------------------------------------------
 def stripe_index(handler, hit_faults=True):
     """Per-file PK stripe index: ``[{path, file_id, stripes, ...}]``.
@@ -65,11 +80,12 @@ def stripe_index(handler, hit_faults=True):
     Built uncharged from silent file reads (real warehouses keep these
     stats in the metastore; cf. ``MasterTable.file_meta``) and memoized
     in the cluster's delta cache keyed ``(attached_name, "stripe-index",
-    path, file_size)``.  Keying by the attached table's name means every
-    PR-3 invalidation path — DML writes, COMPACT, INSERT OVERWRITE, a
-    region-server crash clearing the whole cache — drops the index too;
-    the file size in the key is belt-and-braces on top (replaced master
-    files also get fresh file IDs, hence fresh paths).
+    path, file_size)``.  Keying by the attached table's name means
+    COMPACT, INSERT OVERWRITE and a region-server crash clearing the
+    whole cache drop the index too; the file size in the key is
+    belt-and-braces on top (replaced master files also get fresh file
+    IDs, hence fresh paths).  Master files are immutable, so an entry
+    (bucket masks included) describes its file for as long as it lives.
     """
     cluster = handler.env.cluster
     if hit_faults:
@@ -92,20 +108,36 @@ def stripe_index(handler, hit_faults=True):
         entry = _index_entry(fs, path, pk, size)
         if key is not None:
             cache.put(key, entry,
-                      nbytes=96 + 48 * len(entry["stripes"]))
+                      nbytes=96 + 56 * len(entry["stripes"]))
         entries.append(entry)
     return entries
+
+
+def bucket_mask(keys):
+    """One bit per hash bucket that holds one of ``keys``."""
+    buckets = set()
+    for start in range(0, len(keys), 128):
+        buckets.update(digest % NUM_BUCKETS for digest in
+                       stable_hashes(keys[start:start + 128]))
+        if len(buckets) == NUM_BUCKETS:
+            break           # every bit is set: the rest cannot add one
+    return sum(1 << bucket for bucket in buckets)
 
 
 def _index_entry(fs, path, pk, file_size):
     reader = OrcReader(fs.read_file_silent(path))
     names = [n.lower() for n, _ in reader.schema]
     pk_idx = names.index(pk)
+    # Which hash buckets each stripe's stored keys fall in: a file the
+    # sharded writer made holds one bucket, one COMPACT wrote several.
+    masks = [bucket_mask(batch.columns[0]) for batch in
+             reader.batches(projection=[reader.schema[pk_idx][0]])]
     stripes = []
-    for stripe in reader.stripes:
+    for stripe, mask in zip(reader.stripes, masks):
         stats = stripe.stats(pk_idx)
         stripes.append((stripe.num_rows, stats["min"], stats["max"],
-                        tuple(col["length"] for col in stripe.columns)))
+                        tuple(col["length"] for col in stripe.columns),
+                        mask))
     footer_bytes = max(0, file_size - sum(s.length for s in reader.stripes))
     return {"path": path,
             "file_id": int(reader.metadata[FILE_ID_KEY]),
@@ -118,75 +150,118 @@ def _index_entry(fs, path, pk, file_size):
 # ----------------------------------------------------------------------
 # Planning.
 # ----------------------------------------------------------------------
-def plan_lookup(handler, ranges, projection=None, hit_faults=True):
-    """Plan a LOOKUP for the extracted column ranges; None if ineligible.
+def bounded_pk_range(handler, ranges):
+    """The range ``ranges`` pins the PRIMARY KEY to, or None.
+
+    Bounded means equality, an IN list or a closed range, every bound a
+    value of the column's own type: ``=`` coerces across types (``'9' =
+    9``) where neither min/max statistics nor the bucket hash do, so a
+    bound of another type takes the scan.
+    """
+    pk = handler.primary_key
+    pk_range = ranges.get(pk) if pk is not None and ranges else None
+    if pk_range is None:
+        return None
+    bounds = (pk_range.low, pk_range.high)
+    if pk_range.in_set is None and None in bounds:
+        return None
+    allowed = {handler.schema.column(pk).python_type, type(None)}
+    if not allowed.issuperset(map(type, chain(pk_range.in_set or (),
+                                              bounds))):
+        return None
+    return pk_range
+
+
+def plan_lookup(handler, ranges, projection=None, hit_faults=True,
+                sources=None):
+    """Plan a keyed read for the extracted column ranges; None if
+    ineligible.
 
     Eligibility: the table declares a PRIMARY KEY, the predicate bounds
-    it on both sides (equality, IN list, or a closed BETWEEN range), and
-    the stripe index estimates at most ``dualtable.lookup.max_rows``
-    candidate rows.  The returned plan carries the cost-model verdict
+    it (:func:`bounded_pk_range`) and can match at most
+    ``dualtable.lookup.max_rows`` rows: the listed keys of an equality
+    or IN list (the PRIMARY KEY is unique), the candidate stripes' rows
+    of a range; what must be *read* is the cost verdict's to price.  A
+    stripe is a candidate when its PK min/max admits the range *and*,
+    for an IN list, one of the wanted keys' hash buckets is in its mask.
+    ``sources`` is ``[(shard, handler)]``, the tables whose files the
+    plan draws from — a sharded table passes the shards the keys live
+    on; candidates come back in canonical (basename) order whatever the
+    shard count.  The returned plan carries the cost-model verdict
     (:class:`~repro.core.cost_model.LookupChoice`); callers decide
     whether a ``scan``-preferring verdict falls through to MR.
     """
-    pk = handler.primary_key
-    if pk is None or not ranges:
-        return None
-    pk_range = ranges.get(pk)
+    pk_range = bounded_pk_range(handler, ranges)
     if pk_range is None:
         return None
-    if pk_range.in_set is None and (pk_range.low is None
-                                    or pk_range.high is None):
-        return None
-    index = stripe_index(handler, hit_faults=hit_faults)
+    pk = handler.primary_key
+    sources = sources or [(0, handler)]
+    keys = pk_range.in_set
+    wanted = None if keys is None else bucket_mask(list(keys))
     candidates = []
-    est_rows = 0
-    lookup_bytes = 0
-    scan_bytes = 0
-    probe_bytes = 0
-    probe_entries = 0
-    for entry in index:
-        proj_idx = _projection_indices(entry["names"], projection)
-        file_scan_bytes = sum(sum(lengths[i] for i in proj_idx)
-                              for _, _, _, lengths in entry["stripes"])
-        scan_bytes += file_scan_bytes
-        delta_bytes, delta_entries = \
-            handler.attached.file_delta_stats(entry["file_id"])
-        whole_file = bool(delta_entries) and handler.attached.pk_dirty_in_file(
-            entry["file_id"], entry["names"].index(pk))
-        match_rows = 0
-        match_bytes = 0
-        for nrows, pk_min, pk_max, lengths in entry["stripes"]:
-            if pk_range.may_overlap(pk_min, pk_max):
-                match_rows += nrows
-                match_bytes += sum(lengths[i] for i in proj_idx)
-        if whole_file:
-            match_rows = entry["num_rows"]
-            match_bytes = file_scan_bytes
-        if match_rows == 0:
-            # No stripe can hold a matching PK and (if dirty) no delta
-            # can move one in: the file contributes nothing.  Trailing
-            # deltas of skipped files never produce rows either.
-            continue
-        est_rows += match_rows
-        lookup_bytes += entry["footer_bytes"] + match_bytes
-        probe_bytes += delta_bytes
-        probe_entries += delta_entries
-        candidates.append({"path": entry["path"],
-                           "file_id": entry["file_id"],
-                           "whole_file": whole_file,
-                           "est_rows": match_rows})
-    if est_rows > handler.lookup_rows_limit:
-        return None
+    est_rows = lookup_bytes = scan_bytes = 0
+    probe_bytes = probe_entries = 0
+    total_files = stripes_read = total_stripes = 0
+    for shard, source in sources:
+        for entry in stripe_index(source, hit_faults=hit_faults):
+            proj_idx = _projection_indices(entry["names"], projection)
+            total_files += 1
+            total_stripes += len(entry["stripes"])
+            admitted = []
+            match_rows = match_bytes = file_scan_bytes = 0
+            for index, (nrows, pk_min, pk_max, lengths, mask) \
+                    in enumerate(entry["stripes"]):
+                stripe_bytes = sum(lengths[i] for i in proj_idx)
+                file_scan_bytes += stripe_bytes
+                if (wanted is None or mask & wanted) \
+                        and pk_range.may_overlap(pk_min, pk_max):
+                    admitted.append(index)
+                    match_rows += nrows
+                    match_bytes += stripe_bytes
+            scan_bytes += file_scan_bytes
+            delta_bytes, delta_entries = \
+                source.attached.file_delta_stats(entry["file_id"])
+            if delta_entries and source.attached.pk_dirty_in_file(
+                    entry["file_id"], entry["names"].index(pk)):
+                # A delta rewrote the PK itself: statistics and masks
+                # describe the stored keys only, so read the whole file.
+                admitted = None
+                match_rows = entry["num_rows"]
+                match_bytes = file_scan_bytes
+            if match_rows == 0:
+                # No stripe can hold a wanted key and no delta can move
+                # one in: the file contributes nothing.  Trailing deltas
+                # of skipped files never produce rows either.
+                continue
+            est_rows += match_rows
+            if (len(keys) if keys else est_rows) > handler.lookup_rows_limit:
+                return None         # too wide for a keyed read: stop here
+            stripes_read += len(entry["stripes"] if admitted is None
+                                else admitted)
+            lookup_bytes += entry["footer_bytes"] + match_bytes
+            probe_bytes += delta_bytes
+            probe_entries += delta_entries
+            candidates.append({"path": entry["path"],
+                               "file_id": entry["file_id"],
+                               "shard": shard,
+                               "projection": projection,
+                               "ranges": {},
+                               "stripes": admitted,
+                               "whole_file": admitted is None,
+                               "est_rows": match_rows})
+    candidates.sort(key=lambda c: c["path"].rsplit("/", 1)[-1])
     profile = handler.env.cluster.profile
     choice = handler.cost_model().choose_lookup_plan(
-        scan_bytes=scan_bytes, total_files=len(index),
+        scan_bytes=scan_bytes, total_files=total_files,
         lookup_bytes=lookup_bytes, files_read=len(candidates),
         probe_bytes=probe_bytes, probe_entries=probe_entries,
         job_startup_s=profile.job_startup_s,
-        task_overhead_s=profile.task_overhead_s)
+        task_overhead_s=profile.task_overhead_s, rows=est_rows)
     return LookupPlan(pk=pk, pk_range=pk_range, projection=projection,
                       files=candidates, choice=choice, est_rows=est_rows,
-                      total_files=len(index))
+                      total_files=total_files,
+                      stripes=(stripes_read, total_stripes),
+                      shards=tuple(shard for shard, _ in sources))
 
 
 def _projection_indices(names, projection):
@@ -199,30 +274,44 @@ def _projection_indices(names, projection):
 # ----------------------------------------------------------------------
 # Execution.
 # ----------------------------------------------------------------------
+def keyed_batches(handler, plan, batch_rows=None):
+    """The keyed read itself: ``(payload, merged ColumnBatch)`` for every
+    candidate file of ``plan``, in plan order.
+
+    The one generator LOOKUP (:func:`run_lookup`) and EDIT-by-key
+    (``DualTableHandler._edit_by_key``) both consume.  Each candidate is
+    a split payload naming its admitted stripes, read through the scan
+    path's own ``read_split_batches`` — so a keyed read charges exactly
+    what the union read charges for the same stripes (the ORC footer
+    plus decoded stripe-column bytes, the memoized ``file_deltas`` scan,
+    the per-row ``unionread`` CPU charge) and feeds the same
+    ``unionread.*`` counters, with no job, split planning or task loop
+    around it.
+
+    The ``lookup.hbase_probe`` fault point fires before the first
+    charged byte, so a region crash here leaves the ledger exactly as if
+    the statement had been a scan from the start.
+    """
+    handler.env.cluster.faults.hit("lookup.hbase_probe",
+                                   table=handler.table.name)
+    handler.attached.ensure_available()
+    for payload in plan.files:
+        split = InputSplit(payload=payload, label=payload["path"])
+        for batch in handler.read_split_batches(split, None,
+                                                batch_rows=batch_rows):
+            yield payload, batch
+
+
 def run_lookup(handler, plan, engine="row", batch_rows=None, where=None):
     """Execute a planned LOOKUP; returns ``(rows, examined)``.
 
     ``where`` is the relation's residual filter as ``(expr, env)``, or
     None.  ``rows`` holds the merged value tuples that pass it — the
     vectorized engine filters each merged batch and builds tuples for
-    the survivors only — and ``examined`` counts the merged rows before
-    the filter, which is what every charge and counter goes by.
-
-    Per candidate file this charges exactly what the scan path's union
-    read charges for the same stripes — the ORC footer plus decoded
-    stripe-column bytes via the (cache-parity) charged reader, the delta
-    scan via the memoized ``file_deltas``, and the per-output-row
-    ``unionread`` CPU charge — and feeds the same ``unionread.*``
-    counters through ``handler._note_union_read``.  The vectorized
-    engine shares every charge with the row engine by construction.
-
-    The ``lookup.hbase_probe`` fault point fires before the first
-    charged byte, so a region crash here leaves the ledger exactly as if
-    the statement had been a scan from the start.
+    the survivors only, the row engine calls its closure per merged row
+    — and ``examined`` counts the merged rows before the filter, which
+    is what every charge and counter goes by.
     """
-    cluster = handler.env.cluster
-    cluster.faults.hit("lookup.hbase_probe", table=handler.table.name)
-    handler.attached.ensure_available()
     vectorized = engine == "vectorized"
     predicate = None
     if where is not None:
@@ -230,50 +319,13 @@ def run_lookup(handler, plan, engine="row", batch_rows=None, where=None):
                      else compile_expr)(*where)
     out = []
     examined = 0
-    for candidate in plan.files:
-        with cluster.tracer.span("substrate",
-                                 "lookup-read:%d" % candidate["file_id"],
-                                 path=candidate["path"]) as span:
-            reader = handler.master.reader(candidate["path"])
-            if candidate["whole_file"]:
-                stripe_filter = None
-            else:
-                stripe_filter = make_stripe_filter(
-                    [n for n, _ in reader.schema],
-                    {plan.pk: plan.pk_range})
-            projection_map = handler._projection_map(plan.projection)
-            cells, overlay = handler._prepare_union_read(
-                candidate["file_id"], reader, stripe_filter)
-            stats = {}
-            nrows = 0
-            if vectorized:
-                batches = reader.batches(projection=plan.projection,
-                                         stripe_filter=stripe_filter,
-                                         batch_rows=batch_rows)
-                if handler.merge_mode == "overlay":
-                    merged = union_read_overlay(
-                        candidate["file_id"], batches, overlay,
-                        projection_map, stats=stats)
-                else:
-                    merged = union_read_batches(
-                        candidate["file_id"], batches,
-                        handler.attached.delta_items(cells),
-                        projection_map, stats=stats)
-                for batch in merged:
-                    nrows += batch.length
-                    if predicate is not None:
-                        batch = predicate(batch)
-                    out.extend(batch.rows())
-            else:
-                orc_rows = reader.rows(projection=plan.projection,
-                                       stripe_filter=stripe_filter)
-                for _, values in union_read_file(
-                        candidate["file_id"], orc_rows,
-                        handler.attached.delta_items(cells),
-                        projection_map, stats=stats):
-                    nrows += 1
-                    if predicate is None or is_true(predicate(values)):
-                        out.append(values)
-            handler._note_union_read(span, nrows, stats)
-            examined += nrows
+    for _, batch in keyed_batches(handler, plan, batch_rows):
+        examined += batch.length
+        if predicate is None:
+            out.extend(batch.rows())
+        elif vectorized:
+            out.extend(predicate(batch).rows())
+        else:
+            out.extend(values for values in batch.rows()
+                       if is_true(predicate(values)))
     return out, examined

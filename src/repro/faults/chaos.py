@@ -217,16 +217,19 @@ def run_lookup_chaos_schedule(seed, n_statements=10, num_rows=48):
     """One seeded LOOKUP chaos experiment; returns a summary dict.
 
     Interleaves forced-LOOKUP point reads (``SET dualtable.plan =
-    lookup``) with UPDATE / DELETE / COMPACT statements under a random
+    lookup``) with PK-bounded UPDATE / DELETE statements (EDIT-by-key:
+    the same keyed read, staging deltas) and COMPACTs under a random
     fault plan over the LOOKUP injection points (``lookup.index_read``
     crashes, ``lookup.hbase_probe`` crashes and region-server crashes).
     The robustness bar:
 
-    * every statement succeeds — a mid-lookup fault falls back to the
-      MR scan plan instead of failing the SELECT (both LOOKUP points
+    * every statement succeeds — a fault in the keyed read falls back to
+      the MR job instead of failing the statement (both LOOKUP points
       fire before the first charged byte, so nothing is double-charged;
-      the ledger-equality proof lives in tests/test_lookup.py);
+      the ledger-equality proof lives in tests/test_lookup.py) and a
+      keyed write that fell back staged nothing before its job did;
     * every point read returns exactly the oracle's rows, faults or not;
+    * a keyed write launches no job unless a fault fired in it;
     * the fallback counter equals the number of fired LOOKUP faults;
     * the full-scan oracle check passes after every statement.
 
@@ -245,7 +248,15 @@ def run_lookup_chaos_schedule(seed, n_statements=10, num_rows=48):
                               kind=kind))
     faults.install(FaultPlan(schedule))
     summary = {"seed": seed, "statements": n_statements, "lookups": 0,
-               "fallbacks": 0, "fired": []}
+               "keyed_dml": 0, "fallbacks": 0, "fired": []}
+
+    def keyed_dml(sql):
+        fired_before = len(faults.fired)
+        jobs = session.execute(sql).jobs
+        assert bool(jobs) == (len(faults.fired) > fired_before), (
+            "seed %r: %r ran %d job(s)" % (seed, sql, len(jobs)))
+        summary["keyed_dml"] += 1
+
     try:
         for _ in range(n_statements):
             roll = rng.random()
@@ -274,15 +285,14 @@ def run_lookup_chaos_schedule(seed, n_statements=10, num_rows=48):
                 hi = min(num_rows,
                          lo + rng.randint(1, max(2, num_rows // 4)))
                 delta = rng.randint(1, 99)
-                session.execute(
-                    "UPDATE t SET v = v + %d WHERE k >= %d AND k < %d"
-                    % (delta, lo, hi))
+                keyed_dml("UPDATE t SET v = v + %d WHERE k >= %d AND k < %d"
+                          % (delta, lo, hi))
                 for key in oracle:
                     if lo <= key < hi:
                         oracle[key] += delta
             elif roll < 0.9:
                 k = rng.randrange(num_rows)
-                session.execute("DELETE FROM t WHERE k = %d" % k)
+                keyed_dml("DELETE FROM t WHERE k = %d" % k)
                 oracle.pop(k, None)
             else:
                 session.execute("COMPACT TABLE t PARTIAL"

@@ -231,8 +231,10 @@ def _explain_lookup(session, handler, ranges, projection, lines, indent):
     choice = plan.choice
     chosen = mode if mode in ("lookup", "scan") else choice.plan
     lines.append(pad + "  LOOKUP eligibility (PRIMARY KEY %s):" % plan.pk)
-    lines.append(pad + "    candidate files:  %d of %d (~%d row(s))"
-                 % (choice.files_read, choice.total_files, plan.est_rows))
+    lines.append(pad + "    candidate files:  %d of %d, stripes %d of %d "
+                       "(~%d row(s))"
+                 % (choice.files_read, choice.total_files, *plan.stripes,
+                    plan.est_rows))
     lines.append(pad + "    LOOKUP cost:      %.4fs (%s)"
                  % (choice.lookup_seconds, fmt_bytes(choice.lookup_bytes)))
     lines.append(pad + "    scan cost:        %.4fs (%s)"
@@ -277,25 +279,14 @@ def _explain_dml_plan(session, info, stmt, lines, kind):
                      "(currently %d delta(s))" % len(handler.delta_dirs()))
         return
     # DualTable: run the actual cost evaluation (cheap, footer-only).
-    ratio, total_rows = handler._estimate_ratio(stmt.where)
-    d_bytes = handler.master.data_bytes()
-    if kind == "update":
-        scan_bytes = handler._edit_scan_bytes(
-            stmt.where, set().union(*(referenced_columns(e)
-                                      for _, e in stmt.assignments))
-            if stmt.assignments else set())
-        choice = handler.cost_model().choose_update_plan(
-            d_bytes, total_rows, ratio,
-            12 + 18 * len(stmt.assignments), edit_scan_bytes=scan_bytes)
-    else:
-        scan_bytes = handler._edit_scan_bytes(stmt.where)
-        choice = handler.cost_model().choose_delete_plan(
-            d_bytes, total_rows, ratio, edit_scan_bytes=scan_bytes)
+    choice = handler.choose_dml_plan(
+        stmt.where, stmt.assignments if kind == "update" else None)
     plan = handler._forced_or(choice.plan)
     lines.append("  cost evaluation (DualTable, attached backend=%s):"
                  % handler.attached.backend)
     lines.append("    estimated ratio:      %.4f (%d of ~%d rows)"
-                 % (ratio, int(choice.touched_rows), total_rows))
+                 % (choice.ratio, int(choice.touched_rows),
+                    handler.row_count()))
     lines.append("    EDIT cost:            %.2fs" % choice.edit_seconds)
     lines.append("    OVERWRITE cost:       %.2fs"
                  % choice.overwrite_seconds)
@@ -304,6 +295,35 @@ def _explain_dml_plan(session, info, stmt, lines, kind):
         lines.append("    plan: %s (forced by dualtable.mode)" % plan)
     else:
         lines.append("    plan: %s" % plan)
+    if plan == "edit" and handler.primary_key is not None:
+        _explain_edit_by_key(session, handler, stmt, choice, lines)
+
+
+def _explain_edit_by_key(session, handler, stmt, choice, lines):
+    """The keyed write path's verdict: symptom, evidence, expected gain."""
+    projection, ranges, _ = handler._edit_scan(
+        stmt, getattr(stmt, "assignments", ()))
+    keyed = handler.plan_lookup(ranges, projection, hit_faults=False)
+    if keyed is None:
+        return
+    mode = getattr(session, "plan_mode", "cost")
+    verdict = keyed.choice
+    lines.append("  EDIT-by-key (PRIMARY KEY %s bounds the WHERE):" % keyed.pk)
+    lines.append("    symptom:   the EDIT job pays startup + %d task(s) "
+                 "to find ~%d row(s)" % (verdict.total_files, keyed.est_rows))
+    lines.append("    evidence:  candidate files %d of %d, stripes %d of %d; "
+                 "keyed read %.4fs vs job %.4fs vs OVERWRITE %.2fs"
+                 % (verdict.files_read, verdict.total_files, *keyed.stripes,
+                    verdict.lookup_seconds, verdict.scan_seconds,
+                    choice.overwrite_seconds))
+    if mode == "scan":
+        lines.append("    plan: job (forced by dualtable.plan)")
+    elif mode != "lookup" and verdict.plan != "lookup":
+        lines.append("    plan: job")
+    else:
+        lines.append("    expected gain: %.4fs and one MapReduce job saved"
+                     % verdict.cost_difference)
+        lines.append("    plan: edit-by-key (no MapReduce job)")
 
 
 def _explain_merge(session, stmt, lines):

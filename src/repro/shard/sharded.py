@@ -22,9 +22,11 @@ job-level counters match the unsharded table; the runner's
 ``shard_fanout`` property models the extra region servers by widening
 the map slots for makespan only — charges are never scaled.
 
-LOOKUP routing: a point read whose predicate pins the shard key to a
-single bucket is planned and executed entirely on the owning child —
-exactly one shard's files and attached store are charged.
+Keyed routing: a LOOKUP read or EDIT-by-key write whose predicate pins
+the shard key to a set of values is planned over the shards that own
+those values' buckets only, and its candidate files come back in
+canonical basename order — the files read, hence the charges, are the
+same for every shard count.
 """
 
 import json
@@ -37,11 +39,7 @@ from repro.hive.catalog import TableInfo, register_handler
 from repro.hive.session import QueryResult
 from repro.core.editlog import recover_edit_logs, run_with_retries
 from repro.core.handler import DualTableHandler
-
-#: fixed hash-space resolution: rows map to one of 64 buckets, buckets
-#: map to shards.  Fixed for the life of the format — rebalancing moves
-#: whole buckets, never re-hashes rows.
-NUM_BUCKETS = 64
+from repro.core.lookup import NUM_BUCKETS, plan_lookup
 
 #: ``SHOW SHARDS`` result columns.
 SHARD_COLUMNS = ["shard", "buckets", "files", "rows", "master_bytes",
@@ -369,18 +367,31 @@ class ShardedDualTableHandler(DualTableHandler):
         self._check_not_compacting()
         self._ensure_recovered()
         rows = list(rows)
-        if overwrite:
-            for child in self.children:
-                child.insert_rows([], overwrite=True)
-        buckets = self._rows_by_bucket(rows)
-        # One append per bucket, ascending: files never span buckets, so
-        # the physical file set is independent of the shard count.
-        for bucket in sorted(buckets):
-            child = self.children[self.shard_map.assignment[bucket]]
-            child.insert_rows(buckets[bucket])
+        assignment = self.shard_map.assignment
+        self._insert_bucketed(rows, self.children if overwrite else (),
+                              lambda bucket: self.children[assignment[bucket]])
         if overwrite:
             self.note_attached_bytes()
         return len(rows)
+
+    def _insert_bucketed(self, rows, replace, child_of):
+        """One append per bucket, ascending: files never span buckets, so
+        the physical file set is independent of the shard count.
+
+        A child in ``replace`` is overwritten by the first bucket that
+        reaches it — emptying it first would leave a zero-row master
+        file behind, and every later job a task to read it — or emptied
+        at the end when no row does.
+        """
+        buckets = self._rows_by_bucket(rows)
+        replace = list(replace)
+        for bucket in sorted(buckets):
+            child = child_of(bucket)
+            child.insert_rows(buckets[bucket], overwrite=child in replace)
+            if child in replace:
+                replace.remove(child)
+        for child in replace:
+            child.insert_rows([], overwrite=True)
 
     def _rows_by_bucket(self, rows):
         """``{bucket: [row, ...]}`` in row order, the shard-key column
@@ -442,78 +453,56 @@ class ShardedDualTableHandler(DualTableHandler):
         return self._split_child(split).attached
 
     # ------------------------------------------------------------------
-    # LOOKUP (routed to exactly the owning shard).
+    # Keyed access (LOOKUP and EDIT-by-key over the owning shards).
     # ------------------------------------------------------------------
-    def _owning_shard(self, ranges):
-        """The single shard a point predicate pins, or None.
+    def _owning_shards(self, ranges):
+        """The shards a keyed plan must consult, or None to scan.
 
-        Routing requires an equality/IN predicate on the shard key whose
-        values all hash to buckets owned by one shard; open ranges fan
-        out and must take the scatter-gather scan instead.
+        An equality/IN predicate on the shard key pins the shards that
+        own its values' buckets; a predicate that leaves the shard key
+        open consults every shard (the PRIMARY KEY still bounds what
+        each reads).
         """
-        if not ranges:
-            return None
-        shard_range = ranges.get(self.shard_key)
+        shard_range = (ranges or {}).get(self.shard_key)
         if shard_range is None or shard_range.in_set is None:
-            return None
+            return list(range(self.num_shards))
         # ``=`` coerces across types ('9' = 9) where the bucket hash
         # does not: only a key of the column's own type pins a shard.
         key_type = self.schema.column(self.shard_key).python_type
         if not {key_type}.issuperset(map(type, shard_range.in_set)):
             return None
-        shards = {self.shard_map.shard_of(value)
-                  for value in shard_range.in_set}
-        if len(shards) != 1:
-            return None
-        return shards.pop()
+        return sorted({self.shard_map.shard_of(value)
+                       for value in shard_range.in_set})
 
     def plan_lookup(self, ranges, projection=None, hit_faults=True):
-        shard = self._owning_shard(ranges)
-        if shard is None:
+        shards = self._owning_shards(ranges)
+        if shards is None:
             return None
-        plan = self.children[shard].plan_lookup(
-            ranges, projection=projection, hit_faults=hit_faults)
-        if plan is None:
-            return None
-        plan.shard = shard
-        return plan
+        return plan_lookup(self, ranges, projection=projection,
+                           hit_faults=hit_faults,
+                           sources=[(s, self.children[s]) for s in shards])
 
     def execute_lookup(self, plan, engine="row", batch_rows=None,
                        where=None):
-        self._check_not_compacting()
-        self._ensure_recovered()
-        shard = getattr(plan, "shard", 0)
-        child = self.children[shard]
-        # The child charges the read and emits the global plan/audit
-        # counters exactly once; the wrapper adds the logical-table
-        # series plus per-shard routing evidence.
-        rows, examined, observed, detail = child.execute_lookup(
+        # The inherited read charges each candidate on its owning child
+        # (``read_split_batches`` routes by the payload's shard tag) and
+        # emits the plan/audit series once, under the logical table;
+        # the wrapper adds per-shard routing evidence.
+        rows, examined, observed, detail = super().execute_lookup(
             plan, engine=engine, batch_rows=batch_rows, where=where)
-        table = self.table.name
         metrics = self.env.cluster.metrics
-        metrics.incr("dualtable.lookups.%s" % table)
-        metrics.incr("dualtable.plan.lookup.%s" % table)
-        metrics.observe("dualtable.plan.lookup_seconds.%s" % table,
-                        observed)
-        metrics.observe("dualtable.plan.lookup_bytes.%s" % table,
-                        detail.get("lookup_bytes", 0))
-        metrics.incr("costmodel.audits.%s" % table)
-        audit = detail.get("audit") or {}
-        if "rel_error" in audit:
-            metrics.observe("costmodel.rel_error.table.%s" % table,
-                            audit["rel_error"])
-        metrics.incr("shard.lookups.%s.%d" % (table, shard))
-        metrics.incr("shard.heat.%s.%d" % (table, shard))
-        detail = dict(detail)
-        detail["shard"] = shard
+        for shard in plan.shards:
+            metrics.incr("shard.lookups.%s.%d" % (self.table.name, shard))
+            metrics.incr("shard.heat.%s.%d" % (self.table.name, shard))
+        detail["shard"] = plan.shard
         return rows, examined, observed, detail
 
     # ------------------------------------------------------------------
     # EDIT-plan DML: the core batch EDIT scan, one job over every shard
     # (``read_split_batches`` above routes each split to its child).
     # ------------------------------------------------------------------
-    def _edit_keys(self, split, record_ids):
-        shard = split.payload.get("shard", 0)
+    def _edit_keys(self, payload, record_ids):
+        shard = payload.get("shard", 0)
         return [(shard, record_id) for record_id in record_ids]
 
     def _commit_or_defer(self, session, batch):
@@ -768,21 +757,14 @@ class ShardedDualTableHandler(DualTableHandler):
                 rows = [tuple(self.schema.coerce_row(row))
                         for row in json.loads(
                             fs.read_file(path).decode("utf-8"))]
-                self._overwrite_child_bucketed(self.children[shard], rows)
+                child = self.children[shard]
+                self._insert_bucketed(rows, [child], lambda bucket: child)
         self.shard_map.persist(manifest["assignment"])
         hit("dualtable.rebalance.cleanup")
         if fs.exists(self._rebalance_dir):
             fs.delete(self._rebalance_dir, recursive=True)
         if fs.exists(self._rebalance_manifest):
             fs.delete(self._rebalance_manifest)
-
-    def _overwrite_child_bucketed(self, child, rows):
-        """Replace one child's contents, keeping the bucket-grouped
-        layout invariant (one append per bucket, ascending)."""
-        child.insert_rows([], overwrite=True)
-        buckets = self._rows_by_bucket(rows)
-        for bucket in sorted(buckets):
-            child.insert_rows(buckets[bucket])
 
     def _recover_rebalance(self):
         """Roll an interrupted rebalance forward or back; idempotent."""

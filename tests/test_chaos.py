@@ -73,25 +73,28 @@ def test_server_chaos_schedules_are_reproducible():
 @pytest.mark.parametrize("seed", range(N_LOOKUP_SCHEDULES))
 def test_lookup_chaos_schedule_invariants(seed):
     """LOOKUP-plan chaos: faults at ``lookup.index_read`` and
-    ``lookup.hbase_probe`` mid-point-read.
+    ``lookup.hbase_probe`` mid-point-read and mid-EDIT-by-key.
 
     The runner asserts the load-bearing invariants itself: every forced
     LOOKUP that hit a fault fell back to the MR scan plan with the
-    correct rows, every statement's output matched the dict oracle, and
-    the fallback counter equals the number of lookup faults fired (no
-    double-charged, half-run lookups).  Here we sanity-check the shape.
+    correct rows, every PK-bounded UPDATE / DELETE ran without a job
+    unless a fault sent it to one, every statement's output matched the
+    dict oracle, and the fallback counter equals the number of lookup
+    faults fired (no double-charged, half-run keyed reads).  Here we
+    sanity-check the shape.
     """
     summary = run_lookup_chaos_schedule(seed)
     assert summary["seed"] == seed
     assert summary["statements"] == 10
-    assert summary["fallbacks"] <= summary["lookups"]
+    assert summary["fallbacks"] <= summary["lookups"] + summary["keyed_dml"]
 
 
 def test_lookup_chaos_schedules_are_reproducible():
     a = run_lookup_chaos_schedule(7)
     b = run_lookup_chaos_schedule(7)
     assert a["fired"] == b["fired"]
-    assert (a["lookups"], a["fallbacks"]) == (b["lookups"], b["fallbacks"])
+    assert (a["lookups"], a["keyed_dml"], a["fallbacks"]) \
+        == (b["lookups"], b["keyed_dml"], b["fallbacks"])
 
 
 def test_lookup_chaos_coverage_across_seeds():

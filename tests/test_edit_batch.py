@@ -38,7 +38,8 @@ from repro.mapreduce import Job
 # ---------------------------------------------------------------------------
 # The oracle: the pre-batch EDIT map functions, one record id per master row.
 # ---------------------------------------------------------------------------
-def reference_run_edit(self, session, stmt, detail, verb, assignments):
+def reference_run_edit(self, session, stmt, detail, verb, assignments,
+                       scan=None):
     schema = self.schema
     needed = set()
     if stmt.where is not None:
@@ -124,6 +125,9 @@ def make_session(merge, batch_rows, workers, sharded):
     session.load_rows("t", [(k, (k * 37) % 101 - 50, "s%d" % (k % 13))
                             for k in range(ROWS)])
     session.execute("SET dualtable.merge = %s" % merge)
+    # The table has a PRIMARY KEY: hold every statement to the EDIT job
+    # (its keyed alternative is tests/test_lookup.py's subject).
+    session.execute("SET dualtable.plan = scan")
     return session
 
 

@@ -18,6 +18,7 @@ from repro.faults import Fault, FaultPlan
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive.parser import parse
+from repro.hive.pushdown import extract_ranges
 
 ROWS = [(i, i * 10, "n%03d" % i) for i in range(100)]
 
@@ -175,6 +176,31 @@ class TestEligibility:
         assert result.plan == "lookup"
         with pytest.raises(AnalysisError, match="max_rows"):
             session.execute("SELECT v FROM t WHERE k BETWEEN 0 AND 90")
+
+    def test_row_limit_counts_listed_keys_not_candidate_stripes(self):
+        """The PRIMARY KEY is unique, so an IN list matches at most its
+        own length however many stripes hold the keys; capping the
+        candidate rows instead sent a 24-key list over 625-row stripes
+        to the job or not by the luck of the draw (``update_storm``
+        ``sim_s`` 13.8 at seed 1, 16.5 at seed 777)."""
+        session = build_session(
+            mode="edit", extra_props=", 'dualtable.lookup.max_rows' = '10'")
+        session.execute("SET dualtable.plan = lookup")
+        spread = "k IN (1, 11, 21, 31, 41, 51, 61, 71)"    # 8 stripes of 5
+        plan = session.table("t").handler.plan_lookup(
+            extract_ranges(parse("SELECT v FROM t WHERE " + spread).where))
+        assert plan.est_rows == 40 and plan.stripes[0] == 8
+        assert session.execute("SELECT v FROM t WHERE " + spread).plan \
+            == "lookup"
+        session.execute("SET dualtable.plan = cost")
+        result = session.execute("UPDATE t SET v = 0 WHERE " + spread)
+        assert result.jobs == [] and result.affected == 8
+        eleven = "k IN (%s)" % ", ".join(map(str, range(11)))
+        assert len(session.execute(
+            "UPDATE t SET v = 0 WHERE " + eleven).jobs) == 1
+        session.execute("SET dualtable.plan = lookup")
+        with pytest.raises(AnalysisError, match="max_rows"):
+            session.execute("SELECT v FROM t WHERE " + eleven)
 
     def test_forced_lookup_rejects_aggregates(self):
         session = build_session()
@@ -583,3 +609,356 @@ class TestStripeIndexCache:
         assert result.plan == "lookup"
         assert result.rows == [(80,)]
         assert len(session.cluster.delta_cache) == 0
+
+
+# ----------------------------------------------------------------------
+# The keyed access path: bucket masks, multi-shard plans, EDIT-by-key.
+# ``SET dualtable.plan = scan`` (the MapReduce job) is the oracle.
+# ----------------------------------------------------------------------
+KEYED_ROWS = [(k, k * 10, "n%03d" % k) for k in range(240)]
+
+
+def keyed_session(shards=None, mode="edit", rows=KEYED_ROWS,
+                  rows_per_file=40, stripe_rows=10, plan="cost", props=""):
+    session = HiveSession(profile=ClusterProfile.laptop(workers=1))
+    session.execute(
+        "CREATE TABLE t (k int, v int, name string) PRIMARY KEY (k) "
+        "STORED AS DUALTABLE %s TBLPROPERTIES "
+        "('orc.rows_per_file' = '%d', 'orc.stripe_rows' = '%d', "
+        "'dualtable.mode' = '%s'%s)"
+        % ("SHARDED BY (k) INTO %d" % shards if shards else "",
+           rows_per_file, stripe_rows, mode, props))
+    session.load_rows("t", rows)
+    session.execute("SET dualtable.plan = %s" % plan)
+    return session
+
+
+def attached_cells(session):
+    """Every live delta of ``t``: (record id, deleted, updates)."""
+    handler = session.table("t").handler
+    return sorted(
+        (record_id, delta.deleted, tuple(sorted(delta.updates.items())))
+        for store in getattr(handler, "children", [handler])
+        for record_id, delta in store.attached.scan_range())
+
+
+def run_dml_script(session, statements):
+    """Per-statement (affected, jobs, udtf.* moved), then cells + rows."""
+    counters = session.cluster.metrics.counters
+    steps = []
+    for sql in statements:
+        before = {name: counters.get(name, 0)
+                  for name in ("udtf.updates", "udtf.deletes")}
+        result = session.execute(sql)
+        steps.append((result.affected, len(result.jobs),
+                      {name: counters.get(name, 0) - value
+                       for name, value in before.items()}))
+    session.execute("SET dualtable.plan = scan")
+    rows = session.execute("SELECT * FROM t").rows
+    return steps, attached_cells(session), sorted(rows)
+
+
+KEYED_DML = [
+    "UPDATE t SET v = v + 1 WHERE k = 42",
+    "UPDATE t SET v = v * 2, name = 'in' WHERE k IN (3, 17, 40, 66, 199, "
+    "1000)",
+    "UPDATE t SET v = 0 WHERE k BETWEEN 30 AND 37",
+    "UPDATE t SET v = v - 1 WHERE k >= 10 AND k < 14 AND v > 100",
+    "DELETE FROM t WHERE k = 17",
+    "DELETE FROM t WHERE k IN (41, 42, 43)",
+    "DELETE FROM t WHERE k BETWEEN 90 AND 95 AND name <> 'n092'",
+    "UPDATE t SET v = 7 WHERE k = 17",                  # a deleted row
+    "UPDATE t SET name = 'late' WHERE k IN (3, 42, 91)",
+]
+
+
+class TestEditByKeyEqualsTheJob:
+    @pytest.mark.parametrize("shards", [None, 1, 4, 8])
+    def test_cells_rows_affected_and_udtf_counters(self, shards):
+        keyed = run_dml_script(keyed_session(shards), KEYED_DML)
+        job = run_dml_script(keyed_session(shards, plan="scan"), KEYED_DML)
+        assert [jobs for _, jobs, _ in keyed[0]] == [0] * len(KEYED_DML)
+        assert [jobs for _, jobs, _ in job[0]] == [1] * len(KEYED_DML)
+        assert [(a, u) for a, _, u in keyed[0]] \
+            == [(a, u) for a, _, u in job[0]]
+        assert keyed[1] == job[1]
+        assert keyed[2] == job[2]
+
+    def test_rows_ledger_and_counters_identical_across_shard_counts(self):
+        from repro.shard.identity import identity_fingerprint
+
+        def run(shards):
+            session = keyed_session(shards)
+            steps, cells, rows = run_dml_script(session, KEYED_DML)
+            return (steps, cells) + tuple(
+                identity_fingerprint(session, [("rows", rows)]))
+        base = run(1)
+        assert run(4) == base
+        assert run(8) == base
+
+    def test_cost_mode_takes_the_keyed_plan_and_counts_it_as_edit(self):
+        session = keyed_session(4, mode="cost")
+        counters = session.cluster.metrics.counters
+        result = session.execute("UPDATE t SET v = 1 WHERE k IN (5, 6, 7)")
+        assert (result.affected, result.jobs) == (3, [])
+        assert result.plan == "update-edit"
+        assert result.detail["plan"] == "edit"
+        assert result.detail["audit"]["plan"] == "edit_by_key"
+        assert counters["dualtable.plan.edit"] == 1
+        assert counters["udtf.updates"] == 3
+        assert counters.get("dualtable.plan.lookup", 0) == 0
+        assert counters.get("mapreduce.jobs", 0) == 0
+
+    def test_forced_overwrite_mode_is_left_alone(self):
+        session = keyed_session(mode="overwrite")
+        result = session.execute("UPDATE t SET v = 1 WHERE k = 5")
+        assert result.plan == "update-overwrite" and len(result.jobs) == 1
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    @pytest.mark.parametrize("literal", ["'9'", "5.0", "true"])
+    def test_bound_of_another_type_takes_the_job(self, shards, literal):
+        """``=`` coerces ('9' = 9) where statistics and the bucket hash
+        do not: only a bound of the column's own type is keyed."""
+        sql = "UPDATE t SET v = -1 WHERE k = %s" % literal
+        keyed = keyed_session(shards)
+        result = keyed.execute(sql)
+        assert len(result.jobs) == 1 and result.affected == 1
+        job = keyed_session(shards, plan="scan")
+        job.execute(sql)
+        assert attached_cells(keyed) == attached_cells(job)
+        select = "SELECT k FROM t WHERE k BETWEEN %s AND 12" % literal
+        assert keyed.execute(select).plan.startswith("select(")
+
+    def test_files_that_span_buckets_after_compact(self):
+        """COMPACT consolidates per shard: its files hold many buckets,
+        so the masks, computed from the stored keys, must too."""
+        from repro.core.lookup import stripe_index
+        session = keyed_session(4, rows_per_file=1000, stripe_rows=16)
+        session.execute("UPDATE t SET v = v + 1 WHERE k IN (1, 2, 3, 4)")
+        session.execute("COMPACT TABLE t")
+        handler = session.table("t").handler
+        masks = [mask for child in handler.children
+                 for entry in stripe_index(child, hit_faults=False)
+                 for _, _, _, _, mask in entry["stripes"]]
+        assert any(bin(mask).count("1") > 1 for mask in masks)
+        plan = handler.plan_lookup(extract_ranges(parse(
+            "SELECT k FROM t WHERE k IN (7, 100)").where),
+            hit_faults=False)
+        assert 0 < plan.stripes[0] < plan.stripes[1]
+        jobs = session.cluster.metrics.counters["mapreduce.jobs"]
+        for key in range(0, 240, 7):
+            session.execute("UPDATE t SET v = -%d WHERE k = %d" % (key, key))
+        assert session.cluster.metrics.counters["mapreduce.jobs"] == jobs
+        rows = dict(session.execute("SELECT k, v FROM t").rows)
+        assert all(rows[k] == (-k if k % 7 == 0 else
+                               k * 10 + (1 <= k <= 4))
+                   for k in range(240))
+
+    def test_pk_dirty_file_is_read_whole(self):
+        """A delta that rewrote the PK moved a row out of every stripe
+        statistic and bucket mask of its file."""
+        def run(plan):
+            session = keyed_session(plan=plan)
+            session.execute("SET dualtable.plan = scan")
+            session.execute("UPDATE t SET k = 1005 WHERE k = 5")
+            session.execute("SET dualtable.plan = %s" % plan)
+            result = session.execute("UPDATE t SET v = -5 WHERE k = 1005")
+            deleted = session.execute("DELETE FROM t WHERE k IN (5, 1005)")
+            return (result.affected, deleted.affected,
+                    attached_cells(session))
+        keyed, job = run("cost"), run("scan")
+        assert keyed == job and keyed[:2] == (1, 1)
+        session = keyed_session()
+        handler = session.table("t").handler
+        moved = extract_ranges(parse("SELECT k FROM t WHERE k = 1005").where)
+        assert handler.plan_lookup(moved, hit_faults=False).files == []
+        session.execute("UPDATE t SET k = 1005 WHERE k = 5")
+        plan = handler.plan_lookup(moved, hit_faults=False)
+        assert [f["whole_file"] for f in plan.files] == [True]
+
+    @pytest.mark.parametrize("kind", ["crash", "region_crash"])
+    @pytest.mark.parametrize("point", ["lookup.index_read",
+                                       "lookup.hbase_probe"])
+    def test_fault_in_the_keyed_read_falls_back_to_the_job(self, point,
+                                                           kind):
+        """Nothing staged, nothing double-charged: the faulted statement
+        leaves the cells and the ledger of a statement that was a job
+        from the start (over the same crashed-then-recovered store)."""
+        if (point, kind) == ("lookup.index_read", "region_crash"):
+            pytest.skip("the index read never touches a region server")
+        sql = "UPDATE t SET v = v + 5 WHERE k IN (8, 9, 130)"
+
+        def run(faulted):
+            session = keyed_session(plan="cost" if faulted else "scan")
+            session.execute("UPDATE t SET v = 1 WHERE k BETWEEN 5 AND 9")
+            if faulted:
+                session.cluster.faults.install(FaultPlan([
+                    Fault(point, nth_hit=1, kind=kind)]))
+            elif kind == "region_crash":
+                session.hbase.crash_region_server()
+            before = session.cluster.ledger.snapshot()
+            try:
+                result = session.execute(sql)
+            finally:
+                session.cluster.faults.uninstall()
+            return result, session.cluster.ledger.diff(before), session
+
+        faulted, fault_delta, session = run(True)
+        job, job_delta, _ = run(False)
+        assert (faulted.affected, len(faulted.jobs)) == (3, 1)
+        assert attached_cells(session) == attached_cells(_)
+        assert fault_delta["bytes"] == job_delta["bytes"]
+        assert fault_delta["ops"] == job_delta["ops"]
+        # (seconds: two diffs off different ledger totals, so to an ULP)
+        assert fault_delta["seconds"] == pytest.approx(job_delta["seconds"])
+        counters = session.cluster.metrics.counters
+        assert counters["dualtable.plan.lookup_fallback.t"] == 1
+        assert counters["dualtable.plan.edit"] == 2
+        assert counters["udtf.updates"] == 5 + 3
+
+    def test_fatal_kill_in_the_keyed_read_stages_nothing(self):
+        from repro.common.errors import FaultInjectedError
+        session = keyed_session()
+        session.cluster.faults.install(FaultPlan([
+            Fault("lookup.hbase_probe", nth_hit=1, kind="kill")]))
+        try:
+            with pytest.raises(FaultInjectedError):
+                session.execute("DELETE FROM t WHERE k = 3")
+        finally:
+            session.cluster.faults.uninstall()
+        assert attached_cells(session) == []
+        assert not session.fs.exists(session.table("t").handler.txn_dir)
+
+    def test_killed_optimistic_transaction_leaves_no_delta(self):
+        from repro.common.errors import SessionKilledError
+        from repro.server import Arrival, DualTableServer
+        engine = keyed_session(4)
+        server = DualTableServer(engine, concurrency=2)
+        doomed, other = server.connect("a"), server.connect("b")
+        outcomes = server.run([
+            Arrival(0.0, doomed, "UPDATE t SET v = -1 WHERE k IN (2, 3)"),
+            Arrival(1e-7, other, "UPDATE t SET v = -2 WHERE k = 4"),
+        ], kills=[(2e-7, doomed.id)])      # a keyed write is that short
+        killed = next(o for o in outcomes if o["session"] == doomed.id)
+        assert killed["status"] == "killed"
+        assert isinstance(killed["error"], SessionKilledError)
+        assert [updates for _, _, updates in attached_cells(engine)] \
+            == [((1, -2),)]
+        assert engine.cluster.metrics.counter("mapreduce.jobs") == 0
+        assert sorted(engine.execute(
+            "SELECT k, v FROM t WHERE k IN (2, 3, 4)").rows) \
+            == [(2, 20), (3, 30), (4, -2)]
+
+
+class TestKeyedCostModel:
+    """An ``htap_serve``-shaped table at a tenth of its size: 4 shards,
+    cost mode, one single-bucket file per bucket, a quarter of the
+    table as ``dualtable.lookup.max_rows``."""
+
+    @staticmethod
+    def serve_session():
+        rows = [(k, k % 1000, "n%d" % (k % 97)) for k in range(4000)]
+        return keyed_session(4, mode="cost", rows=rows,
+                             rows_per_file=250, stripe_rows=62,
+                             props=", 'dualtable.lookup.max_rows' = '1000'")
+
+    def test_keyed_audits_stay_within_a_quarter(self):
+        """``choose_lookup_plan`` left the per-row union-read CPU charge
+        out and predicted 1 % of what the ledger observed."""
+        session = self.serve_session()
+        statements = [
+            ("lookup", "SELECT k, v FROM t WHERE k = 1234"),
+            ("edit_by_key", "UPDATE t SET v = v + 1 WHERE k = 1234"),
+            ("lookup", "SELECT k, v, name FROM t WHERE k = 1234"),
+            ("edit_by_key", "UPDATE t SET v = v + 1 WHERE k IN "
+                            "(7, 8, 9, 10, 11, 12, 13, 14)"),
+            ("edit_by_key", "DELETE FROM t WHERE k = 77"),
+            ("lookup", "SELECT k FROM t WHERE k IN (7, 77, 1234)"),
+        ]
+        for plan, sql in statements:
+            audit = session.execute(sql).detail["audit"]
+            assert audit["plan"] == plan, sql
+            assert audit["rel_error"] <= 0.25, (sql, audit)
+        metrics = session.cluster.metrics
+        for plan in ("lookup", "edit_by_key"):
+            histogram = metrics.histogram("costmodel.rel_error.%s" % plan)
+            assert histogram.count == 3 and histogram.p95 <= 0.25
+
+    def test_primary_key_caps_the_estimated_ratio(self):
+        """Regression: an 8-key IN list read as ratio 0.0128 (512 rows
+        of 40 000) and cost mode rewrote the master for it."""
+        session = self.serve_session()
+        session.execute("SET dualtable.plan = scan")
+        result = session.execute(
+            "UPDATE t SET v = v + 1 WHERE k IN (7, 8, 9, 10, 11, 12, 13, 14)")
+        assert result.detail["ratio"] == 8 / 4000
+        assert result.detail["plan"] == result.detail["cost_plan"] == "edit"
+        assert result.plan == "update-edit" and len(result.jobs) == 1
+        point = session.execute("DELETE FROM t WHERE k = 99")
+        assert point.detail["ratio"] == 1 / 4000
+
+    def test_no_keyed_statement_launches_a_job(self):
+        """The exact-count gate on an ``htap_serve``-shaped mix."""
+        session = self.serve_session()
+        jobs = lambda: session.cluster.metrics.counter("mapreduce.jobs")
+        mix = [
+            (0, "SELECT k, v FROM t WHERE k = 17"),
+            (0, "UPDATE t SET v = v + 1 WHERE k = 17"),
+            (0, "UPDATE t SET v = v + 1 WHERE k IN (1, 2, 3, 4, 5, 6, 7, 8)"),
+            (0, "DELETE FROM t WHERE k = 3999"),
+            (0, "DELETE FROM t WHERE k IN (100, 200, 300)"),
+            (0, "SELECT k, v, name FROM t WHERE k IN (17, 18)"),
+            (1, "SELECT k, v FROM t WHERE k >= 500 AND k <= 540"),
+            (1, "SELECT name, count(*), sum(v) FROM t GROUP BY name"),
+            (1, "SELECT * FROM t"),
+            (1, "UPDATE t SET v = 0 WHERE v = 999"),
+        ]
+        for expected, sql in mix:
+            before = jobs()
+            session.execute(sql)
+            assert jobs() - before == expected, sql
+
+
+class TestKeyedObservability:
+    def test_explain_update_prints_the_keyed_plan(self):
+        session = keyed_session(4)
+        text = "\n".join(row[0] for row in session.execute(
+            "EXPLAIN UPDATE t SET v = 1 WHERE k IN (5, 6)").rows)
+        assert "EDIT-by-key (PRIMARY KEY k bounds the WHERE)" in text
+        assert "symptom:" in text and "evidence:" in text
+        assert "candidate files 2 of" in text and "stripes 2 of" in text
+        assert "expected gain:" in text
+        assert "plan: edit-by-key (no MapReduce job)" in text
+        assert attached_cells(session) == []            # not executed
+
+    def test_explain_delete_under_forced_scan_says_job(self):
+        session = keyed_session(plan="scan")
+        text = "\n".join(row[0] for row in session.execute(
+            "EXPLAIN DELETE FROM t WHERE k BETWEEN 3 AND 9").rows)
+        assert "plan: job (forced by dualtable.plan)" in text
+        assert "expected gain" not in text
+
+    def test_explain_analyze_audits_the_keyed_read(self):
+        session = keyed_session()
+        text = "\n".join(row[0] for row in session.execute(
+            "EXPLAIN ANALYZE UPDATE t SET v = 1 WHERE k = 5").rows)
+        assert "0 job(s)" in text
+        assert "phase dualtable:edit-by-key" in text
+        assert "cost-model audit: plan=edit_by_key" in text
+
+    def test_over_limit_dml_counts_as_a_lookup_eligible_scan(self):
+        """A PK-bounded write too wide for ``dualtable.lookup.max_rows``
+        runs as a job and feeds the advisor's existing finding."""
+        from repro.advisor import WorkloadAdvisor
+        session = build_session(
+            mode="edit", extra_props=", 'dualtable.lookup.max_rows' = '20'")
+        for _ in range(6):
+            result = session.execute(
+                "UPDATE t SET v = v + 1 WHERE k BETWEEN 10 AND 80")
+            assert len(result.jobs) == 1 and result.affected == 71
+        counters = session.cluster.metrics.counters
+        assert counters["dualtable.plan.lookup_eligible_scan.t"] == 6
+        session.execute("UPDATE t SET v = 0 WHERE v < 0")    # no PK bound
+        assert counters["dualtable.plan.lookup_eligible_scan.t"] == 6
+        findings = WorkloadAdvisor(session).analyze()
+        assert "lookup-eligible-scan" in {f.code for f in findings}

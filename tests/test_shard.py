@@ -48,6 +48,11 @@ IDENTITY_WORKLOAD = [
     "SELECT count(*), sum(v) FROM t WHERE v = 999",
     "DELETE FROM t WHERE k >= 70",
     "SELECT k, v FROM t WHERE k = 0",
+    # keyed statements: EDIT-by-key and an IN-list LOOKUP over shards
+    "UPDATE t SET v = v + 100 WHERE k IN (3, 17, 40, 66)",
+    "DELETE FROM t WHERE k = 5",
+    "UPDATE t SET grp = 'r' WHERE k BETWEEN 30 AND 33",
+    "SELECT k, grp, v FROM t WHERE k IN (3, 5, 17, 31)",
     "SELECT grp, count(*), sum(v) FROM t GROUP BY grp ORDER BY grp",
     "SELECT count(*), sum(v) FROM t",
 ]
@@ -394,3 +399,105 @@ class TestRepeatableServerReads:
             assert total == expect, o
         # The late read ran after the commit and must see it.
         assert reads[-1]["snapshot_seq"] >= commit_seq
+
+
+# ---------------------------------------------------------------------------
+# Keyed plans over several shards; sharded INSERT OVERWRITE.
+# ---------------------------------------------------------------------------
+def _in_list(session, keys):
+    return ColumnRange(low=min(keys), high=max(keys), in_set=frozenset(keys))
+
+
+class TestMultiShardKeyedPlans:
+    KEYS = [3, 17, 40, 66, 81]
+
+    def test_in_list_plan_spans_the_owning_shards_in_basename_order(self):
+        """An IN list that spans shards is ONE plan: the per-shard
+        candidates in canonical (file id) order, whatever INTO n."""
+        def candidates(shards):
+            session = make_session(shards)
+            handler = handler_of(session)
+            plan = handler.plan_lookup({"k": _in_list(session, self.KEYS)},
+                                       hit_faults=False)
+            owners = sorted({handler.shard_map.shard_of(k)
+                             for k in self.KEYS})
+            assert list(plan.shards) == owners
+            assert plan.shard == (owners[0] if len(owners) == 1 else None)
+            for payload in plan.files:
+                child = handler.children[payload["shard"]]
+                assert payload["path"].startswith(child.master.location)
+            return [(f["path"].rsplit("/", 1)[-1], f["file_id"],
+                     f["stripes"], f["est_rows"]) for f in plan.files]
+        base = candidates(1)
+        assert [name for name, *_ in base] == sorted(n for n, *_ in base)
+        assert len(base) == len(self.KEYS)       # one bucket file per key
+        assert candidates(4) == base
+        assert candidates(8) == base
+
+    def test_in_list_read_charges_each_owning_shard_once(self):
+        session = make_session(4)
+        handler = handler_of(session)
+        owners = sorted({handler.shard_map.shard_of(k) for k in self.KEYS})
+        assert len(owners) > 1
+        result = session.execute("SELECT k, v FROM t WHERE k IN (%s)"
+                                 % ", ".join(map(str, self.KEYS)))
+        assert result.plan == "lookup"
+        assert sorted(result.rows) == [(k, k % 7) for k in self.KEYS]
+        assert result.detail["shard"] is None
+        metrics = session.cluster.metrics
+        assert [metrics.counter("shard.lookups.t.%d" % shard)
+                for shard in range(4)] \
+            == [int(shard in owners) for shard in range(4)]
+
+    def test_keyed_dml_heats_the_shards_it_wrote(self):
+        session = make_session(4)
+        handler = handler_of(session)
+        result = session.execute("UPDATE t SET v = -1 WHERE k IN (%s)"
+                                 % ", ".join(map(str, self.KEYS)))
+        assert (result.affected, result.jobs) == (len(self.KEYS), [])
+        written = [0] * 4
+        for key in self.KEYS:
+            written[handler.shard_map.shard_of(key)] += 1
+        assert handler.shard_heats() == written
+
+
+class TestShardedOverwrite:
+    @pytest.mark.parametrize("shards", [1, 4, 8])
+    def test_overwrite_leaves_no_empty_file_behind(self, shards):
+        """Regression: every child was first emptied, which writes a
+        zero-row ``part-*.orc``; the bucket appends then landed beside
+        it and every later job paid a task to read it."""
+        session = make_session(shards)
+        handler = handler_of(session)
+        files = len(handler.master.file_paths())
+        session.execute("INSERT OVERWRITE TABLE t SELECT k, grp, v + 1 "
+                        "FROM t")
+        paths = handler.master.file_paths()
+        assert len(paths) == files
+        assert all(handler.master.file_meta(path)[1] > 0 for path in paths)
+        result = session.execute("SELECT count(*), sum(v) FROM t")
+        assert result.rows == [(90, sum(i % 7 + 1 for i in range(90)))]
+        assert result.jobs[0].num_map_tasks == files
+
+    def test_file_set_after_overwrite_is_shard_count_invariant(self):
+        def file_set(shards):
+            session = make_session(shards)
+            session.execute("UPDATE t SET v = 0 WHERE k = 3")
+            session.execute("INSERT OVERWRITE TABLE t SELECT * FROM t "
+                            "WHERE k < 60")
+            handler = handler_of(session)
+            assert handler.attached.is_empty()
+            return sorted(
+                (path.rsplit("/", 1)[-1],) + handler.master.file_meta(path)
+                for path in handler.master.file_paths()
+                if handler.master.file_meta(path)[1])
+        base = file_set(1)
+        assert file_set(4) == base
+        assert file_set(8) == base
+
+    def test_overwrite_with_no_rows_empties_every_shard(self):
+        session = make_session(4)
+        session.execute("INSERT OVERWRITE TABLE t SELECT * FROM t "
+                        "WHERE k < 0")
+        assert session.execute("SELECT count(*) FROM t").rows == [(0,)]
+        assert handler_of(session).master.row_count() == 0
