@@ -7,7 +7,7 @@ queries over a 20 000-row DualTable, once per plan (`lookup` forced vs
 ledger bytes.  Gates (``--check``):
 
 * **identity** — every query returns byte-identical rows across both
-  plans, both engines (row / vectorized) and workers 1 / 4;
+  plans and worker-pool widths 1 / 4;
 * **latency** — scan p50 / lookup p50 ≥ ``--min-ratio`` (default 20);
 * **bytes** — total scan bytes / total lookup bytes ≥ ``--min-ratio``.
 
@@ -52,9 +52,9 @@ def build_queries(rng, n, rows):
     return queries
 
 
-def build_session(args, engine, workers):
-    session = HiveSession(
-        profile=ClusterProfile.laptop(num_workers=workers), engine=engine)
+def build_session(args, workers):
+    # ``workers`` is the thread pool; the simulated cluster stays one node.
+    session = HiveSession(profile=ClusterProfile.laptop(workers=workers))
     session.execute(
         "CREATE TABLE t (k int, v int, name string, PRIMARY KEY (k)) "
         "STORED AS dualtable TBLPROPERTIES "
@@ -69,8 +69,8 @@ def build_session(args, engine, workers):
     return session
 
 
-def run_config(args, queries, plan, engine, workers):
-    session = build_session(args, engine, workers)
+def run_config(args, queries, plan, workers):
+    session = build_session(args, workers)
     session.execute("SET dualtable.plan = %s" % plan)
     latencies, bytes_per_query, transcript = [], [], []
     start = time.perf_counter()
@@ -82,7 +82,7 @@ def run_config(args, queries, plan, engine, workers):
         bytes_per_query.append(sum(delta["bytes"].values()))
         transcript.append((sql, tuple(sorted(result.rows))))
     return {
-        "plan": plan, "engine": engine, "workers": workers,
+        "plan": plan, "workers": workers,
         "latencies": latencies, "bytes": bytes_per_query,
         "transcript": transcript,
         "wall_s": round(time.perf_counter() - start, 3),
@@ -98,8 +98,8 @@ def quantile(values, q):
 
 def summarize(run):
     return {
-        "plan": run["plan"], "engine": run["engine"],
-        "workers": run["workers"], "queries": len(run["latencies"]),
+        "plan": run["plan"], "workers": run["workers"],
+        "queries": len(run["latencies"]),
         "p50_s": quantile(run["latencies"], 0.50),
         "p99_s": quantile(run["latencies"], 0.99),
         "total_sim_s": sum(run["latencies"]),
@@ -124,9 +124,8 @@ def main(argv=None):
 
     queries = build_queries(random.Random(args.seed), args.queries,
                             args.rows)
-    configs = [(plan, engine, workers)
+    configs = [(plan, workers)
                for plan in ("lookup", "scan")
-               for engine in ("row", "vectorized")
                for workers in (1, 4)]
     runs = {config: run_config(args, queries, *config)
             for config in configs}
@@ -139,15 +138,15 @@ def main(argv=None):
                             % (config, configs[0]))
     summaries = [summarize(runs[config]) for config in configs]
     for summary in summaries:
-        print("%-6s %-10s workers=%d: p50=%.6fs p99=%.6fs "
+        print("%-6s workers=%d: p50=%.6fs p99=%.6fs "
               "total=%.3fs bytes=%d wall=%.2fs"
-              % (summary["plan"], summary["engine"], summary["workers"],
+              % (summary["plan"], summary["workers"],
                  summary["p50_s"], summary["p99_s"],
                  summary["total_sim_s"], summary["total_bytes"],
                  summary["wall_s"]))
 
-    lookup = summarize(runs[("lookup", "row", 1)])
-    scan = summarize(runs[("scan", "row", 1)])
+    lookup = summarize(runs[("lookup", 1)])
+    scan = summarize(runs[("scan", 1)])
     latency_ratio = scan["p50_s"] / max(lookup["p50_s"], 1e-12)
     bytes_ratio = scan["total_bytes"] / max(lookup["total_bytes"], 1)
     print("scan/lookup p50 latency ratio: %.1fx  (p99: %.1fx)"

@@ -4,8 +4,7 @@
 Three phases over ``SHARDED BY (k) INTO n`` DualTables:
 
 * **identity** — one mixed scan/DML/point workload replayed at shards
-  1/4/8 x workers 1/4 x engines row/vectorized must produce identical
-  rows, ledger bytes/ops (seconds to the identity grain) and non-cache
+  1/4/8 x workers 1/4 must produce identical rows, ledger bytes/ops (seconds to the identity grain) and non-cache
   counters (the :mod:`repro.shard.identity` fingerprint — the same gate
   ``tests/test_shard.py`` enforces);
 * **speedup** — full-table scans at 4 shards with ``workers=4`` must
@@ -49,10 +48,8 @@ IDENTITY_WORKLOAD = [
 ]
 
 
-def build_session(shards, rows, workers=1, engine="row",
-                  rows_per_file=50):
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
-                          engine=engine)
+def build_session(shards, rows, workers=1, rows_per_file=50):
+    session = HiveSession(profile=ClusterProfile.laptop(workers=workers))
     session.execute(
         "CREATE TABLE t (k int, grp string, v int) PRIMARY KEY (k) "
         "STORED AS dualtable SHARDED BY (k) INTO %d "
@@ -66,8 +63,8 @@ def build_session(shards, rows, workers=1, engine="row",
 # ----------------------------------------------------------------------
 # Phase 1: shard-count identity.
 # ----------------------------------------------------------------------
-def run_identity_config(shards, workers, engine, rows):
-    session = build_session(shards, rows, workers=workers, engine=engine,
+def run_identity_config(shards, workers, rows):
+    session = build_session(shards, rows, workers=workers,
                             rows_per_file=10)
     transcript = []
     for template in IDENTITY_WORKLOAD:
@@ -79,10 +76,9 @@ def run_identity_config(shards, workers, engine, rows):
 
 
 def identity_phase(args, failures):
-    configs = [(shards, workers, engine)
+    configs = [(shards, workers)
                for shards in (1, 4, 8)
-               for workers in (1, 4)
-               for engine in ("row", "vectorized")]
+               for workers in (1, 4)]
     start = time.perf_counter()
     baseline = run_identity_config(*configs[0], args.identity_rows)
     checked = []
@@ -93,12 +89,11 @@ def identity_phase(args, failures):
                  if a != b]
         ok = not parts
         if not ok:
-            failures.append("identity broken at shards=%d workers=%d "
-                            "engine=%s: %s differ"
-                            % (*config, ", ".join(parts)))
+            failures.append("identity broken at shards=%d workers=%d: "
+                            "%s differ" % (*config, ", ".join(parts)))
         checked.append({"shards": config[0], "workers": config[1],
-                        "engine": config[2], "identical": ok})
-        print("identity shards=%d workers=%d engine=%-10s %s"
+                        "identical": ok})
+        print("identity shards=%d workers=%d %s"
               % (*config, "OK" if ok else "MISMATCH"))
     return {"configs": checked,
             "statements": len(IDENTITY_WORKLOAD),

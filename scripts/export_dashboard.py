@@ -16,8 +16,8 @@ server statement spans::
 
 ``--check`` is the CI smoke mode: every workload must (a) produce
 exactly its expected finding set, (b) schema-validate, and (c) serialize
-byte-identically across a rerun, ``workers=1`` vs ``4`` and
-``engine=row`` vs ``vectorized``.  Exits nonzero on any violation.
+byte-identically across a rerun and ``workers=1`` vs ``4``.  Exits
+nonzero on any violation.
 """
 
 import argparse
@@ -32,9 +32,9 @@ from repro.obs.dashboard import (advisor_document, to_json,
                                  write_dashboard)
 
 
-def run_and_document(name, seed=0, workers=1, engine=None, trace=False):
+def run_and_document(name, seed=0, workers=1, trace=False):
     """Run one canned workload; returns ``(doc, outcome-dict)``."""
-    session = build_session(workers=workers, engine=engine)
+    session = build_session(workers=workers)
     if trace:
         session.cluster.tracer.enable()
     outcome = RUNNERS[name](session, seed=seed)
@@ -57,8 +57,7 @@ def check_workload(name, seed):
         errors.append("%s: findings %s != expected %s"
                       % (name, got, want))
     variants = [("rerun", dict()),
-                ("workers=4", dict(workers=4)),
-                ("engine=vectorized", dict(engine="vectorized"))]
+                ("workers=4", dict(workers=4))]
     for label, kwargs in variants:
         variant_doc, _ = run_and_document(name, seed=seed, **kwargs)
         if to_json(variant_doc) != baseline:
@@ -76,7 +75,7 @@ def main(argv=None):
     parser.add_argument("--check", action="store_true",
                         help="CI smoke: assert expected findings, schema "
                              "validity and byte-identical artifacts "
-                             "across reruns/workers/engines")
+                             "across reruns and worker counts")
     args = parser.parse_args(argv)
     failures = []
     for name in WORKLOAD_NAMES:

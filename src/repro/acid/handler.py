@@ -23,6 +23,7 @@ from repro.hive.catalog import register_handler
 from repro.hive.expressions import Env, compile_expr, is_true
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
+from repro.vector import batches_from_rows
 
 _OP_UPDATE = "U"
 _OP_DELETE = "D"
@@ -164,9 +165,12 @@ class AcidHandler(StorageHandler):
                 label=path))
         return splits
 
-    def read_split(self, split, ctx):
-        for _, values in self.read_split_with_rids(split, ctx):
-            yield values
+    def read_split_batches(self, split, ctx, batch_rows=None):
+        """Merge-on-read is row by row: batch the merged rows."""
+        rows = (values for _, values
+                in self.read_split_with_rids(split, ctx))
+        width = len(split.payload["projection"] or self.schema)
+        return batches_from_rows(rows, width, batch_rows)
 
     def read_split_with_rids(self, split, ctx):
         from repro.hive.pushdown import make_stripe_filter

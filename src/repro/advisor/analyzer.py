@@ -83,8 +83,7 @@ class WorkloadAdvisor:
                           "attached_bytes": p.attached_bytes,
                           "deltas_applied": p.deltas_applied,
                           "batches_fast": p.batches_fast,
-                          "batches_overlay": p.batches_overlay,
-                          "batches_row_fallback": p.batches_row_fallback},
+                          "batches_overlay": p.batches_overlay},
                 remediation=[
                     "ALTER TABLE %s SET AUTOCOMPACT (ON)" % p.table,
                     "COMPACT TABLE %s" % p.table,

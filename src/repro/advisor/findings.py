@@ -10,7 +10,7 @@ more ``remediation`` statements the actuator can execute verbatim
 
 Determinism contract: everything in a finding derives from registry
 counters/histograms and handler configuration — all of which are
-byte-identical across worker counts and execution engines — and
+byte-identical across worker counts — and
 floats are rounded before they are stored, so two identical workloads
 produce identical findings (and identical JSON).
 """

@@ -5,8 +5,8 @@ mixed HTAP (through a :class:`DualTableServer` with competing tenants)
 — each built to trip a known, distinct set of advisor findings.  The
 CI ``advisor-smoke`` job, ``scripts/export_dashboard.py`` and
 ``tests/test_advisor.py`` all run these and assert the finding sets in
-:data:`EXPECTED_FINDINGS`, byte-identical across two runs, worker
-counts and execution engines.
+:data:`EXPECTED_FINDINGS`, byte-identical across two runs and worker
+counts.
 
 Everything is seeded through :mod:`repro.common.rng`; no wall-clock
 value ever reaches a statement or a finding.
@@ -45,13 +45,12 @@ EXPECTED_FINDINGS = {
 }
 
 
-def build_session(workers=1, engine=None, batch_rows=None):
+def build_session(workers=1, batch_rows=None):
     """A fresh laptop-profile session for one canned workload."""
     from repro.hive import HiveSession
 
     profile = ClusterProfile.laptop(workers=max(1, int(workers)))
-    return HiveSession(profile=profile, engine=engine,
-                       batch_rows=batch_rows)
+    return HiveSession(profile=profile, batch_rows=batch_rows)
 
 
 def _load(session, table, n_rows, seed, storage_props=""):
@@ -177,10 +176,10 @@ RUNNERS = {"scan_heavy": run_scan_heavy,
            "mixed": run_mixed}
 
 
-def run_workload(name, seed=0, workers=1, engine=None):
+def run_workload(name, seed=0, workers=1):
     """Build a fresh session and run one canned workload by name."""
     if name not in RUNNERS:
         raise ValueError("unknown workload %r (choose from %s)"
                          % (name, "/".join(WORKLOAD_NAMES)))
-    session = build_session(workers=workers, engine=engine)
+    session = build_session(workers=workers)
     return RUNNERS[name](session, seed=seed)

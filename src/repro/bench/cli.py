@@ -16,7 +16,7 @@ import time
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.report import render
-from repro.bench.runners import (SCALES, profiled_experiment, set_engine,
+from repro.bench.runners import (SCALES, profiled_experiment,
                                  set_workers)
 
 
@@ -46,11 +46,6 @@ def build_parser():
                              "clock only; simulated output is identical "
                              "for any value; default: 1). Ignored under "
                              "--profile, which requires serial tracing.")
-    parser.add_argument("--engine", choices=("row", "vectorized"),
-                        default=None,
-                        help="execution engine (wall clock only; "
-                             "simulated output is identical either way; "
-                             "default: the session default, vectorized)")
     return parser
 
 
@@ -71,7 +66,6 @@ def main(argv=None):
         names = [args.experiment]
     workers = max(1, args.workers)
     set_workers(1 if args.profile else workers)
-    set_engine(args.engine)
     for name in names:
         started = time.time()
         if args.profile:

@@ -45,10 +45,6 @@ SCALES = {
 #: Simulated output is byte-identical for any value (repro.parallel).
 WORKERS = 1
 
-#: execution engine for every bench session (``--engine``); None keeps
-#: the session default.  Simulated output is byte-identical either way.
-ENGINE = None
-
 
 def set_workers(workers):
     """Set the pool width used by every subsequently built session."""
@@ -56,19 +52,8 @@ def set_workers(workers):
     WORKERS = max(1, int(workers))
 
 
-def set_engine(engine):
-    """Select the engine (row|vectorized) for subsequent sessions."""
-    from repro.hive.session import ENGINES
-
-    global ENGINE
-    if engine is not None and engine not in ENGINES:
-        raise ValueError("unknown engine %r (choose from %s)"
-                         % (engine, "/".join(ENGINES)))
-    ENGINE = engine
-
-
 def _new_session(profile_name):
-    return HiveSession(profile=bench_profile(profile_name), engine=ENGINE)
+    return HiveSession(profile=bench_profile(profile_name))
 
 
 def bench_profile(name="bench"):

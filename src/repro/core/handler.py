@@ -35,8 +35,7 @@ from repro.core.master import MasterTable
 from repro.core.metadata import DualTableMetadata
 from repro.core.record_id import RECORD_ID_BYTES, encode_record_id
 from repro.core.udtf import count_udtf_calls, delete_udtf, update_udtf
-from repro.core.union_read import (classify_merge_units, union_read_batches,
-                                   union_read_file, union_read_overlay)
+from repro.core.union_read import classify_merge_units, union_read_overlay
 from repro.parallel import parallel_map
 
 #: per-assignment Attached-Table payload estimate: 3-byte qualifier +
@@ -259,23 +258,14 @@ class DualTableHandler(StorageHandler):
                               self.master.file_paths())
         # Workload-profile hook: per-table scanned-bytes histogram (the
         # advisor's "bytes read" axis).  Split sizes are control-plane
-        # metadata, identical for any worker count or engine.
+        # metadata, identical for any worker count.
         self.env.cluster.metrics.observe(
             "dualtable.scan_bytes.%s" % self.table.name,
             sum(split.size_bytes for split in splits))
         return splits
 
-    def read_split(self, split, ctx):
-        for _, values in self.read_split_with_rids(split, ctx):
-            yield values
-
-    @property
-    def merge_mode(self):
-        """The session's dirty-batch merge strategy ("overlay" | "row")."""
-        return getattr(self.env, "merge_mode", "overlay")
-
     def _prepare_union_read(self, file_id, reader, stripe_filter):
-        """Shared per-file merge setup for the row and batch read paths.
+        """Per-file merge setup.
 
         Fetches the file's deltas (the one charged, memoized scan,
         :meth:`AttachedTable.file_deltas`) and classifies the file's
@@ -299,61 +289,26 @@ class DualTableHandler(StorageHandler):
 
         The unit grid is per *stripe* — control-plane arithmetic over
         footer spans and delta positions, so the counts are
-        byte-identical across engines, workers, shards and the
-        batch-size knob.  Dirty units are attributed to the configured
-        merge strategy (``batches_overlay`` vs ``batches_row_fallback``);
-        the row *engine* reports the same classification the batch
-        engine would, keeping the cross-engine counter contract.
+        byte-identical across workers, shards and the batch-size knob.
         """
         metrics = self.env.cluster.metrics
         table = self.table.name
-        if fast:
-            metrics.incr("unionread.batches_fast", fast)
-            metrics.incr("unionread.batches_fast.%s" % table, fast)
-        if dirty:
-            name = ("batches_overlay" if self.merge_mode == "overlay"
-                    else "batches_row_fallback")
-            metrics.incr("unionread.%s" % name, dirty)
-            metrics.incr("unionread.%s.%s" % (name, table), dirty)
-
-    def read_split_with_rids(self, split, ctx):
-        """UNION READ of one master file: yields (record_id, values)."""
-        payload = split.payload
-        cluster = self.env.cluster
-        with cluster.tracer.span("substrate",
-                                 "union-read:%d" % payload["file_id"],
-                                 path=payload["path"]) as span:
-            reader = self.master.reader(payload["path"])
-            projection = payload["projection"]
-            stripe_filter = make_stripe_filter(
-                [n for n, _ in reader.schema], payload["ranges"] or {})
-            orc_rows = reader.rows(projection=projection,
-                                   stripe_filter=stripe_filter)
-            projection_map = self._projection_map(projection)
-            cells, _ = self._prepare_union_read(
-                payload["file_id"], reader, stripe_filter)
-            stats = {}
-            nrows = 0
-            for item in union_read_file(payload["file_id"], orc_rows,
-                                        self.attached.delta_items(cells),
-                                        projection_map, stats=stats):
-                nrows += 1
-                yield item
-            self._note_union_read(span, nrows, stats)
+        for name, units in (("batches_fast", fast),
+                            ("batches_overlay", dirty)):
+            if units:
+                metrics.incr("unionread.%s" % name, units)
+                metrics.incr("unionread.%s.%s" % (name, table), units)
 
     def read_split_batches(self, split, ctx, batch_rows=None):
-        """Columnar UNION READ of one master file.
+        """UNION READ of one master file, as merged ColumnBatches.
 
-        Shares every charge and counter with :meth:`read_split_with_rids`
-        (footer + stripe-column bytes via the ORC reader, the delta scan
-        via ``file_deltas``, the per-output-row ``unionread`` CPU charge,
-        the ``unionread.*`` metrics) — only the wall-clock work differs.
-        Clean files stream straight through the zero-delta fast path
-        under either strategy; dirty batches are merged with the
-        columnar overlay by default, or the per-row reference merge
-        under ``SET dualtable.merge = row`` (INTERNALS §14).  A keyed
-        read's payload names the stripes its plan admitted
-        (``"stripes"``) instead of ranges to prune by.
+        Charges the footer + stripe-column bytes (the ORC reader), the
+        delta scan (``file_deltas``) and the per-output-row ``unionread``
+        CPU term, and feeds the ``unionread.*`` metrics.  Clean batches
+        stream straight through; dirty ones get the file's columnar
+        overlay applied (INTERNALS §14).  A keyed read's payload names
+        the stripes its plan admitted (``"stripes"``) instead of ranges
+        to prune by.
         """
         payload = split.payload
         cluster = self.env.cluster
@@ -372,25 +327,19 @@ class DualTableHandler(StorageHandler):
                                          stripe_filter=stripe_filter,
                                          batch_rows=batch_rows)
             projection_map = self._projection_map(projection)
-            cells, overlay = self._prepare_union_read(
+            _, overlay = self._prepare_union_read(
                 payload["file_id"], reader, stripe_filter)
             stats = {}
             nrows = 0
-            if self.merge_mode == "overlay":
-                merged = union_read_overlay(payload["file_id"], orc_batches,
+            for batch in union_read_overlay(payload["file_id"], orc_batches,
                                             overlay, projection_map,
-                                            stats=stats)
-            else:
-                merged = union_read_batches(payload["file_id"], orc_batches,
-                                            self.attached.delta_items(cells),
-                                            projection_map, stats=stats)
-            for batch in merged:
+                                            stats=stats):
                 nrows += batch.length
                 yield batch
             self._note_union_read(span, nrows, stats)
 
     def _note_union_read(self, span, nrows, stats):
-        """Post-merge accounting shared by the row and batch paths."""
+        """Post-merge accounting: the per-row CPU term and counters."""
         cluster = self.env.cluster
         # Per-row merge-path invocation overhead (Figure 4).
         profile = cluster.profile
@@ -444,8 +393,7 @@ class DualTableHandler(StorageHandler):
         return plan_lookup(self, ranges, projection=projection,
                            hit_faults=hit_faults)
 
-    def execute_lookup(self, plan, engine="row", batch_rows=None,
-                       where=None):
+    def execute_lookup(self, plan, batch_rows=None, where=None):
         """Run one planned LOOKUP read at sub-job cost (no MR planner).
 
         Returns ``(rows, examined, sim_seconds, detail)``; the first two
@@ -464,8 +412,8 @@ class DualTableHandler(StorageHandler):
         with cluster.tracer.span("phase", "dualtable:lookup", table=table,
                                  files=len(plan.files),
                                  est_rows=plan.est_rows) as span:
-            rows, examined = run_lookup(self, plan, engine=engine,
-                                        batch_rows=batch_rows, where=where)
+            rows, examined = run_lookup(self, plan, batch_rows=batch_rows,
+                                        where=where)
             span.annotate(rows=examined)
         detail = self._keyed_detail(plan, "lookup", "lookup",
                                     cluster.ledger.diff(before))

@@ -31,7 +31,6 @@ with no double-charged cost.
 from dataclasses import dataclass
 from itertools import chain
 
-from repro.hive.expressions import compile_expr, is_true
 from repro.hive.vexpr import compile_batch_predicate
 from repro.mapreduce.job import InputSplit, stable_hashes
 from repro.core.master import FILE_ID_KEY
@@ -302,30 +301,21 @@ def keyed_batches(handler, plan, batch_rows=None):
             yield payload, batch
 
 
-def run_lookup(handler, plan, engine="row", batch_rows=None, where=None):
+def run_lookup(handler, plan, batch_rows=None, where=None):
     """Execute a planned LOOKUP; returns ``(rows, examined)``.
 
     ``where`` is the relation's residual filter as ``(expr, env)``, or
-    None.  ``rows`` holds the merged value tuples that pass it — the
-    vectorized engine filters each merged batch and builds tuples for
-    the survivors only, the row engine calls its closure per merged row
-    — and ``examined`` counts the merged rows before the filter, which
-    is what every charge and counter goes by.
+    None.  ``rows`` holds the merged value tuples that pass it — each
+    merged batch is filtered and tuples are built for the survivors
+    only — and ``examined`` counts the merged rows before the filter,
+    which is what every charge and counter goes by.
     """
-    vectorized = engine == "vectorized"
-    predicate = None
-    if where is not None:
-        predicate = (compile_batch_predicate if vectorized
-                     else compile_expr)(*where)
+    predicate = compile_batch_predicate(*where) if where is not None else None
     out = []
     examined = 0
     for _, batch in keyed_batches(handler, plan, batch_rows):
         examined += batch.length
-        if predicate is None:
-            out.extend(batch.rows())
-        elif vectorized:
-            out.extend(predicate(batch).rows())
-        else:
-            out.extend(values for values in batch.rows()
-                       if is_true(predicate(values)))
+        if predicate is not None:
+            batch = predicate(batch)
+        out.extend(batch.rows())
     return out, examined

@@ -5,30 +5,28 @@ attached rows because HBase keys are record IDs), so the merge is a single
 linear two-pointer pass per master file — the "simple MapReduce algorithm
 using a divide-and-conquer strategy" of Section III-C.
 
-Two merge strategies produce byte-identical output:
+:func:`union_read_file` is that algorithm as the paper states it — one
+record ID encoded per master row, the delta iterator walked beside it —
+and is kept as the *specification*: nothing in ``src/`` reads through
+it, the tests hold the production merge to it (rows, record ids and
+merge stats over adversarial delta distributions,
+``tests/test_merge_overlay.py``).
 
-* the **row merge** (:func:`union_read_file` and the fallback loop in
-  :func:`union_read_batches`) encodes one record ID per master row and
-  walks the delta iterator beside it — simple, and the reference
-  semantics for everything else;
-* the **overlay merge** (:func:`union_read_overlay`) pre-resolves the
-  file's sorted deltas into a :class:`DeltaOverlay` — sorted delete
-  positions plus per-column sparse patch lists — and applies it to each
-  ColumnBatch with binary search and slice-level column surgery, so the
-  merge cost scales with the number of *deltas*, not the number of rows
-  (cf. *Fast Updates on Read-Optimized Databases Using Multi-Core CPUs*,
-  arXiv:1109.6885).
+The production merge is :func:`union_read_overlay`: the file's sorted
+deltas are pre-resolved into a :class:`DeltaOverlay` — sorted delete
+positions plus per-column sparse patch lists — and applied to each
+ColumnBatch with binary search and slice-level column surgery, so the
+merge cost scales with the number of *deltas*, not the number of rows
+(cf. *Fast Updates on Read-Optimized Databases Using Multi-Core CPUs*,
+arXiv:1109.6885).  Both fill the same merge-stat dict
+(``deltas_applied`` / ``rows_deleted`` / ``deltas_skipped`` /
+``trailing_deltas``).
 
-The merge-stat contract (``deltas_applied`` / ``rows_deleted`` /
-``deltas_skipped`` / ``trailing_deltas``) is shared by all three entry
-points; tests/test_merge_overlay.py fuzzes row-vs-overlay equality of
-rows *and* stats over adversarial delta distributions.
-
-Both batch merges keep **provenance**: a merged batch carries its source
-``row_base`` plus the sorted positions of the rows deleted from it
-(``ColumnBatch.dropped`` — a slice the merge computes anyway), so the
-EDIT scan can name a surviving row's record id lazily, for the rows a
-statement matches, instead of encoding one id per scanned row.
+A merged batch keeps **provenance**: its source ``row_base`` plus the
+sorted positions of the rows deleted from it (``ColumnBatch.dropped`` —
+a slice the merge computes anyway), so the EDIT scan can name a
+surviving row's record id lazily, for the rows a statement matches,
+instead of encoding one id per scanned row.
 """
 
 from bisect import bisect_left
@@ -41,18 +39,14 @@ from repro.core.attached import (DECODE_ERRORS, DELETE_MARKER, corrupt_delta,
 from repro.core.record_id import (RECORD_ID_BYTES, decode_row_numbers,
                                   encode_record_id)
 from repro.hive.valuecodec import decode_values
-from repro.vector import ColumnBatch, batch_from_rows, spliced
+from repro.vector import ColumnBatch, spliced
 
 
 def apply_update(values, updates, projection_map):
     """Apply one delta's update cells onto a projected row tuple.
 
-    The single shared implementation of the update-application loop —
-    the row merge, the batch fallback merge and
-    :func:`apply_delta_to_row` all funnel through here so the paths
-    cannot drift.  Update cells whose column is not projected are
-    dropped (the delta still *counts* as applied; the caller owns the
-    stats).
+    Update cells whose column is not projected are dropped (the delta
+    still *counts* as applied; the caller owns the stats).
     """
     merged = list(values)
     for column_index, new_value in updates.items():
@@ -123,79 +117,6 @@ def union_read_file(file_id, orc_rows, delta_items, projection_map,
             stats["trailing_deltas"] = trailing
 
 
-def union_read_batches(file_id, orc_batches, delta_items, projection_map,
-                       stats=None):
-    """Columnar UNION READ, row-fallback flavor: per-row merge on dirty
-    batches.
-
-    Batch-path sibling of :func:`union_read_file`, yielding
-    :class:`~repro.vector.ColumnBatch` objects instead of per-row
-    ``(record_id, values)`` pairs.  The merge counters in ``stats`` are
-    classified identically (``deltas_applied`` / ``rows_deleted`` /
-    ``deltas_skipped`` / ``trailing_deltas``) — the two paths must agree
-    exactly, whatever the delta distribution.
-
-    The payoff is the **zero-delta fast path**: while the delta iterator
-    is exhausted — or every remaining delta id lies beyond the current
-    batch — the batch streams straight through with no merge loop and no
-    per-row record-id encoding.  A fully compacted file therefore costs
-    one comparison per *batch* instead of one id encode + compare per
-    *row*.  Batches that do overlap a delta fall back to the row merge
-    and are re-packed (deletes drop rows, updates patch them) — the
-    overlay merge (:func:`union_read_overlay`, the default) exists to
-    avoid exactly that fallback; this function is retained behind
-    ``SET dualtable.merge = row`` as the correctness reference.
-    """
-    applied = 0
-    deleted = 0
-    skipped = 0
-    trailing = 0
-    delta_iter = iter(delta_items)
-    current = next(delta_iter, None)
-    try:
-        for batch in orc_batches:
-            if current is None:
-                yield batch
-                continue
-            base = batch.row_base
-            last_id = encode_record_id(file_id, base + batch.length - 1)
-            if current[0] > last_id:
-                yield batch
-                continue
-            merged_rows = []
-            dropped = []
-            for offset, values in enumerate(batch.rows()):
-                record_id = encode_record_id(file_id, base + offset)
-                while current is not None and current[0] < record_id:
-                    skipped += 1
-                    current = next(delta_iter, None)
-                if current is not None and current[0] == record_id:
-                    delta = current[1]
-                    current = next(delta_iter, None)
-                    if delta.deleted:
-                        deleted += 1
-                        dropped.append(base + offset)
-                        continue
-                    if delta.updates:
-                        applied += 1
-                        merged_rows.append(apply_update(values, delta.updates,
-                                                        projection_map))
-                        continue
-                merged_rows.append(values)
-            if merged_rows:
-                yield batch_from_rows(merged_rows, len(batch.columns),
-                                      row_base=base, dropped=dropped)
-        while current is not None:
-            trailing += 1
-            current = next(delta_iter, None)
-    finally:
-        if stats is not None:
-            stats["deltas_applied"] = applied
-            stats["rows_deleted"] = deleted
-            stats["deltas_skipped"] = skipped
-            stats["trailing_deltas"] = trailing
-
-
 class DeltaOverlay:
     """One master file's deltas, pre-resolved for columnar application.
 
@@ -212,8 +133,8 @@ class DeltaOverlay:
     ``patches``            — ``{schema_column_index: (positions, values)}``
                              sparse per-column patch lists over the live
                              updates (delete-marked rows excluded:
-                             delete wins over update, exactly as in the
-                             row merge).
+                             delete wins over update, exactly as in
+                             :func:`union_read_file`).
 
     Overlays are immutable and memoized per (file, delta-epoch) in the
     delta-range cache (:meth:`AttachedTable.file_deltas`); callers must
@@ -290,11 +211,11 @@ def build_overlay(cells, table=None):
 
 def union_read_overlay(file_id, orc_batches, overlay, projection_map,
                        stats=None):
-    """Columnar UNION READ, overlay flavor: vectorized delta application.
+    """Columnar UNION READ: apply one file's overlay batch by batch.
 
-    Semantically identical to :func:`union_read_batches` (same yielded
-    rows, same ``stats`` dict), but a dirty batch costs binary searches
-    plus slice-level column surgery instead of a per-row record-id merge:
+    Yields the rows :func:`union_read_file` yields and fills the same
+    ``stats`` dict, but a dirty batch costs binary searches plus
+    slice-level column surgery instead of a per-row record-id merge:
 
     * patched columns are rebuilt once with :func:`repro.vector.spliced`
       (sparse position/value writes on a single list copy);
@@ -307,7 +228,7 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
       its slice of the delete positions as ``dropped``.
 
     A batch no delta position falls into streams through unchanged —
-    the zero-delta fast path now costs one ``bisect`` per batch.
+    the zero-delta fast path costs one ``bisect`` per batch.
     """
     applied = 0
     deleted = 0
@@ -385,12 +306,12 @@ def classify_merge_units(spans, positions):
     """``(fast_units, dirty_units)`` over a file's merge-unit grid.
 
     ``spans`` are the surviving stripes' ``(first_row, num_rows)`` pairs
-    — the canonical merge-unit grid, independent of engine and of the
-    session batch-size knob — and ``positions`` the file's sorted delta
-    row numbers.  A unit any delta position falls into is *dirty* (the
-    merge strategy must do per-delta work there); the rest stream
-    through the fast path.  Pure control-plane arithmetic: no charges,
-    byte-identical across engines, workers and shards.
+    — the canonical merge-unit grid, independent of the session
+    batch-size knob — and ``positions`` the file's sorted delta row
+    numbers.  A unit any delta position falls into is *dirty* (the
+    merge must do per-delta work there); the rest stream through the
+    fast path.  Pure control-plane arithmetic: no charges,
+    byte-identical across workers and shards.
     """
     fast = 0
     dirty = 0
@@ -401,14 +322,3 @@ def classify_merge_units(spans, positions):
         else:
             fast += 1
     return fast, dirty
-
-
-def apply_delta_to_row(values, delta, projection_map):
-    """Apply one DeltaRecord to a projected row (None when deleted)."""
-    if delta is None:
-        return values
-    if delta.deleted:
-        return None
-    if not delta.updates:
-        return values
-    return apply_update(values, delta.updates, projection_map)

@@ -1,8 +1,8 @@
 """Aggregate function machinery for GROUP BY execution.
 
-Each aggregate is a (init, add, merge, finalize) quadruple so the MR
-engine can run map-side combiners: mappers emit partial accumulators,
-reducers merge them, finalize runs once per group.
+Each aggregate is a (init, fold, merge, finalize) quadruple so the MR
+engine can run map-side combiners: mappers fold argument columns into
+partial accumulators, reducers merge them, finalize runs once per group.
 """
 
 import operator
@@ -15,11 +15,10 @@ from repro.hive.expressions import AGGREGATE_FUNCTIONS, SlotRef, walk
 
 
 class AggregateSpec:
-    """One aggregate call, compiled against the pre-aggregation env."""
+    """One aggregate call's accumulator protocol."""
 
-    def __init__(self, name, arg_fn, distinct=False, count_star=False):
+    def __init__(self, name, distinct=False, count_star=False):
         self.name = name
-        self.arg_fn = arg_fn
         self.distinct = distinct
         self.count_star = count_star
 
@@ -33,16 +32,9 @@ class AggregateSpec:
             return (0.0, 0)
         return None     # sum/min/max start empty (NULL when no rows)
 
-    def add(self, acc, values):
-        arg = 1 if self.count_star else self.arg_fn(values)
-        return self.add_value(acc, arg)
-
     def add_value(self, acc, arg):
-        """Fold one already-evaluated argument into the accumulator.
-
-        Split out of :meth:`add` so the vectorized engine can evaluate
-        argument columns batch-at-a-time and feed values directly.
-        """
+        """Fold one argument value into the accumulator: the per-value
+        definition :meth:`fold` is held to (``count(*)`` passes 1)."""
         if arg is None and not self.count_star:
             return acc
         if self.distinct:

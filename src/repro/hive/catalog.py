@@ -41,11 +41,6 @@ class HiveEnv:
         self.fs = fs
         self.hbase = hbase
         self.runner = runner
-        #: UNION READ merge strategy ("overlay" | "row"); the session
-        #: owns the knob (``SET dualtable.merge``), handlers read it per
-        #: scan.  A wall-clock-only choice: both strategies produce
-        #: byte-identical rows, charges and merge stats (INTERNALS §14).
-        self.merge_mode = "overlay"
 
 
 class Metastore:

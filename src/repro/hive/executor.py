@@ -51,17 +51,6 @@ class ScanSource:
     def splits(self):
         return self.handler.scan_splits(self.projection, self.ranges)
 
-    def make_reader(self):
-        handler = self.handler
-        predicate = (compile_expr(self.filter_expr, self.env)
-                     if self.filter_expr is not None else None)
-
-        def read(split, ctx):
-            for values in handler.read_split(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    yield values
-        return read
-
     def make_batch_reader(self, batch_rows=DEFAULT_BATCH_ROWS):
         handler = self.handler
         predicate = (compile_batch_predicate(self.filter_expr, self.env)
@@ -96,12 +85,6 @@ class MaterializedSource:
                        label="mem[%d]" % i)
             for i in range(0, len(self.rows), chunk_rows)
         ]
-
-    def make_reader(self):
-        def read(split, ctx):
-            ctx.cluster.charge_hdfs_read(split.size_bytes)
-            yield from split.payload
-        return read
 
     def make_batch_reader(self, batch_rows=DEFAULT_BATCH_ROWS):
         width = self.env.width
@@ -159,11 +142,6 @@ class SelectExecutor:
         return self.session.env.runner
 
     @property
-    def engine(self):
-        """``"row"`` or ``"vectorized"`` — a wall-clock-only choice."""
-        return getattr(self.session, "engine", "row")
-
-    @property
     def plan_mode(self):
         """``cost`` (default), or the forced ``lookup`` / ``scan`` knob."""
         return getattr(self.session, "plan_mode", "cost")
@@ -176,9 +154,8 @@ class SelectExecutor:
         """Splits for a relation, honoring the session batch-size knob.
 
         The knob is shared deliberately: a MaterializedSource split is
-        exactly one batch on the vectorized path, so one setting governs
-        both task granularity and batch sizing (task count affects
-        simulated time identically under either engine).
+        exactly one batch, so one setting governs both task granularity
+        (which the simulated clock sees) and batch sizing.
         """
         if isinstance(relation, MaterializedSource):
             return relation.splits(chunk_rows=self.batch_rows)
@@ -482,8 +459,6 @@ class SelectExecutor:
             raise AnalysisError(
                 "join requires at least one equi-condition: %r"
                 % (join.condition,))
-        left_keys = [compile_expr(l, left_env) for l, _ in equi]
-        right_keys = [compile_expr(r, right_env) for _, r in equi]
         leftover_fn = (compile_expr(leftover, merged_env)
                        if leftover is not None else None)
         left_width, right_width = left_env.width, right_env.width
@@ -495,72 +470,40 @@ class SelectExecutor:
                   + [InputSplit(payload=("R", s), size_bytes=s.size_bytes,
                                 label="R:" + s.label)
                      for s in self._splits(right)])
+        sides = {
+            "L": (left.make_batch_reader(self.batch_rows),
+                  [compile_batch(l, left_env) for l, _ in equi],
+                  kind in ("left", "full")),
+            "R": (right.make_batch_reader(self.batch_rows),
+                  [compile_batch(r, right_env) for _, r in equi],
+                  kind in ("right", "full")),
+        }
 
-        if self.engine == "vectorized":
-            sides = {
-                "L": (left.make_batch_reader(self.batch_rows),
-                      [compile_batch(l, left_env) for l, _ in equi],
-                      kind in ("left", "full")),
-                "R": (right.make_batch_reader(self.batch_rows),
-                      [compile_batch(r, right_env) for _, r in equi],
-                      kind in ("right", "full")),
-            }
-
-            def map_fn(split, ctx):
-                # Same NULL-key sentinel scheme as the row path below:
-                # (task_index, local_i) in reader order, so both engines
-                # and any pool width assign identical sentinels.
-                side, inner = split.payload
-                reader, key_bexprs, outer = sides[side]
-                local_i = 0
-                out = []
-                for batch in reader(inner, ctx):
-                    key_cols = [fn(batch.columns, batch.length)
-                                for fn in key_bexprs]
-                    if not any(None in col for col in key_cols):
-                        out.extend(zip(zip(*key_cols),
-                                       zip(repeat(side), batch.rows())))
+        def map_fn(split, ctx):
+            # NULL-key sentinels are unique per row so null keys never
+            # group; keyed by (task_index, local_i) in reader order — not
+            # a shared counter — so key assignment is identical however
+            # map tasks interleave on the worker pool.
+            side, inner = split.payload
+            reader, key_bexprs, outer = sides[side]
+            local_i = 0
+            out = []
+            for batch in reader(inner, ctx):
+                key_cols = [fn(batch.columns, batch.length)
+                            for fn in key_bexprs]
+                if not any(None in col for col in key_cols):
+                    out.extend(zip(zip(*key_cols),
+                                   zip(repeat(side), batch.rows())))
+                    continue
+                for key, values in zip(zip(*key_cols), batch.rows()):
+                    if None in key:
+                        if outer:
+                            out.append((("\x00null", ctx.task_index,
+                                         local_i), (side, values)))
+                            local_i += 1
                         continue
-                    for key, values in zip(zip(*key_cols), batch.rows()):
-                        if None in key:
-                            if outer:
-                                out.append((("\x00null", ctx.task_index,
-                                             local_i), (side, values)))
-                                local_i += 1
-                            continue
-                        out.append((key, (side, values)))
-                return out
-        else:
-            left_reader = left.make_reader()
-            right_reader = right.make_reader()
-
-            def map_fn(split, ctx):
-                # NULL-key sentinels are unique per row so null keys never
-                # group; keyed by (task_index, local_i) — not a shared
-                # counter — so key assignment is identical however map
-                # tasks interleave on the worker pool.
-                side, inner = split.payload
-                local_i = 0
-                if side == "L":
-                    for values in left_reader(inner, ctx):
-                        key = tuple(k(values) for k in left_keys)
-                        if any(k is None for k in key):
-                            if kind in ("left", "full"):
-                                yield (("\x00null", ctx.task_index, local_i),
-                                       ("L", values))
-                                local_i += 1
-                            continue
-                        yield key, ("L", values)
-                else:
-                    for values in right_reader(inner, ctx):
-                        key = tuple(k(values) for k in right_keys)
-                        if any(k is None for k in key):
-                            if kind in ("right", "full"):
-                                yield (("\x00null", ctx.task_index, local_i),
-                                       ("R", values))
-                                local_i += 1
-                            continue
-                        yield key, ("R", values)
+                    out.append((key, (side, values)))
+            return out
 
         def reduce_fn(key, tagged, ctx):
             lefts = [v for tag, v in tagged if tag == "L"]
@@ -703,18 +646,11 @@ class SelectExecutor:
             rows = [tuple(fn(r) for fn in compiled) for r in source_rows]
             self.cluster.charge_cpu_rows(len(source_rows))
             return rows
-        if self.engine == "vectorized":
-            bexprs = [compile_batch(expr, relation.env) for expr in exprs]
-            reader = relation.make_batch_reader(self.batch_rows)
+        bexprs = [compile_batch(expr, relation.env) for expr in exprs]
+        reader = relation.make_batch_reader(self.batch_rows)
 
-            def map_fn(split, ctx):
-                return _project(reader(split, ctx), bexprs)
-        else:
-            reader = relation.make_reader()
-
-            def map_fn(split, ctx):
-                for values in reader(split, ctx):
-                    yield tuple(fn(values) for fn in compiled)
+        def map_fn(split, ctx):
+            return _project(reader(split, ctx), bexprs)
 
         job = Job(name="select-scan", splits=self._splits(relation),
                   map_fn=map_fn, reduce_fn=None,
@@ -787,8 +723,7 @@ class SelectExecutor:
                  if relation.filter_expr is not None else None)
         try:
             rows, examined, seconds, detail = handler.execute_lookup(
-                plan, engine=self.engine, batch_rows=self.batch_rows,
-                where=where)
+                plan, batch_rows=self.batch_rows, where=where)
         except FaultInjectedError as exc:
             if exc.fatal:
                 raise
@@ -818,39 +753,14 @@ class SelectExecutor:
                             if stmt.having is not None else None)
         validate_no_nested_aggregates(agg_calls)
 
-        input_env = relation.env
-        key_fns = [compile_expr(e, input_env) for e in group_by]
         specs = []
         for call in agg_calls:
             star = (not call.args) or isinstance(call.args[0], ast.Star)
-            arg_fn = None
-            if not star:
-                arg_fn = compile_expr(call.args[0], input_env)
-            elif call.name != "count":
+            if star and call.name != "count":
                 raise AnalysisError("%s(*) is not supported" % call.name)
-            specs.append(AggregateSpec(call.name, arg_fn,
-                                       distinct=call.distinct,
+            specs.append(AggregateSpec(call.name, distinct=call.distinct,
                                        count_star=star))
-        if self.engine == "vectorized":
-            map_fn = self._vectorized_agg_map(relation, group_by, agg_calls,
-                                              specs)
-        else:
-            reader = relation.make_reader()
-
-            def map_fn(split, ctx):
-                # Hash aggregation in the mapper (Hive map-side
-                # aggregation).
-                table = {}
-                for values in reader(split, ctx):
-                    key = tuple(fn(values) for fn in key_fns)
-                    accs = table.get(key)
-                    if accs is None:
-                        accs = [spec.init() for spec in specs]
-                        table[key] = accs
-                    for i, spec in enumerate(specs):
-                        accs[i] = spec.add(accs[i], values)
-                for key, accs in table.items():
-                    yield key, accs
+        map_fn = self._aggregate_map(relation, group_by, agg_calls, specs)
 
         def reduce_fn(key, acc_lists, ctx):
             merged = None
@@ -888,8 +798,9 @@ class SelectExecutor:
         self.cluster.charge_cpu_rows(len(result.outputs))
         return rows
 
-    def _vectorized_agg_map(self, relation, group_by, agg_calls, specs):
-        """Map-side hash aggregation consuming ColumnBatches.
+    def _aggregate_map(self, relation, group_by, agg_calls, specs):
+        """Map-side hash aggregation (Hive map-side aggregation) over
+        ColumnBatches.
 
         Keys and aggregate arguments are evaluated column-at-a-time.  Per
         batch, one pass groups row indices by key (first-seen order: it

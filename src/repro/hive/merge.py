@@ -26,6 +26,8 @@ from repro.mapreduce import Job
 from repro.hive import ast_nodes as ast
 from repro.hive.executor import SelectExecutor, merge_envs
 from repro.hive.expressions import Env, compile_expr, referenced_columns, walk
+from repro.hive.vexpr import compile_batch
+from repro.vector import spliced
 
 
 def execute_merge(session, stmt):
@@ -113,19 +115,40 @@ def _mark_existing_keys(session, info, target_alias, target_keys,
                   if c.name.lower() in needed] or [info.schema.columns[0].name]
     env = Env()
     env.add_schema(projection, alias=target_alias)
-    key_fns = [compile_expr(e, env) for e in target_keys]
+    key_fns = [compile_batch(e, env) for e in target_keys]
     splits = handler.scan_splits(projection)
+    batch_rows = session.batch_rows
 
     def map_fn(split, ctx):
-        for values in handler.read_split(split, ctx):
-            key = tuple(fn(values) for fn in key_fns)
-            if key in source_index:
-                matched_keys.add(key)
+        for batch in handler.read_split_batches(split, ctx,
+                                                batch_rows=batch_rows):
+            _matched_rows(batch, key_fns, (), source_index, matched_keys)
         return ()
 
     result = session.runner.run(Job(name="merge-probe", splits=splits,
                                     map_fn=map_fn, reduce_fn=None))
     session._dml_subquery_jobs = session._dml_subquery_jobs + [result]
+
+
+def _matched_rows(batch, key_fns, setters, source_index, matched_keys):
+    """The rows of one target batch whose key is in ``source_index``.
+
+    Returns their positions in the batch (ascending) and, per setter,
+    the column of new values: each assignment evaluated once over the
+    matched rows' columns followed by the columns of the source rows
+    they matched.  Notes the keys in ``matched_keys``.
+    """
+    keys = list(zip(*[fn(batch.columns, batch.length) for fn in key_fns]))
+    hits = [i for i, key in enumerate(keys) if key in source_index]
+    if not hits:
+        return hits, []
+    hit_keys = [keys[i] for i in hits]
+    matched_keys.update(hit_keys)
+    if not setters:
+        return hits, []
+    source_columns = zip(*[source_index[key] for key in hit_keys])
+    combined = batch.take(hits).columns + list(map(list, source_columns))
+    return hits, [fn(combined, len(hits)) for fn in setters]
 
 
 def _load_source(session, stmt):
@@ -208,17 +231,20 @@ def _apply_matched(session, info, stmt, target_alias, target_keys,
                             source_index, matched_keys, source_env)
 
 
-def _compiled_parts(info, stmt, target_alias, target_keys, source_env,
-                    projection=None):
-    """Key fns over the target tuple + assignment fns over (target+source)."""
+def _compiled_parts(compile_fn, info, stmt, target_alias, target_keys,
+                    source_env, projection=None):
+    """``(key_fns, targets, setters)`` under ``compile_fn`` (row closures
+    or batch kernels): key expressions over the target tuple, assigned
+    column indices, assignment expressions over (target + source)."""
     schema = info.schema
     target_env = Env()
     target_env.add_schema(projection or schema.names, alias=target_alias)
-    key_fns = [compile_expr(e, target_env) for e in target_keys]
+    key_fns = [compile_fn(e, target_env) for e in target_keys]
     combined = merge_envs(target_env, source_env)
-    assigns = [(schema.index_of(name), compile_expr(expr, combined))
-               for name, expr in stmt.matched_assignments]
-    return key_fns, assigns
+    targets = [schema.index_of(name) for name, _ in stmt.matched_assignments]
+    setters = [compile_fn(expr, combined)
+               for _, expr in stmt.matched_assignments]
+    return key_fns, targets, setters
 
 
 def _merge_overwrite(session, info, stmt, target_alias, target_keys,
@@ -226,24 +252,25 @@ def _merge_overwrite(session, info, stmt, target_alias, target_keys,
     from repro.hive.session import QueryResult
 
     handler = info.handler
-    key_fns, assigns = _compiled_parts(info, stmt, target_alias,
-                                       target_keys, source_env)
+    key_fns, targets, setters = _compiled_parts(
+        compile_batch, info, stmt, target_alias, target_keys, source_env)
     splits = handler.scan_splits(projection=None, ranges=None)
+    batch_rows = session.batch_rows
 
     def map_fn(split, ctx):
-        for values in handler.read_split(split, ctx):
-            key = tuple(fn(values) for fn in key_fns)
-            source_row = source_index.get(key)
-            if source_row is None:
-                yield values
-                continue
-            matched_keys.add(key)
-            ctx.incr("updated")
-            combined = values + source_row
-            row = list(values)
-            for idx, fn in assigns:
-                row[idx] = fn(combined)
-            yield tuple(row)
+        out = []
+        for batch in handler.read_split_batches(split, ctx,
+                                                batch_rows=batch_rows):
+            hits, new_columns = _matched_rows(batch, key_fns, setters,
+                                              source_index, matched_keys)
+            columns = batch.columns
+            if hits:
+                ctx.incr("updated", len(hits))
+                columns = list(columns)
+                for target, column in zip(targets, new_columns):
+                    columns[target] = spliced(columns[target], hits, column)
+            out.extend(zip(*columns))
+        return out
 
     job = Job(name="merge-overwrite", splits=splits, map_fn=map_fn,
               reduce_fn=None)
@@ -265,8 +292,9 @@ def _merge_hbase(session, info, stmt, target_alias, target_keys,
     from repro.hive.session import QueryResult, _hbase_rows_with_keys
 
     handler = info.handler
-    key_fns, assigns = _compiled_parts(info, stmt, target_alias,
-                                       target_keys, source_env)
+    key_fns, targets, setters = _compiled_parts(
+        compile_expr, info, stmt, target_alias, target_keys, source_env)
+    assigns = list(zip(targets, setters))
     splits = handler.scan_splits(projection=None)
 
     def map_fn(split, ctx):
@@ -301,6 +329,7 @@ def _merge_hbase(session, info, stmt, target_alias, target_keys,
 
 def _merge_dualtable(session, info, stmt, target_alias, target_keys,
                      source_index, matched_keys, source_env, needed):
+    from repro.core.record_id import encode_record_id
     from repro.core.udtf import update_udtf
     from repro.hive.session import QueryResult
 
@@ -326,24 +355,25 @@ def _merge_dualtable(session, info, stmt, target_alias, target_keys,
         result.detail["plan"] = "overwrite"
         return result
 
-    key_fns, assigns = _compiled_parts(info, stmt, target_alias,
-                                       target_keys, source_env,
-                                       projection=projection)
+    key_fns, targets, setters = _compiled_parts(
+        compile_batch, info, stmt, target_alias, target_keys, source_env,
+        projection=projection)
     splits = handler.scan_splits(projection, ranges=None)
+    batch_rows = session.batch_rows
 
     def map_fn(split, ctx):
         # Sharded tables resolve the split's deltas to the owning
         # child's Attached Table; single tables hand back their own.
         attached = handler.attached_for_split(split)
-        for record_id, values in handler.read_split_with_rids(split, ctx):
-            key = tuple(fn(values) for fn in key_fns)
-            source_row = source_index.get(key)
-            if source_row is None:
-                continue
-            matched_keys.add(key)
-            combined = values + source_row
-            new_values = {idx: fn(combined) for idx, fn in assigns}
-            update_udtf(attached, record_id, new_values, ctx)
+        file_id = split.payload["file_id"]
+        for batch in handler.read_split_batches(split, ctx,
+                                                batch_rows=batch_rows):
+            hits, new_columns = _matched_rows(batch, key_fns, setters,
+                                              source_index, matched_keys)
+            for ordinal, new_values in zip(batch.ordinals(hits),
+                                           zip(*new_columns)):
+                update_udtf(attached, encode_record_id(file_id, ordinal),
+                            dict(zip(targets, new_values)), ctx)
         return ()
 
     # update_udtf writes straight into the Attached Table from the map
@@ -363,8 +393,9 @@ def _merge_acid(session, info, stmt, target_alias, target_keys,
     from repro.hive.session import QueryResult
 
     handler = info.handler
-    key_fns, assigns = _compiled_parts(info, stmt, target_alias,
-                                       target_keys, source_env)
+    key_fns, targets, setters = _compiled_parts(
+        compile_expr, info, stmt, target_alias, target_keys, source_env)
+    assigns = list(zip(targets, setters))
     splits = handler.scan_splits(projection=None)
 
     def map_fn(split, ctx):

@@ -192,7 +192,8 @@ class Parser:
         """One dotted-name segment of a SET option.
 
         Keywords are allowed — option names live in their own namespace
-        (``dualtable.merge`` must parse even though MERGE is reserved).
+        (``dualtable.merge`` must parse, and be rejected by name as an
+        unknown option, even though MERGE is reserved).
         """
         token = self.peek()
         if token.kind in ("ident", "kw"):

@@ -39,19 +39,6 @@ register_handler("orc", OrcHdfsHandler)
 register_handler("orc-partitioned", PartitionedOrcHandler)
 register_handler("hbase", HBaseTableHandler)
 
-#: Execution engines: identical simulated charges, metrics and results;
-#: the vectorized engine only changes wall-clock speed (INTERNALS §8).
-ENGINES = ("row", "vectorized")
-DEFAULT_ENGINE = "vectorized"
-
-#: UNION READ merge strategies for dirty batches: "overlay" pre-resolves
-#: a file's deltas into a columnar DeltaOverlay and applies it with
-#: binary search + slice surgery; "row" is the per-row reference merge.
-#: Byte-identical rows, charges and stats — wall-clock only (§14).
-MERGE_MODES = ("overlay", "row")
-DEFAULT_MERGE_MODE = "overlay"
-
-
 @dataclass
 class QueryResult:
     """Rows plus the simulated cost of one statement."""
@@ -76,11 +63,8 @@ class QueryResult:
 class HiveSession:
     """One connection to the simulated warehouse."""
 
-    def __init__(self, cluster=None, profile=None, engine=None,
-                 batch_rows=None):
+    def __init__(self, cluster=None, profile=None, batch_rows=None):
         self.cluster = cluster or Cluster(profile or ClusterProfile.laptop())
-        self.set_engine(engine or os.environ.get("REPRO_ENGINE")
-                        or DEFAULT_ENGINE)
         self.set_batch_rows(batch_rows
                             if batch_rows is not None
                             else os.environ.get("REPRO_BATCH_ROWS")
@@ -89,8 +73,6 @@ class HiveSession:
         self.hbase = HBaseService(self.cluster)
         self.runner = JobRunner(self.cluster)
         self.env = HiveEnv(self.cluster, self.fs, self.hbase, self.runner)
-        self.set_merge_mode(os.environ.get("REPRO_MERGE")
-                            or DEFAULT_MERGE_MODE)
         self.metastore = Metastore(self.env)
         self.views = {}
         self._dml_subquery_jobs = []
@@ -137,55 +119,16 @@ class HiveSession:
         from repro.acid import handler as _acid_handler       # noqa: F401
         from repro.shard import sharded as _sharded_handler   # noqa: F401
 
-    # ------------------------------------------------------------------
-    # Engine configuration (wall-clock-only knobs).
-    # ------------------------------------------------------------------
-    def set_engine(self, engine):
-        """Select ``"row"`` or ``"vectorized"`` execution.
-
-        Both engines produce byte-identical results, simulated charges
-        and metric values; the choice affects wall-clock speed only.
-        Also settable per process via ``REPRO_ENGINE``.
-        """
-        engine = str(engine).lower()
-        if engine not in ENGINES:
-            raise ValueError("unknown engine %r (choose from %s)"
-                             % (engine, "/".join(ENGINES)))
-        self.engine = engine
-        return self
-
     def set_batch_rows(self, batch_rows):
         """Set the shared split/batch granularity (bounds-validated).
 
         One knob governs MaterializedSource split chunking and
         ColumnBatch sizing (a materialized split is exactly one batch).
-        Changing it changes task counts — and therefore simulated
-        time — identically under either engine.
+        Changing it changes task counts — and therefore simulated time.
         """
         from repro.vector import validate_batch_rows
         self.batch_rows = validate_batch_rows(batch_rows)
         return self
-
-    def set_merge_mode(self, merge_mode):
-        """Select the dirty-batch UNION READ merge strategy.
-
-        ``"overlay"`` (default) applies pre-resolved columnar delta
-        overlays; ``"row"`` keeps the per-row reference merge as a
-        correctness fallback.  Both produce byte-identical rows, charges
-        and merge stats — wall-clock only, like the engine knob.  Also
-        settable per process via ``REPRO_MERGE`` and per session via
-        ``SET dualtable.merge = overlay|row``.
-        """
-        merge_mode = str(merge_mode).lower()
-        if merge_mode not in MERGE_MODES:
-            raise ValueError("unknown merge mode %r (choose from %s)"
-                             % (merge_mode, "/".join(MERGE_MODES)))
-        self.env.merge_mode = merge_mode
-        return self
-
-    @property
-    def merge_mode(self):
-        return self.env.merge_mode
 
     # ------------------------------------------------------------------
     # Public API.
@@ -223,7 +166,7 @@ class HiveSession:
         if self._stmt_depth == 0:
             # Latency histograms observe *simulated* seconds, so the
             # distributions (and the advisor reading them) are identical
-            # across workers=N and engine=row/vectorized.
+            # across workers=N.
             self.cluster.metrics.observe("statement.seconds",
                                          result.sim_seconds)
             self.cluster.metrics.observe("statement.seconds.%s" % verb,
@@ -433,11 +376,10 @@ class HiveSession:
                                    "options": applied})
 
     #: session options settable via ``SET name = value``.
-    SESSION_OPTIONS = {"dualtable.plan": ("cost", "lookup", "scan"),
-                       "dualtable.merge": MERGE_MODES}
+    SESSION_OPTIONS = {"dualtable.plan": ("cost", "lookup", "scan")}
 
     def _set_option(self, stmt):
-        """``SET dualtable.plan = ...`` / ``SET dualtable.merge = ...``."""
+        """``SET dualtable.plan = cost | lookup | scan``."""
         allowed = self.SESSION_OPTIONS.get(stmt.name)
         if allowed is None:
             raise AnalysisError(
@@ -448,10 +390,7 @@ class HiveSession:
             raise AnalysisError(
                 "bad value %r for %s (choose from %s)"
                 % (stmt.value, stmt.name, "/".join(allowed)))
-        if stmt.name == "dualtable.merge":
-            self.set_merge_mode(value)
-        else:
-            self.plan_mode = value
+        self.plan_mode = value
         self.cluster.metrics.incr("session.set_option")
         return QueryResult(plan="set",
                            detail={"name": stmt.name, "value": value})
@@ -672,9 +611,9 @@ class HiveSession:
         Each map task scans ColumnBatches, selects the matched rows,
         evaluates the SET expressions over them (old values), splices
         the results into copied columns — or, for DELETE, drops the
-        matched rows — and hands the runner row tuples again, so the
-        charges are those of the row-at-a-time rewrite this replaced
-        (its oracle: ``tests/test_overwrite_batch.py``).
+        matched rows — and hands the runner row tuples again (the
+        row-at-a-time statement of the same lowering is the oracle in
+        ``tests/test_overwrite_batch.py``).
         """
         handler = info.handler
         schema = info.schema

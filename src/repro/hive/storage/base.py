@@ -6,7 +6,7 @@ A handler owns a table's bytes and knows how to:
 * bulk-insert rows (append or overwrite),
 * produce :class:`~repro.mapreduce.job.InputSplit`s for a scan with
   projection + predicate-range pushdown, and
-* read one split back as row tuples.
+* read one split back as column batches.
 
 DualTable plugs into Hive through exactly this seam, mirroring the paper's
 custom InputFormat/OutputFormat/SerDe implementation (Section V-A).
@@ -60,29 +60,15 @@ class StorageHandler(ABC):
         """InputSplits covering the table for the given access pattern."""
 
     @abstractmethod
-    def read_split(self, split, ctx):
-        """Yield row tuples (in projection order) for one split."""
-
     def read_split_batches(self, split, ctx, batch_rows=None):
-        """Yield :class:`~repro.vector.ColumnBatch` objects for one split.
+        """Yield :class:`~repro.vector.ColumnBatch` objects (columns in
+        projection order) for one split.
 
-        Columnar sibling of :meth:`read_split` with identical charges
-        and row content — only the container differs.  This default
-        buffers the row iterator into batches; handlers with a native
-        columnar path (ORC-backed storage) override it to hand out
-        decoded stripe columns directly.
+        The one read every statement path goes through.  ORC-backed
+        storage hands out decoded stripe columns; a handler whose store
+        is row-oriented (HBase, ACID merge-on-read) batches its own row
+        iterator.
         """
-        from repro.vector import DEFAULT_BATCH_ROWS, batch_from_rows
-
-        batch_rows = batch_rows or DEFAULT_BATCH_ROWS
-        buffer = []
-        for values in self.read_split(split, ctx):
-            buffer.append(values)
-            if len(buffer) >= batch_rows:
-                yield batch_from_rows(buffer, len(buffer[0]))
-                buffer = []
-        if buffer:
-            yield batch_from_rows(buffer, len(buffer[0]))
 
     # ------------------------------------------------------------------
     # Statistics.
@@ -105,4 +91,5 @@ class StorageHandler(ABC):
     def read_all_rows(self, projection=None, ranges=None, ctx=None):
         """Non-MR read of every row (still charged). For tests/tools."""
         for split in self.scan_splits(projection, ranges):
-            yield from self.read_split(split, ctx)
+            for batch in self.read_split_batches(split, ctx):
+                yield from batch.rows()

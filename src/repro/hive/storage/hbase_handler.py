@@ -11,6 +11,7 @@ import struct
 from repro.mapreduce import InputSplit
 from repro.hive.storage.base import StorageHandler
 from repro.hive.valuecodec import decode_value, encode_value
+from repro.vector import batches_from_rows
 
 
 def _rowkey(row_id):
@@ -82,7 +83,14 @@ class HBaseTableHandler(StorageHandler):
                 label="%s[%d]" % (self.hbase_name, i)))
         return splits
 
+    def read_split_batches(self, split, ctx, batch_rows=None):
+        """HBase serves rows, not columns: batch the region scan."""
+        width = len(split.payload["projection"] or self.schema)
+        return batches_from_rows(self.read_split(split, ctx), width,
+                                 batch_rows)
+
     def read_split(self, split, ctx):
+        """The region scan behind :meth:`read_split_batches`, row by row."""
         payload = split.payload
         projection = payload["projection"]
         if projection is None:

@@ -101,15 +101,6 @@ class OrcHdfsHandler(StorageHandler):
                 label=path))
         return splits
 
-    def read_split(self, split, ctx):
-        payload = split.payload
-        reader = self._reader(payload["path"])
-        stripe_filter = make_stripe_filter(
-            [n for n, _ in reader.schema], payload["ranges"] or {})
-        for _, values in reader.rows(projection=payload["projection"],
-                                     stripe_filter=stripe_filter):
-            yield values
-
     def read_split_batches(self, split, ctx, batch_rows=None):
         """Native columnar read: decoded stripe columns, zero-copy."""
         payload = split.payload

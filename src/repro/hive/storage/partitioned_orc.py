@@ -231,36 +231,6 @@ class PartitionedOrcHandler(StorageHandler):
                     label=path))
         return splits
 
-    def read_split(self, split, ctx):
-        payload = split.payload
-        reader = OrcReader(self.fs, payload["path"])
-        ranges = {name: r for name, r in (payload["ranges"] or {}).items()
-                  if name not in self.partition_columns}
-        stripe_filter = make_stripe_filter(
-            [n for n, _ in reader.schema], ranges)
-        projection = payload["projection"]
-        key = payload["key"]
-        part_values = dict(zip(self.partition_columns, key))
-        if projection is None:
-            for _, values in reader.rows(stripe_filter=stripe_filter):
-                yield values + key
-            return
-        data_projection = payload["data_projection"]
-        # Even a partition-columns-only projection needs one stored
-        # column to drive row multiplicity.
-        orc_projection = data_projection or [self._data_schema()[0].name]
-        positions = []
-        for name in projection:
-            lname = name.lower()
-            if lname in part_values:
-                positions.append(("part", part_values[lname]))
-            else:
-                positions.append(("data", orc_projection.index(name)))
-        for _, values in reader.rows(projection=orc_projection,
-                                     stripe_filter=stripe_filter):
-            yield tuple(values[idx] if kind == "data" else idx
-                        for kind, idx in positions)
-
     def read_split_batches(self, split, ctx, batch_rows=None):
         """Columnar read; partition columns become constant columns."""
         from repro.vector import ColumnBatch
@@ -283,6 +253,8 @@ class PartitionedOrcHandler(StorageHandler):
                                   row_base=batch.row_base)
             return
         data_projection = payload["data_projection"]
+        # Even a partition-columns-only projection needs one stored
+        # column to drive row multiplicity.
         orc_projection = data_projection or [self._data_schema()[0].name]
         positions = []
         for name in projection:

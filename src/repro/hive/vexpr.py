@@ -1,4 +1,4 @@
-"""Batch expression compilation for the vectorized engine.
+"""Batch expression compilation.
 
 :func:`compile_batch` turns an AST expression into a closure
 ``fn(columns, n) -> list`` evaluating all ``n`` rows at once, built from
@@ -89,7 +89,7 @@ def compile_batch_select(expr, env):
 
     A top-level conjunction runs one selection kernel per conjunct, each
     over the rows its predecessors left *live* (neither FALSE nor
-    rejected), which is the set the row engine's short-circuiting AND
+    rejected), which is the set the row closure's short-circuiting AND
     evaluates it on.  A NULL flag keeps its row live for the later
     conjuncts — the row AND only stops at FALSE, so they may still raise
     on it — but the row can no longer pass.

@@ -14,9 +14,9 @@ Two artifacts from one :func:`advisor_document`:
 
 Determinism contract: the document is a pure function of registry
 state, handler configuration and the virtual clock — it contains no
-wall-clock timestamps, no worker count, no engine name — and the JSON
+wall-clock timestamps and no worker count — and the JSON
 serialization sorts keys, so a fixed seed yields byte-identical
-artifacts across runs, ``workers=1/4`` and ``engine=row/vectorized``.
+artifacts across runs and ``workers=1/4``.
 """
 
 import json

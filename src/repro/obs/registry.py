@@ -28,7 +28,7 @@ from collections import defaultdict
 #: Fixed for the life of the metric format — quantile estimates are a
 #: pure function of the bucket counts, so any two runs that observe the
 #: same multiset of values report byte-identical p50/p95/p99 regardless
-#: of observation order, worker count or execution engine.
+#: of observation order or worker count.
 _BUCKETS_PER_DECADE = 5
 
 

@@ -52,8 +52,8 @@ def identity_fingerprint(session, transcript):
     """Everything one run must share with every other shard count.
 
     ``transcript`` is a list of ``(sql, rows)`` pairs; the returned
-    triple compares equal across ``INTO 1/4/8``, ``workers`` 1/4, and
-    both engines iff the identity contract holds.
+    triple compares equal across ``INTO 1/4/8`` and ``workers`` 1/4 iff
+    the identity contract holds.
     """
     cluster = session.cluster
     return (

@@ -439,12 +439,6 @@ class ShardedDualTableHandler(DualTableHandler):
     def _split_child(self, split):
         return self.children[split.payload.get("shard", 0)]
 
-    def read_split(self, split, ctx):
-        return self._split_child(split).read_split(split, ctx)
-
-    def read_split_with_rids(self, split, ctx):
-        return self._split_child(split).read_split_with_rids(split, ctx)
-
     def read_split_batches(self, split, ctx, batch_rows=None):
         return self._split_child(split).read_split_batches(
             split, ctx, batch_rows=batch_rows)
@@ -482,14 +476,13 @@ class ShardedDualTableHandler(DualTableHandler):
                            hit_faults=hit_faults,
                            sources=[(s, self.children[s]) for s in shards])
 
-    def execute_lookup(self, plan, engine="row", batch_rows=None,
-                       where=None):
+    def execute_lookup(self, plan, batch_rows=None, where=None):
         # The inherited read charges each candidate on its owning child
         # (``read_split_batches`` routes by the payload's shard tag) and
         # emits the plan/audit series once, under the logical table;
         # the wrapper adds per-shard routing evidence.
         rows, examined, observed, detail = super().execute_lookup(
-            plan, engine=engine, batch_rows=batch_rows, where=where)
+            plan, batch_rows=batch_rows, where=where)
         metrics = self.env.cluster.metrics
         for shard in plan.shards:
             metrics.incr("shard.lookups.%s.%d" % (self.table.name, shard))

@@ -1,4 +1,4 @@
-"""Columnar batches for the vectorized execution engine.
+"""Columnar batches: the unit every statement path reads and evaluates.
 
 A :class:`ColumnBatch` is the unit of work on the batch path: one Python
 list per projected column plus a row count.  Readers produce batches
@@ -6,9 +6,9 @@ list per projected column plus a row count.  Readers produce batches
 is zero-copy), expression closures evaluate whole columns at a time, and
 operators that need row tuples (shuffle, joins) transpose at the edge.
 
-Vectorization is a *wall-clock* optimization only: every simulated
-charge, metric and result byte is identical to the row-at-a-time path
-(see INTERNALS §8 for the determinism contract).
+Batching is a *wall-clock* matter only: every simulated charge, metric
+and result byte is what row-at-a-time evaluation produces (see
+INTERNALS §8 for the determinism contract).
 
 Batches that wrap cached ORC stripe columns share those lists with the
 cache — treat every batch as immutable; filtering produces a new batch
@@ -17,6 +17,7 @@ via :meth:`ColumnBatch.take`.
 
 from bisect import bisect_right
 from collections import defaultdict
+from itertools import islice
 from operator import itemgetter
 
 #: Default rows per batch; also the MaterializedSource split chunk size
@@ -117,15 +118,20 @@ def spliced(column, offsets, values, base=0):
     return out
 
 
-def batch_from_rows(rows, width, row_base=None, dropped=()):
+def batch_from_rows(rows, width):
     """One ColumnBatch from a list of row tuples."""
     # One C-level pass per column; zip(*rows) walks every row once per
     # *cell* through as many iterators as there are rows.
     columns = [list(map(itemgetter(i), rows)) for i in range(width)]
-    return ColumnBatch(columns, len(rows), row_base, dropped)
+    return ColumnBatch(columns, len(rows))
 
 
-def batches_from_rows(rows, width, batch_rows=DEFAULT_BATCH_ROWS):
-    """Chunk a row list into ColumnBatches of at most ``batch_rows``."""
-    for start in range(0, len(rows), batch_rows):
-        yield batch_from_rows(rows[start:start + batch_rows], width)
+def batches_from_rows(rows, width, batch_rows=None):
+    """Chunk rows (a list or any iterator, consumed lazily) into
+    ColumnBatches of at most ``batch_rows``."""
+    rows = iter(rows)
+    size = batch_rows or DEFAULT_BATCH_ROWS
+    chunk = list(islice(rows, size))
+    while chunk:
+        yield batch_from_rows(chunk, width)
+        chunk = list(islice(rows, size))

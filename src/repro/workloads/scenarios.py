@@ -118,7 +118,7 @@ def build_zipf_update_scenario(rows=8000, updates=12, deletes=4, scans=4,
     keys scatter across every master file (YCSB's "scrambled Zipfian"),
     which is the worst case for the UNION READ merge: most batches
     carry at least one delta.  Interleaved full scans then pay the
-    merge — the workload ``scripts/bench_merge.py`` measures.
+    merge.
 
     Returns ``{"table", "ddl", "rows", "statements", "hot_keys",
     "config"}``; replay ``statements`` with :func:`run_scenario`.

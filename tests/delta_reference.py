@@ -12,8 +12,40 @@ production kernel raises ``CorruptDeltaError``.
 from repro.core.attached import (DELETE_MARKER, DeltaRecord, parse_qualifier,
                                  update_qualifier)
 from repro.core.record_id import decode_record_id
-from repro.core.union_read import DeltaOverlay
+from repro.core.union_read import DeltaOverlay, union_read_file
+from repro.hive.pushdown import make_stripe_filter
 from repro.hive.valuecodec import decode_value, encode_value
+
+
+def union_read_rows(handler, split, stats=None):
+    """One DualTable split as ``(record_id, values)`` pairs, read the
+    way the paper states it: the ORC row stream and the file's
+    ``DeltaRecord`` items through :func:`union_read_file`.  Charges and
+    counts what ``read_split_batches`` does for the split, so a scan
+    built on it is ledger-comparable with the production one."""
+    payload = split.payload
+    if "shard" in payload:
+        handler = handler.children[payload["shard"]]
+    file_id, projection = payload["file_id"], payload["projection"]
+    with handler.env.cluster.tracer.span(
+            "substrate", "union-read:%d" % file_id,
+            path=payload["path"]) as span:
+        reader = handler.master.reader(payload["path"])
+        stripe_filter = make_stripe_filter([n for n, _ in reader.schema],
+                                           payload["ranges"] or {})
+        cells, _ = handler._prepare_union_read(file_id, reader, stripe_filter)
+        stats = {} if stats is None else stats
+        nrows = 0
+        for item in union_read_file(
+                file_id, reader.rows(projection=projection,
+                                     stripe_filter=stripe_filter),
+                handler.attached.delta_items(cells),
+                handler._projection_map(projection), stats=stats):
+            nrows += 1
+            yield item
+        # Like the production generator, an abandoned read charges no
+        # merge CPU.
+        handler._note_union_read(span, nrows, stats)
 
 
 def reference_resolve(cells):

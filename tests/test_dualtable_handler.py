@@ -35,11 +35,15 @@ class TestReads:
         assert len(handler.scan_splits()) == 4
 
     def test_read_split_with_rids_sorted(self, session):
+        """A split's batches come in file order: ascending ordinals."""
         handler = make_dualtable(session)
+        session.execute("DELETE FROM dt WHERE id % 7 = 0")
         for split in handler.scan_splits():
-            rids = [rid for rid, _ in
-                    handler.read_split_with_rids(split, None)]
-            assert rids == sorted(rids)
+            ordinals = [ordinal for batch
+                        in handler.read_split_batches(split, None,
+                                                      batch_rows=64)
+                        for ordinal in batch.ordinals(range(batch.length))]
+            assert ordinals and ordinals == sorted(set(ordinals))
 
     def test_pruning_disabled_when_attached_nonempty(self, session):
         handler = make_dualtable(session)

@@ -1,13 +1,14 @@
 """Differential test: the batch EDIT scan vs the row-at-a-time reference.
 
 Until the batch EDIT scan, ``DualTableHandler._edit_update/_edit_delete``
-(and their sharded twins) walked ``read_split_with_rids`` row by row.
-That implementation lives on here as the oracle
-(:func:`reference_run_edit`): the production scan must emit the
-identical edit list — record ids *and* new values, in order — the same
-affected counts, ledger and non-cache counters, whatever the merge
-strategy, batch size, worker count or shard count (INTERNALS §8, write
-path).
+(and their sharded twins) walked the row merge (one record id per master
+row) row by row.  That scan lives on here as the oracle
+(:func:`reference_run_edit`, reading through ``union_read_file``): the
+production scan must emit the identical edit list — record ids *and*
+new values, in order — the same affected counts, ledger and non-cache
+counters, whatever the batch size, worker count or shard count
+(INTERNALS §8, write path).  The ``row`` ids hold the same runs to what
+they produced over the deleted row-fallback merge (``tests/golden.py``).
 
 The one sanctioned difference is on a *failed* task attempt: the
 reference bumped ``udtf.*`` per matched row before the failure even
@@ -33,6 +34,9 @@ from repro.hive.expressions import (Env, compile_expr, is_true,
 from repro.hive.pushdown import extract_ranges
 from repro.hive.session import QueryResult
 from repro.mapreduce import Job
+
+from tests.delta_reference import union_read_rows
+from tests.golden import digest, golden
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +66,7 @@ def reference_run_edit(self, session, stmt, detail, verb, assignments,
     def map_fn(split, ctx):
         shard = split.payload.get("shard")      # set by sharded tables only
         buffer = batch.task_buffer()
-        for record_id, values in self.read_split_with_rids(split, ctx):
+        for record_id, values in union_read_rows(self, split):
             if predicate is None or is_true(predicate(values)):
                 key = record_id if shard is None else (shard, record_id)
                 if verb == "update":
@@ -111,7 +115,7 @@ def edit_path(reference):
 ROWS = 900
 
 
-def make_session(merge, batch_rows, workers, sharded):
+def make_session(batch_rows, workers, sharded):
     session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
                           batch_rows=batch_rows)
     # Unsharded: 3 files x 2 stripes of 150 rows, so batch_rows = 64
@@ -124,7 +128,6 @@ def make_session(merge, batch_rows, workers, sharded):
         % (("SHARDED BY (k) INTO 4", 5) if sharded else ("", 150)))
     session.load_rows("t", [(k, (k * 37) % 101 - 50, "s%d" % (k % 13))
                             for k in range(ROWS)])
-    session.execute("SET dualtable.merge = %s" % merge)
     # The table has a PRIMARY KEY: hold every statement to the EDIT job
     # (its keyed alternative is tests/test_lookup.py's subject).
     session.execute("SET dualtable.plan = scan")
@@ -229,20 +232,40 @@ def run_script(config, reference, seed=20150413):
         return steps
 
 
-CONFIGS = [(merge, batch_rows, workers, sharded)
-           for merge in ("overlay", "row")
+CONFIGS = [(held_to, batch_rows, workers, sharded)
+           for held_to in ("overlay", "row")
            for batch_rows in (None, 64)
            for workers in (1, 4)
            for sharded in (False, True)]
+_PRODUCTION = {}
 
 
-@pytest.mark.parametrize("merge,batch_rows,workers,sharded", CONFIGS)
-def test_batch_edit_scan_matches_row_reference(merge, batch_rows, workers,
+def production_run(config):
+    if config not in _PRODUCTION:
+        _PRODUCTION[config] = run_script(config, reference=False)
+    return _PRODUCTION[config]
+
+
+def golden_sections():
+    return {"edit_batch/%s/%s" % (batch_rows, sharded):
+            [digest(step) for step
+             in production_run((batch_rows, 1, sharded))]
+            for batch_rows in (None, 64) for sharded in (False, True)}
+
+
+@pytest.mark.parametrize("held_to,batch_rows,workers,sharded", CONFIGS)
+def test_batch_edit_scan_matches_row_reference(held_to, batch_rows, workers,
                                                sharded):
-    """Includes the regression for the ``merge = row`` crash: re-packed
-    dirty batches used to lose ``row_base`` (``NoneType + int``)."""
-    config = (merge, batch_rows, workers, sharded)
-    production = run_script(config, reference=False)
+    """Under ``overlay`` against the oracle above; under ``row`` against
+    the digests of the same script over the row-fallback merge.  Includes
+    the regression for that merge's crash: re-packed dirty batches used
+    to lose ``row_base`` (``NoneType + int``)."""
+    config = (batch_rows, workers, sharded)
+    production = production_run(config)
+    if held_to == "row":
+        assert [digest(step) for step in production] \
+            == golden("edit_batch/%s/%s" % (batch_rows, sharded))
+        return
     reference = run_script(config, reference=True)
     assert [step["sql"] for step in production] \
         == [step["sql"] for step in reference]
@@ -277,7 +300,7 @@ def test_batch_edit_scan_matches_row_reference(merge, batch_rows, workers,
 def test_script_hits_dropped_rows_and_pruned_stripes():
     """Guard the fixture: the provenance statement must touch rows that
     sit behind deleted ones, and the range DELETE must prune stripes."""
-    steps = run_script(("overlay", None, 1, False), reference=False)
+    steps = production_run((None, 1, False))
     deleted = set()
     for step in steps[:3]:
         for edits in step["edits"]:
@@ -294,7 +317,7 @@ def test_script_hits_dropped_rows_and_pruned_stripes():
 def test_sharded_and_unsharded_emit_the_same_logical_edits():
     """Shard tags aside, INTO 4 edits the same rows to the same values."""
     def logical(sharded):
-        session = make_session("overlay", None, 1, sharded)
+        session = make_session(None, 1, sharded)
         out = []
         for sql in ("DELETE FROM t WHERE k IN (3, 4, 5, 77, 400)",
                     "UPDATE t SET v = v + 1 WHERE k < 90",

@@ -57,14 +57,15 @@ class TestMaterializedSource:
         env = Env()
         env.add_schema(["a"])
         source = MaterializedSource([(1,), (2,)], env, 1000)
-        reader = source.make_reader()
+        reader = source.make_batch_reader()
 
         class Ctx:
             pass
         ctx = Ctx()
         ctx.cluster = cluster
         split = source.splits()[0]
-        assert list(reader(split, ctx)) == [(1,), (2,)]
+        assert [row for batch in reader(split, ctx)
+                for row in batch.rows()] == [(1,), (2,)]
         assert cluster.ledger.bytes_for("hdfs", "read") == split.size_bytes
 
 

@@ -20,6 +20,8 @@ from repro.hive import ast_nodes as ast
 from repro.hive.parser import parse
 from repro.hive.pushdown import extract_ranges
 
+from tests.golden import digest, golden, jsonable
+
 ROWS = [(i, i * 10, "n%03d" % i) for i in range(100)]
 
 
@@ -287,12 +289,10 @@ class TestScanParity:
 
     @pytest.mark.parametrize("engine", ["row", "vectorized"])
     def test_engines_agree_on_lookup_rows(self, engine):
-        session = build_session(mode="edit")
-        session.set_engine(engine)
-        session.execute("UPDATE t SET v = 0 WHERE k BETWEEN 20 AND 29")
-        looked, scanned = lookup_vs_scan(
-            session, "SELECT k, v, name FROM t WHERE k BETWEEN 18 AND 23")
-        assert looked == scanned
+        """``row``: the rows the row engine's LOOKUP returned."""
+        looked, scanned = _range_over_live_deltas()
+        assert jsonable(looked) == (golden("lookup_rows") if engine == "row"
+                                    else jsonable(scanned))
 
     def test_lookup_after_compact_and_overwrite(self):
         session = build_session(mode="edit")
@@ -309,18 +309,37 @@ class TestScanParity:
 
 
 # ----------------------------------------------------------------------
-# The vectorized LOOKUP filters merged batches; the row engine, one
-# closure call per merged row, is its oracle.
+# The LOOKUP filters merged batches; what the row engine, one closure
+# call per merged row, observed for the same statements is its oracle
+# (tests/golden.py).
 # ----------------------------------------------------------------------
+def _range_over_live_deltas():
+    session = build_session(mode="edit")
+    session.execute("UPDATE t SET v = 0 WHERE k BETWEEN 20 AND 29")
+    return lookup_vs_scan(
+        session, "SELECT k, v, name FROM t WHERE k BETWEEN 18 AND 23")
+
+
+def golden_sections():
+    cls = TestVectorizedLookupEqualsRowEngine
+    sections = {"lookup_rows": _range_over_live_deltas()[0]}
+    for sharded in (False, True):
+        for batch_rows in (None, 64):
+            sections["lookups/%s/%s" % (sharded, batch_rows)] = \
+                cls.observed(sharded, batch_rows)
+    return sections
+
+
+
 def _non_cache(counters):
     return {name: value for name, value in counters.items()
             if "cache" not in name}
 
 
-def _observe_lookups(engine, sharded, batch_rows, statements):
+def _observe_lookups(sharded, batch_rows, statements):
     """Per-statement rows, plan, ledger, counters and span annotations."""
     session = HiveSession(profile=ClusterProfile.laptop(workers=1),
-                          engine=engine, batch_rows=batch_rows)
+                          batch_rows=batch_rows)
     # NULLs in v and name, so residual conjuncts see NULL flags.
     rows = [(k, None if k % 7 == 3 else k * 10,
              None if k % 5 == 4 else "n%03d" % k) for k in range(400)]
@@ -381,27 +400,32 @@ class TestVectorizedLookupEqualsRowEngine:
         "SELECT k FROM t WHERE k = 8 AND name + 1 > 0",
     ]
 
+    @classmethod
+    def observed(cls, sharded, batch_rows):
+        """Outcomes verbatim; ledger, counters and spans as digests."""
+        steps = _observe_lookups(sharded, batch_rows,
+                                 cls.SHARDED if sharded else cls.UNSHARDED)
+        return jsonable([{key: value if key in ("sql", "outcome")
+                          else digest(value) for key, value in step.items()}
+                         for step in steps])
+
     @pytest.mark.parametrize("batch_rows", [None, 64])
     @pytest.mark.parametrize("sharded", [False, True])
     def test_rows_ledger_counters_and_spans(self, sharded, batch_rows):
-        statements = self.SHARDED if sharded else self.UNSHARDED
-        vectorized = _observe_lookups("vectorized", sharded, batch_rows,
-                                      statements)
-        row = _observe_lookups("row", sharded, batch_rows, statements)
+        vectorized = self.observed(sharded, batch_rows)
+        row = golden("lookups/%s/%s" % (sharded, batch_rows))
+        assert len(vectorized) == len(row)
         for got, want in zip(vectorized, row):
-            sql = got["sql"]
-            assert got["outcome"] == want["outcome"], sql
-            assert got["ledger"] == want["ledger"], sql
-            assert got["counters"] == want["counters"], sql
-            assert got["spans"] == want["spans"], sql
+            for key in ("outcome", "ledger", "counters", "spans"):
+                assert got[key] == want[key], (got["sql"], key)
         plans = [step["outcome"][0] for step in vectorized]
-        assert plans.count("lookup") == len(statements) - 1
+        assert plans.count("lookup") == len(plans) - 1
         assert plans[-1] == "TypeError"
 
     def test_span_rows_and_cpu_charge_go_by_rows_examined(self):
         """The residual filter narrows the result, not the accounting."""
         warm_up, plain, filtered = _observe_lookups(
-            "vectorized", False, None,
+            False, None,
             ["SELECT k FROM t WHERE k = 1",
              "SELECT k FROM t WHERE k BETWEEN 90 AND 180",     # two files
              "SELECT k FROM t WHERE k BETWEEN 90 AND 180 "

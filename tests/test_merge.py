@@ -8,6 +8,8 @@ from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive.parser import parse
 
+from tests.golden import golden, jsonable
+
 
 @pytest.fixture
 def session():
@@ -212,3 +214,90 @@ class TestMergeOnBtreeBackend:
             "SELECT model FROM archive WHERE dev_id = 5").scalar() == "x"
         assert session.execute(
             "SELECT count(*) FROM archive").scalar() == 31
+
+
+# ----------------------------------------------------------------------
+# MERGE reads ColumnBatches; what it returned, charged and wrote while it
+# still read rows is the reference (tests/golden.py).
+# ----------------------------------------------------------------------
+GOLDEN_KINDS = {
+    "orc": "STORED AS orc TBLPROPERTIES (",
+    "partitioned": "PARTITIONED BY (p string) STORED AS orc TBLPROPERTIES (",
+    "edit": "STORED AS dualtable TBLPROPERTIES ('dualtable.mode' = 'edit', ",
+    "overwrite": "STORED AS dualtable TBLPROPERTIES ("
+                 "'dualtable.mode' = 'overwrite', ",
+    "sharded": "STORED AS dualtable SHARDED BY (k) INTO 4 TBLPROPERTIES ("
+               "'dualtable.mode' = 'edit', ",
+}
+#: duplicate key 5 (the first row wins), a NULL key, keys behind a
+#: deleted row (77) and at a file's end (119), and two new keys.
+SOURCE = [(5, 1, "a"), (5, 2, "dup"), (None, 3, "nil"), (77, 4, "b"),
+          (119, 5, "c"), (500, 6, "new"), (501, 7, "new")]
+GOLDEN_MERGES = [
+    # Insert-only: a key-column probe finds the four keys that exist.
+    "MERGE INTO t USING u ON t.k = u.k "
+    "WHEN NOT MATCHED THEN INSERT VALUES (u.k, u.d, u.tag%s)",
+    # Both arms; the assignments read the target and the source row.
+    "MERGE INTO t USING u ON t.k = u.k "
+    "WHEN MATCHED THEN UPDATE SET v = t.v * 10 + u.d, s = concat(t.s, u.tag) "
+    "WHEN NOT MATCHED THEN INSERT VALUES (u.k, u.d, u.tag%s)",
+]
+
+
+def observe_merges(kind, workers=1, batch_rows=None):
+    session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
+                          batch_rows=batch_rows)
+    partitioned = kind == "partitioned"
+    session.execute(
+        "CREATE TABLE t (k int, v int, s string) %s"
+        "'orc.rows_per_file' = '40', 'orc.stripe_rows' = '10')"
+        % GOLDEN_KINDS[kind])
+    rows = [(k, k % 9, "s%d" % (k % 4)) for k in range(120)]
+    rows.insert(60, (None, -1, "nil"))
+    session.load_rows("t", [row + ("p%d" % (row[1] % 2),) for row in rows]
+                      if partitioned else rows)
+    session.execute("CREATE TABLE u (k int, d int, tag string)")
+    session.load_rows("u", SOURCE)
+    handler = session.table("t").handler
+    if kind in ("edit", "sharded"):
+        # MERGE meets live deltas: a patched key and a row whose record
+        # id sits behind a deleted one.
+        session.execute("UPDATE t SET v = v + 100 WHERE k IN (4, 5, 6)")
+        session.execute("DELETE FROM t WHERE k = 76")
+    steps = []
+    for sql in GOLDEN_MERGES:
+        before = session.cluster.ledger.snapshot()
+        result = session.execute(sql % (", 'p9'" if partitioned else ""))
+        cells = [(shard, record_id, delta.deleted, delta.updates)
+                 for shard, child in enumerate(
+                     getattr(handler, "children", [handler]))
+                 if hasattr(child, "attached")
+                 for record_id, delta in child.attached.scan_range()]
+        steps.append({
+            "plan": result.plan, "affected": result.affected,
+            "detail": {name: result.detail.get(name) for name in
+                       ("plan", "matched", "inserted", "source_rows")},
+            "sim_seconds": result.sim_seconds,
+            "ledger": session.cluster.ledger.diff(before),
+            "cells": cells,
+            "rows": sorted(map(repr, session.execute("SELECT * FROM t"))),
+        })
+    return steps
+
+
+def golden_sections():
+    return {"merge/" + kind: observe_merges(kind) for kind in GOLDEN_KINDS}
+
+
+@pytest.mark.parametrize("kind", list(GOLDEN_KINDS))
+def test_merge_reproduces_the_row_reader(kind):
+    want = golden("merge/" + kind)
+    assert want[0]["detail"]["inserted"] == 2       # 500 and 501
+    assert want[1]["detail"]["matched"] == 6        # 5, NULL, 77, 119 too
+    assert bool(want[0]["cells"]) == (kind in ("edit", "sharded"))
+    assert bool(want[1]["cells"]) == (kind == "edit")
+    for workers, batch_rows in ((1, None), (4, None), (1, 64)):
+        for got, expect in zip(jsonable(observe_merges(kind, workers,
+                                                       batch_rows)), want):
+            for name in expect:
+                assert got[name] == expect[name], (name, workers, batch_rows)

@@ -1,26 +1,27 @@
-"""Differential tests: overlay merge vs row merge (INTERNALS §14).
+"""Differential tests: overlay merge vs its specification (INTERNALS §14).
 
-The overlay merge (:func:`repro.core.union_read_overlay`) must be
-indistinguishable from the row-fallback merge
-(:func:`repro.core.union_read_batches`) in everything except wall-clock:
-same yielded rows, same merge-stats dict, same charges and counters.
-These tests drive both implementations over hand-built adversarial delta
-distributions and a seeded fuzz sweep at the unit level, then replay the
-same DML through SQL under ``SET dualtable.merge = overlay`` vs ``row``.
+The overlay merge (:func:`repro.core.union_read_overlay`) must yield
+what the paper's master-driven merge (:func:`repro.core.union_read_file`)
+yields: same rows, same record ids, same merge-stats dict.  These tests
+drive both over hand-built adversarial delta distributions and a seeded
+fuzz sweep at the unit level, then replay DML through SQL and hold the
+result to the specification and to what the deleted row-fallback merge
+returned for it (``tests/golden.py``).
 """
 
 import pytest
 
 from repro.cluster import ClusterProfile
 from repro.common.rng import make_rng
-from repro.core import (build_overlay, union_read_batches, union_read_file,
-                        union_read_overlay)
+from repro.common.errors import AnalysisError
+from repro.core import build_overlay, union_read_file, union_read_overlay
 from repro.core.attached import DeltaRecord
 from repro.core.record_id import decode_record_id, encode_record_id
 from repro.hive import HiveSession
 from repro.vector import ColumnBatch
 
-from tests.delta_reference import cells_for_items
+from tests.delta_reference import cells_for_items, union_read_rows
+from tests.golden import golden, jsonable
 
 FILE_ID = 3
 WIDTH = 3           # schema columns 0, 1, 2
@@ -52,41 +53,35 @@ def make_batches(spans, projection):
 
 
 def run_all_paths(spans, entries, projection=(0, 1, 2)):
-    """Rows + stats from the overlay, batch-fallback and row merges.
+    """Rows + stats from the overlay merge and its specification.
 
-    Asserts the three implementations agree exactly before returning
-    ``(rows, stats)`` — every test's core oracle.
+    Asserts the two agree exactly before returning ``(rows, stats)`` —
+    every test's core oracle.
     """
     items = items_for(entries)
     projection_map = {c: i for i, c in enumerate(projection)}
     overlay = build_overlay(cells_for_items(items))
 
-    o_stats, b_stats, r_stats = {}, {}, {}
+    o_stats, r_stats = {}, {}
     o_batches = list(union_read_overlay(
         FILE_ID, iter(make_batches(spans, projection)), overlay,
         projection_map, stats=o_stats))
     o_rows = [tuple(row) for batch in o_batches for row in batch.rows()]
-    b_batches = list(union_read_batches(
-        FILE_ID, iter(make_batches(spans, projection)), items,
-        projection_map, stats=b_stats))
-    b_rows = [tuple(row) for batch in b_batches for row in batch.rows()]
     orc_rows = [(r, tuple(cell(r, c) for c in projection))
                 for first, n in spans for r in range(first, first + n)]
     r_pairs = list(union_read_file(
         FILE_ID, iter(orc_rows), items, projection_map, stats=r_stats))
     r_rows = [values for _, values in r_pairs]
 
-    assert o_rows == b_rows == r_rows
-    # Provenance: both batch merges can name every surviving row's file
-    # ordinal (row_base + dropped positions), matching the row merge's
+    assert o_rows == r_rows
+    # Provenance: merged batches can name every surviving row's file
+    # ordinal (row_base + dropped positions), matching the specification's
     # per-row record ids.
-    r_ordinals = [decode_record_id(record_id)[1] for record_id, _ in r_pairs]
-    for batches in (o_batches, b_batches):
-        assert [ordinal for batch in batches
-                for ordinal in batch.ordinals(range(batch.length))] \
-            == r_ordinals
-    assert o_stats == b_stats == r_stats
-    assert all(len(batch) > 0 for batch in o_batches + b_batches)
+    assert [ordinal for batch in o_batches
+            for ordinal in batch.ordinals(range(batch.length))] \
+        == [decode_record_id(record_id)[1] for record_id, _ in r_pairs]
+    assert o_stats == r_stats
+    assert all(len(batch) > 0 for batch in o_batches)
     return o_rows, o_stats
 
 
@@ -213,13 +208,12 @@ class TestDifferentialFuzz:
 
 
 class TestMergeModeSQL:
-    """End-to-end: both strategies through real statements."""
+    """End-to-end: the merge through real statements."""
 
     ROWS = [(i, i * 10) for i in range(60)]
 
-    def build(self, merge):
+    def build(self):
         session = HiveSession(profile=ClusterProfile.laptop())
-        session.execute("SET dualtable.merge = %s" % merge)
         session.execute(
             "CREATE TABLE t (k int, v int) STORED AS dualtable "
             "TBLPROPERTIES ('orc.rows_per_file' = '20', "
@@ -230,50 +224,69 @@ class TestMergeModeSQL:
         session.execute("UPDATE t SET v = 2 WHERE k >= 58")
         return session
 
+    def select_all(self):
+        """The full scan's rows, simulated seconds and merge counters."""
+        session = self.build()
+        counters = session.cluster.metrics.counters
+        before = dict(counters)
+        result = session.execute("SELECT k, v FROM t ORDER BY k")
+
+        def moved(name):
+            return counters.get(name, 0) - before.get(name, 0)
+        return jsonable({
+            "select": (result.rows, result.sim_seconds,
+                       moved("unionread.deltas_applied"),
+                       moved("unionread.rows_deleted")),
+            "units": (moved("unionread.batches_fast"),
+                      moved("unionread.batches_overlay"))})
+
     @pytest.mark.parametrize("engine", ["row", "vectorized"])
     def test_strategies_agree_end_to_end(self, engine):
-        results = {}
-        for merge in ("overlay", "row"):
-            session = self.build(merge)
-            session.set_engine(engine)
-            result = session.execute("SELECT k, v FROM t ORDER BY k")
-            counters = session.cluster.metrics.counters
-            results[merge] = (result.rows, result.sim_seconds,
-                              counters.get("unionread.deltas_applied", 0),
-                              counters.get("unionread.rows_deleted", 0))
-        assert results["overlay"] == results["row"]
+        """``row``: what the row merge returned under the row engine;
+        ``vectorized``: what the specification returns now."""
+        rows, seconds, applied, deleted = self.select_all()["select"]
+        if engine == "row":
+            assert [rows, seconds, applied, deleted] \
+                == golden("merge_sql")["select"]
+            return
+        handler = self.build().table("t").handler
+        spec_rows, totals = [], {"deltas_applied": 0, "rows_deleted": 0}
+        for split in handler.scan_splits():
+            stats = {}
+            spec_rows += [values for _, values
+                          in union_read_rows(handler, split, stats)]
+            for name in totals:
+                totals[name] += stats[name]
+        assert rows == jsonable(sorted(spec_rows))
+        assert (applied, deleted) == (totals["deltas_applied"],
+                                      totals["rows_deleted"])
 
     def test_dirty_units_attributed_to_configured_strategy(self):
-        for merge, own, other in (
-                ("overlay", "unionread.batches_overlay",
-                 "unionread.batches_row_fallback"),
-                ("row", "unionread.batches_row_fallback",
-                 "unionread.batches_overlay")):
-            session = self.build(merge)
-            session.execute("SELECT k, v FROM t")
-            counters = session.cluster.metrics.counters
-            assert counters.get(own, 0) > 0
-            assert counters.get(other, 0) == 0
-            assert counters.get("unionread.batches_fast", 0) > 0
+        """There is one strategy, and it owns every dirty unit."""
+        session = self.build()
+        session.execute("SELECT k, v FROM t")
+        counters = session.cluster.metrics.counters
+        assert counters.get("unionread.batches_overlay", 0) > 0
+        assert counters.get("unionread.batches_fast", 0) > 0
+        assert not [name for name in counters if "row_fallback" in name]
 
     def test_merge_unit_sum_identical_across_strategies(self):
-        units = {}
-        for merge in ("overlay", "row"):
-            session = self.build(merge)
-            session.execute("SELECT k, v FROM t")
-            counters = session.cluster.metrics.counters
-            units[merge] = (
-                counters.get("unionread.batches_fast", 0),
-                counters.get("unionread.batches_overlay", 0)
-                + counters.get("unionread.batches_row_fallback", 0))
-        assert units["overlay"] == units["row"]
+        """Fast and dirty units as the row merge counted them."""
+        assert self.select_all()["units"] == golden("merge_sql")["units"]
 
     def test_set_merge_rejects_unknown_strategy(self):
         session = HiveSession(profile=ClusterProfile.laptop())
-        with pytest.raises(Exception):
-            session.execute("SET dualtable.merge = eager")
+        for strategy in ("eager", "row", "overlay"):
+            with pytest.raises(AnalysisError, match="unknown session option"):
+                session.execute("SET dualtable.merge = %s" % strategy)
 
     def test_merge_mode_env_override(self, monkeypatch):
+        """The environment no longer selects a merge either."""
         monkeypatch.setenv("REPRO_MERGE", "row")
-        session = HiveSession(profile=ClusterProfile.laptop())
-        assert session.merge_mode == "row"
+        session = self.build()
+        assert not hasattr(session, "merge_mode")
+        self.test_dirty_units_attributed_to_configured_strategy()
+
+
+def golden_sections():
+    return {"merge_sql": TestMergeModeSQL().select_all()}

@@ -1,15 +1,16 @@
 """Differential test: the batch OVERWRITE rewrite vs the row reference.
 
 Until the batch rewrite, ``HiveSession.update_via_overwrite`` and
-``delete_via_overwrite`` walked ``read_split`` row by row through a
+``delete_via_overwrite`` walked each split row by row through a
 ``compile_expr`` closure, coerced every output row with ``coerce_row``
 and — on a sharded table — hashed every row's shard key on its own.
 Those functions live on here as the oracle
 (:func:`reference_rewrite`): per statement the production rewrite must
 leave byte-identical files in the warehouse and report the same
 affected count, simulated seconds, ledger and non-cache counters,
-whatever the table kind, merge strategy, batch size or worker count
-(INTERNALS §8, the OVERWRITE rewrite).
+whatever the table kind, batch size or worker count (INTERNALS §8, the
+OVERWRITE rewrite).  The ``row`` ids hold the DualTable runs to what
+they produced over the deleted row-fallback merge (``tests/golden.py``).
 """
 
 from contextlib import contextmanager
@@ -26,10 +27,22 @@ from repro.hive.session import QueryResult
 from repro.mapreduce import Job
 from repro.shard.sharded import ShardedDualTableHandler, ShardMap
 
+from tests.delta_reference import union_read_rows
+from tests.golden import digest, golden
+
 
 # ---------------------------------------------------------------------------
 # The oracle: the pre-batch Listing-2 lowering, one closure call per row.
 # ---------------------------------------------------------------------------
+def split_rows(handler, split, ctx):
+    """One split's rows: a DualTable's through the specification merge,
+    an ORC table's straight off its batches."""
+    if "file_id" in split.payload:
+        return (values for _, values in union_read_rows(handler, split))
+    return (row for batch in handler.read_split_batches(split, ctx)
+            for row in batch.rows())
+
+
 def reference_rewrite(self, info, stmt, verb, assignments, extra_detail=None):
     handler = info.handler
     env = self._dml_env(info, stmt.alias)
@@ -41,7 +54,7 @@ def reference_rewrite(self, info, stmt, verb, assignments, extra_detail=None):
     splits = handler.scan_splits(projection=None, ranges=scan_ranges)
 
     def update_map(split, ctx):
-        for values in handler.read_split(split, ctx):
+        for values in split_rows(handler, split, ctx):
             if predicate is None or is_true(predicate(values)):
                 ctx.incr("updated")
                 row = list(values)
@@ -52,7 +65,7 @@ def reference_rewrite(self, info, stmt, verb, assignments, extra_detail=None):
                 yield values
 
     def delete_map(split, ctx):
-        for values in handler.read_split(split, ctx):
+        for values in split_rows(handler, split, ctx):
             if predicate is None or is_true(predicate(values)):
                 ctx.incr("deleted")
             else:
@@ -115,7 +128,7 @@ KINDS = {
 }
 
 
-def make_session(kind, workers, batch_rows, merge):
+def make_session(kind, workers, batch_rows):
     session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
                           batch_rows=batch_rows)
     # 2 files x 2 stripes of 150 rows (batch_rows = 64 splits a stripe);
@@ -130,7 +143,6 @@ def make_session(kind, workers, batch_rows, merge):
     if kind == "partitioned":
         rows = [row + ("p%d" % (row[0] % 3),) for row in rows]
     session.load_rows("t", rows)
-    session.execute("SET dualtable.merge = %s" % merge)
     return session
 
 
@@ -140,7 +152,7 @@ def script(kind):
     statements = []
     if dualtable:
         # Leave deltas behind under EDIT, so the first rewrite UNION
-        # READs dirty files (the merge axis), then force OVERWRITE.
+        # READs dirty files, then force OVERWRITE.
         statements += [
             "UPDATE t SET v = v + 1000 WHERE k IN (4, 5, 151, 152, 310)",
             "DELETE FROM t WHERE k IN (7, 153, 154, 599)",
@@ -183,10 +195,10 @@ def non_cache(counters):
             if "cache" not in name}
 
 
-def run_script(kind, workers, batch_rows, merge, reference):
+def run_script(kind, workers, batch_rows, reference):
     """Per-statement observations of one full script run."""
     with rewrite_path(reference):
-        session = make_session(kind, workers, batch_rows, merge)
+        session = make_session(kind, workers, batch_rows)
         cluster, fs = session.cluster, session.fs
         steps = []
         before = non_cache(cluster.metrics.counters)
@@ -216,19 +228,38 @@ def run_script(kind, workers, batch_rows, merge, reference):
         return steps
 
 
-CONFIGS = [(kind, workers, batch_rows, merge)
+CONFIGS = [(kind, workers, batch_rows, held_to)
            for kind in KINDS
            for workers in (1, 4)
            for batch_rows in (None, 64)
-           for merge in (("overlay", "row") if kind in ("dualtable", "sharded")
-                         else ("overlay",))]
+           for held_to in (("overlay", "row")
+                           if kind in ("dualtable", "sharded")
+                           else ("overlay",))]
+_PRODUCTION = {}
 
 
-@pytest.mark.parametrize("kind,workers,batch_rows,merge", CONFIGS)
+def production_run(kind, workers, batch_rows):
+    key = (kind, workers, batch_rows)
+    if key not in _PRODUCTION:
+        _PRODUCTION[key] = run_script(kind, workers, batch_rows, False)
+    return _PRODUCTION[key]
+
+
+def golden_sections():
+    return {"overwrite_batch/%s/%s" % (kind, batch_rows):
+            [digest(step) for step in production_run(kind, 1, batch_rows)]
+            for kind in ("dualtable", "sharded") for batch_rows in (None, 64)}
+
+
+@pytest.mark.parametrize("kind,workers,batch_rows,held_to", CONFIGS)
 def test_batch_rewrite_matches_row_reference(kind, workers, batch_rows,
-                                             merge):
-    production = run_script(kind, workers, batch_rows, merge, False)
-    reference = run_script(kind, workers, batch_rows, merge, True)
+                                             held_to):
+    production = production_run(kind, workers, batch_rows)
+    if held_to == "row":
+        assert [digest(step) for step in production] \
+            == golden("overwrite_batch/%s/%s" % (kind, batch_rows))
+        return
+    reference = run_script(kind, workers, batch_rows, True)
     assert [step["sql"] for step in production] \
         == [step["sql"] for step in reference]
     for got, want in zip(production, reference):
@@ -257,14 +288,14 @@ def test_batch_rewrite_matches_row_reference(kind, workers, batch_rows,
 
 
 def test_failed_statements_leave_every_file_untouched():
-    steps = run_script("sharded", 1, None, "overlay", False)
+    steps = production_run("sharded", 1, None)
     for before, step in zip(steps, steps[1:]):
         if step["outcome"][0] in ("TaskFailedError", "AnalysisError"):
             assert step["files"] == before["files"], step["sql"]
 
 
 def test_shard_key_update_moves_rows_between_buckets():
-    session = make_session("sharded", 1, None, "overlay")
+    session = make_session("sharded", 1, None)
     session.execute("ALTER TABLE t SET DUALTABLE (mode = 'overwrite')")
     handler = session.table("t").handler
     before = {ShardMap.bucket_of(k) for k in range(40)}

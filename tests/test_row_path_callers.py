@@ -1,38 +1,41 @@
-"""Tripwire for ROADMAP item 3: who still reads row at a time.
+"""Tripwire for ROADMAP item 1: one execution path, ColumnBatches only.
 
-``read_split`` / ``read_split_with_rids`` are the row path's entry
-points.  Every production statement path except the ones listed here
-reads ``ColumnBatch``es; a new caller outside the list is a statement
-path sliding back to per-row work (or a new one born there), and an
-entry nothing matches any more has to leave the list — that is how the
-list shrinks to nothing.
+``StorageHandler``'s reads are ``scan_splits`` and
+``read_split_batches``; every statement path consumes ColumnBatches.
+``read_split`` / ``read_split_with_rids`` survive only as the private
+row iterators of the two row-oriented stores — a definition or a call
+anywhere else is a statement path sliding back to per-row work, and a
+source line naming one of the deleted knobs is a second execution
+strategy on its way back in.
 """
 
 import ast
 import pathlib
 
+import pytest
+
+from repro.cluster import ClusterProfile
+from repro.common.errors import AnalysisError
+from repro.hive import HiveSession
+from repro.hive.storage.base import StorageHandler
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 ROW_READS = {"read_split", "read_split_with_rids"}
 
-#: ``module:function`` prefix -> why it may still call the row path.
+#: ``module:function`` prefix -> why it may define or call a row read.
 ALLOWED = {
-    "hive/executor.py:ScanSource.make_reader":
-        "the row engine's reader: the oracle the batch engine is held to",
-    "hive/merge.py:": "MERGE is row-at-a-time on every storage kind",
-    "acid/": "the Hive-ACID baseline, kept or dropped as a whole",
-    "core/handler.py:DualTableHandler.read_split":
-        "read_split delegates to read_split_with_rids",
-    "shard/sharded.py:ShardedDualTableHandler.read_split":
-        "both delegate to the owning shard",
-    "hive/storage/base.py:StorageHandler.read_split_batches":
-        "default for handlers with no columnar reader (HBase)",
-    "hive/storage/base.py:StorageHandler.read_all_rows": "tests and tools",
+    "acid/": "the Hive-ACID baseline merges on read, row by row",
+    "hive/storage/hbase_handler.py:": "HBase serves rows; it batches them",
+    "hive/merge.py:_merge_acid": "MERGE into ACID writes whole-row deltas",
 }
+GONE = ("engine ==", "make_reader", "merge_mode", "REPRO_ENGINE",
+        "REPRO_MERGE")
 
 
-def row_path_callers():
-    """``module:function`` of every call to the row path; a closure (a
-    map function) counts for the function or method that builds it."""
+def row_reads():
+    """``module:function`` of every definition of, or call to, a row
+    read; a closure (a map function) counts for the function or method
+    that builds it."""
     found = set()
 
     def visit(node, module, owner, in_function):
@@ -40,6 +43,8 @@ def row_path_callers():
             if isinstance(child, ast.ClassDef):
                 visit(child, module, owner + [child.name], in_function)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name in ROW_READS:
+                    found.add("%s:%s" % (module, ".".join(owner)))
                 visit(child, module,
                       owner if in_function else owner + [child.name], True)
             else:
@@ -56,16 +61,36 @@ def row_path_callers():
 
 
 def test_row_path_is_called_only_from_the_allow_list():
-    callers = row_path_callers()
-    strays = [caller for caller in callers
-              if not any(caller.startswith(prefix) for prefix in ALLOWED)]
-    assert not strays, ("new row-at-a-time readers; read ColumnBatches "
+    found = row_reads()
+    strays = [where for where in found
+              if not any(where.startswith(prefix) for prefix in ALLOWED)]
+    assert not strays, ("row-at-a-time readers; read ColumnBatches "
                         "(read_split_batches) instead")
     idle = [prefix for prefix in ALLOWED
-            if not any(caller.startswith(prefix) for caller in callers)]
-    assert not idle, "no longer on the row path: drop them from ALLOWED"
+            if not any(where.startswith(prefix) for where in found)]
+    assert not idle, "no longer reading rows: drop them from ALLOWED"
 
 
 def test_the_session_dml_left_the_row_path():
-    assert not [caller for caller in row_path_callers()
-                if caller.startswith("hive/session.py")]
+    assert StorageHandler.__abstractmethods__ >= {"scan_splits",
+                                                  "read_split_batches"}
+    assert not ROW_READS & set(vars(StorageHandler))
+    assert not [where for where in row_reads()
+                if where.startswith(("hive/session.py", "hive/executor.py",
+                                     "core/", "shard/"))]
+
+
+def test_no_source_line_names_a_deleted_knob():
+    named = [(path.relative_to(SRC).as_posix(), word)
+             for path in sorted(SRC.rglob("*.py"))
+             for word in GONE if word in path.read_text()]
+    assert not named
+
+
+def test_set_merge_is_an_unknown_option():
+    session = HiveSession(profile=ClusterProfile.laptop())
+    with pytest.raises(AnalysisError) as raised:
+        session.execute("SET dualtable.merge = row")
+    assert "unknown session option" in str(raised.value)
+    for option in HiveSession.SESSION_OPTIONS:
+        assert option in str(raised.value)

@@ -20,11 +20,11 @@ from repro.server import Arrival, build_ledger_server
 from repro.shard import NUM_BUCKETS, ShardMap
 from repro.shard.identity import identity_fingerprint
 
+from tests.golden import golden, jsonable
 
-def make_session(shards, workers=1, engine="row", rows=90,
-                 rows_per_file=10):
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
-                          engine=engine)
+
+def make_session(shards, workers=1, rows=90, rows_per_file=10):
+    session = HiveSession(profile=ClusterProfile.laptop(workers=workers))
     session.execute(
         "CREATE TABLE t (k int, grp string, v int) PRIMARY KEY (k) "
         "STORED AS dualtable SHARDED BY (k) INTO %d "
@@ -40,7 +40,9 @@ def handler_of(session, name="t"):
 
 
 # ---------------------------------------------------------------------------
-# Shard-count identity: INTO 1/4/8 x workers 1/4 x both engines.
+# Shard-count identity: INTO 1/4/8 x workers 1/4, against the serial
+# single-shard run (``vectorized``) and against what the row engine
+# recorded for it (``row``, tests/golden.py).
 # ---------------------------------------------------------------------------
 IDENTITY_WORKLOAD = [
     "SELECT count(*), sum(v) FROM t",
@@ -58,18 +60,22 @@ IDENTITY_WORKLOAD = [
 ]
 
 
-def run_identity(shards, workers=1, engine="row"):
-    session = make_session(shards, workers=workers, engine=engine)
+def run_identity(shards, workers=1):
+    session = make_session(shards, workers=workers)
     transcript = []
     for sql in IDENTITY_WORKLOAD:
         result = session.execute(sql)
         transcript.append((sql, result.rows))
-    return identity_fingerprint(session, transcript)
+    return jsonable(identity_fingerprint(session, transcript))
+
+
+def golden_sections():
+    return {"shard_identity": run_identity(1, workers=1)}
 
 
 @pytest.fixture(scope="module")
 def identity_baseline():
-    return run_identity(1, workers=1, engine="row")
+    return run_identity(1, workers=1)
 
 
 class TestShardCountIdentity:
@@ -88,17 +94,17 @@ class TestShardCountIdentity:
     ])
     def test_fingerprint_matches_serial_single_shard(
             self, identity_baseline, shards, workers, engine):
-        transcript, ledger, counters = run_identity(shards, workers,
-                                                    engine)
-        base_transcript, base_ledger, base_counters = identity_baseline
+        transcript, ledger, counters = run_identity(shards, workers)
+        base_transcript, base_ledger, base_counters = (
+            golden("shard_identity") if engine == "row"
+            else identity_baseline)
         for (sql, rows), (_, expect) in zip(transcript, base_transcript):
             assert rows == expect, sql
         assert ledger == base_ledger
         assert counters == base_counters
 
     def test_baseline_rerun_is_self_consistent(self, identity_baseline):
-        assert run_identity(1, workers=1, engine="row") \
-            == identity_baseline
+        assert run_identity(1, workers=1) == identity_baseline
 
     def test_physical_file_set_is_shard_count_invariant(self):
         """Bucket-grouped layout: same basenames, sizes and row counts

@@ -1,12 +1,12 @@
-"""The vectorized engine contract: wall clock only, nothing else.
+"""The batch engine contract: the simulated clock cannot see it.
 
 Runs one mixed workload (DML, scans with LIKE/IN/CASE predicates,
 grouped aggregation, HAVING, ORDER BY ... LIMIT, outer joins, COMPACT)
-under ``row`` and ``vectorized`` engines at 1 and 4 workers, demanding
-byte-identical result rows, simulated seconds, cost-ledger snapshots
-and metric counters (``cache.*`` excluded, the one documented
-exclusion).  Also covered here: UNION READ merge-stat parity between
-the batch fast path and the row merge, the exception-divergence
+at 1 and 4 workers and three batch sizes, demanding the result rows,
+simulated seconds, cost-ledger snapshot and metric counters (``cache.*``
+excluded, the one documented exclusion) the row engine produced before
+it was deleted (``tests/golden.py``).  Also covered here: UNION READ
+merge-stat parity with the specification merge, the exception-divergence
 fallback, the interpreted fallback for unvectorizable nodes, the
 ``batch_rows`` knob, and the top-k ORDER BY ... LIMIT heap.
 """
@@ -18,9 +18,14 @@ from repro.core import encode_record_id
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive import vexpr
+from repro.hive.expressions import Env, compile_expr, is_true
+from repro.hive.parser import parse
 from repro.vector import (DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
                           MIN_BATCH_ROWS, ColumnBatch, batch_from_rows,
                           batches_from_rows, validate_batch_rows)
+
+from tests.delta_reference import union_read_rows
+from tests.golden import golden, jsonable
 
 LEFT_ROWS = [(i, None if i % 4 == 0 else i % 5, "l%d" % i)
              for i in range(24)]
@@ -54,10 +59,10 @@ WORKLOAD = [
 ]
 
 
-def run_workload(engine, workers=1, batch_rows=None):
+def run_workload(workers=1, batch_rows=None):
     """Run the workload; return everything that must be identical."""
     session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
-                          engine=engine, batch_rows=batch_rows)
+                          batch_rows=batch_rows)
     session.execute(
         "CREATE TABLE t (k int, grp string, v int, w double) "
         "STORED AS dualtable "
@@ -76,7 +81,7 @@ def run_workload(engine, workers=1, batch_rows=None):
     transcript = []
     for sql in WORKLOAD:
         result = session.execute(sql)
-        transcript.append((sql, result.rows, result.sim_seconds))
+        transcript.append((sql, repr(result.rows), result.sim_seconds))
     cluster = session.cluster
     counters = {name: value
                 for name, value in cluster.metrics.counters.items()
@@ -84,41 +89,43 @@ def run_workload(engine, workers=1, batch_rows=None):
     return transcript, cluster.ledger.snapshot(), counters
 
 
-@pytest.fixture(scope="module")
-def row_run():
-    return run_workload("row", workers=1)
+#: batch_rows changes split chunking (hence simulated time), so the row
+#: engine was recorded once per size.
+BATCH_ROWS = {"default": None, "64": 64, "97": 97}
 
 
-def assert_same_run(run, baseline):
-    transcript, ledger, counters = run
-    expect_transcript, expect_ledger, expect_counters = baseline
-    for (sql, rows, seconds), (_, expect_rows, expect_seconds) \
-            in zip(transcript, expect_transcript):
-        assert rows == expect_rows, sql
-        assert seconds == expect_seconds, sql
-    assert ledger == expect_ledger
-    assert counters == expect_counters
+def golden_sections():
+    return {"workload/" + name: run_workload(batch_rows=batch_rows)
+            for name, batch_rows in BATCH_ROWS.items()}
+
+
+def assert_reproduces_row_engine(size, workers):
+    transcript, ledger, counters = jsonable(
+        run_workload(workers, BATCH_ROWS[size]))
+    want_transcript, want_ledger, want_counters = golden("workload/" + size)
+    for (sql, rows, seconds), (_, want_rows, want_seconds) \
+            in zip(transcript, want_transcript):
+        assert rows == want_rows, sql
+        assert seconds == want_seconds, sql
+    assert ledger == want_ledger
+    assert counters == want_counters
 
 
 class TestEngineEquivalence:
-    def test_vectorized_serial_matches_row(self, row_run):
-        assert_same_run(run_workload("vectorized", workers=1), row_run)
+    def test_vectorized_serial_matches_row(self):
+        assert_reproduces_row_engine("default", workers=1)
 
-    def test_vectorized_parallel_matches_row(self, row_run):
-        assert_same_run(run_workload("vectorized", workers=4), row_run)
-
-    def test_row_parallel_matches_row_serial(self, row_run):
-        assert_same_run(run_workload("row", workers=4), row_run)
+    def test_vectorized_parallel_matches_row(self):
+        assert_reproduces_row_engine("default", workers=4)
 
     def test_engines_match_at_odd_batch_size(self):
-        # batch_rows changes split chunking (hence sim time), so both
-        # engines run at the same odd size and must still agree.
-        assert_same_run(run_workload("vectorized", batch_rows=97),
-                        run_workload("row", batch_rows=97))
+        for size in ("64", "97"):
+            for workers in (1, 4):
+                assert_reproduces_row_engine(size, workers)
 
 
 # ----------------------------------------------------------------------
-# UNION READ merge-stat parity: batch fast path vs row merge.
+# UNION READ merge-stat parity: production merge vs the specification.
 # ----------------------------------------------------------------------
 UNIONREAD_COUNTERS = ("unionread.files", "unionread.rows",
                       "unionread.deltas_applied", "unionread.rows_deleted",
@@ -126,9 +133,10 @@ UNIONREAD_COUNTERS = ("unionread.files", "unionread.rows",
                       "unionread.trailing_deltas")
 
 
-def unionread_scenario(engine, compacted=False):
-    """Dualtable with update/delete deltas plus one trailing orphan."""
-    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
+def unionread_scenario(specification, compacted=False):
+    """Dualtable with update/delete deltas plus one trailing orphan,
+    read by a SELECT or through ``union_read_file``."""
+    session = HiveSession(profile=ClusterProfile.laptop())
     session.execute(
         "CREATE TABLE t (k int, v int) STORED AS dualtable "
         "TBLPROPERTIES ('orc.rows_per_file' = '10', "
@@ -137,10 +145,10 @@ def unionread_scenario(engine, compacted=False):
     session.execute("UPDATE t SET v = 1 WHERE k < 5")
     session.execute("UPDATE t SET v = 2 WHERE k >= 20 AND k < 23")
     session.execute("DELETE FROM t WHERE k >= 12 AND k < 15")
+    handler = session.table("t").handler
     if compacted:
         session.execute("COMPACT TABLE t")
     else:
-        handler = session.table("t").handler
         path = handler.master.file_paths()[0]
         file_id = handler.master.file_id_of(path)
         # Orphan id beyond the file's last row: trailing, never merged.
@@ -148,15 +156,19 @@ def unionread_scenario(engine, compacted=False):
                                     {1: 777})
     counters = session.cluster.metrics.counters
     before = {name: counters.get(name, 0) for name in UNIONREAD_COUNTERS}
-    rows = session.execute("SELECT k, v FROM t ORDER BY k").rows
+    if specification:
+        rows = sorted(values for split in handler.scan_splits(["k", "v"])
+                      for _, values in union_read_rows(handler, split))
+    else:
+        rows = session.execute("SELECT k, v FROM t ORDER BY k").rows
     return rows, {name: counters.get(name, 0) - before[name]
                   for name in UNIONREAD_COUNTERS}
 
 
 class TestUnionReadStatsParity:
     def test_dirty_table_counters_match_row_path(self):
-        row_rows, row_stats = unionread_scenario("row")
-        vec_rows, vec_stats = unionread_scenario("vectorized")
+        row_rows, row_stats = unionread_scenario(specification=True)
+        vec_rows, vec_stats = unionread_scenario(specification=False)
         assert vec_rows == row_rows
         assert vec_stats == row_stats
         # The final SELECT genuinely exercises every classification:
@@ -167,9 +179,8 @@ class TestUnionReadStatsParity:
         assert row_stats["unionread.deltas_skipped"] == 0
 
     def test_zero_delta_counters_match_row_path(self):
-        row_rows, row_stats = unionread_scenario("row", compacted=True)
-        vec_rows, vec_stats = unionread_scenario("vectorized",
-                                                 compacted=True)
+        row_rows, row_stats = unionread_scenario(True, compacted=True)
+        vec_rows, vec_stats = unionread_scenario(False, compacted=True)
         assert vec_rows == row_rows
         assert vec_stats == row_stats
         assert row_stats["unionread.files"] > 0
@@ -181,47 +192,59 @@ class TestUnionReadStatsParity:
 # ----------------------------------------------------------------------
 # Fallback shields.
 # ----------------------------------------------------------------------
-def small_session(engine):
-    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
+SMALL_ROWS = [(i, "g%d" % (i % 3), i % 5) for i in range(30)]
+
+
+def small_session():
+    session = HiveSession(profile=ClusterProfile.laptop())
     session.execute("CREATE TABLE t (k int, grp string, v int) "
                     "STORED AS orc "
                     "TBLPROPERTIES ('orc.rows_per_file' = '8')")
-    session.load_rows("t", [(i, "g%d" % (i % 3), i % 5)
-                            for i in range(30)])
+    session.load_rows("t", SMALL_ROWS)
     return session
+
+
+def row_closure(sql):
+    """``sql``'s WHERE (or, without one, its first select item) as the
+    row compiler's closure over ``SMALL_ROWS`` tuples."""
+    stmt = parse(sql)
+    env = Env().add_schema(["k", "grp", "v"])
+    return compile_expr(stmt.where if stmt.where is not None
+                        else stmt.items[0].expr, env)
 
 
 class TestFallbacks:
     def test_eager_conjunct_error_falls_back_to_row_semantics(self):
-        # The row path short-circuits past the erroring conjunct
+        # The row closure short-circuits past the erroring conjunct
         # ((v + 0) = -1 is false everywhere); eager batch evaluation
         # raises, and the shield must reproduce the row result.
         sql = ("SELECT k FROM t WHERE (v + 0) = -1 AND ('a' + 1) > 0")
-        expect = small_session("row").execute(sql).rows
-        got = small_session("vectorized").execute(sql).rows
-        assert got == expect == []
+        predicate = row_closure(sql)
+        expect = [(row[0],) for row in SMALL_ROWS if is_true(predicate(row))]
+        assert small_session().execute(sql).rows == expect == []
 
     def test_error_reached_by_both_engines_raises_identically(self):
+        """A row the closure raises on fails the statement with the
+        closure's own error, not one of the batch kernel's making."""
         sql = "SELECT ('a' + k) FROM t"
-        with pytest.raises(Exception) as row_err:
-            small_session("row").execute(sql)
+        with pytest.raises(TypeError) as row_err:
+            row_closure(sql)(SMALL_ROWS[0])
         with pytest.raises(Exception) as vec_err:
-            small_session("vectorized").execute(sql)
-        assert type(vec_err.value) is type(row_err.value)
+            small_session().execute(sql)
+        assert type(vec_err.value.__cause__) is type(row_err.value)
+        assert str(row_err.value) in str(vec_err.value)
 
     def test_unvectorizable_node_uses_interpreted_fallback(self,
                                                            monkeypatch):
         sql = ("SELECT k, v * 2 FROM t "
                "WHERE grp LIKE 'g1%' AND v > 0 ORDER BY k")
-        expect = small_session("row").execute(sql).rows
+        expect = small_session().execute(sql).rows
+        assert expect
         monkeypatch.delitem(vexpr.VECTORIZERS, ast.LikeOp)
         monkeypatch.delitem(vexpr.VECTORIZERS, ast.BinaryOp)
-        assert small_session("vectorized").execute(sql).rows == expect
+        assert small_session().execute(sql).rows == expect
 
     def test_compile_batch_interpret_equals_vectorized(self):
-        from repro.hive.expressions import Env
-        from repro.hive.parser import parse
-
         expr = parse("SELECT v * 2 + k").items[0].expr
         env = Env().add_schema(["k", "v"])
         cols = [[1, 2, None, 4], [10, None, 30, 40]]
@@ -257,12 +280,14 @@ class TestBatchRowsKnob:
                               batch_rows=512)
         assert session.batch_rows == 512
 
-    def test_engine_knob(self):
+    def test_engine_knob(self, monkeypatch):
+        """There is none: one engine, and no way to name another."""
+        with pytest.raises(TypeError):
+            HiveSession(profile=ClusterProfile.laptop(), engine="row")
+        monkeypatch.setenv("REPRO_ENGINE", "row")
         session = HiveSession(profile=ClusterProfile.laptop())
-        assert session.engine == "vectorized"
-        assert session.set_engine("ROW").engine == "row"
-        with pytest.raises(ValueError):
-            session.set_engine("turbo")
+        assert not hasattr(session, "engine")
+        assert not hasattr(session, "set_engine")
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +351,7 @@ class TestColumnBatch:
             == list(range(10))
 
     def test_reader_batches_carry_row_base(self):
-        session = small_session("vectorized")
+        session = small_session()
         handler = session.table("t").handler
         for split in handler.scan_splits():
             batches = list(handler.read_split_batches(split, None))
@@ -336,12 +361,11 @@ class TestColumnBatch:
                 base += batch.length
 
     def test_reader_batches_respect_batch_rows(self):
-        session = small_session("vectorized")
+        session = small_session()
         handler = session.table("t").handler
         split = handler.scan_splits()[0]
         batches = list(handler.read_split_batches(split, None,
                                                   batch_rows=3))
         assert all(b.length <= 3 for b in batches)
         rows = [values for b in batches for values in b.rows()]
-        expect = [values for values in handler.read_split(split, None)]
-        assert rows == expect
+        assert rows == SMALL_ROWS[:8]
