@@ -13,7 +13,6 @@ would be unsound).
 """
 
 import itertools
-import json
 
 from repro.common.errors import (CompactionInProgressError, DualTableError,
                                  FaultInjectedError)
@@ -31,6 +30,7 @@ from repro.core.editlog import (EditBatch, recover_edit_logs,
                                 run_with_retries)
 from repro.core.lookup import (bounded_pk_range, keyed_batches, plan_lookup,
                                run_lookup)
+from repro.core.manifest import ManifestKind, ManifestProtocol, list_of, of
 from repro.core.master import MasterTable
 from repro.core.metadata import DualTableMetadata
 from repro.core.record_id import RECORD_ID_BYTES, encode_record_id
@@ -41,6 +41,22 @@ from repro.parallel import parallel_map
 #: per-assignment Attached-Table payload estimate: 3-byte qualifier +
 #: ~10-byte encoded value + cell overhead.
 _UPDATE_CELL_BYTES = 18
+
+_COMPACT_FIELDS = {"tmp": of(str), "location": of(str), "rows": of(int)}
+#: full COMPACT's manifest 2PC (:mod:`repro.core.manifest`): rewrite
+#: every master file into staging, commit, swap the master directory,
+#: truncate the Attached Table.
+FULL_COMPACT = ManifestKind(
+    "dualtable.compact",
+    ("write", "manifest", "swap", "swap2", "truncate", "cleanup"),
+    _COMPACT_FIELDS)
+#: partial COMPACT: rewrite the victims into staging, commit, swap them
+#: in per file, drop only their deltas.
+PARTIAL_COMPACT = ManifestKind(
+    "dualtable.compact.partial", ("write", "manifest", "swap", "delta_drop"),
+    dict(_COMPACT_FIELDS, old_paths=list_of(of(str)),
+         folded_file_ids=list_of(of(int)), new_names=list_of(of(str))),
+    mode="partial")
 
 
 class DualTableHandler(StorageHandler):
@@ -79,12 +95,15 @@ class DualTableHandler(StorageHandler):
         self._compacting = False
         # Crash-recovery bookkeeping: the EDIT-plan redo-log directory
         # and the COMPACT two-phase-commit paths (all siblings of the
-        # master directory, never inside it).
+        # master directory, never inside it).  ``master.__old__`` holds
+        # the pre-swap master during a full COMPACT's swap.
         base = "/warehouse/%s" % table.name
         self.txn_dir = base + "/txn"
-        self._compact_tmp = base + "/master.__compact__"
-        self._compact_old = base + "/master.__old__"
-        self._manifest_path = base + "/compact.manifest"
+        old = base + "/master.__old__"
+        self.compaction = ManifestProtocol(
+            env, table.name, base + "/compact.manifest",
+            staging=(base + "/master.__compact__", old),
+            restore={old: self.master.location})
         self._txn_ids = itertools.count(1)
         #: what an EditBatch stages to and publishes through; the
         #: sharded handler swaps in its shard-routing target.
@@ -102,8 +121,7 @@ class DualTableHandler(StorageHandler):
         self.master.drop()
         self.attached.drop()
         self.metadata.unregister_table(self.table.name)
-        for path in (self._manifest_path, self._compact_tmp,
-                     self._compact_old, self.txn_dir):
+        for path in self.compaction.paths + (self.txn_dir,):
             if self.env.fs.exists(path):
                 self.env.fs.delete(path, recursive=True)
 
@@ -123,8 +141,12 @@ class DualTableHandler(StorageHandler):
         ``{"compact": <"rolled_forward"|"rolled_back"|"clean">,
         "dml": [(staging_path, outcome), ...]}``.
         """
-        outcome = {"compact": self._recover_compact(),
-                   "dml": recover_edit_logs(self)}
+        compact = self.compaction.recover(
+            {FULL_COMPACT: self._apply_full_compact,
+             PARTIAL_COMPACT: self._apply_partial_compact})
+        if compact == "rolled_back":
+            self._invalidate_master_cache()
+        outcome = {"compact": compact, "dml": recover_edit_logs(self)}
         self.note_attached_bytes()
         return outcome
 
@@ -132,61 +154,9 @@ class DualTableHandler(StorageHandler):
         if self._compacting:
             return   # mid-commit state is normal while COMPACT runs
         fs = self.env.fs
-        if fs.exists(self._manifest_path) or fs.exists(self._compact_tmp) \
-                or fs.exists(self._compact_old):
-            self._recover_compact()
-        if fs.exists(self.txn_dir) and fs.list_files(self.txn_dir):
-            recover_edit_logs(self)
-
-    def _recover_compact(self):
-        """Roll an interrupted COMPACT forward or back.
-
-        The manifest is the commit point: if it exists (and is valid) the
-        new master files are all durable, so recovery *completes* the
-        swap; if not, the half-written ``__compact__`` directory is
-        discarded and the old master + Attached Table still hold the
-        table intact.
-        """
-        fs = self.env.fs
-        if fs.exists(self._manifest_path):
-            manifest = self._load_valid_manifest()
-            if manifest is not None:
-                if manifest.get("mode") == "partial":
-                    self._complete_partial_compact(manifest)
-                else:
-                    self._complete_compact()
-                return "rolled_forward"
-            fs.delete(self._manifest_path)
-        rolled_back = False
-        if fs.exists(self._compact_tmp):
-            fs.delete(self._compact_tmp, recursive=True)
-            rolled_back = True
-        if fs.exists(self._compact_old):
-            if fs.exists(self.master.location):
-                fs.delete(self._compact_old, recursive=True)
-            else:
-                # Unreachable by protocol order (old is deleted before
-                # the manifest), but never discard the only master copy.
-                fs.rename(self._compact_old, self.master.location)
-            rolled_back = True
-        if rolled_back:
-            self._invalidate_master_cache()
-        return "rolled_back" if rolled_back else "clean"
-
-    def _load_valid_manifest(self):
-        """The COMPACT manifest as a dict, or None if absent/torn."""
-        fs = self.env.fs
-        if not fs.exists(self._manifest_path):
-            return None
-        try:
-            manifest = json.loads(
-                fs.read_file(self._manifest_path).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(manifest, dict) \
-                or manifest.get("table") != self.table.name:
-            return None
-        return manifest
+        if any(map(fs.exists, self.compaction.paths)) \
+                or fs.exists(self.txn_dir) and fs.list_files(self.txn_dir):
+            self.recover()
 
     # ------------------------------------------------------------------
     # Writes.
@@ -913,46 +883,76 @@ class DualTableHandler(StorageHandler):
         selected) and drops only the folded files' deltas — record IDs
         of rewritten rows are remapped to the fresh file IDs the rewrite
         allocates, while untouched files keep their IDs and deltas.
+        Both modes are one job plus one manifest 2PC run
+        (:data:`FULL_COMPACT` / :data:`PARTIAL_COMPACT`).
         """
         self._check_not_compacting()
         self._ensure_recovered()
         if self.attached.is_empty():
             return self._compact_noop()
+        attached_bytes = self.attached.size_bytes
+        victims = paths = None
         if partial:
             victims = self._select_compact_victims(victim_paths, max_files)
             if not victims:
                 return self._compact_noop()
-            return self._run_partial_compact(session, victims)
-        attached_bytes = self.attached.size_bytes
+            paths = [v["path"] for v in victims]
+            folded_bytes = sum(v["delta_bytes"] for v in victims)
+            kind, plan, apply = (PARTIAL_COMPACT, "compact-partial",
+                                 self._apply_partial_compact)
+            span = {"files": len(victims), "folded_bytes": folded_bytes}
+        else:
+            folded_bytes = attached_bytes
+            kind, plan, apply = (FULL_COMPACT, "compact",
+                                 self._apply_full_compact)
+            span = {"attached_bytes": attached_bytes}
         self._compacting = True
         cluster = self.env.cluster
         try:
-            with cluster.tracer.span("phase", "dualtable:compact",
-                                     table=self.table.name,
-                                     attached_bytes=attached_bytes):
-                splits = self._compact_splits()
-
-                job = Job(name="compact", splits=splits,
+            with cluster.tracer.span("phase", "dualtable:" + plan,
+                                     table=self.table.name, **span):
+                splits = self._compact_splits(paths)
+                job = Job(name=plan, splits=splits,
                           map_fn=self._compact_map_fn, reduce_fn=None)
                 result = session.runner.run(job)
+                rows = result.outputs
+
+                def prepare(staging):
+                    new_paths = self.master.write_rows(rows,
+                                                       directory=staging)
+                    fields = {"tmp": staging,
+                              "location": self.master.location,
+                              "rows": len(rows)}
+                    if victims is not None:
+                        fields.update(
+                            old_paths=paths,
+                            folded_file_ids=[v["file_id"] for v in victims],
+                            new_names=[p.rsplit("/", 1)[1]
+                                       for p in new_paths])
+                    return fields
+
                 write_seconds = run_with_retries(
-                    session, lambda: self._commit_compact(result.outputs),
-                    "compact-commit")
+                    session,
+                    lambda: self.compaction.run(kind, prepare, apply),
+                    plan + "-commit")
         finally:
             self._compacting = False
-        cluster.metrics.incr("dualtable.compacts")
-        cluster.metrics.incr("dualtable.compacts.%s" % self.table.name)
-        cluster.metrics.observe("dualtable.compact.folded_bytes",
-                                attached_bytes)
+        metrics = cluster.metrics
+        metrics.incr("dualtable.compacts")
+        metrics.incr("dualtable.compacts.%s" % self.table.name)
+        detail = {"attached_bytes": attached_bytes,
+                  "folded_bytes": folded_bytes,
+                  "mode": "full", "files": len(splits)}
+        if victims is not None:
+            metrics.incr("dualtable.compacts.partial")
+            detail.update(mode="partial",
+                          file_ids=[v["file_id"] for v in victims])
+        detail["rows_written"] = len(rows)
+        metrics.observe("dualtable.compact.folded_bytes", folded_bytes)
         self.note_attached_bytes()
         return QueryResult(
             sim_seconds=result.sim_seconds + write_seconds,
-            jobs=[result], affected=len(result.outputs),
-            plan="compact",
-            detail={"attached_bytes": attached_bytes,
-                    "folded_bytes": attached_bytes,
-                    "mode": "full", "files": len(splits),
-                    "rows_written": len(result.outputs)})
+            jobs=[result], affected=len(rows), plan=plan, detail=detail)
 
     def _compact_noop(self):
         self.note_attached_bytes()
@@ -989,44 +989,6 @@ class DualTableHandler(StorageHandler):
             candidates = candidates[:max(1, int(max_files))]
         return candidates
 
-    def _run_partial_compact(self, session, victims):
-        attached_bytes = self.attached.size_bytes
-        folded_bytes = sum(v["delta_bytes"] for v in victims)
-        self._compacting = True
-        cluster = self.env.cluster
-        try:
-            with cluster.tracer.span("phase", "dualtable:compact-partial",
-                                     table=self.table.name,
-                                     files=len(victims),
-                                     folded_bytes=folded_bytes):
-                splits = self._compact_splits(
-                    paths=[v["path"] for v in victims])
-
-                job = Job(name="compact-partial", splits=splits,
-                          map_fn=self._compact_map_fn, reduce_fn=None)
-                result = session.runner.run(job)
-                write_seconds = run_with_retries(
-                    session,
-                    lambda: self._commit_partial_compact(result.outputs,
-                                                         victims),
-                    "compact-partial-commit")
-        finally:
-            self._compacting = False
-        cluster.metrics.incr("dualtable.compacts")
-        cluster.metrics.incr("dualtable.compacts.partial")
-        cluster.metrics.observe("dualtable.compact.folded_bytes",
-                                folded_bytes)
-        self.note_attached_bytes()
-        return QueryResult(
-            sim_seconds=result.sim_seconds + write_seconds,
-            jobs=[result], affected=len(result.outputs),
-            plan="compact-partial",
-            detail={"attached_bytes": attached_bytes,
-                    "folded_bytes": folded_bytes,
-                    "mode": "partial", "files": len(victims),
-                    "file_ids": [v["file_id"] for v in victims],
-                    "rows_written": len(result.outputs)})
-
     def _compact_map_fn(self, split, ctx):
         """One master file's merged rows, read through batches."""
         for batch in self.read_split_batches(split, ctx):
@@ -1047,121 +1009,36 @@ class DualTableHandler(StorageHandler):
                 label=path))
         return splits
 
-    def _commit_compact(self, rows):
-        """Two-phase commit of the compacted master (idempotent).
-
-        Phase 1 writes the new master files into ``master.__compact__``
-        and then writes the manifest — the commit point: every step
-        before it rolls *back* on a crash, every step after it rolls
-        *forward* (see :meth:`_recover_compact`).  Phase 2
-        (:meth:`_complete_compact`) is a chain of existence-guarded
-        renames/deletes, so replaying it from any prefix converges.
-        """
+    def _apply_full_compact(self, manifest, hit):
+        """Swap the compacted master in and truncate the Attached Table
+        (the manifest 2PC's apply: every step re-runnable)."""
         fs = self.env.fs
-        faults = self.env.cluster.faults
-        faults.hit("dualtable.compact.write", table=self.table.name)
-        if fs.exists(self._compact_tmp):
-            fs.delete(self._compact_tmp, recursive=True)
-        fs.mkdirs(self._compact_tmp)
-        self.master.write_rows(rows, directory=self._compact_tmp)
-        faults.hit("dualtable.compact.manifest", table=self.table.name)
-        manifest = json.dumps({
-            "table": self.table.name,
-            "tmp": self._compact_tmp,
-            "location": self.master.location,
-            "rows": len(rows),
-        }).encode("utf-8")
-        if fs.exists(self._manifest_path):
-            fs.delete(self._manifest_path)
-        fs.write_file(self._manifest_path, manifest)
-        self._complete_compact(inject=True)
-
-    def _complete_compact(self, inject=False):
-        """Finish a committed compaction; every step is re-runnable."""
-        fs = self.env.fs
-        faults = self.env.cluster.faults
-
-        def hit(point):
-            if inject:
-                faults.hit(point, table=self.table.name)
-
-        location = self.master.location
-        hit("dualtable.compact.swap")
-        if fs.exists(self._compact_tmp):
-            if fs.exists(location) and not fs.exists(self._compact_old):
-                fs.rename(location, self._compact_old)
-            hit("dualtable.compact.swap2")
-            fs.rename(self._compact_tmp, location)
+        tmp, location = manifest["tmp"], manifest["location"]
+        _, old = self.compaction.staging
+        hit("swap")
+        if fs.exists(tmp):
+            if fs.exists(location) and not fs.exists(old):
+                fs.rename(location, old)
+            hit("swap2")
+            fs.rename(tmp, location)
         self._invalidate_master_cache()
-        hit("dualtable.compact.truncate")
+        hit("truncate")
         self.attached.clear()
-        if fs.exists(self._compact_old):
-            fs.delete(self._compact_old, recursive=True)
-        hit("dualtable.compact.cleanup")
-        if fs.exists(self._manifest_path):
-            fs.delete(self._manifest_path)
+        hit("cleanup")
 
-    def _commit_partial_compact(self, rows, victims):
-        """Two-phase commit of a partial compaction (idempotent).
+    def _apply_partial_compact(self, manifest, hit):
+        """Move the rewritten files in, delete the folded originals and
+        drop only their deltas.
 
-        Same protocol shape as :meth:`_commit_compact`: phase 1 writes
-        the replacement files into ``master.__compact__`` and then the
-        manifest — the commit point; phase 2 swaps per file.  Unlike the
-        full path, phase 2 performs *charged* Attached-Table range
-        deletes (``clear_file``), whose ``hbase.delete`` fault point can
-        raise retryable faults — so a re-entry first checks for an
-        already-committed manifest and resumes phase 2 instead of
-        rebuilding phase 1 (which would double-apply the swap).
+        Replaying from any prefix converges: renamed files skip (source
+        gone), deletes are guarded, and ``clear_file`` of an
+        already-empty range is a no-op.  Its charged HBase deletes can
+        raise retryable faults; the protocol's resume guard re-enters
+        here instead of rebuilding phase 1.
         """
         fs = self.env.fs
-        faults = self.env.cluster.faults
-        manifest = self._load_valid_manifest()
-        if manifest is not None and manifest.get("mode") == "partial":
-            self._complete_partial_compact(manifest)
-            return
-        faults.hit("dualtable.compact.partial.write", table=self.table.name)
-        if fs.exists(self._compact_tmp):
-            fs.delete(self._compact_tmp, recursive=True)
-        fs.mkdirs(self._compact_tmp)
-        new_paths = self.master.write_rows(rows, directory=self._compact_tmp)
-        faults.hit("dualtable.compact.partial.manifest",
-                   table=self.table.name)
-        manifest = {
-            "table": self.table.name,
-            "mode": "partial",
-            "tmp": self._compact_tmp,
-            "location": self.master.location,
-            "rows": len(rows),
-            "old_paths": [v["path"] for v in victims],
-            "folded_file_ids": [v["file_id"] for v in victims],
-            "new_names": [p.rsplit("/", 1)[1] for p in new_paths],
-        }
-        if fs.exists(self._manifest_path):
-            fs.delete(self._manifest_path)
-        fs.write_file(self._manifest_path,
-                      json.dumps(manifest).encode("utf-8"))
-        self._complete_partial_compact(manifest, inject=True)
-
-    def _complete_partial_compact(self, manifest, inject=False):
-        """Finish a committed partial compaction; every step re-runnable.
-
-        Per-file existence-guarded renames move the replacement files
-        into the master directory, the folded originals are deleted, and
-        only the folded files' deltas are dropped from the Attached
-        Table.  Replaying from any prefix converges: renamed files skip
-        (source gone), deletes are guarded, and ``clear_file`` of an
-        already-empty range is a no-op.
-        """
-        fs = self.env.fs
-        faults = self.env.cluster.faults
-
-        def hit(point):
-            if inject:
-                faults.hit(point, table=self.table.name)
-
-        location = manifest["location"]
-        tmp = manifest["tmp"]
-        hit("dualtable.compact.partial.swap")
+        tmp, location = manifest["tmp"], manifest["location"]
+        hit("swap")
         for name in manifest["new_names"]:
             src = "%s/%s" % (tmp, name)
             if fs.exists(src):
@@ -1174,13 +1051,9 @@ class DualTableHandler(StorageHandler):
             if fs.exists(old):
                 fs.delete(old)
         self._invalidate_master_cache()
-        hit("dualtable.compact.partial.delta_drop")
+        hit("delta_drop")
         for file_id in manifest["folded_file_ids"]:
-            self.attached.clear_file(int(file_id))
-        if fs.exists(tmp):
-            fs.delete(tmp, recursive=True)
-        if fs.exists(self._manifest_path):
-            fs.delete(self._manifest_path)
+            self.attached.clear_file(file_id)
 
 
 register_handler("dualtable", DualTableHandler)

@@ -182,8 +182,7 @@ def run_server_chaos_schedule(seed, statements=40, clients=8, accounts=12,
     staged = (list(fs.list_files(handler.txn_dir))
               if fs.exists(handler.txn_dir) else [])
     assert not staged, "seed %r left orphaned redo logs: %r" % (seed, staged)
-    for path in (handler._manifest_path, handler._compact_tmp,
-                 handler._compact_old):
+    for path in handler.compaction.paths:
         assert not fs.exists(path), (
             "seed %r left orphaned COMPACT state at %s" % (seed, path))
     total_once, _ = ledger_totals(server.engine)

@@ -3,13 +3,12 @@
 ``repro.shard`` hash-partitions one logical DualTable — master ORC
 files *and* the attached HBase table — across N simulated region
 servers, with a bucket-based shard map, scatter-gather UNION READ,
-owning-shard LOOKUP routing, and a deterministic 2PC shard-rebalance
-reusing the COMPACT manifest machinery.
+owning-shard LOOKUP routing, and a deterministic shard rebalance
+committed by the manifest 2PC (:mod:`repro.core.manifest`).
 """
 
-from repro.shard.sharded import (NUM_BUCKETS, SHARD_CHAOS_POINT_NAMES,
-                                 SHARD_COLUMNS, ShardedDualTableHandler,
-                                 ShardMap)
+from repro.shard.sharded import (NUM_BUCKETS, SHARD_COLUMNS,
+                                 ShardedDualTableHandler, ShardMap)
 
-__all__ = ["NUM_BUCKETS", "SHARD_CHAOS_POINT_NAMES", "SHARD_COLUMNS",
-           "ShardMap", "ShardedDualTableHandler"]
+__all__ = ["NUM_BUCKETS", "SHARD_COLUMNS", "ShardMap",
+           "ShardedDualTableHandler"]

@@ -5,7 +5,7 @@ One logical table ``t`` is backed by ``n`` child DualTables
 on its own simulated region server.  Rows are routed by a 64-bucket hash
 of the declared shard key; the bucket -> shard assignment (the *shard
 map*) is persisted next to the table and can be rebalanced one bucket at
-a time with a 2PC move that reuses the COMPACT manifest pattern.
+a time, a move committed by the manifest 2PC (:mod:`repro.core.manifest`).
 
 Determinism contract: the *physical layout* is a function of the data
 and the bucket hash alone, never of the shard count.  ``insert_rows``
@@ -40,20 +40,25 @@ from repro.hive.session import QueryResult
 from repro.core.editlog import recover_edit_logs, run_with_retries
 from repro.core.handler import DualTableHandler
 from repro.core.lookup import NUM_BUCKETS, plan_lookup
+from repro.core.manifest import (ManifestKind, ManifestProtocol, index_below,
+                                 list_of, of)
 
 #: ``SHOW SHARDS`` result columns.
 SHARD_COLUMNS = ["shard", "buckets", "files", "rows", "master_bytes",
                  "attached_bytes", "heat"]
 
-#: rebalance 2PC injection points, in protocol order.  Everything before
-#: ``dualtable.rebalance.manifest`` completes rolls *back*; the manifest
-#: write is the commit point; everything after rolls *forward*.
-SHARD_CHAOS_POINT_NAMES = (
-    "dualtable.rebalance.spill",
-    "dualtable.rebalance.manifest",
-    "dualtable.rebalance.apply",
-    "dualtable.rebalance.cleanup",
-)
+
+def rebalance_kind(num_shards):
+    """REBALANCE's manifest 2PC (:mod:`repro.core.manifest`) on a table
+    of ``num_shards``: spill both shards' new contents, commit, overwrite
+    both children and persist the new shard map."""
+    shard = index_below(num_shards)
+    return ManifestKind(
+        "dualtable.rebalance", ("spill", "manifest", "apply", "cleanup"),
+        {"bucket": index_below(NUM_BUCKETS), "src": shard, "dst": shard,
+         "assignment": list_of(shard, length=NUM_BUCKETS),
+         "keep": of(str), "dest": of(str)},
+        mode="rebalance")
 
 
 class ShardMap:
@@ -291,8 +296,10 @@ class ShardedDualTableHandler(DualTableHandler):
         self.shard_fanout = self.num_shards
         self._batch_target = _ShardBatchTarget(self)
         base = "/warehouse/%s" % table.name
-        self._rebalance_dir = base + "/__rebalance__"
-        self._rebalance_manifest = base + "/rebalance.manifest"
+        self.rebalancing = ManifestProtocol(
+            env, table.name, base + "/rebalance.manifest",
+            staging=(base + "/__rebalance__",))
+        self._rebalance_kind = rebalance_kind(self.num_shards)
         #: heat counters are cumulative cluster metrics; the advisor and
         #: the rebalance decision subtract this in-memory baseline so a
         #: completed rebalance restarts the skew measurement from zero.
@@ -312,8 +319,8 @@ class ShardedDualTableHandler(DualTableHandler):
             child.drop()
         self.metadata.unregister_table(self.table.name)
         fs = self.env.fs
-        for path in (self._rebalance_dir, self._rebalance_manifest,
-                     self.shard_map.path, "/warehouse/%s" % self.table.name):
+        for path in self.rebalancing.paths + (
+                self.shard_map.path, "/warehouse/%s" % self.table.name):
             if fs.exists(path):
                 fs.delete(path, recursive=True)
 
@@ -336,8 +343,11 @@ class ShardedDualTableHandler(DualTableHandler):
         # Statement-level redo logs live on the logical table (one per
         # EDIT statement, shard-tagged); replay routes through children.
         dml.extend(recover_edit_logs(self._batch_target))
-        rebalance = self._recover_rebalance()
+        rebalance = self.rebalancing.recover(
+            {self._rebalance_kind: self._apply_rebalance})
         if rebalance == "rolled_forward":
+            self.env.cluster.metrics.incr(
+                "shard.rebalance.recovered.%s" % self.table.name)
             dml.append(("rebalance:%s" % self.table.name, "rolled_forward"))
         if "rolled_forward" in compact_outcomes:
             compact = "rolled_forward"
@@ -352,11 +362,9 @@ class ShardedDualTableHandler(DualTableHandler):
         if self._compacting:
             return
         fs = self.env.fs
-        if fs.exists(self._rebalance_manifest) \
-                or fs.exists(self._rebalance_dir):
-            self._recover_rebalance()
-        if fs.exists(self.txn_dir) and fs.list_files(self.txn_dir):
-            recover_edit_logs(self._batch_target)
+        if any(map(fs.exists, self.rebalancing.paths)) \
+                or fs.exists(self.txn_dir) and fs.list_files(self.txn_dir):
+            self.recover()
         for child in self.children:
             child._ensure_recovered()
 
@@ -599,13 +607,12 @@ class ShardedDualTableHandler(DualTableHandler):
     def execute_rebalance(self, session):
         """Move the hottest shard's lowest bucket to the coldest shard.
 
-        Phase 1 (rolls back on a crash): major-compact source and
-        destination so the move copies master rows only, then spill the
-        *complete* new contents of both shards as JSON and write the
-        rebalance manifest — the commit point.  Phase 2 (rolls forward):
-        overwrite both children from their spill files, persist the new
-        shard map, clean up.  Every phase-2 step is existence-guarded,
-        so replaying from any prefix converges.
+        Major-compacts source and destination first, so the move copies
+        master rows only; then one manifest 2PC run
+        (:func:`rebalance_kind`): prepare spills the *complete* new
+        contents of both shards as JSON, the manifest commits, and
+        :meth:`_apply_rebalance` overwrites both children and persists
+        the new shard map.
         """
         self._check_not_compacting()
         self._ensure_recovered()
@@ -618,10 +625,7 @@ class ShardedDualTableHandler(DualTableHandler):
         bucket = min(self.shard_map.buckets_of(src))
         cluster = self.env.cluster
         fs = self.env.fs
-        faults = cluster.faults
         table = self.table.name
-        keep_path = self._rebalance_dir + "/keep.json"
-        dest_path = self._rebalance_dir + "/dest.json"
         assignment = list(self.shard_map.assignment)
         assignment[bucket] = dst
         moved = []
@@ -637,8 +641,7 @@ class ShardedDualTableHandler(DualTableHandler):
             jobs = list(fold_src.jobs) + list(fold_dst.jobs)
             key_idx = self.schema.index_of(self.shard_key)
 
-            def spill():
-                faults.hit("dualtable.rebalance.spill", table=table)
+            def spill(staging):
                 src_rows = list(self.children[src].read_all_rows())
                 dst_rows = list(self.children[dst].read_all_rows())
                 keep = []
@@ -649,35 +652,18 @@ class ShardedDualTableHandler(DualTableHandler):
                     else:
                         keep.append(list(row))
                 dest = [list(row) for row in dst_rows] + moved
-                if fs.exists(self._rebalance_dir):
-                    fs.delete(self._rebalance_dir, recursive=True)
-                fs.mkdirs(self._rebalance_dir)
-                fs.write_file(keep_path,
-                              json.dumps(keep).encode("utf-8"))
-                fs.write_file(dest_path,
-                              json.dumps(dest).encode("utf-8"))
+                fields = {"bucket": bucket, "src": src, "dst": dst,
+                          "assignment": assignment,
+                          "keep": staging + "/keep.json",
+                          "dest": staging + "/dest.json"}
+                fs.write_file(fields["keep"], json.dumps(keep).encode("utf-8"))
+                fs.write_file(fields["dest"], json.dumps(dest).encode("utf-8"))
+                return fields
 
-            def write_manifest():
-                faults.hit("dualtable.rebalance.manifest", table=table)
-                manifest = {"table": table, "mode": "rebalance",
-                            "bucket": bucket, "src": src, "dst": dst,
-                            "assignment": assignment,
-                            "keep": keep_path, "dest": dest_path}
-                if fs.exists(self._rebalance_manifest):
-                    fs.delete(self._rebalance_manifest)
-                fs.write_file(self._rebalance_manifest,
-                              json.dumps(manifest).encode("utf-8"))
-
-            sim_seconds += run_with_retries(session, spill,
-                                            "rebalance-spill")
-            sim_seconds += run_with_retries(session, write_manifest,
-                                            "rebalance-manifest")
-            manifest = self._load_rebalance_manifest()
             sim_seconds += run_with_retries(
-                session, lambda: self._apply_rebalance(manifest,
-                                                       inject=True),
-                "rebalance-apply")
-        self._reset_heat_baseline()
+                session, lambda: self.rebalancing.run(
+                    self._rebalance_kind, spill, self._apply_rebalance),
+                "rebalance-commit")
         metrics = cluster.metrics
         metrics.incr("shard.rebalances.%s" % table)
         metrics.observe("shard.rebalance.moved_rows", len(moved))
@@ -706,29 +692,9 @@ class ShardedDualTableHandler(DualTableHandler):
             return None, None, heats
         return src, dst, heats
 
-    def _load_rebalance_manifest(self):
-        """The rebalance manifest as a dict, or None if absent/torn."""
-        fs = self.env.fs
-        if not fs.exists(self._rebalance_manifest):
-            return None
-        try:
-            manifest = json.loads(
-                fs.read_file_silent(self._rebalance_manifest)
-                .decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(manifest, dict) \
-                or manifest.get("table") != self.table.name \
-                or manifest.get("mode") != "rebalance":
-            return None
-        assignment = manifest.get("assignment")
-        if not isinstance(assignment, list) \
-                or len(assignment) != NUM_BUCKETS:
-            return None
-        return manifest
-
-    def _apply_rebalance(self, manifest, inject=False):
-        """Phase 2: overwrite both shards from their spills; idempotent.
+    def _apply_rebalance(self, manifest, hit):
+        """Overwrite both shards from their spills, persist the new map
+        and restart the heat measurement; idempotent.
 
         Spill files carry each shard's *complete* new contents, so apply
         is a pure overwrite and replaying any prefix converges: an
@@ -736,13 +702,7 @@ class ShardedDualTableHandler(DualTableHandler):
         re-overwriting with it is a no-op in content terms.
         """
         fs = self.env.fs
-        faults = self.env.cluster.faults
-
-        def hit(point):
-            if inject:
-                faults.hit(point, table=self.table.name)
-
-        hit("dualtable.rebalance.apply")
+        hit("apply")
         for key, shard in (("keep", manifest["src"]),
                            ("dest", manifest["dst"])):
             path = manifest[key]
@@ -753,29 +713,8 @@ class ShardedDualTableHandler(DualTableHandler):
                 child = self.children[shard]
                 self._insert_bucketed(rows, [child], lambda bucket: child)
         self.shard_map.persist(manifest["assignment"])
-        hit("dualtable.rebalance.cleanup")
-        if fs.exists(self._rebalance_dir):
-            fs.delete(self._rebalance_dir, recursive=True)
-        if fs.exists(self._rebalance_manifest):
-            fs.delete(self._rebalance_manifest)
-
-    def _recover_rebalance(self):
-        """Roll an interrupted rebalance forward or back; idempotent."""
-        fs = self.env.fs
-        manifest = self._load_rebalance_manifest()
-        if manifest is not None:
-            self._apply_rebalance(manifest, inject=False)
-            self.env.cluster.metrics.incr(
-                "shard.rebalance.recovered.%s" % self.table.name)
-            return "rolled_forward"
-        rolled_back = False
-        if fs.exists(self._rebalance_manifest):
-            fs.delete(self._rebalance_manifest)     # torn manifest
-            rolled_back = True
-        if fs.exists(self._rebalance_dir):
-            fs.delete(self._rebalance_dir, recursive=True)
-            rolled_back = True
-        return "rolled_back" if rolled_back else "clean"
+        self._reset_heat_baseline()
+        hit("cleanup")
 
 
 register_handler("dualtable-sharded", ShardedDualTableHandler)

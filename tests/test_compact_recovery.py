@@ -1,18 +1,18 @@
-"""Crash-safe COMPACT (manifest 2PC) and atomic DML commits."""
+"""Crash-safe COMPACT, COMPACT PARTIAL and REBALANCE (the manifest 2PC
+of :mod:`repro.core.manifest`) and atomic DML commits."""
+
+import json
 
 import pytest
 
 from repro.common.errors import FaultInjectedError, ReproError
+from repro.core.handler import FULL_COMPACT, PARTIAL_COMPACT
 from repro.faults import Fault, FaultPlan
+from repro.shard.sharded import rebalance_kind
 
-COMPACT_POINTS = (
-    "dualtable.compact.write",
-    "dualtable.compact.manifest",
-    "dualtable.compact.swap",
-    "dualtable.compact.swap2",
-    "dualtable.compact.truncate",
-    "dualtable.compact.cleanup",
-)
+COMPACT_POINTS = FULL_COMPACT.steps
+PARTIAL_POINTS = PARTIAL_COMPACT.steps
+REBALANCE_POINTS = rebalance_kind(4).steps
 
 
 def make_dualtable(session, n=60, rows_per_file=15):
@@ -118,14 +118,6 @@ class TestCompactCrashRecovery:
         # No explicit recover() — just keep using the table.
         assert session.execute(
             "SELECT * FROM dt ORDER BY id").rows == expect
-
-
-PARTIAL_POINTS = (
-    "dualtable.compact.partial.write",
-    "dualtable.compact.partial.manifest",
-    "dualtable.compact.partial.swap",
-    "dualtable.compact.partial.delta_drop",
-)
 
 
 class TestPartialCompactCrashRecovery:
@@ -246,6 +238,122 @@ class TestPartialCompactCrashRecovery:
             expect = _select_all(session)
         session.execute("COMPACT TABLE dt PARTIAL")
         assert _select_all(session) == expect
+
+
+def make_sharded(session):
+    """A 4-shard PRIMARY KEY table with deltas on three shards and one
+    hot shard, so REBALANCE has a bucket to move and folds to run."""
+    session.execute(
+        "CREATE TABLE t (k int, v int, PRIMARY KEY (k)) STORED AS DUALTABLE "
+        "SHARDED BY (k) INTO 4 TBLPROPERTIES ('orc.rows_per_file' = '12', "
+        "'orc.stripe_rows' = '6')")
+    session.load_rows("t", [(i, i * 10) for i in range(48)])
+    session.execute("UPDATE t SET v = v + 1 WHERE k IN (3, 17, 40)")
+    session.execute("SET dualtable.plan = lookup")
+    for _ in range(6):
+        session.execute("SELECT v FROM t WHERE k = 17")
+    session.execute("SET dualtable.plan = cost")
+    return session.table("t").handler
+
+
+def _setup(session, table):
+    if table == "t":
+        return make_sharded(session)
+    handler = make_dualtable(session)
+    _dirty(session)
+    return handler
+
+
+def _state(session, handler, table):
+    """Rows, master files and the shard map: what recovery may change."""
+    key = "id" if table == "dt" else "k"
+    with session.cluster.faults.paused():
+        rows = session.execute(
+            "SELECT * FROM %s ORDER BY %s" % (table, key)).rows
+    shard_map = getattr(handler, "shard_map", None)
+    return (rows, sorted(handler.master.file_paths()),
+            shard_map and list(shard_map.assignment))
+
+
+def _leftover_protocol_paths(session, handler):
+    children = getattr(handler, "children", [])
+    protocols = [handler.compaction] + [c.compaction for c in children]
+    if children:
+        protocols.append(handler.rebalancing)
+    return [path for protocol in protocols for path in protocol.paths
+            if session.fs.exists(path)]
+
+
+EVERY_STEP = ([(point, "dt", "COMPACT TABLE dt") for point in COMPACT_POINTS]
+              + [(point, "dt", "COMPACT TABLE dt PARTIAL")
+                 for point in PARTIAL_POINTS]
+              + [(point, "t", "ALTER TABLE t REBALANCE")
+                 for point in REBALANCE_POINTS])
+
+
+class TestEveryDeclaredStep:
+    """Every declared step of the three manifest 2PC protocols."""
+
+    @pytest.mark.parametrize("point, table, sql", EVERY_STEP,
+                             ids=[point for point, _, _ in EVERY_STEP])
+    def test_kill_then_recover_twice(self, session, point, table, sql):
+        handler = _setup(session, table)
+        expect = _state(session, handler, table)[0]
+        session.cluster.faults.install(FaultPlan([
+            Fault(point, nth_hit=1, kind="kill")]))
+        with pytest.raises(FaultInjectedError):
+            session.execute(sql)
+        session.cluster.faults.uninstall()
+        handler.recover()
+        once = _state(session, handler, table)
+        assert once[0] == expect
+        handler.recover()
+        assert _state(session, handler, table) == once
+        assert _leftover_protocol_paths(session, handler) == []
+
+    @pytest.mark.parametrize("point", REBALANCE_POINTS)
+    def test_retryable_crash_at_rebalance_step_self_heals(self, session,
+                                                         point):
+        handler = make_sharded(session)
+        expect = _state(session, handler, "t")[0]
+        faults = session.cluster.faults
+        faults.install(FaultPlan([Fault(point, nth_hit=1, kind="crash")]))
+        result = session.execute("ALTER TABLE t REBALANCE")
+        spills = faults.hit_count(REBALANCE_POINTS[0])
+        faults.uninstall()
+        assert result.plan == "rebalance"
+        assert handler.shard_map.assignment[result.detail["bucket"]] \
+            == result.detail["dst"]
+        assert _state(session, handler, "t")[0] == expect
+        assert _leftover_protocol_paths(session, handler) == []
+        assert handler.shard_heats() == [0] * 4
+        if REBALANCE_POINTS.index(point) >= 2:
+            # Past the commit point the retry resumed apply from the
+            # manifest; phase 1 was not rebuilt.
+            assert spills == 1
+
+    @pytest.mark.parametrize("table, path, manifest", [
+        ("dt", "/warehouse/dt/compact.manifest", {"table": "dt"}),
+        ("dt", "/warehouse/dt/compact.manifest",
+         {"table": "dt", "mode": "partial"}),
+        ("t", "/warehouse/t/rebalance.manifest",
+         {"table": "t", "mode": "rebalance", "bucket": 0, "src": 0,
+          "dst": 1, "assignment": [7] * 64,
+          "keep": "/warehouse/t/__rebalance__/keep.json",
+          "dest": "/warehouse/t/__rebalance__/dest.json"}),
+    ], ids=["full", "partial", "rebalance"])
+    def test_invalid_manifest_rolls_back(self, session, table, path,
+                                         manifest):
+        """A manifest that parses but fails its kind's field checks is
+        torn: recovery rolls it back instead of applying it."""
+        handler = _setup(session, table)
+        expect = _state(session, handler, table)
+        session.fs.write_file(path, json.dumps(manifest).encode("utf-8"))
+        outcome = handler.recover()
+        assert outcome["rebalance" if table == "t" else "compact"] \
+            == "rolled_back"
+        assert _state(session, handler, table) == expect
+        assert _leftover_protocol_paths(session, handler) == []
 
 
 class TestDmlCrashRecovery:

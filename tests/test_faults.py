@@ -112,3 +112,39 @@ class TestFaultPlans:
                 assert fault.point in INJECTION_POINTS
                 assert fault.kind in POINT_KINDS[fault.point]
                 assert fault.nth_hit >= 1
+
+
+class TestPointRegistry:
+    """The 2PC fault points are declared once, by the protocols; the
+    chaos registries keep literal keys (``repro.faults`` cannot import
+    ``repro.core``) and must agree with them."""
+
+    def test_every_declared_2pc_step_is_a_registered_point(self):
+        from repro.core.handler import FULL_COMPACT, PARTIAL_COMPACT
+        from repro.faults.chaos import SHARD_CHAOS_POINTS
+        from repro.shard.sharded import rebalance_kind
+
+        for kind in (FULL_COMPACT, PARTIAL_COMPACT):
+            assert set(kind.steps) <= set(POINT_KINDS)
+        assert set(rebalance_kind(4).steps) <= set(SHARD_CHAOS_POINTS)
+
+    def test_chaos_registries_are_frozen(self):
+        """Seeded schedules draw from these sorted keys: any change
+        reshuffles every chaos seed's plan."""
+        from repro.faults.chaos import SHARD_CHAOS_POINTS
+
+        assert INJECTION_POINTS == (
+            "dualtable.autocompact.tick", "dualtable.compact.cleanup",
+            "dualtable.compact.manifest",
+            "dualtable.compact.partial.delta_drop",
+            "dualtable.compact.partial.manifest",
+            "dualtable.compact.partial.swap",
+            "dualtable.compact.partial.write", "dualtable.compact.swap",
+            "dualtable.compact.swap2", "dualtable.compact.truncate",
+            "dualtable.compact.write", "dualtable.dml.publish",
+            "dualtable.dml.stage", "hbase.delete", "hbase.put",
+            "hdfs.write_block", "mapreduce.map", "mapreduce.reduce")
+        assert tuple(sorted(SHARD_CHAOS_POINTS)) == (
+            "dualtable.rebalance.apply", "dualtable.rebalance.cleanup",
+            "dualtable.rebalance.manifest", "dualtable.rebalance.spill",
+            "hbase.put", "lookup.hbase_probe")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.advisor.profiles import build_profile
 from repro.cluster import Cluster, ClusterProfile
 from repro.hive import HiveSession
 from repro.obs.export import (load_trace, span_event, tracer_trace,
@@ -277,6 +278,12 @@ class TestSessionMetrics:
                       .count == 1
         assert metrics.snapshot()["gauges"][
             "dualtable.attached_bytes.et"] == 0
+        # PARTIAL counts per table too (the advisor's compact count).
+        s.execute("UPDATE et SET v = 8 WHERE id < 5")
+        s.execute("COMPACT TABLE et PARTIAL")
+        assert metrics.counter("dualtable.compacts") == 2
+        assert metrics.counter("dualtable.compacts.partial") == 1
+        assert build_profile(s, "et").compacts == 2
 
     def test_clock_advances_by_statement_seconds(self, dual_session):
         start = dual_session.cluster.clock.now

@@ -11,6 +11,8 @@ The comparison goes through :mod:`repro.shard.identity` so the test and
 import pytest
 
 from repro.cluster import ClusterProfile
+from repro.common.errors import FaultInjectedError
+from repro.faults import Fault, FaultPlan
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive.parser import parse
@@ -280,6 +282,28 @@ class TestShowShardsAndRebalance:
             "SELECT k, grp, v FROM t ORDER BY k").rows == before_rows
         # Heat measurement restarts from zero.
         assert handler.shard_heats() == [0] * 4
+
+    def test_rolled_forward_rebalance_resets_heat(self):
+        """recover() finishing a rebalance restarts the heat measurement
+        like an uncrashed one, so the next REBALANCE is a no-op."""
+        session = make_session(4)
+        handler = handler_of(session)
+        hot_key = next(k for k in range(90)
+                       if handler.shard_map.shard_of(k) == 3)
+        session.execute("SET dualtable.plan = lookup")
+        for _ in range(20):
+            session.execute("SELECT v FROM t WHERE k = %d" % hot_key)
+        session.execute("SET dualtable.plan = cost")
+        assert handler.shard_heats() == [0, 0, 0, 20]
+        session.cluster.faults.install(FaultPlan([
+            Fault("dualtable.rebalance.cleanup", nth_hit=1, kind="kill")]))
+        with pytest.raises(FaultInjectedError):
+            session.execute("ALTER TABLE t REBALANCE")
+        session.cluster.faults.uninstall()
+        assert handler.recover()["rebalance"] == "rolled_forward"
+        assert handler.shard_heats() == [0] * 4
+        assert session.execute("ALTER TABLE t REBALANCE").plan \
+            == "rebalance-noop"
 
     def test_rebalance_decision_is_deterministic(self):
         def run_once():
