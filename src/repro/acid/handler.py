@@ -20,7 +20,6 @@ into a new base.
 from repro.mapreduce import InputSplit, Job
 from repro.orc import OrcReader, OrcWriter
 from repro.hive.catalog import register_handler
-from repro.hive.expressions import Env, compile_expr, is_true
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
 from repro.vector import batches_from_rows
@@ -213,74 +212,50 @@ class AcidHandler(StorageHandler):
     # ------------------------------------------------------------------
     # UPDATE / DELETE: always write a new delta (no cost model).
     # ------------------------------------------------------------------
-    def execute_update(self, session, stmt):
-        schema = self.schema
-        env = Env()
-        env.add_schema(schema.names, alias=stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        assigns = [(schema.index_of(name), compile_expr(expr, env))
-                   for name, expr in stmt.assignments]
-        # The whole updated record goes into the delta, so the scan must
-        # read every column of matching rows.
-        splits = self.scan_splits(projection=None,
-                                  ranges=(extract_ranges_safe(stmt.where)))
+    def execute_update(self, session, edit):
+        """One row edit (:mod:`repro.hive.rowedit`) — an UPDATE, a DELETE
+        or MERGE's matched arm — as one new delta table."""
+        verb = edit.verb
+        update = verb == "update"
+        # The whole updated record goes into the delta, so an update's
+        # scan reads every column; a delete reads what its matcher does.
+        projection = None if update else edit.projection(self.schema)
+        match = edit.row_matcher(projection or self.schema.names)
+        targets = edit.targets
+        splits = self.scan_splits(projection=projection, ranges=edit.ranges)
+        counter = verb + "d"
 
         def map_fn(split, ctx):
             for rid, values in self.read_split_with_rids(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    ctx.incr("updated")
-                    row = list(values)
-                    for idx, fn in assigns:
-                        row[idx] = fn(values)
-                    yield (rid, _OP_UPDATE, tuple(row))
-
-        job = Job(name="acid-update", splits=splits, map_fn=map_fn,
-                  reduce_fn=None)
-        result = session.runner.run(job)
-        write_seconds = session._charged_parallel(
-            lambda: self._write_delta(result.outputs))
-        return QueryResult(
-            sim_seconds=result.sim_seconds + write_seconds,
-            jobs=[result], affected=result.counters.get("updated", 0),
-            plan="acid-update-delta",
-            detail={"plan": "delta", "delta_count": self._next_delta})
-
-    def execute_delete(self, session, stmt):
-        schema = self.schema
-        env = Env()
-        env.add_schema(schema.names, alias=stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        from repro.hive.expressions import referenced_columns
-        needed = (referenced_columns(stmt.where)
-                  if stmt.where is not None else set())
-        projection = [c.name for c in schema if c.name.lower() in needed]
-        if not projection:
-            projection = [schema.columns[0].name]
-        proj_env = Env()
-        proj_env.add_schema(projection, alias=stmt.alias)
-        proj_predicate = (compile_expr(stmt.where, proj_env)
-                          if stmt.where is not None else None)
-        splits = self.scan_splits(projection=projection,
-                                  ranges=extract_ranges_safe(stmt.where))
-
-        def map_fn(split, ctx):
-            for rid, values in self.read_split_with_rids(split, ctx):
-                if proj_predicate is None or is_true(proj_predicate(values)):
-                    ctx.incr("deleted")
+                new_values = match(values)
+                if new_values is None:
+                    continue
+                ctx.incr(counter)
+                if not update:
                     yield (rid, _OP_DELETE, None)
+                    continue
+                row = list(values)
+                for target, value in zip(targets, new_values):
+                    row[target] = value
+                yield (rid, _OP_UPDATE, tuple(row))
 
-        job = Job(name="acid-delete", splits=splits, map_fn=map_fn,
+        job = Job(name="acid-%s" % verb, splits=splits, map_fn=map_fn,
                   reduce_fn=None)
         result = session.runner.run(job)
+        coerce = self.schema.coerce_row
+        records = [(rid, op, row if row is None else coerce(row))
+                   for rid, op, row in result.outputs]
         write_seconds = session._charged_parallel(
-            lambda: self._write_delta(result.outputs))
+            lambda: self._write_delta(records))
+        sub = session._dml_subquery_jobs
         return QueryResult(
-            sim_seconds=result.sim_seconds + write_seconds,
-            jobs=[result], affected=result.counters.get("deleted", 0),
-            plan="acid-delete-delta",
+            sim_seconds=(sum(j.sim_seconds for j in sub) + result.sim_seconds
+                         + write_seconds),
+            jobs=sub + [result], affected=result.counters.get(counter, 0),
+            plan="acid-%s-delta" % verb,
             detail={"plan": "delta", "delta_count": self._next_delta})
+
+    execute_delete = execute_update
 
     # ------------------------------------------------------------------
     # Compaction.
@@ -333,14 +308,6 @@ class AcidHandler(StorageHandler):
                            sim_seconds=result.sim_seconds + write_seconds,
                            jobs=[result],
                            detail={"rows_written": len(result.outputs)})
-
-
-def extract_ranges_safe(where):
-    from repro.hive.pushdown import extract_ranges
-
-    if where is None:
-        return {}
-    return extract_ranges(where)
 
 
 register_handler("acid", AcidHandler)

@@ -19,7 +19,6 @@ from repro.common.errors import (CompactionInProgressError, DualTableError,
 from repro.mapreduce import InputSplit, Job
 from repro.hive.catalog import register_handler
 from repro.hive.expressions import Env, compile_expr, is_true, referenced_columns
-from repro.hive.vexpr import compile_batch, compile_batch_select
 from repro.hive.pushdown import (estimate_selection, extract_ranges,
                                  make_stripe_filter)
 from repro.hive.session import QueryResult
@@ -336,14 +335,6 @@ class DualTableHandler(StorageHandler):
             metrics.incr("unionread.trailing_deltas",
                          stats["trailing_deltas"])
 
-    def attached_for_split(self, split):
-        """The Attached Table holding one split's deltas.
-
-        A method so sharded handlers can hand back the owning child's
-        store; the single-table answer is the table's own.
-        """
-        return self.attached
-
     def _projection_map(self, projection):
         schema = self.schema
         if projection is None:
@@ -510,59 +501,56 @@ class DualTableHandler(StorageHandler):
             return 0.0, total
         return matched / sampled, total
 
-    def _edit_scan_bytes(self, where, extra_columns=()):
+    def _edit_scan_bytes(self, edit):
         """Master bytes the EDIT scan reads (projection + pruning)."""
-        needed = set(extra_columns)
-        if where is not None:
-            needed |= referenced_columns(where)
         projection = [c.name for c in self.schema
-                      if c.name.lower() in needed] or None
-        ranges = extract_ranges(where) if where is not None else {}
+                      if c.name.lower() in edit.needed] or None
         total = 0
         for reader in self.master.readers():
             stripe_filter = make_stripe_filter(
-                [n for n, _ in reader.schema], ranges)
+                [n for n, _ in reader.schema], edit.ranges)
             total += reader.projected_bytes(projection, stripe_filter)
         return total
 
-    def execute_update(self, session, stmt):
-        return self._execute_dml(session, stmt, "update", stmt.assignments)
+    def execute_update(self, session, edit):
+        """One row edit (:mod:`repro.hive.rowedit`): an UPDATE, a DELETE
+        or MERGE's matched arm."""
+        return self._execute_dml(session, edit)
 
-    def execute_delete(self, session, stmt):
-        return self._execute_dml(session, stmt, "delete", ())
+    execute_delete = execute_update
 
-    def choose_dml_plan(self, where, assignments=None):
-        """The cost evaluator's EDIT-vs-OVERWRITE verdict for one UPDATE
-        (``assignments`` given) or DELETE; shared with EXPLAIN."""
-        ratio, total_rows = self._estimate_ratio(where)
+    def choose_dml_plan(self, edit):
+        """The cost evaluator's EDIT-vs-OVERWRITE verdict for one row
+        edit; shared with EXPLAIN."""
+        ratio, total_rows = edit.estimate_ratio(self)
         d_bytes = self.master.data_bytes()
-        if assignments is None:
-            return self.cost_model().choose_delete_plan(
-                d_bytes, total_rows, ratio,
-                edit_scan_bytes=self._edit_scan_bytes(where))
-        read = set().union(*(referenced_columns(e) for _, e in assignments))
-        return self.cost_model().choose_update_plan(
+        model = self.cost_model()
+        scan_bytes = self._edit_scan_bytes(edit)
+        if edit.verb == "delete":
+            return model.choose_delete_plan(d_bytes, total_rows, ratio,
+                                            edit_scan_bytes=scan_bytes)
+        return model.choose_update_plan(
             d_bytes, total_rows, ratio,
-            RECORD_ID_BYTES + _UPDATE_CELL_BYTES * len(assignments),
-            edit_scan_bytes=self._edit_scan_bytes(where, read))
+            RECORD_ID_BYTES + _UPDATE_CELL_BYTES * len(edit.targets),
+            edit_scan_bytes=scan_bytes)
 
-    def _execute_dml(self, session, stmt, verb, assignments):
+    def _execute_dml(self, session, edit):
         self._check_not_compacting()
         self._ensure_recovered()
         cluster = self.env.cluster
+        verb = edit.verb
         cluster.metrics.incr("dualtable.%ss.%s" % (verb, self.table.name))
         scan = None
         if self.primary_key is not None and self.mode != "overwrite":
             # A write that pins the PRIMARY KEY needs no job to find its
             # rows, and no Eq. (1)/(2) evaluation to know it is an EDIT.
-            scan = self._edit_scan(stmt, assignments)
+            scan = self._edit_scan(edit)
             result = self._edit_by_key(session, scan, verb)
             if result is not None:
                 return result
         with cluster.tracer.span("phase", "dualtable:plan",
                                  table=self.table.name, dml=verb) as span:
-            choice = self.choose_dml_plan(
-                stmt.where, assignments if verb == "update" else None)
+            choice = self.choose_dml_plan(edit)
             plan = self._forced_or(choice.plan)
             self._annotate_choice(span, choice, plan)
         detail = self._detail(choice, plan)
@@ -571,11 +559,10 @@ class DualTableHandler(StorageHandler):
         self._claim_txn_access(session, plan)
         if plan == "overwrite":
             info = session.metastore.table(self.table.name)
-            result = session._rewrite_via_overwrite(
-                info, stmt, verb, assignments, extra_detail=detail)
+            result = session._rewrite_via_overwrite(info, edit,
+                                                    extra_detail=detail)
         else:
-            result = self._run_edit(session, stmt, detail, verb, assignments,
-                                    scan)
+            result = self._run_edit(session, edit, detail, scan)
         predicted = (choice.edit_seconds if plan == "edit"
                      else choice.overwrite_seconds)
         result.detail["audit"] = self._audit(plan, predicted,
@@ -693,63 +680,45 @@ class DualTableHandler(StorageHandler):
         }
 
     # -- EDIT plans ------------------------------------------------------
-    def _edit_scan(self, stmt, assignments):
-        """Compile one EDIT statement: ``(projection, ranges, stage)``.
+    def _edit_scan(self, edit):
+        """Compile one row edit for EDIT: ``(projection, ranges, stage)``.
 
         ``stage(buffer, payload, batch)`` turns one merged ColumnBatch of
-        the file ``payload`` names into buffered UDTF calls: the WHERE
-        runs once over columns; only the matched rows are taken,
-        assigned and given a record id (from the batch's provenance), so
-        wall-clock cost follows the rows *touched*.  The batch compilers
-        raise what the row compiler would, on the first row it would;
-        within a batch the whole WHERE runs before any assignment.  The
+        the file ``payload`` names into buffered UDTF calls: the edit's
+        batch matcher picks the rows and evaluates their new values, and
+        only the matched rows are given a record id (from the batch's
+        provenance), so wall-clock cost follows the rows *touched*.  The
         EDIT job and EDIT-by-key stage through the same closure.
         """
-        schema = self.schema
-        needed = set()
-        if stmt.where is not None:
-            needed |= referenced_columns(stmt.where)
-        for _, expr in assignments:
-            needed |= referenced_columns(expr)
-        projection = [c.name for c in schema if c.name.lower() in needed]
-        if not projection:
-            projection = [schema.columns[0].name]
-        env = Env()
-        env.add_schema(projection, alias=stmt.alias)
-        select = (compile_batch_select(stmt.where, env)
-                  if stmt.where is not None else None)
-        targets = [schema.index_of(name) for name, _ in assignments]
-        setters = [compile_batch(expr, env) for _, expr in assignments]
-        ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
+        projection = edit.projection(self.schema)
+        match = edit.batch_matcher(projection)
+        targets = edit.targets
+        delete = edit.verb == "delete"
 
         def stage(buffer, payload, batch):
-            keep = (range(batch.length) if select is None
-                    else select(batch.columns, batch.length))
+            keep, new_columns = match(batch)
             if not keep:
                 return
             file_id = payload["file_id"]
             keys = self._edit_keys(
                 payload, [encode_record_id(file_id, ordinal)
                           for ordinal in batch.ordinals(keep)])
-            if not setters:
+            if delete:
                 for key in keys:
                     delete_udtf(buffer, key)
                 return
-            matched = (batch if len(keep) == batch.length
-                       else batch.take(keep))
-            new_columns = [fn(matched.columns, matched.length)
-                           for fn in setters]
             for key, new_values in zip(keys, zip(*new_columns)):
                 update_udtf(buffer, key, dict(zip(targets, new_values)))
 
-        return projection, ranges, stage
+        return projection, edit.ranges, stage
 
-    def _run_edit(self, session, stmt, detail, verb, assignments, scan=None):
-        """One EDIT-plan UPDATE/DELETE as a job: a batch scan that emits
+    def _run_edit(self, session, edit, detail, scan=None):
+        """One EDIT-plan row edit as a job: a batch scan that emits
         deltas.  Every charge comes from ``read_split_batches``, so the
         simulated clock cannot tell this scan from the row-at-a-time one
         it replaced (INTERNALS §8, write path)."""
-        projection, ranges, stage = scan or self._edit_scan(stmt, assignments)
+        verb = edit.verb
+        projection, ranges, stage = scan or self._edit_scan(edit)
         splits = self.scan_splits(projection, ranges)
         edit_batch = EditBatch(self._batch_target, next(self._txn_ids))
         batch_rows = session.batch_rows

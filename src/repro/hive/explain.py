@@ -18,6 +18,7 @@ from repro.hive import ast_nodes as ast
 from repro.hive.expressions import (contains_aggregate, referenced_columns,
                                     walk)
 from repro.hive.pushdown import extract_ranges
+from repro.hive.rowedit import WhereEdit
 
 
 def explain(session, stmt, analyze=False):
@@ -257,15 +258,15 @@ def _explain_update(session, stmt, lines):
     lines.append("  SET %d column(s): %s"
                  % (len(stmt.assignments),
                     ", ".join(name for name, _ in stmt.assignments)))
-    _explain_dml_plan(session, info, stmt, lines, kind="update")
+    _explain_dml_plan(session, info, stmt, lines)
 
 
 def _explain_delete(session, stmt, lines):
     info = _dml_header(session, stmt, "DELETE FROM", lines)
-    _explain_dml_plan(session, info, stmt, lines, kind="delete")
+    _explain_dml_plan(session, info, stmt, lines)
 
 
-def _explain_dml_plan(session, info, stmt, lines, kind):
+def _explain_dml_plan(session, info, stmt, lines):
     handler = info.handler
     if info.storage == "orc":
         lines.append("  plan: INSERT OVERWRITE (full table rewrite — "
@@ -279,8 +280,8 @@ def _explain_dml_plan(session, info, stmt, lines, kind):
                      "(currently %d delta(s))" % len(handler.delta_dirs()))
         return
     # DualTable: run the actual cost evaluation (cheap, footer-only).
-    choice = handler.choose_dml_plan(
-        stmt.where, stmt.assignments if kind == "update" else None)
+    edit = WhereEdit(stmt, info.schema)
+    choice = handler.choose_dml_plan(edit)
     plan = handler._forced_or(choice.plan)
     lines.append("  cost evaluation (DualTable, attached backend=%s):"
                  % handler.attached.backend)
@@ -296,13 +297,12 @@ def _explain_dml_plan(session, info, stmt, lines, kind):
     else:
         lines.append("    plan: %s" % plan)
     if plan == "edit" and handler.primary_key is not None:
-        _explain_edit_by_key(session, handler, stmt, choice, lines)
+        _explain_edit_by_key(session, handler, edit, choice, lines)
 
 
-def _explain_edit_by_key(session, handler, stmt, choice, lines):
+def _explain_edit_by_key(session, handler, edit, choice, lines):
     """The keyed write path's verdict: symptom, evidence, expected gain."""
-    projection, ranges, _ = handler._edit_scan(
-        stmt, getattr(stmt, "assignments", ()))
+    projection, ranges, _ = handler._edit_scan(edit)
     keyed = handler.plan_lookup(ranges, projection, hit_faults=False)
     if keyed is None:
         return
@@ -337,4 +337,5 @@ def _explain_merge(session, stmt, lines):
                      % len(stmt.matched_assignments))
     if stmt.insert_values is not None:
         lines.append("  WHEN NOT MATCHED: insert")
-    lines.append("  update-arm storage dispatch: %s" % info.storage)
+    lines.append("  matched arm: the %s UPDATE path, keyed by the ON join"
+                 % info.storage)

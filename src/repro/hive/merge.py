@@ -10,14 +10,11 @@ stored procedures used):
   ``WHEN NOT MATCHED`` value list (expressions over the source row);
 * when several source rows share a key, the first one wins.
 
-Per storage backend the *update* arm follows the same plans as UPDATE:
-
-* plain ORC       → full INSERT OVERWRITE rewrite,
-* HBase           → in-place puts,
-* DualTable       → EDIT (attached-table cells) or OVERWRITE, chosen by
-                    the Section-IV cost model with α = |source| / |target|,
-* ACID            → a new delta with the full updated rows.
-
+The matched arm is an UPDATE whose rows and new values come from the
+ON-key join instead of WHERE + SET: a :class:`KeyJoinEdit` (a row edit,
+:mod:`repro.hive.rowedit`) run through the storage's own update path.
+On DualTable that is the Section-IV choice between EDIT (redo-logged
+Attached-Table cells) and OVERWRITE, with α = |source keys| / |target|.
 The insert arm appends through the handler's normal insert path.
 """
 
@@ -26,8 +23,8 @@ from repro.mapreduce import Job
 from repro.hive import ast_nodes as ast
 from repro.hive.executor import SelectExecutor, merge_envs
 from repro.hive.expressions import Env, compile_expr, referenced_columns, walk
+from repro.hive.rowedit import RowEdit
 from repro.hive.vexpr import compile_batch
-from repro.vector import spliced
 
 
 def execute_merge(session, stmt):
@@ -48,29 +45,14 @@ def execute_merge(session, stmt):
     for row in source_rows:
         key = tuple(fn(row) for fn in source_key_fns)
         source_index.setdefault(key, row)       # first source row wins
-    matched_keys = set()
-
-    # Columns of the *target* the update expressions and keys touch —
-    # determines the EDIT plan's projection.
-    needed = set()
-    for expr in target_keys:
-        needed |= referenced_columns(expr)
-    for _, expr in stmt.matched_assignments:
-        for node in walk(expr):
-            if isinstance(node, ast.ColumnRef) \
-                    and info.schema.has_column(node.name) \
-                    and (node.qualifier is None
-                         or node.qualifier.lower() == target_alias.lower()):
-                needed.add(node.name.lower())
+    edit = KeyJoinEdit(info.schema, stmt, target_alias, target_keys,
+                       source_env, source_index)
 
     if stmt.matched_assignments:
-        update_result = _apply_matched(session, info, stmt, target_alias,
-                                       target_keys, source_index,
-                                       matched_keys, source_env, needed)
+        update_result = session.apply_row_edit(info, edit)
     else:
         # Insert-only merge still needs to know which keys already exist.
-        _mark_existing_keys(session, info, target_alias, target_keys,
-                            source_index, matched_keys)
+        _mark_existing_keys(session, info, edit)
         jobs = list(session._dml_subquery_jobs)
         update_result = QueryResult(
             plan="merge-insert-only", affected=0, jobs=jobs,
@@ -83,7 +65,7 @@ def execute_merge(session, stmt):
                       for e in stmt.insert_values]
         new_rows = []
         for key, row in source_index.items():
-            if key not in matched_keys:
+            if key not in edit.matched_keys:
                 new_rows.append(info.schema.coerce_row(
                     tuple(fn(row) for fn in insert_fns)))
         if new_rows:
@@ -103,31 +85,90 @@ def execute_merge(session, stmt):
         detail=detail)
 
 
+class KeyJoinEdit(RowEdit):
+    """MERGE's matched arm as a row edit: a target row matches when its
+    ON keys are in the source index; its new values are the assignments
+    over the target row followed by the source row it matched.  Matching
+    notes the key in ``matched_keys`` (the insert arm skips those).
+    No WHERE bounds the rows, so nothing is pruned by range."""
+
+    def __init__(self, schema, stmt, alias, target_keys, source_env,
+                 source_index):
+        # Target columns the keys and assignments read: the projection.
+        needed = set()
+        for expr in target_keys:
+            needed |= referenced_columns(expr)
+        for _, expr in stmt.matched_assignments:
+            for node in walk(expr):
+                if isinstance(node, ast.ColumnRef) \
+                        and schema.has_column(node.name) \
+                        and (node.qualifier is None
+                             or node.qualifier.lower() == alias.lower()):
+                    needed.add(node.name.lower())
+        super().__init__(
+            "update",
+            [schema.index_of(name) for name, _ in stmt.matched_assignments],
+            needed, {})
+        self.assignments = stmt.matched_assignments
+        self.alias = alias
+        self.target_keys = target_keys
+        self.source_env = source_env
+        self.source_index = source_index
+        self.matched_keys = set()
+
+    def _compile(self, compile_fn, names):
+        """``(key_fns, setters)`` under ``compile_fn`` (row closures or
+        batch kernels): keys over the target columns ``names``,
+        assignments over those columns followed by the source row's."""
+        target_env = Env()
+        target_env.add_schema(names, alias=self.alias)
+        combined = merge_envs(target_env, self.source_env)
+        return ([compile_fn(e, target_env) for e in self.target_keys],
+                [compile_fn(e, combined) for _, e in self.assignments])
+
+    def batch_matcher(self, names):
+        key_fns, setters = self._compile(compile_batch, names)
+        return lambda batch: _matched_rows(
+            batch, key_fns, setters, self.source_index, self.matched_keys)
+
+    def row_matcher(self, names):
+        key_fns, setters = self._compile(compile_expr, names)
+        index, matched = self.source_index, self.matched_keys
+
+        def match(values):
+            key = tuple(fn(values) for fn in key_fns)
+            source_row = index.get(key)
+            if source_row is None:
+                return None
+            matched.add(key)
+            combined = values + source_row
+            return [fn(combined) for fn in setters]
+        return match
+
+    def estimate_ratio(self, handler):
+        """|source keys| / rows: known exactly, so MERGE never samples."""
+        rows = handler.master.row_count()
+        return (min(1.0, len(self.source_index) / rows) if rows else 0.0,
+                rows)
+
+
 # ----------------------------------------------------------------------
-def _mark_existing_keys(session, info, target_alias, target_keys,
-                        source_index, matched_keys):
+def _mark_existing_keys(session, info, edit):
     """Scan only the key columns to find which source keys already exist."""
     handler = info.handler
-    needed = set()
-    for expr in target_keys:
-        needed |= referenced_columns(expr)
-    projection = [c.name for c in info.schema
-                  if c.name.lower() in needed] or [info.schema.columns[0].name]
-    env = Env()
-    env.add_schema(projection, alias=target_alias)
-    key_fns = [compile_batch(e, env) for e in target_keys]
+    projection = edit.projection(info.schema)
+    match = edit.batch_matcher(projection)
     splits = handler.scan_splits(projection)
-    batch_rows = session.batch_rows
 
     def map_fn(split, ctx):
-        for batch in handler.read_split_batches(split, ctx,
-                                                batch_rows=batch_rows):
-            _matched_rows(batch, key_fns, (), source_index, matched_keys)
+        for batch in handler.read_split_batches(
+                split, ctx, batch_rows=session.batch_rows):
+            match(batch)
         return ()
 
-    result = session.runner.run(Job(name="merge-probe", splits=splits,
-                                    map_fn=map_fn, reduce_fn=None))
-    session._dml_subquery_jobs = session._dml_subquery_jobs + [result]
+    session._dml_subquery_jobs = session._dml_subquery_jobs + [
+        session.runner.run(Job(name="merge-probe", splits=splits,
+                               map_fn=map_fn, reduce_fn=None))]
 
 
 def _matched_rows(batch, key_fns, setters, source_index, matched_keys):
@@ -207,219 +248,3 @@ def _resolvable(expr, env):
         except AnalysisError:
             return False
     return True
-
-
-# ----------------------------------------------------------------------
-def _apply_matched(session, info, stmt, target_alias, target_keys,
-                   source_index, matched_keys, source_env, needed):
-    """Run the update arm; dispatch mirrors UPDATE's storage dispatch."""
-    from repro.hive.session import QueryResult
-
-    handler = info.handler
-    kind = handler.kind
-    if kind == "dualtable":
-        return _merge_dualtable(session, info, stmt, target_alias,
-                                target_keys, source_index, matched_keys,
-                                source_env, needed)
-    if kind == "hbase":
-        return _merge_hbase(session, info, stmt, target_alias, target_keys,
-                            source_index, matched_keys, source_env)
-    if kind == "acid":
-        return _merge_acid(session, info, stmt, target_alias, target_keys,
-                           source_index, matched_keys, source_env)
-    return _merge_overwrite(session, info, stmt, target_alias, target_keys,
-                            source_index, matched_keys, source_env)
-
-
-def _compiled_parts(compile_fn, info, stmt, target_alias, target_keys,
-                    source_env, projection=None):
-    """``(key_fns, targets, setters)`` under ``compile_fn`` (row closures
-    or batch kernels): key expressions over the target tuple, assigned
-    column indices, assignment expressions over (target + source)."""
-    schema = info.schema
-    target_env = Env()
-    target_env.add_schema(projection or schema.names, alias=target_alias)
-    key_fns = [compile_fn(e, target_env) for e in target_keys]
-    combined = merge_envs(target_env, source_env)
-    targets = [schema.index_of(name) for name, _ in stmt.matched_assignments]
-    setters = [compile_fn(expr, combined)
-               for _, expr in stmt.matched_assignments]
-    return key_fns, targets, setters
-
-
-def _merge_overwrite(session, info, stmt, target_alias, target_keys,
-                     source_index, matched_keys, source_env):
-    from repro.hive.session import QueryResult
-
-    handler = info.handler
-    key_fns, targets, setters = _compiled_parts(
-        compile_batch, info, stmt, target_alias, target_keys, source_env)
-    splits = handler.scan_splits(projection=None, ranges=None)
-    batch_rows = session.batch_rows
-
-    def map_fn(split, ctx):
-        out = []
-        for batch in handler.read_split_batches(split, ctx,
-                                                batch_rows=batch_rows):
-            hits, new_columns = _matched_rows(batch, key_fns, setters,
-                                              source_index, matched_keys)
-            columns = batch.columns
-            if hits:
-                ctx.incr("updated", len(hits))
-                columns = list(columns)
-                for target, column in zip(targets, new_columns):
-                    columns[target] = spliced(columns[target], hits, column)
-            out.extend(zip(*columns))
-        return out
-
-    job = Job(name="merge-overwrite", splits=splits, map_fn=map_fn,
-              reduce_fn=None)
-    result = session.runner.run(job)
-    rows = [info.schema.coerce_row(r) for r in result.outputs]
-    write_seconds = session._charged_parallel(
-        lambda: handler.insert_rows(rows, overwrite=True))
-    jobs = session._dml_subquery_jobs + [result]
-    sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
-    return QueryResult(sim_seconds=sub + result.sim_seconds + write_seconds,
-                       jobs=jobs,
-                       affected=result.counters.get("updated", 0),
-                       plan="merge-overwrite",
-                       detail={"plan": "overwrite"})
-
-
-def _merge_hbase(session, info, stmt, target_alias, target_keys,
-                 source_index, matched_keys, source_env):
-    from repro.hive.session import QueryResult, _hbase_rows_with_keys
-
-    handler = info.handler
-    key_fns, targets, setters = _compiled_parts(
-        compile_expr, info, stmt, target_alias, target_keys, source_env)
-    assigns = list(zip(targets, setters))
-    splits = handler.scan_splits(projection=None)
-
-    def map_fn(split, ctx):
-        pending = []
-        for rowkey, values in _hbase_rows_with_keys(handler,
-                                                    dict(split.payload),
-                                                    ctx):
-            key = tuple(fn(values) for fn in key_fns)
-            source_row = source_index.get(key)
-            if source_row is None:
-                continue
-            matched_keys.add(key)
-            combined = values + source_row
-            pending.append((rowkey,
-                            {idx: fn(combined) for idx, fn in assigns}))
-        for rowkey, new_values in pending:
-            ctx.incr("updated")
-            handler.update_row(rowkey, new_values)
-        return ()
-
-    # In-place writes during the map phase: keep off the worker pool so
-    # HBase timestamp allocation follows split order.
-    job = Job(name="merge-hbase", splits=splits, map_fn=map_fn,
-              reduce_fn=None, properties={"parallel": False})
-    result = session.runner.run(job)
-    jobs = session._dml_subquery_jobs + [result]
-    sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
-    return QueryResult(sim_seconds=sub + result.sim_seconds, jobs=jobs,
-                       affected=result.counters.get("updated", 0),
-                       plan="merge-hbase", detail={"plan": "hbase"})
-
-
-def _merge_dualtable(session, info, stmt, target_alias, target_keys,
-                     source_index, matched_keys, source_env, needed):
-    from repro.core.record_id import encode_record_id
-    from repro.core.udtf import update_udtf
-    from repro.hive.session import QueryResult
-
-    handler = info.handler
-    total_rows = handler.master.row_count()
-    ratio = min(1.0, len(source_index) / total_rows) if total_rows else 0.0
-    d_bytes = handler.master.data_bytes()
-    update_cell_bytes = 12 + 18 * len(stmt.matched_assignments)
-    projection = [c.name for c in info.schema
-                  if c.name.lower() in needed] or [info.schema.columns[0].name]
-    scan_bytes = sum(r.projected_bytes(projection)
-                     for r in handler.master.readers())
-    choice = handler.cost_model().choose_update_plan(
-        d_bytes, total_rows, ratio, update_cell_bytes,
-        edit_scan_bytes=scan_bytes)
-    plan = handler._forced_or(choice.plan)
-    detail = handler._detail(choice, plan)
-    if plan == "overwrite":
-        result = _merge_overwrite(session, info, stmt, target_alias,
-                                  target_keys, source_index, matched_keys,
-                                  source_env)
-        result.detail.update(detail)
-        result.detail["plan"] = "overwrite"
-        return result
-
-    key_fns, targets, setters = _compiled_parts(
-        compile_batch, info, stmt, target_alias, target_keys, source_env,
-        projection=projection)
-    splits = handler.scan_splits(projection, ranges=None)
-    batch_rows = session.batch_rows
-
-    def map_fn(split, ctx):
-        # Sharded tables resolve the split's deltas to the owning
-        # child's Attached Table; single tables hand back their own.
-        attached = handler.attached_for_split(split)
-        file_id = split.payload["file_id"]
-        for batch in handler.read_split_batches(split, ctx,
-                                                batch_rows=batch_rows):
-            hits, new_columns = _matched_rows(batch, key_fns, setters,
-                                              source_index, matched_keys)
-            for ordinal, new_values in zip(batch.ordinals(hits),
-                                           zip(*new_columns)):
-                update_udtf(attached, encode_record_id(file_id, ordinal),
-                            dict(zip(targets, new_values)), ctx)
-        return ()
-
-    # update_udtf writes straight into the Attached Table from the map
-    # phase (no staging buffer), so put order must follow split order.
-    job = Job(name="merge-edit", splits=splits, map_fn=map_fn,
-              reduce_fn=None, properties={"parallel": False})
-    result = session.runner.run(job)
-    jobs = session._dml_subquery_jobs + [result]
-    sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
-    return QueryResult(sim_seconds=sub + result.sim_seconds, jobs=jobs,
-                       affected=result.counters.get("updated", 0),
-                       plan="merge-edit", detail=detail)
-
-
-def _merge_acid(session, info, stmt, target_alias, target_keys,
-                source_index, matched_keys, source_env):
-    from repro.hive.session import QueryResult
-
-    handler = info.handler
-    key_fns, targets, setters = _compiled_parts(
-        compile_expr, info, stmt, target_alias, target_keys, source_env)
-    assigns = list(zip(targets, setters))
-    splits = handler.scan_splits(projection=None)
-
-    def map_fn(split, ctx):
-        for rid, values in handler.read_split_with_rids(split, ctx):
-            key = tuple(fn(values) for fn in key_fns)
-            source_row = source_index.get(key)
-            if source_row is None:
-                continue
-            matched_keys.add(key)
-            ctx.incr("updated")
-            combined = values + source_row
-            row = list(values)
-            for idx, fn in assigns:
-                row[idx] = fn(combined)
-            yield (rid, "U", tuple(row))
-
-    job = Job(name="merge-acid", splits=splits, map_fn=map_fn,
-              reduce_fn=None)
-    result = session.runner.run(job)
-    write_seconds = session._charged_parallel(
-        lambda: handler._write_delta(result.outputs))
-    jobs = session._dml_subquery_jobs + [result]
-    sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
-    return QueryResult(sim_seconds=sub + result.sim_seconds + write_seconds,
-                       jobs=jobs,
-                       affected=result.counters.get("updated", 0),
-                       plan="merge-acid-delta", detail={"plan": "delta"})

@@ -3,7 +3,8 @@
 A session owns one simulated cluster plus HDFS, HBase, the MapReduce
 runner and the metastore, and executes HiveQL statements end-to-end.
 
-UPDATE/DELETE dispatch (the heart of the paper):
+UPDATE/DELETE dispatch (the heart of the paper) runs one row edit
+(:mod:`repro.hive.rowedit`; MERGE's matched arm is one too):
 
 * plain ORC tables  → lowered to a full INSERT OVERWRITE (Listing 2):
   read *every column of every row*, rewrite the whole table;
@@ -26,13 +27,12 @@ from repro.mapreduce import Job, JobRunner
 from repro.hive import ast_nodes as ast
 from repro.hive.catalog import HiveEnv, Metastore, register_handler
 from repro.hive.executor import SelectExecutor, _output_name
-from repro.hive.expressions import Env, compile_expr, is_true
+from repro.hive.expressions import Env, compile_expr
 from repro.hive.parser import parse
-from repro.hive.pushdown import extract_ranges
+from repro.hive.rowedit import WhereEdit
 from repro.hive.storage.hbase_handler import HBaseTableHandler
 from repro.hive.storage.orc_handler import OrcHdfsHandler
 from repro.hive.storage.partitioned_orc import PartitionedOrcHandler
-from repro.hive.vexpr import compile_batch, compile_batch_select
 from repro.vector import DEFAULT_BATCH_ROWS, spliced
 
 register_handler("orc", OrcHdfsHandler)
@@ -184,10 +184,8 @@ class HiveSession:
             return self._select(stmt)
         if isinstance(stmt, ast.InsertStmt):
             return self._insert(stmt)
-        if isinstance(stmt, ast.UpdateStmt):
-            return self._update(stmt)
-        if isinstance(stmt, ast.DeleteStmt):
-            return self._delete(stmt)
+        if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+            return self._update_or_delete(stmt)
         if isinstance(stmt, ast.MergeStmt):
             from repro.hive.merge import execute_merge
             self._dml_subquery_jobs = []
@@ -545,26 +543,21 @@ class HiveSession:
     # ------------------------------------------------------------------
     # UPDATE / DELETE dispatch.
     # ------------------------------------------------------------------
-    def _update(self, stmt):
+    def _update_or_delete(self, stmt):
         info = self.metastore.table(stmt.table)
         stmt = self._resolve_dml_subqueries(stmt)
-        handler = info.handler
-        if hasattr(handler, "execute_update"):
-            return handler.execute_update(self, stmt)
-        if handler.supports_inplace_mutation:
-            return self._update_hbase(info, stmt)
-        return self._rewrite_via_overwrite(info, stmt, "update",
-                                           stmt.assignments)
+        return self.apply_row_edit(info, WhereEdit(stmt, info.schema))
 
-    def _delete(self, stmt):
-        info = self.metastore.table(stmt.table)
-        stmt = self._resolve_dml_subqueries(stmt)
+    def apply_row_edit(self, info, edit):
+        """Run one row edit (:mod:`repro.hive.rowedit`) — an UPDATE, a
+        DELETE or MERGE's matched arm — through its table's update path."""
         handler = info.handler
-        if hasattr(handler, "execute_delete"):
-            return handler.execute_delete(self, stmt)
+        execute = getattr(handler, "execute_" + edit.verb, None)
+        if execute is not None:
+            return execute(self, edit)
         if handler.supports_inplace_mutation:
-            return self._delete_hbase(info, stmt)
-        return self._rewrite_via_overwrite(info, stmt, "delete", ())
+            return self._edit_hbase(info, edit)
+        return self._rewrite_via_overwrite(info, edit)
 
     def _resolve_dml_subqueries(self, stmt):
         """Materialize scalar/IN subqueries in SET and WHERE clauses."""
@@ -582,49 +575,40 @@ class HiveSession:
         self._dml_subquery_jobs = executor.jobs
         return stmt
 
-    def _dml_env(self, info, alias):
-        env = Env()
-        env.add_schema(info.schema.names, alias=alias)
-        return env
-
     # -- Hive(HDFS) baseline: full INSERT OVERWRITE --------------------
-    def _overwrite_scope(self, handler, where):
+    def _overwrite_scope(self, handler, ranges):
         """(scan_ranges, affected_partitions) for an overwrite rewrite.
 
         Plain tables rewrite everything (no pruning possible: every row
         must be written back).  Partitioned tables rewrite only the
-        partitions the predicate can touch — Hive's partition-level
+        partitions the edit's ranges can touch — Hive's partition-level
         granularity — so partition-column constraints prune the scan.
         """
         if not hasattr(handler, "replace_partitions"):
             return None, None
-        ranges = extract_ranges(where) if where is not None else {}
         partition_ranges = {name: r for name, r in ranges.items()
                             if name in handler.partition_columns}
         return partition_ranges, handler.affected_partitions(
             partition_ranges)
 
-    def _rewrite_via_overwrite(self, info, stmt, verb, assignments,
-                               extra_detail=None):
-        """Listing-2 lowering of one UPDATE/DELETE: rewrite every row.
+    def _rewrite_via_overwrite(self, info, edit, extra_detail=None):
+        """Listing-2 lowering of one row edit: rewrite every row.
 
-        Each map task scans ColumnBatches, selects the matched rows,
-        evaluates the SET expressions over them (old values), splices
-        the results into copied columns — or, for DELETE, drops the
-        matched rows — and hands the runner row tuples again (the
-        row-at-a-time statement of the same lowering is the oracle in
+        Each map task scans ColumnBatches, matches rows and evaluates
+        their new values (the edit's batch matcher), splices the results
+        into copied columns — or, for DELETE, drops the matched rows —
+        and hands the runner row tuples again (the row-at-a-time
+        statement of the same lowering is the oracle in
         ``tests/test_overwrite_batch.py``).
         """
         handler = info.handler
         schema = info.schema
-        env = self._dml_env(info, stmt.alias)
-        select = (compile_batch_select(stmt.where, env)
-                  if stmt.where is not None else None)
-        targets = [schema.index_of(name) for name, _ in assignments]
-        setters = [compile_batch(expr, env) for _, expr in assignments]
+        verb = edit.verb
+        match = edit.batch_matcher(schema.names)
+        targets = edit.targets
         # INSERT OVERWRITE reads *all* columns; only partition-level
         # pruning is possible (every surviving row must be rewritten).
-        scan_ranges, affected = self._overwrite_scope(handler, stmt.where)
+        scan_ranges, affected = self._overwrite_scope(handler, edit.ranges)
         splits = handler.scan_splits(projection=None, ranges=scan_ranges)
         batch_rows = self.batch_rows
         counter = verb + "d"
@@ -634,7 +618,7 @@ class HiveSession:
             for batch in handler.read_split_batches(split, ctx,
                                                     batch_rows=batch_rows):
                 columns, n = batch.columns, batch.length
-                keep = range(n) if select is None else select(columns, n)
+                keep, values = match(batch)
                 if keep:
                     ctx.incr(counter, len(keep))
                     if verb == "delete":
@@ -642,10 +626,6 @@ class HiveSession:
                         columns = [compress(column, survives)
                                    for column in columns]
                     else:
-                        matched = (batch if len(keep) == n
-                                   else batch.take(keep))
-                        values = [fn(matched.columns, matched.length)
-                                  for fn in setters]
                         columns = list(columns)
                         for target, column in zip(targets, values):
                             columns[target] = spliced(columns[target], keep,
@@ -675,66 +655,43 @@ class HiveSession:
             plan="%s-overwrite" % verb, detail=detail)
 
     # -- Hive(HBase) baseline: in-place random writes ------------------
-    def _update_hbase(self, info, stmt):
+    def _edit_hbase(self, info, edit):
         handler = info.handler
-        env = self._dml_env(info, stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        assigns = [(info.schema.index_of(name), compile_expr(expr, env))
-                   for name, expr in stmt.assignments]
+        verb = edit.verb
+        match = edit.row_matcher(info.schema.names)
+        coerce = info.schema.coerce_value
+        targets = edit.targets
         splits = handler.scan_splits(projection=None)
+        counter = verb + "d"
 
         def map_fn(split, ctx):
             inner = dict(split.payload)
             matched = []
             for rowkey, values in _hbase_rows_with_keys(handler, inner, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    matched.append(
-                        (rowkey, {idx: fn(values) for idx, fn in assigns}))
+                new_values = match(values)
+                if new_values is not None:
+                    matched.append((rowkey, {
+                        target: coerce(target, value)
+                        for target, value in zip(targets, new_values)}))
             for rowkey, new_values in matched:
-                ctx.incr("updated")
-                handler.update_row(rowkey, new_values)
+                ctx.incr(counter)
+                if verb == "delete":
+                    handler.delete_row(rowkey)
+                else:
+                    handler.update_row(rowkey, new_values)
             return ()
 
         # In-place writes: HBase timestamp allocation must follow split
         # order, so this job never runs on the worker pool.
-        job = Job(name="update-hbase", splits=splits, map_fn=map_fn,
+        job = Job(name="%s-hbase" % verb, splits=splits, map_fn=map_fn,
                   reduce_fn=None, properties={"parallel": False})
         result = self.runner.run(job)
         jobs = self._dml_subquery_jobs + [result]
         sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)
         return QueryResult(sim_seconds=sub_seconds + result.sim_seconds,
                            jobs=jobs,
-                           affected=result.counters.get("updated", 0),
-                           plan="update-hbase", detail={"plan": "hbase"})
-
-    def _delete_hbase(self, info, stmt):
-        handler = info.handler
-        env = self._dml_env(info, stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        splits = handler.scan_splits(projection=None)
-
-        def map_fn(split, ctx):
-            inner = dict(split.payload)
-            doomed = []
-            for rowkey, values in _hbase_rows_with_keys(handler, inner, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    doomed.append(rowkey)
-            for rowkey in doomed:
-                ctx.incr("deleted")
-                handler.delete_row(rowkey)
-            return ()
-
-        job = Job(name="delete-hbase", splits=splits, map_fn=map_fn,
-                  reduce_fn=None, properties={"parallel": False})
-        result = self.runner.run(job)
-        jobs = self._dml_subquery_jobs + [result]
-        sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)
-        return QueryResult(sim_seconds=sub_seconds + result.sim_seconds,
-                           jobs=jobs,
-                           affected=result.counters.get("deleted", 0),
-                           plan="delete-hbase", detail={"plan": "hbase"})
+                           affected=result.counters.get(counter, 0),
+                           plan="%s-hbase" % verb, detail={"plan": "hbase"})
 
     # ------------------------------------------------------------------
     # COMPACT.

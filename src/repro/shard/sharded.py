@@ -451,9 +451,6 @@ class ShardedDualTableHandler(DualTableHandler):
         return self._split_child(split).read_split_batches(
             split, ctx, batch_rows=batch_rows)
 
-    def attached_for_split(self, split):
-        return self._split_child(split).attached
-
     # ------------------------------------------------------------------
     # Keyed access (LOOKUP and EDIT-by-key over the owning shards).
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.common.rng import make_rng
 from repro.core.editlog import EditBatch
 from repro.core.handler import DualTableHandler
 from repro.core.record_id import decode_record_id
-from repro.core.udtf import delete_udtf, update_udtf
+from repro.core.udtf import count_udtf_calls, delete_udtf, update_udtf
 from repro.hive import HiveSession
 from repro.hive.expressions import (Env, compile_expr, is_true,
                                     referenced_columns)
@@ -42,9 +42,9 @@ from tests.golden import digest, golden
 # ---------------------------------------------------------------------------
 # The oracle: the pre-batch EDIT map functions, one record id per master row.
 # ---------------------------------------------------------------------------
-def reference_run_edit(self, session, stmt, detail, verb, assignments,
-                       scan=None):
+def reference_run_edit(self, session, edit, detail, scan=None):
     schema = self.schema
+    stmt, verb, assignments = edit.stmt, edit.verb, edit.assignments
     needed = set()
     if stmt.where is not None:
         needed |= referenced_columns(stmt.where)
@@ -71,9 +71,10 @@ def reference_run_edit(self, session, stmt, detail, verb, assignments,
                 key = record_id if shard is None else (shard, record_id)
                 if verb == "update":
                     new_values = {idx: fn(values) for idx, fn in assigns}
-                    update_udtf(buffer, key, new_values, ctx)
+                    update_udtf(buffer, key, new_values)
                 else:
-                    delete_udtf(buffer, key, ctx)
+                    delete_udtf(buffer, key)
+                count_udtf_calls(ctx, verb, 1)
         batch.absorb(buffer, ctx.task_index)
         return ()
 

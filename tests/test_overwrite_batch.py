@@ -22,7 +22,8 @@ from repro.cluster import ClusterProfile
 from repro.common.errors import AnalysisError, TaskFailedError
 from repro.faults import Fault, FaultPlan
 from repro.hive import HiveSession
-from repro.hive.expressions import compile_expr, is_true
+from repro.hive.expressions import Env, compile_expr, is_true
+from repro.hive.pushdown import extract_ranges
 from repro.hive.session import QueryResult
 from repro.mapreduce import Job
 from repro.shard.sharded import ShardedDualTableHandler, ShardMap
@@ -43,14 +44,17 @@ def split_rows(handler, split, ctx):
             for row in batch.rows())
 
 
-def reference_rewrite(self, info, stmt, verb, assignments, extra_detail=None):
+def reference_rewrite(self, info, edit, extra_detail=None):
     handler = info.handler
-    env = self._dml_env(info, stmt.alias)
+    stmt, verb, assignments = edit.stmt, edit.verb, edit.assignments
+    env = Env()
+    env.add_schema(info.schema.names, alias=stmt.alias)
     predicate = (compile_expr(stmt.where, env)
                  if stmt.where is not None else None)
     assigns = [(info.schema.index_of(name), compile_expr(expr, env))
                for name, expr in assignments]
-    scan_ranges, affected = self._overwrite_scope(handler, stmt.where)
+    scan_ranges, affected = self._overwrite_scope(
+        handler, extract_ranges(stmt.where) if stmt.where is not None else {})
     splits = handler.scan_splits(projection=None, ranges=scan_ranges)
 
     def update_map(split, ctx):

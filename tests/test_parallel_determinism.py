@@ -12,10 +12,15 @@ demands byte-for-byte equality of:
 * every metric counter except the ``cache.*`` family (cache hit/miss
   counts legitimately depend on execution interleaving and are the one
   documented exclusion).
+
+A second gate runs one paper figure (``fig5``) through the bench harness
+at both worker counts and demands identical output.
 """
 
 import pytest
 
+from repro.bench import experiments
+from repro.bench.runners import BenchScale, set_workers
 from repro.cluster import ClusterProfile
 from repro.hive import HiveSession
 
@@ -108,3 +113,27 @@ def test_workload_rows_are_nontrivial(serial_run):
     assert len(null_left) == sum(1 for _, j, _ in LEFT_ROWS if j is None)
     assert all(row[2] is None for row in null_left)
     assert by_sql["SELECT count(*), sum(v) FROM t"][0][0] > 0
+
+
+#: below ``tiny`` (~1/10 of its grid rows): each sweep statement still
+#: runs ten map tasks, enough for the pool, in well under a second.
+MICRO = BenchScale(name="micro", tpch_orders=50, grid_fraction=2e-6)
+
+
+def test_fig5_is_byte_identical_at_workers_1_and_4():
+    """The paper figure through the bench harness: ``--workers`` buys
+    wall-clock time only — rows, columns and notes match."""
+    memo = ("grid-update", MICRO.name)
+    outputs = []
+    try:
+        for workers in (1, 4):
+            # A memo hit would compare a result with itself.
+            experiments._SWEEP_CACHE.pop(memo, None)
+            set_workers(workers)
+            result = experiments.fig5(scale=MICRO)
+            outputs.append((result.columns, result.rows, result.notes))
+    finally:
+        experiments._SWEEP_CACHE.pop(memo, None)
+        set_workers(1)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == len(experiments.GRID_DAY_POINTS)

@@ -6,7 +6,9 @@
 row iterators of the two row-oriented stores — a definition or a call
 anywhere else is a statement path sliding back to per-row work, and a
 source line naming one of the deleted knobs is a second execution
-strategy on its way back in.
+strategy on its way back in.  So is ``attached_for_split``: MERGE's
+matched arm runs through each storage's UPDATE path, and nothing writes
+to an Attached Table outside the EditBatch any more.
 """
 
 import ast
@@ -26,10 +28,9 @@ ROW_READS = {"read_split", "read_split_with_rids"}
 ALLOWED = {
     "acid/": "the Hive-ACID baseline merges on read, row by row",
     "hive/storage/hbase_handler.py:": "HBase serves rows; it batches them",
-    "hive/merge.py:_merge_acid": "MERGE into ACID writes whole-row deltas",
 }
 GONE = ("engine ==", "make_reader", "merge_mode", "REPRO_ENGINE",
-        "REPRO_MERGE")
+        "REPRO_MERGE", "attached_for_split")
 
 
 def row_reads():
