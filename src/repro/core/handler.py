@@ -70,6 +70,8 @@ class DualTableHandler(StorageHandler):
     def __init__(self, table, env):
         super().__init__(table, env)
         props = table.properties
+        pk = props.get("dualtable.primary_key")
+        self.primary_key = str(pk).lower() if pk else None
         self.metadata = DualTableMetadata(env.hbase)
         self.master = MasterTable(
             fs=env.fs,
@@ -79,6 +81,8 @@ class DualTableHandler(StorageHandler):
             table_name=table.name,
             rows_per_file=int(props.get("orc.rows_per_file", 50_000)),
             stripe_rows=int(props.get("orc.stripe_rows", 5_000)),
+            key_index=(None if self.primary_key is None
+                       else table.schema.index_of(self.primary_key)),
         )
         self.attached = AttachedTable(
             env.hbase, "dt_%s_attached" % table.name,
@@ -87,8 +91,6 @@ class DualTableHandler(StorageHandler):
         if self.mode not in ("cost", "edit", "overwrite"):
             raise DualTableError("bad dualtable.mode: %r" % self.mode)
         self.read_factor = int(props.get("dualtable.read_factor", 1))
-        pk = props.get("dualtable.primary_key")
-        self.primary_key = str(pk).lower() if pk else None
         self.lookup_rows_limit = int(props.get("dualtable.lookup.max_rows",
                                                10_000))
         self._compacting = False
@@ -233,21 +235,27 @@ class DualTableHandler(StorageHandler):
             sum(split.size_bytes for split in splits))
         return splits
 
-    def _prepare_union_read(self, file_id, reader, stripe_filter):
+    def _prepare_union_read(self, file_id, reader, stripe_filter,
+                            row_spans=None):
         """Per-file merge setup.
 
         Fetches the file's deltas (the one charged, memoized scan,
         :meth:`AttachedTable.file_deltas`) and classifies the file's
         merge units (``unionread.batches_*`` counters) on the canonical
-        per-stripe grid.  Eager materialization reorders the delta-scan
-        charges relative to the interleaved master reads, which is
-        ledger-neutral: charges accumulate per (device, category) key,
-        so only per-key order — unchanged — matters.  Returns
-        ``(cells, overlay)``.
+        grid: the surviving stripes, or a keyed read's runs of row
+        groups (``row_spans``).  Eager materialization reorders the
+        delta-scan charges relative to the interleaved master reads,
+        which is ledger-neutral: charges accumulate per (device,
+        category) key, so only per-key order — unchanged — matters.
+        Returns ``(cells, overlay)``.
         """
         cells, overlay = self.attached.file_deltas(file_id)
-        spans = [(s.first_row, s.num_rows) for s in reader.stripes
-                 if stripe_filter is None or stripe_filter(s)]
+        if row_spans is not None:
+            spans = [(start, stop - start) for runs in row_spans.values()
+                     for start, stop in runs]
+        else:
+            spans = [(s.first_row, s.num_rows) for s in reader.stripes
+                     if stripe_filter is None or stripe_filter(s)]
         fast, dirty = classify_merge_units(spans, overlay.positions)
         self._note_merge_units(fast, dirty)
         return cells, overlay
@@ -276,8 +284,8 @@ class DualTableHandler(StorageHandler):
         CPU term, and feeds the ``unionread.*`` metrics.  Clean batches
         stream straight through; dirty ones get the file's columnar
         overlay applied (INTERNALS §14).  A keyed read's payload names
-        the stripes its plan admitted (``"stripes"``) instead of ranges
-        to prune by.
+        the runs of rows its plan admitted (``"row_spans"``, per stripe)
+        instead of ranges to prune by.
         """
         payload = split.payload
         cluster = self.env.cluster
@@ -286,18 +294,16 @@ class DualTableHandler(StorageHandler):
                                  path=payload["path"]) as span:
             reader = self.master.reader(payload["path"])
             projection = payload["projection"]
-            admitted = payload.get("stripes")
-            stripe_filter = (
-                make_stripe_filter([n for n, _ in reader.schema],
-                                   payload["ranges"] or {})
-                if admitted is None
-                else lambda stripe: stripe.index in admitted)
+            row_spans = payload.get("row_spans")
+            stripe_filter = make_stripe_filter([n for n, _ in reader.schema],
+                                               payload["ranges"] or {})
             orc_batches = reader.batches(projection=projection,
                                          stripe_filter=stripe_filter,
-                                         batch_rows=batch_rows)
+                                         batch_rows=batch_rows,
+                                         row_spans=row_spans)
             projection_map = self._projection_map(projection)
             _, overlay = self._prepare_union_read(
-                payload["file_id"], reader, stripe_filter)
+                payload["file_id"], reader, stripe_filter, row_spans)
             stats = {}
             nrows = 0
             for batch in union_read_overlay(payload["file_id"], orc_batches,
@@ -378,6 +384,7 @@ class DualTableHandler(StorageHandler):
             span.annotate(rows=examined)
         detail = self._keyed_detail(plan, "lookup", "lookup",
                                     cluster.ledger.diff(before))
+        detail["row_groups"] = plan.row_groups
         observed = detail["audit"]["observed_seconds"]
         metrics = cluster.metrics
         metrics.incr("dualtable.lookups.%s" % table)
@@ -541,7 +548,8 @@ class DualTableHandler(StorageHandler):
         verb = edit.verb
         cluster.metrics.incr("dualtable.%ss.%s" % (verb, self.table.name))
         scan = None
-        if self.primary_key is not None and self.mode != "overwrite":
+        if self.primary_key is not None \
+                and self._plan_for(edit, "edit") == "edit":
             # A write that pins the PRIMARY KEY needs no job to find its
             # rows, and no Eq. (1)/(2) evaluation to know it is an EDIT.
             scan = self._edit_scan(edit)
@@ -551,7 +559,7 @@ class DualTableHandler(StorageHandler):
         with cluster.tracer.span("phase", "dualtable:plan",
                                  table=self.table.name, dml=verb) as span:
             choice = self.choose_dml_plan(edit)
-            plan = self._forced_or(choice.plan)
+            plan = self._plan_for(edit, choice.plan)
             self._annotate_choice(span, choice, plan)
         detail = self._detail(choice, plan)
         self.metadata.record_ratio(self.table.name, choice.ratio)
@@ -663,7 +671,9 @@ class DualTableHandler(StorageHandler):
                                  self.master.data_bytes())
         self.note_attached_bytes()
 
-    def _forced_or(self, cost_plan):
+    def _plan_for(self, edit, cost_plan):
+        """The plan one row edit runs: the one ``dualtable.mode``
+        forces, or ``cost_plan`` under ``cost``."""
         if self.mode == "cost":
             return cost_plan
         return self.mode

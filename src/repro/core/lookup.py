@@ -5,13 +5,16 @@ files with per-stripe min/max statistics, and an attached store of live
 deltas keyed by record ID.  A statement whose WHERE pins the declared
 PRIMARY KEY (equality, an IN list, a closed range) therefore never needs
 a MapReduce job to find its rows: consult a control-plane **stripe
-index** (min/max plus the hash buckets each stripe's keys fall in) for
-the candidate stripes, fetch the candidate files' deltas, and merge the
+index** (min/max plus the hash buckets each stripe's keys fall in, and
+the key min/max of every :data:`ROW_GROUP_ROWS`-row group) for the
+candidate row groups, fetch the candidate files' deltas, and merge the
 two streams under exactly the scan path's UNION READ semantics.  A
 SELECT returns the merged rows (the LOOKUP plan); an UPDATE / DELETE
 stages deltas for them (EDIT-by-key, ``DualTableHandler._edit_by_key``).
-The win is the MR fixed cost (job startup + one task per file) plus
-every pruned stripe's bytes.
+The win is the MR fixed cost (job startup + one task per file), every
+pruned stripe's bytes, and the merge and filter work of every pruned
+row group.  Row groups prune well because a keyed table's master files
+are written in key order (``MasterTable.write_rows``).
 
 Soundness of PK pruning on a *dirty* file: a delta that updates non-PK
 columns cannot move a row across PK ranges or hash buckets, and a delete
@@ -41,6 +44,11 @@ from repro.orc import OrcReader
 #: never re-hashes rows) and the stripe index keeps one bit per bucket.
 NUM_BUCKETS = 64
 
+#: rows per row group of the stripe index (ORC's ``orc.row.index.stride``
+#: analogue): a keyed read merges only the row groups whose key min/max
+#: admit its range.  Bytes are still charged per projected stripe.
+ROW_GROUP_ROWS = 64
+
 #: allowed fault kinds per LOOKUP injection point.  Kept separate from
 #: :data:`repro.faults.injector.POINT_KINDS` (like SERVER_CHAOS_POINTS)
 #: so existing random chaos seeds keep selecting the same faults.
@@ -62,6 +70,7 @@ class LookupPlan:
     est_rows: int
     total_files: int
     stripes: tuple = (0, 0)  # (candidate, total) stripes of those files
+    row_groups: tuple = (0, 0)  # (candidate, total) row groups, likewise
     shards: tuple = (0,)     # shards consulted (a sharded table's plan)
 
     @property
@@ -75,6 +84,13 @@ class LookupPlan:
 # ----------------------------------------------------------------------
 def stripe_index(handler, hit_faults=True):
     """Per-file PK stripe index: ``[{path, file_id, stripes, ...}]``.
+
+    Each stripe is ``(num_rows, pk_min, pk_max, column_lengths,
+    bucket_mask, row_groups)``; ``row_groups`` holds the ``(min, max)``
+    key pair of each :data:`ROW_GROUP_ROWS`-row group, None for a group
+    whose keys are all NULL.  The row index lives here, in the control
+    plane, not in the ORC footer: footers are charged on every open, so
+    an index there would cost every scan bytes only keyed reads use.
 
     Built uncharged from silent file reads (real warehouses keep these
     stats in the metastore; cf. ``MasterTable.file_meta``) and memoized
@@ -106,8 +122,9 @@ def stripe_index(handler, hit_faults=True):
                 continue
         entry = _index_entry(fs, path, pk, size)
         if key is not None:
+            groups = sum(len(stripe[5]) for stripe in entry["stripes"])
             cache.put(key, entry,
-                      nbytes=96 + 56 * len(entry["stripes"]))
+                      nbytes=96 + 56 * len(entry["stripes"]) + 24 * groups)
         entries.append(entry)
     return entries
 
@@ -127,16 +144,17 @@ def _index_entry(fs, path, pk, file_size):
     reader = OrcReader(fs.read_file_silent(path))
     names = [n.lower() for n, _ in reader.schema]
     pk_idx = names.index(pk)
-    # Which hash buckets each stripe's stored keys fall in: a file the
-    # sharded writer made holds one bucket, one COMPACT wrote several.
-    masks = [bucket_mask(batch.columns[0]) for batch in
-             reader.batches(projection=[reader.schema[pk_idx][0]])]
     stripes = []
-    for stripe, mask in zip(reader.stripes, masks):
+    for stripe, batch in zip(reader.stripes, reader.batches(
+            projection=[reader.schema[pk_idx][0]])):
+        keys = batch.columns[0]
         stats = stripe.stats(pk_idx)
+        # Which hash buckets the stored keys fall in (a file the sharded
+        # writer made holds one bucket, one COMPACT wrote several), and
+        # each row group's key range.
         stripes.append((stripe.num_rows, stats["min"], stats["max"],
                         tuple(col["length"] for col in stripe.columns),
-                        mask))
+                        bucket_mask(keys), _row_groups(keys)))
     footer_bytes = max(0, file_size - sum(s.length for s in reader.stripes))
     return {"path": path,
             "file_id": int(reader.metadata[FILE_ID_KEY]),
@@ -144,6 +162,16 @@ def _index_entry(fs, path, pk, file_size):
             "names": names,
             "footer_bytes": footer_bytes,
             "stripes": stripes}
+
+
+def _row_groups(keys):
+    """``(min, max)`` of each row group's non-NULL keys, or None."""
+    groups = []
+    for start in range(0, len(keys), ROW_GROUP_ROWS):
+        present = [key for key in keys[start:start + ROW_GROUP_ROWS]
+                   if key is not None]
+        groups.append((min(present), max(present)) if present else None)
+    return tuple(groups)
 
 
 # ----------------------------------------------------------------------
@@ -179,14 +207,16 @@ def plan_lookup(handler, ranges, projection=None, hit_faults=True,
     Eligibility: the table declares a PRIMARY KEY, the predicate bounds
     it (:func:`bounded_pk_range`) and can match at most
     ``dualtable.lookup.max_rows`` rows: the listed keys of an equality
-    or IN list (the PRIMARY KEY is unique), the candidate stripes' rows
-    of a range; what must be *read* is the cost verdict's to price.  A
-    stripe is a candidate when its PK min/max admits the range *and*,
-    for an IN list, one of the wanted keys' hash buckets is in its mask.
-    ``sources`` is ``[(shard, handler)]``, the tables whose files the
-    plan draws from — a sharded table passes the shards the keys live
-    on; candidates come back in canonical (basename) order whatever the
-    shard count.  The returned plan carries the cost-model verdict
+    or IN list (the PRIMARY KEY is unique), the candidate row groups'
+    rows of a range; what must be *read* is the cost verdict's to price.
+    A stripe is a candidate when its PK min/max admits the range, for an
+    IN list one of the wanted keys' hash buckets is in its mask, *and*
+    one of its row groups' min/max admits the range too; a payload's
+    ``row_spans`` names the admitted groups as merged runs of rows per
+    stripe (None: a PK-dirty file, read whole).  ``sources`` is
+    ``[(shard, handler)]``, the tables whose files the plan draws from —
+    a sharded table passes the shards the keys live on; candidates come
+    back in canonical (basename) order whatever the shard count.  The returned plan carries the cost-model verdict
     (:class:`~repro.core.cost_model.LookupChoice`); callers decide
     whether a ``scan``-preferring verdict falls through to MR.
     """
@@ -201,42 +231,54 @@ def plan_lookup(handler, ranges, projection=None, hit_faults=True,
     est_rows = lookup_bytes = scan_bytes = 0
     probe_bytes = probe_entries = 0
     total_files = stripes_read = total_stripes = 0
+    groups_read = total_groups = 0
     for shard, source in sources:
         for entry in stripe_index(source, hit_faults=hit_faults):
             proj_idx = _projection_indices(entry["names"], projection)
             total_files += 1
             total_stripes += len(entry["stripes"])
-            admitted = []
-            match_rows = match_bytes = file_scan_bytes = 0
-            for index, (nrows, pk_min, pk_max, lengths, mask) \
+            row_spans = {}
+            match_rows = match_bytes = match_groups = file_scan_bytes = 0
+            file_groups = first = 0
+            for index, (nrows, pk_min, pk_max, lengths, mask, groups) \
                     in enumerate(entry["stripes"]):
                 stripe_bytes = sum(lengths[i] for i in proj_idx)
                 file_scan_bytes += stripe_bytes
+                file_groups += len(groups)
                 if (wanted is None or mask & wanted) \
                         and pk_range.may_overlap(pk_min, pk_max):
-                    admitted.append(index)
-                    match_rows += nrows
-                    match_bytes += stripe_bytes
+                    runs, admitted = _admitted_runs(pk_range, groups,
+                                                    first, nrows)
+                    if runs:
+                        row_spans[index] = runs
+                        match_rows += sum(stop - start
+                                          for start, stop in runs)
+                        match_groups += admitted
+                        match_bytes += stripe_bytes
+                first += nrows
             scan_bytes += file_scan_bytes
+            total_groups += file_groups
             delta_bytes, delta_entries = \
                 source.attached.file_delta_stats(entry["file_id"])
             if delta_entries and source.attached.pk_dirty_in_file(
                     entry["file_id"], entry["names"].index(pk)):
                 # A delta rewrote the PK itself: statistics and masks
                 # describe the stored keys only, so read the whole file.
-                admitted = None
+                row_spans = None
                 match_rows = entry["num_rows"]
+                match_groups = file_groups
                 match_bytes = file_scan_bytes
             if match_rows == 0:
-                # No stripe can hold a wanted key and no delta can move
-                # one in: the file contributes nothing.  Trailing deltas
-                # of skipped files never produce rows either.
+                # No row group can hold a wanted key and no delta can
+                # move one in: the file contributes nothing.  Trailing
+                # deltas of skipped files never produce rows either.
                 continue
             est_rows += match_rows
             if (len(keys) if keys else est_rows) > handler.lookup_rows_limit:
                 return None         # too wide for a keyed read: stop here
-            stripes_read += len(entry["stripes"] if admitted is None
-                                else admitted)
+            stripes_read += len(entry["stripes"] if row_spans is None
+                                else row_spans)
+            groups_read += match_groups
             lookup_bytes += entry["footer_bytes"] + match_bytes
             probe_bytes += delta_bytes
             probe_entries += delta_entries
@@ -245,8 +287,7 @@ def plan_lookup(handler, ranges, projection=None, hit_faults=True,
                                "shard": shard,
                                "projection": projection,
                                "ranges": {},
-                               "stripes": admitted,
-                               "whole_file": admitted is None,
+                               "row_spans": row_spans,
                                "est_rows": match_rows})
     candidates.sort(key=lambda c: c["path"].rsplit("/", 1)[-1])
     profile = handler.env.cluster.profile
@@ -260,7 +301,28 @@ def plan_lookup(handler, ranges, projection=None, hit_faults=True,
                       files=candidates, choice=choice, est_rows=est_rows,
                       total_files=total_files,
                       stripes=(stripes_read, total_stripes),
+                      row_groups=(groups_read, total_groups),
                       shards=tuple(shard for shard, _ in sources))
+
+
+def _admitted_runs(pk_range, groups, first, nrows):
+    """``(runs, admitted)``: the row groups of one stripe (its first row
+    ``first``, ``nrows`` rows) whose key min/max admit ``pk_range``, as
+    merged ``(start, stop)`` runs of file rows, and how many there are.
+    A group of NULL keys only can match no bounded range."""
+    runs = []
+    admitted = 0
+    for group, bounds in enumerate(groups):
+        if bounds is None or not pk_range.may_overlap(*bounds):
+            continue
+        admitted += 1
+        start = first + group * ROW_GROUP_ROWS
+        stop = min(start + ROW_GROUP_ROWS, first + nrows)
+        if runs and runs[-1][1] == start:
+            runs[-1] = (runs[-1][0], stop)
+        else:
+            runs.append((start, stop))
+    return runs, admitted
 
 
 def _projection_indices(names, projection):
@@ -279,13 +341,13 @@ def keyed_batches(handler, plan, batch_rows=None):
 
     The one generator LOOKUP (:func:`run_lookup`) and EDIT-by-key
     (``DualTableHandler._edit_by_key``) both consume.  Each candidate is
-    a split payload naming its admitted stripes, read through the scan
-    path's own ``read_split_batches`` — so a keyed read charges exactly
-    what the union read charges for the same stripes (the ORC footer
-    plus decoded stripe-column bytes, the memoized ``file_deltas`` scan,
-    the per-row ``unionread`` CPU charge) and feeds the same
-    ``unionread.*`` counters, with no job, split planning or task loop
-    around it.
+    a split payload naming its admitted row groups (``row_spans``), read
+    through the scan path's own ``read_split_batches`` — so a keyed read
+    charges exactly what the union read charges for the same stripes
+    (the ORC footer plus decoded stripe-column bytes, the memoized
+    ``file_deltas`` scan) and rows (the per-row ``unionread`` CPU
+    charge), and feeds the same ``unionread.*`` counters, with no job,
+    split planning or task loop around it.
 
     The ``lookup.hbase_probe`` fault point fires before the first
     charged byte, so a region crash here leaves the ledger exactly as if

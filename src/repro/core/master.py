@@ -4,7 +4,14 @@ Every file stores its unique file ID (allocated from the system metadata
 table) in the ORC user metadata; record IDs are generated on read by
 concatenating that ID with the ORC row number — zero storage cost, exactly
 as in Section V-B of the paper.
+
+A table with a PRIMARY KEY writes every master file in key order: the
+one place rows become files (:meth:`MasterTable.write_rows`) sorts them
+first, so each file's keys run in order and the keyed access path's
+row-group index (:mod:`repro.core.lookup`) has narrow ranges to prune by.
 """
+
+from operator import itemgetter
 
 from repro.orc import OrcReader, OrcWriter
 
@@ -15,7 +22,7 @@ class MasterTable:
     """Directory of ORC files with per-file IDs."""
 
     def __init__(self, fs, location, schema, metadata_manager, table_name,
-                 rows_per_file=50_000, stripe_rows=5_000):
+                 rows_per_file=50_000, stripe_rows=5_000, key_index=None):
         self.fs = fs
         self.location = location
         self.schema = schema          # TableSchema
@@ -23,6 +30,9 @@ class MasterTable:
         self.table_name = table_name
         self.rows_per_file = rows_per_file
         self.stripe_rows = stripe_rows
+        #: the PRIMARY KEY's column index (files are written in its
+        #: order), or None: rows keep the order they came in.
+        self.key_index = key_index
 
     def create(self):
         self.fs.mkdirs(self.location)
@@ -39,9 +49,21 @@ class MasterTable:
 
     # ------------------------------------------------------------------
     def write_rows(self, rows, directory=None):
-        """Write rows into new master files; returns created paths."""
+        """Write rows into new master files; returns created paths.
+
+        A keyed table's rows are stably sorted by the key (NULL keys
+        last) before they are cut into files, so row numbers — and with
+        them record IDs — follow key order.
+        """
         directory = directory or self.location
         rows = list(rows)
+        if self.key_index is not None:
+            key = itemgetter(self.key_index)
+            try:
+                rows = sorted(rows, key=key)
+            except TypeError:       # a NULL key was compared
+                rows = sorted(rows, key=lambda row: (key(row) is None,
+                                                     key(row)))
         orc_schema = self.schema.orc_schema()
         paths = []
         chunks = [rows[i:i + self.rows_per_file]

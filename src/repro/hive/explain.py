@@ -232,10 +232,10 @@ def _explain_lookup(session, handler, ranges, projection, lines, indent):
     choice = plan.choice
     chosen = mode if mode in ("lookup", "scan") else choice.plan
     lines.append(pad + "  LOOKUP eligibility (PRIMARY KEY %s):" % plan.pk)
-    lines.append(pad + "    candidate files:  %d of %d, stripes %d of %d "
-                       "(~%d row(s))"
+    lines.append(pad + "    candidate files:  %d of %d, stripes %d of %d, "
+                       "row groups %d of %d (~%d row(s))"
                  % (choice.files_read, choice.total_files, *plan.stripes,
-                    plan.est_rows))
+                    *plan.row_groups, plan.est_rows))
     lines.append(pad + "    LOOKUP cost:      %.4fs (%s)"
                  % (choice.lookup_seconds, fmt_bytes(choice.lookup_bytes)))
     lines.append(pad + "    scan cost:        %.4fs (%s)"
@@ -282,7 +282,7 @@ def _explain_dml_plan(session, info, stmt, lines):
     # DualTable: run the actual cost evaluation (cheap, footer-only).
     edit = WhereEdit(stmt, info.schema)
     choice = handler.choose_dml_plan(edit)
-    plan = handler._forced_or(choice.plan)
+    plan = handler._plan_for(edit, choice.plan)
     lines.append("  cost evaluation (DualTable, attached backend=%s):"
                  % handler.attached.backend)
     lines.append("    estimated ratio:      %.4f (%d of ~%d rows)"
@@ -311,11 +311,12 @@ def _explain_edit_by_key(session, handler, edit, choice, lines):
     lines.append("  EDIT-by-key (PRIMARY KEY %s bounds the WHERE):" % keyed.pk)
     lines.append("    symptom:   the EDIT job pays startup + %d task(s) "
                  "to find ~%d row(s)" % (verdict.total_files, keyed.est_rows))
-    lines.append("    evidence:  candidate files %d of %d, stripes %d of %d; "
-                 "keyed read %.4fs vs job %.4fs vs OVERWRITE %.2fs"
+    lines.append("    evidence:  candidate files %d of %d, stripes %d of %d, "
+                 "row groups %d of %d; keyed read %.4fs vs job %.4fs vs "
+                 "OVERWRITE %.2fs"
                  % (verdict.files_read, verdict.total_files, *keyed.stripes,
-                    verdict.lookup_seconds, verdict.scan_seconds,
-                    choice.overwrite_seconds))
+                    *keyed.row_groups, verdict.lookup_seconds,
+                    verdict.scan_seconds, choice.overwrite_seconds))
     if mode == "scan":
         lines.append("    plan: job (forced by dualtable.plan)")
     elif mode != "lookup" and verdict.plan != "lookup":

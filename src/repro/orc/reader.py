@@ -24,7 +24,8 @@ belt-and-braces on top).
 import json
 import struct
 import zlib
-from itertools import repeat
+from itertools import chain, repeat
+from operator import add
 
 from repro.common.errors import CorruptOrcFileError
 from repro.orc.encodings import DECODERS
@@ -52,6 +53,53 @@ class StripeInfo:
 
     def stats(self, column_index):
         return self.columns[column_index]["stats"]
+
+
+def _footer_problem(footer, body_len):
+    """What makes a parsed footer not one :class:`OrcWriter` could have
+    written, or None.
+
+    Checks what the reader later relies on: schema kinds a decoder
+    exists for, one stream per schema column in every stripe, each
+    stream inside the ``body_len`` bytes before the footer, statistics
+    to prune by, and stripe row counts that add up to ``num_rows``.
+    """
+    try:
+        kinds = [kind for _, kind in footer["schema"]]
+        unknown = [kind for kind in kinds if kind not in DECODERS]
+        if unknown:
+            return "unknown column kind %r" % (unknown[0],)
+        if not isinstance(footer["metadata"], dict) \
+                or not isinstance(footer["column_stats"], list):
+            return "metadata or column_stats of the wrong type"
+        stripes = footer["stripes"]
+        per_stripe = [stripe["columns"] for stripe in stripes]
+        if set(map(len, per_stripe)) - {len(kinds)}:
+            return ("a stripe's column streams do not match the %d-column "
+                    "schema" % len(kinds))
+        # Whole-file lists, not a loop per stripe: a footer is checked
+        # on every cache miss and may hold thousands of streams.
+        columns = list(chain.from_iterable(per_stripe))
+        starts = ([column["offset"] for column in columns]
+                  + [stripe["offset"] for stripe in stripes])
+        lengths = ([column["length"] for column in columns]
+                   + [stripe["length"] for stripe in stripes])
+        counts = [stripe["num_rows"] for stripe in stripes]
+        numbers = starts + lengths + counts
+        if set(map(type, numbers)) - {int} or min(numbers, default=0) < 0:
+            return "an offset, length or row count is not a count"
+        if max(map(add, starts, lengths), default=0) > body_len:
+            return "a stream lies outside the %d-byte body" % body_len
+        stats = [column["stats"] for column in columns]
+        if not all(all(map(dict.__contains__, stats, repeat(key)))
+                   for key in ("min", "max")):
+            return "column statistics lack min/max"
+        if sum(counts) != footer["num_rows"]:
+            return ("stripe row counts sum to %d, the footer says %r"
+                    % (sum(counts), footer["num_rows"]))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return None
 
 
 class OrcReader:
@@ -104,6 +152,10 @@ class OrcReader:
             footer = json.loads(data[footer_start:footer_start + footer_len])
         except ValueError as exc:
             raise CorruptOrcFileError("unparseable footer: %s" % exc) from exc
+        problem = _footer_problem(footer, footer_start)
+        if problem is not None:
+            raise CorruptOrcFileError("malformed footer in %r: %s"
+                                      % (self._path, problem))
         self.schema = [tuple(col) for col in footer["schema"]]
         self.num_rows = footer["num_rows"]
         self.metadata = footer["metadata"]
@@ -163,7 +215,8 @@ class OrcReader:
         """Materialize :meth:`rows` into a list."""
         return list(self.rows(projection=projection, stripe_filter=stripe_filter))
 
-    def batches(self, projection=None, stripe_filter=None, batch_rows=None):
+    def batches(self, projection=None, stripe_filter=None, batch_rows=None,
+                row_spans=None):
         """Yield :class:`~repro.vector.ColumnBatch` per stripe.
 
         The columnar sibling of :meth:`rows`: identical projection,
@@ -175,6 +228,11 @@ class OrcReader:
         lists, so callers must not mutate them.  ``row_base`` carries
         each batch's first ordinal row number, replacing the per-row
         numbers of :meth:`rows`.
+
+        ``row_spans`` (``{stripe index: [(start, stop), ...]}``, file
+        row ordinals) reads only those runs of rows: a stripe it does
+        not name is skipped like a filtered one, a named stripe is
+        decoded — and charged — whole and yields the runs' slices.
         """
         from repro.vector import ColumnBatch
 
@@ -185,17 +243,24 @@ class OrcReader:
         for stripe in self.stripes:
             if stripe_filter is not None and not stripe_filter(stripe):
                 continue
-            columns = self._decode_stripe_columns(stripe, indices)
-            nrows = stripe.num_rows
-            if batch_rows is None or nrows <= batch_rows:
-                yield ColumnBatch(columns, nrows,
-                                  row_base=stripe.first_row)
+            first = stripe.first_row
+            if row_spans is None:
+                runs = ((first, first + stripe.num_rows),)
             else:
-                for start in range(0, nrows, batch_rows):
-                    stop = min(start + batch_rows, nrows)
-                    yield ColumnBatch([col[start:stop] for col in columns],
-                                      stop - start,
-                                      row_base=stripe.first_row + start)
+                runs = row_spans.get(stripe.index)
+                if not runs:
+                    continue
+            columns = self._decode_stripe_columns(stripe, indices)
+            for start, stop in runs:
+                step = batch_rows or stop - start
+                if stop - start == stripe.num_rows <= step:
+                    yield ColumnBatch(columns, stripe.num_rows,
+                                      row_base=first)
+                    continue
+                for lo in range(start - first, stop - first, step):
+                    hi = min(lo + step, stop - first)
+                    yield ColumnBatch([col[lo:hi] for col in columns],
+                                      hi - lo, row_base=first + lo)
 
     def _decode_stripe_columns(self, stripe, indices):
         out = []

@@ -499,6 +499,16 @@ class ShardedDualTableHandler(DualTableHandler):
     # EDIT-plan DML: the core batch EDIT scan, one job over every shard
     # (``read_split_batches`` above routes each split to its child).
     # ------------------------------------------------------------------
+    def _plan_for(self, edit, cost_plan):
+        # Keyed reads look for a key only on the shard that owns its
+        # bucket.  An EDIT that assigns the shard key would leave the row
+        # on its old key's shard — for good, as COMPACT folds in place —
+        # so it rewrites instead, which re-buckets every row.
+        if self.primary_key is not None \
+                and self.schema.index_of(self.shard_key) in edit.targets:
+            return "overwrite"
+        return super()._plan_for(edit, cost_plan)
+
     def _edit_keys(self, payload, record_ids):
         shard = payload.get("shard", 0)
         return [(shard, record_id) for record_id in record_ids]

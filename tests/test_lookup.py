@@ -5,20 +5,25 @@ Covers the full surface of the third plan type: PRIMARY KEY DDL and the
 rules (equality / IN / closed BETWEEN only, row-count cap, forced-mode
 rejections for non-PK predicates, aggregates and joins), result parity
 with the MR scan plan under deltas / deletes / PK-moving updates,
-EXPLAIN and EXPLAIN ANALYZE output, the metrics and cost-audit trail,
-and the no-double-charge guarantee when a fault forces a mid-lookup
-fallback to the scan plan.
+row-group pruning over key-ordered master files, the ≥20x p50 and bytes
+gate against the scan plan, EXPLAIN and EXPLAIN ANALYZE output, the
+metrics and cost-audit trail, and the no-double-charge guarantee when a
+fault forces a mid-lookup fallback to the scan plan.
 """
+
+import random
 
 import pytest
 
 from repro.cluster import ClusterProfile
 from repro.common.errors import AnalysisError, ParseError
+from repro.core.lookup import NUM_BUCKETS, ROW_GROUP_ROWS
 from repro.faults import Fault, FaultPlan
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive.parser import parse
 from repro.hive.pushdown import extract_ranges
+from repro.orc import OrcReader
 
 from tests.golden import digest, golden, jsonable
 
@@ -460,6 +465,7 @@ class TestObservability:
             line for (line,) in
             session.execute("EXPLAIN SELECT v FROM t WHERE k = 5").rows)
         assert "LOOKUP eligibility (PRIMARY KEY k)" in text
+        assert "stripes 1 of 20, row groups 1 of 20 (~5 row(s))" in text
         assert "plan: lookup" in text
 
     def test_explain_shows_forced_plan(self):
@@ -761,9 +767,9 @@ class TestEditByKeyEqualsTheJob:
         session.execute("UPDATE t SET v = v + 1 WHERE k IN (1, 2, 3, 4)")
         session.execute("COMPACT TABLE t")
         handler = session.table("t").handler
-        masks = [mask for child in handler.children
+        masks = [stripe[4] for child in handler.children
                  for entry in stripe_index(child, hit_faults=False)
-                 for _, _, _, _, mask in entry["stripes"]]
+                 for stripe in entry["stripes"]]
         assert any(bin(mask).count("1") > 1 for mask in masks)
         plan = handler.plan_lookup(extract_ranges(parse(
             "SELECT k FROM t WHERE k IN (7, 100)").where),
@@ -798,7 +804,7 @@ class TestEditByKeyEqualsTheJob:
         assert handler.plan_lookup(moved, hit_faults=False).files == []
         session.execute("UPDATE t SET k = 1005 WHERE k = 5")
         plan = handler.plan_lookup(moved, hit_faults=False)
-        assert [f["whole_file"] for f in plan.files] == [True]
+        assert [f["row_spans"] for f in plan.files] == [None]
 
     @pytest.mark.parametrize("kind", ["crash", "region_crash"])
     @pytest.mark.parametrize("point", ["lookup.index_read",
@@ -943,6 +949,239 @@ class TestKeyedCostModel:
             assert jobs() - before == expected, sql
 
 
+# ----------------------------------------------------------------------
+# Key-ordered master files and the row-group index.
+# ----------------------------------------------------------------------
+#: about 80 rows per hash bucket (78 in bucket 0), so a sharded
+#: table's bucket files hold two row groups each.
+GROUPED_ROWS = 64 * 80
+
+
+def grouped_session(shards, plan, workers=1, batch_rows=None,
+                    rows=GROUPED_ROWS, stripe_rows=200):
+    """A PRIMARY KEY table INSERTed in shuffled key order."""
+    keys = list(range(rows))
+    random.Random(27).shuffle(keys)
+    session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
+                          batch_rows=batch_rows)
+    session.execute(
+        "CREATE TABLE t (k int, v int, name string) PRIMARY KEY (k) "
+        "STORED AS DUALTABLE %s TBLPROPERTIES ('orc.rows_per_file' = "
+        "'1000', 'orc.stripe_rows' = '%d', 'dualtable.mode' = 'edit')"
+        % ("SHARDED BY (k) INTO %d" % shards if shards else "", stripe_rows))
+    session.load_rows("t", [(k, k * 10, "n%05d" % k) for k in keys])
+    session.execute("SET dualtable.plan = %s" % plan)
+    return session
+
+
+def first_file_keys(session):
+    """The keys of ``t``'s first master file in row order, and the row
+    count of its first stripe (read uncharged)."""
+    handler = session.table("t").handler
+    master = getattr(handler, "children", [handler])[0].master
+    reader = OrcReader(session.fs.read_file_silent(master.file_paths()[0]))
+    return ([values[0] for _, values in reader.rows(projection=["k"])],
+            reader.stripes[0].num_rows)
+
+
+def row_group_script(keys, stripe_rows):
+    """Statements aimed at row-group edges of the first stripe: rows 63
+    and 64 straddle the first boundary, ``last`` ends the stripe."""
+    last = keys[stripe_rows - 1]
+    moved = GROUPED_ROWS + 7
+    return [
+        "SELECT k, v FROM t WHERE k BETWEEN %d AND %d" % (keys[60], keys[66]),
+        # Between two row groups of this file (other files may hold it).
+        "SELECT k, v FROM t WHERE k > %d AND k < %d" % (keys[63], keys[64]),
+        # One stripe, three row groups.
+        "SELECT k, v, name FROM t WHERE k IN (%d, %d, %d)"
+        % (keys[5], keys[69], last),
+        "UPDATE t SET v = -1 WHERE k IN (%d, %d, %d)"
+        % (keys[63], keys[64], last),
+        "DELETE FROM t WHERE k IN (%d, %d)" % (keys[64], last),
+        "SELECT k, v, name FROM t WHERE k BETWEEN %d AND %d"
+        % (keys[62], keys[65]),
+        "UPDATE t SET v = v + 1 WHERE k BETWEEN %d AND %d"
+        % (keys[60], keys[66]),
+        "DELETE FROM t WHERE k BETWEEN %d AND %d" % (keys[58], keys[61]),
+        # The key moves: its file is PK-dirty and read whole from now on
+        # (a sharded table rewrites instead).
+        "UPDATE t SET k = %d WHERE k = %d" % (moved, keys[10]),
+        "SELECT k, v FROM t WHERE k = %d" % moved,
+        "SELECT k, v FROM t WHERE k BETWEEN %d AND %d" % (keys[8], keys[12]),
+        "UPDATE t SET v = 0 WHERE k IN (%d, %d)" % (moved, keys[70]),
+        "SELECT k, v, name FROM t WHERE k BETWEEN %d AND %d"
+        % (keys[56], keys[70]),
+    ]
+
+
+def run_row_group_script(session, statements):
+    """Per statement: sorted rows (a read) or the affected count, and
+    how many jobs ran; then the whole table as the scan reads it."""
+    steps = []
+    for sql in statements:
+        result = session.execute(sql)
+        outcome = (sorted(result.rows) if sql.startswith("SELECT")
+                   else result.affected)
+        steps.append((sql, outcome, len(result.jobs)))
+    session.execute("SET dualtable.plan = scan")
+    return steps, sorted(session.execute("SELECT * FROM t").rows)
+
+
+class TestRowGroupPruning:
+    """Forced LOOKUP / EDIT-by-key read only the admitted row groups;
+    the forced scan job reads every row.  Both must agree."""
+
+    _oracle = {}
+
+    @classmethod
+    def oracle(cls, shards):
+        if shards not in cls._oracle:
+            session = grouped_session(shards, "scan")
+            keys, stripe_rows = first_file_keys(session)
+            statements = row_group_script(keys, stripe_rows)
+            cls._oracle[shards] = (statements,
+                                   run_row_group_script(session, statements))
+        return cls._oracle[shards]
+
+    # Every (workers, batch_rows) pair unsharded; the sharded tables
+    # (64 bucket files each, the slow ones) once per worker count and
+    # batch size.
+    @pytest.mark.parametrize("shards,workers,batch_rows", [
+        (None, 1, None), (None, 1, 64), (None, 4, None), (None, 4, 64),
+        (1, 1, None), (4, 4, 64)])
+    def test_keyed_equals_the_scan(self, shards, workers, batch_rows):
+        statements, (scan_steps, scan_rows) = self.oracle(shards)
+        session = grouped_session(shards, "lookup", workers, batch_rows)
+        keys, stripe_rows = first_file_keys(session)
+        assert keys == sorted(keys)                 # written in key order
+        assert stripe_rows > 70 and row_group_script(
+            keys, stripe_rows) == statements
+        steps, rows = run_row_group_script(session, statements)
+        # Only moving a sharded table's key takes a job (a rewrite).
+        assert [jobs for sql, _, jobs in steps] \
+            == [int(shards is not None and " SET k " in sql)
+                for sql in statements]
+        assert [step[:2] for step in steps] \
+            == [step[:2] for step in scan_steps]
+        assert rows == scan_rows
+        assert all(outcome for sql, outcome, _ in steps
+                   if not sql.startswith("SELECT"))
+
+    def test_pk_moving_update_reads_the_file_whole(self):
+        session = grouped_session(None, "lookup")
+        handler = session.table("t").handler
+        near = extract_ranges(parse(
+            "SELECT k FROM t WHERE k BETWEEN 2008 AND 2012").where)
+        plan = handler.plan_lookup(near, hit_faults=False)
+        assert [f["row_spans"] for f in plan.files] == [{0: [(0, 64)]}]
+        assert plan.row_groups == (1, 102)
+        session.execute("UPDATE t SET k = -1 WHERE k = 2010")
+        plan = handler.plan_lookup(near, hit_faults=False)
+        assert [f["row_spans"] for f in plan.files] == [None]
+        assert plan.row_groups == (20, 102) and plan.stripes == (5, 26)
+
+    def test_null_keys_sort_last_and_match_no_range(self):
+        session = keyed_session(rows=[(None, 1, "a"), (5, 50, "b"),
+                                      (None, 2, "c"), (1, 10, "d")])
+        assert first_file_keys(session)[0] == [1, 5, None, None]
+        assert session.execute("SELECT * FROM t").rows == [
+            (1, 10, "d"), (5, 50, "b"), (None, 1, "a"), (None, 2, "c")]
+        assert session.execute(
+            "SELECT k, v FROM t WHERE k BETWEEN 0 AND 9").rows \
+            == [(1, 10), (5, 50)]
+
+    def test_moving_a_sharded_key_rewrites(self):
+        """An EDIT would leave the row on its old key's shard, where a
+        keyed read of the new key never looks (before and after
+        COMPACT): the rewrite re-buckets it."""
+        session = keyed_session(4)
+        result = session.execute("UPDATE t SET k = 1000 WHERE k = 10")
+        assert result.plan == "update-overwrite" and result.affected == 1
+        session.execute("COMPACT TABLE t")
+        for plan in ("lookup", "scan"):
+            session.execute("SET dualtable.plan = %s" % plan)
+            assert session.execute(
+                "SELECT k, v FROM t WHERE k = 1000").rows == [(1000, 100)]
+
+    def test_fifty_key_range_on_a_sharded_table_is_keyed(self):
+        """``htap_serve``'s ``range_read`` shape: one single-bucket file
+        per bucket, each file's keys spanning the domain.  Row groups
+        narrow every file to at most two of its groups."""
+        session = grouped_session(4, "cost", rows=64 * 320, stripe_rows=1000)
+        handler = session.table("t").handler
+        sql = "SELECT k, v FROM t WHERE k >= 9000 AND k <= 9049"
+        plan = handler.plan_lookup(extract_ranges(parse(sql).where),
+                                   hit_faults=False)
+        assert plan.choice.plan == "lookup"
+        assert len(plan.files) == plan.total_files == NUM_BUCKETS
+        assert plan.row_groups[0] <= NUM_BUCKETS * 2 < plan.row_groups[1]
+        assert plan.est_rows <= NUM_BUCKETS * 2 * ROW_GROUP_ROWS
+        result = session.execute(sql)
+        assert result.plan == "lookup" and result.jobs == []
+        assert sorted(result.rows) == [(k, k * 10) for k in range(9000, 9050)]
+        assert result.detail["row_groups"] == plan.row_groups
+
+
+class TestLookupVersusScanGate:
+    """A seeded mix of PRIMARY KEY point / range / IN reads over a
+    table with live deltas, under forced LOOKUP and forced scan: the
+    same rows at workers 1 and 4, and the keyed plan at least 20x
+    cheaper on simulated p50 latency and on bytes charged."""
+
+    ROWS, QUERIES, MIN_RATIO = 4000, 30, 20
+
+    @classmethod
+    def queries(cls):
+        rng = random.Random(20260808)
+        out = []
+        for _ in range(cls.QUERIES):
+            roll = rng.random()
+            if roll < 0.60:
+                out.append("SELECT v, name FROM t WHERE k = %d"
+                           % rng.randrange(cls.ROWS))
+            elif roll < 0.85:
+                lo = rng.randrange(cls.ROWS - 10)
+                out.append("SELECT v, name FROM t WHERE k BETWEEN %d AND %d"
+                           % (lo, lo + rng.randint(1, 10)))
+            else:
+                keys = sorted({rng.randrange(cls.ROWS)
+                               for _ in range(rng.randint(2, 5))})
+                out.append("SELECT v, name FROM t WHERE k IN (%s)"
+                           % ", ".join(map(str, keys)))
+        return out
+
+    def run(self, workers):
+        """``{plan: (rows, p50 sim seconds, bytes)}`` on one session."""
+        session = build_session(
+            rows=[(k, k * 10, "name-%06d" % k) for k in range(self.ROWS)],
+            rows_per_file=200, stripe_rows=20, workers=workers, mode="edit")
+        session.execute("UPDATE t SET v = -1 WHERE k BETWEEN 100 AND 140")
+        session.execute("DELETE FROM t WHERE k BETWEEN 300 AND 305")
+        ledger = session.cluster.ledger
+        out = {}
+        for plan in ("lookup", "scan"):
+            session.execute("SET dualtable.plan = %s" % plan)
+            rows, seconds, charged = [], [], 0
+            for sql in self.queries():
+                before = ledger.snapshot()
+                result = session.execute(sql)
+                charged += sum(ledger.diff(before)["bytes"].values())
+                seconds.append(result.sim_seconds)
+                rows.append(sorted(result.rows))
+            out[plan] = (rows, sorted(seconds)[len(seconds) // 2], charged)
+        return out
+
+    def test_same_rows_and_twenty_fold_cheaper(self):
+        runs = {workers: self.run(workers) for workers in (1, 4)}
+        assert runs[1] == runs[4]
+        (looked, lookup_p50, lookup_bytes), (scanned, scan_p50, scan_bytes) \
+            = runs[1]["lookup"], runs[1]["scan"]
+        assert looked == scanned
+        assert scan_p50 >= self.MIN_RATIO * lookup_p50 > 0
+        assert scan_bytes >= self.MIN_RATIO * lookup_bytes > 0
+
+
 class TestKeyedObservability:
     def test_explain_update_prints_the_keyed_plan(self):
         session = keyed_session(4)
@@ -951,6 +1190,7 @@ class TestKeyedObservability:
         assert "EDIT-by-key (PRIMARY KEY k bounds the WHERE)" in text
         assert "symptom:" in text and "evidence:" in text
         assert "candidate files 2 of" in text and "stripes 2 of" in text
+        assert "row groups 2 of" in text
         assert "expected gain:" in text
         assert "plan: edit-by-key (no MapReduce job)" in text
         assert attached_cells(session) == []            # not executed

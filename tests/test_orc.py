@@ -241,6 +241,64 @@ class TestCorruption:
             OrcReader(bytes(data))
 
 
+def _with_footer(data, mutate):
+    """``data`` with its footer replaced by ``mutate(footer)`` (JSON)."""
+    tail = len(MAGIC) + 8
+    (footer_len,) = struct.unpack("<Q", data[-tail:-len(MAGIC)])
+    footer_start = len(data) - tail - footer_len
+    footer = mutate(json.loads(data[footer_start:footer_start + footer_len]))
+    footer_bytes = json.dumps(footer, separators=(",", ":")).encode("utf-8")
+    return (data[:footer_start] + footer_bytes
+            + struct.pack("<Q", len(footer_bytes)) + MAGIC)
+
+
+def _set(footer, path, value):
+    """``footer`` with the item at key/index ``path`` set to ``value``."""
+    target = footer
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return footer
+
+
+class TestMalformedFooter:
+    """A footer that is valid JSON but not the shape the writer writes
+    is a typed error when the file is opened, never a TypeError,
+    KeyError or IndexError at the first decode."""
+
+    @staticmethod
+    def _open(mutate):
+        data = _with_footer(write_orc(SCHEMA, _rows(10), stripe_rows=4),
+                            mutate)
+        with pytest.raises(CorruptOrcFileError, match="malformed footer"):
+            OrcReader(data).read_all()
+
+    def test_list_footer(self):
+        self._open(lambda footer: [footer])
+
+    def test_footer_without_stripes(self):
+        self._open(lambda footer: {key: value for key, value in
+                                   footer.items() if key != "stripes"})
+
+    def test_unknown_column_kind(self):
+        self._open(lambda footer: _set(footer, ["schema", 1, 1], "blob"))
+
+    def test_stripe_short_of_columns(self):
+        self._open(lambda footer: _set(
+            footer, ["stripes", 1, "columns"],
+            footer["stripes"][1]["columns"][:-1]))
+
+    @pytest.mark.parametrize("field,value", [("offset", 10 ** 6),
+                                             ("length", -1),
+                                             ("offset", "0")])
+    def test_stream_outside_the_body(self, field, value):
+        self._open(lambda footer: _set(
+            footer, ["stripes", 0, "columns", 0, field], value))
+
+    def test_row_counts_do_not_add_up(self):
+        self._open(lambda footer: _set(footer, ["num_rows"], 11))
+
+
 def _replace_last_stream(data, mutate):
     """``data`` with its last stripe's last column stream replaced by
     ``mutate(stream)`` and the footer's lengths patched to match."""

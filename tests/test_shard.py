@@ -457,7 +457,7 @@ class TestMultiShardKeyedPlans:
                 child = handler.children[payload["shard"]]
                 assert payload["path"].startswith(child.master.location)
             return [(f["path"].rsplit("/", 1)[-1], f["file_id"],
-                     f["stripes"], f["est_rows"]) for f in plan.files]
+                     f["row_spans"], f["est_rows"]) for f in plan.files]
         base = candidates(1)
         assert [name for name, *_ in base] == sorted(n for n, *_ in base)
         assert len(base) == len(self.KEYS)       # one bucket file per key
