@@ -37,10 +37,6 @@ class KeyValue:
         the same ts, matching HBase semantics)."""
         return (self.row, self.qualifier, -self.ts, -int(self.cell_type))
 
-    @property
-    def is_delete(self):
-        return self.cell_type != CellType.PUT
-
     def size_bytes(self):
         """Approximate storage footprint (key + ts + type + value)."""
         return len(self.row) + len(self.qualifier) + 9 + len(self.value)

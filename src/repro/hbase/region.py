@@ -35,13 +35,6 @@ class Region:
     # ------------------------------------------------------------------
     # Writes.
     # ------------------------------------------------------------------
-    def contains_row(self, row):
-        if self.start_row is not None and row < self.start_row:
-            return False
-        if self.stop_row is not None and row >= self.stop_row:
-            return False
-        return True
-
     def apply(self, cell):
         """Apply a put/delete cell: WAL append + memstore insert.
 

@@ -34,12 +34,6 @@ class Env:
         self._slots = {}
         self.width = 0
 
-    @classmethod
-    def from_schema(cls, schema, alias=None):
-        env = cls()
-        env.add_schema(schema, alias=alias)
-        return env
-
     def add_schema(self, schema, alias=None):
         base = self.width
         for i, column in enumerate(schema):

@@ -104,18 +104,6 @@ class HBaseTableHandler(StorageHandler):
                 decode_value(cells[q]) if q in cells else None
                 for q in quals)
 
-    def scan_with_rowkeys(self, projection=None):
-        """Like read, but yields (rowkey, tuple) — used for mutations."""
-        if projection is None:
-            indices = list(range(len(self.schema)))
-        else:
-            indices = [self.schema.index_of(name) for name in projection]
-        quals = [_qualifier(i) for i in indices]
-        for rowkey, cells in self._htable().scan():
-            yield rowkey, tuple(
-                decode_value(cells[q]) if q in cells else None
-                for q in quals)
-
     # ------------------------------------------------------------------
     # Row mutation (what makes this handler update-friendly).
     # ------------------------------------------------------------------

@@ -6,7 +6,6 @@ mutation: the session lowers UPDATE/DELETE to a full INSERT OVERWRITE
 (Listing 2 in the paper).
 """
 
-from repro.common.errors import HiveError
 from repro.mapreduce import InputSplit
 from repro.orc import OrcReader, OrcWriter
 from repro.hive.pushdown import make_stripe_filter
@@ -127,7 +126,3 @@ class OrcHdfsHandler(StorageHandler):
     def readers(self):
         """ORC readers over every file (used for stats estimation)."""
         return [self._reader(p) for p in self.file_paths()]
-
-    def ensure_exists(self):
-        if not self.fs.exists(self.location):
-            raise HiveError("table storage missing: %s" % self.location)

@@ -279,13 +279,6 @@ class PartitionedOrcHandler(StorageHandler):
                    for _, directory in self.partitions()
                    for p in self._partition_files(directory))
 
-    def partition_bytes(self, keys):
-        keys = set(keys)
-        return sum(self.fs.file_size(p)
-                   for key, directory in self.partitions()
-                   if key in keys
-                   for p in self._partition_files(directory))
-
     def row_count(self):
         total = 0
         for _, directory in self.partitions():

@@ -58,10 +58,6 @@ class CompactionDecision:
     note: str = ""
     breakdown: dict = field(default_factory=dict)
 
-    @property
-    def net_seconds(self):
-        return self.benefit_seconds - self.predicted_seconds
-
 
 class CompactionPolicy:
     """Scores compaction plans for one DualTable handler."""

@@ -120,12 +120,6 @@ class Histogram:
     def p99(self):
         return self.quantile(0.99)
 
-    def bucket_rows(self):
-        """``(upper_bound, count)`` rows in ascending-bucket order."""
-        return [(bucket_upper_bound(index), self.buckets[index])
-                for index in sorted(self.buckets,
-                                    key=lambda i: (i is not None, i))]
-
     def as_dict(self):
         return {"count": self.count, "sum": self.total,
                 "mean": self.mean, "min": self.vmin, "max": self.vmax,

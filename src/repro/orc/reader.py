@@ -308,7 +308,3 @@ class OrcReader:
                 continue
             total += sum(stripe.columns[i]["length"] for i in indices)
         return total
-
-    @property
-    def file_bytes(self):
-        return len(self._data)

@@ -32,10 +32,6 @@ class AdmissionController:
     def depth(self):
         return sum(len(q) for q in self._queues.values())
 
-    def depth_for(self, tenant):
-        queue = self._queues.get(tenant)
-        return len(queue) if queue else 0
-
     def _note_depth(self):
         if self.metrics is not None:
             self.metrics.gauge("server.queue_depth", self.depth)

@@ -13,8 +13,8 @@ on the order they interleaved.  That gives two checkable bars:
   concurrency 1, 4 and 16 runs of the same seed produce byte-identical
   ledger totals even though their interleavings differ.
 
-``scripts/bench_server.py`` drives this at 1000 clients and gates CI on
-both bars.
+``tests/test_server.py`` gates determinism at concurrency 1/4/16 and
+``run_server_chaos_schedule`` gates zero lost writes under chaos.
 """
 
 from repro.common.rng import make_rng

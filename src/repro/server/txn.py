@@ -65,9 +65,6 @@ class CommitLog:
         """The current watermark (number of write commits so far)."""
         return len(self._records)
 
-    def records_since(self, seq):
-        return self._records[seq:]
-
     def append(self, session_id, tables, keys, exclusive, sql=""):
         record = CommitRecord(self.seq + 1, session_id, tables, keys,
                               exclusive, sql)

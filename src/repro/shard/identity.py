@@ -8,9 +8,7 @@ and different shard counts partition the same byte/op totals into
 different charge events, so the accumulated floats can differ in the
 last ULP.  :func:`ledger_identity_view` therefore rounds seconds to
 ``SECONDS_DECIMALS`` places (picosecond agreement) while leaving bytes
-and ops exact.  Both ``tests/test_shard.py`` and
-``scripts/bench_shard.py --check`` compare through these helpers so the
-gate is the same everywhere.
+and ops exact.  ``tests/test_shard.py`` compares through these helpers.
 
 Per-statement makespans (``result.sim_seconds``) are *excluded* on
 purpose: shard fan-out multiplies effective slots, so wall-clock shrinks

