@@ -13,9 +13,13 @@ count, min, max and — for numeric columns — sum, enabling stripe-level
 predicate pushdown in the reader.
 """
 
+import hashlib
 import json
 import struct
-from itertools import islice
+import threading
+from collections import OrderedDict
+from itertools import islice, repeat
+from operator import is_not
 
 from repro.common.errors import OrcError
 from repro.orc.encodings import ENCODERS, non_null_values
@@ -24,6 +28,11 @@ MAGIC = b"ORCSIM1\x00"
 DEFAULT_STRIPE_ROWS = 5000
 
 _VALID_KINDS = ("int", "double", "string", "boolean")
+
+MEMO_BYTES = 8 << 20          # encode memo's stream bytes; LRU beyond
+_SEEN_LIMIT = 1 << 14         # first-sighting marks before starting over
+_EXACT = {"int": (int, "q"), "double": (float, "d"), "string": (str, "q"),
+          "boolean": (bool, "?")}
 
 
 def _column_stats(kind, count, non_null=(), distinct=()):
@@ -65,6 +74,74 @@ def _merge_stats(kind, a, b):
     if kind in ("int", "double"):
         merged["sum"] = a.get("sum", 0) + b.get("sum", 0)
     return merged
+
+
+class _StreamMemo:
+    """Column content -> ``(stream, stats)``, LRU-bounded by stream bytes.
+
+    Admits values exactly of the kind's type or None (the footer prints
+    ``1``, ``true``, ``1.0`` apart) from a second sighting on; NaN-sum
+    columns (``ndv`` counts NaNs by identity) are not stored.  The stats
+    dicts are shared (a file's may be its stripe's): never mutate them."""
+
+    def __init__(self):
+        self.used = 0
+        self._entries = OrderedDict()
+        self._seen = set()
+        self._lock = threading.Lock()
+
+    def _key(self, kind, values):
+        """``(kind, rows, digest)``; None when first seen or not admitted."""
+        mark = hash((kind, tuple(values)))
+        if mark not in self._seen:        # a race costs work, never a byte
+            if len(self._seen) >= _SEEN_LIMIT:
+                self._seen.clear()
+            self._seen.add(mark)
+            return None
+        exact, code = _EXACT[kind]                  # type, struct code
+        types = set(map(type, values))
+        if not types <= {exact, type(None)}:
+            return None
+        non_null = non_null_values(values) if type(None) in types else values
+        # Injective: a tagged NULL map if any NULL, a tag, then the values
+        # (bit-exact: -0.0 != 0.0; a STRING's lengths, then its UTF-8).
+        digest = hashlib.blake2b(digest_size=20)
+        if len(non_null) != len(values):
+            digest.update(b"N" + bytes(map(is_not, values, repeat(None))))
+        digest.update(kind.encode())
+        packed = map(len, non_null) if kind == "string" else non_null
+        digest.update(struct.pack("<%d%s" % (len(non_null), code), *packed))
+        if kind == "string":
+            digest.update("".join(non_null).encode("utf-8", "surrogatepass"))
+        return kind, len(values), digest.digest()
+
+    def encode(self, kind, values):
+        """The stream and statistics of one stripe column."""
+        try:    # an unhashable value raises what set() below would raise
+            key = self._key(kind, values)
+        except struct.error:                # an INT past int64
+            key = None
+        with self._lock:
+            if key in self._entries:            # a None key never is
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        # One non-NULL pass and one set per column, shared by the
+        # statistics and the encoder's dictionary decision.
+        non_null = non_null_values(values)
+        distinct = set(non_null)
+        stream = ENCODERS[kind](values, non_null, distinct)
+        stats = _column_stats(kind, len(values), non_null, distinct)
+        if key is not None and stats.get("sum") == stats.get("sum"):
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = stream, stats
+                    self.used += len(stream)
+                while self.used > MEMO_BYTES:
+                    self.used -= len(self._entries.popitem(last=False)[1][0])
+        return stream, stats
+
+
+_MEMO = _StreamMemo()
 
 
 class OrcWriter:
@@ -131,16 +208,9 @@ class OrcWriter:
             return
         stripe = {"offset": len(self._body), "num_rows": n, "columns": []}
         for (name, kind), values in zip(self.schema, self._columns):
-            # One non-NULL pass and one set per column, shared by the
-            # statistics and the encoder's dictionary decision.
-            non_null = non_null_values(values)
-            distinct = set(non_null)
-            stream = ENCODERS[kind](values, non_null, distinct)
-            stripe["columns"].append({
-                "offset": len(self._body),
-                "length": len(stream),
-                "stats": _column_stats(kind, n, non_null, distinct),
-            })
+            stream, stats = _MEMO.encode(kind, values)
+            stripe["columns"].append({"offset": len(self._body),
+                                      "length": len(stream), "stats": stats})
             self._body.extend(stream)
         stripe["length"] = len(self._body) - stripe["offset"]
         self._stripes.append(stripe)
