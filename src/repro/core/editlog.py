@@ -68,14 +68,16 @@ def decode_edits(data):
 
 
 def apply_edits(handler, edits):
-    """Replay decoded edits into the Attached Table (idempotent).
+    """Replay decoded edits into the Attached Table (idempotent); the
+    handler's ``_attached_for`` names the table each key publishes to.
 
     The redo log holds a statement's SET values as evaluated; a cell is
     stored as its column's declared type, like the row an OVERWRITE
     rewrite would have written.
     """
-    attached, coerce = handler.attached, handler.table.schema.coerce_value
-    for kind, record_id, values in edits:
+    route, coerce = handler._attached_for, handler.table.schema.coerce_value
+    for kind, key, values in edits:
+        attached, record_id = route(key)
         if kind == "u":
             attached.put_update(record_id, {column: coerce(column, value)
                                             for column, value

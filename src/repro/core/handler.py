@@ -68,11 +68,8 @@ class DualTableHandler(StorageHandler):
     shard_fanout = 1
 
     def __init__(self, table, env):
-        super().__init__(table, env)
+        self._read_settings(table, env)
         props = table.properties
-        pk = props.get("dualtable.primary_key")
-        self.primary_key = str(pk).lower() if pk else None
-        self.metadata = DualTableMetadata(env.hbase)
         self.master = MasterTable(
             fs=env.fs,
             location="/warehouse/%s/master" % table.name,
@@ -87,6 +84,28 @@ class DualTableHandler(StorageHandler):
         self.attached = AttachedTable(
             env.hbase, "dt_%s_attached" % table.name,
             backend=str(props.get("dualtable.attached", "hbase")).lower())
+        # The COMPACT two-phase-commit paths (siblings of the master
+        # directory, never inside it).  ``master.__old__`` holds the
+        # pre-swap master during a full COMPACT's swap.
+        base = "/warehouse/%s" % table.name
+        old = base + "/master.__old__"
+        self.compaction = ManifestProtocol(
+            env, table.name, base + "/compact.manifest",
+            staging=(base + "/master.__compact__", old),
+            restore={old: self.master.location})
+        #: the storage units whole-table planning reads: a plain table is
+        #: its own one shard; a sharded table lists its children.
+        self.shards = (self,)
+
+    def _read_settings(self, table, env):
+        """The table-level settings a plain and a sharded DualTable share:
+        PRIMARY KEY, plan mode, read factor, lookup cap, the system
+        metadata table and the statement redo-log directory."""
+        StorageHandler.__init__(self, table, env)
+        props = table.properties
+        pk = props.get("dualtable.primary_key")
+        self.primary_key = str(pk).lower() if pk else None
+        self.metadata = DualTableMetadata(env.hbase)
         self.mode = str(props.get("dualtable.mode", "cost")).lower()
         if self.mode not in ("cost", "edit", "overwrite"):
             raise DualTableError("bad dualtable.mode: %r" % self.mode)
@@ -94,21 +113,8 @@ class DualTableHandler(StorageHandler):
         self.lookup_rows_limit = int(props.get("dualtable.lookup.max_rows",
                                                10_000))
         self._compacting = False
-        # Crash-recovery bookkeeping: the EDIT-plan redo-log directory
-        # and the COMPACT two-phase-commit paths (all siblings of the
-        # master directory, never inside it).  ``master.__old__`` holds
-        # the pre-swap master during a full COMPACT's swap.
-        base = "/warehouse/%s" % table.name
-        self.txn_dir = base + "/txn"
-        old = base + "/master.__old__"
-        self.compaction = ManifestProtocol(
-            env, table.name, base + "/compact.manifest",
-            staging=(base + "/master.__compact__", old),
-            restore={old: self.master.location})
+        self.txn_dir = "/warehouse/%s/txn" % table.name
         self._txn_ids = itertools.count(1)
-        #: what an EditBatch stages to and publishes through; the
-        #: sharded handler swaps in its shard-routing target.
-        self._batch_target = self
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -433,10 +439,20 @@ class DualTableHandler(StorageHandler):
     # Statistics.
     # ------------------------------------------------------------------
     def data_bytes(self):
-        return self.master.data_bytes() + self.attached.size_bytes
+        return self._master_bytes() + sum(shard.attached.size_bytes
+                                          for shard in self.shards)
 
     def row_count(self):
-        return self.master.row_count()
+        return sum(shard.master.row_count() for shard in self.shards)
+
+    def _master_bytes(self):
+        return sum(shard.master.data_bytes() for shard in self.shards)
+
+    def _master_readers(self):
+        """A reader per master file, shard by shard: what plan choice
+        estimates from."""
+        return [reader for shard in self.shards
+                for reader in shard.master.readers()]
 
     # ------------------------------------------------------------------
     # UPDATE / DELETE (cost-model dispatch).
@@ -444,7 +460,7 @@ class DualTableHandler(StorageHandler):
     def cost_model(self):
         profile = self.env.cluster.profile
         return CostModel(profile, k=self.read_factor,
-                         attached_rates=self.attached.rates(profile))
+                         attached_rates=self.shards[0].attached.rates(profile))
 
     #: rows to sample when the predicate has no extractable column ranges
     SAMPLE_ROWS = 2000
@@ -458,9 +474,9 @@ class DualTableHandler(StorageHandler):
         alternative, made automatic.
         """
         if where is None:
-            return 1.0, self.master.row_count()
+            return 1.0, self.row_count()
         ranges = extract_ranges(where)
-        readers = self.master.readers()
+        readers = self._master_readers()
         if not readers:
             return 0.0, 0
         schema_cols = {c.name.lower() for c in self.schema}
@@ -513,7 +529,7 @@ class DualTableHandler(StorageHandler):
         projection = [c.name for c in self.schema
                       if c.name.lower() in edit.needed] or None
         total = 0
-        for reader in self.master.readers():
+        for reader in self._master_readers():
             stripe_filter = make_stripe_filter(
                 [n for n, _ in reader.schema], edit.ranges)
             total += reader.projected_bytes(projection, stripe_filter)
@@ -530,7 +546,7 @@ class DualTableHandler(StorageHandler):
         """The cost evaluator's EDIT-vs-OVERWRITE verdict for one row
         edit; shared with EXPLAIN."""
         ratio, total_rows = edit.estimate_ratio(self)
-        d_bytes = self.master.data_bytes()
+        d_bytes = self._master_bytes()
         model = self.cost_model()
         scan_bytes = self._edit_scan_bytes(edit)
         if edit.verb == "delete":
@@ -668,7 +684,7 @@ class DualTableHandler(StorageHandler):
                                 result.sim_seconds)
         if plan == "overwrite":
             cluster.metrics.incr("dualtable.bytes_rewritten.%s" % table,
-                                 self.master.data_bytes())
+                                 self._master_bytes())
         self.note_attached_bytes()
 
     def _plan_for(self, edit, cost_plan):
@@ -730,7 +746,7 @@ class DualTableHandler(StorageHandler):
         verb = edit.verb
         projection, ranges, stage = scan or self._edit_scan(edit)
         splits = self.scan_splits(projection, ranges)
-        edit_batch = EditBatch(self._batch_target, next(self._txn_ids))
+        edit_batch = EditBatch(self, next(self._txn_ids))
         batch_rows = session.batch_rows
 
         def map_fn(split, ctx):
@@ -778,7 +794,7 @@ class DualTableHandler(StorageHandler):
                     self.note_lookup_eligible_scan()
                 return None
             self._claim_txn_access(session, "edit")
-            edit_batch = EditBatch(self._batch_target, next(self._txn_ids))
+            edit_batch = EditBatch(self, next(self._txn_ids))
             buffer = edit_batch.task_buffer()
             before = cluster.ledger.snapshot()
             with cluster.tracer.span("phase", "dualtable:edit-by-key",
@@ -829,6 +845,11 @@ class DualTableHandler(StorageHandler):
         """EditBatch keys for one split payload's matched record ids (a
         sharded table tags them with the owning shard)."""
         return record_ids
+
+    def _attached_for(self, key):
+        """``(attached, record_id)``: where one EditBatch key publishes.
+        The one routing hook publish and redo-log replay go through."""
+        return self.attached, key
 
     def _commit_or_defer(self, session, batch):
         """Commit the EditBatch now, or buffer it in the server txn.

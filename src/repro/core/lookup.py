@@ -355,7 +355,8 @@ def keyed_batches(handler, plan, batch_rows=None):
     """
     handler.env.cluster.faults.hit("lookup.hbase_probe",
                                    table=handler.table.name)
-    handler.attached.ensure_available()
+    for shard in handler.shards:
+        shard.attached.ensure_available()
     for payload in plan.files:
         split = InputSplit(payload=payload, label=payload["path"])
         for batch in handler.read_split_batches(split, None,

@@ -123,7 +123,3 @@ class MasterTable:
 
     def row_count(self):
         return sum(r.num_rows for r in self.readers())
-
-    def avg_row_bytes(self):
-        rows = self.row_count()
-        return (self.data_bytes() / rows) if rows else 0.0

@@ -185,17 +185,18 @@ def verify_against_oracle(session, oracle):
 
 def table_state(session):
     """A comparable snapshot of the full logical + physical table state:
-    files, rows, every child's attached cells, the shard assignment."""
+    files, rows, every shard's attached cells, the shard assignment."""
     handler = session.table("t").handler
     shard_map = getattr(handler, "shard_map", None)
     with session.cluster.faults.paused():
-        files = tuple(handler.master.file_paths())
+        files = tuple(path for shard in handler.shards
+                      for path in shard.master.file_paths())
         rows = tuple(session.execute("SELECT k, v FROM t ORDER BY k").rows)
         attached = tuple(
-            (child.table.name, rid, delta.deleted,
+            (shard.table.name, rid, delta.deleted,
              tuple(sorted(delta.updates.items())))
-            for child in getattr(handler, "children", [handler])
-            for rid, delta in child.attached.scan_range())
+            for shard in handler.shards
+            for rid, delta in shard.attached.scan_range())
     assignment = shard_map and tuple(shard_map.assignment)
     return files, rows, attached, assignment
 

@@ -284,7 +284,7 @@ def _explain_dml_plan(session, info, stmt, lines):
     choice = handler.choose_dml_plan(edit)
     plan = handler._plan_for(edit, choice.plan)
     lines.append("  cost evaluation (DualTable, attached backend=%s):"
-                 % handler.attached.backend)
+                 % handler.shards[0].attached.backend)
     lines.append("    estimated ratio:      %.4f (%d of ~%d rows)"
                  % (choice.ratio, int(choice.touched_rows),
                     handler.row_count()))

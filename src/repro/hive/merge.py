@@ -147,7 +147,7 @@ class KeyJoinEdit(RowEdit):
 
     def estimate_ratio(self, handler):
         """|source keys| / rows: known exactly, so MERGE never samples."""
-        rows = handler.master.row_count()
+        rows = handler.row_count()
         return (min(1.0, len(self.source_index) / rows) if rows else 0.0,
                 rows)
 

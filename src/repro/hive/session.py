@@ -350,8 +350,8 @@ class HiveSession:
                 if factor < 1:
                     raise AnalysisError("read_factor must be >= 1")
                 handler.read_factor = factor
-                for child in getattr(handler, "children", ()):
-                    child.read_factor = factor
+                for shard in handler.shards:
+                    shard.read_factor = factor
                 info.properties["dualtable.read_factor"] = factor
             elif key == "mode":
                 mode = str(value).lower()
@@ -360,8 +360,8 @@ class HiveSession:
                         "bad dualtable mode %r (cost/edit/overwrite)"
                         % (value,))
                 handler.mode = mode
-                for child in getattr(handler, "children", ()):
-                    child.mode = mode
+                for shard in handler.shards:
+                    shard.mode = mode
                 info.properties["dualtable.mode"] = mode
             else:
                 raise AnalysisError(

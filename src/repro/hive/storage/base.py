@@ -81,10 +81,6 @@ class StorageHandler(ABC):
     def row_count(self):
         """Exact or estimated row count (no data read)."""
 
-    def avg_row_bytes(self):
-        rows = self.row_count()
-        return (self.data_bytes() / rows) if rows else 0.0
-
     # ------------------------------------------------------------------
     # Convenience.
     # ------------------------------------------------------------------

@@ -161,21 +161,18 @@ class AutoCompactionDaemon:
             return
         cluster.faults.hit("dualtable.autocompact.tick", table=name)
         stats = self.collector.refresh(name, handler.read_factor)
-        # Sharded tables expose one compaction unit per shard, so a hot
-        # shard folds alone; single tables are their own unit.
-        units = getattr(handler, "compaction_units", None)
-        targets = units() if units is not None else [handler]
-        if all(t.attached.is_empty() for t in targets):
+        if all(shard.attached.is_empty() for shard in handler.shards):
             return      # uncharged fast path: nothing to fold
         self._last_decision_clock[name] = cluster.clock.now
         horizon = float(options.get("horizon", 0.0)) or stats.horizon
-        for target in targets:
+        # Decided and run per shard, so a hot shard folds alone.
+        for target in handler.shards:
             if target._compacting or target.attached.is_empty():
                 continue
             self._tick_target(target, options, horizon)
 
     def _tick_target(self, target, options, horizon):
-        """Decide + (maybe) compact one compaction unit."""
+        """Decide + (maybe) compact one shard."""
         cluster = self.session.cluster
         name = target.table.name
         with cluster.tracer.span("phase", "autocompact:decide",

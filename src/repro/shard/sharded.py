@@ -30,7 +30,7 @@ same for every shard count.
 """
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from operator import itemgetter
 
 from repro.common.errors import DualTableError
@@ -51,7 +51,7 @@ SHARD_COLUMNS = ["shard", "buckets", "files", "rows", "master_bytes",
 def rebalance_kind(num_shards):
     """REBALANCE's manifest 2PC (:mod:`repro.core.manifest`) on a table
     of ``num_shards``: spill both shards' new contents, commit, overwrite
-    both children and persist the new shard map."""
+    both shards and persist the new shard map."""
     shard = index_below(num_shards)
     return ManifestKind(
         "dualtable.rebalance", ("spill", "manifest", "apply", "cleanup"),
@@ -121,141 +121,34 @@ class ShardMap:
         return [b for b, s in enumerate(self.assignment) if s == shard]
 
 
-class _ShardedMasterView:
-    """Read-only facade presenting the children's masters as one.
+class _ShardRouter:
+    """Unused; perfbench's trace map still looks this name up."""
 
-    The inherited DualTable cost/statistics paths (`_estimate_ratio`,
-    `_edit_scan_bytes`, plan choice, EXPLAIN sizing) consult
-    ``handler.master`` for readers and byte totals; this view aggregates
-    the child masters in shard order so those paths work unchanged.
-    """
 
-    def __init__(self, handler):
-        self._handler = handler
-        #: logical location: no files ever live here (children own the
-        #: bytes), kept so cache-invalidation group keys stay harmless.
-        self.location = "/warehouse/%s/master" % handler.table.name
+class _Sizes:
+    """Only the two table sizes perfbench's harness reads off a handler's
+    ``master`` and ``attached``; delete both with its next change."""
 
-    def _children(self):
-        return self._handler.children
-
-    def file_paths(self):
-        return [path for child in self._children()
-                for path in child.master.file_paths()]
-
-    def readers(self):
-        return [reader for child in self._children()
-                for reader in child.master.readers()]
-
-    def _owner(self, path):
-        for child in self._children():
-            if path.startswith(child.master.location + "/"):
-                return child
-        raise DualTableError("no shard of %s owns master file %s"
-                             % (self._handler.table.name, path))
-
-    def reader(self, path):
-        return self._owner(path).master.reader(path)
-
-    def file_meta(self, path):
-        return self._owner(path).master.file_meta(path)
+    def __init__(self, shards):
+        self._shards = shards
 
     def data_bytes(self):
-        return sum(child.master.data_bytes() for child in self._children())
-
-    def row_count(self):
-        return sum(child.master.row_count() for child in self._children())
-
-    def avg_row_bytes(self):
-        rows = self.row_count()
-        return (self.data_bytes() / rows) if rows else 0.0
-
-
-class _ShardedAttachedView:
-    """Aggregate facade over the children's attached tables.
-
-    Carries only whole-table operations (sizes, emptiness, rates); the
-    per-file-ID surface is deliberately absent — file IDs are allocated
-    per child, so any file-keyed access must go through the owning
-    child's attached table, never through this view.
-    """
-
-    def __init__(self, handler):
-        self._handler = handler
-        self.name = "dt_%s_attached" % handler.table.name
-
-    def _children(self):
-        return self._handler.children
-
-    @property
-    def backend(self):
-        return self._children()[0].attached.backend
+        return sum(shard.master.data_bytes() for shard in self._shards)
 
     @property
     def size_bytes(self):
-        return sum(child.attached.size_bytes for child in self._children())
-
-    def is_empty(self):
-        return all(child.attached.is_empty() for child in self._children())
-
-    def entry_count(self):
-        return sum(child.attached.entry_count()
-                   for child in self._children())
-
-    def rates(self, profile):
-        return self._children()[0].attached.rates(profile)
-
-    def ensure_available(self):
-        for child in self._children():
-            child.attached.ensure_available()
-
-
-class _ShardRouter:
-    """Publish surface for shard-tagged edits.
-
-    Record IDs in a sharded EDIT batch are ``(shard, record_id)`` pairs;
-    publishing (and redo-log replay) unpacks the tag and writes the raw
-    record ID into the owning child's Attached Table.
-    """
-
-    def __init__(self, children):
-        self._children = children
-
-    def put_update(self, key, new_values):
-        shard, record_id = key
-        self._children[shard].attached.put_update(record_id, new_values)
-
-    def put_delete(self, key):
-        shard, record_id = key
-        self._children[shard].attached.put_delete(record_id)
-
-
-class _ShardBatchTarget:
-    """What :class:`EditBatch` / :func:`recover_edit_logs` need of a
-    handler, for the *logical* sharded table.
-
-    One statement stages exactly ONE redo log under the logical table's
-    ``txn/`` directory regardless of the shard count — per-shard staging
-    files would make the charged staging bytes (header overhead per
-    file) depend on the shard count and break ledger identity.  The
-    ``attached`` router then fans the published edits out to the owning
-    children.
-    """
-
-    def __init__(self, handler):
-        self.env = handler.env
-        self.table = handler.table
-        self.txn_dir = handler.txn_dir
-        self.attached = _ShardRouter(handler.children)
+        return sum(shard.attached.size_bytes for shard in self._shards)
 
 
 class ShardedDualTableHandler(DualTableHandler):
-    """N-region-server DualTable behind the single-table interface."""
+    """N-region-server DualTable behind the single-table interface: it
+    owns no master, attached table or COMPACT protocol (``_Sizes`` aside);
+    whole-table planning reads :attr:`shards`, the child DualTables."""
 
     kind = "dualtable-sharded"
 
     def __init__(self, table, env):
-        super().__init__(table, env)
+        self._read_settings(table, env)
         props = table.properties
         key = props.get("shard.key")
         if not key:
@@ -268,33 +161,30 @@ class ShardedDualTableHandler(DualTableHandler):
             raise DualTableError(
                 "sharded table %s: shard.count must be >= 1" % table.name)
         self.shard_map = ShardMap(env.fs, table.name, self.num_shards)
-        # Children are complete DualTables with their own master
-        # directory, attached table, redo log and compaction state; they
-        # are NOT registered in the metastore (only the logical table
-        # is), so SQL can never address a shard directly.
+        # Shards are complete DualTables with their own master directory,
+        # attached table and compaction state; they are NOT registered in
+        # the metastore (only the logical table is), so SQL can never
+        # address a shard directly.
         child_props = {k: v for k, v in props.items()
                        if not k.startswith("shard.")}
-        self.children = []
+        shards = []
         for index in range(self.num_shards):
             info = TableInfo(name="%s__s%d" % (table.name, index),
                              schema=table.schema, storage="dualtable",
                              properties=dict(child_props))
             info.handler = DualTableHandler(info, env)
-            # All children allocate master-file IDs from the LOGICAL
+            # All shards allocate master-file IDs from the LOGICAL
             # table's counter: IDs are globally unique across shards
-            # (record IDs can never collide between children) and the ID
+            # (record IDs can never collide between shards) and the ID
             # sequence — hence every file's encoded metadata bytes — is
             # a function of the insert order alone, not the shard count.
             info.handler.master.table_name = table.name
-            self.children.append(info.handler)
-        # Swap in the aggregate facades so every inherited statistics /
-        # cost-model / planning path sees the union of the shards.
-        self.master = _ShardedMasterView(self)
-        self.attached = _ShardedAttachedView(self)
+            shards.append(info.handler)
+        self.shards = tuple(shards)
+        self.master = self.attached = _Sizes(self.shards)
         #: consumed by JobRunner: scatter-gather widens the map slots by
         #: the shard count for *makespan only* — charges never scale.
         self.shard_fanout = self.num_shards
-        self._batch_target = _ShardBatchTarget(self)
         base = "/warehouse/%s" % table.name
         self.rebalancing = ManifestProtocol(
             env, table.name, base + "/rebalance.manifest",
@@ -309,13 +199,13 @@ class ShardedDualTableHandler(DualTableHandler):
     # Lifecycle.
     # ------------------------------------------------------------------
     def create(self):
-        for child in self.children:
+        for child in self.shards:
             child.create()
         self.metadata.register_table(self.table.name)
         self.shard_map.persist()
 
     def drop(self):
-        for child in self.children:
+        for child in self.shards:
             child.drop()
         self.metadata.unregister_table(self.table.name)
         fs = self.env.fs
@@ -334,27 +224,21 @@ class ShardedDualTableHandler(DualTableHandler):
         rolled-forward DML entry so server-side recovery accounting
         counts the statement as committed.
         """
-        dml = []
-        compact_outcomes = []
-        for child in self.children:
-            outcome = child.recover()
-            dml.extend(outcome.get("dml", ()))
-            compact_outcomes.append(outcome.get("compact", "clean"))
+        outcomes = [child.recover() for child in self.shards]
+        dml = [entry for outcome in outcomes for entry in outcome["dml"]]
+        compacts = {outcome["compact"] for outcome in outcomes}
         # Statement-level redo logs live on the logical table (one per
-        # EDIT statement, shard-tagged); replay routes through children.
-        dml.extend(recover_edit_logs(self._batch_target))
+        # EDIT statement, shard-tagged); replay routes by ``_attached_for``.
+        dml.extend(recover_edit_logs(self))
         rebalance = self.rebalancing.recover(
             {self._rebalance_kind: self._apply_rebalance})
         if rebalance == "rolled_forward":
             self.env.cluster.metrics.incr(
                 "shard.rebalance.recovered.%s" % self.table.name)
             dml.append(("rebalance:%s" % self.table.name, "rolled_forward"))
-        if "rolled_forward" in compact_outcomes:
-            compact = "rolled_forward"
-        elif "rolled_back" in compact_outcomes:
-            compact = "rolled_back"
-        else:
-            compact = "clean"
+        compact = next((outcome for outcome in ("rolled_forward",
+                                                "rolled_back")
+                        if outcome in compacts), "clean")
         self.note_attached_bytes()
         return {"compact": compact, "dml": dml, "rebalance": rebalance}
 
@@ -365,7 +249,7 @@ class ShardedDualTableHandler(DualTableHandler):
         if any(map(fs.exists, self.rebalancing.paths)) \
                 or fs.exists(self.txn_dir) and fs.list_files(self.txn_dir):
             self.recover()
-        for child in self.children:
+        for child in self.shards:
             child._ensure_recovered()
 
     # ------------------------------------------------------------------
@@ -376,8 +260,8 @@ class ShardedDualTableHandler(DualTableHandler):
         self._ensure_recovered()
         rows = list(rows)
         assignment = self.shard_map.assignment
-        self._insert_bucketed(rows, self.children if overwrite else (),
-                              lambda bucket: self.children[assignment[bucket]])
+        self._insert_bucketed(rows, self.shards if overwrite else (),
+                              lambda bucket: self.shards[assignment[bucket]])
         if overwrite:
             self.note_attached_bytes()
         return len(rows)
@@ -411,12 +295,11 @@ class ShardedDualTableHandler(DualTableHandler):
         return buckets
 
     def note_attached_bytes(self):
-        total = 0
-        for child in self.children:
+        for child in self.shards:
             child.note_attached_bytes()
-            total += child.attached.size_bytes
         self.env.cluster.metrics.gauge(
-            "dualtable.attached_bytes.%s" % self.table.name, total)
+            "dualtable.attached_bytes.%s" % self.table.name,
+            sum(child.attached.size_bytes for child in self.shards))
 
     # ------------------------------------------------------------------
     # Reads (scatter-gather UNION READ: one job over all shards).
@@ -427,12 +310,10 @@ class ShardedDualTableHandler(DualTableHandler):
         metrics = self.env.cluster.metrics
         metrics.incr("dualtable.scans.%s" % self.table.name)
         splits = []
-        total_bytes = 0
-        for index, child in enumerate(self.children):
+        for index, child in enumerate(self.shards):
             for split in child.scan_splits(projection, ranges):
                 split.payload["shard"] = index
                 splits.append(split)
-                total_bytes += split.size_bytes
         # Canonical global order: master file ids are allocated from the
         # logical table's counter, so *basename* order (the id, not the
         # shard directory) is the same for every shard count — charging
@@ -441,14 +322,11 @@ class ShardedDualTableHandler(DualTableHandler):
         splits.sort(
             key=lambda s: s.payload.get("path", "").rsplit("/", 1)[-1])
         metrics.observe("dualtable.scan_bytes.%s" % self.table.name,
-                        total_bytes)
+                        sum(split.size_bytes for split in splits))
         return splits
 
-    def _split_child(self, split):
-        return self.children[split.payload.get("shard", 0)]
-
     def read_split_batches(self, split, ctx, batch_rows=None):
-        return self._split_child(split).read_split_batches(
+        return self.shards[split.payload.get("shard", 0)].read_split_batches(
             split, ctx, batch_rows=batch_rows)
 
     # ------------------------------------------------------------------
@@ -479,7 +357,7 @@ class ShardedDualTableHandler(DualTableHandler):
             return None
         return plan_lookup(self, ranges, projection=projection,
                            hit_faults=hit_faults,
-                           sources=[(s, self.children[s]) for s in shards])
+                           sources=[(s, self.shards[s]) for s in shards])
 
     def execute_lookup(self, plan, batch_rows=None, where=None):
         # The inherited read charges each candidate on its owning child
@@ -513,6 +391,10 @@ class ShardedDualTableHandler(DualTableHandler):
         shard = payload.get("shard", 0)
         return [(shard, record_id) for record_id in record_ids]
 
+    def _attached_for(self, key):
+        shard, record_id = key
+        return self.shards[shard].attached, record_id
+
     def _commit_or_defer(self, session, batch):
         """Commit (or defer) the statement's routed batch.
 
@@ -526,54 +408,68 @@ class ShardedDualTableHandler(DualTableHandler):
             return 0.0
         metrics = self.env.cluster.metrics
         table = self.table.name
-        per_shard = {}
-        for _, key, _ in edits:
-            per_shard[key[0]] = per_shard.get(key[0], 0) + 1
-        for shard in sorted(per_shard):
-            metrics.incr("shard.dml_rows.%s.%d" % (table, shard),
-                         per_shard[shard])
-            metrics.incr("shard.heat.%s.%d" % (table, shard),
-                         per_shard[shard])
+        per_shard = Counter(key[0] for _, key, _ in edits)
+        for shard, rows in sorted(per_shard.items()):
+            metrics.incr("shard.dml_rows.%s.%d" % (table, shard), rows)
+            metrics.incr("shard.heat.%s.%d" % (table, shard), rows)
         return super()._commit_or_defer(session, batch)
 
     # ------------------------------------------------------------------
-    # COMPACT (per shard; the logical statement folds every child).
+    # COMPACT (per shard; the logical statement folds every shard).
     # ------------------------------------------------------------------
-    def compaction_units(self):
-        """Independently compactable units (the auto-compaction daemon
-        decides and runs per child, so one hot shard compacts alone)."""
-        return list(self.children)
-
     def execute_compact(self, session, major=True, partial=False,
                         max_files=None, victim_paths=None):
+        """One COMPACT per shard that has something to fold.
+
+        PARTIAL picks its victims table-wide: every shard's candidates
+        ordered by delta density, ties by file basename (the file id,
+        the same at every INTO n), the first ``max_files`` of them; each
+        owning shard then folds exactly its own victims.
+        """
         self._check_not_compacting()
         self._ensure_recovered()
-        sim_seconds = 0.0
-        jobs = []
-        affected = 0
-        folded_bytes = 0
-        files = 0
-        rows_written = 0
-        attached_bytes = self.attached.size_bytes
-        for child in self.children:
-            result = child.execute_compact(
-                session, major=major, partial=partial, max_files=max_files,
-                victim_paths=victim_paths)
-            sim_seconds += result.sim_seconds
-            jobs.extend(result.jobs)
-            affected += result.affected
-            folded_bytes += result.detail.get("folded_bytes", 0)
-            files += result.detail.get("files", 0)
-            rows_written += result.detail.get("rows_written", 0)
+        if all(shard.attached.is_empty() for shard in self.shards):
+            return self._compact_noop()
+        attached_bytes = sum(shard.attached.size_bytes
+                             for shard in self.shards)
+        victims = None
+        if partial:
+            victims = sorted(
+                (dict(victim, shard=index)
+                 for index, shard in enumerate(self.shards)
+                 for victim in shard._select_compact_victims(victim_paths,
+                                                             None)),
+                key=lambda v: (-(v["delta_bytes"] / v["master_bytes"]),
+                               v["path"].rsplit("/", 1)[-1]))
+            if max_files is not None:
+                victims = victims[:max(1, int(max_files))]
+            if not victims:
+                return self._compact_noop()
+        results = []
+        for index, shard in enumerate(self.shards):
+            if victims is None:
+                results.append(shard.execute_compact(session, major=major))
+                continue
+            paths = [v["path"] for v in victims if v["shard"] == index]
+            if paths:
+                results.append(shard.execute_compact(
+                    session, partial=True, victim_paths=paths))
         self.note_attached_bytes()
+
+        def total(name):
+            return sum(result.detail.get(name, 0) for result in results)
+        detail = {"attached_bytes": attached_bytes,
+                  "folded_bytes": total("folded_bytes"),
+                  "mode": "sharded", "files": total("files"),
+                  "shards": self.num_shards,
+                  "rows_written": total("rows_written")}
+        if victims is not None:
+            detail["file_ids"] = [v["file_id"] for v in victims]
         return QueryResult(
-            sim_seconds=sim_seconds, jobs=jobs, affected=affected,
-            plan="compact",
-            detail={"attached_bytes": attached_bytes,
-                    "folded_bytes": folded_bytes,
-                    "mode": "sharded", "files": files,
-                    "shards": self.num_shards,
-                    "rows_written": rows_written})
+            sim_seconds=sum(r.sim_seconds for r in results),
+            jobs=[job for r in results for job in r.jobs],
+            affected=sum(r.affected for r in results),
+            plan="compact", detail=detail)
 
     # ------------------------------------------------------------------
     # SHOW SHARDS / heat accounting.
@@ -581,32 +477,25 @@ class ShardedDualTableHandler(DualTableHandler):
     def shard_heats(self):
         """Per-shard heat (routed lookups + DML delta rows) since the
         last rebalance."""
+        return [max(0, heat - base) for heat, base
+                in zip(self._heat_counters(), self._heat_baseline)]
+
+    def _heat_counters(self):
         metrics = self.env.cluster.metrics
-        table = self.table.name
-        return [max(0, metrics.counter("shard.heat.%s.%d" % (table, index))
-                    - self._heat_baseline[index])
+        return [metrics.counter("shard.heat.%s.%d" % (self.table.name, index))
                 for index in range(self.num_shards)]
 
     def _reset_heat_baseline(self):
-        metrics = self.env.cluster.metrics
-        table = self.table.name
-        self._heat_baseline = [
-            metrics.counter("shard.heat.%s.%d" % (table, index))
-            for index in range(self.num_shards)]
+        self._heat_baseline = self._heat_counters()
 
     def shard_rows(self):
         """``SHOW SHARDS`` rows (see :data:`SHARD_COLUMNS`)."""
         heats = self.shard_heats()
-        rows = []
-        for index, child in enumerate(self.children):
-            rows.append((index,
-                         len(self.shard_map.buckets_of(index)),
-                         len(child.master.file_paths()),
-                         child.master.row_count(),
-                         child.master.data_bytes(),
-                         child.attached.size_bytes,
-                         heats[index]))
-        return rows
+        return [(index, len(self.shard_map.buckets_of(index)),
+                 len(child.master.file_paths()), child.master.row_count(),
+                 child.master.data_bytes(), child.attached.size_bytes,
+                 heats[index])
+                for index, child in enumerate(self.shards)]
 
     # ------------------------------------------------------------------
     # REBALANCE (deterministic one-bucket 2PC move).
@@ -618,7 +507,7 @@ class ShardedDualTableHandler(DualTableHandler):
         master rows only; then one manifest 2PC run
         (:func:`rebalance_kind`): prepare spills the *complete* new
         contents of both shards as JSON, the manifest commits, and
-        :meth:`_apply_rebalance` overwrites both children and persists
+        :meth:`_apply_rebalance` overwrites both shards and persists
         the new shard map.
         """
         self._check_not_compacting()
@@ -642,15 +531,15 @@ class ShardedDualTableHandler(DualTableHandler):
             # Fold both shards' deltas first: the spill then only has to
             # carry master rows, and the attached stores stay empty
             # through the move.
-            fold_src = self.children[src].execute_compact(session)
-            fold_dst = self.children[dst].execute_compact(session)
+            fold_src = self.shards[src].execute_compact(session)
+            fold_dst = self.shards[dst].execute_compact(session)
             sim_seconds = fold_src.sim_seconds + fold_dst.sim_seconds
             jobs = list(fold_src.jobs) + list(fold_dst.jobs)
             key_idx = self.schema.index_of(self.shard_key)
 
             def spill(staging):
-                src_rows = list(self.children[src].read_all_rows())
-                dst_rows = list(self.children[dst].read_all_rows())
+                src_rows = list(self.shards[src].read_all_rows())
+                dst_rows = list(self.shards[dst].read_all_rows())
                 keep = []
                 del moved[:]
                 for row in src_rows:
@@ -717,7 +606,7 @@ class ShardedDualTableHandler(DualTableHandler):
                 rows = [tuple(self.schema.coerce_row(row))
                         for row in json.loads(
                             fs.read_file(path).decode("utf-8"))]
-                child = self.children[shard]
+                child = self.shards[shard]
                 self._insert_bucketed(rows, [child], lambda bucket: child)
         self.shard_map.persist(manifest["assignment"])
         self._reset_heat_baseline()

@@ -25,7 +25,7 @@ def union_read_rows(handler, split, stats=None):
     built on it is ledger-comparable with the production one."""
     payload = split.payload
     if "shard" in payload:
-        handler = handler.children[payload["shard"]]
+        handler = handler.shards[payload["shard"]]
     file_id, projection = payload["file_id"], payload["projection"]
     with handler.env.cluster.tracer.span(
             "substrate", "union-read:%d" % file_id,

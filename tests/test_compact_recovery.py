@@ -271,14 +271,14 @@ def _state(session, handler, table):
         rows = session.execute(
             "SELECT * FROM %s ORDER BY %s" % (table, key)).rows
     shard_map = getattr(handler, "shard_map", None)
-    return (rows, sorted(handler.master.file_paths()),
+    return (rows, sorted(path for shard in handler.shards
+                         for path in shard.master.file_paths()),
             shard_map and list(shard_map.assignment))
 
 
 def _leftover_protocol_paths(session, handler):
-    children = getattr(handler, "children", [])
-    protocols = [handler.compaction] + [c.compaction for c in children]
-    if children:
+    protocols = [shard.compaction for shard in handler.shards]
+    if hasattr(handler, "rebalancing"):
         protocols.append(handler.rebalancing)
     return [path for protocol in protocols for path in protocol.paths
             if session.fs.exists(path)]

@@ -287,7 +287,6 @@ class TestMasterTable:
         master.write_rows([(i, "v") for i in range(25)])
         assert master.row_count() == 25
         assert master.data_bytes() > 0
-        assert master.avg_row_bytes() > 0
 
     def test_replace_with_swaps_atomically(self):
         master = self._master()

@@ -300,8 +300,8 @@ class TestCostModelIntegration:
                 session.execute(dml)
             # no delta written, no edit log left behind
             assert not session.env.fs.exists(handler.txn_dir)
-            assert all(child.attached.size_bytes == 0
-                       for child in getattr(handler, "children", [handler]))
+            assert all(shard.attached.size_bytes == 0
+                       for shard in handler.shards)
             assert session.execute(
                 "SELECT count(*), sum(v) FROM t").rows == [(20, 190)]
         # EXPLAIN estimates with the same sampler and must not raise.

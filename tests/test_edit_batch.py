@@ -61,7 +61,7 @@ def reference_run_edit(self, session, edit, detail, scan=None):
                for name, expr in assignments]
     ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
     splits = self.scan_splits(projection, ranges)
-    batch = EditBatch(self._batch_target, next(self._txn_ids))
+    batch = EditBatch(self, next(self._txn_ids))
 
     def map_fn(split, ctx):
         shard = split.payload.get("shard")      # set by sharded tables only
@@ -139,7 +139,9 @@ def stripe_keys(session):
     """Key lists of every stripe, in file order (footer + column reads;
     charged identically on both sides of the comparison)."""
     stripes = []
-    for reader in session.metastore.table("t").handler.master.readers():
+    readers = [reader for shard in session.metastore.table("t").handler.shards
+               for reader in shard.master.readers()]
+    for reader in readers:
         keys = [values[0] for _, values in reader.rows(projection=["k"])]
         for stripe in reader.stripes:
             stripes.append(keys[stripe.first_row:

@@ -668,8 +668,8 @@ def attached_cells(session):
     handler = session.table("t").handler
     return sorted(
         (record_id, delta.deleted, tuple(sorted(delta.updates.items())))
-        for store in getattr(handler, "children", [handler])
-        for record_id, delta in store.attached.scan_range())
+        for shard in handler.shards
+        for record_id, delta in shard.attached.scan_range())
 
 
 def run_dml_script(session, statements):
@@ -767,8 +767,8 @@ class TestEditByKeyEqualsTheJob:
         session.execute("UPDATE t SET v = v + 1 WHERE k IN (1, 2, 3, 4)")
         session.execute("COMPACT TABLE t")
         handler = session.table("t").handler
-        masks = [stripe[4] for child in handler.children
-                 for entry in stripe_index(child, hit_faults=False)
+        masks = [stripe[4] for shard in handler.shards
+                 for entry in stripe_index(shard, hit_faults=False)
                  for stripe in entry["stripes"]]
         assert any(bin(mask).count("1") > 1 for mask in masks)
         plan = handler.plan_lookup(extract_ranges(parse(
@@ -978,7 +978,7 @@ def first_file_keys(session):
     """The keys of ``t``'s first master file in row order, and the row
     count of its first stripe (read uncharged)."""
     handler = session.table("t").handler
-    master = getattr(handler, "children", [handler])[0].master
+    master = handler.shards[0].master
     reader = OrcReader(session.fs.read_file_silent(master.file_paths()[0]))
     return ([values[0] for _, values in reader.rows(projection=["k"])],
             reader.stripes[0].num_rows)

@@ -300,6 +300,35 @@ class TestDaemon:
         assert counters["dualtable.autocompact.decisions"] == 1
 
 
+class TestShardedDaemon:
+    def test_folds_only_the_dirty_shard(self, session):
+        """The daemon decides per shard: deltas on one shard of an INTO
+        4 table fold that shard and leave the others' files alone."""
+        session.execute(
+            "CREATE TABLE t (k int, v int) PRIMARY KEY (k) STORED AS "
+            "dualtable SHARDED BY (k) INTO 4 TBLPROPERTIES "
+            "('orc.rows_per_file' = '10', 'dualtable.mode' = 'edit')")
+        session.load_rows("t", [(i, i) for i in range(90)])
+        handler = session.table("t").handler
+        hot = handler.shard_map.shard_of(0)
+        keys = [k for k in range(90)
+                if handler.shard_map.shard_of(k) == hot][:6]
+        files = [shard.master.file_paths() for shard in handler.shards]
+        session.execute(
+            "ALTER TABLE t SET AUTOCOMPACT (ON, horizon = 1000000)")
+        session.execute("UPDATE t SET v = -1 WHERE k IN (%s)"
+                        % ", ".join(map(str, keys)))
+        auto = [row for row in session.execute("SHOW COMPACTIONS").rows
+                if row[2] == "auto" and row[3] != "declined"]
+        assert [row[1] for row in auto] == ["t__s%d" % hot]
+        assert all(shard.attached.is_empty() for shard in handler.shards)
+        for index, shard in enumerate(handler.shards):
+            moved = shard.master.file_paths() != files[index]
+            assert moved == (index == hot), index
+        assert session.execute(
+            "SELECT count(*) FROM t WHERE v = -1").scalar() == len(keys)
+
+
 # ----------------------------------------------------------------------
 # Determinism: same workload, same compaction schedule, any workers.
 # ----------------------------------------------------------------------

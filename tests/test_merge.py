@@ -264,11 +264,14 @@ def test_double_source_values_take_the_int_column_type(session, kind):
 def test_sharded_merge_follows_the_dualtable_mode(session):
     handler = int_table(session, UPDATE_KINDS["sharded4"])
     session.load_rows("u", [(1, 5.0), (6, 7.0)])
-    files = handler.master.file_paths()
+
+    def master_files():
+        return [shard.master.file_paths() for shard in handler.shards]
+    files = master_files()
     result = session.execute(UPSERT)
     assert result.plan == "merge(update=edit)"
-    assert handler.master.file_paths() == files     # master untouched
-    assert not handler.attached.is_empty()
+    assert master_files() == files     # master untouched
+    assert not all(shard.attached.is_empty() for shard in handler.shards)
     assert session.execute("SELECT v FROM t WHERE k = 6").scalar() == 7
 
 
@@ -360,9 +363,7 @@ def observe_merges(kind, workers=1, batch_rows=None):
         before = session.cluster.ledger.snapshot()
         result = session.execute(sql % (", 'p9'" if partitioned else ""))
         cells = [(shard, record_id, delta.deleted, delta.updates)
-                 for shard, child in enumerate(
-                     getattr(handler, "children", [handler]))
-                 if hasattr(child, "attached")
+                 for shard, child in enumerate(getattr(handler, "shards", ()))
                  for record_id, delta in child.attached.scan_range()]
         steps.append({
             "plan": result.plan, "affected": result.affected,

@@ -41,6 +41,12 @@ def handler_of(session, name="t"):
     return session.metastore.table(name).handler
 
 
+def master_files(handler):
+    """``[(path, (file_id, num_rows))]`` of every shard's master files."""
+    return [(path, shard.master.file_meta(path)) for shard in handler.shards
+            for path in shard.master.file_paths()]
+
+
 # ---------------------------------------------------------------------------
 # Shard-count identity: INTO 1/4/8 x workers 1/4, against the serial
 # single-shard run (``vectorized``) and against what the row engine
@@ -115,9 +121,9 @@ class TestShardCountIdentity:
             handler = handler_of(make_session(shards))
             fs = handler.env.fs
             out = []
-            for path in sorted(handler.master.file_paths(),
-                               key=lambda p: p.rsplit("/", 1)[-1]):
-                file_id, num_rows = handler.master.file_meta(path)
+            for path, (file_id, num_rows) in sorted(
+                    master_files(handler),
+                    key=lambda f: f[0].rsplit("/", 1)[-1]):
                 out.append((path.rsplit("/", 1)[-1], file_id,
                             fs.file_size(path), num_rows))
             return out
@@ -199,7 +205,7 @@ class TestLookupRouting:
         plan = handler.plan_lookup(
             {"k": _point_range(session, key)}, hit_faults=False)
         assert plan is not None and plan.shard == owner
-        prefix = handler.children[owner].master.location + "/"
+        prefix = handler.shards[owner].master.location + "/"
         assert plan.files
         assert all(f["path"].startswith(prefix) for f in plan.files)
 
@@ -481,7 +487,7 @@ class TestMultiShardKeyedPlans:
             assert list(plan.shards) == owners
             assert plan.shard == (owners[0] if len(owners) == 1 else None)
             for payload in plan.files:
-                child = handler.children[payload["shard"]]
+                child = handler.shards[payload["shard"]]
                 assert payload["path"].startswith(child.master.location)
             return [(f["path"].rsplit("/", 1)[-1], f["file_id"],
                      f["row_spans"], f["est_rows"]) for f in plan.files]
@@ -526,12 +532,12 @@ class TestShardedOverwrite:
         it and every later job paid a task to read it."""
         session = make_session(shards)
         handler = handler_of(session)
-        files = len(handler.master.file_paths())
+        files = len(master_files(handler))
         session.execute("INSERT OVERWRITE TABLE t SELECT k, grp, v + 1 "
                         "FROM t")
-        paths = handler.master.file_paths()
-        assert len(paths) == files
-        assert all(handler.master.file_meta(path)[1] > 0 for path in paths)
+        after = master_files(handler)
+        assert len(after) == files
+        assert all(num_rows > 0 for _, (_, num_rows) in after)
         result = session.execute("SELECT count(*), sum(v) FROM t")
         assert result.rows == [(90, sum(i % 7 + 1 for i in range(90)))]
         assert result.jobs[0].num_map_tasks == files
@@ -543,11 +549,9 @@ class TestShardedOverwrite:
             session.execute("INSERT OVERWRITE TABLE t SELECT * FROM t "
                             "WHERE k < 60")
             handler = handler_of(session)
-            assert handler.attached.is_empty()
-            return sorted(
-                (path.rsplit("/", 1)[-1],) + handler.master.file_meta(path)
-                for path in handler.master.file_paths()
-                if handler.master.file_meta(path)[1])
+            assert all(shard.attached.is_empty() for shard in handler.shards)
+            return sorted((path.rsplit("/", 1)[-1],) + meta
+                          for path, meta in master_files(handler) if meta[1])
         base = file_set(1)
         assert file_set(4) == base
         assert file_set(8) == base
@@ -557,4 +561,93 @@ class TestShardedOverwrite:
         session.execute("INSERT OVERWRITE TABLE t SELECT * FROM t "
                         "WHERE k < 0")
         assert session.execute("SELECT count(*) FROM t").rows == [(0,)]
-        assert handler_of(session).master.row_count() == 0
+        assert handler_of(session).row_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# Whole-table planning reads ``shards``; COMPACT over shards.
+# ---------------------------------------------------------------------------
+class TestPlanningOverShards:
+    def test_storage_lives_on_the_shards_only(self):
+        """The logical handler owns no master, attached table or COMPACT
+        protocol, so a planner path that reached for one raises instead
+        of reading an empty, never-created directory.  ``master`` and
+        ``attached`` carry only the two sizes perfbench reads."""
+        session = make_session(4)
+        session.execute("UPDATE t SET v = -1 WHERE k IN (3, 17, 40, 66)")
+        handler = handler_of(session)
+        assert not hasattr(handler, "compaction")
+        for name in ("location", "file_paths", "readers", "file_meta",
+                     "is_empty", "backend", "rates", "ensure_available",
+                     "put_update", "file_delta_stats"):
+            assert not hasattr(handler.master, name), name
+            assert not hasattr(handler.attached, name), name
+        assert handler.master.data_bytes() == sum(
+            shard.master.data_bytes() for shard in handler.shards)
+        assert handler.attached.size_bytes == sum(
+            shard.attached.size_bytes for shard in handler.shards) > 0
+        assert [shard.table.name for shard in handler.shards] \
+            == ["t__s%d" % index for index in range(4)]
+        session = HiveSession(profile=ClusterProfile.laptop())
+        session.execute("CREATE TABLE p (k int, v int) STORED AS dualtable")
+        plain = handler_of(session, "p")
+        assert plain.shards == (plain,)
+
+    @pytest.mark.parametrize("shards", [1, 4, 8])
+    def test_planner_figures_are_pinned(self, shards):
+        """``data_bytes``, ``row_count`` and EXPLAIN's cost block: the
+        figures the master/attached facades gave, at every INTO n."""
+        session = make_session(shards)
+        session.execute("UPDATE t SET v = -1 WHERE k IN (3, 17, 40, 66)")
+        handler = handler_of(session)
+        assert (handler.data_bytes(), handler.row_count()) == (40491, 90)
+        lines = [line for (line,) in session.execute(
+            "EXPLAIN UPDATE t SET v = 1 WHERE k < 30").rows]
+        assert lines == [
+            "UPDATE t (storage=dualtable-sharded)",
+            "  SET 1 column(s): v",
+            "  cost evaluation (DualTable, attached backend=hbase):",
+            "    estimated ratio:      0.2572 (23 of ~90 rows)",
+            "    EDIT cost:            0.00s",
+            "    OVERWRITE cost:       0.00s",
+            "    successive reads (k): 1",
+            "    plan: edit"]
+
+
+class TestShardedCompact:
+    @staticmethod
+    def dirty_session(shards):
+        session = make_session(shards)
+        session.execute("UPDATE t SET v = -1 WHERE k IN (3, 17, 40, 66)")
+        session.execute("UPDATE t SET grp = 'x', v = 0 WHERE k IN (40, 5)")
+        return session
+
+    def test_partial_k_folds_the_k_densest_files_table_wide(self):
+        """Regression: every shard folded up to ``k`` files of its own,
+        so PARTIAL 2 at INTO 4 folded 5 files."""
+        def fold(shards):
+            session = self.dirty_session(shards)
+            rows = session.execute("SELECT k, grp, v FROM t ORDER BY k").rows
+            result = session.execute("COMPACT TABLE t PARTIAL 2")
+            assert session.execute(
+                "SELECT k, grp, v FROM t ORDER BY k").rows == rows
+            assert not all(shard.attached.is_empty()
+                           for shard in handler_of(session).shards)
+            return result.detail["files"], result.detail["file_ids"]
+        base = fold(1)
+        assert base[0] == 2 and len(base[1]) == 2
+        assert fold(4) == base
+        assert fold(8) == base
+
+    def test_nothing_to_fold_is_a_noop(self):
+        """Regression: a sharded COMPACT with nothing to fold reported a
+        manual "sharded" compaction in SHOW COMPACTIONS."""
+        session = make_session(4)
+        for sql in ("COMPACT TABLE t", "COMPACT TABLE t PARTIAL",
+                    "COMPACT TABLE t PARTIAL 2"):
+            result = session.execute(sql)
+            assert (result.plan, result.jobs, result.affected) \
+                == ("compact-noop", [], 0), sql
+        actions = [row[3] for row in session.execute(
+            "SHOW COMPACTIONS").rows]
+        assert actions == ["noop"] * 3

@@ -18,6 +18,7 @@ STALE = {
     "repro.shard.sharded:ShardedDualTableHandler._edit_update",
     "repro.shard.sharded:ShardedDualTableHandler._edit_delete",
     "repro.shard.sharded:ShardedDualTableHandler._commit_edit_batch",
+    "repro.shard.sharded:_ShardRouter.*",
 }
 
 
