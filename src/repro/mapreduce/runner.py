@@ -81,7 +81,6 @@ class JobRunner:
 
     def __init__(self, cluster):
         self.cluster = cluster
-        self.history = []
 
     def run(self, job):
         profile = self.cluster.profile
@@ -140,7 +139,7 @@ class JobRunner:
         if counters.get("speculative_tasks"):
             metrics.incr("mapreduce.speculative_tasks",
                          counters["speculative_tasks"])
-        result = JobResult(
+        return JobResult(
             name=job.name,
             outputs=outputs,
             sim_seconds=sim_seconds,
@@ -152,8 +151,6 @@ class JobRunner:
             shuffle_bytes=shuffle_bytes,
             counters=dict(counters),
         )
-        self.history.append(result)
-        return result
 
     # ------------------------------------------------------------------
     # Task attempts: retry with charged backoff.

@@ -170,7 +170,7 @@ class DualTableServer:
                                         backoff_s=0.05, factor=2.0,
                                         jitter=0.5, seed=seed)
         self.sessions = {}
-        self.outcomes = []
+        self._finished = []          # outcomes of the run() in progress
         self.now = 0.0
         self._session_seq = itertools.count(1)
         self._stmt_seq = itertools.count(1)
@@ -289,16 +289,18 @@ class DualTableServer:
                        (time, priority, next(self._event_seq), kind, payload))
 
     def run(self, arrivals, kills=(), concurrency=None):
-        """Run an open-loop schedule to completion; returns outcomes.
+        """Run an open-loop schedule to completion; returns its outcomes.
 
         ``arrivals`` is an iterable of :class:`Arrival`; ``kills`` is an
         iterable of ``(time, session_id)``.  Re-entrant across calls:
         virtual time and server state carry over, so a shell can
-        interleave synchronous statements with batch runs.
+        interleave synchronous statements with batch runs.  The server
+        keeps no outcome once it returns them: a statement's result
+        lives as long as its caller holds it.
         """
         if concurrency is not None:
             self.concurrency = max(1, int(concurrency))
-        first = len(self.outcomes)
+        self._finished = []
         for arrival in arrivals:
             self._push(max(arrival.time, self.now), _PRIO_ARRIVAL,
                        "arrival", arrival)
@@ -316,7 +318,8 @@ class DualTableServer:
             elif kind == "complete":
                 self._on_complete(payload)
             self._pump()
-        return self.outcomes[first:]
+        outcomes, self._finished = self._finished, []
+        return outcomes
 
     # -- event handlers -------------------------------------------------
     def _on_arrival(self, arrival):
@@ -488,6 +491,11 @@ class DualTableServer:
             getattr(txn.session, "id", None),
             txn.tables_written or txn.tables,
             txn.write_keys, txn.exclusive, sql=txn.sql)
+        # Later snapshots start at the new watermark; only the in-flight
+        # ones can still conflict with older records.
+        self.commit_log.prune(min(
+            (t.snapshot_seq for t in self._inflight.values()),
+            default=self.commit_log.seq))
         txn.state = COMMITTED
         self.metrics.incr("server.commits")
         return record
@@ -602,7 +610,7 @@ class DualTableServer:
             "snapshot_seq": (rec.txn.snapshot_seq
                              if rec.txn is not None else None),
         }
-        self.outcomes.append(outcome)
+        self._finished.append(outcome)
         return outcome
 
     # ------------------------------------------------------------------
@@ -615,10 +623,9 @@ class DualTableServer:
         if session.state != "open":
             raise SessionKilledError("session %s is %s"
                                      % (session.id, session.state))
-        before = len(self.outcomes)
-        self.run([Arrival(time=self.now, session=session, sql=sql)])
-        outcome = next(o for o in self.outcomes[before:]
-                       if o["sql"] == sql and o["session"] == session.id)
+        outcome = next(o for o in self.run(
+            [Arrival(time=self.now, session=session, sql=sql)])
+            if o["sql"] == sql and o["session"] == session.id)
         if outcome["status"] == "committed":
             return outcome["result"]
         error = outcome["error"]

@@ -55,21 +55,32 @@ class CommitRecord:
 
 
 class CommitLog:
-    """The global commit sequence: watermark + conflict detection."""
+    """The global commit sequence: watermark + conflict detection.
+
+    ``seq`` counts every write commit; only the records some snapshot
+    can still conflict with are kept (:meth:`prune`), so the log is as
+    long as the window of statements in flight, not the session.
+    """
 
     def __init__(self):
+        #: the watermark: number of write commits so far.
+        self.seq = 0
+        #: records ``seq - len(_records) + 1 .. seq``, in order.
         self._records = []
 
-    @property
-    def seq(self):
-        """The current watermark (number of write commits so far)."""
-        return len(self._records)
-
     def append(self, session_id, tables, keys, exclusive, sql=""):
-        record = CommitRecord(self.seq + 1, session_id, tables, keys,
+        self.seq += 1
+        record = CommitRecord(self.seq, session_id, tables, keys,
                               exclusive, sql)
         self._records.append(record)
         return record
+
+    def prune(self, oldest_snapshot):
+        """Drop the records with ``seq <= oldest_snapshot``: no snapshot
+        taken at or after that watermark can conflict with them."""
+        drop = len(self._records) - (self.seq - oldest_snapshot)
+        if drop > 0:
+            del self._records[:drop]
 
     def first_conflict(self, txn):
         """The earliest commit that invalidates ``txn``, or None.
@@ -81,7 +92,11 @@ class CommitLog:
         """
         if not txn.write_keys and not txn.tables_written:
             return None
-        for record in self._records[txn.snapshot_seq:]:
+        first = self.seq - len(self._records)    # seq of the last pruned
+        if txn.snapshot_seq < first:
+            raise AssertionError("commit log pruned past snapshot %d"
+                                 % txn.snapshot_seq)
+        for record in self._records[txn.snapshot_seq - first:]:
             if record.exclusive and (record.tables & txn.tables):
                 return record
             if record.keys and not txn.write_keys.isdisjoint(record.keys):

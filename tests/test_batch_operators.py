@@ -185,17 +185,29 @@ def all_statements():
 
 
 def observe(session, sql):
-    """Everything one statement may be compared on."""
-    cluster, history = session.cluster, session.env.runner.history
-    before, jobs_before = cluster.ledger.snapshot(), len(history)
+    """Everything one statement may be compared on.
+
+    The runner keeps no finished job, so a wrapper around its ``run``
+    records each job that succeeds, as they come.
+    """
+    cluster, runner = session.cluster, session.env.runner
+    run, jobs = runner.run, []
+
+    def recording_run(job):
+        result = run(job)
+        jobs.append((result.name, result.shuffle_bytes, result.sim_seconds))
+        return result
+
+    before = cluster.ledger.snapshot()
+    runner.run = recording_run
     try:
         result = session.execute(sql)
         outcome = ("rows", repr(result.rows), result.sim_seconds)
     except Exception as exc:            # compared, never swallowed
         outcome = ("error", type(exc).__name__, str(exc))
-    return (sql, outcome, cluster.ledger.diff(before),
-            [(job.name, job.shuffle_bytes, job.sim_seconds)
-             for job in history[jobs_before:]])
+    finally:
+        del runner.run
+    return (sql, outcome, cluster.ledger.diff(before), jobs)
 
 
 _RUNS = {}

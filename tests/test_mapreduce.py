@@ -1,5 +1,8 @@
 """Tests for the MapReduce engine: execution, shuffle, makespan model."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,10 @@ def _splits(n_splits=4, per_split=50):
                                           (i + 1) * per_split)),
                        size_bytes=per_split * 8, label="s%d" % i)
             for i in range(n_splits)]
+
+
+class _Record:
+    """An output record that, unlike a list or tuple, takes a weakref."""
 
 
 class TestExecution:
@@ -98,9 +105,47 @@ class TestExecution:
         assert result.num_map_tasks == 0
 
     def test_history_recorded(self, runner):
-        runner.run(Job("a", _splits(1), lambda s, c: iter(()), None))
-        runner.run(Job("b", _splits(1), lambda s, c: iter(()), None))
-        assert [r.name for r in runner.history] == ["a", "b"]
+        """The runner records no history: a finished job's output records
+        live as long as the caller holds its result, map-only or reduced."""
+        map_only = Job("scan", _splits(2, 3),
+                       lambda s, c: (_Record() for _ in s.payload), None)
+        reduced = Job("agg", _splits(2, 3),
+                      lambda s, c: ((v % 2, v) for v in s.payload),
+                      lambda key, values, ctx: iter([_Record()]))
+        for job, n_records in ((map_only, 6), (reduced, 2)):
+            result = runner.run(job)
+            refs = [weakref.ref(record) for record in result.outputs]
+            assert len(refs) == n_records
+            gc.collect()
+            assert all(ref() is not None for ref in refs)
+            del result
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * n_records
+        assert not hasattr(runner, "history")
+
+    def test_history_consistent_after_failure(self, runner):
+        """A failed job between two good ones leaves the results the
+        caller holds intact, and nothing of either outlives its result."""
+        def bad_map(split, ctx):
+            raise ValueError("boom")
+            yield  # pragma: no cover
+
+        def record_job(name):
+            return Job(name, _splits(1, 3),
+                       lambda s, c: (_Record() for _ in s.payload), None)
+
+        ok = runner.run(record_job("ok"))
+        with pytest.raises(TaskFailedError):
+            runner.run(Job("bad", _splits(1), bad_map, None))
+        after = runner.run(record_job("after"))
+        assert [ok.name, after.name] == ["ok", "after"]
+        refs = [weakref.ref(record)
+                for record in ok.outputs + after.outputs]
+        gc.collect()
+        assert len(refs) == 6 and all(ref() is not None for ref in refs)
+        del ok, after
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 6
 
     def test_map_failure_chains_cause_and_names_task(self, runner):
         def bad_map(split, ctx):
@@ -125,19 +170,6 @@ class TestExecution:
             runner.run(Job("badjob", _splits(1), map_fn, bad_reduce))
         assert isinstance(err.value.__cause__, RuntimeError)
         assert "'k'" in str(err.value)
-
-    def test_history_consistent_after_failure(self, runner):
-        runner.run(Job("ok", _splits(1), lambda s, c: iter(()), None))
-
-        def bad_map(split, ctx):
-            raise ValueError("boom")
-            yield  # pragma: no cover
-
-        with pytest.raises(TaskFailedError):
-            runner.run(Job("bad", _splits(1), bad_map, None))
-        assert [r.name for r in runner.history] == ["ok"]
-        runner.run(Job("after", _splits(1), lambda s, c: iter(()), None))
-        assert [r.name for r in runner.history] == ["ok", "after"]
 
     def test_mixed_type_reduce_keys_sort_deterministically(self, runner):
         """Python 3 cannot order int vs str keys; the runner must."""

@@ -1,7 +1,9 @@
 """Tests for the ORC-like columnar format: encodings, writer, reader."""
 
 import json
+import random
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -10,13 +12,15 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterProfile
 from repro.common.errors import CorruptOrcFileError, OrcError
+from repro.common.units import MB
 from repro.hdfs import HdfsFileSystem
 from repro.orc import OrcReader, OrcWriter, write_orc
-from repro.orc.encodings import (ENCODERS, decode_boolean_column,
+from repro.orc.encodings import (DECODERS, ENCODERS, decode_boolean_column,
                                  decode_double_column, decode_int_column,
                                  decode_string_column, encode_boolean_column,
                                  encode_double_column, encode_int_column,
                                  encode_string_column)
+from repro.orc.reader import decoded_bytes
 from repro.orc.writer import MAGIC
 
 
@@ -222,6 +226,47 @@ class TestProjectionAndPruning:
         reader2.read_all()
         wide = cluster.ledger.bytes_for("hdfs", "read") - base
         assert narrow < wide
+
+
+class TestCacheWeight:
+    """The ORC cache's budget bounds memory: a decoded column weighs
+    what it holds, not its compressed stream."""
+
+    COLUMNS = {
+        "run int": ("int", lambda n, rng: list(range(n))),
+        "random int": ("int", lambda n, rng: [
+            rng.randrange(-2**40, 2**40) for _ in range(n)]),
+        "double": ("double", lambda n, rng: [rng.random() for _ in range(n)]),
+        "dictionary string": ("string", lambda n, rng: [
+            rng.choice(("alpha", "beta", "gamma")) for _ in range(n)]),
+        "direct string": ("string", lambda n, rng: [
+            "s%09d" % rng.randrange(10**9) for _ in range(n)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_estimate_within_2x_of_tracemalloc(self, name):
+        kind, make = self.COLUMNS[name]
+        stream = ENCODERS[kind](make(5000, random.Random(7)))
+        tracemalloc.start()
+        try:
+            column = DECODERS[kind](stream)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / 2 <= decoded_bytes(kind, column) <= held * 2
+
+    def test_column_over_the_budget_is_not_cached(self):
+        """100 000 run-encoded ints: a 48-byte stream, ~4 MB decoded."""
+        cluster = Cluster(ClusterProfile.laptop(orc_cache_bytes=1 * MB))
+        fs = HdfsFileSystem(cluster)
+        fs.write_file("/t/run.orc", write_orc(
+            [("id", "int")], [(i,) for i in range(100_000)],
+            stripe_rows=100_000))
+        reader = OrcReader(fs, "/t/run.orc")
+        assert reader.stripes[0].columns[0]["length"] < 100
+        assert len(reader.read_all()) == 100_000
+        assert len(cluster.orc_cache) == 1          # the footer alone
+        assert cluster.orc_cache.used_bytes < 1 * MB
 
 
 class TestCorruption:

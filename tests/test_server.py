@@ -345,6 +345,34 @@ class TestCommitLog:
         assert log.first_conflict(
             self._txn(0, keys={b"other"}, tables={"u"})) is None
 
+    def test_prune_keeps_what_a_snapshot_can_conflict_with(self):
+        log = CommitLog()
+        for key in (b"a", b"b", b"c"):
+            log.append("s1", ["t"], {key}, exclusive=False)
+        log.prune(oldest_snapshot=1)
+        assert log.seq == 3 and len(log._records) == 2
+        assert log.first_conflict(
+            self._txn(1, keys={b"b"}, tables={"t"})).seq == 2
+        assert log.first_conflict(
+            self._txn(2, keys={b"b"}, tables={"t"})) is None
+        log.prune(oldest_snapshot=log.seq)
+        assert log.seq == 3 and log._records == []
+
+    def test_sequential_commits_leave_no_backlog(self):
+        """With nothing in flight no snapshot can conflict with a
+        commit, so 500 UPDATEs leave at most one record behind; the
+        watermark still counts every commit."""
+        server = make_server()
+        session = server.connect()
+        before = server.commit_log.seq
+        for i in range(500):
+            session.execute("UPDATE ledger SET v = v + 1 WHERE id = %d"
+                            % (i % 8))
+        assert len(server.commit_log._records) <= 1
+        assert server.commit_log.seq == before + 500
+        stats = dict(session.execute("SHOW SERVER STATS").rows)
+        assert stats["server.commit_seq"] == before + 500
+
     def test_read_only_never_conflicts(self):
         log = CommitLog()
         log.append("s1", ["t"], {b"k"}, exclusive=True)

@@ -1,5 +1,8 @@
 """Task retry, backoff accounting, and speculative execution."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster import Cluster, ClusterProfile
@@ -124,13 +127,29 @@ class TestRetry:
         assert result.counters["seen"] == 80
 
     def test_failed_job_not_recorded_in_history(self):
+        """Every attempt of a failed job emits a record before it fails;
+        the runner keeps none of them once the error is dropped."""
+        class Record:
+            pass
+
+        refs = []
+
+        def flaky_map(split, ctx):
+            record = Record()
+            refs.append(weakref.ref(record))
+            yield record
+            raise ValueError("boom")
+
         runner = _runner()
-        runner.run(_scan_job("ok"))
-        with pytest.raises(TaskFailedError):
-            runner.run(Job("bad", _splits(1),
-                           lambda s, c: (_ for _ in ()).throw(ValueError()),
-                           None))
-        assert [r.name for r in runner.history] == ["ok"]
+        ok = runner.run(_scan_job("ok"))
+        with pytest.raises(TaskFailedError) as err:
+            runner.run(Job("bad", _splits(1), flaky_map, None))
+        assert len(refs) == runner.cluster.profile.max_task_attempts
+        del err
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert ok.outputs == list(range(80))
+        assert not hasattr(runner, "history")
 
 
 class TestSpeculation:
