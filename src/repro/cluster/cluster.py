@@ -31,6 +31,18 @@ from repro.parallel import ByteBudgetLRU, TaskRecorder, WorkerPool
 from repro import obs
 
 
+def _fault_recorder(metrics, tracer):
+    """The injector's ``on_fire`` observer: counts and annotates a fired
+    fault.  Closes over the two leaves it writes, not the cluster, so
+    the injector does not point back at its owner."""
+    def record(fault, context):
+        metrics.incr("faults.fired")
+        metrics.incr("faults.fired.%s" % fault.kind)
+        if tracer.enabled:
+            tracer.annotate(fault="%s@%s" % (fault.kind, fault.point))
+    return record
+
+
 class Cluster:
     """A simulated Hadoop cluster shared by every storage subsystem."""
 
@@ -46,8 +58,8 @@ class Cluster:
         self.metrics = obs.MetricsRegistry()
         #: structured span tracer; disabled unless turned on (or a
         #: profiling collector is active — see repro.obs.profiling).
-        self.tracer = obs.Tracer(self)
-        self.faults.on_fire = self._record_fault
+        self.tracer = obs.Tracer(self.ledger)
+        self.faults.on_fire = _fault_recorder(self.metrics, self.tracer)
         #: thread-local capture stack for the parallel engine: while a
         #: TaskRecorder is pushed, this thread's charges and metric
         #: events are buffered instead of applied (see repro.parallel).
@@ -63,12 +75,6 @@ class Cluster:
             getattr(self.profile, "delta_cache_bytes", 0),
             metrics=self.metrics, name="cache.delta")
         obs.register_cluster(self)
-
-    def _record_fault(self, fault, context):
-        self.metrics.incr("faults.fired")
-        self.metrics.incr("faults.fired.%s" % fault.kind)
-        if self.tracer.enabled:
-            self.tracer.annotate(fault="%s@%s" % (fault.kind, fault.point))
 
     # ------------------------------------------------------------------
     # Cost scopes (used by the MR engine to meter individual tasks).

@@ -93,9 +93,12 @@ class DualTableHandler(StorageHandler):
             env, table.name, base + "/compact.manifest",
             staging=(base + "/master.__compact__", old),
             restore={old: self.master.location})
-        #: the storage units whole-table planning reads: a plain table is
-        #: its own one shard; a sharded table lists its children.
-        self.shards = (self,)
+
+    @property
+    def shards(self):
+        """The storage units whole-table planning reads: a plain table is
+        its own one shard; a sharded table lists its children."""
+        return (self,)
 
     def _read_settings(self, table, env):
         """The table-level settings a plain and a sharded DualTable share:

@@ -9,12 +9,13 @@ cluster ledger for every random read/write:
   included: shadowed versions and tombstones still cost I/O) plus a
   per-row latency.
 
-Timestamps come from a logical clock owned by :class:`HBaseService` so the
-multi-version behaviour is deterministic.
+Timestamps come from a logical clock owned by the region server
+(:class:`RegionServer`) so the multi-version behaviour is deterministic.
 """
 
 import bisect
 import itertools
+import weakref
 
 from repro.common.errors import TableExistsError, TableNotFoundError
 from repro.hbase.region import Region
@@ -23,10 +24,13 @@ from repro.hbase.region import Region
 class HTable:
     """One HBase table: a sorted list of regions plus the client API."""
 
-    def __init__(self, name, service, split_points=(), system=False):
+    def __init__(self, name, server, split_points=(), system=False):
         self.name = name
-        self._service = service
-        self._cluster = service.cluster
+        #: the region server that hosts this table (crash state, the ts
+        #: clock), not the service that catalogues it: a table works
+        #: without its service.
+        self._server = server
+        self._cluster = server.cluster
         #: system tables (metadata) are control-plane state cached by the
         #: master; their accesses are not charged as data-path I/O.
         self.system = system
@@ -57,9 +61,9 @@ class HTable:
     # ------------------------------------------------------------------
     def put(self, row, values, ts=None):
         """Put ``{qualifier: value}`` cells for one row."""
-        self._service.ensure_available()
+        self._server.ensure_available()
         self._cluster.faults.hit("hbase.put", table=self.name)
-        ts = self._service.next_ts() if ts is None else ts
+        ts = self._server.next_ts() if ts is None else ts
         region = self._region_for(row)
         nbytes = 0
         for qualifier, value in values.items():
@@ -70,18 +74,18 @@ class HTable:
         return ts
 
     def delete_row(self, row, ts=None):
-        self._service.ensure_available()
+        self._server.ensure_available()
         self._cluster.faults.hit("hbase.delete", table=self.name)
-        ts = self._service.next_ts() if ts is None else ts
+        ts = self._server.next_ts() if ts is None else ts
         self._region_for(row).delete_row(row, ts)
         if not self.system:
             self._cluster.charge_hbase_write(len(row) + 9, nops=1)
         return ts
 
     def delete_column(self, row, qualifier, ts=None):
-        self._service.ensure_available()
+        self._server.ensure_available()
         self._cluster.faults.hit("hbase.delete", table=self.name)
-        ts = self._service.next_ts() if ts is None else ts
+        ts = self._server.next_ts() if ts is None else ts
         self._region_for(row).delete_column(row, qualifier, ts)
         if not self.system:
             self._cluster.charge_hbase_write(
@@ -93,7 +97,7 @@ class HTable:
     # ------------------------------------------------------------------
     def get(self, row, versions=1):
         """Resolved cells of one row, or None if absent/deleted."""
-        self._service.ensure_available()
+        self._server.ensure_available()
         region = self._region_for(row)
         data = region.get(row, versions=versions)
         if not self.system:
@@ -103,7 +107,7 @@ class HTable:
 
     def scan(self, start_row=None, stop_row=None, versions=1):
         """Yield resolved ``(row, cells)`` pairs in global row order."""
-        self._service.ensure_available()
+        self._server.ensure_available()
         for region in self._regions_in_range(start_row, stop_row):
             rows = region.scan(start_row, stop_row, versions=versions)
             yield from rows
@@ -121,7 +125,7 @@ class HTable:
         the primary-key column?) without perturbing the ledger; never
         use it on a data path.
         """
-        self._service.ensure_available()
+        self._server.ensure_available()
         for region in self._regions_in_range(start_row, stop_row):
             yield from region.scan(start_row, stop_row, versions=versions)
 
@@ -161,7 +165,7 @@ class HTable:
         ``bytes_in_range`` would count tombstones forever and stripe
         pruning over the range would never re-enable.
         """
-        self._service.ensure_available()
+        self._server.ensure_available()
         for region in self._regions_in_range(start_row, stop_row):
             region.purge_range(start_row, stop_row)
 
@@ -170,32 +174,32 @@ class HTable:
     # ------------------------------------------------------------------
     @property
     def store_bytes(self):
-        self._service.ensure_available()
+        self._server.ensure_available()
         return sum(r.store_bytes for r in self.regions)
 
     def bytes_in_range(self, start_row=None, stop_row=None):
         # Stats must see post-replay state: planners use them to decide
         # whether pruning is safe, and a crash-wiped memstore would make
         # a populated range look empty.
-        self._service.ensure_available()
+        self._server.ensure_available()
         return sum(r.bytes_in_range(start_row, stop_row)
                    for r in self._regions_in_range(start_row, stop_row))
 
     def any_in_range(self, start_row=None, stop_row=None):
         """``bytes_in_range(...) > 0`` by key-range bounds alone:
         control-plane and uncharged, it visits no cell."""
-        self._service.ensure_available()
+        self._server.ensure_available()
         return any(r.any_in_range(start_row, stop_row)
                    for r in self._regions_in_range(start_row, stop_row))
 
     def rows_in_range(self, start_row=None, stop_row=None):
         """Live (resolved) row count in range; control-plane, uncharged."""
-        self._service.ensure_available()
+        self._server.ensure_available()
         return sum(len(region.scan(start_row, stop_row))
                    for region in self._regions_in_range(start_row, stop_row))
 
     def cell_count(self):
-        self._service.ensure_available()
+        self._server.ensure_available()
         return sum(r.cell_count() for r in self.regions)
 
     def count_rows(self):
@@ -208,34 +212,42 @@ class HTable:
         return True
 
 
-class HBaseService:
-    """The HMaster + region servers: table catalog and logical clock."""
+class RegionServer:
+    """The (single simulated) region server: crash state, the logical
+    timestamp clock and the tables it hosts.
+
+    The service and every :class:`HTable` share this leaf.  It holds
+    its tables weakly, in creation order, so it points back at neither:
+    a dropped service frees its tables, and a table held on its own
+    still recovers from a crash.
+    """
 
     def __init__(self, cluster):
         self.cluster = cluster
-        self._tables = {}
+        self.crashed = False
         self._ts = itertools.count(1)
-        self._crashed = False
+        self._hosted = []            # weakref.ref(HTable), creation order
 
     def next_ts(self):
         return next(self._ts)
 
-    # ------------------------------------------------------------------
-    # Crash / recovery (the WAL contract).
-    # ------------------------------------------------------------------
-    def crash_region_server(self):
-        """Crash the (single simulated) region server.
+    def host(self, table):
+        self._hosted.append(weakref.ref(table))
 
-        Every region's memstore is lost; HFiles and WALs survive.  The
-        next client operation triggers WAL replay via
-        :meth:`ensure_available`.  Returns the number of cells dropped
-        from memstores.
-        """
+    def unhost(self, table):
+        self._hosted = [ref for ref in self._hosted if ref() is not table]
+
+    def tables(self):
+        """The live hosted tables, in creation order."""
+        return [table for table in (ref() for ref in self._hosted)
+                if table is not None]
+
+    def crash(self):
         lost = 0
-        for table in self._tables.values():
+        for table in self.tables():
             for region in table.regions:
                 lost += region.crash()
-        self._crashed = True
+        self.crashed = True
         # Cached delta ranges embed charges recorded against pre-crash
         # region state; WAL recovery (and its replay charge) must be
         # observed by the next scan, so the cache cannot survive.
@@ -247,21 +259,15 @@ class HBaseService:
 
     def ensure_available(self):
         """Entry gate for every client op: recover after a crash."""
-        if self._crashed:
+        if self.crashed:
             self.recover()
 
     def recover(self):
-        """Replay every region's WAL; charge the replay I/O.
-
-        Idempotent — regions rebuild their memstores from the WAL from
-        scratch, so repeated recovery converges to the same state.
-        Returns the data-path WAL bytes replayed.
-        """
-        self._crashed = False
+        self.crashed = False
         with self.cluster.tracer.span("substrate", "hbase:wal_replay") \
                 as span:
             replayed = 0
-            for table in self._tables.values():
+            for table in self.tables():
                 table_bytes = sum(r.recover() for r in table.regions)
                 if not table.system:
                     replayed += table_bytes
@@ -274,10 +280,50 @@ class HBaseService:
         self.cluster.metrics.observe("hbase.wal_replay_bytes", replayed)
         return replayed
 
+
+class HBaseService:
+    """The HMaster: the table catalog over one :class:`RegionServer`."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self._server = RegionServer(cluster)
+        self._tables = {}
+
+    def next_ts(self):
+        return self._server.next_ts()
+
+    # ------------------------------------------------------------------
+    # Crash / recovery (the WAL contract).
+    # ------------------------------------------------------------------
+    def crash_region_server(self):
+        """Crash the (single simulated) region server.
+
+        Every region's memstore is lost; HFiles and WALs survive.  The
+        next client operation triggers WAL replay via
+        :meth:`ensure_available`.  Returns the number of cells dropped
+        from memstores.
+        """
+        return self._server.crash()
+
+    def ensure_available(self):
+        """Entry gate for every client op: recover after a crash."""
+        self._server.ensure_available()
+
+    def recover(self):
+        """Replay every region's WAL; charge the replay I/O.
+
+        Idempotent — regions rebuild their memstores from the WAL from
+        scratch, so repeated recovery converges to the same state.
+        Returns the data-path WAL bytes replayed.
+        """
+        return self._server.recover()
+
     def create_table(self, name, split_points=(), system=False):
         if name in self._tables:
             raise TableExistsError("HBase table exists: %s" % name)
-        table = HTable(name, self, split_points=split_points, system=system)
+        table = HTable(name, self._server, split_points=split_points,
+                       system=system)
+        self._server.host(table)
         self._tables[name] = table
         return table
 
@@ -293,7 +339,7 @@ class HBaseService:
     def drop_table(self, name):
         if name not in self._tables:
             raise TableNotFoundError("no HBase table: %s" % name)
-        del self._tables[name]
+        self._server.unhost(self._tables.pop(name))
 
     def ensure_table(self, name, split_points=(), system=False):
         if name in self._tables:

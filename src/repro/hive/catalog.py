@@ -23,13 +23,23 @@ def handler_kinds():
 
 
 @dataclass
-class TableInfo:
-    """Catalog entry for one table."""
+class TableDef:
+    """What a table is: name, schema, storage kind and properties.
+
+    A storage handler is built from, and holds, its table's definition
+    (``handler.table``), never the catalog entry that owns the handler.
+    """
 
     name: str
     schema: TableSchema
     storage: str
     properties: dict = field(default_factory=dict)
+
+
+@dataclass
+class TableInfo(TableDef):
+    """Catalog entry for one table: its definition plus its handler."""
+
     handler: object = None
 
 
@@ -65,11 +75,13 @@ class Metastore:
             raise CatalogError(
                 "unknown storage kind %r (registered: %s)"
                 % (storage, ", ".join(handler_kinds())))
-        info = TableInfo(name=name.lower(), schema=schema, storage=storage,
+        table = TableDef(name=name.lower(), schema=schema, storage=storage,
                          properties=dict(properties or {}))
-        info.handler = factory(info, self.env)
-        info.handler.create()
-        self._tables[key] = info
+        handler = factory(table, self.env)
+        handler.create()
+        info = self._tables[key] = TableInfo(
+            table.name, table.schema, table.storage, table.properties,
+            handler)
         return info
 
     def drop_table(self, name, if_exists=False):

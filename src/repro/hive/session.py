@@ -15,6 +15,7 @@ UPDATE/DELETE dispatch (the heart of the paper) runs one row edit
 """
 
 import os
+import weakref
 
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -83,13 +84,10 @@ class HiveSession:
         self.plan_mode = "cost"
         # Server attachment (repro.server).  `current_txn` is the
         # statement transaction the server is running through this
-        # engine — DualTable EDIT commits defer their publish to it;
-        # `txn_guard` lets the maintenance daemon skip tables with
-        # in-flight buffered writes; `server` backs SHOW SESSIONS /
-        # SHOW SERVER STATS.  All stay None for standalone sessions.
+        # engine — DualTable EDIT commits defer their publish to it.
+        # Stays None for standalone sessions, like `server`.
         self.current_txn = None
-        self.txn_guard = None
-        self.server = None
+        self._server = None
         self._ensure_extended_handlers()
         self._bind_fault_actions()
         # Imported lazily: repro.maintenance returns QueryResults, so a
@@ -97,14 +95,49 @@ class HiveSession:
         from repro.maintenance import AutoCompactionDaemon
         self.maintenance = AutoCompactionDaemon(self)
 
-    def _bind_fault_actions(self):
-        """Wire side-effecting fault kinds to this session's subsystems."""
-        faults = self.cluster.faults
-        faults.bind("region_crash",
-                    lambda fault: self.hbase.crash_region_server())
-        faults.bind("datanode_loss", self._lose_one_datanode)
+    @property
+    def server(self):
+        """The :class:`~repro.server.DualTableServer` running this engine,
+        or None.  Held weakly (the server owns its engine): once the
+        server is gone the engine is a standalone session again."""
+        return None if self._server is None else self._server()
 
-    def _lose_one_datanode(self, fault):
+    @server.setter
+    def server(self, server):
+        self._server = weakref.ref(server)
+
+    @property
+    def txn_guard(self):
+        """The server's busy check (``table_busy``), which the
+        maintenance daemon consults to skip tables with in-flight
+        buffered writes; None without a server."""
+        server = self.server
+        return None if server is None else server.table_busy
+
+    def _bind_fault_actions(self):
+        """Wire side-effecting fault kinds to this session's subsystems.
+
+        The actions live on ``cluster.faults``, below the session, so
+        they reach it through a weak reference: an action whose session
+        is gone is a no-op.
+        """
+        session = weakref.ref(self)
+
+        def region_crash(fault):
+            live = session()
+            if live is not None:
+                live.hbase.crash_region_server()
+
+        def datanode_loss(fault):
+            live = session()
+            if live is not None:
+                live._lose_one_datanode()
+
+        faults = self.cluster.faults
+        faults.bind("region_crash", region_crash)
+        faults.bind("datanode_loss", datanode_loss)
+
+    def _lose_one_datanode(self):
         """Kill a live datanode, but never the last one (data would be
         unrecoverable, which is a cluster loss, not a fault to survive)."""
         alive = [i for i, dn in enumerate(self.fs.datanodes) if dn.alive]
@@ -211,21 +244,23 @@ class HiveSession:
         if isinstance(stmt, ast.SetOptionStmt):
             return self._set_option(stmt)
         if isinstance(stmt, ast.ShowSessionsStmt):
-            if self.server is None:
+            server = self.server
+            if server is None:
                 raise AnalysisError(
                     "SHOW SESSIONS requires a DualTableServer "
                     "(this is a standalone session)")
             return QueryResult(
                 names=["session_id", "tenant", "state", "statements",
                        "committed", "inflight"],
-                rows=self.server.session_rows(), plan="show-sessions")
+                rows=server.session_rows(), plan="show-sessions")
         if isinstance(stmt, ast.ShowServerStatsStmt):
-            if self.server is None:
+            server = self.server
+            if server is None:
                 raise AnalysisError(
                     "SHOW SERVER STATS requires a DualTableServer "
                     "(this is a standalone session)")
             return QueryResult(names=["stat", "value"],
-                               rows=self.server.stats_rows(),
+                               rows=server.stats_rows(),
                                plan="show-server-stats")
         if isinstance(stmt, ast.CreateTableStmt):
             return self._create_table(stmt)

@@ -27,7 +27,7 @@ class StorageHandler(ABC):
     supports_inplace_mutation = False
 
     def __init__(self, table, env):
-        self.table = table      # TableInfo
+        self.table = table      # TableDef (not the catalog entry)
         self.env = env          # HiveEnv (cluster, fs, hbase service)
 
     @property

@@ -22,6 +22,7 @@ policy's full cost breakdown; ``SHOW COMPACTIONS`` renders it.
 """
 
 import itertools
+import weakref
 
 from dataclasses import dataclass
 
@@ -70,7 +71,9 @@ class AutoCompactionDaemon:
     MAX_RECORDS = 256
 
     def __init__(self, session):
-        self.session = session
+        #: weak: the session owns its daemon, and a daemon whose session
+        #: is gone has nothing to compact (its ticks are no-ops).
+        self._session = weakref.ref(session)
         self.collector = StatsCollector(session.cluster)
         self.configs = {}           # table name -> options dict
         self.records = []
@@ -84,7 +87,8 @@ class AutoCompactionDaemon:
     def configure(self, table, enabled, options):
         from repro.hive.session import QueryResult
 
-        info = self.session.metastore.table(table)
+        session = self._session()
+        info = session.metastore.table(table)
         handler = info.handler
         if getattr(handler, "kind", None) not in ("dualtable",
                                                   "dualtable-sharded"):
@@ -97,8 +101,8 @@ class AutoCompactionDaemon:
         else:
             self.configs.pop(key, None)
             self._last_decision_clock.pop(key, None)
-        self.session.cluster.metrics.gauge("dualtable.autocompact.tables",
-                                           len(self.configs))
+        session.cluster.metrics.gauge("dualtable.autocompact.tables",
+                                      len(self.configs))
         return QueryResult(
             plan="alter-autocompact", affected=0,
             detail={"table": key, "enabled": bool(enabled),
@@ -113,7 +117,7 @@ class AutoCompactionDaemon:
             action=action, files=detail.get("files", 0),
             folded_bytes=detail.get("folded_bytes", 0),
             observed_s=result.sim_seconds,
-            clock=self.session.cluster.clock.now,
+            clock=self._session().cluster.clock.now,
             note=result.plan))
 
     def compaction_rows(self):
@@ -127,17 +131,17 @@ class AutoCompactionDaemon:
     # The tick (called by the session between statements).
     # ------------------------------------------------------------------
     def tick(self):
-        if self._active or not self.configs:
+        session = self._session()
+        if self._active or not self.configs or session is None:
             return
         self._active = True
         try:
             for name in sorted(self.configs):
-                self._tick_table(name, self.configs[name])
+                self._tick_table(session, name, self.configs[name])
         finally:
             self._active = False
 
-    def _tick_table(self, name, options):
-        session = self.session
+    def _tick_table(self, session, name, options):
         cluster = session.cluster
         try:
             info = session.metastore.table(name)
@@ -148,7 +152,7 @@ class AutoCompactionDaemon:
         handler = info.handler
         if handler._compacting:
             return      # concurrency guard: a COMPACT is mid-commit
-        guard = getattr(session, "txn_guard", None)
+        guard = session.txn_guard
         if guard is not None and guard(name):
             # Server transactions hold buffered (unpublished) EditBatches
             # on this table; compacting now would remap the record IDs
@@ -169,11 +173,11 @@ class AutoCompactionDaemon:
         for target in handler.shards:
             if target._compacting or target.attached.is_empty():
                 continue
-            self._tick_target(target, options, horizon)
+            self._tick_target(session, target, options, horizon)
 
-    def _tick_target(self, target, options, horizon):
+    def _tick_target(self, session, target, options, horizon):
         """Decide + (maybe) compact one shard."""
-        cluster = self.session.cluster
+        cluster = session.cluster
         name = target.table.name
         with cluster.tracer.span("phase", "autocompact:decide",
                                  table=name) as span:
@@ -206,10 +210,9 @@ class AutoCompactionDaemon:
                 observed_s=decision_seconds,
                 clock=cluster.clock.now, note=decision.note))
             return
-        self._execute(name, target, decision)
+        self._execute(session, name, target, decision)
 
-    def _execute(self, name, handler, decision):
-        session = self.session
+    def _execute(self, session, name, handler, decision):
         cluster = session.cluster
         folded_bytes = sum(f.delta_bytes for f in decision.files
                            if f.delta_bytes > 0)

@@ -83,7 +83,7 @@ class Span:
         if tracer._stack:
             self.parent_id = tracer._stack[-1].span_id
         self.start_s = tracer.now()
-        self._scope = tracer.cluster.ledger.attach_scope(
+        self._scope = tracer.ledger.attach_scope(
             label="span:%s" % self.name)
         tracer._stack.append(self)
         return self
@@ -92,7 +92,7 @@ class Span:
         tracer = self._tracer
         scope, self._scope = self._scope, None
         if scope is not None:
-            tracer.cluster.ledger.detach_scope(scope)
+            tracer.ledger.detach_scope(scope)
             self.seconds = scope.seconds
             self.hbase_seconds = scope.hbase_seconds
             self.nbytes = scope.nbytes
@@ -104,6 +104,8 @@ class Span:
         except ValueError:
             pass
         self.end_s = max(self.start_s, tracer.now())
+        # A finished span is data: the tracer holds it, not the reverse.
+        self._tracer = None
         tracer.spans.append(self)
         return False
 
@@ -114,10 +116,15 @@ class Span:
 
 
 class Tracer:
-    """Per-cluster span recorder; off by default."""
+    """Per-cluster span recorder; off by default.
 
-    def __init__(self, cluster):
-        self.cluster = cluster
+    Holds the cluster's ledger, not the cluster: a profiling collector
+    keeps tracers past their cluster's life, and must not keep the
+    cluster (its caches, its storage) with them.
+    """
+
+    def __init__(self, ledger):
+        self.ledger = ledger
         self.enabled = False
         #: finished spans, in completion order.
         self.spans = []
@@ -127,7 +134,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def now(self):
         """The trace time axis: cumulative charged simulated seconds."""
-        return self.cluster.ledger.total_seconds
+        return self.ledger.total_seconds
 
     def enable(self):
         self.enabled = True

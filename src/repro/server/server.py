@@ -76,6 +76,20 @@ def statement_tables(stmt):
     return tables
 
 
+def _detached(error):
+    """``error`` (and the errors it chains to) without a traceback.
+
+    An outcome outlives the event loop.  A traceback in it would hold
+    every frame up the stack, the caller that keeps the outcomes
+    included, in a reference cycle.
+    """
+    chained = error
+    while chained is not None:
+        chained.__traceback__ = None
+        chained = chained.__cause__ or chained.__context__
+    return error
+
+
 @dataclass
 class Arrival:
     """One open-loop submission: at ``time``, ``session`` sends ``sql``.
@@ -91,14 +105,14 @@ class Arrival:
     payload: dict = field(default_factory=dict)
 
 
-class ServerSession:
-    """One client connection (identity + lifecycle state)."""
+class SessionRecord:
+    """What the server keeps of one connection: identity and lifecycle
+    state (SHOW SESSIONS' rows), never the client's handle."""
 
-    __slots__ = ("id", "tenant", "state", "server", "statements",
-                 "committed", "connected_at")
+    __slots__ = ("id", "tenant", "state", "statements", "committed",
+                 "connected_at")
 
-    def __init__(self, server, session_id, tenant, connected_at=0.0):
-        self.server = server
+    def __init__(self, session_id, tenant, connected_at=0.0):
         self.id = session_id
         self.tenant = tenant
         self.state = "open"          # open | killed | closed
@@ -106,13 +120,39 @@ class ServerSession:
         self.committed = 0
         self.connected_at = connected_at
 
+
+def _from_record(name):
+    return property(lambda self: getattr(self.record, name),
+                    doc="The connection's ``%s`` (its server record)." % name)
+
+
+class ServerSession:
+    """One client connection: a handle that keeps its server alive.
+
+    The server keeps the connection's :class:`SessionRecord`, not this
+    handle, so ownership points one way (handle -> server -> record).
+    """
+
+    __slots__ = ("server", "record")
+
+    id = _from_record("id")
+    tenant = _from_record("tenant")
+    state = _from_record("state")
+    statements = _from_record("statements")
+    committed = _from_record("committed")
+    connected_at = _from_record("connected_at")
+
+    def __init__(self, server, record):
+        self.server = server
+        self.record = record
+
     def execute(self, sql):
         """Synchronous convenience: submit + wait for the outcome."""
         return self.server.execute(self, sql)
 
     def close(self):
-        if self.state == "open":
-            self.state = "closed"
+        if self.record.state == "open":
+            self.record.state = "closed"
 
     def __repr__(self):
         return ("ServerSession(%s, tenant=%r, state=%s, statements=%d)"
@@ -169,7 +209,7 @@ class DualTableServer:
         self.retry_policy = RetryPolicy(max_attempts=1 + int(conflict_retries),
                                         backoff_s=0.05, factor=2.0,
                                         jitter=0.5, seed=seed)
-        self.sessions = {}
+        self.sessions = {}           # session id -> SessionRecord
         self._finished = []          # outcomes of the run() in progress
         self.now = 0.0
         self._session_seq = itertools.count(1)
@@ -179,20 +219,20 @@ class DualTableServer:
         self._inflight = {}          # txn.id -> StatementTxn
         self._parked = []            # exclusive stmts awaiting table drain
         self._active = 0             # occupied execution slots
-        # Let the engine reach back: deferred-publish hooks, the
-        # autocompaction txn guard, and SHOW SESSIONS / SERVER STATS.
+        # Let the engine reach back (weakly: this server owns the
+        # engine): the autocompaction txn guard and SHOW SESSIONS /
+        # SERVER STATS.
         engine.server = self
-        engine.txn_guard = self.table_busy
 
     # ------------------------------------------------------------------
     # Connections.
     # ------------------------------------------------------------------
     def connect(self, tenant="default"):
-        session = ServerSession(self, "s-%04d" % next(self._session_seq),
-                                tenant, connected_at=self.now)
-        self.sessions[session.id] = session
+        record = SessionRecord("s-%04d" % next(self._session_seq), tenant,
+                               connected_at=self.now)
+        self.sessions[record.id] = record
         self.metrics.incr("server.connects")
-        return session
+        return ServerSession(self, record)
 
     def kill_session(self, session_id):
         """Kill a session: in-flight statements abort at completion
@@ -323,7 +363,7 @@ class DualTableServer:
 
     # -- event handlers -------------------------------------------------
     def _on_arrival(self, arrival):
-        session = arrival.session
+        session = arrival.session.record
         rec = _Stmt(next(self._stmt_seq), session, arrival.sql,
                     arrival.payload, self.now)
         session.statements += 1
@@ -602,7 +642,7 @@ class DualTableServer:
             "latency_s": latency,
             "commit_seq": self.commit_log.seq if status == "committed"
                           else None,
-            "error": error,
+            "error": _detached(error),
             "result": rec.txn.result if rec.txn is not None else None,
             # Repeatable analytic reads: the commit-log sequence the
             # statement's snapshot was taken at — reads dispatched at the
@@ -629,7 +669,12 @@ class DualTableServer:
         if outcome["status"] == "committed":
             return outcome["result"]
         error = outcome["error"]
-        if isinstance(error, Exception):
+        if not isinstance(error, Exception):
+            raise ServerError("statement %s: %s"
+                              % (outcome["status"], outcome["sql"]))
+        try:
             raise error
-        raise ServerError("statement %s: %s"
-                          % (outcome["status"], outcome["sql"]))
+        finally:
+            # The raised error's traceback holds this frame; drop the
+            # locals that hold the error so no cycle is left behind.
+            del error, outcome

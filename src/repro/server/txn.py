@@ -25,6 +25,7 @@ overlapping optimistic statement fails its commit-time check.
 """
 
 import itertools
+import weakref
 
 from repro.common.errors import TxnConflictError
 
@@ -111,7 +112,8 @@ class StatementTxn:
 
     def __init__(self, server, session, sql, snapshot_seq):
         self.id = next(StatementTxn._ids)
-        self.server = server
+        #: weak: the server owns its in-flight transactions.
+        self._server = None if server is None else weakref.ref(server)
         self.session = session
         self.sql = sql
         self.snapshot_seq = snapshot_seq
@@ -160,8 +162,8 @@ class StatementTxn:
         self.touch(table, write=True)
         if self.exclusive:
             return
-        if self.server is not None \
-                and self.server.table_busy(table, exclude=self):
+        server = None if self._server is None else self._server()
+        if server is not None and server.table_busy(table, exclude=self):
             raise TxnConflictError(
                 "statement needs exclusive access to %r while other "
                 "statements are in flight on it" % table,

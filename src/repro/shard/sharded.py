@@ -35,7 +35,7 @@ from operator import itemgetter
 
 from repro.common.errors import DualTableError
 from repro.mapreduce.job import stable_hash, stable_hashes
-from repro.hive.catalog import TableInfo, register_handler
+from repro.hive.catalog import TableDef, register_handler
 from repro.hive.session import QueryResult
 from repro.core.editlog import recover_edit_logs, run_with_retries
 from repro.core.handler import DualTableHandler
@@ -169,19 +169,19 @@ class ShardedDualTableHandler(DualTableHandler):
                        if not k.startswith("shard.")}
         shards = []
         for index in range(self.num_shards):
-            info = TableInfo(name="%s__s%d" % (table.name, index),
-                             schema=table.schema, storage="dualtable",
-                             properties=dict(child_props))
-            info.handler = DualTableHandler(info, env)
+            child = DualTableHandler(
+                TableDef(name="%s__s%d" % (table.name, index),
+                         schema=table.schema, storage="dualtable",
+                         properties=dict(child_props)), env)
             # All shards allocate master-file IDs from the LOGICAL
             # table's counter: IDs are globally unique across shards
             # (record IDs can never collide between shards) and the ID
             # sequence — hence every file's encoded metadata bytes — is
             # a function of the insert order alone, not the shard count.
-            info.handler.master.table_name = table.name
-            shards.append(info.handler)
-        self.shards = tuple(shards)
-        self.master = self.attached = _Sizes(self.shards)
+            child.master.table_name = table.name
+            shards.append(child)
+        self._shards = tuple(shards)
+        self.master = self.attached = _Sizes(self._shards)
         #: consumed by JobRunner: scatter-gather widens the map slots by
         #: the shard count for *makespan only* — charges never scale.
         self.shard_fanout = self.num_shards
@@ -194,6 +194,11 @@ class ShardedDualTableHandler(DualTableHandler):
         #: the rebalance decision subtract this in-memory baseline so a
         #: completed rebalance restarts the skew measurement from zero.
         self._heat_baseline = [0] * self.num_shards
+
+    @property
+    def shards(self):
+        """The child DualTables, in shard-index order."""
+        return self._shards
 
     # ------------------------------------------------------------------
     # Lifecycle.

@@ -11,13 +11,17 @@ the tests here sanity-check the summary it returns and the coverage.
 
 ``CHAOS_SCHEDULES`` sets the seed count of every flavour and of the
 server schedules (defaults 50 / 30 / 20 and 12; CI's smoke jobs run 10).
+Fixed seed ranges of every flavour also run with the cycle collector off
+and must leave no cyclic garbage (INTERNALS §6).
 """
 
 import os
 
 import pytest
 
-from repro.faults.chaos import run_chaos_schedule, run_server_chaos_schedule
+from repro.faults.chaos import (FLAVOURS, run_chaos_schedule,
+                                run_server_chaos_schedule)
+from tests.test_memory_bounds import cyclic_garbage
 
 _N = os.environ.get("CHAOS_SCHEDULES")
 
@@ -87,6 +91,24 @@ def test_chaos_seeds_are_pinned():
     for flavour, fired in PINNED_FIRED.items():
         assert [run_chaos_schedule(seed, flavour)["fired"]
                 for seed in range(5)] == fired, flavour
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS) + ["server"])
+def test_chaos_leaves_no_cyclic_garbage(flavour):
+    """Fault actions, region crashes, ``recover()`` and failed server
+    statements hold no reference cycle: seeds 0-4 of every flavour and
+    server seeds 0-2 leave nothing for the cycle collector."""
+    def schedules():
+        if flavour == "server":
+            for seed in range(3):
+                run_server_chaos_schedule(seed)
+        else:
+            for seed in range(5):
+                run_chaos_schedule(seed, flavour)
+        return [], []
+
+    _, _, found = cyclic_garbage(schedules)
+    assert found == []
 
 
 def test_chaos_coverage_across_seeds():

@@ -1,6 +1,8 @@
 """Tests for repro.obs: tracer spans, metrics registry, trace export."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -401,6 +403,29 @@ class TestExport:
         assert validate_trace(doc) == []
         merged = collector.merged_metrics()
         assert merged.counter("session.statements") >= 2
+
+    def test_profiling_collector_does_not_keep_clusters(self):
+        """The collector keeps each cluster's spans and metrics, not the
+        cluster: a dropped session frees its caches and storage under
+        ``--profile`` too, with no cycle collection."""
+        gc.disable()
+        try:
+            with obs.profiling() as collector:
+                session = HiveSession(profile=ClusterProfile.laptop())
+                session.execute("CREATE TABLE t (a int)")
+                session.load_rows("t", [(1,), (2,)])
+                session.execute("SELECT count(*) FROM t")
+                cluster = weakref.ref(session.cluster)
+                del session
+                assert cluster() is None
+        finally:
+            gc.enable()
+        statements = [s for s in collector.tracers[0].spans
+                      if s.kind == "statement"]
+        assert len(statements) == 2
+        doc = collector.trace_document()
+        assert validate_trace(doc) == []
+        assert collector.merged_metrics().counter("session.statements") == 2
 
     def test_trace_json_serializable(self, dual_session):
         tracer = dual_session.cluster.tracer

@@ -6,6 +6,7 @@ and sheds reproduce exactly.
 """
 
 import threading
+import weakref
 
 import pytest
 
@@ -316,6 +317,33 @@ class TestShowStatements:
             session.execute("SHOW SESSIONS")
         with pytest.raises(AnalysisError):
             session.execute("SHOW SERVER STATS")
+
+    def test_dropped_server_leaves_a_standalone_engine(self):
+        """The engine holds its server weakly: once the server and its
+        connections are dropped, they are freed (sessions, in-flight
+        transactions, commit log) and the engine runs standalone."""
+        server = make_server()
+        engine = server.engine
+        session = server.connect()
+        session.execute("ALTER TABLE ledger SET AUTOCOMPACT (ON)")
+        txn = StatementTxn(server, None, "UPDATE ...",
+                           server.commit_log.seq)
+        txn.touch("ledger", write=True)
+        server._inflight[txn.id] = txn
+        assert engine.txn_guard("ledger")
+        gone = weakref.ref(server)
+        del server, session, txn
+        assert gone() is None
+        for sql in ("SHOW SESSIONS", "SHOW SERVER STATS"):
+            with pytest.raises(AnalysisError, match="standalone session"):
+                engine.execute(sql)
+        # No guard, so no table is busy: the daemon's tick after this
+        # UPDATE decides on the deltas it wrote instead of skipping.
+        assert engine.txn_guard is None
+        counter = engine.cluster.metrics.counter
+        before = counter("dualtable.autocompact.decisions")
+        engine.execute("UPDATE ledger SET v = v + 1 WHERE id = 1")
+        assert counter("dualtable.autocompact.decisions") == before + 1
 
 
 # ---------------------------------------------------------------------------
