@@ -60,7 +60,7 @@ def bench_profile(name="bench"):
     """Effective-rate cluster profile used for every experiment."""
     return ClusterProfile(
         name=name,
-        num_workers=4,
+        nodes=4,
         map_slots_per_node=6,
         reduce_slots_per_node=2,
         hdfs_read_bps=0.4 * GB,

@@ -28,7 +28,9 @@ class ClusterProfile:
     """Static description of the simulated cluster."""
 
     name: str = "default"
-    num_workers: int = 9
+    #: simulated worker nodes (map/reduce slots and datanodes); not the
+    #: host worker pool's ``workers``.
+    nodes: int = 9
     map_slots_per_node: int = 6
     reduce_slots_per_node: int = 2
 
@@ -84,11 +86,11 @@ class ClusterProfile:
 
     @property
     def total_map_slots(self):
-        return self.num_workers * self.map_slots_per_node
+        return self.nodes * self.map_slots_per_node
 
     @property
     def total_reduce_slots(self):
-        return self.num_workers * self.reduce_slots_per_node
+        return self.nodes * self.reduce_slots_per_node
 
     def per_slot_rate(self, aggregate_bps, slots=None):
         """Throughput a single task sees when the cluster is saturated."""
@@ -98,14 +100,14 @@ class ClusterProfile:
     @classmethod
     def paper_grid_cluster(cls, **overrides):
         """26-node cluster used for the State Grid experiments (Sec. VI-A)."""
-        params = dict(name="grid-26node", num_workers=25)
+        params = dict(name="grid-26node", nodes=25)
         params.update(overrides)
         return cls(**params)
 
     @classmethod
     def paper_tpch_cluster(cls, **overrides):
         """10-node cluster used for the TPC-H experiments (Sec. VI-B)."""
-        params = dict(name="tpch-10node", num_workers=9)
+        params = dict(name="tpch-10node", nodes=9)
         params.update(overrides)
         return cls(**params)
 
@@ -114,7 +116,7 @@ class ClusterProfile:
         """A tiny single-node profile for unit tests (no scaling)."""
         params = dict(
             name="laptop",
-            num_workers=1,
+            nodes=1,
             map_slots_per_node=2,
             reduce_slots_per_node=1,
             job_startup_s=0.5,

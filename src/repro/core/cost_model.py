@@ -110,6 +110,14 @@ class PlanChoice:
     d_bytes: int
     touched_rows: float
 
+    def detail(self, plan):
+        """The statement-result detail of this verdict, ``plan`` run."""
+        return {"plan": plan, "cost_plan": self.plan,
+                "cost_difference": self.cost_difference,
+                "edit_seconds": self.edit_seconds,
+                "overwrite_seconds": self.overwrite_seconds,
+                "ratio": self.ratio}
+
 
 @dataclass
 class LookupChoice:
@@ -275,3 +283,33 @@ class CostModel:
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+def record_audit(cluster, table, plan, predicted, observed):
+    """Record predicted-vs-observed cost for one executed plan; returns
+    the audit.
+
+    For the job plans the model's estimate covers device time for the
+    plan's I/O and the observation is the whole statement's
+    ledger-derived run time (startup, task overheads and commit
+    included), so the relative error measures how faithfully Section
+    IV's equations track the measured world — the audit
+    SynchroStore-style systems feed back into their planners.  The keyed
+    plans (``lookup``, ``edit_by_key``) audit the keyed read.
+    """
+    rel_error = (abs(predicted - observed) / observed
+                 if observed > 0 else 0.0)
+    audit = {"plan": plan,
+             "predicted_seconds": predicted,
+             "observed_seconds": observed,
+             "rel_error": rel_error}
+    metrics = cluster.metrics
+    metrics.incr("costmodel.audits")
+    metrics.observe("costmodel.rel_error", rel_error)
+    metrics.observe("costmodel.rel_error.%s" % plan, rel_error)
+    # Workload-profile hook (repro.advisor): drift detection needs a
+    # per-table error distribution.
+    metrics.incr("costmodel.audits.%s" % table)
+    metrics.observe("costmodel.rel_error.table.%s" % table, rel_error)
+    cluster.tracer.annotate(cost_audit=dict(audit))
+    return audit

@@ -10,7 +10,7 @@ the key min/max of every :data:`ROW_GROUP_ROWS`-row group) for the
 candidate row groups, fetch the candidate files' deltas, and merge the
 two streams under exactly the scan path's UNION READ semantics.  A
 SELECT returns the merged rows (the LOOKUP plan); an UPDATE / DELETE
-stages deltas for them (EDIT-by-key, ``DualTableHandler._edit_by_key``).
+stages deltas for them (EDIT-by-key, :func:`edit_by_key`).
 The win is the MR fixed cost (job startup + one task per file), every
 pruned stripe's bytes, and the merge and filter work of every pruned
 row group.  Row groups prune well because a keyed table's master files
@@ -34,8 +34,11 @@ with no double-charged cost.
 from dataclasses import dataclass
 from itertools import chain
 
+from repro.common.errors import FaultInjectedError
 from repro.hive.vexpr import compile_batch_predicate
 from repro.mapreduce.job import InputSplit, stable_hashes
+from repro.core.cost_model import record_audit
+from repro.core.editlog import EditBatch
 from repro.core.master import FILE_ID_KEY
 from repro.orc import OrcReader
 
@@ -82,8 +85,9 @@ class LookupPlan:
 # ----------------------------------------------------------------------
 # Stripe min/max + bucket index (control-plane, cached in the delta cache).
 # ----------------------------------------------------------------------
-def stripe_index(handler, hit_faults=True):
-    """Per-file PK stripe index: ``[{path, file_id, stripes, ...}]``.
+def stripe_index(store, hit_faults=True):
+    """Per-file PK stripe index of one store's master files:
+    ``[{path, file_id, stripes, ...}]``.
 
     Each stripe is ``(num_rows, pk_min, pk_max, column_lengths,
     bucket_mask, row_groups)``; ``row_groups`` holds the ``(min, max)``
@@ -102,25 +106,25 @@ def stripe_index(handler, hit_faults=True):
     IDs, hence fresh paths).  Master files are immutable, so an entry
     (bucket masks included) describes its file for as long as it lives.
     """
-    cluster = handler.env.cluster
+    cluster = store.env.cluster
     if hit_faults:
-        cluster.faults.hit("lookup.index_read", table=handler.table.name)
-    pk = handler.primary_key
+        cluster.faults.hit("lookup.index_read", table=store.name)
+    key_index = store.master.key_index
     cache = getattr(cluster, "delta_cache", None)
     if cache is not None and cache.budget_bytes <= 0:
         cache = None
-    fs = handler.env.fs
+    fs = store.env.fs
     entries = []
-    for path in handler.master.file_paths():
+    for path in store.master.file_paths():
         size = fs.file_size(path)
         key = None
         if cache is not None:
-            key = (handler.attached.name, "stripe-index", path, size)
+            key = (store.attached.name, "stripe-index", path, size)
             cached = cache.get(key)
             if cached is not None:
                 entries.append(cached)
                 continue
-        entry = _index_entry(fs, path, pk, size)
+        entry = _index_entry(fs, path, key_index, size)
         if key is not None:
             groups = sum(len(stripe[5]) for stripe in entry["stripes"])
             cache.put(key, entry,
@@ -140,10 +144,9 @@ def bucket_mask(keys):
     return sum(1 << bucket for bucket in buckets)
 
 
-def _index_entry(fs, path, pk, file_size):
+def _index_entry(fs, path, pk_idx, file_size):
     reader = OrcReader(fs.read_file_silent(path))
     names = [n.lower() for n, _ in reader.schema]
-    pk_idx = names.index(pk)
     stripes = []
     for stripe, batch in zip(reader.stripes, reader.batches(
             projection=[reader.schema[pk_idx][0]])):
@@ -199,8 +202,7 @@ def bounded_pk_range(handler, ranges):
     return pk_range
 
 
-def plan_lookup(handler, ranges, projection=None, hit_faults=True,
-                sources=None):
+def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
     """Plan a keyed read for the extracted column ranges; None if
     ineligible.
 
@@ -214,9 +216,10 @@ def plan_lookup(handler, ranges, projection=None, hit_faults=True,
     one of its row groups' min/max admits the range too; a payload's
     ``row_spans`` names the admitted groups as merged runs of rows per
     stripe (None: a PK-dirty file, read whole).  ``sources`` is
-    ``[(shard, handler)]``, the tables whose files the plan draws from —
-    a sharded table passes the shards the keys live on; candidates come
-    back in canonical (basename) order whatever the shard count.  The returned plan carries the cost-model verdict
+    ``[(index, store)]``, the stores whose files the plan draws from —
+    the ones the table's router pins; candidates come back in canonical
+    (basename) order whatever the shard count.  The returned plan
+    carries the cost-model verdict
     (:class:`~repro.core.cost_model.LookupChoice`); callers decide
     whether a ``scan``-preferring verdict falls through to MR.
     """
@@ -224,7 +227,6 @@ def plan_lookup(handler, ranges, projection=None, hit_faults=True,
     if pk_range is None:
         return None
     pk = handler.primary_key
-    sources = sources or [(0, handler)]
     keys = pk_range.in_set
     wanted = None if keys is None else bucket_mask(list(keys))
     candidates = []
@@ -340,7 +342,7 @@ def keyed_batches(handler, plan, batch_rows=None):
     candidate file of ``plan``, in plan order.
 
     The one generator LOOKUP (:func:`run_lookup`) and EDIT-by-key
-    (``DualTableHandler._edit_by_key``) both consume.  Each candidate is
+    (:func:`edit_by_key`) both consume.  Each candidate is
     a split payload naming its admitted row groups (``row_spans``), read
     through the scan path's own ``read_split_batches`` — so a keyed read
     charges exactly what the union read charges for the same stripes
@@ -382,3 +384,115 @@ def run_lookup(handler, plan, batch_rows=None, where=None):
             batch = predicate(batch)
         out.extend(batch.rows())
     return out, examined
+
+
+def execute_lookup(handler, plan, batch_rows=None, where=None):
+    """Run one planned LOOKUP read; ``(rows, examined, sim_seconds,
+    detail)``.
+
+    The first two are :func:`run_lookup`'s.  ``sim_seconds`` is the
+    ledger-observed device time of the read — there is no Job to sum, so
+    the statement's simulated latency is taken straight from the charges
+    the union-read merge recorded.  The detail carries the same
+    predicted-vs-observed audit shape DML plans emit, so EXPLAIN ANALYZE
+    prints a cost-model audit line for LOOKUPs too.
+    """
+    cluster = handler.env.cluster
+    table = handler.table.name
+    before = cluster.ledger.snapshot()
+    with cluster.tracer.span("phase", "dualtable:lookup", table=table,
+                             files=len(plan.files),
+                             est_rows=plan.est_rows) as span:
+        rows, examined = run_lookup(handler, plan, batch_rows=batch_rows,
+                                    where=where)
+        span.annotate(rows=examined)
+    detail = keyed_detail(handler, plan, "lookup", "lookup",
+                          cluster.ledger.diff(before))
+    detail["row_groups"] = plan.row_groups
+    observed = detail["audit"]["observed_seconds"]
+    metrics = cluster.metrics
+    metrics.incr("dualtable.lookups.%s" % table)
+    metrics.incr("dualtable.plan.lookup")
+    metrics.incr("dualtable.plan.lookup.%s" % table)
+    metrics.observe("dualtable.plan.lookup_seconds.%s" % table, observed)
+    metrics.observe("dualtable.plan.lookup_bytes.%s" % table,
+                    detail["lookup_bytes"])
+    handler.router.note_lookup(plan, detail)
+    return rows, examined, observed, detail
+
+
+def keyed_detail(handler, plan, name, audited_as, delta):
+    """Result detail of one keyed read (LOOKUP or EDIT-by-key).
+
+    ``delta`` is the ledger diff over the read: there is no Job to sum,
+    so its device time *is* the read's simulated latency, and the audit
+    holds the keyed cost term (``LookupChoice.lookup_seconds``) to it.
+    """
+    choice = plan.choice
+    return {"plan": name,
+            "files_read": len(plan.files),
+            "total_files": plan.total_files,
+            "est_rows": plan.est_rows,
+            "lookup_bytes": sum(delta["bytes"].values()),
+            "lookup_seconds": choice.lookup_seconds,
+            "scan_seconds": choice.scan_seconds,
+            "cost_difference": choice.cost_difference,
+            "audit": record_audit(handler.env.cluster, handler.table.name,
+                                  audited_as, choice.lookup_seconds,
+                                  delta["total_seconds"])}
+
+
+def edit_by_key(handler, session, scan, verb):
+    """EDIT-by-key: stage one UPDATE/DELETE from a keyed read, or None.
+
+    When the WHERE bounds the PRIMARY KEY (:func:`plan_lookup` decides,
+    ``dualtable.lookup.max_rows`` and the cost model's job-startup /
+    per-task terms gate it) the rows are found the way LOOKUP finds them
+    — stripe index, bucket masks, one union read per candidate file —
+    and staged into the statement's EditBatch: no Job, no splits, no
+    task loop.  ``scan`` is the handler's compiled EDIT scan.  ``SET
+    dualtable.plan = scan`` forces the job and is the differential
+    oracle.  A non-fatal fault in the keyed read falls back to the job
+    with nothing staged (both fault points fire before the first charged
+    byte).
+    """
+    projection, ranges, stage = scan
+    mode = session.plan_mode
+    cluster = handler.env.cluster
+    try:
+        plan = handler.plan_lookup(ranges, projection,
+                                   hit_faults=mode != "scan")
+        if plan is None or mode == "scan" or (
+                mode != "lookup" and plan.choice.plan != "lookup"):
+            if plan is not None \
+                    or bounded_pk_range(handler, ranges) is not None:
+                handler.note_lookup_scan("eligible_scan")
+            return None
+        handler._claim_txn_access(session, "edit")
+        edit_batch = EditBatch(handler, next(handler._txn_ids))
+        buffer = edit_batch.task_buffer()
+        before = cluster.ledger.snapshot()
+        with cluster.tracer.span("phase", "dualtable:edit-by-key",
+                                 table=handler.table.name,
+                                 files=len(plan.files),
+                                 est_rows=plan.est_rows):
+            for payload, batch in keyed_batches(handler, plan,
+                                                session.batch_rows):
+                stage(buffer, payload, batch)
+    except FaultInjectedError as exc:
+        if exc.fatal:
+            raise
+        handler.note_lookup_scan("fallback")
+        return None
+    detail = keyed_detail(handler, plan, "edit", "edit_by_key",
+                          cluster.ledger.diff(before))
+    affected = len(buffer.edits)
+    if affected:
+        cluster.metrics.incr("udtf.%ss" % verb, affected)
+    edit_batch.absorb(buffer)
+    handler._note_plan_choice("edit")
+    result = handler._finish_edit(
+        session, edit_batch, verb, detail, [],
+        detail["audit"]["observed_seconds"], affected)
+    handler._note_dml_done("edit", result)
+    return result

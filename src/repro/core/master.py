@@ -37,10 +37,6 @@ class MasterTable:
     def create(self):
         self.fs.mkdirs(self.location)
 
-    def drop(self):
-        if self.fs.exists(self.location):
-            self.fs.delete(self.location, recursive=True)
-
     def file_paths(self):
         if not self.fs.exists(self.location):
             return []

@@ -109,7 +109,7 @@ def build_chaos_session(table, num_rows=48, rows_per_file=12):
     from repro.cluster import ClusterProfile
     from repro.hive import HiveSession
 
-    session = HiveSession(profile=ClusterProfile.laptop(num_workers=3))
+    session = HiveSession(profile=ClusterProfile.laptop(nodes=3))
     session.execute(
         "CREATE TABLE t %s TBLPROPERTIES ('orc.rows_per_file' = '%d', "
         "'orc.stripe_rows' = '6')" % (table, rows_per_file))
@@ -193,7 +193,7 @@ def table_state(session):
                       for path in shard.master.file_paths())
         rows = tuple(session.execute("SELECT k, v FROM t ORDER BY k").rows)
         attached = tuple(
-            (shard.table.name, rid, delta.deleted,
+            (shard.name, rid, delta.deleted,
              tuple(sorted(delta.updates.items())))
             for shard in handler.shards
             for rid, delta in shard.attached.scan_range())
@@ -346,7 +346,8 @@ def run_server_chaos_schedule(seed, statements=40, clients=8, accounts=12,
     staged = (list(fs.list_files(handler.txn_dir))
               if fs.exists(handler.txn_dir) else [])
     assert not staged, "seed %r left orphaned redo logs: %r" % (seed, staged)
-    for path in handler.compaction.paths:
+    for path in (path for shard in handler.shards
+                 for path in shard.compaction.paths):
         assert not fs.exists(path), (
             "seed %r left orphaned COMPACT state at %s" % (seed, path))
     total_once, _ = ledger_totals(server.engine)

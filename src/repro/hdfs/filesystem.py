@@ -60,7 +60,7 @@ class HdfsFileSystem:
     def __init__(self, cluster, num_datanodes=None, replication=None):
         self.cluster = cluster
         profile = cluster.profile
-        n = num_datanodes or max(1, profile.num_workers)
+        n = num_datanodes or max(1, profile.nodes)
         self.datanodes = [DataNode("dn%02d" % i) for i in range(n)]
         self.namenode = NameNode(
             self.datanodes,

@@ -699,7 +699,7 @@ class SelectExecutor:
         if mode == "scan":
             if handler.plan_lookup(relation.ranges, relation.projection,
                                    hit_faults=False) is not None:
-                handler.note_lookup_eligible_scan()
+                handler.note_lookup_scan("eligible_scan")
             return None
         try:
             plan = handler.plan_lookup(relation.ranges,
@@ -707,7 +707,7 @@ class SelectExecutor:
         except FaultInjectedError as exc:
             if exc.fatal:
                 raise
-            handler.note_lookup_fallback()
+            handler.note_lookup_scan("fallback")
             return None
         if plan is None:
             if mode == "lookup":
@@ -717,7 +717,7 @@ class SelectExecutor:
                     "dualtable.lookup.max_rows)" % handler.primary_key)
             return None
         if mode != "lookup" and plan.choice.plan != "lookup":
-            handler.note_lookup_eligible_scan()
+            handler.note_lookup_scan("eligible_scan")
             return None
         where = ((relation.filter_expr, relation.env)
                  if relation.filter_expr is not None else None)
@@ -727,7 +727,7 @@ class SelectExecutor:
         except FaultInjectedError as exc:
             if exc.fatal:
                 raise
-            handler.note_lookup_fallback()
+            handler.note_lookup_scan("fallback")
             return None
         self.lookup_seconds += seconds
         self.lookup_details.append(detail)

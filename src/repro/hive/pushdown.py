@@ -13,6 +13,7 @@ central to the paper's results:
 from dataclasses import dataclass
 
 from repro.hive import ast_nodes as ast
+from repro.hive.expressions import Env, compile_expr, is_true, referenced_columns
 
 
 @dataclass
@@ -230,3 +231,39 @@ def estimate_selection(readers, ranges):
                     break
             selected += fraction * stripe.num_rows
     return selected, total
+
+
+def sample_selection(readers, schema, where, sample_rows=2000):
+    """Estimate ``(ratio, total_rows)`` of ``where`` by evaluating it over
+    a sample of about ``sample_rows`` rows spread across the readers:
+    the fallback when the predicate has no extractable column ranges."""
+    projection = [c.name for c in schema
+                  if c.name.lower() in referenced_columns(where)]
+    if not projection:
+        projection = [schema.columns[0].name]
+    env = Env()
+    env.add_schema(projection)
+    predicate = compile_expr(where, env)
+    total = sum(r.num_rows for r in readers)
+    sampled = 0
+    matched = 0
+    per_reader = max(1, sample_rows // max(1, len(readers)))
+    for reader in readers:
+        taken = 0
+        for _, values in reader.rows(projection=projection):
+            try:
+                hit = is_true(predicate(values))
+            except Exception:
+                # Sampling is only an estimate: call the ratio unknown
+                # and let the statement fail where the scan evaluates
+                # this row, with a typed error.
+                return 0.0, total
+            if hit:
+                matched += 1
+            taken += 1
+            if taken >= per_reader:
+                break
+        sampled += taken
+    if sampled == 0:
+        return 0.0, total
+    return matched / sampled, total

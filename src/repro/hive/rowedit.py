@@ -7,7 +7,7 @@ WHERE + SET for the first two, the ON-key join with the source for MERGE
 (``repro.hive.merge``).  A *row edit* is that difference as one value,
 and each storage's single update path takes one —
 ``HiveSession._rewrite_via_overwrite``, ``HiveSession._edit_hbase``,
-``AcidHandler.execute_update`` and ``DualTableHandler._execute_dml`` —
+``AcidHandler.execute_update`` and ``DualTableHandler.execute_update`` —
 so a MERGE runs on the writers an UPDATE runs on.
 
 A row edit carries

@@ -378,30 +378,17 @@ class HiveSession:
             raise AnalysisError(
                 "ALTER TABLE ... SET DUALTABLE requires a DualTable "
                 "table (got %s stored as %s)" % (info.name, info.storage))
+        from repro.core.store import setting
         applied = {}
         for key, value in stmt.options.items():
-            if key == "read_factor":
-                factor = int(value)
-                if factor < 1:
-                    raise AnalysisError("read_factor must be >= 1")
-                handler.read_factor = factor
-                for shard in handler.shards:
-                    shard.read_factor = factor
-                info.properties["dualtable.read_factor"] = factor
-            elif key == "mode":
-                mode = str(value).lower()
-                if mode not in ("cost", "edit", "overwrite"):
-                    raise AnalysisError(
-                        "bad dualtable mode %r (cost/edit/overwrite)"
-                        % (value,))
-                handler.mode = mode
-                for shard in handler.shards:
-                    shard.mode = mode
-                info.properties["dualtable.mode"] = mode
-            else:
+            if key not in ("read_factor", "mode"):
                 raise AnalysisError(
                     "unknown DUALTABLE option %r (read_factor, mode)"
                     % (key,))
+            prop = "dualtable." + key
+            parsed = setting({prop: value}, prop)
+            setattr(handler, key, parsed)
+            info.properties[prop] = parsed
             applied[key] = value
         self.cluster.metrics.incr("advisor.alter_dualtable")
         return QueryResult(plan="alter-dualtable",

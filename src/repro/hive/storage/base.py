@@ -80,12 +80,3 @@ class StorageHandler(ABC):
     @abstractmethod
     def row_count(self):
         """Exact or estimated row count (no data read)."""
-
-    # ------------------------------------------------------------------
-    # Convenience.
-    # ------------------------------------------------------------------
-    def read_all_rows(self, projection=None, ranges=None, ctx=None):
-        """Non-MR read of every row (still charged). For tests/tools."""
-        for split in self.scan_splits(projection, ranges):
-            for batch in self.read_split_batches(split, ctx):
-                yield from batch.rows()

@@ -169,16 +169,16 @@ class AutoCompactionDaemon:
             return      # uncharged fast path: nothing to fold
         self._last_decision_clock[name] = cluster.clock.now
         horizon = float(options.get("horizon", 0.0)) or stats.horizon
-        # Decided and run per shard, so a hot shard folds alone.
-        for target in handler.shards:
-            if target._compacting or target.attached.is_empty():
-                continue
-            self._tick_target(session, target, options, horizon)
+        # Decided and run per store, so a hot shard folds alone.
+        for index, target in enumerate(handler.shards):
+            if not target.attached.is_empty():
+                self._tick_target(session, handler, index, options, horizon)
 
-    def _tick_target(self, session, target, options, horizon):
-        """Decide + (maybe) compact one shard."""
+    def _tick_target(self, session, handler, index, options, horizon):
+        """Decide + (maybe) compact one store."""
         cluster = session.cluster
-        name = target.table.name
+        target = handler.shards[index]
+        name = target.name
         with cluster.tracer.span("phase", "autocompact:decide",
                                  table=name) as span:
             with cluster.cost_scope("maintenance") as scope:
@@ -210,18 +210,18 @@ class AutoCompactionDaemon:
                 observed_s=decision_seconds,
                 clock=cluster.clock.now, note=decision.note))
             return
-        self._execute(session, name, target, decision)
+        self._execute(session, name, handler, index, decision)
 
-    def _execute(self, session, name, handler, decision):
+    def _execute(self, session, name, handler, index, decision):
         cluster = session.cluster
         folded_bytes = sum(f.delta_bytes for f in decision.files
                            if f.delta_bytes > 0)
         if decision.action == "full":
-            result = handler.execute_compact(session, major=True)
+            result = handler.execute_compact(session, store=index)
         else:
             result = handler.execute_compact(
                 session, partial=True,
-                victim_paths=[f.path for f in decision.files])
+                victim_paths=[f.path for f in decision.files], store=index)
         observed = result.sim_seconds
         predicted = decision.predicted_seconds
         rel_error = (abs(predicted - observed) / observed

@@ -22,7 +22,7 @@ from repro.common.rng import make_rng
 
 def build_ledger_server(accounts=64, seed=0, concurrency=4,
                         max_queue=1_000_000, timeout_s=None,
-                        rows_per_file=16, num_workers=3):
+                        rows_per_file=16, nodes=3):
     """A server over a fresh DualTable ledger of ``accounts`` rows.
 
     ``max_queue`` defaults to effectively-unbounded because the
@@ -34,7 +34,7 @@ def build_ledger_server(accounts=64, seed=0, concurrency=4,
     from repro.server.server import DualTableServer
 
     engine = HiveSession(profile=ClusterProfile.laptop(
-        num_workers=num_workers))
+        nodes=nodes))
     # mode=edit pins the plan the cost model would pick at production
     # scale for single-row updates; on a simulation-sized table the
     # OVERWRITE plan would win on raw cost and serialize everything

@@ -7,8 +7,9 @@ owning-shard LOOKUP routing, and a deterministic shard rebalance
 committed by the manifest 2PC (:mod:`repro.core.manifest`).
 """
 
+from repro.shard.shardmap import ShardMap
 from repro.shard.sharded import (NUM_BUCKETS, SHARD_COLUMNS,
-                                 ShardedDualTableHandler, ShardMap)
+                                 ShardedDualTableHandler)
 
 __all__ = ["NUM_BUCKETS", "SHARD_COLUMNS", "ShardMap",
            "ShardedDualTableHandler"]

@@ -21,4 +21,4 @@ def session():
 @pytest.fixture
 def multi_node_cluster():
     """A cluster with several datanodes (for replication tests)."""
-    return Cluster(ClusterProfile(name="test-multi", num_workers=5))
+    return Cluster(ClusterProfile(name="test-multi", nodes=5))

@@ -24,8 +24,7 @@ def union_read_rows(handler, split, stats=None):
     counts what ``read_split_batches`` does for the split, so a scan
     built on it is ledger-comparable with the production one."""
     payload = split.payload
-    if "shard" in payload:
-        handler = handler.shards[payload["shard"]]
+    handler = handler.shards[payload.get("shard", 0)]
     file_id, projection = payload["file_id"], payload["projection"]
     with handler.env.cluster.tracer.span(
             "substrate", "union-read:%d" % file_id,

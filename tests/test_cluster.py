@@ -145,42 +145,42 @@ class TestLedger:
 
 class TestProfile:
     def test_slot_totals(self):
-        profile = ClusterProfile(num_workers=9, map_slots_per_node=6,
+        profile = ClusterProfile(nodes=9, map_slots_per_node=6,
                                  reduce_slots_per_node=2)
         assert profile.total_map_slots == 54
         assert profile.total_reduce_slots == 18
 
     def test_per_slot_rate(self):
-        profile = ClusterProfile(num_workers=2, map_slots_per_node=5)
+        profile = ClusterProfile(nodes=2, map_slots_per_node=5)
         assert profile.per_slot_rate(100.0) == 10.0
 
     def test_factories(self):
-        assert ClusterProfile.paper_grid_cluster().num_workers == 25
-        assert ClusterProfile.paper_tpch_cluster().num_workers == 9
-        assert ClusterProfile.laptop().num_workers == 1
+        assert ClusterProfile.paper_grid_cluster().nodes == 25
+        assert ClusterProfile.paper_tpch_cluster().nodes == 9
+        assert ClusterProfile.laptop().nodes == 1
 
     def test_factory_overrides(self):
-        profile = ClusterProfile.paper_grid_cluster(num_workers=3)
-        assert profile.num_workers == 3
+        profile = ClusterProfile.paper_grid_cluster(nodes=3)
+        assert profile.nodes == 3
 
 
 class TestClusterCharging:
     def test_hdfs_read_rate(self):
-        profile = ClusterProfile(num_workers=1, map_slots_per_node=1,
+        profile = ClusterProfile(nodes=1, map_slots_per_node=1,
                                  hdfs_read_bps=100 * MB)
         cluster = Cluster(profile)
         charge = cluster.charge_hdfs_read(100 * MB)
         assert charge.seconds == pytest.approx(1.0)
 
     def test_hdfs_per_slot_division(self):
-        profile = ClusterProfile(num_workers=2, map_slots_per_node=5,
+        profile = ClusterProfile(nodes=2, map_slots_per_node=5,
                                  hdfs_read_bps=100 * MB)
         cluster = Cluster(profile)
         charge = cluster.charge_hdfs_read(10 * MB)
         assert charge.seconds == pytest.approx(1.0)   # 10 slots share
 
     def test_hbase_uses_aggregate_rate(self):
-        profile = ClusterProfile(num_workers=4, map_slots_per_node=6,
+        profile = ClusterProfile(nodes=4, map_slots_per_node=6,
                                  hbase_write_bps=100 * MB,
                                  hbase_op_latency_s=0.0)
         cluster = Cluster(profile)
@@ -188,7 +188,7 @@ class TestClusterCharging:
         assert charge.seconds == pytest.approx(1.0)
 
     def test_byte_scale_multiplies_time_not_bytes(self):
-        profile = ClusterProfile(num_workers=1, map_slots_per_node=1,
+        profile = ClusterProfile(nodes=1, map_slots_per_node=1,
                                  hdfs_read_bps=100 * MB, byte_scale=10.0)
         cluster = Cluster(profile)
         charge = cluster.charge_hdfs_read(100 * MB)

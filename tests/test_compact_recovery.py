@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.common.errors import FaultInjectedError, ReproError
-from repro.core.handler import FULL_COMPACT, PARTIAL_COMPACT
+from repro.core.store import FULL_COMPACT, PARTIAL_COMPACT
 from repro.faults import Fault, FaultPlan
 from repro.shard.sharded import rebalance_kind
 

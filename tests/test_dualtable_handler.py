@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import ClusterProfile
-from repro.common.errors import CompactionInProgressError, TaskFailedError
+from repro.common.errors import (CompactionInProgressError, DualTableError,
+                                 TaskFailedError)
 from repro.core.record_id import encode_record_id
 from repro.hive import HiveSession
 
@@ -331,3 +332,67 @@ class TestCostModelIntegration:
         history = handler.metadata.ratio_history("dt")
         assert len(history) == 1
         assert history[0] == pytest.approx(0.1, abs=0.05)
+
+
+class TestTableProperties:
+    """DualTable properties are parsed once, at CREATE, into typed errors."""
+
+    @pytest.mark.parametrize("sharding", ["", " SHARDED BY (k) INTO 4"])
+    @pytest.mark.parametrize("key, value", [
+        ("orc.rows_per_file", "-5"),      # lost every inserted row
+        ("orc.rows_per_file", "0"),       # builtin ValueError at INSERT
+        ("orc.stripe_rows", "0"),         # OrcError at the first INSERT
+        ("dualtable.read_factor", "x"),   # builtin ValueError at CREATE
+        ("dualtable.read_factor", "-3"),  # accepted; ALTER refuses 0
+        ("dualtable.lookup.max_rows", "abc"),
+        ("dualtable.attached", "foo"),    # builtin ValueError at CREATE
+        ("dualtable.mode", "sometimes"),
+    ])
+    def test_bad_value_is_rejected_at_create(self, session, key, value,
+                                             sharding):
+        with pytest.raises(DualTableError, match=key.replace(".", r"\.")):
+            session.execute(
+                "CREATE TABLE t (k int, v int) STORED AS DUALTABLE%s "
+                "TBLPROPERTIES ('%s' = '%s')" % (sharding, key, value))
+        assert not session.metastore.has_table("t")
+        session.execute("CREATE TABLE t (k int, v int) STORED AS DUALTABLE")
+        session.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        assert session.execute("SELECT * FROM t ORDER BY k").rows \
+            == [(1, 10), (2, 20)]
+
+    @pytest.mark.parametrize("value", [0, "x", 2.5])
+    def test_alter_read_factor_uses_the_same_check(self, session, value):
+        make_dualtable(session)
+        with pytest.raises(DualTableError, match="read_factor"):
+            session.execute("ALTER TABLE dt SET DUALTABLE (read_factor = %r)"
+                            % (value,))
+        assert session.table("dt").handler.read_factor == 1
+
+    @pytest.mark.parametrize("sharding", ["", " SHARDED BY (id) INTO 4"])
+    def test_alter_read_factor_reaches_the_planner(self, sharding):
+        """``ALTER ... (read_factor = 5)`` prices the next UPDATE exactly
+        like a table created with ``'dualtable.read_factor' = '5'``."""
+        def costs(properties, alter=None):
+            session = HiveSession(profile=ClusterProfile.laptop(
+                byte_scale=50_000.0))
+            session.execute(
+                "CREATE TABLE dt (id int, day string, amount double, "
+                "tag string) STORED AS DUALTABLE%s TBLPROPERTIES ("
+                "'orc.rows_per_file' = '50', 'orc.stripe_rows' = '10'%s)"
+                % (sharding, properties))
+            session.load_rows("dt", [(i, "d%d" % (i % 20), float(i),
+                                      "t%d" % (i % 3)) for i in range(200)])
+            if alter:
+                session.execute("ALTER TABLE dt SET DUALTABLE (%s)" % alter)
+            info = session.metastore.table("dt")
+            plan = session.execute(
+                "EXPLAIN UPDATE dt SET tag = 'x' WHERE id < 40").rows
+            cost = [line for (line,) in plan if " cost: " in line
+                    or "successive reads" in line]
+            return cost, info.properties.get("dualtable.read_factor")
+
+        created = costs(", 'dualtable.read_factor' = '5'")
+        altered = costs("", alter="read_factor = 5")
+        assert altered == (created[0], 5)
+        assert created[0] != costs("")[0]
+        assert created[0][-1].endswith("successive reads (k): 5")

@@ -120,7 +120,7 @@ class TestPointRegistry:
     ``repro.core``) and must agree with them."""
 
     def test_every_declared_2pc_step_is_a_registered_point(self):
-        from repro.core.handler import FULL_COMPACT, PARTIAL_COMPACT
+        from repro.core.store import FULL_COMPACT, PARTIAL_COMPACT
         from repro.faults.chaos import SHARD_CHAOS_POINTS
         from repro.shard.sharded import rebalance_kind
 

@@ -11,7 +11,7 @@ from repro.hdfs import HdfsFileSystem
 
 @pytest.fixture
 def fs():
-    cluster = Cluster(ClusterProfile(name="t", num_workers=5))
+    cluster = Cluster(ClusterProfile(name="t", nodes=5))
     return HdfsFileSystem(cluster, num_datanodes=5, replication=3)
 
 
@@ -120,7 +120,7 @@ class TestWriteOnce:
 
 class TestBlocks:
     def test_large_file_splits_into_blocks(self):
-        cluster = Cluster(ClusterProfile(name="t", num_workers=3,
+        cluster = Cluster(ClusterProfile(name="t", nodes=3,
                                          hdfs_block_size=1024))
         fs = HdfsFileSystem(cluster, num_datanodes=3)
         data = bytes(range(256)) * 20     # 5120 bytes = 5 blocks
@@ -136,7 +136,7 @@ class TestBlocks:
             assert len(block.replicas) == 3
 
     def test_replication_capped_by_live_nodes(self):
-        cluster = Cluster(ClusterProfile(name="t", num_workers=2))
+        cluster = Cluster(ClusterProfile(name="t", nodes=2))
         fs = HdfsFileSystem(cluster, num_datanodes=2, replication=3)
         fs.write_file("/f", b"x")
         block = fs.namenode.lookup("/f").blocks[0]

@@ -188,7 +188,7 @@ class TestCostShape:
                               ("dualtable",
                                props % ", 'dualtable.mode' = 'edit'")):
             session = HiveSession(profile=ClusterProfile(
-                name="t", num_workers=2, byte_scale=200_000.0,
+                name="t", nodes=2, byte_scale=200_000.0,
                 op_scale=200_000.0))
             make_table(session, storage, mode)
             result = session.execute(

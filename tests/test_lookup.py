@@ -619,13 +619,13 @@ class TestStripeIndexCache:
         from repro.core.lookup import stripe_index
         session = build_session()
         handler = session.table("t").handler
-        first = stripe_index(handler, hit_faults=False)
+        first = stripe_index(handler.shards[0], hit_faults=False)
         cache = session.cluster.delta_cache
         path = handler.master.file_paths()[0]
         key = (handler.attached.name, "stripe-index", path,
                session.fs.file_size(path))
         assert key in cache
-        assert stripe_index(handler, hit_faults=False) == first
+        assert stripe_index(handler.shards[0], hit_faults=False) == first
 
     def test_zero_budget_disables_index_cache(self):
         session = HiveSession(profile=ClusterProfile.laptop(

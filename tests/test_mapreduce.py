@@ -214,7 +214,7 @@ class TestTiming:
 
     def test_hbase_time_serialized_not_parallelized(self):
         """HBase charges add to the job serially (shared region servers)."""
-        profile = ClusterProfile(name="t", num_workers=4,
+        profile = ClusterProfile(name="t", nodes=4,
                                  map_slots_per_node=6,
                                  job_startup_s=0.0, task_overhead_s=0.0,
                                  hbase_write_bps=1024 * 1024,
@@ -230,7 +230,7 @@ class TestTiming:
         assert result.sim_seconds == pytest.approx(8.0, abs=0.2)
 
     def test_hdfs_time_parallelized_over_slots(self):
-        profile = ClusterProfile(name="t", num_workers=4,
+        profile = ClusterProfile(name="t", nodes=4,
                                  map_slots_per_node=2,
                                  job_startup_s=0.0, task_overhead_s=0.0,
                                  hdfs_read_bps=8 * 1024 * 1024)

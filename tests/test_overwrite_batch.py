@@ -26,7 +26,7 @@ from repro.hive.expressions import Env, compile_expr, is_true
 from repro.hive.pushdown import extract_ranges
 from repro.hive.session import QueryResult
 from repro.mapreduce import Job
-from repro.shard.sharded import ShardedDualTableHandler, ShardMap
+from repro.shard.sharded import ShardMap, _ShardRouter
 
 from tests.delta_reference import union_read_rows
 from tests.golden import digest, golden
@@ -99,10 +99,10 @@ def reference_rewrite(self, info, edit, extra_detail=None):
 
 
 def reference_rows_by_bucket(self, rows):
-    key_idx = self.schema.index_of(self.shard_key)
     buckets = {}
     for row in rows:
-        buckets.setdefault(ShardMap.bucket_of(row[key_idx]), []).append(row)
+        buckets.setdefault(ShardMap.bucket_of(row[self.key_index]),
+                           []).append(row)
     return buckets
 
 
@@ -113,7 +113,7 @@ def rewrite_path(reference):
         return
     with mock.patch.object(HiveSession, "_rewrite_via_overwrite",
                            reference_rewrite), \
-            mock.patch.object(ShardedDualTableHandler, "_rows_by_bucket",
+            mock.patch.object(_ShardRouter, "buckets",
                               reference_rows_by_bucket):
         yield
 
@@ -304,9 +304,19 @@ def test_shard_key_update_moves_rows_between_buckets():
     handler = session.table("t").handler
     before = {ShardMap.bucket_of(k) for k in range(40)}
     session.execute("UPDATE t SET k = k + 1000 WHERE k < 40")
-    for bucket, rows in handler._rows_by_bucket(
+    for bucket, rows in handler.router.buckets(
             session.execute("SELECT * FROM t").rows).items():
         assert all(ShardMap.bucket_of(row[0]) == bucket for row in rows)
     assert {ShardMap.bucket_of(k + 1000) for k in range(40)} != before
     assert session.execute("SELECT count(*) FROM t WHERE k >= 1000") \
         .scalar() == 40
+    # The ALTER reached the planner of a sharded and of a plain table: a
+    # keyed write the 'edit' mode ran by key now rewrites.
+    for kind, session in (("sharded", session),
+                          ("dualtable", make_session("dualtable", 1, None))):
+        if kind == "dualtable":
+            session.execute("ALTER TABLE t SET DUALTABLE (mode = 'overwrite')")
+        assert session.metastore.table("t").properties["dualtable.mode"] \
+            == "overwrite"
+        result = session.execute("UPDATE t SET v = 0 WHERE k = 45")
+        assert (result.plan, result.affected) == ("update-overwrite", 1)

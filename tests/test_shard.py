@@ -586,12 +586,14 @@ class TestPlanningOverShards:
             shard.master.data_bytes() for shard in handler.shards)
         assert handler.attached.size_bytes == sum(
             shard.attached.size_bytes for shard in handler.shards) > 0
-        assert [shard.table.name for shard in handler.shards] \
+        assert [shard.name for shard in handler.shards] \
             == ["t__s%d" % index for index in range(4)]
         session = HiveSession(profile=ClusterProfile.laptop())
         session.execute("CREATE TABLE p (k int, v int) STORED AS dualtable")
         plain = handler_of(session, "p")
-        assert plain.shards == (plain,)
+        assert [shard.name for shard in plain.shards] == ["p"]
+        assert (plain.master, plain.attached) \
+            == (plain.shards[0].master, plain.shards[0].attached)
 
     @pytest.mark.parametrize("shards", [1, 4, 8])
     def test_planner_figures_are_pinned(self, shards):

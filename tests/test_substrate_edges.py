@@ -12,7 +12,7 @@ from repro.orc import OrcReader, OrcWriter, write_orc
 
 @pytest.fixture
 def cluster():
-    return Cluster(ClusterProfile(name="edge", num_workers=3))
+    return Cluster(ClusterProfile(name="edge", nodes=3))
 
 
 class TestHdfsEdges:

@@ -155,7 +155,7 @@ class TestRetry:
 class TestSpeculation:
     @staticmethod
     def _profile(**overrides):
-        params = dict(name="t", num_workers=1, map_slots_per_node=8,
+        params = dict(name="t", nodes=1, map_slots_per_node=8,
                       job_startup_s=0.0, task_overhead_s=0.0,
                       hdfs_read_bps=8 * 1024 * 1024)
         params.update(overrides)

@@ -18,7 +18,9 @@ STALE = {
     "repro.shard.sharded:ShardedDualTableHandler._edit_update",
     "repro.shard.sharded:ShardedDualTableHandler._edit_delete",
     "repro.shard.sharded:ShardedDualTableHandler._commit_edit_batch",
-    "repro.shard.sharded:_ShardRouter.*",
+    # the store reads its own files now; the time stays in
+    # ``DualTableHandler.read_split_batches``, the same layer.
+    "repro.core.handler:DualTableHandler._prepare_union_read",
 }
 
 
