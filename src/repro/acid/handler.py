@@ -18,7 +18,7 @@ into a new base.
 """
 
 from repro.mapreduce import InputSplit, Job
-from repro.orc import OrcReader, OrcWriter
+from repro.orc import OrcReader, write_orc
 from repro.hive.catalog import register_handler
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
@@ -102,13 +102,11 @@ class AcidHandler(StorageHandler):
             chunk = rows[start:start + self.rows_per_file]
             if not chunk and start > 0:
                 break
-            writer = OrcWriter(orc_schema, stripe_rows=self.stripe_rows,
-                               metadata={"acid.base_file":
-                                         self._next_base_file})
-            writer.write_rows(chunk)
             path = "%s/base-%05d.orc" % (self.base_dir,
                                          self._next_base_file)
-            self.fs.write_file(path, writer.finish())
+            self.fs.write_file(path, write_orc(
+                orc_schema, chunk, self.stripe_rows,
+                {"acid.base_file": self._next_base_file}))
             self._next_base_file += 1
 
     def _write_delta(self, records):
@@ -116,13 +114,11 @@ class AcidHandler(StorageHandler):
         directory = "%s/delta_%06d" % (self.location, self._next_delta)
         self._next_delta += 1
         self.fs.mkdirs(directory)
-        writer = OrcWriter(self._delta_schema(),
-                           stripe_rows=self.stripe_rows)
         null_row = (None,) * len(self.schema)
-        for rid, op, row in records:
-            writer.write_row((rid, op) + (row if row is not None
-                                          else null_row))
-        self.fs.write_file(directory + "/delta.orc", writer.finish())
+        rows = [(rid, op) + (row if row is not None else null_row)
+                for rid, op, row in records]
+        self.fs.write_file(directory + "/delta.orc", write_orc(
+            self._delta_schema(), rows, self.stripe_rows))
         return directory
 
     # ------------------------------------------------------------------

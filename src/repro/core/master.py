@@ -13,7 +13,7 @@ row-group index (:mod:`repro.core.lookup`) has narrow ranges to prune by.
 
 from operator import itemgetter
 
-from repro.orc import OrcReader, OrcWriter
+from repro.orc import OrcReader, write_orc
 
 FILE_ID_KEY = "dualtable.file_id"
 
@@ -66,11 +66,9 @@ class MasterTable:
                   for i in range(0, len(rows), self.rows_per_file)] or [[]]
         for chunk in chunks:
             file_id = self.metadata.next_file_id(self.table_name)
-            writer = OrcWriter(orc_schema, stripe_rows=self.stripe_rows,
-                               metadata={FILE_ID_KEY: file_id})
-            writer.write_rows(chunk)
             path = "%s/part-%08d.orc" % (directory, file_id)
-            self.fs.write_file(path, writer.finish())
+            self.fs.write_file(path, write_orc(
+                orc_schema, chunk, self.stripe_rows, {FILE_ID_KEY: file_id}))
             paths.append(path)
         return paths
 

@@ -7,7 +7,7 @@ mutation: the session lowers UPDATE/DELETE to a full INSERT OVERWRITE
 """
 
 from repro.mapreduce import InputSplit
-from repro.orc import OrcReader, OrcWriter
+from repro.orc import OrcReader, write_orc
 from repro.hive.pushdown import make_stripe_filter
 from repro.hive.storage.base import StorageHandler
 
@@ -77,11 +77,9 @@ class OrcHdfsHandler(StorageHandler):
                 break
             index = start_index + chunk_no
             metadata = metadata_fn(index) if metadata_fn else {}
-            writer = OrcWriter(orc_schema, stripe_rows=self.stripe_rows,
-                               metadata=metadata)
-            writer.write_rows(chunk)
             path = "%s/part-%05d.orc" % (directory, index)
-            self.fs.write_file(path, writer.finish())
+            self.fs.write_file(path, write_orc(
+                orc_schema, chunk, self.stripe_rows, metadata))
             paths.append(path)
         return paths
 

@@ -17,7 +17,7 @@ table or partition level".  This handler implements that layout:
 
 from repro.common.errors import AnalysisError, HiveError
 from repro.mapreduce import InputSplit
-from repro.orc import OrcReader, OrcWriter
+from repro.orc import OrcReader, write_orc
 from repro.hive.pushdown import make_stripe_filter
 from repro.hive.storage.base import StorageHandler
 
@@ -170,10 +170,9 @@ class PartitionedOrcHandler(StorageHandler):
             chunk = data_rows[begin:begin + self.rows_per_file]
             if not chunk and chunk_no > 0:
                 break
-            writer = OrcWriter(orc_schema, stripe_rows=self.stripe_rows)
-            writer.write_rows(chunk)
             path = "%s/part-%05d.orc" % (directory, start + chunk_no)
-            self.fs.write_file(path, writer.finish())
+            self.fs.write_file(path, write_orc(orc_schema, chunk,
+                                               self.stripe_rows))
 
     def replace_partitions(self, rows, partition_keys):
         """Rewrite exactly ``partition_keys`` with the given rows.

@@ -15,11 +15,11 @@ predicate pushdown in the reader.
 
 import hashlib
 import json
+import marshal
 import struct
 import threading
 from collections import OrderedDict
-from itertools import islice, repeat
-from operator import is_not
+from itertools import islice
 
 from repro.common.errors import OrcError
 from repro.orc.encodings import ENCODERS, non_null_values
@@ -29,10 +29,8 @@ DEFAULT_STRIPE_ROWS = 5000
 
 _VALID_KINDS = ("int", "double", "string", "boolean")
 
-MEMO_BYTES = 8 << 20          # encode memo's stream bytes; LRU beyond
+MEMO_BYTES = 8 << 20          # file memo's stored file bytes; LRU beyond
 _SEEN_LIMIT = 1 << 14         # first-sighting marks before starting over
-_EXACT = {"int": (int, "q"), "double": (float, "d"), "string": (str, "q"),
-          "boolean": (bool, "?")}
 
 
 def _column_stats(kind, count, non_null=(), distinct=()):
@@ -76,13 +74,15 @@ def _merge_stats(kind, a, b):
     return merged
 
 
-class _StreamMemo:
-    """Column content -> ``(stream, stats)``, LRU-bounded by stream bytes.
+class _FileMemo:
+    """File content -> file bytes, LRU-bounded by the bytes stored.
 
-    Admits values exactly of the kind's type or None (the footer prints
-    ``1``, ``true``, ``1.0`` apart) from a second sighting on; NaN-sum
-    columns (``ndv`` counts NaNs by identity) are not stored.  The stats
-    dicts are shared (a file's may be its stripe's): never mutate them."""
+    A file's first sighting only marks ``hash(rows)``; from the second on
+    the key is a digest of its marshalled content, which keeps types,
+    float bits and repeated objects (so NaN identity), and raises
+    ``ValueError`` on non-builtin types, which then bypass the memo.  A
+    NaN-sum column (``ndv`` counts NaNs by identity) is never stored.
+    INTERNALS §15.3 has the details."""
 
     def __init__(self):
         self.used = 0
@@ -90,58 +90,44 @@ class _StreamMemo:
         self._seen = set()
         self._lock = threading.Lock()
 
-    def _key(self, kind, values):
-        """``(kind, rows, digest)``; None when first seen or not admitted."""
-        mark = hash((kind, tuple(values)))
+    def key(self, schema, rows, stripe_rows, metadata):
+        """A digest of the file, or None when first seen or not admitted."""
+        try:
+            mark = hash(rows)
+        except TypeError:                   # a list row, a dict value
+            return None
         if mark not in self._seen:        # a race costs work, never a byte
             if len(self._seen) >= _SEEN_LIMIT:
                 self._seen.clear()
             self._seen.add(mark)
             return None
-        exact, code = _EXACT[kind]                  # type, struct code
-        types = set(map(type, values))
-        if not types <= {exact, type(None)}:
+        try:
+            content = marshal.dumps((schema, stripe_rows, metadata, rows))
+        except ValueError:
             return None
-        non_null = non_null_values(values) if type(None) in types else values
-        # Injective: a tagged NULL map if any NULL, a tag, then the values
-        # (bit-exact: -0.0 != 0.0; a STRING's lengths, then its UTF-8).
-        digest = hashlib.blake2b(digest_size=20)
-        if len(non_null) != len(values):
-            digest.update(b"N" + bytes(map(is_not, values, repeat(None))))
-        digest.update(kind.encode())
-        packed = map(len, non_null) if kind == "string" else non_null
-        digest.update(struct.pack("<%d%s" % (len(non_null), code), *packed))
-        if kind == "string":
-            digest.update("".join(non_null).encode("utf-8", "surrogatepass"))
-        return kind, len(values), digest.digest()
+        return hashlib.blake2b(content, digest_size=20).digest()
 
-    def encode(self, kind, values):
-        """The stream and statistics of one stripe column."""
-        try:    # an unhashable value raises what set() below would raise
-            key = self._key(kind, values)
-        except struct.error:                # an INT past int64
-            key = None
+    def get(self, key):
         with self._lock:
             if key in self._entries:            # a None key never is
                 self._entries.move_to_end(key)
                 return self._entries[key]
-        # One non-NULL pass and one set per column, shared by the
-        # statistics and the encoder's dictionary decision.
-        non_null = non_null_values(values)
-        distinct = set(non_null)
-        stream = ENCODERS[kind](values, non_null, distinct)
-        stats = _column_stats(kind, len(values), non_null, distinct)
-        if key is not None and stats.get("sum") == stats.get("sum"):
-            with self._lock:
-                if key not in self._entries:
-                    self._entries[key] = stream, stats
-                    self.used += len(stream)
-                while self.used > MEMO_BYTES:
-                    self.used -= len(self._entries.popitem(last=False)[1][0])
-        return stream, stats
+        return None
+
+    def put(self, key, data, stripes):
+        sums = [column["stats"].get("sum") for stripe in stripes
+                for column in stripe["columns"]]
+        if key is None or any(total != total for total in sums):
+            return
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = data
+                self.used += len(data)
+            while self.used > MEMO_BYTES:
+                self.used -= len(self._entries.popitem(last=False)[1])
 
 
-_MEMO = _StreamMemo()
+_FILE_MEMO = _FileMemo()
 
 
 class OrcWriter:
@@ -208,7 +194,12 @@ class OrcWriter:
             return
         stripe = {"offset": len(self._body), "num_rows": n, "columns": []}
         for (name, kind), values in zip(self.schema, self._columns):
-            stream, stats = _MEMO.encode(kind, values)
+            # One non-NULL pass and one set per column, shared by the
+            # statistics and the encoder's dictionary decision.
+            non_null = non_null_values(values)
+            distinct = set(non_null)
+            stream = ENCODERS[kind](values, non_null, distinct)
+            stats = _column_stats(kind, len(values), non_null, distinct)
             stripe["columns"].append({"offset": len(self._body),
                                       "length": len(stream), "stats": stats})
             self._body.extend(stream)
@@ -246,7 +237,17 @@ class OrcWriter:
 
 
 def write_orc(schema, rows, stripe_rows=DEFAULT_STRIPE_ROWS, metadata=None):
-    """One-shot helper: serialize ``rows`` and return the file bytes."""
-    writer = OrcWriter(schema, stripe_rows=stripe_rows, metadata=metadata)
-    writer.write_rows(rows)
-    return writer.finish()
+    """Serialize ``rows`` (any iterable) into one file and return its bytes.
+
+    The writer's entry point: every file the system writes comes through
+    here, and a file seen before in this process is returned from a
+    process-wide memo instead of being built again (the same bytes)."""
+    rows = tuple(rows)
+    key = _FILE_MEMO.key(schema, rows, stripe_rows, metadata)
+    data = _FILE_MEMO.get(key)
+    if data is None:
+        writer = OrcWriter(schema, stripe_rows=stripe_rows, metadata=metadata)
+        writer.write_rows(rows)
+        data = writer.finish()
+        _FILE_MEMO.put(key, data, writer._stripes)
+    return data

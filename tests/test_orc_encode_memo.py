@@ -1,17 +1,20 @@
-"""The writer's encode memo: a hit writes the bytes a fresh encode writes.
+"""The writer's file memo: a hit returns the bytes a fresh build writes.
 
-``repro.orc.writer`` keeps one process-wide memo from a stripe column's
-content to its encoded stream and statistics.  A column's first sighting
-only marks it, the second stores it, and every later copy is a hit.  Each
-test below therefore writes a column at least three times and holds every
-write to ``tests/orc_reference.py`` (or, where that oracle is known to be
-wrong, to the first write, which never touches the memo).
+``repro.orc.writer.write_orc`` keeps one process-wide memo from a file's
+content (schema, rows, stripe size, metadata) to its bytes.  A file's
+first sighting only marks it, the second stores it, and every later copy
+is a hit.  Each test below therefore writes a file at least three times
+and holds every write to ``tests/orc_reference.py`` (or, where that
+oracle is known to be wrong, to the first write, which never touches the
+memo).
 """
 
+import enum
 import math
 import random
 import sys
 import threading
+from collections import namedtuple
 
 import pytest
 
@@ -26,9 +29,23 @@ WRITES = 3
 
 @pytest.fixture(autouse=True)
 def fresh_memo(monkeypatch):
-    memo = writer._StreamMemo()
-    monkeypatch.setattr(writer, "_MEMO", memo)
+    memo = writer._FileMemo()
+    monkeypatch.setattr(writer, "_FILE_MEMO", memo)
     return memo
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The bytes of every file ``OrcWriter`` built while the test runs."""
+    files = []
+
+    class CountingWriter(writer.OrcWriter):
+        def finish(self):
+            files.append(super().finish())
+            return files[-1]
+
+    monkeypatch.setattr(writer, "OrcWriter", CountingWriter)
+    return files
 
 
 @pytest.fixture
@@ -84,7 +101,7 @@ def test_booleans_and_null(encoder_calls):
     columns = [[None], [True], [False], [None, True], [True, None],
                [False, None]]
     assert_hits_write_parent_bytes("boolean", columns)
-    # the reverse pass found every column stored
+    # the reverse pass found every file stored
     assert len(encoder_calls) == 2 * len(columns)
 
 
@@ -106,6 +123,30 @@ def test_nan_columns():
     assert_hits_write_parent_bytes(
         "double", [[nan], one_object, two_objects, [nan, 1.0],
                    [math.inf, -math.inf], [-nan, None]])
+
+
+def test_nan_file_is_not_stored(fresh_memo):
+    nan = float("nan")
+    for values in ([nan], [1.0, nan], [math.inf, -math.inf]):
+        assert_hits_write_parent_bytes("double", [values])
+    assert fresh_memo.used == 0 and not fresh_memo._entries
+    assert_hits_write_parent_bytes("double", [[1.0, 2.0]])
+    assert len(fresh_memo._entries) == 1
+
+
+def test_nan_identity_in_a_boolean_column():
+    # No sum, so no NaN-sum veto: the key itself must tell one NaN object
+    # written twice (ndv 1) from two NaN objects (ndv 2).
+    nan = float("nan")
+    columns = [[nan, nan], [float("nan"), float("nan")],
+               [True, nan, nan], [True, float("nan"), float("nan")]]
+    for order in (columns, columns[::-1]):
+        for values in order:
+            expected = reference_write_orc([("c", "boolean")],
+                                           _rows(values))
+            assert _writes("boolean", values) == [expected] * WRITES
+    assert len({reference_write_orc([("c", "boolean")], _rows(values))
+                for values in columns}) == len(columns)
 
 
 def test_int64_edges_and_beyond():
@@ -156,6 +197,81 @@ def test_empty_columns():
         assert_hits_write_parent_bytes(kind, [[]])
 
 
+def test_an_iterator_written_three_times():
+    rows = [(k, "s%d" % (k % 5)) for k in range(50)]
+    schema = [("k", "int"), ("s", "string")]
+    expected = reference_write_orc(schema, rows, stripe_rows=16)
+    for _ in range(WRITES):
+        assert write_orc(schema, iter(rows), stripe_rows=16) == expected
+        assert write_orc(schema, (row for row in rows),
+                         stripe_rows=16) == expected
+
+
+def test_equal_rows_in_another_file_never_share_bytes():
+    rows = [(k, "v%d" % k) for k in range(20)]
+    variants = [
+        ([("k", "int"), ("v", "string")], 5000, None),
+        ([("k", "int"), ("v", "string")], 5000, {"file_id": 1}),
+        ([("k", "int"), ("v", "string")], 5000, {"file_id": 2}),
+        ([("k", "int"), ("v", "string")], 7, {"file_id": 1}),
+        ([("key", "int"), ("v", "string")], 5000, {"file_id": 1}),
+    ]
+    expected = [reference_write_orc(schema, rows, stripe_rows=stripe_rows,
+                                    metadata=metadata)
+                for schema, stripe_rows, metadata in variants]
+    assert len(set(expected)) == len(variants)
+    for _ in range(WRITES):
+        for (schema, stripe_rows, metadata), want in zip(variants,
+                                                         expected):
+            assert write_orc(schema, rows, stripe_rows=stripe_rows,
+                             metadata=metadata) == want
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
+    pass
+
+
+Pair = namedtuple("Pair", "k s")
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, "a"], [2, "b"]],                          # list rows
+    [(Level.LOW, "a"), (Level.HIGH, "b")],         # IntEnum values
+    [(1, Tag("a")), (2, Tag("b"))],                # str-subclass values
+    [Pair(1, "a"), Pair(2, "b")],                  # tuple-subclass rows
+    [(1, "a"), [2, "b"]],                          # a list row among tuples
+])
+def test_non_builtin_rows_write_todays_bytes_every_time(rows, fresh_memo):
+    schema = [("k", "int"), ("s", "string")]
+    expected = reference_write_orc(schema, rows)
+    for _ in range(WRITES):
+        assert write_orc(schema, rows) == expected
+    assert not fresh_memo._entries
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, "a"], [2]],                               # list rows, bad arity
+    [(Level.LOW, ["a"])],                          # unhashable value
+    [(Level.LOW, 1.5)],                            # a float in the STRING
+    [(1.5, Tag("a"))],                             # a float in the INT
+])
+def test_non_builtin_rows_raise_todays_error_every_time(rows):
+    schema = [("k", "int"), ("s", "string")]
+    with pytest.raises(Exception) as today:
+        builder = writer.OrcWriter(schema)       # no memo on this path
+        builder.write_rows(rows)
+        builder.finish()
+    for _ in range(WRITES):
+        with pytest.raises(today.type) as err:
+            write_orc(schema, rows)
+        assert str(err.value) == str(today.value)
+
+
 def test_multi_stripe_file_with_repeated_stripes():
     rows = [(k % 4, "g%d" % (k % 3), k / 8.0, k % 2 == 0)
             for k in range(40)] * 3
@@ -176,11 +292,10 @@ def test_stored_bytes_stay_under_the_bound(monkeypatch, fresh_memo):
                for _ in range(40)]
     for values in columns:
         _writes("int", values)
-        stored = [len(stream) for stream, _ in
-                  fresh_memo._entries.values()]
+        stored = list(map(len, fresh_memo._entries.values()))
         assert fresh_memo.used == sum(stored) <= writer.MEMO_BYTES
     assert 0 < len(fresh_memo._entries) < len(columns)
-    # an evicted column encodes afresh, to the same bytes
+    # an evicted file is built afresh, to the same bytes
     assert_hits_write_parent_bytes("int", columns[:3])
 
 
@@ -217,21 +332,31 @@ def test_four_threads_write_identical_bytes(fresh_memo):
     assert not any(thread.is_alive() for thread in threads)
     for out in results:
         assert out == [expected] * 15
-    # a column two threads stored at once is counted once
-    assert fresh_memo.used == sum(
-        len(stream) for stream, _ in fresh_memo._entries.values())
+    # a file two threads stored at once is counted once (a racing
+    # reference can change its marshalled key: a second entry, same bytes)
+    assert set(fresh_memo._entries.values()) == set(expected)
+    assert fresh_memo.used == sum(map(len, fresh_memo._entries.values()))
 
 
 # ----------------------------------------------------------------------
 # The gain, as a count.
 # ----------------------------------------------------------------------
-def test_fig5_encodes_each_distinct_column_at_most_twice(monkeypatch,
-                                                         encoder_calls):
+def test_fig5_builds_each_distinct_file_at_most_twice(monkeypatch, built,
+                                                      fresh_memo):
     # The sweep resets the system before every data point, so the same
-    # rows are loaded again and again (51 168 encoder calls without the
-    # memo, 1 204 distinct columns).
+    # rows are loaded into the same file IDs again and again (984 files
+    # written, 102 distinct).
+    calls = []
+    get = fresh_memo.get
+
+    def counted(key):
+        calls.append(key)
+        return get(key)
+
+    monkeypatch.setattr(fresh_memo, "get", counted)
     monkeypatch.setattr(experiments, "_SWEEP_CACHE", {})
     experiments.fig5("tiny")
-    distinct = set(encoder_calls)
-    assert len(distinct) > 1000
-    assert len(encoder_calls) <= 2 * len(distinct)
+    distinct = set(built)
+    assert len(distinct) > 100
+    assert len(built) <= 2 * len(distinct)
+    assert len(calls) > 8 * len(distinct)
