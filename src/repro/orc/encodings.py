@@ -14,7 +14,10 @@ The byte layout is written down in docs/INTERNALS.md ("ORC stream layout
 and codec kernels").  Every function here works on a whole column with
 C-level bulk operations (``bytes``, ``map``, ``struct``, ``str.join``)
 and drops to a per-value loop only for the inputs a fast path cannot
-express; which path runs never changes the bytes.  The per-value codec
+express; which path runs never changes the bytes.  An int body of
+mostly 1- and 2-byte varints decodes in 16-bit lanes of one Python int
+(:func:`_lane_zigzags`, INTERNALS §15.2); short, all-ASCII or
+wide-varint bodies go through the byte loop.  The per-value codec
 these kernels replaced lives on as the oracle in
 ``tests/orc_reference.py``.
 
@@ -52,10 +55,6 @@ def _zigzag(n):
     return n << 1 if n >= 0 else (-n << 1) - 1
 
 
-def _unzigzag(z):
-    return z >> 1 if not z & 1 else -((z + 1) >> 1)
-
-
 def _varints(values):
     """Concatenated varints of non-negative ``values``."""
     if not values or max(values) < 128:
@@ -85,7 +84,7 @@ def read_varint(data, pos):
 def _read_varints(data):
     """Every varint in ``data`` (a truncated last one is dropped; the
     reader's row-count check is what catches a short stream)."""
-    if not data or max(data) < 128:
+    if data.isascii():
         return list(data)
     out = []
     append = out.append
@@ -102,6 +101,94 @@ def _read_varints(data):
                 break
             result |= (byte & 127) << shift
             shift += 7
+    return out
+
+
+#: byte -> 1 if it ends a varint (high bit clear), else 0.
+_ENDS = bytes(byte < 128 for byte in range(256))
+#: the lane kernel runs on bodies of at least this many bytes ...
+_LANE_MIN_BYTES = 96
+#: ... holding at most one varint of 3+ bytes per this many bytes.
+_LANE_BYTES_PER_WIDE = 16
+#: lane masks by (lane pattern, lanes), lanes a power of two up to
+#: ``_LANE_MASK_CACHE_MAX``; one entry per pattern and size.
+_LANE_MASKS = {}
+_LANE_MASK_CACHE_MAX = 1 << 16
+
+
+def _lane_mask(pattern, lanes):
+    """An int with the 2-byte ``pattern`` in each of at least ``lanes``
+    16-bit lanes (extra lanes are harmless to an ``&``)."""
+    size = 1 << (lanes - 1).bit_length()
+    mask = _LANE_MASKS.get((pattern, size))
+    if mask is None:
+        mask = int.from_bytes(pattern * size, "little")
+        if size <= _LANE_MASK_CACHE_MAX:
+            _LANE_MASKS[pattern, size] = mask
+    return mask
+
+
+def _read_zigzags(data):
+    """Every varint in ``data``, unzigzagged, as a sequence (a truncated
+    last one is dropped, as by :func:`_read_varints`).  A long body of
+    mostly 1- and 2-byte varints goes through :func:`_lane_zigzags`;
+    anything else through the byte loop."""
+    n = len(data)
+    if n >= _LANE_MIN_BYTES and not data.isascii():
+        ends = data.translate(_ENDS)
+        # A varint of 3+ bytes starts with two continuation bytes.
+        wide = ends.count(b"\x01\x00\x00") + ends.startswith(b"\x00\x00")
+        if wide * _LANE_BYTES_PER_WIDE <= n:
+            return _lane_zigzags(data, ends)
+    return [z >> 1 ^ -(z & 1) for z in _read_varints(data)]
+
+
+def _lane_zigzags(data, ends):
+    """The lane kernel behind :func:`_read_zigzags`; ``ends`` is
+    ``data.translate(_ENDS)``.
+
+    Byte i of ``data`` goes to 16-bit lane i of one int.  The lane where
+    a varint starts gets its two 7-bit groups, low group in the low
+    byte; every other lane becomes 0xFFFF, and deleting the 0xFF bytes
+    leaves one lane per varint (a kept lane's bytes are at most 0x7F).
+    The groups are joined and unzigzagged in place and read as int16.
+    A varint of 3+ bytes comes out wrong but at its index and is
+    decoded again on its own.
+    """
+    last = ends.rfind(1) + 1
+    if last < len(data):                  # a truncated last varint
+        data, ends = data[:last], ends[:last]
+    n = len(data)
+    spread = bytearray(2 * n)
+    spread[0::2] = data
+    cur = int.from_bytes(spread, "little")
+    cont = cur & _lane_mask(b"\x80\x00", n)    # bit 7: more to come
+    lanes = (cur & _lane_mask(b"\x7f\x00", n)
+             # the next byte's group, if this one continues
+             | cur >> 8 & (cont << 8) - (cont << 1)
+             # 0xFFFF where the byte before continues
+             | (cont << 25) - (cont << 9))
+    joined = lanes.to_bytes(2 * n, "little").translate(None, b"\xff")
+    m = len(joined) >> 1
+    y = int.from_bytes(joined, "little")
+    # z = high << 7 | low; lane = z >> 1 ^ -(z & 1), in 16 bits.
+    odd = y & _lane_mask(b"\x01\x00", m)
+    lanes = ((y >> 2 & _lane_mask(b"\xc0\x1f", m)
+              | y >> 1 & _lane_mask(b"\x3f\x00", m))
+             ^ (odd << 16) - odd)
+    out = struct.unpack("<%dh" % m, lanes.to_bytes(2 * m, "little"))
+    at = ends.find(b"\x00\x00")
+    if at < 0:
+        return out
+    out = list(out)
+    index = done = 0
+    while at >= 0:
+        # ``done`` follows a varint's end, so ``at`` starts a varint.
+        index += ends.count(1, done, at)
+        z, done = read_varint(data, at)
+        out[index] = z >> 1 ^ -(z & 1)
+        index += 1
+        at = ends.find(b"\x00\x00", done)
     return out
 
 
@@ -214,24 +301,24 @@ def decode_int_column(data):
     raw = zlib.decompress(data)
     present, n_present, pos = _read_header(raw)
     # Everything after the bitmap is a varint, the run kind included.
-    words = _read_varints(raw[pos:])
+    # They come unzigzagged, so the unsigned ones (segment count, kind,
+    # length) are zigzagged back.
+    words = _read_zigzags(raw[pos:])
     ints = []
     pos = 1
-    for _ in range(words[0]):
-        if words[pos] == 1:
-            run_len, first, delta = words[pos + 1:pos + 4]
+    for _ in range(_zigzag(words[0])):
+        if words[pos] == -1:                        # kind 1: a run
+            run_len = _zigzag(words[pos + 1])
             if run_len > n_present:
                 raise ValueError("run of %d in %d values"
                                  % (run_len, n_present))
-            first, delta = _unzigzag(first), _unzigzag(delta)
+            first, delta = words[pos + 2:pos + 4]
             ints.extend(range(first, first + delta * run_len, delta)
                         if delta else [first] * run_len)
             pos += 4
         else:
-            stop = pos + 2 + words[pos + 1]
-            ints.extend(accumulate(              # _unzigzag, inlined
-                [z >> 1 if not z & 1 else -((z + 1) >> 1)
-                 for z in words[pos + 2:stop]]))
+            stop = pos + 2 + _zigzag(words[pos + 1])
+            ints.extend(accumulate(words[pos + 2:stop]))
             pos = stop
     return _scatter(present, ints)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterProfile
 from repro.hive import HiveSession
+from repro.orc import encodings
 
 
 @pytest.fixture
@@ -22,3 +23,17 @@ def session():
 def multi_node_cluster():
     """A cluster with several datanodes (for replication tests)."""
     return Cluster(ClusterProfile(name="test-multi", nodes=5))
+
+
+@pytest.fixture
+def lane_calls(monkeypatch):
+    """One entry (the body's length) per int body that
+    ``decode_int_column`` hands to its lane kernel."""
+    calls = []
+    lane = encodings._lane_zigzags
+
+    def spy(data, ends):
+        calls.append(len(data))
+        return lane(data, ends)
+    monkeypatch.setattr(encodings, "_lane_zigzags", spy)
+    return calls

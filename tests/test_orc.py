@@ -366,21 +366,29 @@ class TestCorruptStreams:
     """A damaged column stream is a typed error naming where it is,
     never a raw zlib/IndexError and never silently wrong rows."""
 
+    #: name -> (kind, values, stripe_rows).  "long int" is 2-byte
+    #: varints in stripes long enough for the lane kernel of
+    #: ``decode_int_column``; the 40-value columns take the byte loop.
     COLUMNS = {
-        "int": [(i * 2654435761) % 99991 for i in range(40)],
-        "double": [i * 1.5 for i in range(40)],
-        "string": ["unique-value-%d" % i for i in range(40)],
-        "boolean": [i % 3 == 0 for i in range(40)],
+        "int": ("int", [(i * 2654435761) % 99991 for i in range(40)], 25),
+        "long int": ("int", [(i * i * 7919) % 997 for i in range(400)],
+                     250),
+        "double": ("double", [i * 1.5 for i in range(40)], 25),
+        "string": ("string", ["unique-value-%d" % i for i in range(40)], 25),
+        "boolean": ("boolean", [i % 3 == 0 for i in range(40)], 25),
     }
 
-    def _file(self, kind, values):
+    def _file(self, name, values=None):
+        kind, column, stripe_rows = self.COLUMNS[name]
+        if values is None:
+            values = column
         return write_orc([("pad", "int"), ("c", kind)],
                          [(i, v) for i, v in enumerate(values)],
-                         stripe_rows=25)
+                         stripe_rows=stripe_rows)
 
-    @pytest.mark.parametrize("kind", sorted(COLUMNS))
-    def test_flipped_byte(self, kind):
-        data = self._file(kind, self.COLUMNS[kind])
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_flipped_byte(self, name):
+        data = self._file(name)
         for at in (0, 2, -1):
             def flip(stream):
                 damaged = bytearray(stream)
@@ -393,42 +401,55 @@ class TestCorruptStreams:
             assert "'c'" in str(err.value)
 
     @pytest.mark.parametrize("with_nulls", [False, True])
-    @pytest.mark.parametrize("kind", sorted(COLUMNS))
-    def test_truncated_payload_recompressed(self, kind, with_nulls):
-        values = list(self.COLUMNS[kind])
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_truncated_payload_recompressed(self, name, with_nulls,
+                                            lane_calls):
+        values = list(self.COLUMNS[name][1])
         if with_nulls:
             values[3] = values[30] = None
-        data = self._file(kind, values)
+        data = self._file(name, values)
         for cut in (1, 3, 9):
             reader = OrcReader(_replace_last_stream(
                 data, lambda s: zlib.compress(zlib.decompress(s)[:-cut])))
-            with pytest.raises(CorruptOrcFileError):
-                reader.read_all()
-        # the undamaged column of the same stripe still reads
-        assert len(reader.read_all(projection=["pad"])) == 40
-
-    @pytest.mark.parametrize("kind", sorted(COLUMNS))
-    def test_count_differs_from_stripe_rows(self, kind):
-        data = self._file(kind, self.COLUMNS[kind])
-        for n in (0, 14, 16):               # the last stripe has 15 rows
-            reader = OrcReader(_replace_last_stream(
-                data, lambda s: ENCODERS[kind](self.COLUMNS[kind][:n])))
+            del lane_calls[:]
             with pytest.raises(CorruptOrcFileError) as err:
                 reader.read_all()
+            assert "stripe 1" in str(err.value)
+            assert "'c'" in str(err.value)
+            # stripe 0's column and the damaged one
+            assert len(lane_calls) == (2 if name == "long int" else 0)
+        # the undamaged column of the same stripe still reads
+        assert len(reader.read_all(projection=["pad"])) == len(values)
+
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_count_differs_from_stripe_rows(self, name, lane_calls):
+        kind, values, stripe_rows = self.COLUMNS[name]
+        data = self._file(name)
+        rows = len(values) % stripe_rows       # the last stripe's
+        for n in (0, rows - 1, rows + 1):
+            reader = OrcReader(_replace_last_stream(
+                data, lambda s: ENCODERS[kind](values[:n])))
+            del lane_calls[:]
+            with pytest.raises(CorruptOrcFileError) as err:
+                reader.read_all()
+            assert "stripe 1" in str(err.value)
+            assert "'c'" in str(err.value)
             assert "%d values" % n in str(err.value)
-            assert "15 rows" in str(err.value)
+            assert "%d rows" % rows in str(err.value)
+            assert len(lane_calls) == (1 + (n > 0) if name == "long int"
+                                       else 0)
 
     def test_error_names_the_path(self):
         cluster = Cluster(ClusterProfile.laptop())
         fs = HdfsFileSystem(cluster)
-        data = self._file("int", self.COLUMNS["int"])
+        data = self._file("int")
         fs.write_file("/t/bad.orc", _replace_last_stream(
             data, lambda s: s[:-4] + b"\x00\x00\x00\x00"))
         with pytest.raises(CorruptOrcFileError, match="/t/bad.orc"):
             OrcReader(fs, "/t/bad.orc").read_all()
 
     def test_unknown_string_mode_stays_typed(self):
-        data = self._file("string", self.COLUMNS["string"])
+        data = self._file("string")
 
         def bad_mode(stream):
             raw = bytearray(zlib.decompress(stream))

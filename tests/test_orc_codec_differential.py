@@ -14,6 +14,8 @@ below therefore stay inside +-2**62 and ``TestZigzagOverflow`` says so.
 """
 
 import random
+import zlib
+from itertools import accumulate
 
 import pytest
 
@@ -53,7 +55,54 @@ def _int_columns(rng):
         "int64-edges": [rng.choice((0, 1, -1, 2 ** 61, -2 ** 61, big - 1,
                                     -big)) // 2 for _ in range(200)],
         "bools-as-ints": [rng.choice((True, False, 3)) for _ in range(50)],
+        # Shapes for the lane kernel of ``decode_int_column`` and for
+        # both sides of its selection (see TestLaneKernelSelection).
+        "2-byte-literals": [rng.randrange(1000) for _ in range(700)],
+        "2-byte-edge": _two_byte_edge(),
+        "wide-over-1-in-16": [rng.randrange(1000) + (k % 5 == 0) * 2 ** 16
+                              for k in range(600)],
+        "lane-95-bytes": _alternating(46, first=100),
+        "lane-96-bytes": _alternating(47, first=5),
+        "lane-with-nulls": [None if k % 7 == 3 else rng.randrange(1000)
+                            for k in range(800)],
+        **{"%d-byte-varint-at-%s" % (width, where):
+           _one_wide(rng, width, at)
+           for width in (3, 4, 10)
+           for where, at in (("first", 0), ("middle", 300), ("last", 599))},
     }
+
+
+def _alternating(n, first):
+    """``n`` values, deltas +100 and -99 by turns: one literal block of
+    2-byte varints after a ``first`` value encoded against 0."""
+    return list(accumulate([first] + [100, -99] * (n // 2)))[:n]
+
+
+def _two_byte_edge():
+    """One literal block of deltas -8192 and 8191 (the widest 2-byte
+    varints) by turns, every tenth -8193 or 8192 (the narrowest 3-byte
+    ones)."""
+    deltas = [(-8192, 8191)[k % 2] for k in range(400)]
+    deltas[::20] = [-8193] * 20
+    deltas[10::20] = [8192] * 20
+    return list(accumulate(deltas))
+
+
+#: a shift that makes one delta a varint of the given width in bytes.
+_WIDE_SHIFT = {3: 2 ** 15, 4: 2 ** 20 + 1000, 10: -(2 ** 62)}
+
+
+def _one_wide(rng, width, at):
+    """600 values of 2-byte varints but for one ``width``-byte delta at
+    index ``at`` (the values from ``at`` on are shifted, so no other
+    delta is wide; a rare run's first value may be).  Inside +-2**62 a
+    10-byte zigzag needs a delta below -2**62, so that one is never the
+    block's first value, which is encoded against 0: index 0 means 1."""
+    column = [rng.randrange(1000) for _ in range(600)]
+    if width == 10:
+        at = max(at, 1)
+        column[at - 1], column[at] = 999, rng.randrange(999)
+    return column[:at] + [v + _WIDE_SHIFT[width] for v in column[at:]]
 
 
 def _double_columns(rng):
@@ -206,6 +255,95 @@ class TestZigzagOverflow:
         for column in ([2 ** 63 - 1], [-(2 ** 63)],
                        [-(2 ** 62), 2 ** 62 - 1]):      # delta 2**63 - 1
             assert assert_same_codec("int", "edge", column) == column
+
+
+# ----------------------------------------------------------------------
+# The lane kernel of decode_int_column.
+# ----------------------------------------------------------------------
+def _body(column):
+    """The varint body of ``column``'s int stream (after the bitmap)."""
+    raw = zlib.decompress(kernels.encode_int_column(column))
+    return raw[kernels._read_header(raw)[2]:]
+
+
+def _oracle_zigzags(data):
+    """Per value: the oracle's ``read_varint`` and ``_unzigzag``; a
+    truncated last varint is dropped."""
+    out, pos = [], 0
+    while pos < len(data):
+        try:
+            z, pos = oracle.read_varint(data, pos)
+        except IndexError:
+            break
+        out.append(oracle._unzigzag(z))
+    return out
+
+
+LANE = ["runs-of-3", "small", "7-bit-edge", "2-byte-literals", "2-byte-edge",
+        "lane-96-bytes", "lane-with-nulls"] + [
+    "%d-byte-varint-at-%s" % (width, where)
+    for width in (3, 4, 10) for where in ("first", "middle", "last")]
+LOOP = ["sequential", "constant", "runs-of-2", "run-literal-run",
+        "3-byte-varints", "9-byte-varints", "wide-over-1-in-16",
+        "lane-95-bytes"]
+
+
+class TestLaneKernelSelection:
+    """A body of >= 96 bytes, not all ASCII, with at most one varint of
+    3+ bytes per 16 bytes takes the lane kernel; any other the byte
+    loop.  The shapes of ``_int_columns`` sit on both sides."""
+
+    COLUMNS = _int_columns(random.Random(20150413))
+
+    @pytest.mark.parametrize("label", LANE + LOOP)
+    def test_path_and_values(self, label, lane_calls):
+        column = self.COLUMNS[label]
+        assert assert_same_codec("int", label, column) == column
+        assert bool(lane_calls) == (label in LANE)
+
+    def test_shapes_are_what_their_labels_say(self):
+        assert len(_body(self.COLUMNS["lane-95-bytes"])) == 95
+        assert len(_body(self.COLUMNS["lane-96-bytes"])) == 96
+        for width in (3, 4, 10):
+            for where in ("first", "middle", "last"):
+                ends = _body(self.COLUMNS["%d-byte-varint-at-%s"
+                                          % (width, where)]).translate(
+                    kernels._ENDS)
+                # the widest varint is width bytes long
+                assert b"\x00" * (width - 1) + b"\x01" in ends
+                assert b"\x00" * width not in ends
+
+    def test_dirty_scan_stripe_takes_the_lane_kernel(self, lane_calls):
+        """A 1 000-row stripe of perfbench's ``dirty_scan`` value column
+        (uniform in 0..999) must keep its bulk decode."""
+        rng = random.Random(1)
+        column = [rng.randrange(1000) for _ in range(1000)]
+        assert assert_same_codec("int", "dirty_scan", column) == column
+        assert lane_calls == [len(_body(column))]
+
+    @pytest.mark.parametrize("tail", [b"", b"\x80", b"\xff\x80",
+                                      b"\x85\x80\x80"])
+    @pytest.mark.parametrize("label", LANE + LOOP)
+    def test_kernel_matches_per_value_oracle(self, label, tail):
+        """Both paths read every varint of any body, a trailing
+        truncated one dropped, like the oracle."""
+        data = _body(self.COLUMNS[label]) + tail
+        expected = _oracle_zigzags(data)
+        assert list(kernels._read_zigzags(data)) == expected
+        assert list(kernels._lane_zigzags(
+            data, data.translate(kernels._ENDS))) == expected
+
+    def test_kernel_on_random_bodies(self):
+        """Whatever the bytes, the lane kernel reads what the oracle
+        does: continuation runs of any length, at either end."""
+        rng = random.Random(35)
+        for trial in range(300):
+            more = rng.choice((0.1, 0.3, 0.5, 0.9))
+            data = bytes(rng.randrange(128) | (rng.random() < more) * 128
+                         for _ in range(rng.randrange(200)))
+            assert list(kernels._lane_zigzags(
+                data, data.translate(kernels._ENDS))) == _oracle_zigzags(
+                    data), (trial, data)
 
 
 # ----------------------------------------------------------------------
