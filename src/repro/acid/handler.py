@@ -18,7 +18,7 @@ into a new base.
 """
 
 from repro.mapreduce import InputSplit, Job
-from repro.orc import OrcReader, write_orc
+from repro.orc import OrcReader, write_orc_file
 from repro.hive.catalog import register_handler
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
@@ -104,9 +104,9 @@ class AcidHandler(StorageHandler):
                 break
             path = "%s/base-%05d.orc" % (self.base_dir,
                                          self._next_base_file)
-            self.fs.write_file(path, write_orc(
-                orc_schema, chunk, self.stripe_rows,
-                {"acid.base_file": self._next_base_file}))
+            write_orc_file(self.fs, path, orc_schema, chunk,
+                           self.stripe_rows,
+                           {"acid.base_file": self._next_base_file})
             self._next_base_file += 1
 
     def _write_delta(self, records):
@@ -117,8 +117,8 @@ class AcidHandler(StorageHandler):
         null_row = (None,) * len(self.schema)
         rows = [(rid, op) + (row if row is not None else null_row)
                 for rid, op, row in records]
-        self.fs.write_file(directory + "/delta.orc", write_orc(
-            self._delta_schema(), rows, self.stripe_rows))
+        write_orc_file(self.fs, directory + "/delta.orc",
+                       self._delta_schema(), rows, self.stripe_rows)
         return directory
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ row-group index (:mod:`repro.core.lookup`) has narrow ranges to prune by.
 
 from operator import itemgetter
 
-from repro.orc import OrcReader, write_orc
+from repro.orc import OrcReader, write_orc_file
 
 FILE_ID_KEY = "dualtable.file_id"
 
@@ -67,8 +67,8 @@ class MasterTable:
         for chunk in chunks:
             file_id = self.metadata.next_file_id(self.table_name)
             path = "%s/part-%08d.orc" % (directory, file_id)
-            self.fs.write_file(path, write_orc(
-                orc_schema, chunk, self.stripe_rows, {FILE_ID_KEY: file_id}))
+            write_orc_file(self.fs, path, orc_schema, chunk,
+                           self.stripe_rows, {FILE_ID_KEY: file_id})
             paths.append(path)
         return paths
 

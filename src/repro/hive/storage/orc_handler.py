@@ -7,7 +7,7 @@ mutation: the session lowers UPDATE/DELETE to a full INSERT OVERWRITE
 """
 
 from repro.mapreduce import InputSplit
-from repro.orc import OrcReader, write_orc
+from repro.orc import OrcReader, write_orc_file
 from repro.hive.pushdown import make_stripe_filter
 from repro.hive.storage.base import StorageHandler
 
@@ -78,8 +78,8 @@ class OrcHdfsHandler(StorageHandler):
             index = start_index + chunk_no
             metadata = metadata_fn(index) if metadata_fn else {}
             path = "%s/part-%05d.orc" % (directory, index)
-            self.fs.write_file(path, write_orc(
-                orc_schema, chunk, self.stripe_rows, metadata))
+            write_orc_file(self.fs, path, orc_schema, chunk,
+                           self.stripe_rows, metadata)
             paths.append(path)
         return paths
 

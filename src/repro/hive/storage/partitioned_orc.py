@@ -17,7 +17,7 @@ table or partition level".  This handler implements that layout:
 
 from repro.common.errors import AnalysisError, HiveError
 from repro.mapreduce import InputSplit
-from repro.orc import OrcReader, write_orc
+from repro.orc import OrcReader, write_orc_file
 from repro.hive.pushdown import make_stripe_filter
 from repro.hive.storage.base import StorageHandler
 
@@ -171,8 +171,8 @@ class PartitionedOrcHandler(StorageHandler):
             if not chunk and chunk_no > 0:
                 break
             path = "%s/part-%05d.orc" % (directory, start + chunk_no)
-            self.fs.write_file(path, write_orc(orc_schema, chunk,
-                                               self.stripe_rows))
+            write_orc_file(self.fs, path, orc_schema, chunk,
+                           self.stripe_rows)
 
     def replace_partitions(self, rows, partition_keys):
         """Rewrite exactly ``partition_keys`` with the given rows.

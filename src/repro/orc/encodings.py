@@ -373,11 +373,17 @@ def _read_length_prefixed(raw, pos, n):
     return strings, pos
 
 
+def dictionary_encodes(n_strings, n_distinct):
+    """Does a string column of ``n_strings`` non-NULL values,
+    ``n_distinct`` of them distinct, take the dictionary encoding?"""
+    return 0 < n_strings and n_distinct <= max(16, n_strings // 2)
+
+
 def encode_string_column(values, non_null=None, distinct=None):
     strings, header = _split(values, non_null)
     if distinct is None:
         distinct = set(strings)
-    if strings and len(distinct) <= max(16, len(strings) // 2):
+    if dictionary_encodes(len(strings), len(distinct)):
         ordered = sorted(distinct)
         index = dict(zip(ordered, range(len(ordered))))
         indices = map(index.__getitem__, strings)

@@ -21,6 +21,15 @@ produce a stale hit (strict invalidation hooks in the handler are
 belt-and-braces on top).  A decoded column is weighed by the memory it
 pins (:func:`decoded_bytes`), not by its compressed stream: a run-encoded
 column of 100 000 ints is a 48-byte stream and ~4 MB of list and ints.
+
+A miss may be served by the file's *seed* instead of by decoding: the
+footer and rows its writer kept (:func:`repro.orc.writer.write_orc_file`).
+A footer miss takes the seed waiting on the cache when the opened bytes
+equal the written ones, exactly; the seed then lives in the footer
+entry, and a stripe-column miss takes the seed's column when its values
+are exactly what the decoder would return
+(:meth:`repro.orc.writer.OrcSeed.column` says when).  A seeded miss
+charges what a decoded one does and counts as a miss.
 """
 
 import json
@@ -46,6 +55,8 @@ _LIST_BYTES = sys.getsizeof([])
 _VALUE_BYTES = {"int": 32, "double": 24, "boolean": 0}
 #: strings per decoded column that :func:`decoded_bytes` sizes.
 _STRING_SAMPLE = 64
+#: a short ASCII string, as :func:`_seed_bytes` counts each one.
+_SEED_STRING_BYTES = sys.getsizeof("") + 7
 
 
 def decoded_bytes(kind, column):
@@ -64,6 +75,14 @@ def decoded_bytes(kind, column):
     distinct = dict(zip(map(id, sample), sample)).values()
     return (_LIST_BYTES + 8 * n
             + sum(map(sys.getsizeof, distinct)) * n // max(1, len(sample)))
+
+
+def _seed_bytes(schema, num_rows):
+    """Estimated bytes a file's seed pins: each row's tuple, its slot in
+    the rows tuple and its values."""
+    per_row = sys.getsizeof(()) + 8 + sum(
+        8 + _VALUE_BYTES.get(kind, _SEED_STRING_BYTES) for _, kind in schema)
+    return per_row * num_rows
 
 
 class StripeInfo:
@@ -155,6 +174,7 @@ class OrcReader:
         else:
             self._cache = None
             self._cache_key = None
+        self._seed = None
         self._parse_footer()
 
     def _parse_footer(self):
@@ -174,17 +194,26 @@ class OrcReader:
             # cached objects are shared; the charge is identical to the
             # miss path's (same bytes, same rates).
             (self.schema, self.num_rows, self.metadata, self.column_stats,
-             self._column_index, self.stripes) = cached
+             self._column_index, self.stripes, seeded) = cached
+            if seeded is not None and seeded[0] == data:
+                self._seed = seeded[1]
             self._charge(self._footer_bytes)
             return
-        try:
-            footer = json.loads(data[footer_start:footer_start + footer_len])
-        except ValueError as exc:
-            raise CorruptOrcFileError("unparseable footer: %s" % exc) from exc
-        problem = _footer_problem(footer, footer_start)
-        if problem is not None:
-            raise CorruptOrcFileError("malformed footer in %r: %s"
-                                      % (self._path, problem))
+        seed = self._cache.take_seed(key[1:3]) if key is not None else None
+        if seed is not None and seed.data != data:
+            seed = None             # changed since it was written
+        footer = seed.footer() if seed is not None else None
+        if footer is None:
+            try:
+                footer = json.loads(
+                    data[footer_start:footer_start + footer_len])
+            except ValueError as exc:
+                raise CorruptOrcFileError(
+                    "unparseable footer: %s" % exc) from exc
+            problem = _footer_problem(footer, footer_start)
+            if problem is not None:
+                raise CorruptOrcFileError("malformed footer in %r: %s"
+                                          % (self._path, problem))
         self.schema = [tuple(col) for col in footer["schema"]]
         self.num_rows = footer["num_rows"]
         self.metadata = footer["metadata"]
@@ -198,11 +227,19 @@ class OrcReader:
             self.stripes.append(stripe)
         self._charge(self._footer_bytes)
         if key is not None:
+            # The seed moves into the footer entry, with the bytes it
+            # was matched against: it lives and dies with the file's
+            # entries, and a later open uses it only for these bytes.
+            self._seed = seed
+            nbytes = self._footer_bytes
+            if seed is not None:
+                nbytes += _seed_bytes(self.schema, self.num_rows)
             self._cache.put(
                 key,
                 (self.schema, self.num_rows, self.metadata,
-                 self.column_stats, self._column_index, self.stripes),
-                nbytes=self._footer_bytes)
+                 self.column_stats, self._column_index, self.stripes,
+                 None if seed is None else (data, seed)),
+                nbytes=nbytes)
 
     def _charge(self, nbytes):
         if self._fs is not None and nbytes:
@@ -294,34 +331,43 @@ class OrcReader:
     def _decode_stripe_columns(self, stripe, indices):
         out = []
         for idx in indices:
-            meta = stripe.columns[idx]
-            start, length = meta["offset"], meta["length"]
-            self._charge(length)
+            self._charge(stripe.columns[idx]["length"])
             key = (self._cache_key + ("stripe", stripe.index, idx)
                    if self._cache_key else None)
             column = self._cache.get(key) if key is not None else None
             if column is None:
-                stream = self._data[start:start + length]
-                name, kind = self.schema[idx]
-                try:
-                    column = DECODERS[kind](stream)
-                    # The bulk decoders tolerate trailing bytes, so this
-                    # is what keeps a short or long stream from becoming
-                    # silently wrong rows.
-                    if len(column) != stripe.num_rows:
-                        raise ValueError(
-                            "decodes to %d values, stripe has %d rows"
-                            % (len(column), stripe.num_rows))
-                except _DECODE_ERRORS as exc:
-                    raise CorruptOrcFileError(
-                        "corrupt %s stream in %r, stripe %d, column %r: "
-                        "%s: %s" % (kind, self._path, stripe.index, name,
-                                    type(exc).__name__, exc)) from exc
+                kind = self.schema[idx][1]
+                if self._seed is not None:
+                    column = self._seed.column(idx, kind, stripe.first_row,
+                                               stripe.num_rows,
+                                               stripe.stats(idx))
+                if column is None:
+                    column = self._decode(stripe, idx)
                 if key is not None:
                     self._cache.put(key, column,
                                     nbytes=decoded_bytes(kind, column))
             out.append(column)
         return out
+
+    def _decode(self, stripe, idx):
+        """Column ``idx`` of ``stripe``, decoded from its stream."""
+        meta = stripe.columns[idx]
+        stream = self._data[meta["offset"]:meta["offset"] + meta["length"]]
+        name, kind = self.schema[idx]
+        try:
+            column = DECODERS[kind](stream)
+            # The bulk decoders tolerate trailing bytes, so this is what
+            # keeps a short or long stream from becoming silently wrong
+            # rows.
+            if len(column) != stripe.num_rows:
+                raise ValueError("decodes to %d values, stripe has %d rows"
+                                 % (len(column), stripe.num_rows))
+        except _DECODE_ERRORS as exc:
+            raise CorruptOrcFileError(
+                "corrupt %s stream in %r, stripe %d, column %r: %s: %s"
+                % (kind, self._path, stripe.index, name,
+                   type(exc).__name__, exc)) from exc
+        return column
 
     # ------------------------------------------------------------------
     # Size accounting helpers (used by cost estimation).

@@ -11,6 +11,11 @@ here), and per-stripe directory entries: row count plus, for each column,
 the stream's (offset, length, statistics).  Statistics carry count, null
 count, min, max and — for numeric columns — sum, enabling stripe-level
 predicate pushdown in the reader.
+
+:func:`write_orc_file` is how the system writes a file: it also hands
+the file's cluster an :class:`OrcSeed`, the writer's own footer and
+rows, which the file's first cached read takes instead of decoding
+(INTERNALS §6 and §15.3).
 """
 
 import hashlib
@@ -18,11 +23,13 @@ import json
 import marshal
 import struct
 import threading
+import zlib
 from collections import OrderedDict
 from itertools import islice
+from operator import eq, itemgetter
 
 from repro.common.errors import OrcError
-from repro.orc.encodings import ENCODERS, non_null_values
+from repro.orc.encodings import ENCODERS, dictionary_encodes, non_null_values
 
 MAGIC = b"ORCSIM1\x00"
 DEFAULT_STRIPE_ROWS = 5000
@@ -31,6 +38,15 @@ _VALID_KINDS = ("int", "double", "string", "boolean")
 
 MEMO_BYTES = 8 << 20          # file memo's stored file bytes; LRU beyond
 _SEEN_LIMIT = 1 << 14         # first-sighting marks before starting over
+
+#: stripes longer than this decode a dictionary-encoded string column
+#: rather than take it from a seed (see :meth:`OrcSeed.column`).
+_SEED_DICTIONARY_ROWS = 256
+#: the exact type of every non-NULL value a column's decoder returns.
+_DECODED_TYPE = {"int": int, "double": float, "string": str,
+                 "boolean": bool}
+_NULL_TYPE = type(None)
+_JSON_SCALARS = {str, int, float, bool, _NULL_TYPE}
 
 
 def _column_stats(kind, count, non_null=(), distinct=()):
@@ -86,7 +102,8 @@ class _FileMemo:
 
     def __init__(self):
         self.used = 0
-        self._entries = OrderedDict()
+        self._entries = OrderedDict()   # key -> file bytes, LRU order
+        self._footers = {}              # key -> (token, footer) of those
         self._seen = set()
         self._lock = threading.Lock()
 
@@ -108,23 +125,27 @@ class _FileMemo:
         return hashlib.blake2b(content, digest_size=20).digest()
 
     def get(self, key):
+        """The stored ``(data, token, footer)`` of a file, or None."""
         with self._lock:
             if key in self._entries:            # a None key never is
                 self._entries.move_to_end(key)
-                return self._entries[key]
+                return (self._entries[key],) + self._footers[key]
         return None
 
-    def put(self, key, data, stripes):
+    def put(self, key, built, stripes):
         sums = [column["stats"].get("sum") for stripe in stripes
                 for column in stripe["columns"]]
         if key is None or any(total != total for total in sums):
             return
         with self._lock:
             if key not in self._entries:
-                self._entries[key] = data
-                self.used += len(data)
+                self._entries[key] = built[0]
+                self._footers[key] = built[1:]
+                self.used += len(built[0])
             while self.used > MEMO_BYTES:
-                self.used -= len(self._entries.popitem(last=False)[1])
+                old, data = self._entries.popitem(last=False)
+                del self._footers[old]
+                self.used -= len(data)
 
 
 _FILE_MEMO = _FileMemo()
@@ -218,16 +239,21 @@ class OrcWriter:
             agg = None
             for stripe in self._stripes:
                 stats = stripe["columns"][idx]["stats"]
-                agg = stats if agg is None else _merge_stats(kind, agg, stats)
+                # A copy for one stripe: a reader given this footer as
+                # parsed must not find the file's stats aliasing a stripe's.
+                agg = (dict(stats) if agg is None
+                       else _merge_stats(kind, agg, stats))
             file_stats.append(agg or _column_stats(kind, 0))
-        footer = {
-            "schema": self.schema,
+        #: what the footer bytes serialize, kept for the file's seed.
+        self.footer = {
+            "schema": [list(column) for column in self.schema],
             "num_rows": self._num_rows,
             "metadata": self.metadata,
             "stripes": self._stripes,
             "column_stats": file_stats,
         }
-        footer_bytes = json.dumps(footer, separators=(",", ":")).encode("utf-8")
+        footer_bytes = json.dumps(self.footer,
+                                  separators=(",", ":")).encode("utf-8")
         return (bytes(self._body) + footer_bytes
                 + struct.pack("<Q", len(footer_bytes)) + MAGIC)
 
@@ -236,18 +262,112 @@ class OrcWriter:
         return self._num_rows
 
 
-def write_orc(schema, rows, stripe_rows=DEFAULT_STRIPE_ROWS, metadata=None):
-    """Serialize ``rows`` (any iterable) into one file and return its bytes.
+def _round_trips(footer):
+    """Does ``footer`` equal its own JSON round trip, types included?
 
-    The writer's entry point: every file the system writes comes through
-    here, and a file seen before in this process is returned from a
-    process-wide memo instead of being built again (the same bytes)."""
+    Then a reader may take it as parsed.  The schema, counts and offsets
+    always do; metadata needs ``str`` keys, and metadata and statistics
+    need JSON scalars of exact builtin types, none of them NaN."""
+    stats = [column["stats"] for stripe in footer["stripes"]
+             for column in stripe["columns"]] + footer["column_stats"]
+    metadata = footer["metadata"]
+    values = [value for entry in stats for value in entry.values()]
+    values += metadata.values()
+    return (set(map(type, metadata)) <= {str}
+            and set(map(type, values)) <= _JSON_SCALARS
+            and all(map(eq, values, values)))
+
+
+class OrcSeed:
+    """One written file as its writer knows it: the bytes, their
+    ``(length, crc32)`` token, the marshalled footer when the footer
+    equals its JSON round trip (else None) and the rows.
+
+    A reader whose opened bytes equal ``data`` may take :meth:`footer`
+    as parsed and :meth:`column` instead of a decoded stream.  A file
+    built and a file returned by the memo give the same seed, so no
+    reader can tell which it was.
+    """
+
+    __slots__ = ("data", "token", "_footer", "rows")
+
+    def __init__(self, data, token, footer, rows):
+        self.data = data
+        self.token = token
+        self._footer = footer
+        self.rows = rows
+
+    def footer(self):
+        """A fresh copy of the footer dict the bytes serialize, or None.
+
+        Marshalled, not kept as a dict: a 16-column, three-stripe footer
+        is 5 KB marshalled and 38 KB as objects, a copy loads in about a
+        quarter of the time ``json.loads`` and the footer checks take,
+        and it references no value of the rows (the memo's marshalled
+        keys depend on the values' reference counts)."""
+        return None if self._footer is None else marshal.loads(self._footer)
+
+    def column(self, idx, kind, start, count, stats):
+        """Column ``idx`` of rows ``start`` .. ``start + count``, whose
+        statistics are ``stats``, as a ``kind`` decoder returns it; or
+        None, to decode instead.
+
+        None when the decoder would not return these very values: rows
+        that are not tuples (a list row can change after the write), a
+        value of another type (an ``int`` in a ``double`` column, a
+        ``bool`` in an ``int`` one), or a NaN (a NaN sum), which decodes
+        to a fresh object per value.  None too for a dictionary-encoded
+        string column of a long stripe: its decode is one C-level pass
+        per row to one object per distinct string, which grouping and
+        joins then compare by identity, where the rows may hold one
+        object per row.  A short stripe's decode is mostly fixed cost."""
+        if self.rows is None or kind == "string" \
+                and count > _SEED_DICTIONARY_ROWS and dictionary_encodes(
+                    stats["count"] - stats["nulls"], stats["ndv"]):
+            return None
+        if kind == "double" and stats.get("sum") != stats.get("sum"):
+            return None
+        column = list(map(itemgetter(idx), self.rows[start:start + count]))
+        if set(map(type, column)) - {_DECODED_TYPE[kind], _NULL_TYPE}:
+            return None
+        return column
+
+
+def _write(schema, rows, stripe_rows, metadata):
+    """Build ``rows`` into one file, or take it from the memo: its seed."""
     rows = tuple(rows)
     key = _FILE_MEMO.key(schema, rows, stripe_rows, metadata)
-    data = _FILE_MEMO.get(key)
-    if data is None:
+    built = _FILE_MEMO.get(key)
+    if built is None:
         writer = OrcWriter(schema, stripe_rows=stripe_rows, metadata=metadata)
         writer.write_rows(rows)
         data = writer.finish()
-        _FILE_MEMO.put(key, data, writer._stripes)
-    return data
+        footer = (marshal.dumps(writer.footer)
+                  if _round_trips(writer.footer) else None)
+        built = (data, (len(data), zlib.crc32(data)), footer)
+        _FILE_MEMO.put(key, built, writer._stripes)
+    return OrcSeed(*built, rows if {tuple}.issuperset(map(type, rows))
+                   else None)
+
+
+def write_orc(schema, rows, stripe_rows=DEFAULT_STRIPE_ROWS, metadata=None):
+    """Serialize ``rows`` (any iterable) into one file and return its bytes.
+
+    A file seen before in this process is returned from a process-wide
+    memo instead of being built again (the same bytes)."""
+    return _write(schema, rows, stripe_rows, metadata).data
+
+
+def write_orc_file(fs, path, schema, rows, stripe_rows=DEFAULT_STRIPE_ROWS,
+                   metadata=None):
+    """Write ``rows`` as the ORC file ``path`` of ``fs``; its bytes.
+
+    Every file the system writes comes through here.  Once the write has
+    returned, the file's seed waits on the cluster's ORC cache for the
+    file's first cached read; a failed write leaves none."""
+    seed = _write(schema, rows, stripe_rows, metadata)
+    fs.write_file(path, seed.data)
+    cache = getattr(fs.cluster, "orc_cache", None)
+    if cache is not None:
+        cache.add_seed(seed.token, seed)
+    return seed.data

@@ -21,10 +21,20 @@ A key's first three elements name one *file* of the group — ``(table,
 backend, file_id)`` for delta entries, ``(path, size, crc)`` for ORC
 ones — and an index from that prefix to its keys makes dropping one
 file's entries cost the entries of that file, not a walk of the cache.
+
+The ORC cache also holds a few *pending seeds*: what the writer of a
+file just written knows of it (:class:`repro.orc.writer.OrcSeed`),
+under the file's ``(length, crc32)`` token, until the file's first
+cached read takes it.  The table is FIFO-bounded and emptied by
+:meth:`ByteBudgetLRU.clear`; a taken seed lives in the file's footer
+entry, weighed there.
 """
 
 import threading
 from collections import OrderedDict
+
+#: files whose seeds wait for a first read; older ones are dropped.
+PENDING_SEEDS = 64
 
 
 class ByteBudgetLRU:
@@ -38,6 +48,7 @@ class ByteBudgetLRU:
         self._entries = OrderedDict()    # key -> (value, nbytes)
         self._by_prefix = {}             # key[:3] -> {keys of _entries}
         self._used = 0
+        self._seeds = OrderedDict()      # token -> seed, oldest first
 
     # ------------------------------------------------------------------
     def _incr(self, event, count=1):
@@ -87,6 +98,22 @@ class ByteBudgetLRU:
                 evicted += self._drop(next(iter(self._entries)))
         self._incr("evictions", evicted)
 
+    def add_seed(self, token, seed):
+        """Keep ``seed`` for the first :meth:`take_seed` of ``token``
+        (a no-op when the cache stores nothing)."""
+        if self.budget_bytes <= 0:
+            return
+        with self._lock:
+            self._seeds.pop(token, None)
+            self._seeds[token] = seed
+            if len(self._seeds) > PENDING_SEEDS:
+                self._seeds.popitem(last=False)
+
+    def take_seed(self, token):
+        """Remove and return the seed kept for ``token``, or None."""
+        with self._lock:
+            return self._seeds.pop(token, None)
+
     # ------------------------------------------------------------------
     # Invalidation (strict: callers hook every mutation of the backing
     # store — EDIT commit, COMPACT, INSERT OVERWRITE, WAL loss).
@@ -122,6 +149,7 @@ class ByteBudgetLRU:
             dropped = len(self._entries)
             self._entries.clear()
             self._by_prefix.clear()
+            self._seeds.clear()
             self._used = 0
         self._incr("invalidations", dropped)
         return dropped
