@@ -17,8 +17,11 @@ Minor compaction merges all deltas into one; major compaction folds them
 into a new base.
 """
 
+from repro.common.errors import AnalysisError
 from repro.mapreduce import InputSplit, Job
 from repro.orc import OrcReader, write_orc_file
+from repro.orc.directory import (orc_paths, orc_properties, replace,
+                                 write_files)
 from repro.hive.catalog import register_handler
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
@@ -32,15 +35,13 @@ class AcidHandler(StorageHandler):
     """Base + delta tables with merge-on-read."""
 
     kind = "acid"
-    supports_inplace_mutation = False
 
     def __init__(self, table, env):
         super().__init__(table, env)
         self.location = "/warehouse/%s" % table.name
         self.base_dir = self.location + "/base"
-        props = table.properties
-        self.rows_per_file = int(props.get("orc.rows_per_file", 50_000))
-        self.stripe_rows = int(props.get("orc.stripe_rows", 5_000))
+        self.rows_per_file, self.stripe_rows = orc_properties(
+            table.properties, AnalysisError)
         self._next_delta = 0
         self._next_base_file = 0
 
@@ -62,10 +63,7 @@ class AcidHandler(StorageHandler):
             self.fs.delete(self.location, recursive=True)
 
     def base_files(self):
-        if not self.fs.exists(self.base_dir):
-            return []
-        return [p for p in self.fs.list_files(self.base_dir)
-                if p.endswith(".orc")]
+        return orc_paths(self.fs, self.base_dir)
 
     def delta_dirs(self):
         if not self.fs.exists(self.location):
@@ -77,11 +75,8 @@ class AcidHandler(StorageHandler):
         return sorted(out, key=lambda p: int(p.rsplit("_", 1)[1]))
 
     def delta_files(self):
-        files = []
-        for directory in self.delta_dirs():
-            files.extend(p for p in self.fs.list_files(directory)
-                         if p.endswith(".orc"))
-        return files
+        return [p for directory in self.delta_dirs()
+                for p in orc_paths(self.fs, directory)]
 
     # ------------------------------------------------------------------
     # Writes.
@@ -89,37 +84,36 @@ class AcidHandler(StorageHandler):
     def insert_rows(self, rows, overwrite=False):
         rows = list(rows)
         if overwrite:
-            self.drop()
-            self.create()
-            self._next_base_file = 0
+            self._replace_base(rows)
             self._next_delta = 0
-        self._write_base_files(rows)
-        return len(rows)
+        else:
+            self._next_base_file += len(self._write_base_files(
+                self.base_dir, rows, self._next_base_file))
 
-    def _write_base_files(self, rows):
-        orc_schema = self.schema.orc_schema()
-        for start in range(0, max(len(rows), 1), self.rows_per_file):
-            chunk = rows[start:start + self.rows_per_file]
-            if not chunk and start > 0:
-                break
-            path = "%s/base-%05d.orc" % (self.base_dir,
-                                         self._next_base_file)
-            write_orc_file(self.fs, path, orc_schema, chunk,
-                           self.stripe_rows,
-                           {"acid.base_file": self._next_base_file})
-            self._next_base_file += 1
+    def _write_base_files(self, directory, rows, first):
+        """Base files ``first``, ``first + 1``, ... holding ``rows``."""
+        return write_files(
+            self.fs, directory, self.schema.orc_schema(), rows,
+            self.rows_per_file, self.stripe_rows,
+            lambda i: ("base-%05d.orc" % (first + i),
+                       {"acid.base_file": first + i}))
+
+    def _replace_base(self, rows):
+        """Make ``rows`` the whole table — a new base, no deltas — with
+        one crash-atomic replace of the table's directory."""
+        self._next_base_file = len(replace(
+            self.fs, self.location, lambda staging: self._write_base_files(
+                staging + "/base", rows, 0)))
 
     def _write_delta(self, records):
         """Write one transaction's delta table: [(rid, op, row), ...]."""
         directory = "%s/delta_%06d" % (self.location, self._next_delta)
         self._next_delta += 1
-        self.fs.mkdirs(directory)
         null_row = (None,) * len(self.schema)
         rows = [(rid, op) + (row if row is not None else null_row)
                 for rid, op, row in records]
         write_orc_file(self.fs, directory + "/delta.orc",
                        self._delta_schema(), rows, self.stripe_rows)
-        return directory
 
     # ------------------------------------------------------------------
     # Reads: merge base with every delta.
@@ -197,9 +191,8 @@ class AcidHandler(StorageHandler):
     # Statistics.
     # ------------------------------------------------------------------
     def data_bytes(self):
-        total = sum(self.fs.file_size(p) for p in self.base_files())
-        total += sum(self.fs.file_size(p) for p in self.delta_files())
-        return total
+        return sum(self.fs.file_size(p)
+                   for p in orc_paths(self.fs, self.location))
 
     def row_count(self):
         return sum(OrcReader(self.fs, p).num_rows
@@ -291,15 +284,9 @@ class AcidHandler(StorageHandler):
                   reduce_fn=None)
         result = session.runner.run(job)
 
-        def rewrite():
-            for directory in self.delta_dirs():
-                self.fs.delete(directory, recursive=True)
-            self.fs.delete(self.base_dir, recursive=True)
-            self.fs.mkdirs(self.base_dir)
-            self._next_base_file = 0
-            self._write_base_files([self.schema.coerce_row(r)
-                                    for r in result.outputs])
-        write_seconds = session._charged_parallel(rewrite)
+        write_seconds = session._charged_parallel(
+            lambda: self._replace_base([self.schema.coerce_row(r)
+                                        for r in result.outputs]))
         return QueryResult(plan="acid-major-compact",
                            sim_seconds=result.sim_seconds + write_seconds,
                            jobs=[result],

@@ -13,7 +13,8 @@ row-group index (:mod:`repro.core.lookup`) has narrow ranges to prune by.
 
 from operator import itemgetter
 
-from repro.orc import OrcReader, write_orc_file
+from repro.orc import OrcReader
+from repro.orc.directory import orc_paths, replace, write_files
 
 FILE_ID_KEY = "dualtable.file_id"
 
@@ -38,10 +39,7 @@ class MasterTable:
         self.fs.mkdirs(self.location)
 
     def file_paths(self):
-        if not self.fs.exists(self.location):
-            return []
-        return [p for p in self.fs.list_files(self.location)
-                if p.endswith(".orc")]
+        return orc_paths(self.fs, self.location)
 
     # ------------------------------------------------------------------
     def write_rows(self, rows, directory=None):
@@ -51,7 +49,6 @@ class MasterTable:
         last) before they are cut into files, so row numbers — and with
         them record IDs — follow key order.
         """
-        directory = directory or self.location
         rows = list(rows)
         if self.key_index is not None:
             key = itemgetter(self.key_index)
@@ -60,37 +57,20 @@ class MasterTable:
             except TypeError:       # a NULL key was compared
                 rows = sorted(rows, key=lambda row: (key(row) is None,
                                                      key(row)))
-        orc_schema = self.schema.orc_schema()
-        paths = []
-        chunks = [rows[i:i + self.rows_per_file]
-                  for i in range(0, len(rows), self.rows_per_file)] or [[]]
-        for chunk in chunks:
+
+        def name(_):
             file_id = self.metadata.next_file_id(self.table_name)
-            path = "%s/part-%08d.orc" % (directory, file_id)
-            write_orc_file(self.fs, path, orc_schema, chunk,
-                           self.stripe_rows, {FILE_ID_KEY: file_id})
-            paths.append(path)
-        return paths
+            return "part-%08d.orc" % file_id, {FILE_ID_KEY: file_id}
+        return write_files(self.fs, directory or self.location,
+                           self.schema.orc_schema(), rows,
+                           self.rows_per_file, self.stripe_rows, name)
 
     def replace_with(self, rows):
-        """Atomically replace the master with freshly written files.
-
-        The old directory is renamed aside before the new one takes its
-        place (instead of deleted first), so at every instant either the
-        old or the new master is fully present under some path.
-        """
-        tmp = self.location + ".__tmp__"
-        old = self.location + ".__replaced__"
-        for leftover in (tmp, old):
-            if self.fs.exists(leftover):
-                self.fs.delete(leftover, recursive=True)
-        self.fs.mkdirs(tmp)
-        self.write_rows(rows, directory=tmp)
-        if self.fs.exists(self.location):
-            self.fs.rename(self.location, old)
-        self.fs.rename(tmp, self.location)
-        if self.fs.exists(old):
-            self.fs.delete(old, recursive=True)
+        """Replace the master with freshly written files, crash-atomically
+        (:func:`repro.orc.directory.replace`): at every instant the old
+        or the new master is fully present under some path."""
+        replace(self.fs, self.location,
+                lambda staging: self.write_rows(rows, directory=staging))
 
     # ------------------------------------------------------------------
     def reader(self, path):

@@ -15,6 +15,7 @@ from repro.core.editlog import run_with_retries
 from repro.core.manifest import ManifestKind, ManifestProtocol, list_of, of
 from repro.core.master import FILE_ID_KEY, MasterTable
 from repro.core.union_read import classify_merge_units, union_read_overlay
+from repro.orc.directory import int_property, orc_properties
 from repro.parallel import parallel_map
 
 #: DualTable table properties: key -> (default, allowed values or the
@@ -24,8 +25,6 @@ SETTINGS = {
     "dualtable.read_factor": (1, 1),
     "dualtable.lookup.max_rows": (10_000, 0),
     "dualtable.attached": ("hbase", ("hbase", "btree")),
-    "orc.rows_per_file": (50_000, 1),
-    "orc.stripe_rows": (5_000, 1),
     "shard.count": (4, 1),
 }
 
@@ -34,24 +33,15 @@ def setting(properties, key):
     """Table property ``key`` of ``properties`` (its default when absent),
     parsed and checked; a bad value is a :class:`DualTableError`."""
     default, allowed = SETTINGS[key]
+    if not isinstance(allowed, tuple):
+        return int_property(properties, key, default, allowed,
+                            DualTableError)
     value = properties.get(key, default)
-    if isinstance(allowed, tuple):
-        choice = str(value).lower()
-        if choice not in allowed:
-            raise DualTableError("%s must be one of %s, got %r"
-                                 % (key, "/".join(allowed), value))
-        return choice
-    if type(value) is float and value.is_integer():
-        value = int(value)      # ``SET DUALTABLE (read_factor = 2.0)``
-    try:
-        number = value if type(value) is int else int(str(value))
-    except ValueError:
-        raise DualTableError("%s must be an integer, got %r"
-                             % (key, value)) from None
-    if number < allowed:
-        raise DualTableError("%s must be >= %d, got %r"
-                             % (key, allowed, value))
-    return number
+    choice = str(value).lower()
+    if choice not in allowed:
+        raise DualTableError("%s must be one of %s, got %r"
+                             % (key, "/".join(allowed), value))
+    return choice
 
 
 _COMPACT_FIELDS = {"tmp": of(str), "location": of(str), "rows": of(int)}
@@ -84,6 +74,7 @@ class DualTableStore:
     def __init__(self, name, table, env, metadata, key_index=None,
                  shard=None):
         props = table.properties
+        rows_per_file, stripe_rows = orc_properties(props, DualTableError)
         self.name = name
         self.shard = shard
         self.env = env
@@ -94,8 +85,8 @@ class DualTableStore:
             schema=table.schema,
             metadata_manager=metadata,
             table_name=table.name,
-            rows_per_file=setting(props, "orc.rows_per_file"),
-            stripe_rows=setting(props, "orc.stripe_rows"),
+            rows_per_file=rows_per_file,
+            stripe_rows=stripe_rows,
             key_index=key_index,
         )
         self.attached = AttachedTable(

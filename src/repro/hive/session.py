@@ -33,11 +33,10 @@ from repro.hive.parser import parse
 from repro.hive.rowedit import WhereEdit
 from repro.hive.storage.hbase_handler import HBaseTableHandler
 from repro.hive.storage.orc_handler import OrcHdfsHandler
-from repro.hive.storage.partitioned_orc import PartitionedOrcHandler
 from repro.vector import DEFAULT_BATCH_ROWS, spliced
 
 register_handler("orc", OrcHdfsHandler)
-register_handler("orc-partitioned", PartitionedOrcHandler)
+register_handler("orc-partitioned", OrcHdfsHandler)
 register_handler("hbase", HBaseTableHandler)
 
 @dataclass
@@ -297,7 +296,7 @@ class HiveSession:
         if isinstance(stmt, ast.ShowPartitionsStmt):
             info = self.metastore.table(stmt.table)
             handler = info.handler
-            if not hasattr(handler, "partitions"):
+            if not handler.partition_columns:
                 raise AnalysisError(
                     "table %s is not partitioned" % stmt.table)
             rows = [("/".join("%s=%s" % (c, v) for c, v in
@@ -415,26 +414,23 @@ class HiveSession:
         return QueryResult(plan="set",
                            detail={"name": stmt.name, "value": value})
 
+    def _partition_key(self, info, spec, clause):
+        """The partition key a ``PARTITION (...)`` spec names, coerced."""
+        columns = info.handler.partition_columns
+        if not columns:
+            raise AnalysisError("table %s is not partitioned" % info.name)
+        missing = [c for c in columns if c not in spec]
+        if missing:
+            raise AnalysisError("%s needs values for: %s"
+                                % (clause, ", ".join(missing)))
+        offset = len(info.schema) - len(columns)
+        return tuple(info.schema.coerce_value(offset + i, spec[name])
+                     for i, name in enumerate(columns))
+
     def _drop_partition(self, stmt):
         info = self.metastore.table(stmt.table)
-        handler = info.handler
-        if not hasattr(handler, "drop_partition"):
-            raise AnalysisError("table %s is not partitioned" % stmt.table)
-        missing = [c for c in handler.partition_columns
-                   if c not in stmt.spec]
-        if missing:
-            raise AnalysisError(
-                "DROP PARTITION needs values for: %s" % ", ".join(missing))
-        coercers = {"int": int, "double": float, "string": str,
-                    "boolean": bool}
-        offset = len(info.schema) - len(handler.partition_columns)
-        values = []
-        for i, name in enumerate(handler.partition_columns):
-            column = info.schema.columns[offset + i]
-            raw = stmt.spec[name]
-            values.append(None if raw is None
-                          else coercers[column.physical_kind](raw))
-        dropped = handler.drop_partition(tuple(values))
+        dropped = info.handler.drop_partition(
+            self._partition_key(info, stmt.spec, "DROP PARTITION"))
         return QueryResult(plan="drop-partition",
                            affected=1 if dropped else 0,
                            detail={"partition": dict(stmt.spec),
@@ -525,18 +521,9 @@ class HiveSession:
     # ------------------------------------------------------------------
     def _insert(self, stmt):
         info = self.metastore.table(stmt.table)
-        if stmt.partition_spec:
-            handler = info.handler
-            if not hasattr(handler, "partition_columns"):
-                raise AnalysisError(
-                    "PARTITION (...) insert on unpartitioned table %s"
-                    % stmt.table)
-            missing = [c for c in handler.partition_columns
-                       if c not in stmt.partition_spec]
-            if missing:
-                raise AnalysisError(
-                    "PARTITION spec needs values for: %s"
-                    % ", ".join(missing))
+        suffix = (self._partition_key(info, stmt.partition_spec,
+                                      "PARTITION spec")
+                  if stmt.partition_spec else ())
         jobs = []
         if stmt.values is not None:
             env = Env()
@@ -549,9 +536,7 @@ class HiveSession:
             rows = result.rows
             jobs = executor.jobs
             select_seconds = sum(job.sim_seconds for job in jobs)
-        if stmt.partition_spec:
-            suffix = tuple(stmt.partition_spec[c]
-                           for c in info.handler.partition_columns)
+        if suffix:
             rows = [tuple(r) + suffix for r in rows]
         coerced = info.schema.coerce_rows(rows)
         write_seconds = self._charged_parallel(
@@ -606,7 +591,7 @@ class HiveSession:
         partitions the edit's ranges can touch — Hive's partition-level
         granularity — so partition-column constraints prune the scan.
         """
-        if not hasattr(handler, "replace_partitions"):
+        if not handler.partition_columns:
             return None, None
         partition_ranges = {name: r for name, r in ranges.items()
                             if name in handler.partition_columns}

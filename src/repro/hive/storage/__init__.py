@@ -1,4 +1,5 @@
-"""Storage handlers: the Hive InputFormat/OutputFormat/SerDe seam."""
+"""Storage handlers: the Hive InputFormat/OutputFormat/SerDe seam.
+``OrcHdfsHandler`` serves ORC tables, partitioned or not."""
 
 from repro.hive.storage.base import StorageHandler
 from repro.hive.storage.hbase_handler import HBaseTableHandler

@@ -9,7 +9,8 @@ A handler owns a table's bytes and knows how to:
 * read one split back as column batches.
 
 DualTable plugs into Hive through exactly this seam, mirroring the paper's
-custom InputFormat/OutputFormat/SerDe implementation (Section V-A).
+custom InputFormat/OutputFormat/SerDe implementation (Section V-A).  A
+handler that keeps ORC files lays them out with :mod:`repro.orc.directory`.
 """
 
 from abc import ABC, abstractmethod
@@ -25,6 +26,10 @@ class StorageHandler(ABC):
     #: INSERT OVERWRITE semantics (plain ORC) or a handler-specific
     #: mechanism (DualTable, ACID).
     supports_inplace_mutation = False
+
+    #: names of the trailing schema columns stored in directory names
+    #: (a partitioned ORC table); empty for every other table.
+    partition_columns = ()
 
     def __init__(self, table, env):
         self.table = table      # TableDef (not the catalog entry)
