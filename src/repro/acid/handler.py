@@ -23,6 +23,7 @@ from repro.orc import OrcReader, write_orc_file
 from repro.orc.directory import (orc_paths, orc_properties, replace,
                                  write_files)
 from repro.hive.catalog import register_handler
+from repro.hive.rowedit import matched_rows
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
 from repro.vector import batches_from_rows
@@ -33,8 +34,6 @@ _OP_DELETE = "D"
 
 class AcidHandler(StorageHandler):
     """Base + delta tables with merge-on-read."""
-
-    kind = "acid"
 
     def __init__(self, table, env):
         super().__init__(table, env)
@@ -209,16 +208,17 @@ class AcidHandler(StorageHandler):
         # The whole updated record goes into the delta, so an update's
         # scan reads every column; a delete reads what its matcher does.
         projection = None if update else edit.projection(self.schema)
-        match = edit.row_matcher(projection or self.schema.names)
+        names = projection or self.schema.names
+        match = edit.batch_matcher(names)
         targets = edit.targets
         splits = self.scan_splits(projection=projection, ranges=edit.ranges)
+        batch_rows = session.batch_rows
         counter = verb + "d"
 
         def map_fn(split, ctx):
-            for rid, values in self.read_split_with_rids(split, ctx):
-                new_values = match(values)
-                if new_values is None:
-                    continue
+            for rid, values, new_values in matched_rows(
+                    match, self.read_split_with_rids(split, ctx), len(names),
+                    batch_rows):
                 ctx.incr(counter)
                 if not update:
                     yield (rid, _OP_DELETE, None)
@@ -244,12 +244,20 @@ class AcidHandler(StorageHandler):
             plan="acid-%s-delta" % verb,
             detail={"plan": "delta", "delta_count": self._next_delta})
 
-    execute_delete = execute_update
+    @property
+    def dml_plan(self):
+        return ("append a new delta table (currently %d delta(s))"
+                % len(self.delta_dirs()))
 
     # ------------------------------------------------------------------
     # Compaction.
     # ------------------------------------------------------------------
-    def execute_compact(self, session, major=True):
+    def execute_compact(self, session, major=True, partial=False,
+                        max_files=None):
+        """MAJOR folds the deltas into a new base, MINOR merges them into
+        one (PARTIAL is DualTable's)."""
+        if partial:
+            return super().execute_compact(session, partial=True)
         if major:
             return self._major_compact(session)
         return self._minor_compact(session)

@@ -40,8 +40,8 @@ class DualTableHandler(StorageHandler):
     """The paper's hybrid storage model as a Hive storage handler: one
     table planned over ``shards``, its stores, by ``router``."""
 
-    kind = "dualtable"
-    supports_inplace_mutation = False   # mutation goes through plans
+    #: EXPLAIN prints the cost evaluation of the statement instead.
+    dml_plan = None
 
     def __init__(self, table, env, store_names=None, router=None):
         StorageHandler.__init__(self, table, env)
@@ -359,8 +359,6 @@ class DualTableHandler(StorageHandler):
             cluster, self.table.name, plan, predicted, result.sim_seconds)
         self._note_dml_done(plan, result)
         return result
-
-    execute_delete = execute_update
 
     def _claim_txn_access(self, session, plan):
         """Declare this DML's isolation needs to the server transaction.

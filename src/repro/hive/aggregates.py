@@ -11,7 +11,8 @@ from itertools import chain
 
 from repro.common.errors import AnalysisError
 from repro.hive import ast_nodes as ast
-from repro.hive.expressions import AGGREGATE_FUNCTIONS, SlotRef, walk
+from repro.hive.expressions import (AGGREGATE_FUNCTIONS, SlotRef,
+                                    map_children, walk)
 
 
 class AggregateSpec:
@@ -150,59 +151,12 @@ def rewrite_aggregates(expr, group_by, agg_registry):
                 return SlotRef(index=len(group_by) + j)
         agg_registry.append(expr)
         return SlotRef(index=len(group_by) + len(agg_registry) - 1)
-    # Recurse structurally.
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(op=expr.op,
-                            left=rewrite_aggregates(expr.left, group_by,
-                                                    agg_registry),
-                            right=rewrite_aggregates(expr.right, group_by,
-                                                     agg_registry))
-    if isinstance(expr, ast.LogicalOp):
-        return ast.LogicalOp(op=expr.op,
-                             operands=[rewrite_aggregates(o, group_by,
-                                                          agg_registry)
-                                       for o in expr.operands])
-    if isinstance(expr, ast.NotOp):
-        return ast.NotOp(operand=rewrite_aggregates(expr.operand, group_by,
-                                                    agg_registry))
-    if isinstance(expr, ast.UnaryMinus):
-        return ast.UnaryMinus(operand=rewrite_aggregates(expr.operand,
-                                                         group_by,
-                                                         agg_registry))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(operand=rewrite_aggregates(expr.operand, group_by,
-                                                     agg_registry),
-                          negated=expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(operand=rewrite_aggregates(expr.operand, group_by,
-                                                     agg_registry),
-                          items=[rewrite_aggregates(i, group_by, agg_registry)
-                                 for i in expr.items],
-                          negated=expr.negated)
-    if isinstance(expr, ast.LikeOp):
-        return ast.LikeOp(operand=rewrite_aggregates(expr.operand, group_by,
-                                                     agg_registry),
-                          pattern=rewrite_aggregates(expr.pattern, group_by,
-                                                     agg_registry),
-                          negated=expr.negated)
-    if isinstance(expr, ast.CaseWhen):
-        return ast.CaseWhen(
-            whens=[(rewrite_aggregates(c, group_by, agg_registry),
-                    rewrite_aggregates(r, group_by, agg_registry))
-                   for c, r in expr.whens],
-            default=(rewrite_aggregates(expr.default, group_by, agg_registry)
-                     if expr.default is not None else None))
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(name=expr.name,
-                            args=[rewrite_aggregates(a, group_by,
-                                                     agg_registry)
-                                  for a in expr.args],
-                            distinct=expr.distinct)
     if isinstance(expr, ast.ColumnRef):
         raise AnalysisError(
             "column %s must appear in GROUP BY or inside an aggregate"
             % expr.display)
-    return expr
+    return map_children(
+        expr, lambda child: rewrite_aggregates(child, group_by, agg_registry))
 
 
 def validate_no_nested_aggregates(agg_calls):

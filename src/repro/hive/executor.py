@@ -27,7 +27,8 @@ from repro.hive.aggregates import (AggregateSpec, rewrite_aggregates,
                                    validate_no_nested_aggregates)
 from repro.hive.expressions import (Env, SlotRef, compile_expr,
                                     contains_aggregate, find_subqueries,
-                                    is_true, referenced_columns, walk)
+                                    is_true, map_children,
+                                    referenced_columns, walk)
 from repro.hive.pushdown import extract_ranges
 from repro.hive.vexpr import compile_batch, compile_batch_predicate
 from repro.vector import (DEFAULT_BATCH_ROWS, batch_from_rows,
@@ -227,23 +228,7 @@ class SelectExecutor:
             return ast.InList(
                 operand=self._rewrite_expr_subqueries(expr.operand),
                 items=items, negated=expr.negated)
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(op=expr.op,
-                                left=self._rewrite_expr_subqueries(expr.left),
-                                right=self._rewrite_expr_subqueries(expr.right))
-        if isinstance(expr, ast.LogicalOp):
-            return ast.LogicalOp(op=expr.op,
-                                 operands=[self._rewrite_expr_subqueries(o)
-                                           for o in expr.operands])
-        if isinstance(expr, ast.NotOp):
-            return ast.NotOp(
-                operand=self._rewrite_expr_subqueries(expr.operand))
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(name=expr.name,
-                                args=[self._rewrite_expr_subqueries(a)
-                                      for a in expr.args],
-                                distinct=expr.distinct)
-        return expr
+        return map_children(expr, self._rewrite_expr_subqueries)
 
     def _run_subquery(self, query):
         sub = SelectExecutor(self.session)
@@ -665,14 +650,13 @@ class SelectExecutor:
     @staticmethod
     def _lookup_capable(relation):
         return (isinstance(relation, ScanSource)
-                and getattr(relation.handler, "primary_key", None) is not None
-                and hasattr(relation.handler, "execute_lookup"))
+                and relation.handler.primary_key is not None)
 
     @staticmethod
     def _fanout(relation):
         """Scatter-gather width for this relation's jobs (makespan only)."""
         if isinstance(relation, ScanSource):
-            return getattr(relation.handler, "shard_fanout", 1)
+            return relation.handler.shard_fanout
         return 1
 
     def _try_lookup(self, relation):

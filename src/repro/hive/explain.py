@@ -2,9 +2,10 @@
 
 Plain EXPLAIN describes how a statement would execute, without executing
 it: for SELECTs the plan shows scans (with projection/pruning decisions),
-joins, aggregation and ordering; for UPDATE/DELETE on a DualTable the
-plan shows the cost evaluator's full reasoning — estimated modification
-ratio, the EDIT and OVERWRITE cost estimates, and the chosen plan.
+joins, aggregation and ordering; for UPDATE/DELETE the storage's
+``dml_plan`` line, or on a DualTable the cost evaluator's full
+reasoning — estimated modification ratio, the EDIT and OVERWRITE cost
+estimates, and the chosen plan.
 
 EXPLAIN ANALYZE *executes* the statement (PostgreSQL semantics: DML
 really mutates) with tracing force-enabled and appends the observed
@@ -27,10 +28,8 @@ def explain(session, stmt, analyze=False):
     lines = []
     if isinstance(stmt, ast.SelectStmt):
         _explain_select(session, stmt, lines, indent=0)
-    elif isinstance(stmt, ast.UpdateStmt):
-        _explain_update(session, stmt, lines)
-    elif isinstance(stmt, ast.DeleteStmt):
-        _explain_delete(session, stmt, lines)
+    elif isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+        _explain_dml(session, stmt, lines)
     elif isinstance(stmt, ast.InsertStmt):
         lines.append("INSERT %s TABLE %s"
                      % ("OVERWRITE" if stmt.overwrite else "INTO",
@@ -213,7 +212,7 @@ def _explain_scan(session, table_ref, where, needed, lines, indent):
     if usable:
         lines.append(pad + "  stripe-prunable predicate columns: %s"
                      % ", ".join(usable))
-    if getattr(handler, "primary_key", None) is not None:
+    if handler.primary_key is not None:
         _explain_lookup(session, handler, ranges, projection or None,
                         lines, indent)
 
@@ -221,7 +220,7 @@ def _explain_scan(session, table_ref, where, needed, lines, indent):
 def _explain_lookup(session, handler, ranges, projection, lines, indent):
     """LOOKUP-plan eligibility and cost verdict (uncharged planning)."""
     pad = _pad(indent)
-    mode = getattr(session, "plan_mode", "cost")
+    mode = session.plan_mode
     plan = handler.plan_lookup(ranges, projection=projection,
                                hit_faults=False)
     if plan is None:
@@ -247,37 +246,20 @@ def _explain_lookup(session, handler, ranges, projection, lines, indent):
         lines.append(pad + "    plan: %s" % chosen)
 
 
-def _dml_header(session, stmt, verb, lines):
+def _explain_dml(session, stmt, lines):
     info = session.metastore.table(stmt.table)
-    lines.append("%s %s (storage=%s)" % (verb, stmt.table, info.storage))
-    return info
-
-
-def _explain_update(session, stmt, lines):
-    info = _dml_header(session, stmt, "UPDATE", lines)
-    lines.append("  SET %d column(s): %s"
-                 % (len(stmt.assignments),
-                    ", ".join(name for name, _ in stmt.assignments)))
-    _explain_dml_plan(session, info, stmt, lines)
-
-
-def _explain_delete(session, stmt, lines):
-    info = _dml_header(session, stmt, "DELETE FROM", lines)
-    _explain_dml_plan(session, info, stmt, lines)
-
-
-def _explain_dml_plan(session, info, stmt, lines):
+    update = isinstance(stmt, ast.UpdateStmt)
+    lines.append("%s %s (storage=%s)" % ("UPDATE" if update else
+                                         "DELETE FROM", stmt.table,
+                                         info.storage))
+    if update:
+        lines.append("  SET %d column(s): %s"
+                     % (len(stmt.assignments),
+                        ", ".join(name for name, _ in stmt.assignments)))
     handler = info.handler
-    if info.storage == "orc":
-        lines.append("  plan: INSERT OVERWRITE (full table rewrite — "
-                     "reads and writes every column of every row)")
-        return
-    if info.storage == "hbase":
-        lines.append("  plan: in-place random writes during table scan")
-        return
-    if info.storage == "acid":
-        lines.append("  plan: append a new delta table "
-                     "(currently %d delta(s))" % len(handler.delta_dirs()))
+    plan = handler.dml_plan
+    if plan is not None:
+        lines.append("  plan: " + plan)
         return
     # DualTable: run the actual cost evaluation (cheap, footer-only).
     edit = WhereEdit(stmt, info.schema)
@@ -306,7 +288,7 @@ def _explain_edit_by_key(session, handler, edit, choice, lines):
     keyed = handler.plan_lookup(ranges, projection, hit_faults=False)
     if keyed is None:
         return
-    mode = getattr(session, "plan_mode", "cost")
+    mode = session.plan_mode
     verdict = keyed.choice
     lines.append("  EDIT-by-key (PRIMARY KEY %s bounds the WHERE):" % keyed.pk)
     lines.append("    symptom:   the EDIT job pays startup + %d task(s) "

@@ -10,7 +10,7 @@ filtered out.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.common.errors import AnalysisError
 from repro.hive import ast_nodes as ast
@@ -438,31 +438,62 @@ def compile_expr(expr, env):
 # ----------------------------------------------------------------------
 # AST utilities used by the planner and pushdown machinery.
 # ----------------------------------------------------------------------
+_ONE, _LIST, _PAIRS = 0, 1, 2
+
+#: The one statement of an expression tree's shape: each node type's
+#: child fields, in order, and what a field holds — one node (or None),
+#: a list of nodes, or ``CaseWhen.whens``' (condition, result) pairs.
+#: A type not listed (literals, column and slot refs, ``*``, subqueries)
+#: is a leaf.
+CHILD_FIELDS = {
+    ast.BinaryOp: (("left", _ONE), ("right", _ONE)),
+    ast.LogicalOp: (("operands", _LIST),),
+    ast.NotOp: (("operand", _ONE),),
+    ast.UnaryMinus: (("operand", _ONE),),
+    ast.IsNull: (("operand", _ONE),),
+    ast.InList: (("operand", _ONE), ("items", _LIST)),
+    ast.LikeOp: (("operand", _ONE), ("pattern", _ONE)),
+    ast.CaseWhen: (("whens", _PAIRS), ("default", _ONE)),
+    ast.FuncCall: (("args", _LIST),),
+}
+
+
 def walk(expr):
-    """Yield every node of an expression tree (pre-order)."""
+    """Yield every node of an expression tree (pre-order; a node's
+    children are pushed in field order, so the last is visited first)."""
     stack = [expr]
     while stack:
         node = stack.pop()
         if node is None:
             continue
         yield node
-        if isinstance(node, ast.BinaryOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, ast.LogicalOp):
-            stack.extend(node.operands)
-        elif isinstance(node, (ast.NotOp, ast.UnaryMinus, ast.IsNull)):
-            stack.append(node.operand)
-        elif isinstance(node, ast.InList):
-            stack.append(node.operand)
-            stack.extend(node.items)
-        elif isinstance(node, ast.LikeOp):
-            stack.extend((node.operand, node.pattern))
-        elif isinstance(node, ast.CaseWhen):
-            for cond, result in node.whens:
-                stack.extend((cond, result))
-            stack.append(node.default)
-        elif isinstance(node, ast.FuncCall):
-            stack.extend(node.args)
+        for name, shape in CHILD_FIELDS.get(type(node), ()):
+            value = getattr(node, name)
+            if shape == _ONE:
+                stack.append(value)
+            elif shape == _LIST:
+                stack.extend(value)
+            else:
+                for pair in value:
+                    stack.extend(pair)
+
+
+def map_children(expr, fn):
+    """A copy of ``expr`` with ``fn`` applied to each child, in field
+    order (a None child stays None); a leaf is returned as it is."""
+    fields = CHILD_FIELDS.get(type(expr))
+    if fields is None:
+        return expr
+    changes = {}
+    for name, shape in fields:
+        value = getattr(expr, name)
+        if shape == _ONE:
+            changes[name] = None if value is None else fn(value)
+        elif shape == _LIST:
+            changes[name] = [fn(child) for child in value]
+        else:
+            changes[name] = [(fn(cond), fn(result)) for cond, result in value]
+    return replace(expr, **changes)
 
 
 def referenced_columns(expr):

@@ -49,7 +49,7 @@ def execute_merge(session, stmt):
                        source_env, source_index)
 
     if stmt.matched_assignments:
-        update_result = session.apply_row_edit(info, edit)
+        update_result = handler.execute_update(session, edit)
     else:
         # Insert-only merge still needs to know which keys already exist.
         _mark_existing_keys(session, info, edit)
@@ -116,34 +116,16 @@ class KeyJoinEdit(RowEdit):
         self.source_index = source_index
         self.matched_keys = set()
 
-    def _compile(self, compile_fn, names):
-        """``(key_fns, setters)`` under ``compile_fn`` (row closures or
-        batch kernels): keys over the target columns ``names``,
-        assignments over those columns followed by the source row's."""
+    def batch_matcher(self, names):
+        """Keys over the target columns ``names``, assignments over those
+        columns followed by the source row's."""
         target_env = Env()
         target_env.add_schema(names, alias=self.alias)
         combined = merge_envs(target_env, self.source_env)
-        return ([compile_fn(e, target_env) for e in self.target_keys],
-                [compile_fn(e, combined) for _, e in self.assignments])
-
-    def batch_matcher(self, names):
-        key_fns, setters = self._compile(compile_batch, names)
+        key_fns = [compile_batch(e, target_env) for e in self.target_keys]
+        setters = [compile_batch(e, combined) for _, e in self.assignments]
         return lambda batch: _matched_rows(
             batch, key_fns, setters, self.source_index, self.matched_keys)
-
-    def row_matcher(self, names):
-        key_fns, setters = self._compile(compile_expr, names)
-        index, matched = self.source_index, self.matched_keys
-
-        def match(values):
-            key = tuple(fn(values) for fn in key_fns)
-            source_row = index.get(key)
-            if source_row is None:
-                return None
-            matched.add(key)
-            combined = values + source_row
-            return [fn(combined) for fn in setters]
-        return match
 
     def estimate_ratio(self, handler):
         """|source keys| / rows: known exactly, so MERGE never samples."""

@@ -5,16 +5,17 @@ EDIT or OVERWRITE.  An UPDATE, a DELETE and MERGE's WHEN MATCHED arm
 differ only in how they find the rows they change and the new values:
 WHERE + SET for the first two, the ON-key join with the source for MERGE
 (``repro.hive.merge``).  A *row edit* is that difference as one value,
-and each storage's single update path takes one —
-``HiveSession._rewrite_via_overwrite``, ``HiveSession._edit_hbase``,
-``AcidHandler.execute_update`` and ``DualTableHandler.execute_update`` —
-so a MERGE runs on the writers an UPDATE runs on.
+and every storage's one update path, ``StorageHandler.execute_update``,
+takes one — Hive's INSERT OVERWRITE lowering
+(``HiveSession._rewrite_via_overwrite``) unless the handler has its own
+(HBase, ACID, DualTable) — so a MERGE runs on the writers an UPDATE
+runs on.
 
 A row edit carries
 
 * ``verb`` ("update" | "delete") and ``targets``, the assigned column
   indices, in SET order;
-* ``needed``, the (lowercase) target columns its matchers read, and
+* ``needed``, the (lowercase) target columns its matcher reads, and
   ``ranges``, column ranges every matched row satisfies (stripe and
   partition pruning; ``{}`` prunes nothing);
 
@@ -22,17 +23,18 @@ and builds, over the column names a scan reads,
 
 * ``batch_matcher(names)``: ``fn(batch) -> (positions, new_columns)``,
   the ascending positions of the matched rows and one column of new
-  values per target, each evaluated once over the matched rows;
-* ``row_matcher(names)``: ``fn(values) -> None | new_values`` for the
-  row stores (HBase, ACID); None means "not matched";
+  values per target, each evaluated once over the matched rows — the
+  one matcher; the row stores (HBase, ACID) batch their rows for it
+  with :func:`matched_rows`, so every storage fails on the same row;
 * ``estimate_ratio(handler)``: ``(ratio, total_rows)``, the touched-row
   estimate the Section IV cost model weighs.
 """
 
 from repro.hive import ast_nodes as ast
-from repro.hive.expressions import Env, compile_expr, is_true, referenced_columns
+from repro.hive.expressions import Env, referenced_columns
 from repro.hive.pushdown import extract_ranges
 from repro.hive.vexpr import compile_batch, compile_batch_select
+from repro.vector import DEFAULT_BATCH_ROWS, batch_from_rows
 
 
 class RowEdit:
@@ -45,8 +47,8 @@ class RowEdit:
         self.ranges = ranges
 
     def projection(self, schema):
-        """The columns the matchers read, in table order (the first
-        column when they read none: a scan needs one to count rows)."""
+        """The columns the matcher reads, in table order (the first
+        column when it reads none: a scan needs one to count rows)."""
         names = [c.name for c in schema if c.name.lower() in self.needed]
         return names or [schema.columns[0].name]
 
@@ -69,18 +71,13 @@ class WhereEdit(RowEdit):
             needed,
             extract_ranges(stmt.where) if stmt.where is not None else {})
 
-    def _env(self, names):
-        env = Env()
-        env.add_schema(names, alias=self.stmt.alias)
-        return env
-
     def batch_matcher(self, names):
         """The WHERE runs once over a batch's columns; only the matched
         rows are taken and assigned, so the work follows the rows
         touched.  The batch compilers raise what the row compiler would,
         on the row it would; within a batch the whole WHERE runs before
         any SET expression."""
-        env = self._env(names)
+        env = Env().add_schema(names, alias=self.stmt.alias)
         where = self.stmt.where
         select = (compile_batch_select(where, env)
                   if where is not None else None)
@@ -96,18 +93,21 @@ class WhereEdit(RowEdit):
                           for fn in setters]
         return match
 
-    def row_matcher(self, names):
-        env = self._env(names)
-        where = self.stmt.where
-        predicate = compile_expr(where, env) if where is not None else None
-        setters = [compile_expr(expr, env) for _, expr in self.assignments]
-
-        def match(values):
-            if predicate is not None and not is_true(predicate(values)):
-                return None
-            return [fn(values) for fn in setters]
-        return match
-
     def estimate_ratio(self, handler):
         """Stripe statistics, else a plan-time row sample."""
         return handler._estimate_ratio(self.stmt.where)
+
+
+def matched_rows(match, keyed_rows, width, batch_rows=None):
+    """``(key, values, new_values)`` of each row ``match`` (a batch
+    matcher) takes from ``keyed_rows``, the ``(key, values)`` pairs a
+    row store scans; the rows are matched ``batch_rows`` at a time."""
+    pairs = list(keyed_rows)
+    rows = [values for _, values in pairs]
+    size = batch_rows or DEFAULT_BATCH_ROWS
+    for start in range(0, len(rows), size):
+        keep, new_columns = match(batch_from_rows(rows[start:start + size],
+                                                  width))
+        for i, position in enumerate(keep):
+            key, values = pairs[start + position]
+            yield key, values, [column[i] for column in new_columns]

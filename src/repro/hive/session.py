@@ -3,15 +3,15 @@
 A session owns one simulated cluster plus HDFS, HBase, the MapReduce
 runner and the metastore, and executes HiveQL statements end-to-end.
 
-UPDATE/DELETE dispatch (the heart of the paper) runs one row edit
-(:mod:`repro.hive.rowedit`; MERGE's matched arm is one too):
-
-* plain ORC tables  → lowered to a full INSERT OVERWRITE (Listing 2):
-  read *every column of every row*, rewrite the whole table;
-* HBase tables      → in-place random writes during the scan;
-* DualTable / ACID  → delegated to the handler's ``execute_update`` /
-  ``execute_delete`` (cost-model plan choice for DualTable, delta files
-  for ACID).
+UPDATE, DELETE and MERGE's matched arm (the heart of the paper) are one
+row edit each (:mod:`repro.hive.rowedit`), run by the table's storage
+handler's ``execute_update``; COMPACT by its ``execute_compact``
+(:class:`~repro.hive.storage.base.StorageHandler`).  Plain ORC tables
+take the default, Hive's INSERT OVERWRITE lowering (Listing 2,
+:meth:`HiveSession._rewrite_via_overwrite`): read *every column of every
+row*, rewrite the table or the partitions the edit touches.  HBase
+writes in place during the scan, ACID appends a delta table, DualTable
+chooses EDIT or OVERWRITE by its cost model.
 """
 
 import os
@@ -370,10 +370,10 @@ class HiveSession:
         the table properties, so the change survives handler re-reads
         and shows in DESCRIBE-adjacent tooling.
         """
+        from repro.core.handler import DualTableHandler
         info = self.metastore.table(stmt.table)
         handler = info.handler
-        if getattr(handler, "kind", None) not in ("dualtable",
-                                                  "dualtable-sharded"):
+        if not isinstance(handler, DualTableHandler):
             raise AnalysisError(
                 "ALTER TABLE ... SET DUALTABLE requires a DualTable "
                 "table (got %s stored as %s)" % (info.name, info.storage))
@@ -553,18 +553,7 @@ class HiveSession:
     def _update_or_delete(self, stmt):
         info = self.metastore.table(stmt.table)
         stmt = self._resolve_dml_subqueries(stmt)
-        return self.apply_row_edit(info, WhereEdit(stmt, info.schema))
-
-    def apply_row_edit(self, info, edit):
-        """Run one row edit (:mod:`repro.hive.rowedit`) — an UPDATE, a
-        DELETE or MERGE's matched arm — through its table's update path."""
-        handler = info.handler
-        execute = getattr(handler, "execute_" + edit.verb, None)
-        if execute is not None:
-            return execute(self, edit)
-        if handler.supports_inplace_mutation:
-            return self._edit_hbase(info, edit)
-        return self._rewrite_via_overwrite(info, edit)
+        return info.handler.execute_update(self, WhereEdit(stmt, info.schema))
 
     def _resolve_dml_subqueries(self, stmt):
         """Materialize scalar/IN subqueries in SET and WHERE clauses."""
@@ -642,8 +631,7 @@ class HiveSession:
 
         job = Job(name="%s-overwrite" % verb, splits=splits, map_fn=map_fn,
                   reduce_fn=None,
-                  properties={"shard_fanout":
-                              getattr(handler, "shard_fanout", 1)})
+                  properties={"shard_fanout": handler.shard_fanout})
         result = self.runner.run(job)
         rows = schema.coerce_rows(result.outputs)
         if affected is not None:
@@ -661,79 +649,25 @@ class HiveSession:
             jobs=jobs, affected=result.counters.get(counter, 0),
             plan="%s-overwrite" % verb, detail=detail)
 
-    # -- Hive(HBase) baseline: in-place random writes ------------------
-    def _edit_hbase(self, info, edit):
-        handler = info.handler
-        verb = edit.verb
-        match = edit.row_matcher(info.schema.names)
-        coerce = info.schema.coerce_value
-        targets = edit.targets
-        splits = handler.scan_splits(projection=None)
-        counter = verb + "d"
-
-        def map_fn(split, ctx):
-            inner = dict(split.payload)
-            matched = []
-            for rowkey, values in _hbase_rows_with_keys(handler, inner, ctx):
-                new_values = match(values)
-                if new_values is not None:
-                    matched.append((rowkey, {
-                        target: coerce(target, value)
-                        for target, value in zip(targets, new_values)}))
-            for rowkey, new_values in matched:
-                ctx.incr(counter)
-                if verb == "delete":
-                    handler.delete_row(rowkey)
-                else:
-                    handler.update_row(rowkey, new_values)
-            return ()
-
-        # In-place writes: HBase timestamp allocation must follow split
-        # order, so this job never runs on the worker pool.
-        job = Job(name="%s-hbase" % verb, splits=splits, map_fn=map_fn,
-                  reduce_fn=None, properties={"parallel": False})
-        result = self.runner.run(job)
-        jobs = self._dml_subquery_jobs + [result]
-        sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)
-        return QueryResult(sim_seconds=sub_seconds + result.sim_seconds,
-                           jobs=jobs,
-                           affected=result.counters.get(counter, 0),
-                           plan="%s-hbase" % verb, detail={"plan": "hbase"})
-
     # ------------------------------------------------------------------
     # COMPACT.
     # ------------------------------------------------------------------
     def _compact(self, stmt):
         info = self.metastore.table(stmt.table)
-        handler = info.handler
-        if hasattr(handler, "execute_compact"):
-            if getattr(handler, "kind", None) in ("dualtable",
-                                                  "dualtable-sharded"):
-                result = handler.execute_compact(
-                    self, major=stmt.major, partial=stmt.partial,
-                    max_files=stmt.max_files)
-                self.maintenance.note_manual(info.name, result)
-                return result
-            if stmt.partial:
-                raise AnalysisError(
-                    "COMPACT ... PARTIAL requires a DualTable table "
-                    "(got %s stored as %s)" % (info.name, info.storage))
-            return handler.execute_compact(self, major=stmt.major)
-        if hasattr(handler, "_htable"):
-            seconds = self._charged_parallel(
-                lambda: handler._htable().compact(major=stmt.major))
-            return QueryResult(plan="compact-hbase", sim_seconds=seconds)
-        raise AnalysisError(
-            "table %s (storage %s) does not support COMPACT"
-            % (info.name, info.storage))
+        result = info.handler.execute_compact(
+            self, major=stmt.major, partial=stmt.partial,
+            max_files=stmt.max_files)
+        self.maintenance.note_manual(info.name, result)
+        return result
 
     # ------------------------------------------------------------------
     # Sharding (SHOW SHARDS / ALTER TABLE ... REBALANCE).
     # ------------------------------------------------------------------
     def _sharded_handler(self, table, verb):
+        from repro.shard.sharded import ShardedDualTableHandler
         info = self.metastore.table(table)
         handler = info.handler
-        if getattr(handler, "kind", None) != "dualtable-sharded":
+        if not isinstance(handler, ShardedDualTableHandler):
             raise AnalysisError(
                 "%s requires a sharded DualTable (got %s stored as %s)"
                 % (verb, info.name, info.storage))
@@ -769,14 +703,3 @@ class HiveSession:
         return (scope.parallel_seconds / max(1, slots)
                 + scope.hbase_seconds)
 
-
-def _hbase_rows_with_keys(handler, payload, ctx):
-    """Scan one HBase split yielding (rowkey, full row tuple)."""
-    from repro.hive.storage.hbase_handler import _qualifier
-    from repro.hive.valuecodec import decode_value
-
-    quals = [_qualifier(i) for i in range(len(handler.schema))]
-    htable = handler._htable()
-    for rowkey, cells in htable.scan(payload["start"], payload["stop"]):
-        yield rowkey, tuple(
-            decode_value(cells[q]) if q in cells else None for q in quals)

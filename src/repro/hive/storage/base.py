@@ -5,8 +5,13 @@ A handler owns a table's bytes and knows how to:
 * create/drop the physical storage,
 * bulk-insert rows (append or overwrite),
 * produce :class:`~repro.mapreduce.job.InputSplit`s for a scan with
-  projection + predicate-range pushdown, and
-* read one split back as column batches.
+  projection + predicate-range pushdown,
+* read one split back as column batches, and
+* run a row edit (:mod:`repro.hive.rowedit`: UPDATE, DELETE, MERGE's
+  matched arm) and COMPACT: ``execute_update`` is Hive's INSERT
+  OVERWRITE (Listing 2) and ``execute_compact`` an ``AnalysisError``
+  unless the handler has its own.  The session calls these and
+  nothing else.
 
 DualTable plugs into Hive through exactly this seam, mirroring the paper's
 custom InputFormat/OutputFormat/SerDe implementation (Section V-A).  A
@@ -15,17 +20,22 @@ handler that keeps ORC files lays them out with :mod:`repro.orc.directory`.
 
 from abc import ABC, abstractmethod
 
+from repro.common.errors import AnalysisError
+
 
 class StorageHandler(ABC):
     """Per-table storage driver."""
 
-    kind = "abstract"
+    #: the PRIMARY KEY column a LOOKUP plan probes (DualTable only).
+    primary_key = None
 
-    #: True when UPDATE/DELETE can be executed as in-place random writes
-    #: (HBase-backed tables); False means the session must fall back to
-    #: INSERT OVERWRITE semantics (plain ORC) or a handler-specific
-    #: mechanism (DualTable, ACID).
-    supports_inplace_mutation = False
+    #: region servers a job's splits spread over (makespan only).
+    shard_fanout = 1
+
+    #: EXPLAIN's account of how UPDATE/DELETE run, or None when the
+    #: handler explains each statement's choice (DualTable).
+    dml_plan = ("INSERT OVERWRITE (full table or partition rewrite — reads "
+                "and writes every column of every row)")
 
     #: names of the trailing schema columns stored in directory names
     #: (a partitioned ORC table); empty for every other table.
@@ -85,3 +95,22 @@ class StorageHandler(ABC):
     @abstractmethod
     def row_count(self):
         """Exact or estimated row count (no data read)."""
+
+    # ------------------------------------------------------------------
+    # Statements.
+    # ------------------------------------------------------------------
+    def execute_update(self, session, edit):
+        """Run one row edit — an UPDATE, a DELETE or MERGE's matched arm;
+        a QueryResult.  Hive rewrites the table (Listing 2)."""
+        info = session.metastore.table(self.table.name)
+        return session._rewrite_via_overwrite(info, edit)
+
+    def execute_compact(self, session, major=True, partial=False,
+                        max_files=None):
+        """``COMPACT TABLE t [MAJOR|MINOR|PARTIAL [n]]``; a QueryResult.
+        PARTIAL folds a DualTable's densest files; nothing else has it."""
+        raise AnalysisError(
+            ("COMPACT ... PARTIAL requires a DualTable table (got %s stored "
+             "as %s)" if partial else
+             "table %s (storage %s) does not support COMPACT")
+            % (self.table.name, self.table.storage))

@@ -3,12 +3,14 @@
 This is the "Hive(HBase)" baseline of the paper: row-level UPDATE/DELETE
 are cheap random writes, but scans pay HBase's random-read rates and
 per-row overhead, which is why the paper drops it from the grid
-experiments and why Figure 11 shows it losing badly on reads.
+experiments and why Figure 11 shows it losing badly on reads.  COMPACT
+is HBase's own (minor or major) store compaction.
 """
 
 import struct
 
-from repro.mapreduce import InputSplit
+from repro.mapreduce import InputSplit, Job
+from repro.hive.rowedit import matched_rows
 from repro.hive.storage.base import StorageHandler
 from repro.hive.valuecodec import decode_value, encode_value
 from repro.vector import batches_from_rows
@@ -25,8 +27,7 @@ def _qualifier(col_index):
 class HBaseTableHandler(StorageHandler):
     """Row-oriented table stored in simulated HBase."""
 
-    kind = "hbase"
-    supports_inplace_mutation = True
+    dml_plan = "in-place random writes during table scan"
 
     def __init__(self, table, env):
         super().__init__(table, env)
@@ -85,36 +86,80 @@ class HBaseTableHandler(StorageHandler):
 
     def read_split_batches(self, split, ctx, batch_rows=None):
         """HBase serves rows, not columns: batch the region scan."""
-        width = len(split.payload["projection"] or self.schema)
-        return batches_from_rows(self.read_split(split, ctx), width,
-                                 batch_rows)
+        projection = split.payload["projection"]
+        indices = (range(len(self.schema)) if projection is None
+                   else [self.schema.index_of(name) for name in projection])
+        rows = (values for _, values
+                in self._region_rows(split.payload, indices))
+        return batches_from_rows(rows, len(indices), batch_rows)
 
-    def read_split(self, split, ctx):
-        """The region scan behind :meth:`read_split_batches`, row by row."""
-        payload = split.payload
-        projection = payload["projection"]
-        if projection is None:
-            indices = list(range(len(self.schema)))
-        else:
-            indices = [self.schema.index_of(name) for name in projection]
+    def _region_rows(self, payload, indices):
+        """``(rowkey, values)`` of one split's region scan, ``values`` the
+        columns at ``indices``."""
         quals = [_qualifier(i) for i in indices]
-        htable = self._htable()
-        for _, cells in htable.scan(payload["start"], payload["stop"]):
-            yield tuple(
+        for rowkey, cells in self._htable().scan(payload["start"],
+                                                 payload["stop"]):
+            yield rowkey, tuple(
                 decode_value(cells[q]) if q in cells else None
                 for q in quals)
 
     # ------------------------------------------------------------------
-    # Row mutation (what makes this handler update-friendly).
+    # Statements: UPDATE/DELETE in place (what makes this handler
+    # update-friendly) and HBase's own COMPACT.
     # ------------------------------------------------------------------
-    def update_row(self, rowkey, new_values):
-        """Put new cell values: ``{column_index: python_value}``."""
-        payload = {_qualifier(idx): encode_value(val)
-                   for idx, val in new_values.items()}
-        self._htable().put(rowkey, payload)
+    def execute_update(self, session, edit):
+        """One row edit as random writes: each map task matches its
+        region's rows, then puts (or deletes) the matched ones in place."""
+        from repro.hive.session import QueryResult
 
-    def delete_row(self, rowkey):
-        self._htable().delete_row(rowkey)
+        verb = edit.verb
+        schema = self.schema
+        match = edit.batch_matcher(schema.names)
+        columns = range(len(schema))
+        coerce = schema.coerce_value
+        targets = edit.targets
+        batch_rows = session.batch_rows
+        counter = verb + "d"
+
+        def map_fn(split, ctx):
+            rows = self._region_rows(split.payload, columns)
+            writes = [(rowkey, {_qualifier(target):
+                                encode_value(coerce(target, value))
+                                for target, value in zip(targets, values)})
+                      for rowkey, _, values in matched_rows(
+                          match, rows, len(schema), batch_rows)]
+            if writes:
+                ctx.incr(counter, len(writes))
+            htable = self._htable()
+            for rowkey, cells in writes:
+                if verb == "delete":
+                    htable.delete_row(rowkey)
+                else:
+                    htable.put(rowkey, cells)
+            return ()
+
+        # In-place writes: HBase timestamp allocation must follow split
+        # order, so this job never runs on the worker pool.
+        job = Job(name="%s-hbase" % verb, splits=self.scan_splits(),
+                  map_fn=map_fn, reduce_fn=None,
+                  properties={"parallel": False})
+        result = session.runner.run(job)
+        sub = session._dml_subquery_jobs
+        return QueryResult(
+            sim_seconds=sum(j.sim_seconds for j in sub) + result.sim_seconds,
+            jobs=sub + [result], affected=result.counters.get(counter, 0),
+            plan="%s-hbase" % verb, detail={"plan": "hbase"})
+
+    def execute_compact(self, session, major=True, partial=False,
+                        max_files=None):
+        """HBase's store compaction (PARTIAL is DualTable's)."""
+        from repro.hive.session import QueryResult
+
+        if partial:
+            return super().execute_compact(session, partial=True)
+        seconds = session._charged_parallel(
+            lambda: self._htable().compact(major=major))
+        return QueryResult(plan="compact-hbase", sim_seconds=seconds)
 
     # ------------------------------------------------------------------
     def data_bytes(self):

@@ -43,8 +43,6 @@ def _decode_value(text, column):
 class OrcHdfsHandler(StorageHandler):
     """ORC-on-HDFS table storage, optionally directory-partitioned."""
 
-    kind = "orc"
-
     def __init__(self, table, env):
         super().__init__(table, env)
         self.location = "/warehouse/%s" % table.name

@@ -85,13 +85,12 @@ class AutoCompactionDaemon:
     # Configuration (ALTER TABLE t SET AUTOCOMPACT (...)).
     # ------------------------------------------------------------------
     def configure(self, table, enabled, options):
+        from repro.core.handler import DualTableHandler
         from repro.hive.session import QueryResult
 
         session = self._session()
         info = session.metastore.table(table)
-        handler = info.handler
-        if getattr(handler, "kind", None) not in ("dualtable",
-                                                  "dualtable-sharded"):
+        if not isinstance(info.handler, DualTableHandler):
             raise AnalysisError(
                 "AUTOCOMPACT requires a DualTable table (got %s stored "
                 "as %s)" % (info.name, info.storage))

@@ -15,6 +15,8 @@ Fault tolerance mirrors Hadoop's task layer:
   recovery is visible in a job's ``sim_seconds``;
 * fatal injected faults (``kill`` — the client JVM dying) are never
   absorbed: they wrap into :class:`TaskFailedError` immediately;
+* an :class:`~repro.common.errors.AnalysisError` (the statement itself
+  is wrong) is re-raised as it is: no retry, no backoff;
 * speculative execution launches a backup attempt for straggler tasks
   (duration above ``speculative_threshold`` × the job's median) and takes
   the earlier finisher, charging the duplicate work.
@@ -41,7 +43,8 @@ import heapq
 from collections import defaultdict
 from itertools import chain
 
-from repro.common.errors import FaultInjectedError, TaskFailedError
+from repro.common.errors import (AnalysisError, FaultInjectedError,
+                                 TaskFailedError)
 from repro.common.retry import RetryPolicy
 from repro.mapreduce.job import (JobResult, TaskContext,
                                  estimate_record_bytes, stable_hash)
@@ -184,6 +187,8 @@ class JobRunner:
                         failed = (scope.parallel_seconds
                                   + profile.task_overhead_s)
                         span.annotate(outcome="failed", error=str(exc))
+                        if isinstance(exc, AnalysisError):
+                            raise   # every attempt would fail alike
                         if _is_fatal(exc) or policy.is_last(attempt):
                             raise TaskFailedError(describe(exc)) from exc
                         backoff = policy.backoff(attempt)

@@ -158,8 +158,6 @@ class ShardedDualTableHandler(DualTableHandler):
     :class:`ShardMap`.  Reads, DML and COMPACT are the plain table's;
     this class adds REBALANCE, shard heat and SHOW SHARDS."""
 
-    kind = "dualtable-sharded"
-
     def __init__(self, table, env):
         key = table.properties.get("shard.key")
         if not key:

@@ -293,6 +293,39 @@ class TestSubqueries:
             db.execute("SELECT name FROM emp "
                        "WHERE salary = (SELECT salary FROM emp)")
 
+    @pytest.mark.parametrize("sql, rows", [
+        ("SELECT CASE WHEN k = (SELECT max(k) FROM t) THEN 1 ELSE 0 END "
+         "FROM t", [(0,), (1,)]),
+        ("SELECT k FROM t WHERE (SELECT max(k) FROM t) IS NOT NULL "
+         "AND k = 1", [(1,)]),
+        ("SELECT k FROM t WHERE -k = -(SELECT max(k) FROM t)", [(2,)]),
+        ("SELECT k FROM t WHERE 'b' LIKE (SELECT v FROM t WHERE k = 2)",
+         [(1,), (2,)]),
+    ])
+    def test_subquery_under_any_expression_node(self, sql, rows):
+        session = HiveSession(profile=ClusterProfile.laptop())
+        session.execute("CREATE TABLE t (k int, v string)")
+        session.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+        assert sorted(session.execute(sql).rows) == rows
+
+    def test_update_set_case_over_a_subquery(self):
+        session = HiveSession(profile=ClusterProfile.laptop())
+        session.execute("CREATE TABLE t (k int, v int)")
+        session.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        session.execute("UPDATE t SET v = CASE WHEN k = (SELECT max(k) "
+                        "FROM t) THEN 9 ELSE v END")
+        assert sorted(session.execute("SELECT * FROM t").rows) == [
+            (1, 10), (2, 9)]
+
+    def test_walk_pushes_children_in_field_order(self):
+        from repro.hive.expressions import walk
+        from repro.hive.parser import parse
+        expr = parse("SELECT 1 FROM t WHERE a + b IN (c, -d) AND CASE "
+                     "WHEN e LIKE f THEN g END IS NULL").where
+        names = [node.name for node in walk(expr)
+                 if type(node).__name__ == "ColumnRef"]
+        assert names == ["g", "f", "e", "d", "c", "b", "a"]
+
     def test_derived_table_with_aggregate(self, db):
         result = db.execute(
             "SELECT s.dept FROM (SELECT dept, count(*) n FROM emp "

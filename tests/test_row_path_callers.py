@@ -27,7 +27,6 @@ ROW_READS = {"read_split", "read_split_with_rids"}
 #: ``module:function`` prefix -> why it may define or call a row read.
 ALLOWED = {
     "acid/": "the Hive-ACID baseline merges on read, row by row",
-    "hive/storage/hbase_handler.py:": "HBase serves rows; it batches them",
 }
 GONE = ("engine ==", "make_reader", "merge_mode", "REPRO_ENGINE",
         "REPRO_MERGE", "attached_for_split")

@@ -21,6 +21,9 @@ STALE = {
     # the store reads its own files now; the time stays in
     # ``DualTableHandler.read_split_batches``, the same layer.
     "repro.core.handler:DualTableHandler._prepare_union_read",
+    # a DELETE runs through ``execute_update`` now, traced in the same
+    # ``core.handler.dml`` layer.
+    "repro.core.handler:DualTableHandler.execute_delete",
 }
 
 
