@@ -248,8 +248,9 @@ class AttachedTable:
         return self._htable().is_empty()
 
     def has_entries_in_file(self, file_id):
-        """Metadata-level check used to decide if stripe pruning is safe:
-        two bisects per store, no cell visited, nothing cached."""
+        """Whether the file has any delta, before the pruning rule looks
+        at :meth:`assigned_columns`: two bisects per store, no cell
+        visited, nothing cached."""
         return self._htable().any_in_range(*file_key_range(file_id))
 
     def file_delta_stats(self, file_id):
@@ -281,22 +282,28 @@ class AttachedTable:
             cache.put(key, value, nbytes=weigh(value) if weigh else 64)
         return value
 
-    def pk_dirty_in_file(self, file_id, column_index):
-        """True if any delta in this file rewrites the PK column itself.
+    def assigned_columns(self, file_id):
+        """The column indices this file's deltas assign, a frozenset.
 
-        Stripe pruning by primary-key min/max on a file *with* deltas is
-        still sound as long as no delta moves a row across PK ranges —
-        non-PK updates cannot change which stripe a key lives in, and
-        deletes of pruned rows are irrelevant.  The one unsound case is
-        an UPDATE that sets the PK column: the LOOKUP planner must read
-        such a file in full.  Control-plane metadata (uncharged, via
-        ``scan_silent``) memoized beside the presence index.
+        What the one stripe-pruning rule reads
+        (:meth:`~repro.core.store.DualTableStore.pruning_ranges`): the
+        file's statistics still prune by every column outside it.
+        Control-plane metadata (uncharged: the range's qualifiers, no
+        row resolved) memoized beside the presence index, so a delta
+        write to the file drops it.  A qualifier this library does not
+        write is the :class:`CorruptDeltaError` the read would raise.
         """
-        qualifier = update_qualifier(column_index)
-        return self._memo(
-            (file_id, "pk-dirty", column_index),
-            lambda: any(qualifier in cells for _, cells in
-                        self._htable().scan_silent(*file_key_range(file_id))))
+        table, key_range = self._htable(), file_key_range(file_id)
+
+        def compute():
+            kinds = [parse_qualifier(qualifier) for qualifier
+                     in table.qualifiers_in_range(*key_range)]
+            if ("unknown", None) in kinds:
+                for record_id, cells in table.scan_silent(*key_range):
+                    resolve_delta(self.name, record_id, cells)
+            return frozenset(column for kind, column in kinds
+                             if kind == "update")
+        return self._memo((file_id, "assigned"), compute)
 
     def entry_count(self):
         return self._htable().count_rows()

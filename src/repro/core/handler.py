@@ -8,10 +8,10 @@ one per shard, and a router that says which store each row goes to.
 
 Reads are UNION READs: each master file is one input split; its mapper
 merges the sorted ORC row stream with the sorted Attached-Table delta
-stream for that file's record-ID range.  Stripe pruning is applied only
-when the Attached Table holds no entries for the file (otherwise an
-updated field could move a row into the predicate's range and pruning
-would be unsound).
+stream for that file's record-ID range.  A file's stripe statistics
+prune by every predicate column none of its deltas assigns (an assigned
+field could move a row into the predicate's range):
+:meth:`~repro.core.store.DualTableStore.pruning_ranges`.
 """
 
 import itertools
@@ -26,6 +26,7 @@ from repro.hive.storage.base import StorageHandler
 from repro.core.cost_model import CostModel, record_audit
 from repro.core.editlog import EditBatch, recover_edit_logs
 from repro.core.lookup import edit_by_key, execute_lookup, plan_lookup
+from repro.core.master import FILE_ID_KEY
 from repro.core.metadata import DualTableMetadata
 from repro.core.record_id import RECORD_ID_BYTES, encode_record_id
 from repro.core.store import DualTableStore, StoreRouter, setting
@@ -247,6 +248,22 @@ class DualTableHandler(StorageHandler):
     def row_count(self):
         return sum(shard.master.row_count() for shard in self.shards)
 
+    def pruning_on_dirty_files(self, columns):
+        """``(files with deltas, {column: files of them whose stripe
+        statistics still prune by it})``, by each store's
+        ``pruning_ranges``; uncharged."""
+        dirty = 0
+        kept = dict.fromkeys(columns, 0)
+        for store in self.shards:
+            for path in store.master.file_paths():
+                file_id, _ = store.master.file_meta(path)
+                if store.attached.has_entries_in_file(file_id):
+                    dirty += 1
+                    for column in store.pruning_ranges(
+                            file_id, dict.fromkeys(columns)):
+                        kept[column] += 1
+        return dirty, kept
+
     def _master_bytes(self):
         return sum(shard.master.data_bytes() for shard in self.shards)
 
@@ -292,14 +309,18 @@ class DualTableHandler(StorageHandler):
         return sample_selection(readers, self.schema, where)
 
     def _edit_scan_bytes(self, edit):
-        """Master bytes the EDIT scan reads (projection + pruning)."""
+        """Master bytes the EDIT scan reads: its projection, pruned per
+        file by the rule the scan follows (``store.pruning_ranges``)."""
         projection = [c.name for c in self.schema
                       if c.name.lower() in edit.needed] or None
         total = 0
-        for reader in self._master_readers():
-            stripe_filter = make_stripe_filter(
-                [n for n, _ in reader.schema], edit.ranges)
-            total += reader.projected_bytes(projection, stripe_filter)
+        for store in self.shards:
+            for reader in store.master.readers():
+                ranges = store.pruning_ranges(
+                    int(reader.metadata[FILE_ID_KEY]), edit.ranges)
+                stripe_filter = make_stripe_filter(
+                    [n for n, _ in reader.schema], ranges)
+                total += reader.projected_bytes(projection, stripe_filter)
         return total
 
     def choose_dml_plan(self, edit):

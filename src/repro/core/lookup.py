@@ -19,10 +19,12 @@ are written in key order (``MasterTable.write_rows``).
 Soundness of PK pruning on a *dirty* file: a delta that updates non-PK
 columns cannot move a row across PK ranges or hash buckets, and a delete
 of a pruned row is irrelevant — so pruning by the stored keys stays
-sound unless some delta rewrites the PK column itself.
-:func:`plan_lookup` checks that per file
-(:meth:`AttachedTable.pk_dirty_in_file`) and reads PK-dirty files in
-full.
+sound unless some delta rewrites the PK column itself — the one
+pruning rule every reader of a master file follows
+(:meth:`~repro.core.store.DualTableStore.pruning_ranges`).
+:func:`plan_lookup` asks per file whether the PK is among the columns
+its deltas assign (:meth:`AttachedTable.assigned_columns`) and reads
+such a file in full.
 
 Planning is entirely uncharged control-plane work (metastore-style
 stats); execution charges exactly what the scan path's per-file union
@@ -262,8 +264,8 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
             total_groups += file_groups
             delta_bytes, delta_entries = \
                 source.attached.file_delta_stats(entry["file_id"])
-            if delta_entries and source.attached.pk_dirty_in_file(
-                    entry["file_id"], entry["names"].index(pk)):
+            if delta_entries and entry["names"].index(pk) in \
+                    source.attached.assigned_columns(entry["file_id"]):
                 # A delta rewrote the PK itself: statistics and masks
                 # describe the stored keys only, so read the whole file.
                 row_spans = None

@@ -168,8 +168,7 @@ class DualTableStore:
     # Reads (UNION READ of one master file).
     # ------------------------------------------------------------------
     def scan_splits(self, projection=None, ranges=None):
-        """One split per master file; stripe pruning only where the file
-        has no deltas (an update could move a row into the range)."""
+        """One split per master file, pruned by :meth:`pruning_ranges`."""
         # Recover the Attached store up front: the per-file fan-out below
         # may run on pool workers, and a WAL replay must happen (and be
         # charged) exactly once, before any of them look at key ranges.
@@ -178,12 +177,10 @@ class DualTableStore:
         def split_for(path):
             reader = self.master.reader(path)
             file_id = int(reader.metadata[FILE_ID_KEY])
-            prune_safe = not self.attached.has_entries_in_file(file_id)
             return InputSplit(
                 payload={"path": path, "file_id": file_id,
                          "projection": projection,
-                         "ranges": (ranges or {}) if prune_safe else {},
-                         "prune_safe": prune_safe},
+                         "ranges": self.pruning_ranges(file_id, ranges)},
                 size_bytes=reader.projected_bytes(projection),
                 label=path)
 
@@ -196,48 +193,78 @@ class DualTableStore:
                             sum(split.size_bytes for split in splits))
         return splits
 
+    def pruning_ranges(self, file_id, ranges):
+        """The one stripe-pruning rule for a master file: ``ranges`` less
+        the columns the file's deltas assign.
+
+        A delta that does not assign a column cannot move a row into or
+        out of that column's range, and a deleted row that pruning skips
+        would not be returned anyway, so the stored statistics still
+        bound the merged rows there.  SELECT, EDIT and MERGE scans prune
+        by what this returns, the EDIT estimate prices it, and the
+        LOOKUP planner applies it to the PRIMARY KEY.  Control-plane
+        work: a clean file consults no memo.
+        """
+        if not ranges or not self.attached.has_entries_in_file(file_id):
+            return ranges or {}
+        assigned = self.attached.assigned_columns(file_id)
+        schema = self.schema
+        return {name: col_range for name, col_range in ranges.items()
+                if not schema.has_column(name)
+                or schema.index_of(name) not in assigned}
+
     def _tagged(self, splits):
         if self.shard is not None:
             for split in splits:
                 split.payload["shard"] = self.shard
         return splits
 
-    def _prepare_union_read(self, file_id, reader, stripe_filter,
-                            row_spans=None):
+    def _pruned_stripes(self, reader, ranges):
+        """``(stripe_filter, spans)``: how ``ranges`` prune one file.
+
+        ``spans`` are the surviving stripes' ``(first_row, num_rows)``,
+        or None when the ranges prune every stripe and the file is read
+        for its footer only.  Counts ``unionread.stripes_pruned`` and
+        ``unionread.files_skipped``.
+        """
+        stripe_filter = make_stripe_filter([n for n, _ in reader.schema],
+                                           ranges)
+        spans = [(s.first_row, s.num_rows) for s in reader.stripes
+                 if stripe_filter is None or stripe_filter(s)]
+        pruned = len(reader.stripes) - len(spans)
+        skipped = int(pruned > 0 and not spans)
+        self._note_units((("stripes_pruned", pruned),
+                          ("files_skipped", skipped)))
+        return stripe_filter, None if skipped else spans
+
+    def _prepare_union_read(self, file_id, spans):
         """Per-file merge setup.
 
         Fetches the file's deltas (the one charged, memoized scan,
         :meth:`AttachedTable.file_deltas`) and classifies the file's
         merge units (``unionread.batches_*`` counters) on the canonical
-        grid: the surviving stripes, or a keyed read's runs of row
-        groups (``row_spans``).  Eager materialization reorders the
-        delta-scan charges relative to the interleaved master reads,
-        which is ledger-neutral: charges accumulate per (device,
-        category) key, so only per-key order — unchanged — matters.
+        grid ``spans``: the surviving stripes, or a keyed read's runs of
+        row groups.  Eager materialization reorders the delta-scan
+        charges relative to the interleaved master reads, which is
+        ledger-neutral: charges accumulate per (device, category) key,
+        so only per-key order — unchanged — matters.
         Returns ``(cells, overlay)``.
         """
         cells, overlay = self.attached.file_deltas(file_id)
-        if row_spans is not None:
-            spans = [(start, stop - start) for runs in row_spans.values()
-                     for start, stop in runs]
-        else:
-            spans = [(s.first_row, s.num_rows) for s in reader.stripes
-                     if stripe_filter is None or stripe_filter(s)]
         fast, dirty = classify_merge_units(spans, overlay.positions)
-        self._note_merge_units(fast, dirty)
+        self._note_units((("batches_fast", fast), ("batches_overlay", dirty)))
         return cells, overlay
 
-    def _note_merge_units(self, fast, dirty):
-        """Merge-unit accounting: how much of the scanned stripe grid
-        streamed through the fast path vs needed delta work.
+    def _note_units(self, counts):
+        """``unionread.<name>`` counters, table-wide and per store, of
+        ``(name, count)`` pairs.
 
-        The unit grid is per *stripe* — control-plane arithmetic over
-        footer spans and delta positions, so the counts are
-        byte-identical across workers, shards and the batch-size knob.
+        Stripes and merge units are control-plane arithmetic over footer
+        spans and delta positions, so the counts are byte-identical
+        across workers, shards and the batch-size knob.
         """
         metrics = self.env.cluster.metrics
-        for name, units in (("batches_fast", fast),
-                            ("batches_overlay", dirty)):
+        for name, units in counts:
             if units:
                 metrics.incr("unionread.%s" % name, units)
                 metrics.incr("unionread.%s.%s" % (name, self.name), units)
@@ -251,7 +278,8 @@ class DualTableStore:
         stream straight through; dirty ones get the file's columnar
         overlay applied (INTERNALS §14).  A keyed read's payload names
         the runs of rows its plan admitted (``"row_spans"``, per stripe)
-        instead of ranges to prune by.
+        instead of ranges to prune by.  A file whose ranges prune every
+        stripe yields nothing past its footer: no delta scan, no merge.
         """
         payload = split.payload
         cluster = self.env.cluster
@@ -261,15 +289,21 @@ class DualTableStore:
             reader = self.master.reader(payload["path"])
             projection = payload["projection"]
             row_spans = payload.get("row_spans")
-            stripe_filter = make_stripe_filter([n for n, _ in reader.schema],
-                                               payload["ranges"] or {})
+            if row_spans is None:
+                stripe_filter, spans = self._pruned_stripes(
+                    reader, payload["ranges"])
+                if spans is None:
+                    return
+            else:
+                stripe_filter = None
+                spans = [(start, stop - start) for runs in row_spans.values()
+                         for start, stop in runs]
             orc_batches = reader.batches(projection=projection,
                                          stripe_filter=stripe_filter,
                                          batch_rows=batch_rows,
                                          row_spans=row_spans)
             projection_map = self._projection_map(projection)
-            _, overlay = self._prepare_union_read(
-                payload["file_id"], reader, stripe_filter, row_spans)
+            _, overlay = self._prepare_union_read(payload["file_id"], spans)
             stats = {}
             nrows = 0
             for batch in union_read_overlay(payload["file_id"], orc_batches,
@@ -344,8 +378,7 @@ class DualTableStore:
             splits.append(InputSplit(
                 payload={"path": path,
                          "file_id": int(reader.metadata[FILE_ID_KEY]),
-                         "projection": None, "ranges": {},
-                         "prune_safe": False},
+                         "projection": None, "ranges": {}},
                 size_bytes=reader.projected_bytes(None),
                 label=path))
         return self._tagged(splits)

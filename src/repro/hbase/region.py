@@ -163,6 +163,13 @@ class Region:
         return _resolve_rows(self._merged_cells(start_row, stop_row),
                              versions=versions)
 
+    def qualifiers_in_range(self, start_row=None, stop_row=None):
+        """Qualifiers of the range's put cells, shadowed ones too (a
+        superset of what :meth:`scan` returns), no row resolved."""
+        return {cell.qualifier for store in self._stores()
+                for cell in store.scan(start_row, stop_row)
+                if not cell.cell_type}          # CellType.PUT is 0
+
     def get(self, row, versions=1):
         stop = row + b"\x00"
         for _, data in self.scan(row, stop, versions=versions):

@@ -129,6 +129,15 @@ class HTable:
         for region in self._regions_in_range(start_row, stop_row):
             yield from region.scan(start_row, stop_row, versions=versions)
 
+    def qualifiers_in_range(self, start_row=None, stop_row=None):
+        """Uncharged, for planning: every qualifier :meth:`scan_silent`
+        could return for the range, without resolving its rows."""
+        self._server.ensure_available()
+        found = set()
+        for region in self._regions_in_range(start_row, stop_row):
+            found |= region.qualifiers_in_range(start_row, stop_row)
+        return found
+
     # ------------------------------------------------------------------
     # Maintenance.
     # ------------------------------------------------------------------

@@ -211,10 +211,21 @@ def _explain_scan(session, table_ref, where, needed, lines, indent):
                     else "(first column only)"))
     if usable:
         lines.append(pad + "  stripe-prunable predicate columns: %s"
-                     % ", ".join(usable))
+                     % _pruning_columns(handler, usable))
     if handler.primary_key is not None:
         _explain_lookup(session, handler, ranges, projection or None,
                         lines, indent)
+
+
+def _pruning_columns(handler, columns):
+    """The columns, each with the files with deltas that still prune by
+    it when the table has such files (``pruning_on_dirty_files``)."""
+    account = handler.pruning_on_dirty_files(columns)
+    if not account or not account[0]:
+        return ", ".join(columns)
+    dirty, kept = account
+    return ", ".join("%s (on in %d of %d files with deltas)"
+                     % (column, kept[column], dirty) for column in columns)
 
 
 def _explain_lookup(session, handler, ranges, projection, lines, indent):

@@ -27,6 +27,14 @@ class ColumnRange:
     in_set: frozenset = None
 
     def intersect(self, other):
+        """Both constraints at once; ``self`` alone (still implied by
+        the two) when their bounds cannot be ordered."""
+        try:
+            return self._intersect(other)
+        except TypeError:
+            return self
+
+    def _intersect(self, other):
         merged = ColumnRange(self.low, self.high, self.low_inclusive,
                              self.high_inclusive, self.in_set)
         if other.low is not None and (merged.low is None
@@ -174,10 +182,12 @@ def _range_from_conjunct(expr):
                 values.extend(lit)      # materialized IN-subquery
             else:
                 values.append(lit)
-        if values:
-            return expr.operand.name.lower(), ColumnRange(
-                in_set=frozenset(values),
-                low=min(values), high=max(values))
+        try:
+            low, high = min(values), max(values)
+        except (TypeError, ValueError):
+            return None     # empty, or values with no order: no range
+        return expr.operand.name.lower(), ColumnRange(
+            in_set=frozenset(values), low=low, high=high)
     return None
 
 

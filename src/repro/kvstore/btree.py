@@ -173,6 +173,11 @@ class BTreeTable:
                    [self._view(cells, versions)
                     for cells in self._rows[lo:hi]])
 
+    def qualifiers_in_range(self, start_row=None, stop_row=None):
+        """Uncharged, for planning: the qualifiers of the range's rows."""
+        lo, hi = self._bounds(start_row, stop_row)
+        return set().union(*self._rows[lo:hi])
+
     @staticmethod
     def _view(cells, versions):
         if versions == 1:

@@ -55,8 +55,9 @@ _LIST_BYTES = sys.getsizeof([])
 _VALUE_BYTES = {"int": 32, "double": 24, "boolean": 0}
 #: strings per decoded column that :func:`decoded_bytes` sizes.
 _STRING_SAMPLE = 64
+_EMPTY_STR_BYTES = sys.getsizeof("")
 #: a short ASCII string, as :func:`_seed_bytes` counts each one.
-_SEED_STRING_BYTES = sys.getsizeof("") + 7
+_SEED_STRING_BYTES = _EMPTY_STR_BYTES + 7
 
 
 def decoded_bytes(kind, column):
@@ -72,9 +73,20 @@ def decoded_bytes(kind, column):
     if per_value is not None:
         return _LIST_BYTES + (8 + per_value) * n
     sample = column[::max(1, n // _STRING_SAMPLE)]
-    distinct = dict(zip(map(id, sample), sample)).values()
+    distinct = list(dict(zip(map(id, sample), sample)).values())
     return (_LIST_BYTES + 8 * n
-            + sum(map(sys.getsizeof, distinct)) * n // max(1, len(sample)))
+            + _sizeof_all(distinct) * n // max(1, len(sample)))
+
+
+def _sizeof_all(values):
+    """``sum(map(sys.getsizeof, values))``, without a call per value when
+    every value is an exact ``str`` and all are ASCII: a compact ASCII
+    string holds the empty string's bytes plus one per character."""
+    if set(map(type, values)) == {str}:
+        text = "".join(values)
+        if text.isascii():
+            return _EMPTY_STR_BYTES * len(values) + len(text)
+    return sum(map(sys.getsizeof, values))
 
 
 def _seed_bytes(schema, num_rows):

@@ -13,7 +13,6 @@ from repro.core.attached import (DELETE_MARKER, DeltaRecord, parse_qualifier,
                                  update_qualifier)
 from repro.core.record_id import decode_record_id
 from repro.core.union_read import DeltaOverlay, union_read_file
-from repro.hive.pushdown import make_stripe_filter
 from repro.hive.valuecodec import decode_value, encode_value
 
 
@@ -30,9 +29,11 @@ def union_read_rows(handler, split, stats=None):
             "substrate", "union-read:%d" % file_id,
             path=payload["path"]) as span:
         reader = handler.master.reader(payload["path"])
-        stripe_filter = make_stripe_filter([n for n, _ in reader.schema],
-                                           payload["ranges"] or {})
-        cells, _ = handler._prepare_union_read(file_id, reader, stripe_filter)
+        stripe_filter, spans = handler._pruned_stripes(reader,
+                                                       payload["ranges"])
+        if spans is None:
+            return      # every stripe pruned: footer only, no merge
+        cells, _ = handler._prepare_union_read(file_id, spans)
         stats = {} if stats is None else stats
         nrows = 0
         for item in union_read_file(

@@ -231,7 +231,7 @@ class TestStripeIndexInvalidation:
 
     def test_index_dropped_by_pk_moving_update(self):
         """After ``SET k = ...`` the warmed index's pruning verdicts are
-        only safe because the pk-dirty probe is re-run — the moved row
+        only safe because the assigned-column probe is re-run — the moved row
         must be found at its new key and gone from its old one."""
         session = self.build()
         self.warmed(session)
@@ -251,15 +251,15 @@ class TestStripeIndexInvalidation:
         def probe(file_id):
             return {key: value for key, value
                     in entries_of(session, file_id).items()
-                    if key[3] == "pk-dirty"}
+                    if key[3] == "assigned"}
 
-        assert list(probe(first).values()) == [False]
-        assert list(probe(second).values()) == [False]
+        assert list(probe(first).values()) == [{1}]
+        assert list(probe(second).values()) == [{1}]
         session.execute("UPDATE t SET k = 900 WHERE k = 17")
-        assert list(probe(first).values()) == [False]      # kept
+        assert list(probe(first).values()) == [{1}]        # kept
         assert probe(second) == {}                         # dropped
         assert self.point(session, 900) == [(900, 171, "s17")]
-        assert list(probe(second).values()) == [True]      # re-run
+        assert list(probe(second).values()) == [{0, 1}]    # re-run
         assert self.point(session, 17) == []
         assert self.fresh_point(session, 900) == [(900, 171, "s17")]
 
@@ -403,7 +403,9 @@ class TestPerFileInvalidation:
 
     def test_edit_of_file_a_keeps_file_b(self, workers):
         session = self.dirty(workers)
-        select_all(session)                               # warm
+        select_all(session)                               # warm deltas
+        # and the assigned-column memos the UPDATE's planning reads
+        session.execute("SELECT count(*) FROM t WHERE k = 3")
         a, *others = file_ids(session.table("t").handler)
         assert entries_of(session, a)
         kept = {f: entries_of(session, f) for f in others}

@@ -7,6 +7,7 @@ from repro.common.errors import (CompactionInProgressError, DualTableError,
                                  TaskFailedError)
 from repro.core.record_id import encode_record_id
 from repro.hive import HiveSession
+from repro.hive.pushdown import ColumnRange
 
 
 @pytest.fixture
@@ -47,14 +48,21 @@ class TestReads:
             assert ordinals and ordinals == sorted(set(ordinals))
 
     def test_pruning_disabled_when_attached_nonempty(self, session):
+        """Pruning by a column stops in a file whose deltas assign it,
+        and only there; its other columns and other files keep theirs."""
         handler = make_dualtable(session)
-        splits = handler.scan_splits(ranges={"id": None})
-        assert all(s.payload["prune_safe"] for s in splits)
+        ranges = {"id": ColumnRange(high=5), "tag": ColumnRange(low="t1")}
+
+        def pruned_by():
+            return [sorted(s.payload["ranges"])
+                    for s in handler.scan_splits(ranges=ranges)]
+
+        assert pruned_by() == [["id", "tag"]] * 4
         session.execute("UPDATE dt SET tag = 'x' WHERE id = 0")
-        splits = handler.scan_splits(ranges={"id": None})
-        # first file now has attached entries: pruning unsafe there.
-        assert not splits[0].payload["prune_safe"]
-        assert splits[1].payload["prune_safe"]
+        # the first file's delta assigns ``tag``: pruning unsafe there.
+        assert pruned_by() == [["id"]] + [["id", "tag"]] * 3
+        session.execute("DELETE FROM dt WHERE id = 60")
+        assert pruned_by() == [["id"]] + [["id", "tag"]] * 3
 
 
 class TestUpdateCorrectness:

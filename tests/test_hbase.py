@@ -236,6 +236,22 @@ class TestHTable:
             table.put(row, {b"c": b"v"})
         assert [r for r, _ in table.scan(b"h", b"z")] == [b"h", b"p"]
 
+    def test_qualifiers_in_range_uncharged_across_regions(self, service):
+        """The put qualifiers a scan of the range could return, flushed
+        or not, from every region; a put a tombstone shadows counts."""
+        table = service.create_table("t", split_points=[b"m"])
+        table.put(b"a", {b"x": b"1"})
+        table.flush()
+        table.put(b"h", {b"y": b"2"})
+        table.put(b"p", {b"z": b"3"})
+        table.put(b"q", {b"w": b"4"})
+        table.delete_column(b"h", b"y")
+        ledger = service.cluster.ledger
+        before = ledger.snapshot()
+        assert table.qualifiers_in_range(b"a", b"q") == {b"x", b"y", b"z"}
+        assert table.qualifiers_in_range(b"b", b"h") == set()
+        assert ledger.diff(before)["bytes"] == {}
+
     def test_delete_row_and_column(self, service):
         table = service.create_table("t")
         table.put(b"r", {b"a": b"1", b"b": b"2"})

@@ -1,5 +1,7 @@
 """Tests for predicate-range extraction, pruning and selectivity."""
 
+import pytest
+
 from repro.hive.parser import parse
 from repro.hive.pushdown import (ColumnRange, estimate_selection,
                                  extract_ranges, make_stripe_filter)
@@ -166,3 +168,61 @@ class TestStripeFiltering:
         ranges = ranges_of("id = 3 AND day = 'd2'")
         selected, total = estimate_selection([reader], ranges)
         assert abs(selected / total - (1 / 10) * (1 / 5)) < 0.005
+
+
+class TestUnorderedValues:
+    """Literals with no order among them give no range, so they prune
+    nothing: the WHERE alone picks rows, as the evaluator compares
+    (``IN`` never coerces ``'2'`` to ``2``).  They used to raise the
+    builtin ``TypeError`` of ``min``."""
+
+    def test_mixed_in_list_has_no_range(self):
+        assert ranges_of("a IN (1, '2', 3.0)") == {}
+        assert ranges_of("a IN (1, NULL)") == {}
+        assert ranges_of("a IN (1, 2.5) AND b IN ('g1', 5)").keys() == {"a"}
+
+    def test_unordered_bounds_keep_the_first(self):
+        r = ranges_of("a < 5 AND a < 'x'")["a"]
+        assert r.high == 5 and r.low is None
+
+    TABLES = {
+        "orc": "STORED AS orc TBLPROPERTIES ('orc.stripe_rows' = '2')",
+        "dualtable": "STORED AS dualtable TBLPROPERTIES "
+                     "('orc.stripe_rows' = '2', 'dualtable.mode' = 'edit')",
+        "dirty": "STORED AS dualtable TBLPROPERTIES "
+                 "('orc.stripe_rows' = '2', 'dualtable.mode' = 'edit')",
+        "sharded": "STORED AS dualtable SHARDED BY (k) INTO 4 TBLPROPERTIES "
+                   "('orc.stripe_rows' = '2', 'dualtable.mode' = 'edit')",
+    }
+
+    def session(self, kind):
+        from repro.cluster import ClusterProfile
+        from repro.hive import HiveSession
+
+        session = HiveSession(profile=ClusterProfile.laptop())
+        key = ", PRIMARY KEY (k)" if kind == "sharded" else ""
+        session.execute("CREATE TABLE t (k int, g string, w int%s) %s"
+                        % (key, self.TABLES[kind]))
+        session.load_rows("t", [(k, "g%d" % (k % 3), k) for k in range(12)])
+        if kind == "dirty":
+            session.execute("UPDATE t SET w = w + 100 WHERE k % 4 = 1")
+        return session
+
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_statements_run_as_the_ordered_list(self, kind):
+        session = self.session(kind)
+
+        def rows(sql):
+            return sorted(session.execute(sql).rows)
+
+        assert rows("SELECT count(*) FROM t WHERE k IN (1, '2', 3.0)") \
+            == rows("SELECT count(*) FROM t WHERE k IN (1, 3.0)") == [(2,)]
+        explain = rows("EXPLAIN SELECT k FROM t WHERE k IN (1, '2')")
+        assert not any("stripe-prunable" in line for line, in explain)
+        assert session.execute(
+            "UPDATE t SET g = 'x' WHERE k IN (1, '2', 3.0)").affected == 2
+        assert rows("SELECT k FROM t WHERE g = 'x'") == [(1,), (3,)]
+        assert session.execute(
+            "DELETE FROM t WHERE g IN ('g1', 5)").affected == 3
+        assert rows("SELECT k FROM t") == [
+            (k,) for k in range(12) if k % 3 != 1 or k in (1,)]

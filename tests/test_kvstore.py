@@ -54,6 +54,14 @@ class TestBTreeTable:
         table.delete_column(b"k", b"b")
         assert table.get(b"k") is None
 
+    def test_qualifiers_in_range(self, table):
+        table.put(b"a", {b"x": b"1"})
+        table.put(b"b", {b"y": b"2", b"z": b"3"})
+        table.put(b"c", {b"w": b"4"})
+        table.delete_column(b"b", b"z")
+        assert table.qualifiers_in_range(b"a", b"c") == {b"x", b"y"}
+        assert table.qualifiers_in_range(b"d") == set()
+
     def test_truncate(self, table):
         table.put(b"k", {b"a": b"1"})
         table.truncate()

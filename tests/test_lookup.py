@@ -276,7 +276,7 @@ class TestScanParity:
         handler = session.table("t").handler
         path = handler.master.file_paths()[0]
         file_id = handler.master.file_id_of(path)
-        assert handler.attached.pk_dirty_in_file(file_id, 0)
+        assert 0 in handler.attached.assigned_columns(file_id)
         for sql in ("SELECT k, v FROM t WHERE k = 500",
                     "SELECT k, v FROM t WHERE k = 7"):
             looked, scanned = lookup_vs_scan(session, sql)

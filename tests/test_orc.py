@@ -3,6 +3,7 @@
 import json
 import random
 import struct
+import sys
 import tracemalloc
 import zlib
 
@@ -254,6 +255,22 @@ class TestCacheWeight:
         finally:
             tracemalloc.stop()
         assert held / 2 <= decoded_bytes(kind, column) <= held * 2
+
+    @pytest.mark.parametrize("column", [
+        [], ["", "a", "bc"], ["s%05d" % i for i in range(300)],
+        ["alpha", "beta"] * 200, ["ascii", "ünï", "日本"] * 40,
+        ["a", None, "b"] * 50, [type("Sub", (str,), {})("x"), "y"] * 80,
+    ], ids=["empty", "short", "direct", "shared", "non-ascii", "null",
+            "subclass"])
+    def test_string_weight_is_the_getsizeof_sum(self, column):
+        """The ASCII fast path weighs what ``sys.getsizeof`` does, to
+        the byte: cache budgets and evictions cannot tell them apart."""
+        n = len(column)
+        sample = column[::max(1, n // 64)]
+        distinct = dict(zip(map(id, sample), sample)).values()
+        expect = (sys.getsizeof([]) + 8 * n + sum(
+            map(sys.getsizeof, distinct)) * n // max(1, len(sample)))
+        assert decoded_bytes("string", column) == expect
 
     def test_column_over_the_budget_is_not_cached(self):
         """100 000 run-encoded ints: a 48-byte stream, ~4 MB decoded."""
