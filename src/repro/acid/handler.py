@@ -19,7 +19,7 @@ into a new base.
 
 from repro.common.errors import AnalysisError
 from repro.mapreduce import InputSplit, Job
-from repro.orc import OrcReader, write_orc_file
+from repro.orc import OrcMetadata, OrcReader, write_orc_file
 from repro.orc.directory import (orc_paths, orc_properties, replace,
                                  write_files)
 from repro.hive.catalog import register_handler
@@ -122,9 +122,8 @@ class AcidHandler(StorageHandler):
         offsets = {}
         rid = 0
         for path in self.base_files():
-            reader = OrcReader(self.fs, path)
             offsets[path] = rid
-            rid += reader.num_rows
+            rid += OrcMetadata(self.fs, path).num_rows
         return offsets
 
     def _read_all_deltas(self, ctx=None):
@@ -143,12 +142,11 @@ class AcidHandler(StorageHandler):
         prune_safe = not self.delta_files()
         splits = []
         for path in self.base_files():
-            reader = OrcReader(self.fs, path)
             splits.append(InputSplit(
                 payload={"path": path, "rid_offset": offsets[path],
                          "projection": list(projection) if projection else None,
                          "ranges": (ranges or {}) if prune_safe else {}},
-                size_bytes=reader.projected_bytes(
+                size_bytes=OrcMetadata(self.fs, path).projected_bytes(
                     list(projection) if projection else None),
                 label=path))
         return splits
@@ -194,7 +192,7 @@ class AcidHandler(StorageHandler):
                    for p in orc_paths(self.fs, self.location))
 
     def row_count(self):
-        return sum(OrcReader(self.fs, p).num_rows
+        return sum(OrcMetadata(self.fs, p).num_rows
                    for p in self.base_files())
 
     # ------------------------------------------------------------------

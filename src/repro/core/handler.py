@@ -256,7 +256,7 @@ class DualTableHandler(StorageHandler):
         kept = dict.fromkeys(columns, 0)
         for store in self.shards:
             for path in store.master.file_paths():
-                file_id, _ = store.master.file_meta(path)
+                file_id = store.master.file_id_of(path)
                 if store.attached.has_entries_in_file(file_id):
                     dirty += 1
                     for column in store.pruning_ranges(
@@ -266,12 +266,6 @@ class DualTableHandler(StorageHandler):
 
     def _master_bytes(self):
         return sum(shard.master.data_bytes() for shard in self.shards)
-
-    def _master_readers(self):
-        """A reader per master file, shard by shard: what plan choice
-        estimates from."""
-        return [reader for shard in self.shards
-                for reader in shard.master.readers()]
 
     # ------------------------------------------------------------------
     # UPDATE / DELETE (cost-model dispatch).
@@ -287,12 +281,14 @@ class DualTableHandler(StorageHandler):
         Prefers stripe-statistics estimation (zero data reads); falls back
         to evaluating the predicate over a small row sample — the paper's
         "historical analysis ... or directly given by the designer"
-        alternative, made automatic.
+        alternative, made automatic.  Both read metadata views
+        (:class:`~repro.orc.OrcMetadata`), so estimating charges nothing.
         """
         if where is None:
             return 1.0, self.row_count()
         ranges = extract_ranges(where)
-        readers = self._master_readers()
+        readers = [reader for shard in self.shards
+                   for reader in shard.master.readers()]
         if not readers:
             return 0.0, 0
         schema_cols = {c.name.lower() for c in self.schema}
@@ -309,10 +305,10 @@ class DualTableHandler(StorageHandler):
         return sample_selection(readers, self.schema, where)
 
     def _edit_scan_bytes(self, edit):
-        """Master bytes the EDIT scan reads: its projection, pruned per
-        file by the rule the scan follows (``store.pruning_ranges``)."""
-        projection = [c.name for c in self.schema
-                      if c.name.lower() in edit.needed] or None
+        """Master bytes the EDIT scan reads: the job's own projection
+        (``edit.projection``), pruned per file by the rule the scan
+        follows (``store.pruning_ranges``)."""
+        projection = edit.projection(self.schema)
         total = 0
         for store in self.shards:
             for reader in store.master.readers():

@@ -42,7 +42,6 @@ from repro.mapreduce.job import InputSplit, stable_hashes
 from repro.core.cost_model import record_audit
 from repro.core.editlog import EditBatch
 from repro.core.master import FILE_ID_KEY
-from repro.orc import OrcReader
 
 #: fixed hash-space resolution: a key maps to one of 64 buckets.  The
 #: shard map assigns buckets to shards (rebalancing moves whole buckets,
@@ -95,12 +94,13 @@ def stripe_index(store, hit_faults=True):
     bucket_mask, row_groups)``; ``row_groups`` holds the ``(min, max)``
     key pair of each :data:`ROW_GROUP_ROWS`-row group, None for a group
     whose keys are all NULL.  The row index lives here, in the control
-    plane, not in the ORC footer: footers are charged on every open, so
-    an index there would cost every scan bytes only keyed reads use.
+    plane, not in the ORC footer: every task's open charges its file's
+    footer, so an index there would cost every scan bytes only keyed
+    reads use.
 
-    Built uncharged from silent file reads (real warehouses keep these
-    stats in the metastore; cf. ``MasterTable.file_meta``) and memoized
-    in the cluster's delta cache keyed ``(attached_name, "stripe-index",
+    Built uncharged from each file's metadata view (``MasterTable.meta``;
+    real warehouses keep these stats in the metastore) and memoized in
+    the cluster's delta cache keyed ``(attached_name, "stripe-index",
     path, file_size)``.  Keying by the attached table's name means
     COMPACT, INSERT OVERWRITE and a region-server crash clearing the
     whole cache drop the index too; the file size in the key is
@@ -126,11 +126,27 @@ def stripe_index(store, hit_faults=True):
             if cached is not None:
                 entries.append(cached)
                 continue
-        entry = _index_entry(fs, path, key_index, size)
+        meta = store.master.meta(path)
+        stripes = []
+        for stripe, batch in zip(meta.stripes, meta.batches(
+                projection=[meta.schema[key_index][0]])):
+            keys = batch.columns[0]
+            stats = stripe.stats(key_index)
+            # Which hash buckets the stored keys fall in (a file the
+            # sharded writer made holds one bucket, one COMPACT wrote
+            # several), and each row group's key range.
+            stripes.append((stripe.num_rows, stats["min"], stats["max"],
+                            tuple(col["length"] for col in stripe.columns),
+                            bucket_mask(keys), _row_groups(keys)))
+        entry = {"path": path, "file_id": int(meta.metadata[FILE_ID_KEY]),
+                 "num_rows": meta.num_rows,
+                 "names": [n.lower() for n, _ in meta.schema],
+                 "footer_bytes": size - sum(s.length for s in meta.stripes),
+                 "stripes": stripes}
         if key is not None:
-            groups = sum(len(stripe[5]) for stripe in entry["stripes"])
+            groups = sum(len(stripe[5]) for stripe in stripes)
             cache.put(key, entry,
-                      nbytes=96 + 56 * len(entry["stripes"]) + 24 * groups)
+                      nbytes=96 + 56 * len(stripes) + 24 * groups)
         entries.append(entry)
     return entries
 
@@ -144,29 +160,6 @@ def bucket_mask(keys):
         if len(buckets) == NUM_BUCKETS:
             break           # every bit is set: the rest cannot add one
     return sum(1 << bucket for bucket in buckets)
-
-
-def _index_entry(fs, path, pk_idx, file_size):
-    reader = OrcReader(fs.read_file_silent(path))
-    names = [n.lower() for n, _ in reader.schema]
-    stripes = []
-    for stripe, batch in zip(reader.stripes, reader.batches(
-            projection=[reader.schema[pk_idx][0]])):
-        keys = batch.columns[0]
-        stats = stripe.stats(pk_idx)
-        # Which hash buckets the stored keys fall in (a file the sharded
-        # writer made holds one bucket, one COMPACT wrote several), and
-        # each row group's key range.
-        stripes.append((stripe.num_rows, stats["min"], stats["max"],
-                        tuple(col["length"] for col in stripe.columns),
-                        bucket_mask(keys), _row_groups(keys)))
-    footer_bytes = max(0, file_size - sum(s.length for s in reader.stripes))
-    return {"path": path,
-            "file_id": int(reader.metadata[FILE_ID_KEY]),
-            "num_rows": reader.num_rows,
-            "names": names,
-            "footer_bytes": footer_bytes,
-            "stripes": stripes}
 
 
 def _row_groups(keys):

@@ -13,7 +13,7 @@ row-group index (:mod:`repro.core.lookup`) has narrow ranges to prune by.
 
 from operator import itemgetter
 
-from repro.orc import OrcReader
+from repro.orc import OrcMetadata, OrcReader
 from repro.orc.directory import orc_paths, replace, write_files
 
 FILE_ID_KEY = "dualtable.file_id"
@@ -74,23 +74,19 @@ class MasterTable:
 
     # ------------------------------------------------------------------
     def reader(self, path):
+        """A task's reader of one master file: charges what it reads."""
         return OrcReader(self.fs, path)
 
-    def file_meta(self, path):
-        """``(file_id, num_rows)`` without charging the footer read.
-
-        Control-plane metadata, like ``fs.file_size``: real warehouses
-        keep per-file stats in the metastore, so planning (victim
-        selection, compaction policy) consults them for free.
-        """
-        reader = OrcReader(self.fs.read_file_silent(path))
-        return int(reader.metadata[FILE_ID_KEY]), reader.num_rows
+    def meta(self, path):
+        """A planner's view of one master file (:class:`OrcMetadata`):
+        footer and cached columns, charged nothing."""
+        return OrcMetadata(self.fs, path)
 
     def readers(self):
-        return [self.reader(p) for p in self.file_paths()]
+        return [self.meta(p) for p in self.file_paths()]
 
     def file_id_of(self, path):
-        return int(self.reader(path).metadata[FILE_ID_KEY])
+        return int(self.meta(path).metadata[FILE_ID_KEY])
 
     def data_bytes(self):
         return sum(self.fs.file_size(p) for p in self.file_paths())

@@ -173,25 +173,27 @@ class DualTableStore:
         # may run on pool workers, and a WAL replay must happen (and be
         # charged) exactly once, before any of them look at key ranges.
         self.attached.ensure_available()
-
-        def split_for(path):
-            reader = self.master.reader(path)
-            file_id = int(reader.metadata[FILE_ID_KEY])
-            return InputSplit(
-                payload={"path": path, "file_id": file_id,
-                         "projection": projection,
-                         "ranges": self.pruning_ranges(file_id, ranges)},
-                size_bytes=reader.projected_bytes(projection),
-                label=path)
-
-        splits = self._tagged(parallel_map(self.env.cluster, split_for,
-                                           self.master.file_paths()))
+        splits = self._tagged(parallel_map(
+            self.env.cluster,
+            lambda path: self._split(path, projection, ranges),
+            self.master.file_paths()))
         if self.shard is not None:
             metrics = self.env.cluster.metrics
             metrics.incr("dualtable.scans.%s" % self.name)
             metrics.observe("dualtable.scan_bytes.%s" % self.name,
                             sum(split.size_bytes for split in splits))
         return splits
+
+    def _split(self, path, projection=None, ranges=None):
+        """One master file's split, sized and pruned from its metadata
+        (planners read metadata, tasks read files)."""
+        meta = self.master.meta(path)
+        file_id = int(meta.metadata[FILE_ID_KEY])
+        return InputSplit(
+            payload={"path": path, "file_id": file_id,
+                     "projection": projection,
+                     "ranges": self.pruning_ranges(file_id, ranges)},
+            size_bytes=meta.projected_bytes(projection), label=path)
 
     def pruning_ranges(self, file_id, ranges):
         """The one stripe-pruning rule for a master file: ``ranges`` less
@@ -308,7 +310,7 @@ class DualTableStore:
             nrows = 0
             for batch in union_read_overlay(payload["file_id"], orc_batches,
                                             overlay, projection_map,
-                                            stats=stats):
+                                            reader.num_rows, stats=stats):
                 nrows += batch.length
                 yield batch
             self._note_union_read(span, nrows, stats)
@@ -357,7 +359,7 @@ class DualTableStore:
         for path in self.master.file_paths():
             if victim_paths is not None and path not in victim_paths:
                 continue
-            file_id, _ = self.master.file_meta(path)
+            file_id = self.master.file_id_of(path)
             delta_bytes, delta_entries = \
                 self.attached.file_delta_stats(file_id)
             if delta_bytes <= 0:
@@ -371,17 +373,8 @@ class DualTableStore:
 
     def compact_splits(self, paths=None):
         """One unpruned split per master file (of ``paths``, if given)."""
-        splits = []
-        for path in (paths if paths is not None
-                     else self.master.file_paths()):
-            reader = self.master.reader(path)
-            splits.append(InputSplit(
-                payload={"path": path,
-                         "file_id": int(reader.metadata[FILE_ID_KEY]),
-                         "projection": None, "ranges": {}},
-                size_bytes=reader.projected_bytes(None),
-                label=path))
-        return self._tagged(splits)
+        return self._tagged([self._split(path) for path in (
+            self.master.file_paths() if paths is None else paths)])
 
     def fold(self, session, plan, rows, victims=None):
         """Commit one COMPACT's merged ``rows``: write them into staging,

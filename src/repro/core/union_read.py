@@ -57,7 +57,7 @@ def apply_update(values, updates, projection_map):
 
 
 def union_read_file(file_id, orc_rows, delta_items, projection_map,
-                    stats=None):
+                    num_rows, stats=None):
     """Merge one master file with its attached deltas.
 
     ``orc_rows``        — iterator of ``(row_number, values_tuple)`` from the
@@ -66,6 +66,7 @@ def union_read_file(file_id, orc_rows, delta_items, projection_map,
                           record id, covering this file's key range;
     ``projection_map``  — ``{schema_column_index: projected_position}`` so
                           update cells can be applied onto projected tuples.
+    ``num_rows``        — the file's row count (its footer's);
     ``stats``           — optional dict; on exhaustion holds the merge
                           counters ``deltas_applied``, ``rows_deleted``,
                           ``deltas_skipped`` and ``trailing_deltas``
@@ -78,9 +79,10 @@ def union_read_file(file_id, orc_rows, delta_items, projection_map,
     hides real anomalies — an attached entry for a row COMPACT already
     folded away, or a file that shrank underneath its deltas.  They are
     therefore counted: ``deltas_skipped`` for ids passed over inside the
-    master range, ``trailing_deltas`` for ids beyond the last master row
-    (the iterator is drained so the count — and the backing scan's
-    charges — are complete).
+    file's ``num_rows`` rows (pruned stripes' too, read or not),
+    ``trailing_deltas`` for ids beyond its last row (the iterator is
+    drained so the count — and the backing scan's charges — are
+    complete).
     """
     applied = 0
     deleted = 0
@@ -106,8 +108,12 @@ def union_read_file(file_id, orc_rows, delta_items, projection_map,
                                                   projection_map)
                     continue
             yield record_id, values
+        end = encode_record_id(file_id, num_rows)
         while current is not None:
-            trailing += 1
+            if current[0] < end:
+                skipped += 1
+            else:
+                trailing += 1
             current = next(delta_iter, None)
     finally:
         if stats is not None:
@@ -210,12 +216,13 @@ def build_overlay(cells, table=None):
 
 
 def union_read_overlay(file_id, orc_batches, overlay, projection_map,
-                       stats=None):
+                       num_rows, stats=None):
     """Columnar UNION READ: apply one file's overlay batch by batch.
 
-    Yields the rows :func:`union_read_file` yields and fills the same
-    ``stats`` dict, but a dirty batch costs binary searches plus
-    slice-level column surgery instead of a per-row record-id merge:
+    Yields the rows :func:`union_read_file` yields for a file of
+    ``num_rows`` rows and fills the same ``stats`` dict, but a dirty
+    batch costs binary searches plus slice-level column surgery instead
+    of a per-row record-id merge:
 
     * patched columns are rebuilt once with :func:`repro.vector.spliced`
       (sparse position/value writes on a single list copy);
@@ -293,7 +300,8 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
                     del column[offset]
             yield ColumnBatch(columns, survivors, row_base=base,
                               dropped=dropped)
-        trailing = len(positions) - cursor
+        trailing = len(positions) - bisect_left(positions, num_rows, cursor)
+        skipped += len(positions) - cursor - trailing
     finally:
         if stats is not None:
             stats["deltas_applied"] = applied

@@ -272,7 +272,7 @@ def _explain_dml(session, stmt, lines):
     if plan is not None:
         lines.append("  plan: " + plan)
         return
-    # DualTable: run the actual cost evaluation (cheap, footer-only).
+    # DualTable: run the actual cost evaluation (metadata only: free).
     edit = WhereEdit(stmt, info.schema)
     choice = handler.choose_dml_plan(edit)
     plan = handler._plan_for(edit, choice.plan)

@@ -224,8 +224,7 @@ def estimate_selection(readers, ranges):
     total = 0
     selected = 0.0
     for reader in readers:
-        names = [n for n, _ in reader.schema]
-        lower = [n.lower() for n in names]
+        lower = [n.lower() for n, _ in reader.schema]
         for stripe in reader.stripes:
             total += stripe.num_rows
             fraction = 1.0
@@ -246,7 +245,8 @@ def estimate_selection(readers, ranges):
 def sample_selection(readers, schema, where, sample_rows=2000):
     """Estimate ``(ratio, total_rows)`` of ``where`` by evaluating it over
     a sample of about ``sample_rows`` rows spread across the readers:
-    the fallback when the predicate has no extractable column ranges."""
+    the fallback when the predicate has no extractable column ranges.
+    Planners pass metadata views: the sample is charged nothing."""
     projection = [c.name for c in schema
                   if c.name.lower() in referenced_columns(where)]
     if not projection:

@@ -17,7 +17,7 @@ are written and replaced through :mod:`repro.orc.directory`.
 
 from repro.common.errors import AnalysisError, HiveError
 from repro.mapreduce import InputSplit
-from repro.orc import OrcReader
+from repro.orc import OrcMetadata, OrcReader
 from repro.orc.directory import (orc_paths, orc_properties, replace,
                                  write_files)
 from repro.hive.pushdown import make_stripe_filter
@@ -196,12 +196,12 @@ class OrcHdfsHandler(StorageHandler):
             if not self.partition_matches(key, ranges):
                 continue
             for path in self._partition_files(directory):
-                reader = OrcReader(self.fs, path)
+                meta = OrcMetadata(self.fs, path)
                 splits.append(InputSplit(
                     payload={"path": path, "projection": projection,
                              "data_projection": data_projection,
                              "ranges": ranges, "key": key},
-                    size_bytes=reader.projected_bytes(data_projection),
+                    size_bytes=meta.projected_bytes(data_projection),
                     label=path))
         return splits
 
@@ -249,5 +249,5 @@ class OrcHdfsHandler(StorageHandler):
                    for p in orc_paths(self.fs, self.location))
 
     def row_count(self):
-        return sum(OrcReader(self.fs, p).num_rows
+        return sum(OrcMetadata(self.fs, p).num_rows
                    for p in orc_paths(self.fs, self.location))

@@ -9,9 +9,9 @@ Scheduling contract (documented in INTERNALS §7):
 * a tick never re-enters itself, never touches a table whose handler is
   mid-COMPACT or that has no AUTOCOMPACT config, and fast-exits on the
   uncharged ``attached.is_empty()`` metadata check;
-* everything a decision reads (ORC footers for file stats) is charged
-  inside a ``maintenance`` cost scope and advanced on the clock, so
-  background work is as real as foreground work;
+* a decision reads metadata (file stats, attached key-range sizes),
+  uncharged like every planner; whatever it does charge lands in a
+  ``maintenance`` cost scope and is advanced on the clock;
 * the injected ``dualtable.autocompact.tick`` fault point covers the
   new crash window: a kill between the decision and the compaction
   leaves at most a manifest behind, which PR 1's ``recover()`` heals on

@@ -27,6 +27,7 @@ Candidate plans, scored by net benefit:
 from dataclasses import dataclass, field
 
 from repro.mapreduce.runner import _makespan
+from repro.core.master import FILE_ID_KEY
 
 
 @dataclass
@@ -80,12 +81,13 @@ class CompactionPolicy:
         fs = handler.env.fs
         out = []
         for path in handler.master.file_paths():
-            file_id, num_rows = handler.master.file_meta(path)
+            meta = handler.master.meta(path)
+            file_id = int(meta.metadata[FILE_ID_KEY])
             delta_bytes, delta_entries = \
                 handler.attached.file_delta_stats(file_id)
             out.append(FileDelta(path=path, file_id=file_id,
                                  master_bytes=max(1, fs.file_size(path)),
-                                 master_rows=num_rows,
+                                 master_rows=meta.num_rows,
                                  delta_bytes=delta_bytes,
                                  delta_entries=delta_entries))
         return out

@@ -1,10 +1,11 @@
 """ORC-like columnar file format: stripes, stats, projection, pruning."""
 
-from repro.orc.reader import OrcReader, StripeInfo
+from repro.orc.reader import OrcMetadata, OrcReader, StripeInfo
 from repro.orc.writer import (DEFAULT_STRIPE_ROWS, OrcWriter, write_orc,
                                write_orc_file)
 
 __all__ = [
+    "OrcMetadata",
     "OrcReader",
     "StripeInfo",
     "OrcWriter",

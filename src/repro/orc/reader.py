@@ -396,3 +396,14 @@ class OrcReader:
                 continue
             total += sum(stripe.columns[i]["length"] for i in indices)
         return total
+
+
+class OrcMetadata(OrcReader):
+    """What a planner opens: an :class:`OrcReader` of ``(fs, path)``
+    that charges nothing.  Its footer and decoded columns come through
+    the ORC cache as a task's would (so the task that follows hits
+    them), but planners read metadata, tasks read files: only a task's
+    charged reader reaches the ledger."""
+
+    def _charge(self, nbytes):
+        pass

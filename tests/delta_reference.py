@@ -40,7 +40,8 @@ def union_read_rows(handler, split, stats=None):
                 file_id, reader.rows(projection=projection,
                                      stripe_filter=stripe_filter),
                 handler.attached.delta_items(cells),
-                handler._projection_map(projection), stats=stats):
+                handler._projection_map(projection), reader.num_rows,
+                stats=stats):
             nrows += 1
             yield item
         # Like the production generator, an abandoned read charges no

@@ -16,6 +16,7 @@ file whose delta moved a row's ``w`` into it) fails the ``update-w``,
 import pytest
 
 from repro.cluster import ClusterProfile
+from repro.core.record_id import encode_record_id
 from repro.core.store import DualTableStore
 from repro.hive import HiveSession
 from repro.hive.parser import parse
@@ -155,7 +156,7 @@ class TestOneFileOnly:
 
 def footer_bytes(session):
     handler = session.table("t").handler
-    return sum(OrcReader(session.fs.read_file_silent(path))._footer_bytes
+    return sum(handler.master.meta(path)._footer_bytes
                for path in handler.master.file_paths())
 
 
@@ -181,8 +182,8 @@ class TestFootersOnly:
         assert dirty["total_seconds"] == pytest.approx(clean["total_seconds"])
         assert not any(key.startswith("hbase/")
                        for key in map("/".join, dirty["bytes"]))
-        # planning opens each footer, and so does each file's task
-        assert dirty["bytes"][("hdfs", "read")] == 2 * footer_bytes(session)
+        # each file's task opens its footer; planning reads metadata
+        assert dirty["bytes"][("hdfs", "read")] == footer_bytes(session)
         assert counters["unionread.files_skipped"] - skipped == FILES
         assert counters["unionread.files_skipped.t"] >= FILES
 
@@ -245,3 +246,46 @@ def test_edit_estimate_equals_the_stripe_bytes_the_job_charges(monkeypatch):
     # file 0 by its statistics (2 stripes), file 1 whole (4)
     assert len(charged) == 6
     assert predicted == sum(charged)
+
+
+def test_edit_estimate_prices_the_job_projection_when_the_edit_reads_none():
+    """An edit that reads no column still scans one (``RowEdit
+    .projection``); the estimate prices that one, not every column."""
+    session = build()
+    handler = session.table("t").handler
+    sql = "UPDATE t SET g = 'x'"
+    predicted = handler._edit_scan_bytes(WhereEdit(parse(sql),
+                                                   handler.schema))
+    ledger = session.cluster.ledger
+    before = ledger.snapshot()
+    result = session.execute(sql)
+    assert result.plan == "update-edit" and result.affected == N
+    # planning reads metadata: the statement's HDFS reads are the tasks'
+    # footers and the stripe columns the estimate priced
+    read = ledger.diff(before)["bytes"][("hdfs", "read")]
+    assert predicted == read - footer_bytes(session) > 0
+
+
+class TestTrailingDeltas:
+    """``unionread.trailing_deltas`` counts deltas past a file's last
+    row, by the file's row count, not by the last batch a read took."""
+
+    def counted(self, session, where):
+        counters = session.cluster.metrics.counters
+        before = counters.get("unionread.trailing_deltas", 0)
+        select(session, where)
+        return counters.get("unionread.trailing_deltas", 0) - before
+
+    def test_deltas_of_pruned_stripes_do_not_trail(self):
+        session = build(scenario=["UPDATE t SET v = -v WHERE k % 40 >= 30"])
+        assert self.counted(session, "w < 15") == 0
+        assert self.counted(session, "k = 45") == 0
+
+    def test_a_delta_past_the_last_row_still_trails(self):
+        session = build(scenario=["UPDATE t SET v = -v WHERE k % 40 >= 30"])
+        handler = session.table("t").handler
+        file_id = handler.master.file_id_of(handler.master.file_paths()[0])
+        handler.attached.put_update(encode_record_id(file_id, PER_FILE + 3),
+                                    {2: 777})
+        assert self.counted(session, "w < 15") == 1
+        assert self.counted(session, "k >= 0") == 1

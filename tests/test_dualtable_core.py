@@ -141,7 +141,9 @@ class TestAttachedTable:
 class TestUnionRead:
     def _merge(self, orc_rows, deltas, projection_map=None):
         projection_map = projection_map or {0: 0, 1: 1}
-        return list(union_read_file(0, orc_rows, deltas, projection_map))
+        orc_rows = list(orc_rows)
+        return list(union_read_file(0, iter(orc_rows), deltas,
+                                    projection_map, len(orc_rows)))
 
     def test_no_deltas_passthrough(self):
         rows = [(0, ("a", 1)), (1, ("b", 2))]
@@ -211,7 +213,7 @@ def test_union_read_matches_oracle_property(row_ops, n_rows):
             oracle.pop(decode_record_id(rid)[1], None)
     merged = list(union_read_file(0, iter(master),
                                   iter(sorted(deltas.items())),
-                                  {0: 0, 1: 1}))
+                                  {0: 0, 1: 1}, len(master)))
     got = {decode_record_id(rid)[1]: list(values) for rid, values in merged}
     assert got == oracle
 

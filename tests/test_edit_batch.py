@@ -136,8 +136,8 @@ def make_session(batch_rows, workers, sharded):
 
 
 def stripe_keys(session):
-    """Key lists of every stripe, in file order (footer + column reads;
-    charged identically on both sides of the comparison)."""
+    """Key lists of every stripe, in file order (metadata reads, which
+    charge nothing)."""
     stripes = []
     readers = [reader for shard in session.metastore.table("t").handler.shards
                for reader in shard.master.readers()]

@@ -52,12 +52,15 @@ def make_batches(spans, projection):
             for first, n in spans]
 
 
-def run_all_paths(spans, entries, projection=(0, 1, 2)):
-    """Rows + stats from the overlay merge and its specification.
+def run_all_paths(spans, entries, projection=(0, 1, 2), num_rows=None):
+    """Rows + stats from the overlay merge and its specification, over a
+    file of ``num_rows`` rows (by default, up to the last span's end).
 
     Asserts the two agree exactly before returning ``(rows, stats)`` —
     every test's core oracle.
     """
+    if num_rows is None:
+        num_rows = spans[-1][0] + spans[-1][1]
     items = items_for(entries)
     projection_map = {c: i for i, c in enumerate(projection)}
     overlay = build_overlay(cells_for_items(items))
@@ -65,12 +68,13 @@ def run_all_paths(spans, entries, projection=(0, 1, 2)):
     o_stats, r_stats = {}, {}
     o_batches = list(union_read_overlay(
         FILE_ID, iter(make_batches(spans, projection)), overlay,
-        projection_map, stats=o_stats))
+        projection_map, num_rows, stats=o_stats))
     o_rows = [tuple(row) for batch in o_batches for row in batch.rows()]
     orc_rows = [(r, tuple(cell(r, c) for c in projection))
                 for first, n in spans for r in range(first, first + n)]
     r_pairs = list(union_read_file(
-        FILE_ID, iter(orc_rows), items, projection_map, stats=r_stats))
+        FILE_ID, iter(orc_rows), items, projection_map, num_rows,
+        stats=r_stats))
     r_rows = [values for _, values in r_pairs]
 
     assert o_rows == r_rows
@@ -119,6 +123,17 @@ class TestAdversarialDistributions:
         assert stats["trailing_deltas"] == 2
         assert stats["deltas_applied"] == 1
         assert len(rows) == 8
+
+    def test_pruned_tail_stripe_counts_skipped_not_trailing(self):
+        # Stripe (4, 4) pruned, and it is the file's last: its deltas
+        # lie inside the file, so only the id past row 7 trails.
+        entries = {1: delta(updates={0: "x"}),
+                   6: delta(updates={1: "unread"}),
+                   9: delta(deleted=True)}
+        rows, stats = run_all_paths([(0, 4)], entries, num_rows=8)
+        assert stats == {"deltas_applied": 1, "rows_deleted": 0,
+                         "deltas_skipped": 1, "trailing_deltas": 1}
+        assert len(rows) == 4
 
     def test_pruned_stripe_gap_counts_skipped(self):
         # Stripe (4, 4) pruned away: its delta ids are passed over.
@@ -170,7 +185,7 @@ class TestAdversarialDistributions:
         source = make_batches([(0, 4)], projection)
         out = list(union_read_overlay(
             FILE_ID, iter(source), overlay,
-            {c: i for i, c in enumerate(projection)}))
+            {c: i for i, c in enumerate(projection)}, 4))
         assert out[0].columns[0] is source[0].columns[0]
         assert out[0].columns[2] is source[0].columns[2]
         assert out[0].columns[1] is not source[0].columns[1]
@@ -201,7 +216,8 @@ class TestDifferentialFuzz:
                 entries[row] = delta(updates=updates)   # may be a noop
         projection = rng.choice([(0, 1, 2), (2, 0), (1,), (0, 2)])
         rows, stats = run_all_paths(spans if spans else [(0, 1)],
-                                    entries, projection=projection)
+                                    entries, projection=projection,
+                                    num_rows=total_rows)
         assert stats["rows_deleted"] <= len(
             [d for d in entries.values() if d.deleted])
         assert len(rows) <= total_rows

@@ -43,8 +43,9 @@ def handler_of(session, name="t"):
 
 def master_files(handler):
     """``[(path, (file_id, num_rows))]`` of every shard's master files."""
-    return [(path, shard.master.file_meta(path)) for shard in handler.shards
-            for path in shard.master.file_paths()]
+    return [(path, (shard.master.file_id_of(path),
+                    shard.master.meta(path).num_rows))
+            for shard in handler.shards for path in shard.master.file_paths()]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +578,7 @@ class TestPlanningOverShards:
         session.execute("UPDATE t SET v = -1 WHERE k IN (3, 17, 40, 66)")
         handler = handler_of(session)
         assert not hasattr(handler, "compaction")
-        for name in ("location", "file_paths", "readers", "file_meta",
+        for name in ("location", "file_paths", "readers", "meta",
                      "is_empty", "backend", "rates", "ensure_available",
                      "put_update", "file_delta_stats"):
             assert not hasattr(handler.master, name), name
