@@ -5,12 +5,13 @@ estimate and sample, its EDIT scan term, row counts, compaction victim
 choice, the keyed stripe index — opens the file through
 :class:`repro.orc.OrcMetadata`, which serves the footer and cached
 columns through the ORC cache and charges nothing, the way Hive's
-planner consults metastore statistics.  Only a task (a map or reduce
-attempt) or a keyed read opens the charged :class:`repro.orc.OrcReader`.
+planner consults metastore statistics.  Only execution (a map or reduce
+task, a keyed read, a statement's ``bulk`` phase) opens the charged
+:class:`repro.orc.OrcReader`.
 
 So a plain EXPLAIN, which executes nothing, charges no byte on any
-storage, and an executed statement charges no HDFS read outside a task
-or a keyed read, where the simulated clock would not see it.
+storage, and an executed statement charges HDFS reads only where its
+simulated seconds count them: in one of those three.
 """
 
 import re
@@ -52,8 +53,10 @@ STATEMENTS = [
     "MERGE INTO t USING s ON t.k = s.k WHEN MATCHED THEN UPDATE SET v = s.v",
 ]
 
-#: a task's cost scope (``JobRunner``): ``map-3.1``, ``reduce-0.2``.
-TASK_SCOPE = re.compile(r"^(map|reduce)-\d+\.\d+$")
+#: a task's cost scope (``JobRunner``): ``map-3.1``, ``reduce-0.2``;
+#: or ``bulk``, a statement's own parallel phase
+#: (``HiveSession._charged_parallel``).
+EXECUTION_SCOPE = re.compile(r"^((map|reduce)-\d+\.\d+|bulk)$")
 
 
 def build(storage, workers=1):
@@ -87,10 +90,10 @@ def test_plain_explain_charges_nothing(storage, sql):
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_statements_read_files_in_tasks_only(storage, workers,
-                                             monkeypatch):
-    """Every HDFS read byte of an executed statement is charged inside a
-    task's cost scope or a keyed read, never while planning."""
+def test_statements_read_files_only_while_executing(storage, workers,
+                                                    monkeypatch):
+    """Every HDFS read byte of an executed statement is charged inside an
+    execution cost scope or a keyed read, never while planning."""
     session = build(storage, workers)
     stray = []
     keyed = []
@@ -99,7 +102,7 @@ def test_statements_read_files_in_tasks_only(storage, workers,
     def recording(ledger, charge):
         if (charge.subsystem, charge.op) == ("hdfs", "read") \
                 and not keyed and not any(
-                    TASK_SCOPE.match(scope.label)
+                    EXECUTION_SCOPE.match(scope.label)
                     for scope in ledger._scopes if not scope.attached):
             stray.append((sql, charge.nbytes))
         return record(ledger, charge)
@@ -115,8 +118,9 @@ def test_statements_read_files_in_tasks_only(storage, workers,
 
     monkeypatch.setattr(MetricsLedger, "record", recording)
     monkeypatch.setattr(lookup, "keyed_batches", keyed_read)
-    compact = ["COMPACT TABLE t"] if storage.startswith(("dual", "acid")) \
-        else []
+    compact = {"acid": ["COMPACT TABLE t MINOR", "COMPACT TABLE t"],
+               "orc": [], "orc-partitioned": []}.get(storage,
+                                                     ["COMPACT TABLE t"])
     read = 0
     for sql in STATEMENTS + ["SELECT * FROM t WHERE k = 7"] + compact:
         before = session.cluster.ledger.snapshot()
