@@ -14,7 +14,10 @@ stages deltas for them (EDIT-by-key, :func:`edit_by_key`).
 The win is the MR fixed cost (job startup + one task per file), every
 pruned stripe's bytes, and the merge and filter work of every pruned
 row group.  Row groups prune well because a keyed table's master files
-are written in key order (``MasterTable.write_rows``).
+are written in key order (``MasterTable.write_rows``).  A key set (an
+IN list, or the integers of a closed int range: :func:`pinned_keys`)
+prunes stripes by bucket mask and pins shards, so a range over a
+hash-sharded table opens only the files of its keys' buckets.
 
 Soundness of PK pruning on a *dirty* file: a delta that updates non-PK
 columns cannot move a row across PK ranges or hash buckets, and a delete
@@ -34,7 +37,7 @@ with no double-charged cost.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from repro.common.errors import FaultInjectedError
 from repro.hive.vexpr import compile_batch_predicate
@@ -76,6 +79,7 @@ class LookupPlan:
     stripes: tuple = (0, 0)  # (candidate, total) stripes of those files
     row_groups: tuple = (0, 0)  # (candidate, total) row groups, likewise
     shards: tuple = (0,)     # shards consulted (a sharded table's plan)
+    buckets: tuple = None    # (wanted, total) buckets of a key set, or None
 
     @property
     def shard(self):
@@ -152,14 +156,34 @@ def stripe_index(store, hit_faults=True):
 
 
 def bucket_mask(keys):
-    """One bit per hash bucket that holds one of ``keys``."""
+    """One bit per hash bucket that holds one of ``keys`` (any iterable,
+    a lazy ``range`` too: hashing stops at a full mask)."""
     buckets = set()
-    for start in range(0, len(keys), 128):
-        buckets.update(digest % NUM_BUCKETS for digest in
-                       stable_hashes(keys[start:start + 128]))
-        if len(buckets) == NUM_BUCKETS:
-            break           # every bit is set: the rest cannot add one
+    keys = iter(keys)
+    while len(buckets) < NUM_BUCKETS:
+        chunk = list(islice(keys, 128))
+        if not chunk:
+            break
+        buckets.update(digest % NUM_BUCKETS
+                       for digest in stable_hashes(chunk))
     return sum(1 << bucket for bucket in buckets)
+
+
+def pinned_keys(key_range, key_type):
+    """The finite key set ``key_range`` pins a column holding
+    ``key_type`` values to, or None: an IN list's values, or, on an int
+    column, the lazy ``range`` of the integers between two exact-int
+    bounds (an exclusive bound adjusted).  A key set prunes stripes by
+    bucket mask and pins shards; callers check an IN list's value types.
+    """
+    if key_range.in_set is not None:
+        return key_range.in_set
+    low, high = key_range.low, key_range.high
+    if key_type is not int or type(low) is not int \
+            or type(high) is not int:
+        return None
+    return range(low + (not key_range.low_inclusive),
+                 high + key_range.high_inclusive)
 
 
 def _row_groups(keys):
@@ -206,9 +230,11 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
     ``dualtable.lookup.max_rows`` rows: the listed keys of an equality
     or IN list (the PRIMARY KEY is unique), the candidate row groups'
     rows of a range; what must be *read* is the cost verdict's to price.
-    A stripe is a candidate when its PK min/max admits the range, for an
-    IN list one of the wanted keys' hash buckets is in its mask, *and*
-    one of its row groups' min/max admits the range too; a payload's
+    A stripe is a candidate when its PK min/max admits the range, for a
+    key set (an IN list, or the integers of a closed int range:
+    :func:`pinned_keys`) one of the wanted keys' hash buckets is in its
+    mask, *and* one of its row groups' min/max admits the range too;
+    ``buckets`` counts the wanted buckets.  A payload's
     ``row_spans`` names the admitted groups as merged runs of rows per
     stripe (None: a PK-dirty file, read whole).  ``sources`` is
     ``[(index, store)]``, the stores whose files the plan draws from —
@@ -223,7 +249,8 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
         return None
     pk = handler.primary_key
     keys = pk_range.in_set
-    wanted = None if keys is None else bucket_mask(list(keys))
+    key_set = pinned_keys(pk_range, handler.schema.column(pk).python_type)
+    wanted = None if key_set is None else bucket_mask(key_set)
     candidates = []
     est_rows = lookup_bytes = scan_bytes = 0
     probe_bytes = probe_entries = 0
@@ -299,7 +326,9 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
                       total_files=total_files,
                       stripes=(stripes_read, total_stripes),
                       row_groups=(groups_read, total_groups),
-                      shards=tuple(shard for shard, _ in sources))
+                      shards=tuple(shard for shard, _ in sources),
+                      buckets=None if wanted is None
+                      else (wanted.bit_count(), NUM_BUCKETS))
 
 
 def _admitted_runs(pk_range, groups, first, nrows):

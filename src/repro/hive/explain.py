@@ -243,9 +243,9 @@ def _explain_lookup(session, handler, ranges, projection, lines, indent):
     chosen = mode if mode in ("lookup", "scan") else choice.plan
     lines.append(pad + "  LOOKUP eligibility (PRIMARY KEY %s):" % plan.pk)
     lines.append(pad + "    candidate files:  %d of %d, stripes %d of %d, "
-                       "row groups %d of %d (~%d row(s))"
+                       "row groups %d of %d (~%d row(s))%s"
                  % (choice.files_read, choice.total_files, *plan.stripes,
-                    *plan.row_groups, plan.est_rows))
+                    *plan.row_groups, plan.est_rows, _buckets(plan)))
     lines.append(pad + "    LOOKUP cost:      %.4fs (%s)"
                  % (choice.lookup_seconds, fmt_bytes(choice.lookup_bytes)))
     lines.append(pad + "    scan cost:        %.4fs (%s)"
@@ -255,6 +255,11 @@ def _explain_lookup(session, handler, ranges, projection, lines, indent):
                      % chosen)
     else:
         lines.append(pad + "    plan: %s" % chosen)
+
+
+def _buckets(plan):
+    """``", buckets N of 64"`` when the keyed plan's key set is known."""
+    return "" if plan.buckets is None else ", buckets %d of %d" % plan.buckets
 
 
 def _explain_dml(session, stmt, lines):
@@ -305,11 +310,12 @@ def _explain_edit_by_key(session, handler, edit, choice, lines):
     lines.append("    symptom:   the EDIT job pays startup + %d task(s) "
                  "to find ~%d row(s)" % (verdict.total_files, keyed.est_rows))
     lines.append("    evidence:  candidate files %d of %d, stripes %d of %d, "
-                 "row groups %d of %d; keyed read %.4fs vs job %.4fs vs "
+                 "row groups %d of %d%s; keyed read %.4fs vs job %.4fs vs "
                  "OVERWRITE %.2fs"
                  % (verdict.files_read, verdict.total_files, *keyed.stripes,
-                    *keyed.row_groups, verdict.lookup_seconds,
-                    verdict.scan_seconds, choice.overwrite_seconds))
+                    *keyed.row_groups, _buckets(keyed),
+                    verdict.lookup_seconds, verdict.scan_seconds,
+                    choice.overwrite_seconds))
     if mode == "scan":
         lines.append("    plan: job (forced by dualtable.plan)")
     elif mode != "lookup" and verdict.plan != "lookup":

@@ -10,8 +10,7 @@ Scheduling contract (documented in INTERNALS §7):
   mid-COMPACT or that has no AUTOCOMPACT config, and fast-exits on the
   uncharged ``attached.is_empty()`` metadata check;
 * a decision reads metadata (file stats, attached key-range sizes),
-  uncharged like every planner; whatever it does charge lands in a
-  ``maintenance`` cost scope and is advanced on the clock;
+  uncharged like every planner, so it takes no simulated time;
 * the injected ``dualtable.autocompact.tick`` fault point covers the
   new crash window: a kill between the decision and the compaction
   leaves at most a manifest behind, which PR 1's ``recover()`` heals on
@@ -180,13 +179,7 @@ class AutoCompactionDaemon:
         name = target.name
         with cluster.tracer.span("phase", "autocompact:decide",
                                  table=name) as span:
-            with cluster.cost_scope("maintenance") as scope:
-                policy = CompactionPolicy(target, options)
-                decision = policy.decide(horizon)
-            decision_seconds = (
-                scope.parallel_seconds
-                / max(1, cluster.profile.total_map_slots)
-                + scope.hbase_seconds)
+            decision = CompactionPolicy(target, options).decide(horizon)
             attrs = {"action": decision.action,
                      "predicted_seconds": decision.predicted_seconds,
                      "benefit_seconds": decision.benefit_seconds,
@@ -195,10 +188,6 @@ class AutoCompactionDaemon:
             span.annotate(**{k: round(v, 6) if isinstance(v, float) else v
                              for k, v in attrs.items()})
         cluster.metrics.incr("dualtable.autocompact.decisions")
-        cluster.metrics.observe("dualtable.autocompact.decision_seconds",
-                                decision_seconds)
-        if decision_seconds > 0:
-            cluster.clock.advance(decision_seconds)
         if decision.action == "decline":
             cluster.metrics.incr("dualtable.autocompact.declined")
             self._log(CompactionRecord(
@@ -206,7 +195,7 @@ class AutoCompactionDaemon:
                 action="declined",
                 files=decision.breakdown.get("dirty_files", 0),
                 predicted_s=decision.predicted_seconds,
-                observed_s=decision_seconds,
+                observed_s=0.0,
                 clock=cluster.clock.now, note=decision.note))
             return
         self._execute(session, name, handler, index, decision)

@@ -20,8 +20,9 @@ only changes *placement* (which store owns a file) and the simulated
 makespan (scatter-gather fan-out via ``shard_fanout``).
 
 Keyed routing: a LOOKUP read or EDIT-by-key write whose predicate pins
-the shard key to a set of values is planned over the shards that own
-those values' buckets only, and its candidate files come back in
+the shard key to a key set (an IN list, or the integers of a closed int
+range) is planned over the shards that own its buckets only, and its
+candidate files come back in
 canonical basename order — the files read, hence the charges, are the
 same for every shard count.
 """
@@ -36,7 +37,7 @@ from repro.hive.catalog import register_handler
 from repro.hive.session import QueryResult
 from repro.core.editlog import run_with_retries
 from repro.core.handler import DualTableHandler
-from repro.core.lookup import NUM_BUCKETS
+from repro.core.lookup import NUM_BUCKETS, bucket_mask, pinned_keys
 from repro.core.manifest import (ManifestKind, ManifestProtocol, index_below,
                                  list_of, of)
 from repro.core.store import StoreRouter, setting
@@ -99,20 +100,26 @@ class _ShardRouter(StoreRouter):
     def pinned(self, ranges):
         """The shards a keyed plan must consult, or None to scan.
 
-        An equality/IN predicate on the shard key pins the shards that
-        own its values' buckets; a predicate that leaves the shard key
-        open consults every shard (the PRIMARY KEY still bounds what
-        each reads).
+        A key set on the shard key (:func:`~repro.core.lookup.pinned_keys`:
+        an IN list, or the integers of a closed int range) pins the
+        shards that own its bucket mask; a predicate that leaves the
+        shard key open consults every shard (the PRIMARY KEY still
+        bounds what each reads).
         """
         shard_range = (ranges or {}).get(self.key)
-        if shard_range is None or shard_range.in_set is None:
+        keys = None if shard_range is None \
+            else pinned_keys(shard_range, self.key_type)
+        if keys is None:
             return list(range(self.shard_map.num_shards))
         # ``=`` coerces across types ('9' = 9) where the bucket hash
         # does not: only a key of the column's own type pins a shard.
-        if not {self.key_type}.issuperset(map(type, shard_range.in_set)):
+        if not {self.key_type}.issuperset(map(type,
+                                              shard_range.in_set or ())):
             return None
-        return sorted({self.shard_map.shard_of(value)
-                       for value in shard_range.in_set})
+        mask = bucket_mask(keys)
+        return sorted({shard for bucket, shard
+                       in enumerate(self.shard_map.assignment)
+                       if mask >> bucket & 1})
 
     def assigns_key(self, targets):
         return self.key_index in targets

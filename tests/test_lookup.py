@@ -5,7 +5,8 @@ Covers the full surface of the third plan type: PRIMARY KEY DDL and the
 rules (equality / IN / closed BETWEEN only, row-count cap, forced-mode
 rejections for non-PK predicates, aggregates and joins), result parity
 with the MR scan plan under deltas / deletes / PK-moving updates,
-row-group pruning over key-ordered master files, the ≥20x p50 and bytes
+row-group pruning over key-ordered master files, bucket pruning of
+closed int ranges over hash shards, the ≥20x p50 and bytes
 gate against the scan plan, EXPLAIN and EXPLAIN ANALYZE output, the
 metrics and cost-audit trail, and the no-double-charge guarantee when a
 fault forces a mid-lookup fallback to the scan plan.
@@ -17,12 +18,13 @@ import pytest
 
 from repro.cluster import ClusterProfile
 from repro.common.errors import AnalysisError, ParseError
-from repro.core.lookup import NUM_BUCKETS, ROW_GROUP_ROWS
+from repro.core.lookup import NUM_BUCKETS, ROW_GROUP_ROWS, stripe_index
 from repro.faults import Fault, FaultPlan
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive.parser import parse
 from repro.hive.pushdown import extract_ranges
+from repro.mapreduce.job import stable_hash
 from repro.orc import OrcReader
 
 from tests.golden import digest, golden, jsonable
@@ -1106,21 +1108,186 @@ class TestRowGroupPruning:
 
     def test_fifty_key_range_on_a_sharded_table_is_keyed(self):
         """``htap_serve``'s ``range_read`` shape: one single-bucket file
-        per bucket, each file's keys spanning the domain.  Row groups
-        narrow every file to at most two of its groups."""
+        per bucket, each file's keys spanning the domain.  The range's
+        50 keys pin the files of their own buckets only, and row groups
+        narrow each of those to at most two of its groups."""
         session = grouped_session(4, "cost", rows=64 * 320, stripe_rows=1000)
         handler = session.table("t").handler
         sql = "SELECT k, v FROM t WHERE k >= 9000 AND k <= 9049"
         plan = handler.plan_lookup(extract_ranges(parse(sql).where),
                                    hit_faults=False)
         assert plan.choice.plan == "lookup"
-        assert len(plan.files) == plan.total_files == NUM_BUCKETS
+        buckets = {stable_hash(k) % NUM_BUCKETS for k in range(9000, 9050)}
+        assert plan.total_files == NUM_BUCKETS
+        assert len(plan.files) == len(buckets) < NUM_BUCKETS
+        assert plan.buckets == (len(buckets), NUM_BUCKETS)
         assert plan.row_groups[0] <= NUM_BUCKETS * 2 < plan.row_groups[1]
         assert plan.est_rows <= NUM_BUCKETS * 2 * ROW_GROUP_ROWS
         result = session.execute(sql)
         assert result.plan == "lookup" and result.jobs == []
         assert sorted(result.rows) == [(k, k * 10) for k in range(9000, 9050)]
         assert result.detail["row_groups"] == plan.row_groups
+
+
+# ----------------------------------------------------------------------
+# Closed int ranges prune by bucket mask: a range is a finite key set.
+# ----------------------------------------------------------------------
+#: about 10 rows per hash bucket, so a sharded table has one file per
+#: bucket and each file's keys span the domain.
+RANGE_ROWS = [(k, k * 10, "n%03d" % k) for k in range(640)]
+
+#: ``(predicate, python equivalent)``: inclusive and exclusive bounds,
+#: an empty ``lo > hi``, a single key and a range over every bucket.
+RANGE_READS = [
+    ("k >= 100 AND k <= 112", lambda k: 100 <= k <= 112),
+    ("k > 100 AND k < 112", lambda k: 100 < k < 112),
+    ("k >= 300 AND k < 301", lambda k: k == 300),
+    ("k BETWEEN 77 AND 77", lambda k: k == 77),
+    ("k BETWEEN 50 AND 40", lambda k: False),
+    ("k > 40 AND k < 41", lambda k: False),
+    ("k BETWEEN 0 AND 199", lambda k: 0 <= k <= 199),
+    ("k BETWEEN 995 AND 1010", lambda k: 995 <= k <= 1010),
+]
+
+
+def range_keys(predicate):
+    """The integers a RANGE_READS predicate admits within any table."""
+    return [k for k in range(-10, 1100) if predicate(k)]
+
+
+class TestKeyedRangeBuckets:
+    """Forced LOOKUP equals the forced scan and a ``{k: row}`` model on
+    a sharded PRIMARY KEY table, and a closed int range opens only the
+    files whose bucket holds one of its keys."""
+
+    @staticmethod
+    def check_reads(session, model, pk_dirty=False):
+        """Every RANGE_READS statement; unless a delta moved a key
+        (``pk_dirty``: its file is read whole), the plan opens at most
+        one file per bucket of the range."""
+        handler = session.table("t").handler
+        for where, predicate in RANGE_READS:
+            sql = "SELECT k, v, name FROM t WHERE " + where
+            looked, scanned = lookup_vs_scan(session, sql)
+            expect = sorted(row for k, row in model.items() if predicate(k))
+            assert sorted(looked) == sorted(scanned) == expect, where
+            plan = handler.plan_lookup(extract_ranges(parse(sql).where),
+                                       hit_faults=False)
+            keys = range_keys(predicate)
+            buckets = {stable_hash(k) % NUM_BUCKETS for k in keys}
+            assert plan.buckets == (len(buckets), NUM_BUCKETS), where
+            shard_map = getattr(handler, "shard_map", None)
+            if shard_map is not None:       # only the owning shards
+                assert plan.shards == tuple(sorted(
+                    {shard_map.shard_of(k) for k in keys})), where
+            if pk_dirty:
+                assert [f["row_spans"] for f in plan.files] == [None]
+            elif keys:
+                assert len(plan.files) <= len(buckets), where
+            else:
+                assert plan.files == [] and plan.est_rows == 0, where
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_reads_equal_the_scan_and_the_model(self, shards):
+        """Before and after a key moves into a range (a sharded table
+        rewrites, a plain one reads the PK-dirty file whole) and after
+        COMPACT, whose files span buckets."""
+        session = keyed_session(shards, rows=RANGE_ROWS, rows_per_file=1000,
+                                stripe_rows=64)
+        model = {k: (k, v, name) for k, v, name in RANGE_ROWS}
+        self.check_reads(session, model)
+        session.execute("UPDATE t SET k = 1003 WHERE k = 5")
+        model[1003] = (1003, 50, "n005")
+        del model[5]
+        session.execute("UPDATE t SET v = -1 WHERE k IN (7, 105, 1003)")
+        for k in (7, 105, 1003):
+            model[k] = (k, -1, model[k][2])
+        self.check_reads(session, model, pk_dirty=shards is None)
+        session.execute("COMPACT TABLE t")
+        handler = session.table("t").handler
+        masks = [stripe[4] for shard in handler.shards
+                 for entry in stripe_index(shard, hit_faults=False)
+                 for stripe in entry["stripes"]]
+        assert any(mask.bit_count() > 1 for mask in masks)
+        self.check_reads(session, model)
+
+    def test_edit_by_key_update_over_a_range(self):
+        statements = ["UPDATE t SET v = 0 WHERE k BETWEEN 100 AND 140",
+                      "UPDATE t SET name = 'x' WHERE k > 130 AND k < 150",
+                      "DELETE FROM t WHERE k >= 120 AND k <= 125"]
+        keyed = keyed_session(4, rows=RANGE_ROWS)
+        job = keyed_session(4, rows=RANGE_ROWS, plan="scan")
+        keyed_steps, keyed_cells, keyed_rows = run_dml_script(
+            keyed, statements)
+        job_steps, job_cells, job_rows = run_dml_script(job, statements)
+        assert [jobs for _, jobs, _ in keyed_steps] == [0, 0, 0]
+        assert [affected for affected, _, _ in keyed_steps] \
+            == [affected for affected, _, _ in job_steps] == [41, 19, 6]
+        assert keyed_cells == job_cells and keyed_rows == job_rows
+        model = {k: (k, 0 if 100 <= k <= 140 else k * 10,
+                     "x" if 130 < k < 150 else "n%03d" % k)
+                 for k in range(640) if not 120 <= k <= 125}
+        assert keyed_rows == sorted(model.values())
+
+    def test_equal_bytes_read_at_every_shard_count(self):
+        def charged(shards):
+            session = keyed_session(shards, rows=RANGE_ROWS, plan="lookup")
+            session.execute("UPDATE t SET v = 1 WHERE k BETWEEN 60 AND 90")
+            ledger = session.cluster.ledger
+            out = []
+            for where, _ in RANGE_READS:
+                before = ledger.snapshot()
+                rows = session.execute(
+                    "SELECT k, v FROM t WHERE " + where).rows
+                out.append((rows, ledger.diff(before)["bytes"]))
+            return out
+        base = charged(1)
+        assert any(diff for _, diff in base)
+        assert charged(4) == base
+        assert charged(8) == base
+
+    def test_string_key_range_stays_unpruned(self):
+        session = HiveSession(profile=ClusterProfile.laptop(workers=1))
+        session.execute(
+            "CREATE TABLE t (k string, v int) PRIMARY KEY (k) STORED AS "
+            "DUALTABLE SHARDED BY (k) INTO 4")
+        session.load_rows("t", [("k%03d" % i, i) for i in range(200)])
+        sql = "SELECT k, v FROM t WHERE k BETWEEN 'k010' AND 'k012'"
+        handler = session.table("t").handler
+        plan = handler.plan_lookup(
+            extract_ranges(parse(sql).where), hit_faults=False)
+        assert plan.buckets is None and plan.total_files == NUM_BUCKETS
+        # Min/max alone: every file whose keys straddle the range.
+        straddling = [entry["path"] for shard in handler.shards
+                      for entry in stripe_index(shard, hit_faults=False)
+                      if any(plan.pk_range.may_overlap(stripe[1], stripe[2])
+                             for stripe in entry["stripes"])]
+        assert sorted(f["path"] for f in plan.files) == sorted(straddling)
+        assert len(straddling) > 3
+        looked, scanned = lookup_vs_scan(session, sql)
+        assert sorted(looked) == sorted(scanned) \
+            == [("k010", 10), ("k011", 11), ("k012", 12)]
+
+    def test_a_trillion_wide_range_hashes_a_few_hundred_keys(
+            self, monkeypatch):
+        import repro.core.lookup as lookup
+        session = keyed_session(4, rows=RANGE_ROWS)
+        handler = session.table("t").handler
+        ranges = extract_ranges(parse(
+            "SELECT k FROM t WHERE k BETWEEN -5 AND %d" % 10 ** 12).where)
+        handler.plan_lookup(ranges, hit_faults=False)   # index cached
+        hashed = []
+        real = lookup.stable_hashes
+        monkeypatch.setattr(lookup, "stable_hashes",
+                            lambda keys: hashed.append(len(keys))
+                            or real(keys))
+        plan = handler.plan_lookup(ranges, hit_faults=False)
+        assert plan.buckets == (NUM_BUCKETS, NUM_BUCKETS)
+        assert len(plan.files) == plan.total_files
+        assert 0 < sum(hashed) <= 512
+        assert len(session.execute(
+            "SELECT k FROM t WHERE k BETWEEN -5 AND %d" % 10 ** 12).rows) \
+            == len(RANGE_ROWS)
 
 
 class TestLookupVersusScanGate:
@@ -1200,6 +1367,32 @@ class TestKeyedObservability:
         assert "expected gain:" in text
         assert "plan: edit-by-key (no MapReduce job)" in text
         assert attached_cells(session) == []            # not executed
+
+    def test_explain_prints_the_buckets_of_a_key_set(self):
+        """A key set (an IN list, a closed int range) names its
+        buckets in the eligibility block and the evidence line."""
+        session = keyed_session(4)
+        buckets = len({stable_hash(k) % NUM_BUCKETS for k in range(5, 9)})
+
+        def explain(sql):
+            return [row[0].strip() for row in
+                    session.execute("EXPLAIN " + sql).rows]
+        lines = explain("SELECT v FROM t WHERE k >= 5 AND k < 9")
+        assert any(line.startswith("candidate files:") and line.endswith(
+            "row(s)), buckets %d of 64" % buckets) for line in lines)
+        lines = explain("UPDATE t SET v = 1 WHERE k BETWEEN 5 AND 8")
+        assert any(line.startswith("evidence:") and (
+            "buckets %d of 64; keyed read" % buckets) in line
+            for line in lines)
+        assert any(line.endswith("buckets 1 of 64") for line in
+                   explain("SELECT v FROM t WHERE k IN (5)"))
+        session.execute(
+            "CREATE TABLE s (k string, v int) PRIMARY KEY (k) STORED AS "
+            "DUALTABLE")
+        session.load_rows("s", [("a", 1), ("b", 2)])
+        text = "\n".join(explain(
+            "SELECT v FROM s WHERE k BETWEEN 'a' AND 'b'"))
+        assert "candidate files:" in text and "buckets" not in text
 
     def test_explain_delete_under_forced_scan_says_job(self):
         session = keyed_session(plan="scan")

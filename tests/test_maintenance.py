@@ -202,6 +202,23 @@ class TestPolicy:
         rel_error = abs(decision.predicted_seconds - observed) / observed
         assert rel_error <= 0.25, (decision.predicted_seconds, observed)
 
+    def test_decide_charges_nothing(self, session):
+        """A decision reads metadata only (cold caches too), so the
+        daemon charges it nothing and advances no clock for it."""
+        handler = make_dualtable(session)
+        session.execute("UPDATE dt SET tag = 'x' WHERE id < 20")
+        cluster = session.cluster
+        cluster.orc_cache.clear()
+        cluster.delta_cache.clear()
+        before, clock = cluster.ledger.snapshot(), cluster.clock.now
+        for mode in ("partial", "full"):
+            for horizon in (1.0, 1e9):
+                CompactionPolicy(handler.shards[0], {"mode": mode}) \
+                    .decide(horizon=horizon)
+        diff = cluster.ledger.diff(before)
+        assert diff["bytes"] == {} and diff["seconds"] == {}
+        assert diff["total_seconds"] == 0 and cluster.clock.now == clock
+
     def test_full_prediction_matches_observed(self, session):
         handler = make_dualtable(session)
         session.execute("UPDATE dt SET tag = 'x' WHERE id < 20")
@@ -241,6 +258,7 @@ class TestDaemon:
         declined = [r for r in rows if r[3] == "declined"]
         assert declined
         assert "not amortized" in declined[-1][9]
+        assert all(r[7] == 0.0 for r in declined)
         counters = session.cluster.metrics.counters
         assert counters["dualtable.autocompact.declined"] >= 1
 

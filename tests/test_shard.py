@@ -59,11 +59,13 @@ IDENTITY_WORKLOAD = [
     "SELECT count(*), sum(v) FROM t WHERE v = 999",
     "DELETE FROM t WHERE k >= 70",
     "SELECT k, v FROM t WHERE k = 0",
-    # keyed statements: EDIT-by-key and an IN-list LOOKUP over shards
+    # keyed statements: EDIT-by-key, an IN-list and a range LOOKUP over
+    # shards (a closed int range pins its keys' buckets like an IN list)
     "UPDATE t SET v = v + 100 WHERE k IN (3, 17, 40, 66)",
     "DELETE FROM t WHERE k = 5",
     "UPDATE t SET grp = 'r' WHERE k BETWEEN 30 AND 33",
     "SELECT k, grp, v FROM t WHERE k IN (3, 5, 17, 31)",
+    "SELECT k, grp, v FROM t WHERE k > 28 AND k <= 34",
     "SELECT grp, count(*), sum(v) FROM t GROUP BY grp ORDER BY grp",
     "SELECT count(*), sum(v) FROM t",
 ]
