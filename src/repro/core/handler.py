@@ -574,101 +574,91 @@ class DualTableHandler(StorageHandler):
         Victims are picked table-wide: ordered by delta density, ties by
         file basename (the file id, the same at every INTO n).
 
-        Each store with something to fold runs one job plus one manifest
-        2PC (:data:`~repro.core.store.FULL_COMPACT` /
-        :data:`~repro.core.store.PARTIAL_COMPACT`); a sharded table's
-        result sums its shards'.  ``store`` folds that one store alone
-        (the auto-compaction daemon and REBALANCE work shard by shard).
+        A COMPACT is one job over the stores it folds, then one manifest
+        2PC per store (:data:`~repro.core.store.FULL_COMPACT` /
+        :data:`~repro.core.store.PARTIAL_COMPACT`): :meth:`_compact`.
+        ``store`` folds that one store alone (the auto-compaction daemon
+        works shard by shard).
         """
         self._check_not_compacting()
         self._ensure_recovered()
-        indices = range(len(self.shards)) if store is None else [store]
-        if all(self.shards[i].attached.is_empty() for i in indices):
-            return self._compact_noop()
+        return self._compact(
+            session, range(len(self.shards)) if store is None else [store],
+            partial, max_files, victim_paths)
+
+    def _compact(self, session, indices, partial=False, max_files=None,
+                 victim_paths=None):
+        """Fold the stores at ``indices`` that have deltas, in that order:
+        one job whose splits are each store's ``compact_splits`` (every
+        file, or its victims) with ``shard_fanout`` one per store, then
+        each store's :meth:`~repro.core.store.DualTableStore.fold` over
+        exactly the rows its files produced."""
+        stores = [i for i in indices if not self.shards[i].attached.is_empty()]
         victims = None
-        if partial:
+        if partial and stores:
             victims = sorted(
-                (dict(victim, shard=i) for i in indices for victim
+                (dict(victim, shard=i) for i in stores for victim
                  in self.shards[i].compact_candidates(victim_paths)),
                 key=lambda v: (-(v["delta_bytes"] / v["master_bytes"]),
                                v["path"].rsplit("/", 1)[-1]))
             if max_files is not None:
                 victims = victims[:max(1, int(max_files))]
-            if not victims:
-                return self._compact_noop()
-        if store is not None or not self.router.bucketed:
-            return self._compact_store(session, indices[0], victims)
-        attached_bytes = sum(shard.attached.size_bytes
-                             for shard in self.shards)
-        results = []
-        for index, shard in enumerate(self.shards):
-            if victims is None:
-                if not shard.attached.is_empty():
-                    results.append(self._compact_store(session, index))
-                continue
-            mine = [v for v in victims if v["shard"] == index]
-            if mine:
-                results.append(self._compact_store(session, index, mine))
-        self.note_attached_bytes()
-
-        def total(name):
-            return sum(result.detail.get(name, 0) for result in results)
-        detail = {"attached_bytes": attached_bytes,
-                  "folded_bytes": total("folded_bytes"),
-                  "mode": "sharded", "files": total("files"),
-                  "shards": len(self.shards),
-                  "rows_written": total("rows_written")}
-        if victims is not None:
-            detail["file_ids"] = [v["file_id"] for v in victims]
-        return QueryResult(
-            sim_seconds=sum(r.sim_seconds for r in results),
-            jobs=[job for r in results for job in r.jobs],
-            affected=sum(r.affected for r in results),
-            plan="compact", detail=detail)
-
-    def _compact_store(self, session, index, victims=None):
-        """One store's COMPACT: a job merging its files (every one, or
-        the ``victims``) and the store's manifest 2PC over the rows."""
-        store = self.shards[index]
-        attached_bytes = folded_bytes = store.attached.size_bytes
-        paths = None
-        if victims is not None:
-            paths = [v["path"] for v in victims]
-            folded_bytes = sum(v["delta_bytes"] for v in victims)
-            plan = "compact-partial"
-            span = {"files": len(victims), "folded_bytes": folded_bytes}
-        else:
-            plan = "compact"
-            span = {"attached_bytes": attached_bytes}
+            stores = [i for i in stores
+                      if any(v["shard"] == i for v in victims)]
+        if not stores:
+            return self._compact_noop()
+        folds = [(i, None if victims is None
+                  else [v for v in victims if v["shard"] == i])
+                 for i in stores]
+        # What each store folds, sized before the job reads it.
+        folded = [self.shards[i].attached.size_bytes if mine is None
+                  else sum(v["delta_bytes"] for v in mine)
+                  for i, mine in folds]
+        attached_bytes = sum(self.shards[i].attached.size_bytes
+                             for i in indices)
+        plan = "compact" if victims is None else "compact-partial"
+        span = ({"attached_bytes": attached_bytes} if victims is None else
+                {"files": len(victims), "folded_bytes": sum(folded)})
         self._compacting = True
         cluster = self.env.cluster
+        metrics = cluster.metrics
         try:
             with cluster.tracer.span("phase", "dualtable:" + plan,
-                                     table=store.name, **span):
-                splits = store.compact_splits(paths)
+                                     table=self.table.name, **span):
+                splits = [split for i, mine in folds
+                          for split in self.shards[i].compact_splits(
+                              mine and [v["path"] for v in mine])]
                 job = Job(name=plan, splits=splits,
-                          map_fn=self._compact_map_fn, reduce_fn=None)
+                          map_fn=self._compact_map_fn, reduce_fn=None,
+                          properties={"shard_fanout": len(folds)})
                 result = session.runner.run(job)
                 rows = result.outputs
-                write_seconds = store.fold(session, plan, rows, victims)
+                sim_seconds = result.sim_seconds
+                start = 0
+                for (i, mine), folded_bytes in zip(folds, folded):
+                    store = self.shards[i]
+                    end = start + result.counters.get("compact_rows.%d" % i,
+                                                      0)
+                    sim_seconds += store.fold(session, plan, rows[start:end],
+                                              mine)
+                    start = end
+                    metrics.incr("dualtable.compacts")
+                    metrics.incr("dualtable.compacts.%s" % store.name)
+                    if mine is not None:
+                        metrics.incr("dualtable.compacts.partial")
+                    metrics.observe("dualtable.compact.folded_bytes",
+                                    folded_bytes)
         finally:
             self._compacting = False
-        metrics = cluster.metrics
-        metrics.incr("dualtable.compacts")
-        metrics.incr("dualtable.compacts.%s" % store.name)
+        self.note_attached_bytes()
         detail = {"attached_bytes": attached_bytes,
-                  "folded_bytes": folded_bytes,
-                  "mode": "full", "files": len(splits)}
+                  "folded_bytes": sum(folded),
+                  "mode": "full" if victims is None else "partial",
+                  "files": len(splits), "rows_written": len(rows)}
         if victims is not None:
-            metrics.incr("dualtable.compacts.partial")
-            detail.update(mode="partial",
-                          file_ids=[v["file_id"] for v in victims])
-        detail["rows_written"] = len(rows)
-        metrics.observe("dualtable.compact.folded_bytes", folded_bytes)
-        store.note_attached_bytes()
-        return QueryResult(
-            sim_seconds=result.sim_seconds + write_seconds,
-            jobs=[result], affected=len(rows), plan=plan, detail=detail)
+            detail["file_ids"] = [v["file_id"] for v in victims]
+        return QueryResult(sim_seconds=sim_seconds, jobs=[result],
+                           affected=len(rows), plan=plan, detail=detail)
 
     def _compact_noop(self):
         self.note_attached_bytes()
@@ -679,8 +669,12 @@ class DualTableHandler(StorageHandler):
                                    "rows_written": 0})
 
     def _compact_map_fn(self, split, ctx):
-        """One master file's merged rows, read through batches."""
+        """One master file's merged rows, read through batches and counted
+        per store (``compact_rows.<store>``) so the job's outputs split
+        back into each store's rows."""
+        counter = "compact_rows.%d" % split.payload.get("shard", 0)
         for batch in self.read_split_batches(split, ctx):
+            ctx.incr(counter, len(batch))
             yield from batch.rows()
 
 

@@ -233,8 +233,10 @@ class ShardedDualTableHandler(DualTableHandler):
     def execute_rebalance(self, session):
         """Move the hottest shard's lowest bucket to the coldest shard.
 
-        Major-compacts source and destination first, so the move copies
-        master rows only; then one manifest 2PC run
+        Major-compacts source and destination first, as one COMPACT: one
+        job over both stores, then one manifest 2PC per store
+        (:meth:`~repro.core.handler.DualTableHandler._compact`), so the
+        move copies master rows only; then one manifest 2PC run
         (:func:`rebalance_kind`): prepare spills the *complete* new
         contents of both shards as JSON, the manifest commits, and
         :meth:`_apply_rebalance` overwrites both shards and persists
@@ -258,13 +260,11 @@ class ShardedDualTableHandler(DualTableHandler):
         with cluster.tracer.span("phase", "dualtable:rebalance",
                                  table=table, bucket=bucket,
                                  src=src, dst=dst):
-            # Fold both shards' deltas first: the spill then only has to
-            # carry master rows, and the attached stores stay empty
-            # through the move.
-            fold_src = self.execute_compact(session, store=src)
-            fold_dst = self.execute_compact(session, store=dst)
-            sim_seconds = fold_src.sim_seconds + fold_dst.sim_seconds
-            jobs = list(fold_src.jobs) + list(fold_dst.jobs)
+            # Fold both shards' deltas first, in one COMPACT job: the
+            # spill then only has to carry master rows, and the attached
+            # stores stay empty through the move.
+            fold = self._compact(session, [src, dst])
+            sim_seconds = fold.sim_seconds
             key_idx = self.schema.index_of(self.shard_key)
 
             def spill(staging):
@@ -294,7 +294,7 @@ class ShardedDualTableHandler(DualTableHandler):
         metrics.incr("shard.rebalances.%s" % table)
         metrics.observe("shard.rebalance.moved_rows", len(moved))
         return QueryResult(
-            sim_seconds=sim_seconds, jobs=jobs, affected=len(moved),
+            sim_seconds=sim_seconds, jobs=fold.jobs, affected=len(moved),
             plan="rebalance",
             detail={"bucket": bucket, "src": src, "dst": dst,
                     "moved_rows": len(moved), "heats": heats})

@@ -59,8 +59,5 @@ class ShardMap:
         """The fixed hash bucket of one shard-key value."""
         return stable_hash(value) % NUM_BUCKETS
 
-    def shard_of(self, value):
-        return self.assignment[self.bucket_of(value)]
-
     def buckets_of(self, shard):
         return [b for b, s in enumerate(self.assignment) if s == shard]

@@ -284,23 +284,35 @@ def _leftover_protocol_paths(session, handler):
             if session.fs.exists(path)]
 
 
-EVERY_STEP = ([(point, "dt", "COMPACT TABLE dt") for point in COMPACT_POINTS]
-              + [(point, "dt", "COMPACT TABLE dt PARTIAL")
+#: ``(point, table, sql, nth_hit)``.  A sharded COMPACT is one job,
+#: then one manifest 2PC per store: its second hit of a step kills the
+#: second store's commit after the first store's has finished.
+EVERY_STEP = ([(point, "dt", "COMPACT TABLE dt", 1)
+               for point in COMPACT_POINTS]
+              + [(point, "dt", "COMPACT TABLE dt PARTIAL", 1)
                  for point in PARTIAL_POINTS]
-              + [(point, "t", "ALTER TABLE t REBALANCE")
-                 for point in REBALANCE_POINTS])
+              + [(point, "t", "ALTER TABLE t REBALANCE", 1)
+                 for point in REBALANCE_POINTS]
+              + [(point, "t", "COMPACT TABLE t", nth)
+                 for point in COMPACT_POINTS for nth in (1, 2)]
+              + [(point, "t", "COMPACT TABLE t PARTIAL", nth)
+                 for point in PARTIAL_POINTS for nth in (1, 2)])
 
 
 class TestEveryDeclaredStep:
     """Every declared step of the three manifest 2PC protocols."""
 
-    @pytest.mark.parametrize("point, table, sql", EVERY_STEP,
-                             ids=[point for point, _, _ in EVERY_STEP])
-    def test_kill_then_recover_twice(self, session, point, table, sql):
+    @pytest.mark.parametrize(
+        "point, table, sql, nth_hit", EVERY_STEP,
+        ids=[point if table == "dt" or sql.startswith("ALTER")
+             else "sharded-%s-hit%d" % (point, nth)
+             for point, table, sql, nth in EVERY_STEP])
+    def test_kill_then_recover_twice(self, session, point, table, sql,
+                                     nth_hit):
         handler = _setup(session, table)
         expect = _state(session, handler, table)[0]
         session.cluster.faults.install(FaultPlan([
-            Fault(point, nth_hit=1, kind="kill")]))
+            Fault(point, nth_hit=nth_hit, kind="kill")]))
         with pytest.raises(FaultInjectedError):
             session.execute(sql)
         session.cluster.faults.uninstall()

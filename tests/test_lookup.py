@@ -26,6 +26,7 @@ from repro.hive.parser import parse
 from repro.hive.pushdown import extract_ranges
 from repro.mapreduce.job import stable_hash
 from repro.orc import OrcReader
+from repro.shard import ShardMap
 
 from tests.golden import digest, golden, jsonable
 
@@ -1179,7 +1180,8 @@ class TestKeyedRangeBuckets:
             shard_map = getattr(handler, "shard_map", None)
             if shard_map is not None:       # only the owning shards
                 assert plan.shards == tuple(sorted(
-                    {shard_map.shard_of(k) for k in keys})), where
+                    {shard_map.assignment[ShardMap.bucket_of(k)]
+                     for k in keys})), where
             if pk_dirty:
                 assert [f["row_spans"] for f in plan.files] == [None]
             elif keys:

@@ -9,6 +9,7 @@ from repro.hive.parser import parse
 from repro.hive import ast_nodes as ast
 from repro.maintenance.policy import CompactionPolicy
 from repro.maintenance.stats import TableStats
+from repro.shard import ShardMap
 
 
 def make_dualtable(session, n=60, rows_per_file=15, extra_props=""):
@@ -328,9 +329,10 @@ class TestShardedDaemon:
             "('orc.rows_per_file' = '10', 'dualtable.mode' = 'edit')")
         session.load_rows("t", [(i, i) for i in range(90)])
         handler = session.table("t").handler
-        hot = handler.shard_map.shard_of(0)
+        assignment = handler.shard_map.assignment
+        hot = assignment[ShardMap.bucket_of(0)]
         keys = [k for k in range(90)
-                if handler.shard_map.shard_of(k) == hot][:6]
+                if assignment[ShardMap.bucket_of(k)] == hot][:6]
         files = [shard.master.file_paths() for shard in handler.shards]
         session.execute(
             "ALTER TABLE t SET AUTOCOMPACT (ON, horizon = 1000000)")

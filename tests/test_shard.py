@@ -5,7 +5,8 @@ logical table ``SHARDED BY (k) INTO n`` returns the same rows, charges
 the same ledger bytes/ops, and moves the same non-cache counters for
 every ``n`` — sharding changes placement and simulated makespan only.
 The comparison goes through :mod:`repro.shard.identity`.  The makespan
-side of the contract is ``TestScatterGatherSpeedup``.
+side of the contract is ``TestScatterGatherSpeedup`` and
+``TestCompactSpeedup``.
 """
 
 import pytest
@@ -39,6 +40,11 @@ def make_session(shards, workers=1, rows=90, rows_per_file=10):
 
 def handler_of(session, name="t"):
     return session.metastore.table(name).handler
+
+
+def owner_of(shard_map, key):
+    """The shard that owns ``key``'s bucket under ``shard_map``."""
+    return shard_map.assignment[ShardMap.bucket_of(key)]
 
 
 def master_files(handler):
@@ -136,9 +142,10 @@ class TestShardCountIdentity:
         assert file_set(8) == base
 
     def test_rows_survive_compact_at_every_shard_count(self):
-        """COMPACT folds per region server, so the *file layout* after
-        it is placement-dependent (per-child consolidation) — but the
-        logical rows must stay identical at every INTO n."""
+        """COMPACT is one job over the stores it folds, then one manifest
+        2PC per store: each store consolidates its own files, so the
+        *file layout* after it is placement-dependent — but the logical
+        rows must stay identical at every INTO n."""
         def rows_after_compact(shards):
             session = make_session(shards)
             session.execute("UPDATE t SET v = 999 WHERE k < 20")
@@ -152,7 +159,8 @@ class TestShardCountIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Scatter-gather: sharding shortens the simulated makespan of a scan.
+# Scatter-gather: sharding shortens the simulated makespan of a scan
+# and of a COMPACT.
 # ---------------------------------------------------------------------------
 class TestScatterGatherSpeedup:
     SCANS = [
@@ -178,6 +186,33 @@ class TestScatterGatherSpeedup:
         assert sim_1 / sim_4 >= 2.0, (sim_1, sim_4)
 
 
+class TestCompactSpeedup:
+    """A COMPACT is one job over every store it folds, its splits spread
+    over one region server per store — the makespan side of COMPACT."""
+
+    def compact(self, shards):
+        session = make_session(shards, workers=4, rows=8000,
+                               rows_per_file=50)
+        session.execute("UPDATE t SET v = -1 WHERE k IN (%s)" % ", ".join(
+            str(k) for k in range(0, 8000, 50)))
+        result = session.execute("COMPACT TABLE t")
+        assert result.detail["rows_written"] == 8000
+        return (result.sim_seconds, len(result.jobs),
+                session.execute("SELECT k, grp, v FROM t ORDER BY k").rows)
+
+    def test_more_shards_compact_faster(self):
+        """Full COMPACT of 8000 rows in 192 files on ``workers=4``: 5.30 s
+        at INTO 1, 1.70 s at INTO 4, 1.10 s at INTO 8 (one job per
+        shard took 6.80 s and 8.80 s)."""
+        sim_1, jobs_1, rows_1 = self.compact(1)
+        sim_4, jobs_4, rows_4 = self.compact(4)
+        sim_8, jobs_8, rows_8 = self.compact(8)
+        assert jobs_1 == jobs_4 == jobs_8 == 1
+        assert rows_4 == rows_1 and rows_8 == rows_1
+        assert sim_1 / sim_4 >= 2.0, (sim_1, sim_4)
+        assert sim_8 < sim_4, (sim_4, sim_8)
+
+
 # ---------------------------------------------------------------------------
 # LOOKUP routing: exactly the owning shard is planned, read and charged.
 # ---------------------------------------------------------------------------
@@ -186,7 +221,7 @@ class TestLookupRouting:
         session = make_session(4)
         handler = handler_of(session)
         key = 17
-        owner = handler.shard_map.shard_of(key)
+        owner = owner_of(handler.shard_map, key)
         session.execute("SET dualtable.plan = lookup")
         result = session.execute("SELECT k, v FROM t WHERE k = %d" % key)
         assert result.rows == [(17, 17 % 7)]
@@ -204,7 +239,7 @@ class TestLookupRouting:
         session = make_session(4)
         handler = handler_of(session)
         key = 17
-        owner = handler.shard_map.shard_of(key)
+        owner = owner_of(handler.shard_map, key)
         plan = handler.plan_lookup(
             {"k": _point_range(session, key)}, hit_faults=False)
         assert plan is not None and plan.shard == owner
@@ -219,8 +254,8 @@ class TestLookupRouting:
         while the UPDATE (a scan) reported one row."""
         for shards in (4, 1):
             session = make_session(shards)
-            assert handler_of(session).shard_map.shard_of(5.0) == \
-                handler_of(session).shard_map.shard_of(5)
+            assert owner_of(handler_of(session).shard_map, 5.0) == \
+                owner_of(handler_of(session).shard_map, 5)
             for literal in ("5.0", "5"):
                 result = session.execute(
                     "SELECT k, v FROM t WHERE k = %s" % literal)
@@ -298,7 +333,7 @@ class TestShowShardsAndRebalance:
         session = make_session(4)
         handler = handler_of(session)
         hot_key = 17
-        src = handler.shard_map.shard_of(hot_key)
+        src = owner_of(handler.shard_map, hot_key)
         session.execute("SET dualtable.plan = lookup")
         for _ in range(12):
             session.execute("SELECT v FROM t WHERE k = %d" % hot_key)
@@ -319,13 +354,60 @@ class TestShowShardsAndRebalance:
         # Heat measurement restarts from zero.
         assert handler.shard_heats() == [0] * 4
 
+    @staticmethod
+    def rebalance_session():
+        """``(session, src, dst)``: deltas on every shard and key 17
+        hot, so REBALANCE moves a bucket from key 17's shard to the
+        lowest-index other shard, both of them dirty."""
+        session = make_session(4)
+        shard_map = handler_of(session).shard_map
+        keys = [next(k for k in range(90) if owner_of(shard_map, k) == i)
+                for i in range(4)]
+        session.execute("UPDATE t SET v = -5 WHERE k IN (%s)"
+                        % ", ".join(map(str, keys)))
+        session.execute("SET dualtable.plan = lookup")
+        for _ in range(12):
+            session.execute("SELECT v FROM t WHERE k = 17")
+        session.execute("SET dualtable.plan = cost")
+        src = owner_of(shard_map, 17)
+        return session, src, min(set(range(4)) - {src})
+
+    def test_rebalance_folds_both_shards_in_one_job(self):
+        """REBALANCE folds ``src`` and ``dst`` in one COMPACT job: what
+        it moves and leaves is what folding each shard on its own and
+        then rebalancing does, in less simulated time."""
+        def outcome(session, result):
+            handler = handler_of(session)
+            fs = handler.env.fs
+            return (result.plan, result.affected, result.detail,
+                    list(handler.shard_map.assignment),
+                    session.execute("SELECT k, grp, v FROM t ORDER BY k").rows,
+                    sorted((path, fs.read_file(path))
+                           for path, _ in master_files(handler)))
+        session, src, dst = self.rebalance_session()
+        result = session.execute("ALTER TABLE t REBALANCE")
+        assert (result.detail["src"], result.detail["dst"]) == (src, dst)
+        assert result.detail["moved_rows"] > 0
+        assert [job.name for job in result.jobs] == ["compact"]
+
+        twin, _, _ = self.rebalance_session()
+        handler = handler_of(twin)
+        folds = [handler.execute_compact(twin, store=index)
+                 for index in (src, dst)]
+        assert [len(fold.jobs) for fold in folds] == [1, 1]
+        rebalance = twin.execute("ALTER TABLE t REBALANCE")
+        assert rebalance.jobs == []
+        assert outcome(session, result) == outcome(twin, rebalance)
+        assert result.sim_seconds < rebalance.sim_seconds + sum(
+            fold.sim_seconds for fold in folds)
+
     def test_rolled_forward_rebalance_resets_heat(self):
         """recover() finishing a rebalance restarts the heat measurement
         like an uncrashed one, so the next REBALANCE is a no-op."""
         session = make_session(4)
         handler = handler_of(session)
         hot_key = next(k for k in range(90)
-                       if handler.shard_map.shard_of(k) == 3)
+                       if owner_of(handler.shard_map, k) == 3)
         session.execute("SET dualtable.plan = lookup")
         for _ in range(20):
             session.execute("SELECT v FROM t WHERE k = %d" % hot_key)
@@ -379,7 +461,7 @@ class TestShardSkewAdvisor:
         for _ in range(12):
             session.execute("SELECT v FROM t WHERE k = %d" % hot_key)
         session.execute("SET dualtable.plan = cost")
-        return session, handler, handler.shard_map.shard_of(hot_key)
+        return session, handler, owner_of(handler.shard_map, hot_key)
 
     def test_skew_surfaces_with_rebalance_remediation(self):
         session, handler, hot = self._skewed_session()
@@ -485,7 +567,7 @@ class TestMultiShardKeyedPlans:
             handler = handler_of(session)
             plan = handler.plan_lookup({"k": _in_list(session, self.KEYS)},
                                        hit_faults=False)
-            owners = sorted({handler.shard_map.shard_of(k)
+            owners = sorted({owner_of(handler.shard_map, k)
                              for k in self.KEYS})
             assert list(plan.shards) == owners
             assert plan.shard == (owners[0] if len(owners) == 1 else None)
@@ -503,7 +585,7 @@ class TestMultiShardKeyedPlans:
     def test_in_list_read_charges_each_owning_shard_once(self):
         session = make_session(4)
         handler = handler_of(session)
-        owners = sorted({handler.shard_map.shard_of(k) for k in self.KEYS})
+        owners = sorted({owner_of(handler.shard_map, k) for k in self.KEYS})
         assert len(owners) > 1
         result = session.execute("SELECT k, v FROM t WHERE k IN (%s)"
                                  % ", ".join(map(str, self.KEYS)))
@@ -523,7 +605,7 @@ class TestMultiShardKeyedPlans:
         assert (result.affected, result.jobs) == (len(self.KEYS), [])
         written = [0] * 4
         for key in self.KEYS:
-            written[handler.shard_map.shard_of(key)] += 1
+            written[owner_of(handler.shard_map, key)] += 1
         assert handler.shard_heats() == written
 
 
@@ -643,6 +725,52 @@ class TestShardedCompact:
         assert base[0] == 2 and len(base[1]) == 2
         assert fold(4) == base
         assert fold(8) == base
+
+    @staticmethod
+    def folded_state(session, before):
+        """Master file names and bytes, rows, and the fold's ledger
+        bytes and ops since the snapshot ``before``."""
+        handler = handler_of(session)
+        fs = handler.env.fs
+        files = sorted((path.rsplit("/", 1)[-1], fs.read_file(path))
+                       for path, _ in master_files(handler))
+        delta = session.cluster.ledger.diff(before)
+        return (files, delta["bytes"], delta["ops"],
+                session.execute("SELECT k, grp, v FROM t ORDER BY k").rows)
+
+    @pytest.mark.parametrize("shards", [4, 8])
+    @pytest.mark.parametrize("sql", ["COMPACT TABLE t",
+                                     "COMPACT TABLE t PARTIAL 3"])
+    def test_one_job_writes_what_per_store_folds_write(self, sql, shards):
+        """The one job hands each store's manifest 2PC the rows its own
+        ``execute_compact(store=i)`` fold would: same master file names
+        and bytes, same rows, same ledger bytes and ops."""
+        session = self.dirty_session(shards)
+        before = session.cluster.ledger.snapshot()
+        result = session.execute(sql)
+        assert len(result.jobs) == 1
+        assert result.jobs[0].num_map_tasks == result.detail["files"]
+        one_job = self.folded_state(session, before)
+
+        twin = self.dirty_session(shards)
+        handler = handler_of(twin)
+        before = twin.cluster.ledger.snapshot()
+        owner = {shard.master.file_id_of(path): (index, path)
+                 for index, shard in enumerate(handler.shards)
+                 for path in shard.master.file_paths()}
+        folds = 0
+        for index in range(shards):
+            if "PARTIAL" not in sql:
+                folds += len(handler.execute_compact(twin, store=index).jobs)
+                continue
+            paths = [owner[file_id][1] for file_id in result.detail[
+                "file_ids"] if owner[file_id][0] == index]
+            if paths:
+                folds += len(handler.execute_compact(
+                    twin, partial=True, victim_paths=paths,
+                    store=index).jobs)
+        assert folds > 1
+        assert self.folded_state(twin, before) == one_job
 
     def test_nothing_to_fold_is_a_noop(self):
         """Regression: a sharded COMPACT with nothing to fold reported a
