@@ -131,9 +131,16 @@ def build_profile(session, name):
     def c(pattern):
         return counters.get(pattern % name, 0)
 
+    def per_store(pattern):
+        """A counter the stores keep under their own names, summed (a
+        plain table's one store is named like the table)."""
+        return sum(counters.get(pattern % store.name, 0)
+                   for store in handler.shards)
+
     def h(pattern):
         return metrics.histogram(pattern % name)
 
+    sharded = handler.router.bucketed
     stats = session.maintenance.collector.refresh(name,
                                                   handler.read_factor)
     scan_bytes = h("dualtable.scan_bytes.%s")
@@ -149,14 +156,14 @@ def build_profile(session, name):
         dmls=c("dualtable.dml.%s"),
         updates=c("dualtable.updates.%s"),
         deletes=c("dualtable.deletes.%s"),
-        deltas_applied=c("unionread.deltas_applied.%s"),
-        batches_fast=c("unionread.batches_fast.%s"),
-        batches_overlay=c("unionread.batches_overlay.%s"),
+        deltas_applied=per_store("unionread.deltas_applied.%s"),
+        batches_fast=per_store("unionread.batches_fast.%s"),
+        batches_overlay=per_store("unionread.batches_overlay.%s"),
         attached_bytes=int(gauges.get("dualtable.attached_bytes.%s"
                                       % name, 0)),
         bytes_read=scan_bytes.total if scan_bytes else 0.0,
         bytes_rewritten=c("dualtable.bytes_rewritten.%s"),
-        compacts=c("dualtable.compacts.%s"),
+        compacts=per_store("dualtable.compacts.%s"),
         plan_edit=c("dualtable.plan.edit.%s"),
         plan_overwrite=c("dualtable.plan.overwrite.%s"),
         plan_forced=c("dualtable.plan.forced.%s"),
@@ -170,9 +177,8 @@ def build_profile(session, name):
         rel_error_mean=rel_error.mean if rel_error else 0.0,
         rel_error_max=(rel_error.vmax or 0.0) if rel_error else 0.0,
         reads_per_dml=stats.reads_per_dml,
-        shard_count=getattr(handler, "num_shards", 0),
-        shard_heats=(list(handler.shard_heats())
-                     if hasattr(handler, "shard_heats") else []),
+        shard_count=len(handler.shards) if sharded else 0,
+        shard_heats=list(handler.shard_heats()) if sharded else [],
         scan_bytes_hist=_hist_summary(scan_bytes),
         dml_seconds_hist=_hist_summary(h("dualtable.dml_seconds.%s")),
     )

@@ -197,15 +197,6 @@ class Cluster:
     def charge_fixed(self, subsystem, op, seconds):
         return self._charge(subsystem, op, seconds=seconds)
 
-    # ------------------------------------------------------------------
-    # Convenience.
-    # ------------------------------------------------------------------
-    def reset_accounting(self):
-        self.ledger.reset()
-        self.clock.reset()
-        self.metrics.reset()
-        self.tracer.clear()
-
     def __repr__(self):
         return "Cluster(profile=%r, t=%.2fs)" % (self.profile.name,
                                                  self.clock.now)

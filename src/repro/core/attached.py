@@ -210,11 +210,6 @@ class AttachedTable:
         return [(record_id, resolve_delta(self.name, record_id, data))
                 for record_id, data in cells]
 
-    def scan_file(self, file_id):
-        """:meth:`delta_items` of one master file; charged as
-        :meth:`file_deltas`."""
-        return iter(self.delta_items(self.file_deltas(file_id)[0]))
-
     def scan_range(self, start=None, stop=None):
         return self.delta_items(self._htable().scan(start, stop))
 
@@ -263,10 +258,11 @@ class AttachedTable:
         The answer is memoized as a **delta-presence index**, keyed
         ``(table, backend, file_id, "presence")``.
         """
-        table, (start, stop) = self._htable(), file_key_range(file_id)
-        return self._memo((file_id, "presence"), lambda: (
-            table.bytes_in_range(start, stop),
-            table.rows_in_range(start, stop)))
+        def compute():
+            table, (start, stop) = self._htable(), file_key_range(file_id)
+            return (table.bytes_in_range(start, stop),
+                    table.rows_in_range(start, stop))
+        return self._memo((file_id, "presence"), compute)
 
     def _memo(self, key, compute, weigh=None):
         """``compute()``, memoized in the delta-range cache under the
@@ -293,9 +289,8 @@ class AttachedTable:
         write to the file drops it.  A qualifier this library does not
         write is the :class:`CorruptDeltaError` the read would raise.
         """
-        table, key_range = self._htable(), file_key_range(file_id)
-
         def compute():
+            table, key_range = self._htable(), file_key_range(file_id)
             kinds = [parse_qualifier(qualifier) for qualifier
                      in table.qualifiers_in_range(*key_range)]
             if ("unknown", None) in kinds:
@@ -304,9 +299,6 @@ class AttachedTable:
             return frozenset(column for kind, column in kinds
                              if kind == "update")
         return self._memo((file_id, "assigned"), compute)
-
-    def entry_count(self):
-        return self._htable().count_rows()
 
     def clear(self):
         self._invalidate_cache()

@@ -8,10 +8,8 @@ one per shard, and a router that says which store each row goes to.
 
 Reads are UNION READs: each master file is one input split; its mapper
 merges the sorted ORC row stream with the sorted Attached-Table delta
-stream for that file's record-ID range.  A file's stripe statistics
-prune by every predicate column none of its deltas assigns (an assigned
-field could move a row into the predicate's range):
-:meth:`~repro.core.store.DualTableStore.pruning_ranges`.
+stream for that file's record-ID range.  Every plan over the files reads
+their file plans (:meth:`~repro.core.store.DualTableStore.plan_files`).
 """
 
 import itertools
@@ -20,13 +18,12 @@ from repro.common.errors import CompactionInProgressError
 from repro.mapreduce import Job
 from repro.hive.catalog import register_handler
 from repro.hive.pushdown import (estimate_selection, extract_ranges,
-                                 make_stripe_filter, sample_selection)
+                                 sample_selection)
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
 from repro.core.cost_model import CostModel, record_audit
 from repro.core.editlog import EditBatch, recover_edit_logs
 from repro.core.lookup import edit_by_key, execute_lookup, plan_lookup
-from repro.core.master import FILE_ID_KEY
 from repro.core.metadata import DualTableMetadata
 from repro.core.record_id import RECORD_ID_BYTES, encode_record_id
 from repro.core.store import DualTableStore, StoreRouter, setting
@@ -248,20 +245,21 @@ class DualTableHandler(StorageHandler):
     def row_count(self):
         return sum(shard.master.row_count() for shard in self.shards)
 
-    def pruning_on_dirty_files(self, columns):
+    def plan_files(self, projection=None, ranges=None):
+        """Every store's file plans (:meth:`DualTableStore.plan_files`)."""
+        return [f for store in self.shards
+                for f in store.plan_files(projection, ranges)]
+
+    def pruning_on_dirty_files(self, ranges):
         """``(files with deltas, {column: files of them whose stripe
-        statistics still prune by it})``, by each store's
-        ``pruning_ranges``; uncharged."""
+        statistics still prune by it})`` under ``ranges``; uncharged."""
         dirty = 0
-        kept = dict.fromkeys(columns, 0)
-        for store in self.shards:
-            for path in store.master.file_paths():
-                file_id = store.master.file_id_of(path)
-                if store.attached.has_entries_in_file(file_id):
-                    dirty += 1
-                    for column in store.pruning_ranges(
-                            file_id, dict.fromkeys(columns)):
-                        kept[column] += 1
+        kept = dict.fromkeys(ranges, 0)
+        for f in self.plan_files(ranges=ranges):
+            if f.attached.has_entries_in_file(f.file_id):
+                dirty += 1
+                for column in f.ranges:
+                    kept[column] += 1
         return dirty, kept
 
     def _master_bytes(self):
@@ -305,19 +303,9 @@ class DualTableHandler(StorageHandler):
         return sample_selection(readers, self.schema, where)
 
     def _edit_scan_bytes(self, edit):
-        """Master bytes the EDIT scan reads: the job's own projection
-        (``edit.projection``), pruned per file by the rule the scan
-        follows (``store.pruning_ranges``)."""
-        projection = edit.projection(self.schema)
-        total = 0
-        for store in self.shards:
-            for reader in store.master.readers():
-                ranges = store.pruning_ranges(
-                    int(reader.metadata[FILE_ID_KEY]), edit.ranges)
-                stripe_filter = make_stripe_filter(
-                    [n for n, _ in reader.schema], ranges)
-                total += reader.projected_bytes(projection, stripe_filter)
-        return total
+        """The master bytes the EDIT job's own file plans admit."""
+        return sum(f.read_bytes for f in self.plan_files(
+            edit.projection(self.schema), edit.ranges))
 
     def choose_dml_plan(self, edit):
         """The cost evaluator's EDIT-vs-OVERWRITE verdict for one row
@@ -589,30 +577,29 @@ class DualTableHandler(StorageHandler):
     def _compact(self, session, indices, partial=False, max_files=None,
                  victim_paths=None):
         """Fold the stores at ``indices`` that have deltas, in that order:
-        one job whose splits are each store's ``compact_splits`` (every
-        file, or its victims) with ``shard_fanout`` one per store, then
-        each store's :meth:`~repro.core.store.DualTableStore.fold` over
-        exactly the rows its files produced."""
+        one job over each store's file plans (every file, or its victims)
+        with ``shard_fanout`` one per store, then each store's
+        :meth:`~repro.core.store.DualTableStore.fold` over exactly the
+        rows its files produced."""
         stores = [i for i in indices if not self.shards[i].attached.is_empty()]
         victims = None
         if partial and stores:
             victims = sorted(
-                (dict(victim, shard=i) for i in stores for victim
-                 in self.shards[i].compact_candidates(victim_paths)),
-                key=lambda v: (-(v["delta_bytes"] / v["master_bytes"]),
-                               v["path"].rsplit("/", 1)[-1]))
+                ((i, f) for i in stores
+                 for f in self.shards[i].plan_files(paths=victim_paths)
+                 if f.delta_bytes > 0),
+                key=lambda v: (-v[1].density, v[1].path.rsplit("/", 1)[-1]))
             if max_files is not None:
                 victims = victims[:max(1, int(max_files))]
-            stores = [i for i in stores
-                      if any(v["shard"] == i for v in victims)]
+            stores = [i for i in stores if any(v[0] == i for v in victims)]
         if not stores:
             return self._compact_noop()
         folds = [(i, None if victims is None
-                  else [v for v in victims if v["shard"] == i])
+                  else [f for j, f in victims if j == i])
                  for i in stores]
         # What each store folds, sized before the job reads it.
         folded = [self.shards[i].attached.size_bytes if mine is None
-                  else sum(v["delta_bytes"] for v in mine)
+                  else sum(f.delta_bytes for f in mine)
                   for i, mine in folds]
         attached_bytes = sum(self.shards[i].attached.size_bytes
                              for i in indices)
@@ -626,8 +613,9 @@ class DualTableHandler(StorageHandler):
             with cluster.tracer.span("phase", "dualtable:" + plan,
                                      table=self.table.name, **span):
                 splits = [split for i, mine in folds
-                          for split in self.shards[i].compact_splits(
-                              mine and [v["path"] for v in mine])]
+                          for split in self.shards[i].splits(
+                              self.shards[i].plan_files(
+                                  paths=mine and [f.path for f in mine]))]
                 job = Job(name=plan, splits=splits,
                           map_fn=self._compact_map_fn, reduce_fn=None,
                           properties={"shard_fanout": len(folds)})
@@ -656,7 +644,7 @@ class DualTableHandler(StorageHandler):
                   "mode": "full" if victims is None else "partial",
                   "files": len(splits), "rows_written": len(rows)}
         if victims is not None:
-            detail["file_ids"] = [v["file_id"] for v in victims]
+            detail["file_ids"] = [f.file_id for _, f in victims]
         return QueryResult(sim_seconds=sim_seconds, jobs=[result],
                            affected=len(rows), plan=plan, detail=detail)
 

@@ -19,15 +19,11 @@ IN list, or the integers of a closed int range: :func:`pinned_keys`)
 prunes stripes by bucket mask and pins shards, so a range over a
 hash-sharded table opens only the files of its keys' buckets.
 
-Soundness of PK pruning on a *dirty* file: a delta that updates non-PK
-columns cannot move a row across PK ranges or hash buckets, and a delete
-of a pruned row is irrelevant — so pruning by the stored keys stays
-sound unless some delta rewrites the PK column itself — the one
-pruning rule every reader of a master file follows
-(:meth:`~repro.core.store.DualTableStore.pruning_ranges`).
-:func:`plan_lookup` asks per file whether the PK is among the columns
-its deltas assign (:meth:`AttachedTable.assigned_columns`) and reads
-such a file in full.
+Pruning by the stored keys stays sound on a *dirty* file unless a
+delta assigns the PK itself (a delete of a pruned row is irrelevant):
+the one pruning rule every reader of a master file follows
+(:meth:`~repro.core.store.DualTableStore.pruning_ranges`), so the keyed
+file plan reads such a file in full.
 
 Planning is entirely uncharged control-plane work (metastore-style
 stats); execution charges exactly what the scan path's per-file union
@@ -50,6 +46,8 @@ from repro.core.master import FILE_ID_KEY
 #: shard map assigns buckets to shards (rebalancing moves whole buckets,
 #: never re-hashes rows) and the stripe index keeps one bit per bucket.
 NUM_BUCKETS = 64
+#: the mask of every bucket: a keyed plan of a range with no key set.
+ALL_BUCKETS = (1 << NUM_BUCKETS) - 1
 
 #: rows per row group of the stripe index (ORC's ``orc.row.index.stride``
 #: analogue): a keyed read merges only the row groups whose key min/max
@@ -90,38 +88,32 @@ class LookupPlan:
 # ----------------------------------------------------------------------
 # Stripe min/max + bucket index (control-plane, cached in the delta cache).
 # ----------------------------------------------------------------------
-def stripe_index(store, hit_faults=True):
-    """Per-file PK stripe index of one store's master files:
-    ``[{path, file_id, stripes, ...}]``.
+def stripe_index(store, paths):
+    """The PK stripe index of ``store``'s master files at ``paths``, one
+    ``{path, file_id, num_rows, names, file_bytes, footer_bytes,
+    stripes}`` entry each: what a keyed plan
+    (:meth:`~repro.core.store.DualTableStore.plan_files`) reads.
 
     Each stripe is ``(num_rows, pk_min, pk_max, column_lengths,
     bucket_mask, row_groups)``; ``row_groups`` holds the ``(min, max)``
     key pair of each :data:`ROW_GROUP_ROWS`-row group, None for a group
-    whose keys are all NULL.  The row index lives here, in the control
-    plane, not in the ORC footer: every task's open charges its file's
-    footer, so an index there would cost every scan bytes only keyed
-    reads use.
+    whose keys are all NULL.  The index lives in the control plane, not
+    in the ORC footer, which every task's open charges.
 
-    Built uncharged from each file's metadata view (``MasterTable.meta``;
-    real warehouses keep these stats in the metastore) and memoized in
-    the cluster's delta cache keyed ``(attached_name, "stripe-index",
-    path, file_size)``.  Keying by the attached table's name means
-    COMPACT, INSERT OVERWRITE and a region-server crash clearing the
-    whole cache drop the index too; the file size in the key is
-    belt-and-braces on top (replaced master files also get fresh file
-    IDs, hence fresh paths).  Master files are immutable, so an entry
-    (bucket masks included) describes its file for as long as it lives.
+    Built uncharged from each file's metadata view (``MasterTable.meta``)
+    and memoized in the cluster's delta cache keyed ``(attached_name,
+    "stripe-index", path, file_size)``, so whatever clears the attached
+    table's entries (COMPACT, INSERT OVERWRITE, a region-server crash)
+    drops the index too.  Master files are immutable, so an entry
+    describes its file for as long as it lives.
     """
-    cluster = store.env.cluster
-    if hit_faults:
-        cluster.faults.hit("lookup.index_read", table=store.name)
-    key_index = store.master.key_index
-    cache = getattr(cluster, "delta_cache", None)
+    cache = getattr(store.env.cluster, "delta_cache", None)
     if cache is not None and cache.budget_bytes <= 0:
         cache = None
     fs = store.env.fs
+    key_index = store.master.key_index
     entries = []
-    for path in store.master.file_paths():
+    for path in paths:
         size = fs.file_size(path)
         key = None
         if cache is not None:
@@ -145,6 +137,7 @@ def stripe_index(store, hit_faults=True):
         entry = {"path": path, "file_id": int(meta.metadata[FILE_ID_KEY]),
                  "num_rows": meta.num_rows,
                  "names": [n.lower() for n, _ in meta.schema],
+                 "file_bytes": size,
                  "footer_bytes": size - sum(s.length for s in meta.stripes),
                  "stripes": stripes}
         if key is not None:
@@ -230,17 +223,13 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
     ``dualtable.lookup.max_rows`` rows: the listed keys of an equality
     or IN list (the PRIMARY KEY is unique), the candidate row groups'
     rows of a range; what must be *read* is the cost verdict's to price.
-    A stripe is a candidate when its PK min/max admits the range, for a
-    key set (an IN list, or the integers of a closed int range:
-    :func:`pinned_keys`) one of the wanted keys' hash buckets is in its
-    mask, *and* one of its row groups' min/max admits the range too;
-    ``buckets`` counts the wanted buckets.  A payload's
-    ``row_spans`` names the admitted groups as merged runs of rows per
-    stripe (None: a PK-dirty file, read whole).  ``sources`` is
-    ``[(index, store)]``, the stores whose files the plan draws from —
-    the ones the table's router pins; candidates come back in canonical
-    (basename) order whatever the shard count.  The returned plan
-    carries the cost-model verdict
+    The candidates are the keyed file plans
+    (:meth:`~repro.core.store.DualTableStore.plan_files`) that admit a
+    row, under the wanted keys' bucket mask for a key set
+    (:func:`pinned_keys`; ``buckets`` counts them).  ``sources`` is
+    ``[(index, store)]``, the stores the table's router pins; candidates
+    come back in canonical (basename) order whatever the shard count.
+    The plan carries the cost-model verdict
     (:class:`~repro.core.cost_model.LookupChoice`); callers decide
     whether a ``scan``-preferring verdict falls through to MR.
     """
@@ -251,68 +240,36 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
     keys = pk_range.in_set
     key_set = pinned_keys(pk_range, handler.schema.column(pk).python_type)
     wanted = None if key_set is None else bucket_mask(key_set)
+    faults = handler.env.cluster.faults
     candidates = []
-    est_rows = lookup_bytes = scan_bytes = 0
-    probe_bytes = probe_entries = 0
-    total_files = stripes_read = total_stripes = 0
-    groups_read = total_groups = 0
+    est_rows = lookup_bytes = scan_bytes = probe_bytes = probe_entries = 0
+    total_files = stripes_read = total_stripes = groups_read = total_groups = 0
     for shard, source in sources:
-        for entry in stripe_index(source, hit_faults=hit_faults):
-            proj_idx = _projection_indices(entry["names"], projection)
+        if hit_faults:
+            faults.hit("lookup.index_read", table=source.name)
+        for f in source.plan_files(projection, {pk: pk_range},
+                                   ALL_BUCKETS if wanted is None else wanted):
             total_files += 1
-            total_stripes += len(entry["stripes"])
-            row_spans = {}
-            match_rows = match_bytes = match_groups = file_scan_bytes = 0
-            file_groups = first = 0
-            for index, (nrows, pk_min, pk_max, lengths, mask, groups) \
-                    in enumerate(entry["stripes"]):
-                stripe_bytes = sum(lengths[i] for i in proj_idx)
-                file_scan_bytes += stripe_bytes
-                file_groups += len(groups)
-                if (wanted is None or mask & wanted) \
-                        and pk_range.may_overlap(pk_min, pk_max):
-                    runs, admitted = _admitted_runs(pk_range, groups,
-                                                    first, nrows)
-                    if runs:
-                        row_spans[index] = runs
-                        match_rows += sum(stop - start
-                                          for start, stop in runs)
-                        match_groups += admitted
-                        match_bytes += stripe_bytes
-                first += nrows
-            scan_bytes += file_scan_bytes
-            total_groups += file_groups
-            delta_bytes, delta_entries = \
-                source.attached.file_delta_stats(entry["file_id"])
-            if delta_entries and entry["names"].index(pk) in \
-                    source.attached.assigned_columns(entry["file_id"]):
-                # A delta rewrote the PK itself: statistics and masks
-                # describe the stored keys only, so read the whole file.
-                row_spans = None
-                match_rows = entry["num_rows"]
-                match_groups = file_groups
-                match_bytes = file_scan_bytes
-            if match_rows == 0:
+            total_stripes += f.stripes[1]
+            total_groups += f.row_groups[1]
+            scan_bytes += f.scan_bytes
+            if f.read_rows == 0:
                 # No row group can hold a wanted key and no delta can
                 # move one in: the file contributes nothing.  Trailing
                 # deltas of skipped files never produce rows either.
                 continue
-            est_rows += match_rows
+            est_rows += f.read_rows
             if (len(keys) if keys else est_rows) > handler.lookup_rows_limit:
                 return None         # too wide for a keyed read: stop here
-            stripes_read += len(entry["stripes"] if row_spans is None
-                                else row_spans)
-            groups_read += match_groups
-            lookup_bytes += entry["footer_bytes"] + match_bytes
-            probe_bytes += delta_bytes
-            probe_entries += delta_entries
-            candidates.append({"path": entry["path"],
-                               "file_id": entry["file_id"],
-                               "shard": shard,
-                               "projection": projection,
-                               "ranges": {},
-                               "row_spans": row_spans,
-                               "est_rows": match_rows})
+            stripes_read += f.stripes[0]
+            groups_read += f.row_groups[0]
+            lookup_bytes += f.footer_bytes + f.read_bytes
+            probe_bytes += f.delta_bytes
+            probe_entries += f.delta_entries
+            candidates.append({"path": f.path, "file_id": f.file_id,
+                               "shard": shard, "projection": projection,
+                               "ranges": {}, "row_spans": f.row_spans,
+                               "est_rows": f.read_rows})
     candidates.sort(key=lambda c: c["path"].rsplit("/", 1)[-1])
     profile = handler.env.cluster.profile
     choice = handler.cost_model().choose_lookup_plan(
@@ -329,33 +286,6 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
                       shards=tuple(shard for shard, _ in sources),
                       buckets=None if wanted is None
                       else (wanted.bit_count(), NUM_BUCKETS))
-
-
-def _admitted_runs(pk_range, groups, first, nrows):
-    """``(runs, admitted)``: the row groups of one stripe (its first row
-    ``first``, ``nrows`` rows) whose key min/max admit ``pk_range``, as
-    merged ``(start, stop)`` runs of file rows, and how many there are.
-    A group of NULL keys only can match no bounded range."""
-    runs = []
-    admitted = 0
-    for group, bounds in enumerate(groups):
-        if bounds is None or not pk_range.may_overlap(*bounds):
-            continue
-        admitted += 1
-        start = first + group * ROW_GROUP_ROWS
-        stop = min(start + ROW_GROUP_ROWS, first + nrows)
-        if runs and runs[-1][1] == start:
-            runs[-1] = (runs[-1][0], stop)
-        else:
-            runs.append((start, stop))
-    return runs, admitted
-
-
-def _projection_indices(names, projection):
-    if projection is None:
-        return list(range(len(names)))
-    return [names.index(name.lower()) for name in projection
-            if name.lower() in names]
 
 
 # ----------------------------------------------------------------------

@@ -62,8 +62,3 @@ class DualTableMetadata:
         return [struct.unpack(">d", raw[i:i + 8])[0]
                 for i in range(0, len(raw), 8)]
 
-    def mean_historical_ratio(self, table_name):
-        history = self.ratio_history(table_name)
-        if not history:
-            return None
-        return sum(history) / len(history)

@@ -1,17 +1,21 @@
 """One DualTable store: the paper's storage pair (Section III), a Master
 Table of ORC files on HDFS plus the Attached Table of their deltas.
 
-A store reads (UNION READ), writes and COMPACTs its own files; it holds
-no table setting and plans nothing.  The table
+A store reads (UNION READ), writes and COMPACTs its own files and says
+what a plan opens of them (``plan_files``); it holds no table setting
+and chooses no plan.  The table
 (:class:`~repro.core.handler.DualTableHandler`) plans over one store, or
 one per shard, through a router (:class:`StoreRouter` when plain).
 """
+
+from dataclasses import dataclass
 
 from repro.common.errors import DualTableError
 from repro.mapreduce import InputSplit
 from repro.hive.pushdown import make_stripe_filter
 from repro.core.attached import AttachedTable
 from repro.core.editlog import run_with_retries
+from repro.core.lookup import ROW_GROUP_ROWS, stripe_index
 from repro.core.manifest import ManifestKind, ManifestProtocol, list_of, of
 from repro.core.master import FILE_ID_KEY, MasterTable
 from repro.core.union_read import classify_merge_units, union_read_overlay
@@ -59,6 +63,54 @@ PARTIAL_COMPACT = ManifestKind(
     dict(_COMPACT_FIELDS, old_paths=list_of(of(str)),
          folded_file_ids=list_of(of(int)), new_names=list_of(of(str))),
     mode="partial")
+
+
+@dataclass(eq=False, slots=True)
+class FilePlan:
+    """One master file as a plan opens it (:meth:`DualTableStore.plan_files`).
+
+    ``ranges`` are what ``pruning_ranges`` left; ``stripes`` and
+    ``row_groups`` count ``(admitted, total)``; ``read_rows`` and
+    ``read_bytes`` are the admitted rows and projected bytes,
+    ``scan_bytes`` every stripe's.  A keyed plan's ``row_spans`` are its
+    admitted row groups as runs of rows per stripe, None when a delta
+    assigns the key (the file is read whole).  Delta statistics are
+    looked up on first use, so a plan that reads none leaves the delta
+    cache alone.
+    """
+
+    path: str
+    file_id: int
+    rows: int
+    file_bytes: int
+    footer_bytes: int
+    ranges: dict
+    stripes: tuple
+    scan_bytes: int
+    read_bytes: int
+    read_rows: int
+    attached: object
+    row_groups: tuple = None
+    row_spans: dict = None
+    deltas: tuple = None
+
+    @property
+    def delta_bytes(self):
+        return self._deltas()[0]
+
+    @property
+    def delta_entries(self):
+        return self._deltas()[1]
+
+    @property
+    def density(self):
+        """Delta bytes per master byte (what COMPACT victims rank by)."""
+        return self.delta_bytes / max(1, self.file_bytes)
+
+    def _deltas(self):
+        if self.deltas is None:
+            self.deltas = self.attached.file_delta_stats(self.file_id)
+        return self.deltas
 
 
 class DualTableStore:
@@ -173,10 +225,7 @@ class DualTableStore:
         # may run on pool workers, and a WAL replay must happen (and be
         # charged) exactly once, before any of them look at key ranges.
         self.attached.ensure_available()
-        splits = self._tagged(parallel_map(
-            self.env.cluster,
-            lambda path: self._split(path, projection, ranges),
-            self.master.file_paths()))
+        splits = self.splits(self.plan_files(projection, ranges), projection)
         if self.shard is not None:
             metrics = self.env.cluster.metrics
             metrics.incr("dualtable.scans.%s" % self.name)
@@ -184,42 +233,138 @@ class DualTableStore:
                             sum(split.size_bytes for split in splits))
         return splits
 
-    def _split(self, path, projection=None, ranges=None):
-        """One master file's split, sized and pruned from its metadata
-        (planners read metadata, tasks read files)."""
+    def splits(self, files, projection=None):
+        """A task's split per file plan: its ``ranges``, ``scan_bytes``."""
+        shard = {} if self.shard is None else {"shard": self.shard}
+        return [InputSplit(payload=dict(path=f.path, file_id=f.file_id,
+                                        projection=projection,
+                                        ranges=f.ranges, **shard),
+                           size_bytes=f.scan_bytes, label=f.path)
+                for f in files]
+
+    def plan_files(self, projection=None, ranges=None, buckets=None,
+                   paths=None):
+        """One :class:`FilePlan` per master file in path order (or per
+        file of ``paths`` that is the store's, in that order), from
+        metadata alone and charged nothing: every plan over the store's
+        files reads it.  A file's ``ranges`` are :meth:`pruning_ranges`'
+        and its stripes are admitted by their statistics under them.
+        ``buckets`` (a bucket mask; every bit for a range with no key
+        set) plans a keyed read from the stripe index
+        (:func:`~repro.core.lookup.stripe_index`): ``ranges`` prune by
+        the key alone, then the bucket mask and the row groups admit
+        stripes.  It indexes every file, then plans each when asked.
+        """
+        files = self.master.file_paths()
+        if paths is not None:
+            owned = set(files)
+            files = [path for path in paths if path in owned]
+        if buckets is not None:
+            names = [column.name.lower() for column in self.schema]
+            proj_idx = range(len(names)) if projection is None else [
+                names.index(name.lower()) for name in projection
+                if name.lower() in names]
+            return self._plan_keyed(stripe_index(self, files), proj_idx,
+                                    ranges, buckets)
+        return parallel_map(
+            self.env.cluster,
+            lambda path: self._plan_file(path, projection, ranges), files)
+
+    def _plan_file(self, path, projection, ranges):
         meta = self.master.meta(path)
         file_id = int(meta.metadata[FILE_ID_KEY])
-        return InputSplit(
-            payload={"path": path, "file_id": file_id,
-                     "projection": projection,
-                     "ranges": self.pruning_ranges(file_id, ranges)},
-            size_bytes=meta.projected_bytes(projection), label=path)
+        left = self.pruning_ranges(file_id, ranges)
+        stripe_filter = left and make_stripe_filter(
+            [n for n, _ in meta.schema], left)
+        columns = range(len(meta.schema)) if projection is None else [
+            meta.column_index(name) for name in projection]
+        scan_bytes = read_bytes = read_rows = admitted = 0
+        for stripe in meta.stripes:
+            stripe_bytes = sum([stripe.columns[i]["length"] for i in columns])
+            scan_bytes += stripe_bytes
+            if not stripe_filter or stripe_filter(stripe):
+                read_bytes += stripe_bytes
+                read_rows += stripe.num_rows
+                admitted += 1
+        size = self.env.fs.file_size(path)
+        return FilePlan(
+            path=path, file_id=file_id, rows=meta.num_rows, file_bytes=size,
+            footer_bytes=size - sum([s.length for s in meta.stripes]),
+            ranges=left, stripes=(admitted, len(meta.stripes)),
+            scan_bytes=scan_bytes, read_bytes=read_bytes,
+            read_rows=read_rows, attached=self.attached)
 
-    def pruning_ranges(self, file_id, ranges):
+    def _plan_keyed(self, entries, proj_idx, ranges, buckets):
+        key = self.schema.columns[self.master.key_index].name.lower()
+        for entry in entries:
+            file_id = entry["file_id"]
+            deltas = self.attached.file_delta_stats(file_id)
+            left = (self.pruning_ranges(file_id, ranges, dirty=True)
+                    if deltas[1] else ranges)
+            key_range = left.get(key)
+            row_spans = None if key_range is None else {}
+            scan_bytes = read_bytes = read_rows = groups = admitted = first = 0
+            for index, (nrows, low, high, lengths, mask, row_groups) \
+                    in enumerate(entry["stripes"]):
+                stripe_bytes = sum([lengths[i] for i in proj_idx])
+                scan_bytes += stripe_bytes
+                groups += len(row_groups)
+                if key_range is not None and mask & buckets \
+                        and key_range.may_overlap(low, high):
+                    # The row groups whose key min/max admit the range,
+                    # as merged runs of file rows (a group of NULL keys
+                    # only matches no bounded range).
+                    for group, bounds in enumerate(row_groups):
+                        if bounds is None \
+                                or not key_range.may_overlap(*bounds):
+                            continue
+                        start = first + group * ROW_GROUP_ROWS
+                        stop = min(start + ROW_GROUP_ROWS, first + nrows)
+                        admitted += 1
+                        read_rows += stop - start
+                        runs = row_spans.setdefault(index, [])
+                        if runs and runs[-1][1] == start:
+                            runs[-1] = (runs[-1][0], stop)
+                        else:
+                            runs.append((start, stop))
+                    if index in row_spans:
+                        read_bytes += stripe_bytes
+                first += nrows
+            stripes = len(entry["stripes"])
+            if row_spans is None:
+                # A delta assigns the key: statistics and masks describe
+                # the stored keys only, so the file is read whole.
+                read_rows, admitted, read_bytes = \
+                    entry["num_rows"], groups, scan_bytes
+            # Positional: this runs per file of every keyed plan.
+            yield FilePlan(
+                entry["path"], file_id, entry["num_rows"],
+                entry["file_bytes"], entry["footer_bytes"], left,
+                (stripes if row_spans is None else len(row_spans), stripes),
+                scan_bytes, read_bytes, read_rows, self.attached,
+                (admitted, groups), row_spans, deltas)
+
+    def pruning_ranges(self, file_id, ranges, dirty=None):
         """The one stripe-pruning rule for a master file: ``ranges`` less
-        the columns the file's deltas assign.
+        the columns the file's deltas assign (``dirty``: whether it has
+        deltas, when the caller knows).
 
         A delta that does not assign a column cannot move a row into or
         out of that column's range, and a deleted row that pruning skips
         would not be returned anyway, so the stored statistics still
-        bound the merged rows there.  SELECT, EDIT and MERGE scans prune
-        by what this returns, the EDIT estimate prices it, and the
-        LOOKUP planner applies it to the PRIMARY KEY.  Control-plane
-        work: a clean file consults no memo.
+        bound the merged rows there.  Every file plan
+        (:meth:`plan_files`) takes its ranges from here, a keyed one
+        the PRIMARY KEY's.  Control-plane work: a clean file consults
+        no memo.
         """
-        if not ranges or not self.attached.has_entries_in_file(file_id):
+        if not ranges or not (self.attached.has_entries_in_file(file_id)
+                              if dirty is None else dirty):
             return ranges or {}
         assigned = self.attached.assigned_columns(file_id)
         schema = self.schema
         return {name: col_range for name, col_range in ranges.items()
                 if not schema.has_column(name)
                 or schema.index_of(name) not in assigned}
-
-    def _tagged(self, splits):
-        if self.shard is not None:
-            for split in splits:
-                split.payload["shard"] = self.shard
-        return splits
 
     def _pruned_stripes(self, reader, ranges):
         """``(stripe_filter, spans)``: how ``ranges`` prune one file.
@@ -348,39 +493,11 @@ class DualTableStore:
     # ------------------------------------------------------------------
     # COMPACT (Section III-C): fold the Attached Table into the Master.
     # ------------------------------------------------------------------
-    def compact_candidates(self, victim_paths=None):
-        """Every dirty master file (of ``victim_paths``, if given) with
-        its delta and master sizes, in path order.
-
-        Consults only control-plane metadata (file sizes, attached key
-        ranges) — selection itself is free, like plan choice.
-        """
-        candidates = []
-        for path in self.master.file_paths():
-            if victim_paths is not None and path not in victim_paths:
-                continue
-            file_id = self.master.file_id_of(path)
-            delta_bytes, delta_entries = \
-                self.attached.file_delta_stats(file_id)
-            if delta_bytes <= 0:
-                continue
-            candidates.append({"path": path, "file_id": file_id,
-                               "delta_bytes": delta_bytes,
-                               "delta_entries": delta_entries,
-                               "master_bytes":
-                                   max(1, self.env.fs.file_size(path))})
-        return candidates
-
-    def compact_splits(self, paths=None):
-        """One unpruned split per master file (of ``paths``, if given)."""
-        return self._tagged([self._split(path) for path in (
-            self.master.file_paths() if paths is None else paths)])
-
     def fold(self, session, plan, rows, victims=None):
         """Commit one COMPACT's merged ``rows``: write them into staging,
         commit the manifest, then swap them in for every master file
-        (``victims`` None) or for the victims only.  Returns the commit's
-        simulated seconds."""
+        (``victims`` None) or for the victims only (:class:`FilePlan`
+        records).  Returns the commit's simulated seconds."""
         kind, apply = (FULL_COMPACT, self._apply_full_compact)
         if victims is not None:
             kind, apply = (PARTIAL_COMPACT, self._apply_partial_compact)
@@ -391,8 +508,8 @@ class DualTableStore:
                       "rows": len(rows)}
             if victims is not None:
                 fields.update(
-                    old_paths=[v["path"] for v in victims],
-                    folded_file_ids=[v["file_id"] for v in victims],
+                    old_paths=[v.path for v in victims],
+                    folded_file_ids=[v.file_id for v in victims],
                     new_names=[p.rsplit("/", 1)[1] for p in new_paths])
             return fields
 

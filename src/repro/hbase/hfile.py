@@ -49,12 +49,6 @@ class HFile:
             return self
         return HFile(self._cells[:lo] + self._cells[hi:])
 
-    def may_contain_row(self, row):
-        """Range check used to skip files during point gets."""
-        if self.min_row is None:
-            return False
-        return self.min_row <= row <= self.max_row
-
     def bytes_in_range(self, start_row=None, stop_row=None):
         return sum(map(KeyValue.size_bytes, self.scan(start_row, stop_row)))
 

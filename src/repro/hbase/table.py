@@ -115,9 +115,6 @@ class HTable:
                 raw_bytes = region.bytes_in_range(start_row, stop_row)
                 self._cluster.charge_hbase_scan(raw_bytes, len(rows))
 
-    def scan_all(self, **kwargs):
-        return list(self.scan(**kwargs))
-
     def scan_silent(self, start_row=None, stop_row=None, versions=1):
         """Uncharged :meth:`scan` for control-plane planning stats.
 

@@ -144,9 +144,6 @@ class HdfsFileSystem:
     def file_size(self, path):
         return self._file_inode(path).length
 
-    def dir_size(self, path):
-        return sum(inode.length for inode in self.namenode.files_under(path))
-
     def delete(self, path, recursive=False):
         return self.namenode.delete(path, recursive=recursive)
 

@@ -211,16 +211,19 @@ def _explain_scan(session, table_ref, where, needed, lines, indent):
                     else "(first column only)"))
     if usable:
         lines.append(pad + "  stripe-prunable predicate columns: %s"
-                     % _pruning_columns(handler, usable))
+                     % _pruning_columns(handler, {name: ranges[name]
+                                                  for name in usable}))
     if handler.primary_key is not None:
         _explain_lookup(session, handler, ranges, projection or None,
                         lines, indent)
 
 
-def _pruning_columns(handler, columns):
-    """The columns, each with the files with deltas that still prune by
-    it when the table has such files (``pruning_on_dirty_files``)."""
-    account = handler.pruning_on_dirty_files(columns)
+def _pruning_columns(handler, ranges):
+    """The columns of ``ranges``, each with the files with deltas that
+    still prune by it when the table has such files
+    (``pruning_on_dirty_files``)."""
+    columns = list(ranges)
+    account = handler.pruning_on_dirty_files(ranges)
     if not account or not account[0]:
         return ", ".join(columns)
     dirty, kept = account

@@ -448,23 +448,6 @@ class HiveSession:
     def table(self, name):
         return self.metastore.table(name)
 
-    def io_report(self):
-        """Structured ledger summary: per-(subsystem, op) totals.
-
-        Returns ``{(subsystem, op): {"bytes": ..., "ops": ...,
-        "sim_seconds": ...}}`` plus a ``"total_seconds"`` entry — handy
-        for examples, notebooks and regression assertions.
-        """
-        ledger = self.cluster.ledger
-        report = {
-            key: {"bytes": ledger.bytes_by_key[key],
-                  "ops": ledger.ops_by_key[key],
-                  "sim_seconds": ledger.seconds_by_key[key]}
-            for key in ledger.bytes_by_key
-        }
-        report["total_seconds"] = ledger.total_seconds
-        return report
-
     # ------------------------------------------------------------------
     # SELECT.
     # ------------------------------------------------------------------

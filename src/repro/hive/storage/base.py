@@ -96,10 +96,11 @@ class StorageHandler(ABC):
     def row_count(self):
         """Exact or estimated row count (no data read)."""
 
-    def pruning_on_dirty_files(self, columns):
-        """EXPLAIN's pruning account: ``(files with deltas, {column: how
-        many of them still prune by it})``, or None for a table that
-        keeps no deltas beside its files."""
+    def pruning_on_dirty_files(self, ranges):
+        """EXPLAIN's pruning account under the predicate's column
+        ``ranges``: ``(files with deltas, {column: how many of them still
+        prune by it})``, or None for a table that keeps no deltas beside
+        its files."""
         return None
 
     # ------------------------------------------------------------------

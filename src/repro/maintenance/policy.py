@@ -27,23 +27,6 @@ Candidate plans, scored by net benefit:
 from dataclasses import dataclass, field
 
 from repro.mapreduce.runner import _makespan
-from repro.core.master import FILE_ID_KEY
-
-
-@dataclass
-class FileDelta:
-    """Per-master-file delta-density observation."""
-
-    path: str
-    file_id: int
-    master_bytes: int
-    master_rows: int
-    delta_bytes: int
-    delta_entries: int
-
-    @property
-    def density(self):
-        return self.delta_bytes / max(1, self.master_bytes)
 
 
 @dataclass
@@ -52,7 +35,7 @@ class CompactionDecision:
     SHOW COMPACTIONS and the 'declined' observability requirement)."""
 
     action: str                 # 'partial' | 'full' | 'decline'
-    files: list = field(default_factory=list)   # selected FileDelta list
+    files: list = field(default_factory=list)   # selected FilePlan list
     predicted_seconds: float = 0.0
     benefit_seconds: float = 0.0
     horizon: float = 1.0
@@ -61,36 +44,14 @@ class CompactionDecision:
 
 
 class CompactionPolicy:
-    """Scores compaction plans for one DualTable handler."""
+    """Scores compaction plans for one DualTable store (or a plain
+    table's handler) from its file plans
+    (:meth:`~repro.core.store.DualTableStore.plan_files`): metadata only,
+    free like plan choice, so the daemon re-scores tables every tick."""
 
     def __init__(self, handler, options=None):
         self.handler = handler
         self.options = dict(options or {})
-
-    # ------------------------------------------------------------------
-    # Observation.
-    # ------------------------------------------------------------------
-    def observe_files(self):
-        """One :class:`FileDelta` per master file.
-
-        Consults only control-plane metadata (metastore-style per-file
-        stats, attached key-range sizes) — observation is free, like
-        plan choice, so the daemon can re-score tables on every tick.
-        """
-        handler = self.handler
-        fs = handler.env.fs
-        out = []
-        for path in handler.master.file_paths():
-            meta = handler.master.meta(path)
-            file_id = int(meta.metadata[FILE_ID_KEY])
-            delta_bytes, delta_entries = \
-                handler.attached.file_delta_stats(file_id)
-            out.append(FileDelta(path=path, file_id=file_id,
-                                 master_bytes=max(1, fs.file_size(path)),
-                                 master_rows=meta.num_rows,
-                                 delta_bytes=delta_bytes,
-                                 delta_entries=delta_entries))
-        return out
 
     # ------------------------------------------------------------------
     # Predicted costs (mirrors the charging model in mapreduce.runner
@@ -121,10 +82,10 @@ class CompactionPolicy:
         out_bytes = 0
         for f in files:
             tasks.append(profile.task_overhead_s
-                         + f.master_bytes * bs / per_slot_read
-                         + f.master_rows * ops * row_cost)
+                         + f.file_bytes * bs / per_slot_read
+                         + f.rows * ops * row_cost)
             hbase_seconds += self.per_read_overhead(f)
-            out_bytes += f.master_bytes
+            out_bytes += f.file_bytes
         read_seconds = (profile.job_startup_s
                         + _makespan(tasks, profile.total_map_slots)
                         + hbase_seconds)
@@ -152,7 +113,7 @@ class CompactionPolicy:
         mode = str(self.options.get("mode", "auto")).lower()
         min_delta = int(self.options.get("min_delta_bytes", 1))
         max_files = self.options.get("max_files")
-        files = self.observe_files()
+        files = self.handler.plan_files()
         dirty = [f for f in files if f.delta_bytes >= max(1, min_delta)]
         if not dirty:
             return CompactionDecision(action="decline", horizon=horizon,

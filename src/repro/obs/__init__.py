@@ -43,9 +43,6 @@ class TraceCollector:
             merged.merge(registry)
         return merged
 
-    def span_count(self):
-        return sum(len(t.spans) for t in self.tracers)
-
     def trace_document(self):
         groups = [(i + 1, "cluster-%d" % (i + 1), tracer.spans)
                   for i, tracer in enumerate(self.tracers)]

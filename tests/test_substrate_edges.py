@@ -117,7 +117,7 @@ class TestOrcEdges:
 class TestHBaseEdges:
     def test_scan_empty_table(self, cluster):
         table = HBaseService(cluster).create_table("t")
-        assert table.scan_all() == []
+        assert list(table.scan()) == []
 
     def test_scan_from_midpoint_key_not_present(self, cluster):
         table = HBaseService(cluster).create_table("t")
