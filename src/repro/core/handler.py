@@ -614,8 +614,8 @@ class DualTableHandler(StorageHandler):
                                      table=self.table.name, **span):
                 splits = [split for i, mine in folds
                           for split in self.shards[i].splits(
-                              self.shards[i].plan_files(
-                                  paths=mine and [f.path for f in mine]))]
+                              self.shards[i].plan_files() if mine is None
+                              else mine)]
                 job = Job(name=plan, splits=splits,
                           map_fn=self._compact_map_fn, reduce_fn=None,
                           properties={"shard_fanout": len(folds)})

@@ -85,9 +85,6 @@ class MasterTable:
     def readers(self):
         return [self.meta(p) for p in self.file_paths()]
 
-    def file_id_of(self, path):
-        return int(self.meta(path).metadata[FILE_ID_KEY])
-
     def data_bytes(self):
         return sum(self.fs.file_size(p) for p in self.file_paths())
 

@@ -87,7 +87,8 @@ class CompactionPolicy:
             hbase_seconds += self.per_read_overhead(f)
             out_bytes += f.file_bytes
         read_seconds = (profile.job_startup_s
-                        + _makespan(tasks, profile.total_map_slots)
+                        + _makespan(tasks, profile.total_map_slots,
+                                    profile.task_overhead_s)
                         + hbase_seconds)
         write_seconds = out_bytes * bs / profile.hdfs_write_bps
         return read_seconds + write_seconds

@@ -5,7 +5,8 @@ scope, so its simulated duration is the sum of the I/O it charged plus CPU
 row costs and a fixed task overhead.  The job's simulated run time is the
 *makespan* of greedily list-scheduling those task durations onto the
 cluster's map and reduce slots — the same "waves of tasks over slots"
-shape real Hadoop exhibits — plus the job startup cost.
+shape real Hadoop exhibits — plus the job startup cost.  A slot reuses
+its JVM within a job: it pays the task overhead for its first task only.
 
 Fault tolerance mirrors Hadoop's task layer:
 
@@ -51,17 +52,14 @@ from repro.mapreduce.job import (JobResult, TaskContext,
 from repro.parallel import in_worker
 
 
-def _makespan(durations, slots):
-    """Greedy list-scheduling makespan of ``durations`` over ``slots``."""
-    if not durations:
-        return 0.0
-    slots = max(1, slots)
-    heap = [0.0] * min(slots, len(durations))
+def _makespan(durations, slots, reused=0.0):
+    """Greedy list-scheduling makespan of ``durations`` over ``slots``;
+    a slot's later tasks reuse its JVM and each runs ``reused`` shorter."""
+    heap = list(durations[:max(1, slots)])
     heapq.heapify(heap)
-    for duration in durations:
-        start = heapq.heappop(heap)
-        heapq.heappush(heap, start + duration)
-    return max(heap)
+    for duration in durations[len(heap):]:
+        heapq.heappush(heap, heapq.heappop(heap) + duration - reused)
+    return max(heap, default=0.0)
 
 
 def _reduce_sort_key(key):
@@ -115,9 +113,11 @@ class JobRunner:
             # the ledger exactly as on one server.
             fanout = max(1, int(job.properties.get("shard_fanout", 1)))
             map_seconds = _makespan(map_durations,
-                                    profile.total_map_slots * fanout)
+                                    profile.total_map_slots * fanout,
+                                    profile.task_overhead_s)
             reduce_seconds = _makespan(reduce_durations,
-                                       profile.total_reduce_slots * fanout)
+                                       profile.total_reduce_slots * fanout,
+                                       profile.task_overhead_s)
             # HBase region servers are a shared resource: the job pays its
             # total HBase time serially, on top of the parallel task phases.
             sim_seconds = (profile.job_startup_s + map_seconds

@@ -24,6 +24,7 @@ import pytest
 from repro.cluster import ClusterProfile
 from repro.common.errors import ReproError
 from repro.core import encode_record_id
+from repro.core.master import FILE_ID_KEY
 from repro.faults import Fault, FaultPlan
 from repro.hbase import HTable
 from repro.hive import HiveSession
@@ -379,7 +380,7 @@ class TestOverlayInvalidation:
 
 
 def file_ids(handler):
-    return [handler.master.file_id_of(path)
+    return [int(handler.master.meta(path).metadata[FILE_ID_KEY])
             for path in handler.master.file_paths()]
 
 
@@ -501,7 +502,7 @@ class TestTrailingDeltas:
         session = build_session(rows=ROWS[:10], rows_per_file=10)
         handler = session.table("t").handler
         path = handler.master.file_paths()[0]
-        file_id = handler.master.file_id_of(path)
+        file_id = int(handler.master.meta(path).metadata[FILE_ID_KEY])
         handler.attached.put_update(encode_record_id(file_id, 99),
                                     {1: 777})
         assert select_all(session) == sorted(ROWS[:10])
@@ -521,7 +522,7 @@ class TestTrailingDeltas:
         # tail sort inside the overall attached range for that file.
         session.execute("INSERT INTO t VALUES (500, 5000)")
         path = handler.master.file_paths()[0]
-        file_id = handler.master.file_id_of(path)
+        file_id = int(handler.master.meta(path).metadata[FILE_ID_KEY])
         handler.attached.put_update(encode_record_id(file_id, 4),
                                     {1: 444})
         handler.attached.put_update(encode_record_id(file_id, 55),

@@ -22,6 +22,7 @@ from repro.cluster import Cluster, ClusterProfile
 from repro.common.errors import CorruptDeltaError, ReproError
 from repro.core import AttachedTable, encode_record_id
 from repro.core.attached import DELETE_MARKER, update_qualifier
+from repro.core.master import FILE_ID_KEY
 from repro.core.record_id import file_key_range
 from repro.core.union_read import build_overlay
 from repro.hbase import HBaseService, HTable
@@ -207,7 +208,7 @@ def build_session(files=4, rows_per_file=10):
 
 
 def file_ids(handler):
-    return [handler.master.file_id_of(path)
+    return [int(handler.master.meta(path).metadata[FILE_ID_KEY])
             for path in handler.master.file_paths()]
 
 

@@ -16,6 +16,7 @@ file whose delta moved a row's ``w`` into it) fails the ``update-w``,
 import pytest
 
 from repro.cluster import ClusterProfile
+from repro.core.master import FILE_ID_KEY
 from repro.core.record_id import encode_record_id
 from repro.core.store import DualTableStore
 from repro.hive import HiveSession
@@ -289,7 +290,9 @@ class TestTrailingDeltas:
     def test_a_delta_past_the_last_row_still_trails(self):
         session = build(scenario=["UPDATE t SET v = -v WHERE k % 40 >= 30"])
         handler = session.table("t").handler
-        file_id = handler.master.file_id_of(handler.master.file_paths()[0])
+        master = handler.master
+        file_id = int(master.meta(master.file_paths()[0])
+                      .metadata[FILE_ID_KEY])
         handler.attached.put_update(encode_record_id(file_id, PER_FILE + 3),
                                     {2: 777})
         assert self.counted(session, "w < 15") == 1

@@ -11,6 +11,7 @@ from repro.core import (AttachedTable, DeltaRecord, DualTableMetadata,
                         encode_record_id, file_key_range, union_read_file)
 from repro.core.attached import (DELETE_MARKER, parse_qualifier,
                                  update_qualifier)
+from repro.core.master import FILE_ID_KEY
 from repro.core.union_read import apply_update
 from repro.hbase import HBaseService
 from repro.hdfs import HdfsFileSystem
@@ -282,7 +283,7 @@ class TestMasterTable:
         master.write_rows([(i, "v%d" % i) for i in range(25)])
         paths = master.file_paths()
         assert len(paths) == 3
-        ids = [master.file_id_of(p) for p in paths]
+        ids = [int(master.meta(p).metadata[FILE_ID_KEY]) for p in paths]
         assert len(set(ids)) == 3
 
     def test_row_count_and_bytes(self):
@@ -294,8 +295,10 @@ class TestMasterTable:
     def test_replace_with_swaps_atomically(self):
         master = self._master()
         master.write_rows([(i, "old") for i in range(5)])
-        old_ids = {master.file_id_of(p) for p in master.file_paths()}
+        old_ids = {int(master.meta(p).metadata[FILE_ID_KEY])
+                   for p in master.file_paths()}
         master.replace_with([(9, "new")])
         assert master.row_count() == 1
-        new_ids = {master.file_id_of(p) for p in master.file_paths()}
+        new_ids = {int(master.meta(p).metadata[FILE_ID_KEY])
+                   for p in master.file_paths()}
         assert not (old_ids & new_ids)     # fresh file ids after rewrite

@@ -104,7 +104,7 @@ def oracle_victims(handler, max_files):
         if store.attached.is_empty():
             continue
         for path in store.master.file_paths():
-            file_id = store.master.file_id_of(path)
+            file_id = int(store.master.meta(path).metadata[FILE_ID_KEY])
             delta_bytes, _ = store.attached.file_delta_stats(file_id)
             if delta_bytes > 0:
                 victims.append((index, path, file_id, delta_bytes,
@@ -147,7 +147,7 @@ def oracle_dirty_account(handler, columns):
     kept = dict.fromkeys(columns, 0)
     for store in handler.shards:
         for path in store.master.file_paths():
-            file_id = store.master.file_id_of(path)
+            file_id = int(store.master.meta(path).metadata[FILE_ID_KEY])
             if store.attached.has_entries_in_file(file_id):
                 dirty += 1
                 for column in store.pruning_ranges(

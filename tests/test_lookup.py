@@ -19,6 +19,7 @@ import pytest
 from repro.cluster import ClusterProfile
 from repro.common.errors import AnalysisError, ParseError
 from repro.core.lookup import NUM_BUCKETS, ROW_GROUP_ROWS, stripe_index
+from repro.core.master import FILE_ID_KEY
 from repro.faults import Fault, FaultPlan
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
@@ -284,7 +285,7 @@ class TestScanParity:
         session.execute("UPDATE t SET k = 500 WHERE k = 7")
         handler = session.table("t").handler
         path = handler.master.file_paths()[0]
-        file_id = handler.master.file_id_of(path)
+        file_id = int(handler.master.meta(path).metadata[FILE_ID_KEY])
         assert 0 in handler.attached.assigned_columns(file_id)
         for sql in ("SELECT k, v FROM t WHERE k = 500",
                     "SELECT k, v FROM t WHERE k = 7"):

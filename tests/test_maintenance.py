@@ -7,8 +7,11 @@ from repro.common.errors import AnalysisError
 from repro.hive import HiveSession
 from repro.hive.parser import parse
 from repro.hive import ast_nodes as ast
+from repro.maintenance import policy as policy_module
 from repro.maintenance.policy import CompactionPolicy
 from repro.maintenance.stats import TableStats
+from repro.mapreduce import InputSplit, Job
+from repro.mapreduce.runner import _makespan
 from repro.shard import ShardMap
 
 
@@ -219,6 +222,39 @@ class TestPolicy:
         diff = cluster.ledger.diff(before)
         assert diff["bytes"] == {} and diff["seconds"] == {}
         assert diff["total_seconds"] == 0 and cluster.clock.now == clock
+
+    def test_estimate_schedules_tasks_as_the_runner_does(self, session,
+                                                          monkeypatch):
+        """More victims than map slots: slots reuse their JVM in the
+        estimate as in the run, so the estimate's makespan term is the
+        runner's ``map_seconds`` over the same task durations."""
+        handler = make_dualtable(session, rows_per_file=6)
+        session.execute("UPDATE dt SET tag = 'x' WHERE id % 6 = 0")
+        calls = []
+
+        def spy(durations, slots, reused=0.0):
+            seconds = _makespan(durations, slots, reused)
+            calls.append((list(durations), seconds))
+            return seconds
+
+        monkeypatch.setattr(policy_module, "_makespan", spy)
+        files = handler.plan_files()
+        CompactionPolicy(handler).rewrite_job_seconds(files)
+        [(tasks, estimate)] = calls
+        profile = session.cluster.profile
+        assert len(tasks) == len(files) == 10 > profile.total_map_slots
+        overhead = profile.task_overhead_s
+
+        def map_fn(split, ctx):
+            ctx.cluster.charge_fixed("mapreduce", "work",
+                                     split.payload - overhead)
+            return iter(())
+
+        result = session.runner.run(Job(
+            "estimate", [InputSplit(payload=t, size_bytes=0) for t in tasks],
+            map_fn, None))
+        assert result.map_seconds == pytest.approx(estimate, rel=1e-12)
+        assert estimate < _makespan(tasks, profile.total_map_slots)
 
     def test_full_prediction_matches_observed(self, session):
         handler = make_dualtable(session)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterProfile
 from repro.common.errors import TaskFailedError
+from repro.common.retry import RetryPolicy
+from repro.faults import Fault, FaultPlan
 from repro.mapreduce import InputSplit, Job, JobRunner, stable_hash
 from repro.mapreduce.runner import _makespan
 
@@ -259,6 +261,70 @@ class TestMakespan:
 
     def test_empty(self):
         assert _makespan([], 4) == 0.0
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1,
+                    max_size=8),
+           st.integers(min_value=0, max_value=4))
+    def test_no_later_task_means_reuse_changes_nothing(self, durations,
+                                                      spare):
+        """With ``n <= slots`` every task is its slot's first: the
+        makespan is bit-identical with and without ``reused``."""
+        slots = len(durations) + spare
+        assert (_makespan(durations, slots, reused=0.05)
+                == _makespan(durations, slots) == max(durations))
+
+    @pytest.mark.parametrize("n,slots", [(1, 2), (2, 2), (3, 2), (16, 2),
+                                         (10, 4), (64, 8), (7, 1)])
+    def test_equal_tasks_save_one_overhead_per_later_wave(self, n, slots):
+        """Binary-exact equal tasks: each slot runs up to ``ceil(n/s)``
+        tasks and pays start-up once, saving ``ceil(n/s) - 1``."""
+        waves = -(-n // slots)
+        without = _makespan([0.75] * n, slots)
+        assert without == waves * 0.75
+        assert _makespan([0.75] * n, slots, reused=0.25) == \
+            without - (waves - 1) * 0.25
+
+
+class TestJvmReuse:
+    """A slot's first task in a job starts its JVM; later tasks on the
+    slot reuse it (``task_overhead_s`` once per slot, not per split)."""
+
+    def test_sixteen_splits_pay_one_start_up_per_slot(self):
+        runner = JobRunner(Cluster(ClusterProfile.laptop()))
+        profile = runner.cluster.profile
+        io = []
+
+        def map_fn(split, ctx):
+            io.append(ctx.cluster.charge_hdfs_read(1 << 20).seconds)
+            return iter(())
+
+        result = runner.run(Job("io", _splits(16), map_fn, None))
+        assert result.num_map_tasks == 16
+        assert profile.total_map_slots == 2
+        assert result.sim_seconds == pytest.approx(
+            profile.job_startup_s + profile.task_overhead_s
+            + _makespan(io, profile.total_map_slots), rel=1e-12)
+
+    def test_failed_attempt_still_pays_its_start_up_and_backoff(self):
+        """A retry starts a fresh JVM: a later task's failed attempt
+        adds its own start-up and the backoff to its slot."""
+        def run(faults):
+            runner = JobRunner(Cluster(ClusterProfile.laptop()))
+            runner.cluster.faults.install(FaultPlan(faults))
+            return runner, runner.run(
+                Job("scan", _splits(6), lambda s, c: iter(()), None))
+
+        _, clean = run([])
+        runner, faulty = run([Fault("mapreduce.map", nth_hit=3,
+                                    kind="crash")])
+        profile = runner.cluster.profile
+        backoff = RetryPolicy.from_profile(profile).backoff(1)
+        assert clean.map_seconds == profile.task_overhead_s
+        assert faulty.counters["task_retries"] == 1
+        assert faulty.map_seconds == pytest.approx(
+            clean.map_seconds + profile.task_overhead_s + backoff,
+            rel=1e-12)
+        assert faulty.outputs == clean.outputs
 
 
 class TestStableHash:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cluster import ClusterProfile
 from repro.core import encode_record_id
+from repro.core.master import FILE_ID_KEY
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive import vexpr
@@ -150,7 +151,7 @@ def unionread_scenario(specification, compacted=False):
         session.execute("COMPACT TABLE t")
     else:
         path = handler.master.file_paths()[0]
-        file_id = handler.master.file_id_of(path)
+        file_id = int(handler.master.meta(path).metadata[FILE_ID_KEY])
         # Orphan id beyond the file's last row: trailing, never merged.
         handler.attached.put_update(encode_record_id(file_id, 99),
                                     {1: 777})
