@@ -23,6 +23,7 @@ from repro.orc import OrcMetadata, OrcReader, write_orc_file
 from repro.orc.directory import (orc_paths, orc_properties, replace,
                                  write_files)
 from repro.hive.catalog import register_handler
+from repro.hive.pushdown import admit_stripes
 from repro.hive.rowedit import matched_rows
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
@@ -139,16 +140,17 @@ class AcidHandler(StorageHandler):
 
     def scan_splits(self, projection=None, ranges=None):
         offsets = self._base_rid_ranges()
-        prune_safe = not self.delta_files()
+        projection = list(projection) if projection else None
+        # Statistics bound the merged rows only while no delta exists.
+        ranges = {} if self.delta_files() else ranges
         splits = []
         for path in self.base_files():
+            row_spans, size, _ = admit_stripes(OrcMetadata(self.fs, path),
+                                               projection, ranges)
             splits.append(InputSplit(
                 payload={"path": path, "rid_offset": offsets[path],
-                         "projection": list(projection) if projection else None,
-                         "ranges": (ranges or {}) if prune_safe else {}},
-                size_bytes=OrcMetadata(self.fs, path).projected_bytes(
-                    list(projection) if projection else None),
-                label=path))
+                         "projection": projection, "row_spans": row_spans},
+                size_bytes=size, label=path))
         return splits
 
     def read_split_batches(self, split, ctx, batch_rows=None):
@@ -159,12 +161,8 @@ class AcidHandler(StorageHandler):
         return batches_from_rows(rows, width, batch_rows)
 
     def read_split_with_rids(self, split, ctx):
-        from repro.hive.pushdown import make_stripe_filter
-
         payload = split.payload
         reader = OrcReader(self.fs, payload["path"])
-        stripe_filter = make_stripe_filter(
-            [n for n, _ in reader.schema], payload["ranges"] or {})
         projection = payload["projection"]
         deltas = self._read_all_deltas(ctx)     # every delta, every split
         if projection is None:
@@ -173,7 +171,7 @@ class AcidHandler(StorageHandler):
             indices = [self.schema.index_of(n) for n in projection]
         offset = payload["rid_offset"]
         for row_no, values in reader.rows(projection=projection,
-                                          stripe_filter=stripe_filter):
+                                          row_spans=payload["row_spans"]):
             rid = offset + row_no
             delta = deltas.get(rid)
             if delta is None:

@@ -268,7 +268,7 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
             probe_entries += f.delta_entries
             candidates.append({"path": f.path, "file_id": f.file_id,
                                "shard": shard, "projection": projection,
-                               "ranges": {}, "row_spans": f.row_spans,
+                               "row_spans": f.row_spans, "stripes_pruned": 0,
                                "est_rows": f.read_rows})
     candidates.sort(key=lambda c: c["path"].rsplit("/", 1)[-1])
     profile = handler.env.cluster.profile

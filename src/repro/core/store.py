@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import DualTableError
 from repro.mapreduce import InputSplit
-from repro.hive.pushdown import make_stripe_filter
+from repro.hive.pushdown import admit_stripes
 from repro.core.attached import AttachedTable
 from repro.core.editlog import run_with_retries
 from repro.core.lookup import ROW_GROUP_ROWS, stripe_index
@@ -72,9 +72,10 @@ class FilePlan:
     ``ranges`` are what ``pruning_ranges`` left; ``stripes`` and
     ``row_groups`` count ``(admitted, total)``; ``read_rows`` and
     ``read_bytes`` are the admitted rows and projected bytes,
-    ``scan_bytes`` every stripe's.  A keyed plan's ``row_spans`` are its
-    admitted row groups as runs of rows per stripe, None when a delta
-    assigns the key (the file is read whole).  Delta statistics are
+    ``scan_bytes`` every stripe's.  ``row_spans`` are the runs of rows it
+    admits per stripe (:func:`~repro.hive.pushdown.admit_stripes`'
+    stripes; a keyed plan's row groups, or every stripe when a delta
+    assigns the key), what its split carries.  Delta statistics are
     looked up on first use, so a plan that reads none leaves the delta
     cache alone.
     """
@@ -234,11 +235,13 @@ class DualTableStore:
         return splits
 
     def splits(self, files, projection=None):
-        """A task's split per file plan: its ``ranges``, ``scan_bytes``."""
+        """A task's split per file plan: its ``row_spans``, how many
+        stripes it pruned, ``scan_bytes``."""
         shard = {} if self.shard is None else {"shard": self.shard}
-        return [InputSplit(payload=dict(path=f.path, file_id=f.file_id,
-                                        projection=projection,
-                                        ranges=f.ranges, **shard),
+        return [InputSplit(payload=dict(
+                    path=f.path, file_id=f.file_id, projection=projection,
+                    row_spans=f.row_spans,
+                    stripes_pruned=f.stripes[1] - f.stripes[0], **shard),
                            size_bytes=f.scan_bytes, label=f.path)
                 for f in files]
 
@@ -248,7 +251,8 @@ class DualTableStore:
         file of ``paths`` that is the store's, in that order), from
         metadata alone and charged nothing: every plan over the store's
         files reads it.  A file's ``ranges`` are :meth:`pruning_ranges`'
-        and its stripes are admitted by their statistics under them.
+        and :func:`~repro.hive.pushdown.admit_stripes` admits its stripes
+        under them.
         ``buckets`` (a bucket mask; every bit for a range with no key
         set) plans a keyed read from the stripe index
         (:func:`~repro.core.lookup.stripe_index`): ``ranges`` prune by
@@ -274,25 +278,17 @@ class DualTableStore:
         meta = self.master.meta(path)
         file_id = int(meta.metadata[FILE_ID_KEY])
         left = self.pruning_ranges(file_id, ranges)
-        stripe_filter = left and make_stripe_filter(
-            [n for n, _ in meta.schema], left)
-        columns = range(len(meta.schema)) if projection is None else [
-            meta.column_index(name) for name in projection]
-        scan_bytes = read_bytes = read_rows = admitted = 0
-        for stripe in meta.stripes:
-            stripe_bytes = sum([stripe.columns[i]["length"] for i in columns])
-            scan_bytes += stripe_bytes
-            if not stripe_filter or stripe_filter(stripe):
-                read_bytes += stripe_bytes
-                read_rows += stripe.num_rows
-                admitted += 1
+        row_spans, scan_bytes, read_bytes = admit_stripes(meta, projection,
+                                                          left)
         size = self.env.fs.file_size(path)
         return FilePlan(
             path=path, file_id=file_id, rows=meta.num_rows, file_bytes=size,
             footer_bytes=size - sum([s.length for s in meta.stripes]),
-            ranges=left, stripes=(admitted, len(meta.stripes)),
+            ranges=left, stripes=(len(row_spans), len(meta.stripes)),
             scan_bytes=scan_bytes, read_bytes=read_bytes,
-            read_rows=read_rows, attached=self.attached)
+            read_rows=sum([stop - start for runs in row_spans.values()
+                           for start, stop in runs]),
+            attached=self.attached, row_spans=row_spans)
 
     def _plan_keyed(self, entries, proj_idx, ranges, buckets):
         key = self.schema.columns[self.master.key_index].name.lower()
@@ -302,15 +298,19 @@ class DualTableStore:
             left = (self.pruning_ranges(file_id, ranges, dirty=True)
                     if deltas[1] else ranges)
             key_range = left.get(key)
-            row_spans = None if key_range is None else {}
+            row_spans = {}
             scan_bytes = read_bytes = read_rows = groups = admitted = first = 0
             for index, (nrows, low, high, lengths, mask, row_groups) \
                     in enumerate(entry["stripes"]):
                 stripe_bytes = sum([lengths[i] for i in proj_idx])
                 scan_bytes += stripe_bytes
                 groups += len(row_groups)
-                if key_range is not None and mask & buckets \
-                        and key_range.may_overlap(low, high):
+                if key_range is None:
+                    # A delta assigns the key: statistics and masks
+                    # describe the stored keys only, so the file is read
+                    # whole.
+                    row_spans[index] = [(first, first + nrows)]
+                elif mask & buckets and key_range.may_overlap(low, high):
                     # The row groups whose key min/max admit the range,
                     # as merged runs of file rows (a group of NULL keys
                     # only matches no bounded range).
@@ -330,17 +330,14 @@ class DualTableStore:
                     if index in row_spans:
                         read_bytes += stripe_bytes
                 first += nrows
-            stripes = len(entry["stripes"])
-            if row_spans is None:
-                # A delta assigns the key: statistics and masks describe
-                # the stored keys only, so the file is read whole.
+            if key_range is None:
                 read_rows, admitted, read_bytes = \
                     entry["num_rows"], groups, scan_bytes
             # Positional: this runs per file of every keyed plan.
             yield FilePlan(
                 entry["path"], file_id, entry["num_rows"],
                 entry["file_bytes"], entry["footer_bytes"], left,
-                (stripes if row_spans is None else len(row_spans), stripes),
+                (len(row_spans), len(entry["stripes"])),
                 scan_bytes, read_bytes, read_rows, self.attached,
                 (admitted, groups), row_spans, deltas)
 
@@ -366,35 +363,17 @@ class DualTableStore:
                 if not schema.has_column(name)
                 or schema.index_of(name) not in assigned}
 
-    def _pruned_stripes(self, reader, ranges):
-        """``(stripe_filter, spans)``: how ``ranges`` prune one file.
-
-        ``spans`` are the surviving stripes' ``(first_row, num_rows)``,
-        or None when the ranges prune every stripe and the file is read
-        for its footer only.  Counts ``unionread.stripes_pruned`` and
-        ``unionread.files_skipped``.
-        """
-        stripe_filter = make_stripe_filter([n for n, _ in reader.schema],
-                                           ranges)
-        spans = [(s.first_row, s.num_rows) for s in reader.stripes
-                 if stripe_filter is None or stripe_filter(s)]
-        pruned = len(reader.stripes) - len(spans)
-        skipped = int(pruned > 0 and not spans)
-        self._note_units((("stripes_pruned", pruned),
-                          ("files_skipped", skipped)))
-        return stripe_filter, None if skipped else spans
-
     def _prepare_union_read(self, file_id, spans):
         """Per-file merge setup.
 
         Fetches the file's deltas (the one charged, memoized scan,
         :meth:`AttachedTable.file_deltas`) and classifies the file's
         merge units (``unionread.batches_*`` counters) on the canonical
-        grid ``spans``: the surviving stripes, or a keyed read's runs of
-        row groups.  Eager materialization reorders the delta-scan
-        charges relative to the interleaved master reads, which is
-        ledger-neutral: charges accumulate per (device, category) key,
-        so only per-key order — unchanged — matters.
+        grid ``spans``: the split's runs of rows (admitted stripes, or a
+        keyed read's row groups).  Eager materialization reorders the
+        delta-scan charges relative to the interleaved master reads,
+        which is ledger-neutral: charges accumulate per (device,
+        category) key, so only per-key order — unchanged — matters.
         Returns ``(cells, overlay)``.
         """
         cells, overlay = self.attached.file_deltas(file_id)
@@ -423,10 +402,12 @@ class DualTableStore:
         delta scan (``file_deltas``) and the per-output-row ``unionread``
         CPU term, and feeds the ``unionread.*`` metrics.  Clean batches
         stream straight through; dirty ones get the file's columnar
-        overlay applied (INTERNALS §14).  A keyed read's payload names
-        the runs of rows its plan admitted (``"row_spans"``, per stripe)
-        instead of ranges to prune by.  A file whose ranges prune every
-        stripe yields nothing past its footer: no delta scan, no merge.
+        overlay applied (INTERNALS §14).  The split reads the runs of
+        rows its plan admitted (``"row_spans"``, per stripe) and counts
+        the stripes its plan pruned (``"stripes_pruned"``: a scan's,
+        0 for a keyed read) in ``unionread.stripes_pruned``.  A file
+        whose plan admits no stripe yields nothing past its footer: no
+        delta scan, no merge (``unionread.files_skipped``).
         """
         payload = split.payload
         cluster = self.env.cluster
@@ -434,19 +415,16 @@ class DualTableStore:
                                  "union-read:%d" % payload["file_id"],
                                  path=payload["path"]) as span:
             reader = self.master.reader(payload["path"])
+            row_spans, pruned = payload["row_spans"], payload["stripes_pruned"]
+            skipped = int(pruned > 0 and not row_spans)
+            self._note_units((("stripes_pruned", pruned),
+                              ("files_skipped", skipped)))
+            if skipped:
+                return
             projection = payload["projection"]
-            row_spans = payload.get("row_spans")
-            if row_spans is None:
-                stripe_filter, spans = self._pruned_stripes(
-                    reader, payload["ranges"])
-                if spans is None:
-                    return
-            else:
-                stripe_filter = None
-                spans = [(start, stop - start) for runs in row_spans.values()
-                         for start, stop in runs]
+            spans = [(start, stop - start) for runs in row_spans.values()
+                     for start, stop in runs]
             orc_batches = reader.batches(projection=projection,
-                                         stripe_filter=stripe_filter,
                                          batch_rows=batch_rows,
                                          row_spans=row_spans)
             projection_map = self._projection_map(projection)

@@ -187,7 +187,6 @@ def table_state(session):
     """A comparable snapshot of the full logical + physical table state:
     files, rows, every shard's attached cells, the shard assignment."""
     handler = session.table("t").handler
-    shard_map = getattr(handler, "shard_map", None)
     with session.cluster.faults.paused():
         files = tuple(path for shard in handler.shards
                       for path in shard.master.file_paths())
@@ -197,7 +196,9 @@ def table_state(session):
              tuple(sorted(delta.updates.items())))
             for shard in handler.shards
             for rid, delta in shard.attached.scan_range())
-    assignment = shard_map and tuple(shard_map.assignment)
+    router = handler.router
+    assignment = (tuple(router.shard_map.assignment) if router.bucketed
+                  else None)
     return files, rows, attached, assignment
 
 

@@ -1,11 +1,12 @@
-"""Predicate pushdown: column ranges, stripe pruning, selectivity.
+"""Predicate pushdown: column ranges, stripe admission, selectivity.
 
 From a WHERE clause we extract per-column value constraints out of the
 top-level AND conjuncts.  Those ranges drive three optimizations that are
 central to the paper's results:
 
-* **stripe pruning** — skip ORC stripes whose min/max statistics cannot
-  match (this is why date-targeted grid updates touch ~α of the data);
+* **stripe pruning** — a plan admits only the ORC stripes whose min/max
+  statistics may match (this is why date-targeted grid updates touch ~α
+  of the data), and its splits carry them;
 * **projection pushdown** — the scan only decodes referenced columns;
 * **selectivity estimation** — the DualTable cost model's α/β estimate.
 """
@@ -191,28 +192,38 @@ def _range_from_conjunct(expr):
     return None
 
 
-def make_stripe_filter(schema_names, ranges):
-    """Build a ``StripeInfo -> bool`` filter for the ORC reader.
+def admit_stripes(meta, projection, ranges):
+    """The stripes of one ORC file that ``ranges`` admit: the one rule
+    by which every read prunes stripes, applied at plan time.
 
-    ``schema_names`` is the ORC file's column-name list in order.
-    Returns None when no constrained column exists in the file.
+    ``meta`` is the file's footer (an :class:`~repro.orc.OrcMetadata`),
+    ``projection`` the column names a read decodes (None: all).  A
+    stripe is admitted unless a range on one of the file's columns
+    cannot overlap that column's min/max statistics.  Returns
+    ``(row_spans, scan_bytes, read_bytes)``: the admitted stripes as
+    ``{stripe index: [(first_row, first_row + rows)]}`` (what a split
+    carries and :meth:`~repro.orc.OrcReader.batches` reads), and the
+    projected bytes of every stripe and of the admitted ones.
     """
-    indexed = []
-    lower_names = [n.lower() for n in schema_names]
-    for name, col_range in ranges.items():
-        if name in lower_names:
-            indexed.append((lower_names.index(name), col_range))
-    if not indexed:
-        return None
-
-    def stripe_filter(stripe):
-        for idx, col_range in indexed:
-            stats = stripe.stats(idx)
+    names = [name.lower() for name, _ in meta.schema]
+    tests = [(names.index(name), col_range)
+             for name, col_range in (ranges or {}).items() if name in names]
+    columns = range(len(names)) if projection is None else [
+        meta.column_index(name) for name in projection]
+    row_spans = {}
+    scan_bytes = read_bytes = 0
+    for stripe in meta.stripes:
+        stripe_bytes = sum([stripe.columns[i]["length"] for i in columns])
+        scan_bytes += stripe_bytes
+        for index, col_range in tests:
+            stats = stripe.stats(index)
             if not col_range.may_overlap(stats["min"], stats["max"]):
-                return False
-        return True
-
-    return stripe_filter
+                break
+        else:
+            read_bytes += stripe_bytes
+            first = stripe.first_row
+            row_spans[stripe.index] = [(first, first + stripe.num_rows)]
+    return row_spans, scan_bytes, read_bytes
 
 
 def estimate_selection(readers, ranges):

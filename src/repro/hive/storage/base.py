@@ -60,6 +60,11 @@ class StorageHandler(ABC):
     def drop(self):
         """Delete the physical storage."""
 
+    def recover(self):
+        """Finish the table's interrupted commits; what each rolled
+        forward or back (``{}``: this table has nothing to recover)."""
+        return {}
+
     # ------------------------------------------------------------------
     # Writes.
     # ------------------------------------------------------------------

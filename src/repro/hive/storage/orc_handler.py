@@ -20,7 +20,7 @@ from repro.mapreduce import InputSplit
 from repro.orc import OrcMetadata, OrcReader
 from repro.orc.directory import (orc_paths, orc_properties, replace,
                                  write_files)
-from repro.hive.pushdown import make_stripe_filter
+from repro.hive.pushdown import admit_stripes
 from repro.hive.storage.base import StorageHandler
 from repro.vector import ColumnBatch
 
@@ -191,18 +191,20 @@ class OrcHdfsHandler(StorageHandler):
         projection = list(projection) if projection else None
         data_projection = self._data_projection(projection)
         ranges = ranges or {}
+        data_ranges = {name: r for name, r in ranges.items()
+                       if name not in self.partition_columns}
         splits = []
         for key, directory in self.partitions():
             if not self.partition_matches(key, ranges):
                 continue
             for path in self._partition_files(directory):
-                meta = OrcMetadata(self.fs, path)
+                row_spans, size, _ = admit_stripes(
+                    OrcMetadata(self.fs, path), data_projection, data_ranges)
                 splits.append(InputSplit(
                     payload={"path": path, "projection": projection,
                              "data_projection": data_projection,
-                             "ranges": ranges, "key": key},
-                    size_bytes=meta.projected_bytes(data_projection),
-                    label=path))
+                             "row_spans": row_spans, "key": key},
+                    size_bytes=size, label=path))
         return splits
 
     def _data_projection(self, projection):
@@ -219,14 +221,10 @@ class OrcHdfsHandler(StorageHandler):
         """Decoded stripe columns, zero-copy; partition columns become
         constant columns."""
         payload = split.payload
-        reader = OrcReader(self.fs, payload["path"])
-        ranges = {name: r for name, r in payload["ranges"].items()
-                  if name not in self.partition_columns}
         data_projection = payload["data_projection"]
-        batches = reader.batches(
+        batches = OrcReader(self.fs, payload["path"]).batches(
             projection=data_projection, batch_rows=batch_rows,
-            stripe_filter=make_stripe_filter([n for n, _ in reader.schema],
-                                             ranges))
+            row_spans=payload["row_spans"])
         if not self.partition_columns:
             yield from batches
             return

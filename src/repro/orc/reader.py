@@ -4,8 +4,8 @@ The reader exposes the three ORC properties DualTable relies on:
 
 * **column projection** — only the byte streams of requested columns are
   decoded *and charged* to the cluster ledger;
-* **stripe pruning** — a caller-supplied predicate over per-stripe column
-  statistics skips whole stripes without touching their bytes;
+* **stripe pruning** — a caller names the stripes (runs of rows) to
+  read, and the others are skipped without touching their bytes;
 * **row numbers** — every row comes back with its ordinal position in the
   file, which costs nothing to store and is the second half of the
   DualTable record ID.
@@ -268,49 +268,40 @@ class OrcReader:
     # ------------------------------------------------------------------
     # Row iteration.
     # ------------------------------------------------------------------
-    def rows(self, projection=None, stripe_filter=None):
-        """Yield ``(row_number, values_tuple)`` pairs.
+    def rows(self, projection=None, row_spans=None):
+        """Yield ``(row_number, values_tuple)`` pairs of the rows
+        :meth:`batches` reads.
 
         ``projection`` is a list of column names; the returned tuples hold
         those columns in that order (all columns in schema order when
-        omitted).  ``stripe_filter`` is called with each
-        :class:`StripeInfo` and may return False to skip the stripe.
+        omitted).
         """
-        if projection is None:
-            indices = list(range(len(self.schema)))
-        else:
-            indices = [self.column_index(name) for name in projection]
-        for stripe in self.stripes:
-            if stripe_filter is not None and not stripe_filter(stripe):
-                continue
-            columns = self._decode_stripe_columns(stripe, indices)
-            # zip() of no columns is empty; an empty projection still
-            # yields one empty tuple per row.
-            values = zip(*columns) if columns else repeat((), stripe.num_rows)
-            yield from enumerate(values, stripe.first_row)
+        for batch in self.batches(projection, row_spans=row_spans):
+            # An empty projection still yields one empty tuple per row.
+            values = (zip(*batch.columns) if batch.columns
+                      else repeat((), batch.length))
+            yield from enumerate(values, batch.row_base)
 
-    def read_all(self, projection=None, stripe_filter=None):
+    def read_all(self, projection=None, row_spans=None):
         """Materialize :meth:`rows` into a list."""
-        return list(self.rows(projection=projection, stripe_filter=stripe_filter))
+        return list(self.rows(projection=projection, row_spans=row_spans))
 
-    def batches(self, projection=None, stripe_filter=None, batch_rows=None,
-                row_spans=None):
+    def batches(self, projection=None, batch_rows=None, row_spans=None):
         """Yield :class:`~repro.vector.ColumnBatch` per stripe.
 
-        The columnar sibling of :meth:`rows`: identical projection,
-        pruning and byte charges (both funnel through
-        :meth:`_decode_stripe_columns`), but the decoded column lists
-        are handed out directly instead of being transposed into row
-        tuples.  A whole stripe that fits in ``batch_rows`` is
-        zero-copy — its batch shares the (possibly cached) column
-        lists, so callers must not mutate them.  ``row_base`` carries
-        each batch's first ordinal row number, replacing the per-row
-        numbers of :meth:`rows`.
+        Decoded column lists are handed out directly (every charge goes
+        through :meth:`_decode_stripe_columns`).  A whole stripe that
+        fits in ``batch_rows`` is zero-copy — its batch shares the
+        (possibly cached) column lists, so callers must not mutate them.
+        ``row_base`` carries each batch's first ordinal row number.
 
         ``row_spans`` (``{stripe index: [(start, stop), ...]}``, file
-        row ordinals) reads only those runs of rows: a stripe it does
-        not name is skipped like a filtered one, a named stripe is
-        decoded — and charged — whole and yields the runs' slices.
+        row ordinals; every row when None) reads only those runs of
+        rows: a stripe it does not name is skipped without touching its
+        bytes, a named stripe is decoded — and charged — whole and
+        yields the runs' slices.  A plan makes them
+        (:func:`repro.hive.pushdown.admit_stripes`, a keyed plan's row
+        groups); the reader evaluates no statistics.
         """
         from repro.vector import ColumnBatch
 
@@ -319,8 +310,6 @@ class OrcReader:
         else:
             indices = [self.column_index(name) for name in projection]
         for stripe in self.stripes:
-            if stripe_filter is not None and not stripe_filter(stripe):
-                continue
             first = stripe.first_row
             if row_spans is None:
                 runs = ((first, first + stripe.num_rows),)
@@ -380,22 +369,6 @@ class OrcReader:
                 % (kind, self._path, stripe.index, name,
                    type(exc).__name__, exc)) from exc
         return column
-
-    # ------------------------------------------------------------------
-    # Size accounting helpers (used by cost estimation).
-    # ------------------------------------------------------------------
-    def projected_bytes(self, projection=None, stripe_filter=None):
-        """Bytes that :meth:`rows` would charge for this access pattern."""
-        if projection is None:
-            indices = list(range(len(self.schema)))
-        else:
-            indices = [self.column_index(name) for name in projection]
-        total = 0
-        for stripe in self.stripes:
-            if stripe_filter is not None and not stripe_filter(stripe):
-                continue
-            total += sum(stripe.columns[i]["length"] for i in indices)
-        return total
 
 
 class OrcMetadata(OrcReader):

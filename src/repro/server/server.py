@@ -605,7 +605,7 @@ class DualTableServer:
         self._finish(rec, "failed", error=exc)
 
     def _recover_tables(self, tables):
-        """Recover every DualTable among ``tables``; True if any DML
+        """Recover every table among ``tables``; True if any DML
         redo log rolled forward (i.e. the statement actually committed)."""
         rolled_forward = False
         faults = self.cluster.faults
@@ -614,8 +614,6 @@ class DualTableServer:
                 try:
                     handler = self.engine.metastore.table(name).handler
                 except ReproError:
-                    continue
-                if not hasattr(handler, "recover"):
                     continue
                 outcome = handler.recover()
                 if any(o == "rolled_forward"

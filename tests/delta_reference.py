@@ -4,6 +4,10 @@ the columnar overlay, kept verbatim as the reference for
 into ``(record_id, DeltaRecord)`` items (``scan_range`` -> ``_resolve``)
 and an overlay re-arranged from those objects (``build_overlay(items)``).
 
+It also keeps the stripe filter every read evaluated in its task
+before a split carried the stripes its plan admitted
+(:func:`stripe_filter`), as the reference for that admission.
+
 The one deliberate difference of the production path is not in here:
 the old ``_resolve`` *skipped* a qualifier it did not recognise, the
 production kernel raises ``CorruptDeltaError``.
@@ -16,12 +20,39 @@ from repro.core.union_read import DeltaOverlay, union_read_file
 from repro.hive.valuecodec import decode_value, encode_value
 
 
-def union_read_rows(handler, split, stats=None):
+def stripe_filter(schema_names, ranges):
+    """The stripe filter every read built before splits carried their
+    stripes (``pushdown.make_stripe_filter``): a ``StripeInfo -> bool``
+    over the ORC file's column names in order, None when no constrained
+    column is in the file."""
+    indexed = []
+    lower_names = [n.lower() for n in schema_names]
+    for name, col_range in ranges.items():
+        if name in lower_names:
+            indexed.append((lower_names.index(name), col_range))
+    if not indexed:
+        return None
+
+    def admits(stripe):
+        for idx, col_range in indexed:
+            stats = stripe.stats(idx)
+            if not col_range.may_overlap(stats["min"], stats["max"]):
+                return False
+        return True
+
+    return admits
+
+
+def union_read_rows(handler, split, stats=None, ranges=None):
     """One DualTable split as ``(record_id, values)`` pairs, read the
     way the paper states it: the ORC row stream and the file's
     ``DeltaRecord`` items through :func:`union_read_file`.  Charges and
     counts what ``read_split_batches`` does for the split, so a scan
-    built on it is ledger-comparable with the production one."""
+    built on it is ledger-comparable with the production one.
+
+    ``ranges`` are the column ranges the split was planned under: the
+    file's stripes are pruned by :func:`stripe_filter` under the store's
+    ``pruning_ranges`` of them, not by the split's ``row_spans``."""
     payload = split.payload
     handler = handler.shards[payload.get("shard", 0)]
     file_id, projection = payload["file_id"], payload["projection"]
@@ -29,16 +60,23 @@ def union_read_rows(handler, split, stats=None):
             "substrate", "union-read:%d" % file_id,
             path=payload["path"]) as span:
         reader = handler.master.reader(payload["path"])
-        stripe_filter, spans = handler._pruned_stripes(reader,
-                                                       payload["ranges"])
-        if spans is None:
+        admits = stripe_filter([n for n, _ in reader.schema],
+                               handler.pruning_ranges(file_id, ranges))
+        kept = [s for s in reader.stripes if admits is None or admits(s)]
+        pruned = len(reader.stripes) - len(kept)
+        skipped = int(pruned > 0 and not kept)
+        handler._note_units((("stripes_pruned", pruned),
+                             ("files_skipped", skipped)))
+        if skipped:
             return      # every stripe pruned: footer only, no merge
-        cells, _ = handler._prepare_union_read(file_id, spans)
+        cells, _ = handler._prepare_union_read(
+            file_id, [(s.first_row, s.num_rows) for s in kept])
         stats = {} if stats is None else stats
         nrows = 0
         for item in union_read_file(
-                file_id, reader.rows(projection=projection,
-                                     stripe_filter=stripe_filter),
+                file_id, reader.rows(projection=projection, row_spans={
+                    s.index: [(s.first_row, s.first_row + s.num_rows)]
+                    for s in kept}),
                 handler.attached.delta_items(cells),
                 handler._projection_map(projection), reader.num_rows,
                 stats=stats):

@@ -142,8 +142,8 @@ class TestOneFileOnly:
         handler = session.table("t").handler
         edit = WhereEdit(parse("DELETE FROM t WHERE " + where),
                          handler.schema)
-        return [sorted(split.payload["ranges"])
-                for split in handler.scan_splits(["k"], edit.ranges)]
+        return [sorted(f.ranges)
+                for f in handler.plan_files(["k"], edit.ranges)]
 
     def test_update_of_w_turns_w_pruning_off_in_that_file_only(self):
         session = build()

@@ -54,8 +54,8 @@ class TestReads:
         ranges = {"id": ColumnRange(high=5), "tag": ColumnRange(low="t1")}
 
         def pruned_by():
-            return [sorted(s.payload["ranges"])
-                    for s in handler.scan_splits(ranges=ranges)]
+            return [sorted(f.ranges)
+                    for f in handler.plan_files(ranges=ranges)]
 
         assert pruned_by() == [["id", "tag"]] * 4
         session.execute("UPDATE dt SET tag = 'x' WHERE id = 0")

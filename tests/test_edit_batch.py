@@ -66,7 +66,8 @@ def reference_run_edit(self, session, edit, detail, scan=None):
     def map_fn(split, ctx):
         shard = split.payload.get("shard")      # set by sharded tables only
         buffer = batch.task_buffer()
-        for record_id, values in union_read_rows(self, split):
+        for record_id, values in union_read_rows(self, split,
+                                                 ranges=ranges):
             if predicate is None or is_true(predicate(values)):
                 key = record_id if shard is None else (shard, record_id)
                 if verb == "update":

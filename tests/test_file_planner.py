@@ -22,9 +22,11 @@ from repro.core.record_id import encode_record_id
 from repro.faults.chaos import FLAVOURS
 from repro.hive import HiveSession
 from repro.hive.parser import parse
-from repro.hive.pushdown import extract_ranges, make_stripe_filter
+from repro.hive.pushdown import extract_ranges
 from repro.hive.rowedit import WhereEdit
 from repro.maintenance.policy import CompactionPolicy
+
+from tests.delta_reference import stripe_filter
 
 PREDICATES = ["v >= 300", "k < 20 AND v > 50", "k IN (3, 7, 1007)", "k = 7",
               "k BETWEEN 3 AND 20", "k >= 40 AND k < 44", "v < 100",
@@ -79,14 +81,37 @@ def ranges_of(where):
 # ----------------------------------------------------------------------
 # The walks the planner replaced.
 # ----------------------------------------------------------------------
+def projected_bytes(reader, projection=None, stripe_filter=None):
+    """``OrcReader.projected_bytes`` as it was: the projected bytes of
+    the stripes ``stripe_filter`` admits."""
+    if projection is None:
+        indices = list(range(len(reader.schema)))
+    else:
+        indices = [reader.column_index(name) for name in projection]
+    total = 0
+    for stripe in reader.stripes:
+        if stripe_filter is not None and not stripe_filter(stripe):
+            continue
+        total += sum(stripe.columns[i]["length"] for i in indices)
+    return total
+
+
 def oracle_split(store, path, projection=None, ranges=None):
+    """The split a task pruned by its ``ranges``, as the stripes that
+    filter admits (``row_spans``) and how many it pruned."""
     meta = store.master.meta(path)
     file_id = int(meta.metadata[FILE_ID_KEY])
+    admits = stripe_filter([n for n, _ in meta.schema],
+                           store.pruning_ranges(file_id, ranges))
+    kept = [s for s in meta.stripes if admits is None or admits(s)]
     payload = {"path": path, "file_id": file_id, "projection": projection,
-               "ranges": store.pruning_ranges(file_id, ranges)}
+               "row_spans": {s.index: [(s.first_row,
+                                        s.first_row + s.num_rows)]
+                             for s in kept},
+               "stripes_pruned": len(meta.stripes) - len(kept)}
     if store.shard is not None:
         payload["shard"] = store.shard
-    return payload, meta.projected_bytes(projection), path
+    return payload, projected_bytes(meta, projection), path
 
 
 def oracle_scan_splits(handler, projection, ranges):
@@ -136,9 +161,8 @@ def oracle_edit_scan_bytes(handler, edit):
         for reader in store.master.readers():
             ranges = store.pruning_ranges(
                 int(reader.metadata[FILE_ID_KEY]), edit.ranges)
-            stripe_filter = make_stripe_filter(
-                [n for n, _ in reader.schema], ranges)
-            total += reader.projected_bytes(projection, stripe_filter)
+            total += projected_bytes(reader, projection, stripe_filter(
+                [n for n, _ in reader.schema], ranges))
     return total
 
 
@@ -213,7 +237,10 @@ def oracle_plan_lookup(handler, ranges, projection=None):
                 source.attached.file_delta_stats(entry["file_id"])
             if delta_entries and names.index(pk) in \
                     source.attached.assigned_columns(entry["file_id"]):
-                row_spans = None
+                row_spans, first = {}, 0
+                for index, (nrows, *_) in enumerate(entry["stripes"]):
+                    row_spans[index] = [(first, first + nrows)]
+                    first += nrows
                 match_rows = entry["num_rows"]
                 match_groups = file_groups
                 match_bytes = file_scan_bytes
@@ -222,16 +249,15 @@ def oracle_plan_lookup(handler, ranges, projection=None):
             est_rows += match_rows
             if (len(keys) if keys else est_rows) > handler.lookup_rows_limit:
                 return None
-            stripes_read += len(entry["stripes"] if row_spans is None
-                                else row_spans)
+            stripes_read += len(row_spans)
             groups_read += match_groups
             lookup_bytes += entry["footer_bytes"] + match_bytes
             probe_bytes += delta_bytes
             probe_entries += delta_entries
             candidates.append({"path": entry["path"],
                                "file_id": entry["file_id"], "shard": shard,
-                               "projection": projection, "ranges": {},
-                               "row_spans": row_spans,
+                               "projection": projection,
+                               "row_spans": row_spans, "stripes_pruned": 0,
                                "est_rows": match_rows})
     candidates.sort(key=lambda c: c["path"].rsplit("/", 1)[-1])
     profile = handler.env.cluster.profile
@@ -291,7 +317,12 @@ def test_every_plan_reads_what_its_walk_read(flavour, shards, workers,
     if handler.primary_key is not None:
         # The file whose delta assigns the key is read whole.
         plan = handler.plan_lookup(ranges_of("k = 7"), hit_faults=False)
-        assert [f["row_spans"] for f in plan.files] == [None]
+        assert len(plan.files) == 1
+        meta = handler.shards[plan.files[0]["shard"]].master.meta(
+            plan.files[0]["path"])
+        assert plan.files[0]["row_spans"] == {
+            s.index: [(s.first_row, s.first_row + s.num_rows)]
+            for s in meta.stripes}
     for where in PREDICATES:
         ranges = ranges_of(where)
         for projection in PROJECTIONS:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.hive.parser import parse
-from repro.hive.pushdown import (ColumnRange, estimate_selection,
-                                 extract_ranges, make_stripe_filter)
+from repro.hive.pushdown import (ColumnRange, admit_stripes,
+                                 estimate_selection, extract_ranges)
 from repro.orc import OrcReader, write_orc
 
 
@@ -123,29 +123,35 @@ class TestStripeFiltering:
     def test_filter_prunes_stripes(self):
         reader = self._reader()
         ranges = ranges_of("id >= 50")
-        flt = make_stripe_filter([n for n, _ in reader.schema],
-                                 {"id": ranges["id"]})
-        kept = [s.index for s in reader.stripes if flt(s)]
-        assert kept == [2, 3]
+        spans, scan_bytes, read_bytes = admit_stripes(
+            reader, None, {"id": ranges["id"]})
+        assert spans == {2: [(50, 75)], 3: [(75, 100)]}
+        assert read_bytes == sum(sum(c["length"] for c in s.columns)
+                                 for s in reader.stripes[2:])
+        assert scan_bytes == sum(sum(c["length"] for c in s.columns)
+                                 for s in reader.stripes)
 
     def test_filter_on_sorted_string_column(self):
         reader = self._reader()
         ranges = ranges_of("day = '2013-07-03'")
-        flt = make_stripe_filter([n for n, _ in reader.schema], ranges)
-        kept = [s.index for s in reader.stripes if flt(s)]
-        assert kept == [2]
+        spans, _, _ = admit_stripes(reader, None, ranges)
+        assert list(spans) == [2]
 
     def test_no_constrained_columns_returns_none(self):
         reader = self._reader()
-        assert make_stripe_filter([n for n, _ in reader.schema], {}) is None
-        assert make_stripe_filter(["other"], ranges_of("id = 1")) is None
+        every = {s.index: [(s.first_row, s.first_row + s.num_rows)]
+                 for s in reader.stripes}
+        for ranges in ({}, None, ranges_of("other = 1")):
+            spans, scan_bytes, read_bytes = admit_stripes(reader, ["id"],
+                                                          ranges)
+            assert spans == every and read_bytes == scan_bytes > 0
 
     def test_pruning_never_loses_matches(self):
         """Safety: rows matching the predicate survive pruning."""
         reader = self._reader()
         ranges = ranges_of("id >= 37 AND id <= 61")
-        flt = make_stripe_filter([n for n, _ in reader.schema], ranges)
-        kept_rows = [v for _, v in reader.rows(stripe_filter=flt)]
+        spans, _, _ = admit_stripes(reader, None, ranges)
+        kept_rows = [v for _, v in reader.rows(row_spans=spans)]
         matching = [v for v in kept_rows if 37 <= v[0] <= 61]
         assert len(matching) == 25
 

@@ -15,6 +15,7 @@ from repro.cluster import Cluster, ClusterProfile
 from repro.common.errors import CorruptOrcFileError, OrcError
 from repro.common.units import MB
 from repro.hdfs import HdfsFileSystem
+from repro.hive.pushdown import admit_stripes
 from repro.orc import OrcReader, OrcWriter, write_orc
 from repro.orc.encodings import (DECODERS, ENCODERS, decode_boolean_column,
                                  decode_double_column, decode_int_column,
@@ -203,14 +204,15 @@ class TestProjectionAndPruning:
         reader = OrcReader(data)
         got = reader.read_all(
             projection=["id"],
-            stripe_filter=lambda s: s.stats(0)["min"] >= 50)
+            row_spans={s.index: [(s.first_row, s.first_row + s.num_rows)]
+                       for s in reader.stripes if s.stats(0)["min"] >= 50})
         assert [rn for rn, _ in got] == list(range(50, 100))
 
     def test_projected_bytes_less_than_full(self):
         data = write_orc(SCHEMA, _rows(1000), stripe_rows=100)
         reader = OrcReader(data)
-        one = reader.projected_bytes(["id"])
-        full = reader.projected_bytes(None)
+        _, one, _ = admit_stripes(reader, ["id"], {})
+        _, full, _ = admit_stripes(reader, None, {})
         assert 0 < one < full
 
     def test_projection_charging(self):

@@ -445,7 +445,7 @@ def test_empty_projection_yields_one_empty_tuple_per_row():
     reader = OrcReader(write_orc(SCHEMA, rows, stripe_rows=20))
     assert reader.read_all(projection=[]) == [(i, ()) for i in range(45)]
     second_stripe_on = reader.read_all(
-        projection=[], stripe_filter=lambda s: s.index >= 1)
+        projection=[], row_spans={1: [(20, 40)], 2: [(40, 45)]})
     assert second_stripe_on == [(i, ()) for i in range(20, 45)]
 
 
