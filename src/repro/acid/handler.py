@@ -23,7 +23,7 @@ from repro.orc import OrcMetadata, OrcReader, write_orc_file
 from repro.orc.directory import (orc_paths, orc_properties, replace,
                                  write_files)
 from repro.hive.catalog import register_handler
-from repro.hive.pushdown import admit_stripes
+from repro.hive.pushdown import admit_stripes, span_rows
 from repro.hive.rowedit import matched_rows
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
@@ -118,15 +118,6 @@ class AcidHandler(StorageHandler):
     # ------------------------------------------------------------------
     # Reads: merge base with every delta.
     # ------------------------------------------------------------------
-    def _base_rid_ranges(self):
-        """Global row-id offset of each base file."""
-        offsets = {}
-        rid = 0
-        for path in self.base_files():
-            offsets[path] = rid
-            rid += OrcMetadata(self.fs, path).num_rows
-        return offsets
-
     def _read_all_deltas(self, ctx=None):
         """Scan every delta fully; returns {rid: (op, row_or_None)}."""
         merged = {}
@@ -139,18 +130,27 @@ class AcidHandler(StorageHandler):
         return merged
 
     def scan_splits(self, projection=None, ranges=None):
-        offsets = self._base_rid_ranges()
+        """One split per base file, its ``rid_offset`` the global row id
+        of its first row; each base file's footer is opened once."""
         projection = list(projection) if projection else None
+        deltas = self.delta_files()
+        # Every task reads every delta whole.
+        delta_bytes = sum(self.fs.file_size(path) for path in deltas)
         # Statistics bound the merged rows only while no delta exists.
-        ranges = {} if self.delta_files() else ranges
+        ranges = {} if deltas else ranges
         splits = []
+        rid = 0
         for path in self.base_files():
-            row_spans, size, _ = admit_stripes(OrcMetadata(self.fs, path),
-                                               projection, ranges)
+            meta = OrcMetadata(self.fs, path)
+            row_spans, size, read_bytes = admit_stripes(meta, projection,
+                                                        ranges)
             splits.append(InputSplit(
-                payload={"path": path, "rid_offset": offsets[path],
+                payload={"path": path, "rid_offset": rid,
                          "projection": projection, "row_spans": row_spans},
-                size_bytes=size, label=path))
+                size_bytes=size, label=path,
+                read_bytes=meta.footer_bytes + read_bytes + delta_bytes,
+                rows=span_rows(row_spans)))
+            rid += meta.num_rows
         return splits
 
     def read_split_batches(self, split, ctx, batch_rows=None):

@@ -24,9 +24,14 @@ Two layers are provided:
   in *simulated seconds* using the live cluster profile (including HBase
   per-op latency, which the equations fold into the rates), and returns a
   full :class:`PlanChoice` record for observability.
+
+LOOKUP's scan alternative is priced with the one job arithmetic,
+:class:`~repro.mapreduce.runner.PlanCost`.
 """
 
 from dataclasses import dataclass
+
+from repro.mapreduce.runner import PlanCost
 
 
 # ----------------------------------------------------------------------
@@ -225,22 +230,23 @@ class CostModel:
             touched_rows=touched,
         )
 
-    def choose_lookup_plan(self, scan_bytes, total_files, lookup_bytes,
-                           files_read, probe_bytes, probe_entries,
-                           job_startup_s=0.0, task_overhead_s=0.0, rows=0):
+    def choose_lookup_plan(self, scan_tasks, scan_bytes, lookup_bytes,
+                           files_read, probe_bytes, probe_entries, rows=0,
+                           fanout=1):
         """Choose LOOKUP vs the MR scan plan for one point/range read.
 
-        The scan plan pays the MapReduce fixed costs (job submission plus
-        one task per file split) and streams every file's projected
-        bytes.  The LOOKUP plan pays no job overhead: it reads only the
-        stripes whose PK min/max admit the predicate (``lookup_bytes``
-        over ``files_read`` candidate files) plus an attached-table probe
-        of the candidates' delta ranges (``probe_bytes`` /
+        The scan plan is a job over one task per file, ``scan_tasks``
+        their :meth:`PlanCost.task_seconds` estimates (``scan_bytes``
+        their projected stripe bytes), priced by
+        :meth:`PlanCost.job_seconds` over ``fanout`` shards' slots.  The
+        LOOKUP plan pays no job overhead: it reads only the stripes whose
+        PK min/max admit the predicate (``lookup_bytes`` over
+        ``files_read`` candidate files) plus an attached-table probe of
+        the candidates' delta ranges (``probe_bytes`` /
         ``probe_entries``) and the union read's per-row merge CPU over
         the ``rows`` it examines.  Positive difference ⇒ LOOKUP cheaper.
         """
-        scan_cost = (job_startup_s + total_files * task_overhead_s
-                     + self._master_read(scan_bytes))
+        scan_cost = PlanCost(self.profile).job_seconds(scan_tasks, fanout)
         lookup_cost = (self._master_read(lookup_bytes)
                        + self._attached_read(probe_bytes, probe_entries)
                        + rows * self.profile.op_scale
@@ -252,7 +258,7 @@ class CostModel:
             lookup_seconds=lookup_cost,
             scan_seconds=scan_cost,
             files_read=files_read,
-            total_files=total_files,
+            total_files=len(scan_tasks),
             lookup_bytes=lookup_bytes,
             scan_bytes=scan_bytes,
             probe_entries=probe_entries,

@@ -34,12 +34,27 @@ from repro.core.udtf import count_udtf_calls, delete_udtf, update_udtf
 _UPDATE_CELL_BYTES = 18
 
 
+def _canonical(splits):
+    """``splits`` in canonical global order.
+
+    Master file ids are allocated from the table's counter, so
+    *basename* order (the id, not the store directory) is the same for
+    every shard count — charging order, shuffle sampling and float
+    accumulation in the ledger stay byte-identical across INTO 1/4/8.
+    """
+    splits.sort(key=lambda s: s.payload["path"].rsplit("/", 1)[-1])
+    return splits
+
+
 class DualTableHandler(StorageHandler):
     """The paper's hybrid storage model as a Hive storage handler: one
     table planned over ``shards``, its stores, by ``router``."""
 
     #: EXPLAIN prints the cost evaluation of the statement instead.
     dml_plan = None
+
+    #: every read is a UNION READ: a plan prices its per-row merge.
+    union_read = True
 
     def __init__(self, table, env, store_names=None, router=None):
         StorageHandler.__init__(self, table, env)
@@ -186,20 +201,24 @@ class DualTableHandler(StorageHandler):
         metrics = self.env.cluster.metrics
         metrics.incr("dualtable.scans.%s" % self.table.name)
         projection = list(projection) if projection else None
-        splits = [split for store in self.shards
-                  for split in store.scan_splits(projection, ranges)]
-        # Canonical global order: master file ids are allocated from the
-        # table's counter, so *basename* order (the id, not the store
-        # directory) is the same for every shard count — charging order,
-        # shuffle sampling and float accumulation in the ledger stay
-        # byte-identical across INTO 1/4/8.
-        splits.sort(key=lambda s: s.payload["path"].rsplit("/", 1)[-1])
+        splits = _canonical([split for store in self.shards
+                             for split in store.scan_splits(projection,
+                                                            ranges)])
         # Workload-profile hook: per-table scanned-bytes histogram (the
         # advisor's "bytes read" axis).  Split sizes are control-plane
         # metadata, identical for any worker count.
         metrics.observe("dualtable.scan_bytes.%s" % self.table.name,
                         sum(split.size_bytes for split in splits))
         return splits
+
+    def plan_splits(self, projection=None, ranges=None):
+        """:meth:`scan_splits`' splits from the stores' file plans alone:
+        no recovery, no scan counted."""
+        projection = list(projection) if projection else None
+        return _canonical([
+            split for store in self.shards
+            for split in store.splits(store.plan_files(projection, ranges),
+                                      projection)])
 
     def read_split_batches(self, split, ctx, batch_rows=None):
         """UNION READ of one master file, on the store the split names

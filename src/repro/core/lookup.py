@@ -37,6 +37,7 @@ from itertools import chain, islice
 
 from repro.common.errors import FaultInjectedError
 from repro.hive.vexpr import compile_batch_predicate
+from repro.mapreduce import PlanCost
 from repro.mapreduce.job import InputSplit, stable_hashes
 from repro.core.cost_model import record_audit
 from repro.core.editlog import EditBatch
@@ -240,16 +241,21 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
     keys = pk_range.in_set
     key_set = pinned_keys(pk_range, handler.schema.column(pk).python_type)
     wanted = None if key_set is None else bucket_mask(key_set)
-    faults = handler.env.cluster.faults
+    cluster = handler.env.cluster
+    task_seconds = PlanCost(cluster.profile).task_seconds
     candidates = []
+    scan_tasks = []
     est_rows = lookup_bytes = scan_bytes = probe_bytes = probe_entries = 0
-    total_files = stripes_read = total_stripes = groups_read = total_groups = 0
+    stripes_read = total_stripes = groups_read = total_groups = 0
     for shard, source in sources:
         if hit_faults:
-            faults.hit("lookup.index_read", table=source.name)
+            cluster.faults.hit("lookup.index_read", table=source.name)
         for f in source.plan_files(projection, {pk: pk_range},
                                    ALL_BUCKETS if wanted is None else wanted):
-            total_files += 1
+            # The scan alternative's task reads the file's footer and
+            # every projected stripe.
+            scan_tasks.append(task_seconds(f.footer_bytes + f.scan_bytes,
+                                           f.rows, merge=True))
             total_stripes += f.stripes[1]
             total_groups += f.row_groups[1]
             scan_bytes += f.scan_bytes
@@ -271,16 +277,14 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
                                "row_spans": f.row_spans, "stripes_pruned": 0,
                                "est_rows": f.read_rows})
     candidates.sort(key=lambda c: c["path"].rsplit("/", 1)[-1])
-    profile = handler.env.cluster.profile
     choice = handler.cost_model().choose_lookup_plan(
-        scan_bytes=scan_bytes, total_files=total_files,
+        scan_tasks=scan_tasks, scan_bytes=scan_bytes,
         lookup_bytes=lookup_bytes, files_read=len(candidates),
-        probe_bytes=probe_bytes, probe_entries=probe_entries,
-        job_startup_s=profile.job_startup_s,
-        task_overhead_s=profile.task_overhead_s, rows=est_rows)
+        probe_bytes=probe_bytes, probe_entries=probe_entries, rows=est_rows,
+        fanout=handler.shard_fanout)
     return LookupPlan(pk=pk, pk_range=pk_range, projection=projection,
                       files=candidates, choice=choice, est_rows=est_rows,
-                      total_files=total_files,
+                      total_files=len(scan_tasks),
                       stripes=(stripes_read, total_stripes),
                       row_groups=(groups_read, total_groups),
                       shards=tuple(shard for shard, _ in sources),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import DualTableError
 from repro.mapreduce import InputSplit
-from repro.hive.pushdown import admit_stripes
+from repro.hive.pushdown import admit_stripes, span_rows
 from repro.core.attached import AttachedTable
 from repro.core.editlog import run_with_retries
 from repro.core.lookup import ROW_GROUP_ROWS, stripe_index
@@ -236,13 +236,16 @@ class DualTableStore:
 
     def splits(self, files, projection=None):
         """A task's split per file plan: its ``row_spans``, how many
-        stripes it pruned, ``scan_bytes``."""
+        stripes it pruned, ``scan_bytes``, and what it reads (the footer
+        and admitted stripes' bytes, the admitted rows)."""
         shard = {} if self.shard is None else {"shard": self.shard}
         return [InputSplit(payload=dict(
                     path=f.path, file_id=f.file_id, projection=projection,
                     row_spans=f.row_spans,
                     stripes_pruned=f.stripes[1] - f.stripes[0], **shard),
-                           size_bytes=f.scan_bytes, label=f.path)
+                           size_bytes=f.scan_bytes, label=f.path,
+                           read_bytes=f.footer_bytes + f.read_bytes,
+                           rows=f.read_rows)
                 for f in files]
 
     def plan_files(self, projection=None, ranges=None, buckets=None,
@@ -286,8 +289,7 @@ class DualTableStore:
             footer_bytes=size - sum([s.length for s in meta.stripes]),
             ranges=left, stripes=(len(row_spans), len(meta.stripes)),
             scan_bytes=scan_bytes, read_bytes=read_bytes,
-            read_rows=sum([stop - start for runs in row_spans.values()
-                           for start, stop in runs]),
+            read_rows=span_rows(row_spans),
             attached=self.attached, row_spans=row_spans)
 
     def _plan_keyed(self, entries, proj_idx, ranges, buckets):

@@ -9,6 +9,12 @@ or more MapReduce jobs, mirroring how Hive lowers HiveQL:
 * GROUP BY is a hash-aggregation map phase plus a merging reduce,
 * ORDER BY / LIMIT run as a final (charged) pass.
 
+A scan with no shuffle (no join, no aggregation) that LOOKUP does not
+serve runs its map tasks as a *fetch* in the client, as Hive's fetch
+task conversion does, when :class:`~repro.mapreduce.PlanCost`
+prices that below the job (:func:`fetch_choice`); ``SET dualtable.plan
+= scan`` always runs the job.
+
 Intermediate results between chained jobs are "materialized": their
 estimated serialized size is charged as HDFS write+read, like Hive's
 inter-job temp files.
@@ -21,7 +27,7 @@ from math import isnan
 from operator import itemgetter, neg
 
 from repro.common.errors import AnalysisError, FaultInjectedError
-from repro.mapreduce import InputSplit, Job, estimate_record_bytes
+from repro.mapreduce import InputSplit, Job, PlanCost, estimate_record_bytes
 from repro.hive import ast_nodes as ast
 from repro.hive.aggregates import (AggregateSpec, rewrite_aggregates,
                                    validate_no_nested_aggregates)
@@ -133,6 +139,8 @@ class SelectExecutor:
         #: to sum, so the session adds this to the jobs' time).
         self.lookup_seconds = 0.0
         self.lookup_details = []
+        #: the verdict and audit of each scan that ran as a fetch.
+        self.fetch_details = []
 
     @property
     def cluster(self):
@@ -637,11 +645,26 @@ class SelectExecutor:
         def map_fn(split, ctx):
             return _project(reader(split, ctx), bexprs)
 
-        job = Job(name="select-scan", splits=self._splits(relation),
-                  map_fn=map_fn, reduce_fn=None,
-                  properties={"shard_fanout": self._fanout(relation)})
+        splits = self._splits(relation)
+        properties = {"shard_fanout": self._fanout(relation)}
+        choice = None
+        if self.plan_mode != "scan":
+            choice = fetch_choice(relation.handler, splits,
+                                  self.cluster.profile)
+            properties["fetch"] = choice.plan == "fetch"
+        job = Job(name="select-scan", splits=splits, map_fn=map_fn,
+                  reduce_fn=None, properties=properties)
         result = self.runner.run(job)
         self.jobs.append(result)
+        if result.fetch:
+            from repro.core.cost_model import record_audit
+            self.fetch_details.append({
+                "plan": "fetch", "fetch_seconds": choice.fetch_seconds,
+                "job_seconds": choice.job_seconds,
+                "audit": record_audit(self.cluster,
+                                      relation.handler.table.name, "fetch",
+                                      choice.fetch_seconds,
+                                      result.sim_seconds)})
         return result.outputs
 
     # ------------------------------------------------------------------
@@ -869,6 +892,16 @@ class SelectExecutor:
 # ----------------------------------------------------------------------
 # Helpers.
 # ----------------------------------------------------------------------
+def fetch_choice(handler, splits, profile):
+    """Fetch or job for a no-shuffle scan of ``handler``'s ``splits``
+    (:meth:`~repro.mapreduce.PlanCost.choose_fetch`): metadata only,
+    uncharged."""
+    cost = PlanCost(profile)
+    return cost.choose_fetch(
+        [cost.task_seconds(split.read_bytes, split.rows, handler.union_read)
+         for split in splits], handler.shard_fanout)
+
+
 def _project(batches, bexprs):
     """``bexprs`` evaluated over each batch in turn, as row tuples."""
     out = []

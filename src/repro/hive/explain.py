@@ -16,6 +16,7 @@ cost of the chosen plan against the ledger-observed run time.
 
 from repro.common.units import fmt_bytes
 from repro.hive import ast_nodes as ast
+from repro.hive.executor import fetch_choice
 from repro.hive.expressions import (contains_aggregate, referenced_columns,
                                     walk)
 from repro.hive.pushdown import extract_ranges
@@ -96,15 +97,22 @@ def _analyze_lines(result, delta, spans, lines):
         summary += ", %d row(s) affected" % result.affected
     elif result.rows:
         summary += ", %d row(s)" % len(result.rows)
-    summary += ", %d job(s)" % len(result.jobs)
+    fetches = sum(job.fetch for job in result.jobs)
+    summary += ", %d job(s)" % (len(result.jobs) - fetches)
+    if fetches:
+        summary += ", %d fetch(es)" % fetches
     lines.append(summary)
     job_spans = _match_job_spans(result.jobs, spans)
     for job, span in zip(result.jobs, job_spans):
-        line = ("job %s: %.2fs (%d map + %d reduce tasks; map %.2fs, "
-                "shuffle %.2fs, reduce %.2fs"
-                % (job.name, job.sim_seconds, job.num_map_tasks,
-                   job.num_reduce_tasks, job.map_seconds,
-                   job.shuffle_seconds, job.reduce_seconds))
+        if job.fetch:
+            line = ("fetch %s: %.2fs (%d task(s) in the client"
+                    % (job.name, job.sim_seconds, job.num_map_tasks))
+        else:
+            line = ("job %s: %.2fs (%d map + %d reduce tasks; map %.2fs, "
+                    "shuffle %.2fs, reduce %.2fs"
+                    % (job.name, job.sim_seconds, job.num_map_tasks,
+                       job.num_reduce_tasks, job.map_seconds,
+                       job.shuffle_seconds, job.reduce_seconds))
         if span is not None:
             line += ", hbase %.2fs; %s charged" % (span.hbase_seconds,
                                                    fmt_bytes(span.nbytes))
@@ -174,8 +182,11 @@ def _explain_select(session, stmt, lines, indent=0):
     # hidden column the executor strips after the sort.
     for order in stmt.order_by:
         needed |= referenced_columns(order.expr)
+    # A single scan with no shuffle runs as a fetch or a job.
+    no_shuffle = not is_aggregate and not stmt.joins
     for ref in refs:
-        _explain_scan(session, ref, stmt.where, needed, lines, indent + 1)
+        _explain_scan(session, ref, stmt.where, needed, lines, indent + 1,
+                      no_shuffle)
     for join in stmt.joins:
         keys = [n.display for n in walk(join.condition)
                 if isinstance(n, ast.ColumnRef)]
@@ -193,7 +204,8 @@ def _explain_select(session, stmt, lines, indent=0):
         lines.append(pad + "  LIMIT %d" % stmt.limit)
 
 
-def _explain_scan(session, table_ref, where, needed, lines, indent):
+def _explain_scan(session, table_ref, where, needed, lines, indent,
+                  no_shuffle=False):
     pad = _pad(indent)
     if table_ref.subquery is not None:
         lines.append(pad + "derived table %s:" % table_ref.binding)
@@ -213,9 +225,15 @@ def _explain_scan(session, table_ref, where, needed, lines, indent):
         lines.append(pad + "  stripe-prunable predicate columns: %s"
                      % _pruning_columns(handler, {name: ranges[name]
                                                   for name in usable}))
+    chosen = None
     if handler.primary_key is not None:
-        _explain_lookup(session, handler, ranges, projection or None,
-                        lines, indent)
+        chosen = _explain_lookup(session, handler, ranges,
+                                 projection or None, lines, indent)
+    if no_shuffle and chosen != "lookup":
+        # The executor's projection: schema order, at least one column.
+        read = [column.name for column in info.schema
+                if column.name.lower() in needed] or [info.schema.names[0]]
+        _explain_fetch(session, handler, read, ranges, lines, indent)
 
 
 def _pruning_columns(handler, ranges):
@@ -241,7 +259,7 @@ def _explain_lookup(session, handler, ranges, projection, lines, indent):
         if mode == "lookup":
             lines.append(pad + "  plan: LOOKUP forced but ineligible "
                                "(statement will fail)")
-        return
+        return None
     choice = plan.choice
     chosen = mode if mode in ("lookup", "scan") else choice.plan
     lines.append(pad + "  LOOKUP eligibility (PRIMARY KEY %s):" % plan.pk)
@@ -258,6 +276,22 @@ def _explain_lookup(session, handler, ranges, projection, lines, indent):
                      % chosen)
     else:
         lines.append(pad + "    plan: %s" % chosen)
+    return chosen
+
+
+def _explain_fetch(session, handler, projection, ranges, lines, indent):
+    """Fetch-or-job verdict of a scan with no shuffle (uncharged)."""
+    pad = _pad(indent)
+    splits = handler.plan_splits(projection, ranges)
+    choice = fetch_choice(handler, splits, session.cluster.profile)
+    lines.append(pad + "  FETCH eligibility (no shuffle, %d split(s)):"
+                 % len(splits))
+    lines.append(pad + "    fetch cost:       %.4fs" % choice.fetch_seconds)
+    lines.append(pad + "    job cost:         %.4fs" % choice.job_seconds)
+    if session.plan_mode == "scan":
+        lines.append(pad + "    plan: job (forced by dualtable.plan)")
+    else:
+        lines.append(pad + "    plan: %s" % choice.plan)
 
 
 def _buckets(plan):

@@ -226,6 +226,12 @@ def admit_stripes(meta, projection, ranges):
     return row_spans, scan_bytes, read_bytes
 
 
+def span_rows(row_spans):
+    """How many rows ``row_spans`` (``{stripe: [(first, stop)]}``) name."""
+    return sum([stop - start for runs in row_spans.values()
+                for start, stop in runs])
+
+
 def estimate_selection(readers, ranges):
     """Estimate (selected_rows, total_rows) across ORC readers.
 

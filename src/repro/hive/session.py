@@ -456,17 +456,23 @@ class HiveSession:
         result = executor.run(stmt)
         sim = (sum(job.sim_seconds for job in executor.jobs)
                + executor.lookup_seconds)
+        jobs = sum(not job.fetch for job in executor.jobs)
         if executor.lookup_details and not executor.jobs:
             plan = "lookup"
-        elif executor.lookup_details:
-            plan = "select(%d jobs)+lookup" % len(executor.jobs)
         else:
-            plan = "select(%d jobs)" % len(executor.jobs)
+            plan = ("select(%d jobs)" % jobs if jobs or not executor.jobs
+                    else "select(fetch)")
+            if jobs and executor.fetch_details:
+                plan += "+fetch"
+            if executor.lookup_details:
+                plan += "+lookup"
         detail = {}
         if executor.lookup_details:
             detail = dict(executor.lookup_details[0])
             if len(executor.lookup_details) > 1:
                 detail["lookups"] = list(executor.lookup_details)
+        elif executor.fetch_details:
+            detail = dict(executor.fetch_details[0])
         return QueryResult(names=result.names, rows=result.rows,
                            sim_seconds=sim, jobs=executor.jobs,
                            plan=plan, detail=detail)

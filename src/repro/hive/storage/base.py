@@ -41,6 +41,10 @@ class StorageHandler(ABC):
     #: (a partitioned ORC table); empty for every other table.
     partition_columns = ()
 
+    #: whether a read merges every row it yields with deltas kept beside
+    #: the files (DualTable's UNION READ): a plan prices the merge.
+    union_read = False
+
     def __init__(self, table, env):
         self.table = table      # TableDef (not the catalog entry)
         self.env = env          # HiveEnv (cluster, fs, hbase service)
@@ -78,6 +82,12 @@ class StorageHandler(ABC):
     @abstractmethod
     def scan_splits(self, projection=None, ranges=None):
         """InputSplits covering the table for the given access pattern."""
+
+    def plan_splits(self, projection=None, ranges=None):
+        """The splits :meth:`scan_splits` returns, planned without
+        counting a scan (EXPLAIN's); the same call unless the handler
+        counts its scans."""
+        return self.scan_splits(projection, ranges)
 
     @abstractmethod
     def read_split_batches(self, split, ctx, batch_rows=None):

@@ -76,12 +76,15 @@ class HBaseTableHandler(StorageHandler):
             bounds.append(region.start_row)
         bounds.append(None)
         splits = []
-        for i in range(nsplits):
+        for i, region in enumerate(htable.regions):
+            # A region serves rows from HBase, not HDFS: the plan prices
+            # its rows, about one cell per column each.
             splits.append(InputSplit(
                 payload={"start": bounds[i], "stop": bounds[i + 1],
                          "projection": list(projection) if projection else None},
                 size_bytes=total // nsplits,
-                label="%s[%d]" % (self.hbase_name, i)))
+                label="%s[%d]" % (self.hbase_name, i),
+                rows=region.cell_count() // len(self.schema)))
         return splits
 
     def read_split_batches(self, split, ctx, batch_rows=None):

@@ -20,7 +20,7 @@ from repro.mapreduce import InputSplit
 from repro.orc import OrcMetadata, OrcReader
 from repro.orc.directory import (orc_paths, orc_properties, replace,
                                  write_files)
-from repro.hive.pushdown import admit_stripes
+from repro.hive.pushdown import admit_stripes, span_rows
 from repro.hive.storage.base import StorageHandler
 from repro.vector import ColumnBatch
 
@@ -198,13 +198,16 @@ class OrcHdfsHandler(StorageHandler):
             if not self.partition_matches(key, ranges):
                 continue
             for path in self._partition_files(directory):
-                row_spans, size, _ = admit_stripes(
-                    OrcMetadata(self.fs, path), data_projection, data_ranges)
+                meta = OrcMetadata(self.fs, path)
+                row_spans, size, read_bytes = admit_stripes(
+                    meta, data_projection, data_ranges)
                 splits.append(InputSplit(
                     payload={"path": path, "projection": projection,
                              "data_projection": data_projection,
                              "row_spans": row_spans, "key": key},
-                    size_bytes=size, label=path))
+                    size_bytes=size, label=path,
+                    read_bytes=meta.footer_bytes + read_bytes,
+                    rows=span_rows(row_spans)))
         return splits
 
     def _data_projection(self, projection):

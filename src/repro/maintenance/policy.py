@@ -26,7 +26,7 @@ Candidate plans, scored by net benefit:
 
 from dataclasses import dataclass, field
 
-from repro.mapreduce.runner import _makespan
+from repro.mapreduce import PlanCost
 
 
 @dataclass
@@ -72,25 +72,17 @@ class CompactionPolicy:
             profile.byte_scale, profile.op_scale)
 
     def rewrite_job_seconds(self, files):
-        """Predicted compact-job time over ``files`` (read + write)."""
+        """Predicted compact-job time over ``files`` (read + write): one
+        UNION READ task per file, priced by :class:`PlanCost`."""
         profile = self._profile()
-        bs, ops = profile.byte_scale, profile.op_scale
-        per_slot_read = profile.per_slot_rate(profile.hdfs_read_bps)
-        row_cost = profile.unionread_row_cost_s + profile.cpu_row_cost_s
-        tasks = []
-        hbase_seconds = 0.0
-        out_bytes = 0
-        for f in files:
-            tasks.append(profile.task_overhead_s
-                         + f.file_bytes * bs / per_slot_read
-                         + f.rows * ops * row_cost)
-            hbase_seconds += self.per_read_overhead(f)
-            out_bytes += f.file_bytes
-        read_seconds = (profile.job_startup_s
-                        + _makespan(tasks, profile.total_map_slots,
-                                    profile.task_overhead_s)
-                        + hbase_seconds)
-        write_seconds = out_bytes * bs / profile.hdfs_write_bps
+        cost = PlanCost(profile)
+        tasks = [cost.task_seconds(f.file_bytes, f.rows, merge=True)
+                 for f in files]
+        hbase_seconds = sum(self.per_read_overhead(f) for f in files)
+        out_bytes = sum(f.file_bytes for f in files)
+        read_seconds = cost.job_seconds(tasks) + hbase_seconds
+        write_seconds = (out_bytes * profile.byte_scale
+                         / profile.hdfs_write_bps)
         return read_seconds + write_seconds
 
     def delta_drop_seconds(self, f):

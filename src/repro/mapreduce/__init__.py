@@ -2,7 +2,7 @@
 
 from repro.mapreduce.job import (InputSplit, Job, JobResult, TaskContext,
                                  estimate_record_bytes, stable_hash)
-from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.runner import FetchChoice, JobRunner, PlanCost
 
 __all__ = [
     "InputSplit",
@@ -12,4 +12,6 @@ __all__ = [
     "estimate_record_bytes",
     "stable_hash",
     "JobRunner",
+    "FetchChoice",
+    "PlanCost",
 ]

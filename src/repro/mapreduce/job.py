@@ -10,12 +10,17 @@ class InputSplit:
 
     ``payload`` is whatever the InputFormat wants to hand its mapper (a
     file path, an ORC stripe range, an HBase key range...).  ``size_bytes``
-    is the scheduler's locality/size hint.
+    is the scheduler's locality/size hint.  ``read_bytes`` and ``rows``
+    are what its task reads as the plan admitted it (HDFS bytes: footers
+    and admitted stripes; rows): what a plan prices
+    (:class:`~repro.mapreduce.PlanCost`).
     """
 
     payload: object
     size_bytes: int = 0
     label: str = ""
+    read_bytes: int = 0
+    rows: int = 0
 
 
 class TaskContext:
@@ -39,6 +44,11 @@ class Job:
       a reducer, or arbitrary output records for map-only jobs.
     * ``reduce_fn(key, values, ctx)`` yields output records.
     * ``combiner_fn`` (optional) has reduce semantics and runs per map task.
+
+    ``properties``: ``shard_fanout`` widens the slots of the makespan;
+    ``parallel`` False keeps the tasks off the worker pool; ``fetch``
+    runs a map-only job's tasks in the client, one after another, as a
+    Hive fetch task (:class:`~repro.mapreduce.runner.JobRunner`).
     """
 
     name: str
@@ -68,6 +78,7 @@ class JobResult:
     num_reduce_tasks: int
     shuffle_bytes: int
     counters: dict
+    fetch: bool = False
 
 
 def _canonical_key(key):

@@ -25,6 +25,15 @@ Fault tolerance mirrors Hadoop's task layer:
 Injection points: ``mapreduce.map`` / ``mapreduce.reduce`` fire at the
 start of every task attempt.
 
+A *fetch* (a map-only job with ``properties={"fetch": True}``) is Hive's
+fetch-task conversion: the client reads the splits itself.  Its map
+tasks run exactly as a job's (same splits, order, charges, faults,
+retries and parallel capture/replay), but no job is submitted and no
+task JVM starts: it charges no ``job_startup``, adds no task overhead
+and launches no speculative attempt, and its ``sim_seconds`` is the
+serial sum of its task durations plus its HBase seconds.  It counts
+``hive.fetches``, not ``mapreduce.jobs``.
+
 Parallel execution (``profile.workers > 1``): task attempts run
 concurrently on the cluster's worker pool, each charging into a private
 :class:`~repro.parallel.TaskRecorder`; the coordinator then replays the
@@ -42,6 +51,7 @@ applied).
 
 import heapq
 from collections import defaultdict
+from dataclasses import dataclass
 from itertools import chain
 
 from repro.common.errors import (AnalysisError, FaultInjectedError,
@@ -60,6 +70,58 @@ def _makespan(durations, slots, reused=0.0):
     for duration in durations[len(heap):]:
         heapq.heappush(heap, heapq.heappop(heap) + duration - reused)
     return max(heap, default=0.0)
+
+
+@dataclass
+class FetchChoice:
+    """Whether a SELECT with no shuffle reads its splits in the client."""
+
+    plan: str               # 'fetch' | 'job'
+    fetch_seconds: float
+    job_seconds: float
+
+
+class PlanCost:
+    """What a plan's map tasks cost, run as a MapReduce job or as a fetch.
+
+    A task's estimate prices what its split admits at the rates the
+    ledger charges inside a task: HDFS bytes at the per-slot read rate,
+    ``cpu_row_cost_s`` per row, plus ``unionread_row_cost_s`` when the
+    read merges deltas (a DualTable's UNION READ).  A job adds
+    ``job_startup_s`` and one ``task_overhead_s`` per task, scheduled
+    by the runner's own makespan over ``shard_fanout`` × the map slots
+    (a slot reuses its JVM).  A fetch is the tasks' serial sum: no job,
+    no task start-up (:class:`JobRunner`).
+    HBase seconds are in neither.
+    """
+
+    def __init__(self, profile):
+        self.profile = profile
+        self._read_bps = profile.per_slot_rate(profile.hdfs_read_bps)
+        self._row_cost = (profile.cpu_row_cost_s,
+                          profile.cpu_row_cost_s
+                          + profile.unionread_row_cost_s)
+
+    def task_seconds(self, read_bytes, rows, merge=False):
+        """One map task that reads ``read_bytes`` and ``rows``."""
+        profile = self.profile
+        return (read_bytes * profile.byte_scale / self._read_bps
+                + rows * profile.op_scale * self._row_cost[merge])
+
+    def job_seconds(self, tasks, fanout=1):
+        """A map-only job over the task estimates ``tasks``."""
+        profile = self.profile
+        overhead = profile.task_overhead_s
+        return profile.job_startup_s + _makespan(
+            [overhead + task for task in tasks],
+            profile.total_map_slots * max(1, fanout), overhead)
+
+    def choose_fetch(self, tasks, fanout=1):
+        """Fetch or job for the task estimates ``tasks`` (a
+        :class:`FetchChoice`); a tie keeps the job."""
+        fetch, job = sum(tasks), self.job_seconds(tasks, fanout)
+        return FetchChoice(plan="fetch" if fetch < job else "job",
+                           fetch_seconds=fetch, job_seconds=job)
 
 
 def _reduce_sort_key(key):
@@ -86,11 +148,15 @@ class JobRunner:
     def run(self, job):
         profile = self.cluster.profile
         counters = defaultdict(int)
+        fetch = bool(job.properties.get("fetch"))
         with self.cluster.tracer.span("job", job.name,
                                       splits=len(job.splits)) as job_span:
             with self.cluster.cost_scope("job:%s" % job.name) as job_scope:
-                self.cluster.charge_fixed("mapreduce", "job_startup",
-                                          profile.job_startup_s)
+                if fetch:
+                    job_span.annotate(fetch=True)
+                else:
+                    self.cluster.charge_fixed("mapreduce", "job_startup",
+                                              profile.job_startup_s)
                 map_entries, map_outputs = self._run_maps(job, counters)
                 if job.is_map_only:
                     outputs = list(chain.from_iterable(
@@ -102,27 +168,36 @@ class JobRunner:
                     (shuffle_seconds, shuffle_bytes, reduce_entries,
                      outputs) = self._run_reduces(job, map_outputs, counters)
 
-            map_durations = self._finish_durations(map_entries, counters)
+            map_durations = self._finish_durations(map_entries, counters,
+                                                   speculate=not fetch)
             reduce_durations = self._finish_durations(reduce_entries,
                                                       counters)
-            # A sharded table spreads its splits over ``shard_fanout``
-            # independent region servers, each bringing its own task slots
-            # and HBase region: the makespan sees fanout× the slots and
-            # the (otherwise serial) HBase time is paid per-server.  Only
-            # the time model changes — every task still runs and charges
-            # the ledger exactly as on one server.
-            fanout = max(1, int(job.properties.get("shard_fanout", 1)))
-            map_seconds = _makespan(map_durations,
-                                    profile.total_map_slots * fanout,
-                                    profile.task_overhead_s)
-            reduce_seconds = _makespan(reduce_durations,
-                                       profile.total_reduce_slots * fanout,
-                                       profile.task_overhead_s)
-            # HBase region servers are a shared resource: the job pays its
-            # total HBase time serially, on top of the parallel task phases.
-            sim_seconds = (profile.job_startup_s + map_seconds
-                           + shuffle_seconds + reduce_seconds
-                           + job_scope.hbase_seconds / fanout)
+            if fetch:
+                # One client reads every split in turn.
+                map_seconds = sum(map_durations)
+                reduce_seconds = 0.0
+                sim_seconds = map_seconds + job_scope.hbase_seconds
+            else:
+                # A sharded table spreads its splits over ``shard_fanout``
+                # independent region servers, each bringing its own task
+                # slots and HBase region: the makespan sees fanout× the
+                # slots and the (otherwise serial) HBase time is paid
+                # per-server.  Only the time model changes — every task
+                # still runs and charges the ledger exactly as on one
+                # server.
+                fanout = max(1, int(job.properties.get("shard_fanout", 1)))
+                map_seconds = _makespan(map_durations,
+                                        profile.total_map_slots * fanout,
+                                        profile.task_overhead_s)
+                reduce_seconds = _makespan(
+                    reduce_durations, profile.total_reduce_slots * fanout,
+                    profile.task_overhead_s)
+                # HBase region servers are a shared resource: the job pays
+                # its total HBase time serially, on top of the parallel
+                # task phases.
+                sim_seconds = (profile.job_startup_s + map_seconds
+                               + shuffle_seconds + reduce_seconds
+                               + job_scope.hbase_seconds / fanout)
             job_span.annotate(
                 sim_seconds=round(sim_seconds, 6),
                 map_seconds=round(map_seconds, 6),
@@ -134,9 +209,12 @@ class JobRunner:
                 task_retries=counters.get("task_retries", 0),
                 speculative_tasks=counters.get("speculative_tasks", 0))
         metrics = self.cluster.metrics
-        metrics.incr("mapreduce.jobs")
-        metrics.incr("mapreduce.tasks",
-                     len(map_durations) + len(reduce_durations))
+        if fetch:
+            metrics.incr("hive.fetches")
+        else:
+            metrics.incr("mapreduce.jobs")
+            metrics.incr("mapreduce.tasks",
+                         len(map_durations) + len(reduce_durations))
         if counters.get("task_retries"):
             metrics.incr("mapreduce.task_retries", counters["task_retries"])
         if counters.get("speculative_tasks"):
@@ -153,6 +231,7 @@ class JobRunner:
             num_reduce_tasks=len(reduce_durations),
             shuffle_bytes=shuffle_bytes,
             counters=dict(counters),
+            fetch=fetch,
         )
 
     # ------------------------------------------------------------------
@@ -171,6 +250,7 @@ class JobRunner:
         profile = self.cluster.profile
         policy = RetryPolicy.from_profile(profile)
         point = "mapreduce.%s" % task_type
+        overhead = self._task_overhead(job)
         penalty = 0.0
         for attempt in policy.attempts():
             ctx = TaskContext(self.cluster, task_type, index)
@@ -184,8 +264,7 @@ class JobRunner:
                             point, job=job.name, task=index, attempt=attempt)
                         output = attempt_fn(ctx)
                     except Exception as exc:
-                        failed = (scope.parallel_seconds
-                                  + profile.task_overhead_s)
+                        failed = scope.parallel_seconds + overhead
                         span.annotate(outcome="failed", error=str(exc))
                         if isinstance(exc, AnalysisError):
                             raise   # every attempt would fail alike
@@ -197,7 +276,7 @@ class JobRunner:
                         penalty += failed + backoff
                         counters["task_retries"] += 1
                         continue
-                base = scope.parallel_seconds + profile.task_overhead_s
+                base = scope.parallel_seconds + overhead
                 if fault is not None and fault.kind == "slow":
                     extra = base * (fault.factor - 1.0)
                     self.cluster.charge_fixed("mapreduce", "straggler", extra)
@@ -253,7 +332,7 @@ class JobRunner:
                              for index, attempt_fn, _ in specs])
         if any(outcome.error is not None for outcome in outcomes):
             return None
-        profile = cluster.profile
+        overhead = self._task_overhead(job)
         results = []
         for (index, _, _), outcome in zip(specs, outcomes):
             output, recorder, ctx = outcome.value
@@ -263,14 +342,21 @@ class JobRunner:
                     task=index, attempt=1) as span:
                 with cluster.cost_scope(scope_label) as scope:
                     recorder.replay(cluster)
-                base = scope.parallel_seconds + profile.task_overhead_s
+                base = scope.parallel_seconds + overhead
                 span.annotate(outcome="ok", base_seconds=round(base, 6),
                               penalty_seconds=0.0)
             results.append((output, base, 0.0, ctx))
         return results
 
-    def _finish_durations(self, entries, counters):
-        """(base, penalty) pairs -> per-task durations, with speculation.
+    def _task_overhead(self, job):
+        """Start-up seconds of one task attempt: none in a fetch."""
+        if job.properties.get("fetch"):
+            return 0.0
+        return self.cluster.profile.task_overhead_s
+
+    def _finish_durations(self, entries, counters, speculate=True):
+        """(base, penalty) pairs -> per-task durations, with speculation
+        unless ``speculate`` is False (a fetch).
 
         A straggler (base duration far above the job's median) gets a
         speculative backup attempt: the task effectively finishes at
@@ -280,7 +366,8 @@ class JobRunner:
         profile = self.cluster.profile
         bases = [base for base, _ in entries]
         durations = []
-        speculate = (profile.speculative_execution and len(entries) >= 2)
+        speculate = (speculate and profile.speculative_execution
+                     and len(entries) >= 2)
         median = sorted(bases)[len(bases) // 2] if speculate else 0.0
         for base, penalty in entries:
             if speculate and median > 0.0 \

@@ -253,6 +253,11 @@ class OrcReader:
                  None if seed is None else (data, seed)),
                 nbytes=nbytes)
 
+    @property
+    def footer_bytes(self):
+        """What an open reads (and charges): the footer and the tail."""
+        return self._footer_bytes
+
     def _charge(self, nbytes):
         if self._fs is not None and nbytes:
             self._fs.charge_read(nbytes)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ClusterProfile
 from repro.hive import HiveSession
+from repro.orc import OrcReader
 
 
 @pytest.fixture
@@ -33,6 +34,32 @@ class TestReads:
             rids.extend(r for r, _ in
                         handler.read_split_with_rids(split, None))
         assert sorted(rids) == list(range(100))
+
+    def test_scan_splits_open_each_base_footer_once(self, session,
+                                                     monkeypatch):
+        """One metadata open per base file serves both its row-id offset
+        and its stripe admission."""
+        session.execute(
+            "CREATE TABLE a (k int, v int) STORED AS ACID TBLPROPERTIES "
+            "('orc.rows_per_file' = '100', 'orc.stripe_rows' = '25')")
+        session.load_rows("a", [(i, -i) for i in range(400)])
+        handler = session.table("a").handler
+        opened = []
+        init = OrcReader.__init__
+
+        def counting(self, *args, **kwargs):
+            opened.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OrcReader, "__init__", counting)
+        splits = handler.scan_splits(["k"], {})
+        assert len(opened) == 4
+        monkeypatch.undo()
+        assert [split.payload["rid_offset"] for split in splits] \
+            == [0, 100, 200, 300]
+        assert [rid_row for split in splits
+                for rid_row in handler.read_split_with_rids(split, None)] \
+            == [(i, (i,)) for i in range(400)]
 
 
 class TestUpdates:

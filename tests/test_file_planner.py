@@ -25,6 +25,7 @@ from repro.hive.parser import parse
 from repro.hive.pushdown import extract_ranges
 from repro.hive.rowedit import WhereEdit
 from repro.maintenance.policy import CompactionPolicy
+from repro.mapreduce import PlanCost
 
 from tests.delta_reference import stripe_filter
 
@@ -190,7 +191,9 @@ def oracle_plan_lookup(handler, ranges, projection=None):
     keys = pk_range.in_set
     key_set = pinned_keys(pk_range, handler.schema.column(pk).python_type)
     wanted = None if key_set is None else bucket_mask(key_set)
+    profile = handler.env.cluster.profile
     candidates = []
+    scan_tasks = []
     est_rows = lookup_bytes = scan_bytes = probe_bytes = probe_entries = 0
     total_files = stripes_read = total_stripes = 0
     groups_read = total_groups = 0
@@ -232,6 +235,9 @@ def oracle_plan_lookup(handler, ranges, projection=None):
                         match_bytes += stripe_bytes
                 first += nrows
             scan_bytes += file_scan_bytes
+            scan_tasks.append(PlanCost(profile).task_seconds(
+                entry["footer_bytes"] + file_scan_bytes, entry["num_rows"],
+                merge=True))
             total_groups += file_groups
             delta_bytes, delta_entries = \
                 source.attached.file_delta_stats(entry["file_id"])
@@ -260,13 +266,11 @@ def oracle_plan_lookup(handler, ranges, projection=None):
                                "row_spans": row_spans, "stripes_pruned": 0,
                                "est_rows": match_rows})
     candidates.sort(key=lambda c: c["path"].rsplit("/", 1)[-1])
-    profile = handler.env.cluster.profile
     choice = handler.cost_model().choose_lookup_plan(
-        scan_bytes=scan_bytes, total_files=total_files,
+        scan_tasks=scan_tasks, scan_bytes=scan_bytes,
         lookup_bytes=lookup_bytes, files_read=len(candidates),
         probe_bytes=probe_bytes, probe_entries=probe_entries,
-        job_startup_s=profile.job_startup_s,
-        task_overhead_s=profile.task_overhead_s, rows=est_rows)
+        rows=est_rows, fanout=handler.shard_fanout)
     return LookupPlan(pk=pk, pk_range=pk_range, projection=projection,
                       files=candidates, choice=choice, est_rows=est_rows,
                       total_files=total_files,

@@ -612,10 +612,14 @@ class TestFaultFallback:
         faulted, fault_delta, fault_session = run(crash_via_fault=True)
         scanned, scan_delta, _ = run(crash_via_fault=False)
         assert faulted.rows == scanned.rows == [(33, -5)]
-        assert faulted.plan.startswith("select(")
+        # The fallback reads the forced job's splits as a fetch: every
+        # charge but the job's start-up.
+        assert faulted.plan == "select(fetch)"
         assert fault_delta["bytes"] == scan_delta["bytes"]
         assert fault_delta["ops"] == scan_delta["ops"]
-        assert fault_delta["seconds"] == scan_delta["seconds"]
+        job_seconds = dict(scan_delta["seconds"])
+        assert job_seconds.pop(("mapreduce", "job_startup")) > 0
+        assert fault_delta["seconds"] == job_seconds
         counters = fault_session.cluster.metrics.counters
         assert counters["dualtable.plan.lookup_fallback.t"] == 1
 
@@ -948,25 +952,30 @@ class TestKeyedCostModel:
         assert point.detail["ratio"] == 1 / 4000
 
     def test_no_keyed_statement_launches_a_job(self):
-        """The exact-count gate on an ``htap_serve``-shaped mix."""
+        """The exact-count gate on an ``htap_serve``-shaped mix, as
+        ``(jobs, fetches)``: a SELECT with no shuffle that LOOKUP does
+        not serve reads its splits in the client."""
         session = self.serve_session()
-        jobs = lambda: session.cluster.metrics.counter("mapreduce.jobs")
+        counter = session.cluster.metrics.counter
+        counts = lambda: (counter("mapreduce.jobs"), counter("hive.fetches"))
         mix = [
-            (0, "SELECT k, v FROM t WHERE k = 17"),
-            (0, "UPDATE t SET v = v + 1 WHERE k = 17"),
-            (0, "UPDATE t SET v = v + 1 WHERE k IN (1, 2, 3, 4, 5, 6, 7, 8)"),
-            (0, "DELETE FROM t WHERE k = 3999"),
-            (0, "DELETE FROM t WHERE k IN (100, 200, 300)"),
-            (0, "SELECT k, v, name FROM t WHERE k IN (17, 18)"),
-            (1, "SELECT k, v FROM t WHERE k >= 500 AND k <= 540"),
-            (1, "SELECT name, count(*), sum(v) FROM t GROUP BY name"),
-            (1, "SELECT * FROM t"),
-            (1, "UPDATE t SET v = 0 WHERE v = 999"),
+            ((0, 0), "SELECT k, v FROM t WHERE k = 17"),
+            ((0, 0), "UPDATE t SET v = v + 1 WHERE k = 17"),
+            ((0, 0), "UPDATE t SET v = v + 1 WHERE k IN "
+                     "(1, 2, 3, 4, 5, 6, 7, 8)"),
+            ((0, 0), "DELETE FROM t WHERE k = 3999"),
+            ((0, 0), "DELETE FROM t WHERE k IN (100, 200, 300)"),
+            ((0, 0), "SELECT k, v, name FROM t WHERE k IN (17, 18)"),
+            ((0, 1), "SELECT k, v FROM t WHERE k >= 500 AND k <= 540"),
+            ((1, 0), "SELECT name, count(*), sum(v) FROM t GROUP BY name"),
+            ((0, 1), "SELECT * FROM t"),
+            ((1, 0), "UPDATE t SET v = 0 WHERE v = 999"),
         ]
         for expected, sql in mix:
-            before = jobs()
+            before = counts()
             session.execute(sql)
-            assert jobs() - before == expected, sql
+            assert tuple(now - then for now, then
+                         in zip(counts(), before)) == expected, sql
 
 
 # ----------------------------------------------------------------------

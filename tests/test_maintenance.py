@@ -7,10 +7,10 @@ from repro.common.errors import AnalysisError
 from repro.hive import HiveSession
 from repro.hive.parser import parse
 from repro.hive import ast_nodes as ast
-from repro.maintenance import policy as policy_module
 from repro.maintenance.policy import CompactionPolicy
 from repro.maintenance.stats import TableStats
 from repro.mapreduce import InputSplit, Job
+from repro.mapreduce import runner as runner_module
 from repro.mapreduce.runner import _makespan
 from repro.shard import ShardMap
 
@@ -237,10 +237,11 @@ class TestPolicy:
             calls.append((list(durations), seconds))
             return seconds
 
-        monkeypatch.setattr(policy_module, "_makespan", spy)
+        monkeypatch.setattr(runner_module, "_makespan", spy)
         files = handler.plan_files()
         CompactionPolicy(handler).rewrite_job_seconds(files)
         [(tasks, estimate)] = calls
+        monkeypatch.undo()
         profile = session.cluster.profile
         assert len(tasks) == len(files) == 10 > profile.total_map_slots
         overhead = profile.task_overhead_s
