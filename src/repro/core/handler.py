@@ -393,7 +393,7 @@ class DualTableHandler(StorageHandler):
         transaction or aborts it for an exclusive re-run.  An EDIT plan
         just records the write so conflict detection sees the table.
         """
-        txn = getattr(session, "current_txn", None)
+        txn = session.current_txn
         if txn is None:
             return
         if plan == "overwrite":
@@ -556,7 +556,7 @@ class DualTableHandler(StorageHandler):
         as before the server existed.
         """
         self.router.note_edits(batch.edits)
-        txn = getattr(session, "current_txn", None)
+        txn = session.current_txn
         if txn is not None and not txn.exclusive:
             txn.defer_edit_batch(self.table.name, batch, session)
             return 0.0

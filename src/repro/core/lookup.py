@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 from repro.common.errors import FaultInjectedError
+from repro.hive.executor import route_read
 from repro.hive.vexpr import compile_batch_predicate
 from repro.mapreduce import PlanCost
 from repro.mapreduce.job import InputSplit, stable_hashes
@@ -254,11 +255,11 @@ def plan_lookup(handler, ranges, sources, projection=None, hit_faults=True):
                                    ALL_BUCKETS if wanted is None else wanted):
             # The scan alternative's task reads the file's footer and
             # every projected stripe.
-            scan_tasks.append(task_seconds(f.footer_bytes + f.scan_bytes,
-                                           f.rows, merge=True))
+            task_bytes = f.footer_bytes + f.scan_bytes
+            scan_tasks.append(task_seconds(task_bytes, f.rows, merge=True))
             total_stripes += f.stripes[1]
             total_groups += f.row_groups[1]
-            scan_bytes += f.scan_bytes
+            scan_bytes += task_bytes
             if f.read_rows == 0:
                 # No row group can hold a wanted key and no delta can
                 # move one in: the file contributes nothing.  Trailing
@@ -403,29 +404,22 @@ def keyed_detail(handler, plan, name, audited_as, delta):
 def edit_by_key(handler, session, scan, verb):
     """EDIT-by-key: stage one UPDATE/DELETE from a keyed read, or None.
 
-    When the WHERE bounds the PRIMARY KEY (:func:`plan_lookup` decides,
-    ``dualtable.lookup.max_rows`` and the cost model's job-startup /
-    per-task terms gate it) the rows are found the way LOOKUP finds them
-    — stripe index, bucket masks, one union read per candidate file —
-    and staged into the statement's EditBatch: no Job, no splits, no
-    task loop.  ``scan`` is the handler's compiled EDIT scan.  ``SET
-    dualtable.plan = scan`` forces the job and is the differential
-    oracle.  A non-fatal fault in the keyed read falls back to the job
-    with nothing staged (both fault points fire before the first charged
-    byte).
+    When the read's route (:func:`~repro.hive.executor.route_read`)
+    picks LOOKUP, the rows are found the way LOOKUP finds them — stripe
+    index, bucket masks, one union read per candidate file — and staged
+    into the statement's EditBatch: no Job, no splits, no task loop.
+    ``scan`` is the handler's compiled EDIT scan.  ``SET dualtable.plan
+    = scan`` forces the job and is the differential oracle.  A non-fatal
+    fault in the keyed read falls back to the job with nothing staged
+    (both fault points fire before the first charged byte).
     """
     projection, ranges, stage = scan
-    mode = session.plan_mode
+    keyed = route_read(handler, projection, ranges, session.plan_mode)
+    if keyed.plan != "lookup":
+        return None
+    plan = keyed.lookup
     cluster = handler.env.cluster
     try:
-        plan = handler.plan_lookup(ranges, projection,
-                                   hit_faults=mode != "scan")
-        if plan is None or mode == "scan" or (
-                mode != "lookup" and plan.choice.plan != "lookup"):
-            if plan is not None \
-                    or bounded_pk_range(handler, ranges) is not None:
-                handler.note_lookup_scan("eligible_scan")
-            return None
         handler._claim_txn_access(session, "edit")
         edit_batch = EditBatch(handler, next(handler._txn_ids))
         buffer = edit_batch.task_buffer()

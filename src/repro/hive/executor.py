@@ -9,11 +9,12 @@ or more MapReduce jobs, mirroring how Hive lowers HiveQL:
 * GROUP BY is a hash-aggregation map phase plus a merging reduce,
 * ORDER BY / LIMIT run as a final (charged) pass.
 
-A scan with no shuffle (no join, no aggregation) that LOOKUP does not
-serve runs its map tasks as a *fetch* in the client, as Hive's fetch
-task conversion does, when :class:`~repro.mapreduce.PlanCost`
-prices that below the job (:func:`fetch_choice`); ``SET dualtable.plan
-= scan`` always runs the job.
+Planning and running are two halves: :meth:`SelectExecutor.plan` builds
+a SELECT's leaf reads without side effects, and :func:`route_read`
+picks each read's access path — LOOKUP, a *fetch* of the map tasks in
+the client (Hive's fetch task conversion) when
+:class:`~repro.mapreduce.PlanCost` prices that below the job, or the
+job.  ``run`` executes those leaves and EXPLAIN prints the same ones.
 
 Intermediate results between chained jobs are "materialized": their
 estimated serialized size is charged as HDFS write+read, like Hive's
@@ -22,6 +23,7 @@ inter-job temp files.
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from math import isnan
 from operator import itemgetter, neg
@@ -54,9 +56,22 @@ class ScanSource:
     env: Env                    # environment over the projected tuple
     filter_expr: object = None  # residual row filter (AST)
     ranges: dict = field(default_factory=dict)
+    shuffle: str = None         # the join or aggregation it feeds, if any
 
     def splits(self):
         return self.handler.scan_splits(self.projection, self.ranges)
+
+    def route(self, mode, live=True):
+        """This read's access path (:func:`route_read`): a live one fails
+        the statement when a forced LOOKUP cannot run, EXPLAIN's plans its
+        splits without counting a scan."""
+        splits = (self.splits if live else partial(
+            self.handler.plan_splits, self.projection, self.ranges))
+        chosen = route_read(self.handler, self.projection, self.ranges, mode,
+                            self.shuffle, splits, live)
+        if live and chosen.refused is not None:
+            raise AnalysisError(chosen.refused)
+        return chosen
 
     def make_batch_reader(self, batch_rows=DEFAULT_BATCH_ROWS):
         handler = self.handler
@@ -118,6 +133,19 @@ def merge_envs(left_env, right_env):
     return merged
 
 
+@dataclass
+class SelectPlan:
+    """What :meth:`SelectExecutor.plan` returns: ``run`` executes it and
+    EXPLAIN prints it."""
+
+    items: list                 # the select list, stars expanded
+    leaves: list                # per FROM binding: a ScanSource, or the
+                                # TableRef of a derived table or view
+    side_filters: dict          # binding (lowercase) -> its WHERE conjuncts
+    residual: object            # WHERE conjuncts over several bindings
+    aggregate: bool
+
+
 class QueryResultRows:
     """Schema names + row tuples returned by the executor."""
 
@@ -151,13 +179,8 @@ class SelectExecutor:
         return self.session.env.runner
 
     @property
-    def plan_mode(self):
-        """``cost`` (default), or the forced ``lookup`` / ``scan`` knob."""
-        return getattr(self.session, "plan_mode", "cost")
-
-    @property
     def batch_rows(self):
-        return getattr(self.session, "batch_rows", DEFAULT_BATCH_ROWS)
+        return self.session.batch_rows
 
     def _splits(self, relation):
         """Splits for a relation, honoring the session batch-size knob.
@@ -177,12 +200,35 @@ class SelectExecutor:
         stmt = self._materialize_subqueries(stmt)
         if stmt.source is None:
             return self._constant_select(stmt)
-        items = self._expand_stars_early(stmt)
+        plan = self.plan(stmt)
         tracer = self.cluster.tracer
         with tracer.span("phase", "select:from"):
-            relation = self._execute_from(stmt, items)
+            relation = self._execute_from(stmt, plan)
         with tracer.span("phase", "select:finalize"):
-            return self._finalize(stmt, items, relation)
+            return self._finalize(stmt, plan, relation)
+
+    def plan(self, stmt):
+        """The leaf reads of a SELECT with a FROM clause, with no side
+        effects: no transaction touched, scan counted, fault hit, byte
+        charged or subquery run.  A derived table's (or view's) leaf is
+        its TableRef, whose SELECT is planned in turn."""
+        items = self._expand_stars_early(stmt)
+        refs = [stmt.source] + [j.table for j in stmt.joins]
+        columns = {ref.binding.lower():
+                   {n.lower() for n in self._source_column_list(ref)}
+                   for ref in refs}
+        aggregate = bool(stmt.group_by) or any(
+            contains_aggregate(item.expr) for item in items)
+        side_filters, residual = self._split_where(stmt, columns)
+        needed = self._needed_columns(stmt, items, residual, columns)
+        shuffle = ("a join" if stmt.joins
+                   else "an aggregation" if aggregate else None)
+        leaves = [ref if ref.subquery is not None else self._make_scan(
+                      self.session.metastore.table(ref.name), ref.binding,
+                      side_filters.get(ref.binding.lower()),
+                      needed[ref.binding.lower()], shuffle)
+                  for ref in refs]
+        return SelectPlan(items, leaves, side_filters, residual, aggregate)
 
     def _union_all(self, stmt):
         """Concatenate branch results (schemas must agree in arity)."""
@@ -290,35 +336,16 @@ class SelectExecutor:
     # ------------------------------------------------------------------
     # FROM clause → a joined relation with per-binding pushdown.
     # ------------------------------------------------------------------
-    def _execute_from(self, stmt, items):
-        side_filters, residual = self._split_where(stmt)
-        needed = self._needed_columns(stmt, items, residual)
-        left = self._leaf_relation(stmt.source,
-                                   side_filters.get(stmt.source.binding),
-                                   needed.get(stmt.source.binding.lower()))
-        for join in stmt.joins:
-            right = self._leaf_relation(
-                join.table, side_filters.get(join.table.binding),
-                needed.get(join.table.binding.lower()))
-            left = self._join(left, right, join)
-        relation = left
-        if residual is not None:
-            relation = self._apply_residual(relation, residual)
-        return relation
-
-    def _apply_residual(self, relation, residual):
-        if isinstance(relation, ScanSource):
-            combined = (residual if relation.filter_expr is None
-                        else ast.LogicalOp(op="and",
-                                           operands=[relation.filter_expr,
-                                                     residual]))
-            relation.filter_expr = combined
-            relation.ranges = extract_ranges(combined)
-            return relation
-        env = relation.env
-        rows = self._filter_rows(residual, env, relation.rows)
-        self.cluster.charge_cpu_rows(len(relation.rows))
-        return MaterializedSource(rows, env, estimate_record_bytes(rows))
+    def _execute_from(self, stmt, plan):
+        leaves = iter(plan.leaves)
+        left = self._leaf_relation(next(leaves), plan)
+        for join, leaf in zip(stmt.joins, leaves):
+            left = self._join(left, self._leaf_relation(leaf, plan), join)
+        if plan.residual is None:
+            return left
+        rows = self._filter_rows(plan.residual, left.env, left.rows)
+        self.cluster.charge_cpu_rows(len(left.rows))
+        return MaterializedSource(rows, left.env, estimate_record_bytes(rows))
 
     def _filter_rows(self, expr, env, rows):
         """The rows of an in-memory relation that pass ``expr``."""
@@ -328,30 +355,27 @@ class SelectExecutor:
             kept.extend(predicate(batch).rows())
         return kept
 
-    def _split_where(self, stmt):
-        """Partition WHERE conjuncts by which FROM binding they touch."""
+    def _split_where(self, stmt, columns):
+        """Partition WHERE conjuncts by the one FROM binding they touch;
+        ``columns`` maps each binding (lowercase) to its column names."""
         if stmt.where is None:
             return {}, None
-        bindings = [stmt.source.binding] + [j.table.binding
-                                            for j in stmt.joins]
-        available = {
-            ref.binding: {n.lower() for n in self._source_column_list(ref)}
-            for ref in [stmt.source] + [j.table for j in stmt.joins]
-        }
+        bindings = [ref.binding.lower()
+                    for ref in [stmt.source] + [j.table for j in stmt.joins]]
         side_filters = {}
         residual = []
-        single_source = len(bindings) == 1
         for conjunct in _iter_conjuncts(stmt.where):
-            owner = self._owning_binding(conjunct, available, bindings)
-            if owner is not None or single_source:
-                owner = owner or bindings[0]
-                side_filters.setdefault(owner, []).append(conjunct)
-            else:
+            owner = self._owning_binding(conjunct, columns, bindings)
+            if owner is None and not stmt.joins:
+                owner = bindings[0]
+            if owner is None:
                 residual.append(conjunct)
+            else:
+                side_filters.setdefault(owner, []).append(conjunct)
         merged = {b: _and(conj) for b, conj in side_filters.items()}
-        return merged, _and(residual) if residual else None
+        return merged, _and(residual)
 
-    def _owning_binding(self, expr, available, bindings):
+    def _owning_binding(self, expr, columns, bindings):
         touched = set()
         for node in walk(expr):
             if not isinstance(node, ast.ColumnRef):
@@ -360,22 +384,16 @@ class SelectExecutor:
                 touched.add(node.qualifier.lower())
             else:
                 owners = [b for b in bindings
-                          if node.name.lower() in available[b]]
+                          if node.name.lower() in columns[b]]
                 if len(owners) != 1:
                     return None
-                touched.add(owners[0].lower())
-        if len(touched) != 1:
-            return None
-        lower_map = {b.lower(): b for b in bindings}
-        return lower_map.get(next(iter(touched)))
+                touched.add(owners[0])
+        owner = touched.pop() if len(touched) == 1 else None
+        return owner if owner in columns else None
 
-    def _needed_columns(self, stmt, items, residual):
+    def _needed_columns(self, stmt, items, residual, columns):
         """Column names each binding must produce (lowercased sets)."""
-        refs = [stmt.source] + [j.table for j in stmt.joins]
-        available = {ref.binding.lower():
-                     {n.lower() for n in self._source_column_list(ref)}
-                     for ref in refs}
-        needed = {b: set() for b in available}
+        needed = {b: set() for b in columns}
         exprs = [item.expr for item in items]
         exprs.extend(j.condition for j in stmt.joins)
         exprs.extend(stmt.group_by)
@@ -396,54 +414,52 @@ class SelectExecutor:
                     if bucket is not None:
                         bucket.add(name)
                 else:
-                    for binding, cols in available.items():
+                    for binding, cols in columns.items():
                         if name in cols:
                             needed[binding].add(name)
         return needed
 
-    def _leaf_relation(self, table_ref, side_filter, needed):
-        table_ref = self._resolve_view(table_ref)
-        if table_ref.subquery is not None:
-            result = self._run_subquery(table_ref.subquery)
-            env = Env()
-            env.add_schema(result.names, alias=table_ref.binding)
-            rows = result.rows
-            if side_filter is not None:
-                rows = self._filter_rows(side_filter, env, rows)
-            return MaterializedSource(rows, env, estimate_record_bytes(rows))
-        info = self.session.metastore.table(table_ref.name)
-        return self._make_scan(info, table_ref.binding, side_filter, needed)
+    def _leaf_relation(self, leaf, plan):
+        """Run one planned leaf: a scan to read, or a derived table."""
+        if isinstance(leaf, ScanSource):
+            # Repeatable reads: the server transaction records the
+            # table before its scan runs, so the commit-log snapshot
+            # taken at dispatch covers every table the statement reads.
+            txn = self.session.current_txn
+            if txn is not None:
+                txn.touch(leaf.handler.table.name)
+            return leaf
+        result = self._run_subquery(leaf.subquery)
+        env = Env()
+        env.add_schema(result.names, alias=leaf.binding)
+        rows = result.rows
+        side_filter = plan.side_filters.get(leaf.binding.lower())
+        if side_filter is not None:
+            rows = self._filter_rows(side_filter, env, rows)
+        return MaterializedSource(rows, env, estimate_record_bytes(rows))
 
-    def _make_scan(self, info, alias, side_filter, needed):
+    def _make_scan(self, info, alias, side_filter, needed, shuffle):
         schema = info.schema
-        if needed is None:
-            projection = schema.names
-        else:
-            want = set(needed)
-            if side_filter is not None:
-                want |= referenced_columns(side_filter)
-            projection = [c.name for c in schema if c.name.lower() in want]
-            if not projection:
-                projection = [schema.columns[0].name]
+        want = set(needed)
+        if side_filter is not None:
+            want |= referenced_columns(side_filter)
+        projection = ([c.name for c in schema if c.name.lower() in want]
+                      or [schema.columns[0].name])
         env = Env()
         env.add_schema(projection, alias=alias)
         ranges = extract_ranges(side_filter) if side_filter is not None else {}
-        # Repeatable reads: record the table in the server transaction at
-        # scan-build time, so the commit-log snapshot taken at dispatch
-        # covers every table the statement physically reads.
-        txn = getattr(self.session, "current_txn", None)
-        if txn is not None:
-            txn.touch(info.name)
         return ScanSource(handler=info.handler, alias=alias,
                           projection=projection, env=env,
-                          filter_expr=side_filter, ranges=ranges)
+                          filter_expr=side_filter, ranges=ranges,
+                          shuffle=shuffle)
 
     # ------------------------------------------------------------------
     # Join (reduce-side).
     # ------------------------------------------------------------------
     def _join(self, left, right, join):
-        self._reject_forced_lookup(left, "a join")
-        self._reject_forced_lookup(right, "a join")
+        for side in (left, right):
+            if isinstance(side, ScanSource):
+                side.route(self.session.plan_mode)
         left_env, right_env = left.env, right.env
         merged_env = merge_envs(left_env, right_env)
         equi, leftover = self._split_join_condition(join.condition,
@@ -575,18 +591,18 @@ class SelectExecutor:
     # ------------------------------------------------------------------
     # Final stage: aggregation or projection, then ORDER BY / LIMIT.
     # ------------------------------------------------------------------
-    def _finalize(self, stmt, items, relation):
-        is_aggregate = bool(stmt.group_by) or any(
-            contains_aggregate(item.expr) for item in items)
-        if stmt.having is not None and not is_aggregate:
+    def _finalize(self, stmt, plan, relation):
+        items = plan.items
+        if stmt.having is not None and not plan.aggregate:
             raise AnalysisError("HAVING requires GROUP BY or aggregates")
         names = [_output_name(item, i) for i, item in enumerate(items)]
         sort_keys, hidden = self._sort_keys(stmt, names)
-        if is_aggregate:
+        if plan.aggregate:
             if stmt.distinct:
                 raise AnalysisError(
                     "SELECT DISTINCT cannot be combined with aggregates")
-            self._reject_forced_lookup(relation, "aggregation")
+            if isinstance(relation, ScanSource):
+                relation.route(self.session.plan_mode)
             rows = self._aggregate_stage(stmt, items + hidden, relation)
         else:
             rows = self._projection_stage(items + hidden, relation)
@@ -634,25 +650,26 @@ class SelectExecutor:
             self.cluster.charge_cpu_rows(len(relation.rows))
             return rows
         compiled = [compile_expr(expr, relation.env) for expr in exprs]
-        source_rows = self._try_lookup(relation)
-        if source_rows is not None:
-            rows = [tuple(fn(r) for fn in compiled) for r in source_rows]
-            self.cluster.charge_cpu_rows(len(source_rows))
-            return rows
+        chosen = relation.route(self.session.plan_mode)
+        if chosen.plan == "lookup":
+            source_rows = self._lookup(relation, chosen.lookup)
+            if source_rows is not None:
+                rows = [tuple(fn(r) for fn in compiled) for r in source_rows]
+                self.cluster.charge_cpu_rows(len(source_rows))
+                return rows
+            chosen = _fetch_or_job(relation.handler, relation.splits,
+                                   self.session.plan_mode)
         bexprs = [compile_batch(expr, relation.env) for expr in exprs]
         reader = relation.make_batch_reader(self.batch_rows)
 
         def map_fn(split, ctx):
             return _project(reader(split, ctx), bexprs)
 
-        splits = self._splits(relation)
         properties = {"shard_fanout": self._fanout(relation)}
-        choice = None
-        if self.plan_mode != "scan":
-            choice = fetch_choice(relation.handler, splits,
-                                  self.cluster.profile)
-            properties["fetch"] = choice.plan == "fetch"
-        job = Job(name="select-scan", splits=splits, map_fn=map_fn,
+        choice = chosen.fetch
+        if choice is not None:
+            properties["fetch"] = chosen.plan == "fetch"
+        job = Job(name="select-scan", splits=chosen.splits, map_fn=map_fn,
                   reduce_fn=None, properties=properties)
         result = self.runner.run(job)
         self.jobs.append(result)
@@ -668,13 +685,8 @@ class SelectExecutor:
         return result.outputs
 
     # ------------------------------------------------------------------
-    # LOOKUP routing (the plan that skips MapReduce entirely).
+    # Routing: LOOKUP (the plan that skips MapReduce), fetch or job.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _lookup_capable(relation):
-        return (isinstance(relation, ScanSource)
-                and relation.handler.primary_key is not None)
-
     @staticmethod
     def _fanout(relation):
         """Scatter-gather width for this relation's jobs (makespan only)."""
@@ -682,59 +694,19 @@ class SelectExecutor:
             return relation.handler.shard_fanout
         return 1
 
-    def _try_lookup(self, relation):
-        """Route an eligible dualtable scan through the LOOKUP plan.
-
-        Returns the merged source rows (tuples in ``relation.env`` order
-        with the residual filter applied) when the LOOKUP plan ran, or
-        None to fall through to the MR scan.  A non-fatal injected fault
-        anywhere in the lookup (index read, attached probe) falls back to
-        the scan plan — planning is uncharged and both fault points fire
-        before the first charged byte, so the fallback never double
-        charges.
-        """
-        mode = self.plan_mode
-        if not isinstance(relation, ScanSource):
-            return None
-        handler = relation.handler
-        if not self._lookup_capable(relation):
-            if mode == "lookup":
-                raise AnalysisError(
-                    "SET dualtable.plan = lookup: table %r has no PRIMARY "
-                    "KEY lookup path" % relation.alias)
-            return None
-        if mode == "scan":
-            if handler.plan_lookup(relation.ranges, relation.projection,
-                                   hit_faults=False) is not None:
-                handler.note_lookup_scan("eligible_scan")
-            return None
+    def _lookup(self, scan, plan):
+        """The rows LOOKUP ``plan`` merges for ``scan`` (in ``scan.env``
+        order, filtered), or None when a non-fatal fault falls back to
+        the scan: it fires before the first charged byte."""
+        where = ((scan.filter_expr, scan.env)
+                 if scan.filter_expr is not None else None)
         try:
-            plan = handler.plan_lookup(relation.ranges,
-                                       relation.projection)
-        except FaultInjectedError as exc:
-            if exc.fatal:
-                raise
-            handler.note_lookup_scan("fallback")
-            return None
-        if plan is None:
-            if mode == "lookup":
-                raise AnalysisError(
-                    "SET dualtable.plan = lookup: predicate does not bound "
-                    "PRIMARY KEY %r (or the range exceeds "
-                    "dualtable.lookup.max_rows)" % handler.primary_key)
-            return None
-        if mode != "lookup" and plan.choice.plan != "lookup":
-            handler.note_lookup_scan("eligible_scan")
-            return None
-        where = ((relation.filter_expr, relation.env)
-                 if relation.filter_expr is not None else None)
-        try:
-            rows, examined, seconds, detail = handler.execute_lookup(
+            rows, examined, seconds, detail = scan.handler.execute_lookup(
                 plan, batch_rows=self.batch_rows, where=where)
         except FaultInjectedError as exc:
             if exc.fatal:
                 raise
-            handler.note_lookup_scan("fallback")
+            scan.handler.note_lookup_scan("fallback")
             return None
         self.lookup_seconds += seconds
         self.lookup_details.append(detail)
@@ -742,13 +714,6 @@ class SelectExecutor:
             # The filter's CPU charge goes by the rows it examined.
             self.cluster.charge_cpu_rows(examined)
         return rows
-
-    def _reject_forced_lookup(self, relation, what):
-        if self.plan_mode == "lookup" and self._lookup_capable(relation):
-            raise AnalysisError(
-                "SET dualtable.plan = lookup cannot serve %s over "
-                "DualTable %r — SET dualtable.plan = cost (or scan) first"
-                % (what, relation.alias))
 
     def _aggregate_stage(self, stmt, items, relation):
         group_by = list(stmt.group_by)
@@ -892,14 +857,79 @@ class SelectExecutor:
 # ----------------------------------------------------------------------
 # Helpers.
 # ----------------------------------------------------------------------
-def fetch_choice(handler, splits, profile):
-    """Fetch or job for a no-shuffle scan of ``handler``'s ``splits``
-    (:meth:`~repro.mapreduce.PlanCost.choose_fetch`): metadata only,
-    uncharged."""
-    cost = PlanCost(profile)
-    return cost.choose_fetch(
+@dataclass
+class Route:
+    """The access path of one read (:func:`route_read`)."""
+
+    plan: str                   # 'lookup' | 'fetch' | 'job'
+    lookup: object = None       # the LookupPlan weighed, or None
+    fetch: object = None        # the FetchChoice weighed, or None
+    splits: list = None         # the splits of a fetch or job, if planned
+    forced: bool = False        # SET dualtable.plan decided it
+    refused: str = None         # why a forced LOOKUP cannot run, or None
+
+
+def route_read(handler, projection, ranges, mode, shuffle=None, splits=None,
+               live=True):
+    """LOOKUP, fetch or job for one read of ``handler``: the one routing
+    rule (INTERNALS §12.1).  ``mode`` is ``SET dualtable.plan``;
+    ``shuffle`` names the join or aggregation the read feeds; ``splits``
+    returns the read's splits, to price a fetch (a write passes None: its
+    scan is the EDIT job).  A ``live`` read hits the keyed planner's fault
+    point and counts ``dualtable.plan.lookup_*``; EXPLAIN routes with
+    ``live=False`` and sees the verdict the run takes.
+    """
+    keyed = handler.primary_key is not None
+    if shuffle is not None:
+        if mode == "lookup" and keyed:
+            return Route("job", refused=(
+                "SET dualtable.plan = lookup cannot serve %s over DualTable "
+                "%r — SET dualtable.plan = cost (or scan) first"
+                % (shuffle, handler.table.name)))
+        return Route("job")
+    if not keyed:
+        if mode == "lookup":
+            return Route("job", refused=(
+                "SET dualtable.plan = lookup: table %r has no PRIMARY KEY "
+                "lookup path" % handler.table.name))
+        return _fetch_or_job(handler, splits, mode)
+    from repro.core.lookup import bounded_pk_range
+    try:
+        plan = handler.plan_lookup(ranges, projection,
+                                   hit_faults=live and mode != "scan")
+    except FaultInjectedError as exc:
+        if exc.fatal:
+            raise
+        handler.note_lookup_scan("fallback")
+        return _fetch_or_job(handler, splits, mode)
+    if plan is not None and (mode == "lookup" or mode == "cost"
+                             and plan.choice.plan == "lookup"):
+        return Route("lookup", lookup=plan, forced=mode == "lookup")
+    if live and bounded_pk_range(handler, ranges) is not None:
+        handler.note_lookup_scan("eligible_scan")
+    if mode == "lookup":
+        return Route("job", refused=(
+            "SET dualtable.plan = lookup: predicate does not bound PRIMARY "
+            "KEY %r (or the range exceeds dualtable.lookup.max_rows)"
+            % handler.primary_key))
+    return _fetch_or_job(handler, splits, mode, plan)
+
+
+def _fetch_or_job(handler, splits, mode, lookup=None):
+    """The scan of a read LOOKUP does not serve: a fetch when
+    :meth:`~repro.mapreduce.PlanCost.choose_fetch` prices its splits'
+    serial sum below the job (metadata only, uncharged), else the job;
+    ``scan`` mode always runs the job."""
+    if splits is None:
+        return Route("job", lookup=lookup, forced=mode == "scan")
+    splits = splits()
+    if mode == "scan":
+        return Route("job", lookup=lookup, splits=splits, forced=True)
+    cost = PlanCost(handler.env.cluster.profile)
+    choice = cost.choose_fetch(
         [cost.task_seconds(split.read_bytes, split.rows, handler.union_read)
          for split in splits], handler.shard_fanout)
+    return Route(choice.plan, lookup=lookup, fetch=choice, splits=splits)
 
 
 def _project(batches, bexprs):

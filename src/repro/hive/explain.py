@@ -16,10 +16,8 @@ cost of the chosen plan against the ledger-observed run time.
 
 from repro.common.units import fmt_bytes
 from repro.hive import ast_nodes as ast
-from repro.hive.executor import fetch_choice
-from repro.hive.expressions import (contains_aggregate, referenced_columns,
-                                    walk)
-from repro.hive.pushdown import extract_ranges
+from repro.hive.executor import ScanSource, SelectExecutor, route_read
+from repro.hive.expressions import walk
 from repro.hive.rowedit import WhereEdit
 
 
@@ -27,7 +25,7 @@ def explain(session, stmt, analyze=False):
     from repro.hive.session import QueryResult
 
     lines = []
-    if isinstance(stmt, ast.SelectStmt):
+    if isinstance(stmt, (ast.SelectStmt, ast.UnionAllStmt)):
         _explain_select(session, stmt, lines, indent=0)
     elif isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
         _explain_dml(session, stmt, lines)
@@ -162,37 +160,33 @@ def _pad(indent):
 
 
 def _explain_select(session, stmt, lines, indent=0):
+    """The executor's plan of ``stmt`` (:meth:`SelectExecutor.plan`) and
+    each leaf's route, as the run would take them."""
     pad = _pad(indent)
-    is_aggregate = bool(stmt.group_by) or any(
-        contains_aggregate(item.expr) for item in stmt.items)
-    lines.append(pad + "SELECT (%d output column(s)%s)"
-                 % (len(stmt.items), ", aggregate" if is_aggregate else ""))
+    if isinstance(stmt, ast.UnionAllStmt):
+        lines.append(pad + "UNION ALL (%d branches)" % len(stmt.selects))
+        for select in stmt.selects:
+            _explain_select(session, select, lines, indent + 1)
+        return
     if stmt.source is None:
+        lines.append(pad + "SELECT (%d output column(s))" % len(stmt.items))
         lines.append(pad + "  constant (no FROM)")
         return
-    refs = [stmt.source] + [j.table for j in stmt.joins]
-    needed = set()
-    for item in stmt.items:
-        needed |= referenced_columns(item.expr)
-    if stmt.where is not None:
-        needed |= referenced_columns(stmt.where)
-    for expr in stmt.group_by:
-        needed |= referenced_columns(expr)
-    # A sort key outside the select list is read from storage too, as a
-    # hidden column the executor strips after the sort.
-    for order in stmt.order_by:
-        needed |= referenced_columns(order.expr)
-    # A single scan with no shuffle runs as a fetch or a job.
-    no_shuffle = not is_aggregate and not stmt.joins
-    for ref in refs:
-        _explain_scan(session, ref, stmt.where, needed, lines, indent + 1,
-                      no_shuffle)
+    plan = SelectExecutor(session).plan(stmt)
+    lines.append(pad + "SELECT (%d output column(s)%s)"
+                 % (len(plan.items), ", aggregate" if plan.aggregate else ""))
+    for leaf in plan.leaves:
+        if isinstance(leaf, ScanSource):
+            _explain_scan(session, leaf, lines, indent + 1)
+        else:
+            lines.append(pad + "  derived table %s:" % leaf.binding)
+            _explain_select(session, leaf.subquery, lines, indent + 2)
     for join in stmt.joins:
         keys = [n.display for n in walk(join.condition)
                 if isinstance(n, ast.ColumnRef)]
         lines.append(pad + "  JOIN [%s] on %s"
                      % (join.kind, ", ".join(sorted(set(keys)))))
-    if is_aggregate:
+    if plan.aggregate:
         lines.append(pad + "  GROUP BY %d key(s) (map-side hash "
                            "aggregation + merge reduce)"
                      % len(stmt.group_by))
@@ -204,36 +198,30 @@ def _explain_select(session, stmt, lines, indent=0):
         lines.append(pad + "  LIMIT %d" % stmt.limit)
 
 
-def _explain_scan(session, table_ref, where, needed, lines, indent,
-                  no_shuffle=False):
+def _explain_scan(session, scan, lines, indent):
+    """One leaf scan and the route the run takes for it."""
     pad = _pad(indent)
-    if table_ref.subquery is not None:
-        lines.append(pad + "derived table %s:" % table_ref.binding)
-        _explain_select(session, table_ref.subquery, lines, indent + 1)
-        return
-    info = session.metastore.table(table_ref.name)
-    handler = info.handler
-    projection = sorted(n for n in needed if info.schema.has_column(n))
-    ranges = extract_ranges(where) if where is not None else {}
-    usable = sorted(n for n in ranges if info.schema.has_column(n))
+    handler = scan.handler
     lines.append(pad + "SCAN %s (storage=%s, ~%d rows)"
-                 % (table_ref.binding, info.storage, handler.row_count()))
-    lines.append(pad + "  projection: %s"
-                 % (", ".join(projection) if projection
-                    else "(first column only)"))
+                 % (scan.alias, handler.table.storage, handler.row_count()))
+    lines.append(pad + "  projection: %s" % ", ".join(scan.projection))
+    usable = sorted(n for n in scan.ranges if handler.schema.has_column(n))
     if usable:
         lines.append(pad + "  stripe-prunable predicate columns: %s"
-                     % _pruning_columns(handler, {name: ranges[name]
+                     % _pruning_columns(handler, {name: scan.ranges[name]
                                                   for name in usable}))
-    chosen = None
-    if handler.primary_key is not None:
-        chosen = _explain_lookup(session, handler, ranges,
-                                 projection or None, lines, indent)
-    if no_shuffle and chosen != "lookup":
-        # The executor's projection: schema order, at least one column.
-        read = [column.name for column in info.schema
-                if column.name.lower() in needed] or [info.schema.names[0]]
-        _explain_fetch(session, handler, read, ranges, lines, indent)
+    chosen = scan.route(session.plan_mode, live=False)
+    if chosen.lookup is not None:
+        _explain_lookup(chosen, lines, pad + "  ")
+    if chosen.fetch is not None:
+        _explain_fetch(chosen, lines, pad + "  ")
+    elif chosen.refused is not None:
+        lines.append(pad + "  plan: none, the statement will fail (%s)"
+                     % chosen.refused)
+    elif scan.shuffle is not None:
+        lines.append(pad + "  plan: job (feeds %s)" % scan.shuffle)
+    elif chosen.plan == "job":      # forced: scan mode prices no fetch
+        lines.append(pad + "  plan: job (forced by dualtable.plan)")
 
 
 def _pruning_columns(handler, ranges):
@@ -249,49 +237,32 @@ def _pruning_columns(handler, ranges):
                      % (column, kept[column], dirty) for column in columns)
 
 
-def _explain_lookup(session, handler, ranges, projection, lines, indent):
-    """LOOKUP-plan eligibility and cost verdict (uncharged planning)."""
-    pad = _pad(indent)
-    mode = session.plan_mode
-    plan = handler.plan_lookup(ranges, projection=projection,
-                               hit_faults=False)
-    if plan is None:
-        if mode == "lookup":
-            lines.append(pad + "  plan: LOOKUP forced but ineligible "
-                               "(statement will fail)")
-        return None
+def _explain_lookup(chosen, lines, pad):
+    """The LOOKUP eligibility and cost verdict a route weighed."""
+    plan = chosen.lookup
     choice = plan.choice
-    chosen = mode if mode in ("lookup", "scan") else choice.plan
-    lines.append(pad + "  LOOKUP eligibility (PRIMARY KEY %s):" % plan.pk)
-    lines.append(pad + "    candidate files:  %d of %d, stripes %d of %d, "
+    lines.append(pad + "LOOKUP eligibility (PRIMARY KEY %s):" % plan.pk)
+    lines.append(pad + "  candidate files:  %d of %d, stripes %d of %d, "
                        "row groups %d of %d (~%d row(s))%s"
                  % (choice.files_read, choice.total_files, *plan.stripes,
                     *plan.row_groups, plan.est_rows, _buckets(plan)))
-    lines.append(pad + "    LOOKUP cost:      %.4fs (%s)"
+    lines.append(pad + "  LOOKUP cost:      %.4fs (%s)"
                  % (choice.lookup_seconds, fmt_bytes(choice.lookup_bytes)))
-    lines.append(pad + "    scan cost:        %.4fs (%s)"
+    lines.append(pad + "  scan cost:        %.4fs (%s)"
                  % (choice.scan_seconds, fmt_bytes(choice.scan_bytes)))
-    if mode != "cost":
-        lines.append(pad + "    plan: %s (forced by dualtable.plan)"
-                     % chosen)
-    else:
-        lines.append(pad + "    plan: %s" % chosen)
-    return chosen
+    lines.append(pad + "  plan: %s%s"
+                 % ("lookup" if chosen.plan == "lookup" else "scan",
+                    " (forced by dualtable.plan)" if chosen.forced else ""))
 
 
-def _explain_fetch(session, handler, projection, ranges, lines, indent):
-    """Fetch-or-job verdict of a scan with no shuffle (uncharged)."""
-    pad = _pad(indent)
-    splits = handler.plan_splits(projection, ranges)
-    choice = fetch_choice(handler, splits, session.cluster.profile)
-    lines.append(pad + "  FETCH eligibility (no shuffle, %d split(s)):"
-                 % len(splits))
-    lines.append(pad + "    fetch cost:       %.4fs" % choice.fetch_seconds)
-    lines.append(pad + "    job cost:         %.4fs" % choice.job_seconds)
-    if session.plan_mode == "scan":
-        lines.append(pad + "    plan: job (forced by dualtable.plan)")
-    else:
-        lines.append(pad + "    plan: %s" % choice.plan)
+def _explain_fetch(chosen, lines, pad):
+    """The fetch-or-job verdict of a route's scan."""
+    choice = chosen.fetch
+    lines.append(pad + "FETCH eligibility (no shuffle, %d split(s)):"
+                 % len(chosen.splits))
+    lines.append(pad + "  fetch cost:       %.4fs" % choice.fetch_seconds)
+    lines.append(pad + "  job cost:         %.4fs" % choice.job_seconds)
+    lines.append(pad + "  plan: %s" % chosen.plan)
 
 
 def _buckets(plan):
@@ -331,17 +302,18 @@ def _explain_dml(session, stmt, lines):
         lines.append("    plan: %s (forced by dualtable.mode)" % plan)
     else:
         lines.append("    plan: %s" % plan)
-    if plan == "edit" and handler.primary_key is not None:
+    if handler.primary_key is not None \
+            and handler._plan_for(edit, "edit") == "edit":
         _explain_edit_by_key(session, handler, edit, choice, lines)
 
 
 def _explain_edit_by_key(session, handler, edit, choice, lines):
-    """The keyed write path's verdict: symptom, evidence, expected gain."""
-    projection, ranges, _ = handler._edit_scan(edit)
-    keyed = handler.plan_lookup(ranges, projection, hit_faults=False)
+    """The keyed write path's route: symptom, evidence, expected gain."""
+    chosen = route_read(handler, edit.projection(handler.schema),
+                        edit.ranges, session.plan_mode, live=False)
+    keyed = chosen.lookup
     if keyed is None:
         return
-    mode = session.plan_mode
     verdict = keyed.choice
     lines.append("  EDIT-by-key (PRIMARY KEY %s bounds the WHERE):" % keyed.pk)
     lines.append("    symptom:   the EDIT job pays startup + %d task(s) "
@@ -353,14 +325,13 @@ def _explain_edit_by_key(session, handler, edit, choice, lines):
                     *keyed.row_groups, _buckets(keyed),
                     verdict.lookup_seconds, verdict.scan_seconds,
                     choice.overwrite_seconds))
-    if mode == "scan":
-        lines.append("    plan: job (forced by dualtable.plan)")
-    elif mode != "lookup" and verdict.plan != "lookup":
-        lines.append("    plan: job")
-    else:
+    if chosen.plan == "lookup":
         lines.append("    expected gain: %.4fs and one MapReduce job saved"
                      % verdict.cost_difference)
         lines.append("    plan: edit-by-key (no MapReduce job)")
+    else:
+        lines.append("    plan: job%s" % (" (forced by dualtable.plan)"
+                                         if chosen.forced else ""))
 
 
 def _explain_merge(session, stmt, lines):

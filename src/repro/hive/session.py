@@ -482,28 +482,13 @@ class HiveSession:
         return self.views.get(name.lower())
 
     def infer_select_names(self, stmt):
-        """Output column names of a SELECT without executing it."""
+        """Output column names of a SELECT (a UNION ALL's first branch)
+        without executing it: the names of the executor's star
+        expansion."""
         if isinstance(stmt, ast.UnionAllStmt):
-            return self.infer_select_names(stmt.selects[0])
-        names = []
-        for i, item in enumerate(stmt.items):
-            if isinstance(item.expr, ast.Star):
-                refs = [stmt.source] + [j.table for j in stmt.joins]
-                for ref in refs:
-                    qualifier = item.expr.qualifier
-                    if qualifier and ref.binding.lower() != qualifier.lower():
-                        continue
-                    if ref.subquery is not None:
-                        names.extend(self.infer_select_names(ref.subquery))
-                    elif self.view_query(ref.name) is not None:
-                        names.extend(self.infer_select_names(
-                            self.view_query(ref.name)))
-                    else:
-                        names.extend(
-                            self.metastore.table(ref.name).schema.names)
-            else:
-                names.append(_output_name(item, i))
-        return names
+            stmt = stmt.selects[0]
+        items = SelectExecutor(self)._expand_stars_early(stmt)
+        return [_output_name(item, i) for i, item in enumerate(items)]
 
     # ------------------------------------------------------------------
     # INSERT.

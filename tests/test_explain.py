@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterProfile
+from repro.common.errors import AnalysisError
 from repro.hive import HiveSession
 
 
@@ -179,3 +180,156 @@ class TestExplainPartitioned:
         session.load_rows("p", [(1, "x")])
         out = text(session.execute("EXPLAIN SELECT a FROM p WHERE d = 'x'"))
         assert "storage=orc-partitioned" in out
+
+
+# ----------------------------------------------------------------------
+# EXPLAIN prints the plan the executor runs: the same leaves, the same
+# route (LOOKUP, fetch or job) for each.
+# ----------------------------------------------------------------------
+GRID = [
+    "SELECT * FROM t WHERE v >= 0",
+    "SELECT k, v FROM t WHERE k = 3",
+    "SELECT t.v, u.z FROM t JOIN u ON t.v = u.z WHERE u.k = 3",
+    "SELECT t.v, u.z FROM t JOIN u ON t.v = u.z WHERE t.k = 3 AND u.k = 4",
+    "SELECT count(*) FROM t WHERE k IN (3, 4)",
+    "SELECT k FROM vw WHERE k = 3",
+    "SELECT s.v FROM (SELECT k, v FROM t WHERE k IN (5, 6)) s",
+]
+
+
+def keyed_grid_session(shards):
+    session = HiveSession(profile=ClusterProfile.laptop())
+    sharded = " SHARDED BY (k) INTO %d" % shards if shards > 1 else ""
+    session.execute("CREATE TABLE t (k int, v int) PRIMARY KEY (k) "
+                    "STORED AS DUALTABLE" + sharded)
+    session.load_rows("t", [(k, k % 50) for k in range(300)])
+    session.execute("CREATE TABLE u (k int, z int) PRIMARY KEY (k) "
+                    "STORED AS DUALTABLE" + sharded)
+    session.load_rows("u", [(k, k) for k in range(100)])
+    session.execute("CREATE VIEW vw AS SELECT k, v FROM t")
+    return session
+
+
+@pytest.fixture(scope="module")
+def keyed_grid():
+    return {shards: keyed_grid_session(shards) for shards in (1, 4)}
+
+
+def leaf_plans(lines):
+    """The route EXPLAIN prints for each SCAN: its last ``plan:`` line,
+    normalized to ``lookup``, ``fetch``, ``job``, ``job (feeds ...)`` or
+    ``none`` (the statement fails)."""
+    plans = []
+    depth = None
+    for line in lines:
+        indent = len(line) - len(line.lstrip())
+        if line.strip().startswith("SCAN "):
+            plans.append(None)
+            depth = indent
+        elif depth is not None and indent <= depth:
+            depth = None
+        elif depth is not None and line.strip().startswith("plan: "):
+            plans[-1] = line.strip()[len("plan: "):]
+    return [plan if plan is None or plan.startswith("job (feeds")
+            else plan.split(",")[0].split(" ")[0] for plan in plans]
+
+
+def ran_leaves(session, monkeypatch, sql):
+    """Run ``sql`` and return the reads each leaf took: a LOOKUP, a fetch,
+    a scan job, or its share of the join or aggregation job it fed."""
+    from repro.core.handler import DualTableHandler
+    runner = session.env.runner
+    ran = []
+    run_job, run_lookup = runner.run, DualTableHandler.execute_lookup
+
+    def job(job_spec):
+        result = run_job(job_spec)
+        if result.fetch:
+            ran.append("fetch")
+        elif job_spec.name == "select-scan":
+            ran.append("job")
+        elif job_spec.name == "join":
+            ran.extend(["job (feeds a join)"] * 2)
+        elif job_spec.name == "groupby":
+            ran.append("job (feeds an aggregation)")
+        return result
+
+    def lookup(handler, *args, **kwargs):
+        ran.append("lookup")
+        return run_lookup(handler, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run", job)
+    monkeypatch.setattr(DualTableHandler, "execute_lookup", lookup)
+    result = session.execute(sql)
+    return result, ran
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("mode", ["cost", "lookup", "scan"])
+@pytest.mark.parametrize("sql", GRID)
+def test_explain_names_the_plan_that_runs(keyed_grid, monkeypatch, shards,
+                                          mode, sql):
+    session = keyed_grid[shards]
+    session.execute("SET dualtable.plan = %s" % mode)
+    try:
+        lines = [line for (line,) in session.execute("EXPLAIN " + sql).rows]
+        plans = leaf_plans(lines)
+        assert plans and None not in plans
+        if "none" in plans:
+            assert "the statement will fail" in "\n".join(lines)
+            with pytest.raises(AnalysisError):
+                session.execute(sql)
+            return
+        result, ran = ran_leaves(session, monkeypatch, "EXPLAIN ANALYZE " + sql)
+        assert [line for (line,) in result.rows][:len(lines)] == lines
+        assert sorted(ran) == sorted(plans)
+    finally:
+        session.execute("SET dualtable.plan = cost")
+
+
+def test_explain_of_a_join_filters_each_side_by_its_own_conjuncts(
+        keyed_grid):
+    """``u.k = 3`` bounds u's key, not t's: neither side of a join
+    LOOKUPs, and only u prunes by k."""
+    lines = [line.strip() for (line,) in keyed_grid[1].execute(
+        "EXPLAIN SELECT t.v, u.z FROM t JOIN u ON t.v = u.z "
+        "WHERE u.k = 3").rows]
+    assert lines.count("plan: job (feeds a join)") == 2
+    assert lines.count("stripe-prunable predicate columns: k") == 1
+    assert not any(line.startswith("LOOKUP") for line in lines)
+
+
+def test_explain_select_star_prints_the_expanded_read(keyed_grid):
+    session = keyed_grid[4]
+    sql = "SELECT * FROM t WHERE v >= 0"
+    lines = [line.strip() for (line,) in
+             session.execute("EXPLAIN " + sql).rows]
+    assert lines[0] == "SELECT (2 output column(s))"
+    assert "projection: k, v" in lines
+    result = session.execute("EXPLAIN ANALYZE " + sql)
+    fetch_cost = next(line for (line,) in result.rows
+                      if line.strip().startswith("fetch cost:"))
+    assert fetch_cost.split()[-1] == "%.4fs" % result.detail["fetch_seconds"]
+
+
+def test_explain_of_a_view_leaves_the_view_as_stored(keyed_grid):
+    import copy
+    session = keyed_grid[1]
+    session.execute("CREATE VIEW IF NOT EXISTS vw2 AS SELECT * FROM vw")
+    stored = copy.deepcopy(session.views)
+    text = "\n".join(line for (line,) in session.execute(
+        "EXPLAIN SELECT k FROM vw2 WHERE k = 3").rows)
+    assert "derived table vw2" in text and "derived table vw" in text
+    first = session.execute("SELECT k FROM vw2 WHERE k = 3").rows
+    second = session.execute("SELECT k FROM vw2 WHERE k = 3").rows
+    assert first == second == [(3,)]
+    assert session.views == stored
+
+
+def test_star_over_a_derived_table_takes_the_executed_names(keyed_grid):
+    """A derived table's column names are its star expansion's: the
+    unnamed expression after ``*`` is ``_c2``, as the executor names it."""
+    result = keyed_grid[1].execute(
+        "SELECT * FROM (SELECT *, v + 1 FROM t WHERE k = 7) s")
+    assert result.names == ["k", "v", "_c2"]
+    assert result.rows == [(7, 7, 8)]

@@ -234,7 +234,8 @@ def oracle_plan_lookup(handler, ranges, projection=None):
                         match_groups += admitted
                         match_bytes += stripe_bytes
                 first += nrows
-            scan_bytes += file_scan_bytes
+            # The scan alternative reads the footer and every stripe.
+            scan_bytes += entry["footer_bytes"] + file_scan_bytes
             scan_tasks.append(PlanCost(profile).task_seconds(
                 entry["footer_bytes"] + file_scan_bytes, entry["num_rows"],
                 merge=True))

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cluster import ClusterProfile
 from repro.common.errors import AnalysisError, ParseError
+from repro.common.units import fmt_bytes
 from repro.core.lookup import NUM_BUCKETS, ROW_GROUP_ROWS, stripe_index
 from repro.core.master import FILE_ID_KEY
 from repro.faults import Fault, FaultPlan
@@ -498,6 +499,18 @@ class TestObservability:
             session.execute("EXPLAIN SELECT v FROM t WHERE k = 5").rows)
         assert "plan: scan (forced by dualtable.plan)" in text
         session.execute("SET dualtable.plan = cost")
+
+    def test_explain_scan_bytes_count_the_footers_its_seconds_price(self):
+        """The scan alternative reads each file's footer and every
+        projected stripe: its byte figure sums both, like its seconds."""
+        session = build_session()
+        handler = session.table("t").handler
+        lines = [line.strip() for (line,) in session.execute(
+            "EXPLAIN SELECT v FROM t WHERE k = 5").rows]
+        whole = sum(f.footer_bytes + f.scan_bytes
+                    for f in handler.plan_files(["k", "v"]))
+        assert "(%s)" % fmt_bytes(whole) in next(
+            line for line in lines if line.startswith("scan cost:"))
 
     def test_explain_does_not_execute(self):
         session = build_session()
@@ -1438,8 +1451,9 @@ class TestKeyedObservability:
         assert "cost-model audit: plan=edit_by_key" in text
 
     def test_over_limit_dml_counts_as_a_lookup_eligible_scan(self):
-        """A PK-bounded write too wide for ``dualtable.lookup.max_rows``
-        runs as a job and feeds the advisor's existing finding."""
+        """A PK-bounded write or read too wide for
+        ``dualtable.lookup.max_rows`` runs its scan and feeds the
+        advisor's existing finding: one rule for both."""
         from repro.advisor import WorkloadAdvisor
         session = build_session(
             mode="edit", extra_props=", 'dualtable.lookup.max_rows' = '20'")
@@ -1451,5 +1465,11 @@ class TestKeyedObservability:
         assert counters["dualtable.plan.lookup_eligible_scan.t"] == 6
         session.execute("UPDATE t SET v = 0 WHERE v < 0")    # no PK bound
         assert counters["dualtable.plan.lookup_eligible_scan.t"] == 6
+        result = session.execute("SELECT v FROM t WHERE k BETWEEN 10 AND 80")
+        assert len(result.rows) == 71 and result.plan != "lookup"
+        assert counters["dualtable.plan.lookup_eligible_scan.t"] == 7
+        session.execute("SELECT v FROM t WHERE v < 0")       # no PK bound
+        session.execute("SELECT count(*) FROM t WHERE k = 3")  # a shuffle
+        assert counters["dualtable.plan.lookup_eligible_scan.t"] == 7
         findings = WorkloadAdvisor(session).analyze()
         assert "lookup-eligible-scan" in {f.code for f in findings}
