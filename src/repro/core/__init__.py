@@ -7,9 +7,8 @@ from repro.core.master import MasterTable
 from repro.core.metadata import DualTableMetadata
 from repro.core.record_id import (RECORD_ID_BYTES, decode_record_id,
                                   encode_record_id, file_key_range)
-from repro.core.union_read import (DeltaOverlay, apply_update, build_overlay,
-                                   classify_merge_units, union_read_file,
-                                   union_read_overlay)
+from repro.core.union_read import (DeltaOverlay, build_overlay,
+                                   classify_merge_units, union_read_overlay)
 
 __all__ = [
     "AttachedTable",
@@ -25,10 +24,8 @@ __all__ = [
     "encode_record_id",
     "decode_record_id",
     "file_key_range",
-    "union_read_file",
     "union_read_overlay",
     "DeltaOverlay",
     "build_overlay",
     "classify_merge_units",
-    "apply_update",
 ]

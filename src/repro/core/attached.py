@@ -185,6 +185,23 @@ class AttachedTable:
         entry (INTERNALS §6), so a hit always reflects current content;
         it is shared, callers must not mutate it.
         """
+        cells, overlay, recorder = self._deltas_entry(file_id)
+        recorder.replay(self._service.cluster)
+        return cells, overlay
+
+    def scan_size(self, file_id):
+        """``(bytes, rows)`` :meth:`file_deltas` charges for a file, off
+        its memoized scan (made uncharged when cold, so the read hits it):
+        what a plan prices.  A corrupt cell prices nothing; the read
+        raises it."""
+        try:
+            charges = self._deltas_entry(file_id)[2].charges
+        except CorruptDeltaError:
+            return 0, 0
+        return (sum(charge.nbytes for charge in charges),
+                sum(charge.nops for charge in charges))
+
+    def _deltas_entry(self, file_id):
         from repro.core.union_read import build_overlay
 
         cluster = self._service.cluster
@@ -198,11 +215,9 @@ class AttachedTable:
                 cells = list(self._htable().scan(*file_key_range(file_id)))
             return cells, build_overlay(cells, self.name), recorder
 
-        cells, overlay, recorder = self._memo(
-            (file_id, "deltas"), fetch, weigh=lambda entry: 128 + sum(
-                84 + 88 * len(data) for _, data in entry[0]))
-        recorder.replay(cluster)
-        return cells, overlay
+        return self._memo((file_id, "deltas"), fetch,
+                          weigh=lambda entry: 128 + sum(
+                              84 + 88 * len(data) for _, data in entry[0]))
 
     def delta_items(self, cells):
         """``(record_id, DeltaRecord)`` per delta row of ``cells`` — the

@@ -301,7 +301,8 @@ def record_audit(cluster, table, plan, predicted, observed):
     included), so the relative error measures how faithfully Section
     IV's equations track the measured world — the audit
     SynchroStore-style systems feed back into their planners.  The keyed
-    plans (``lookup``, ``edit_by_key``) audit the keyed read.
+    plans (``lookup``, ``edit_by_key``) audit the keyed read.  ``table``
+    None (a local job's stage, over one or two relations) is no table's.
     """
     rel_error = (abs(predicted - observed) / observed
                  if observed > 0 else 0.0)
@@ -315,7 +316,8 @@ def record_audit(cluster, table, plan, predicted, observed):
     metrics.observe("costmodel.rel_error.%s" % plan, rel_error)
     # Workload-profile hook (repro.advisor): drift detection needs a
     # per-table error distribution.
-    metrics.incr("costmodel.audits.%s" % table)
-    metrics.observe("costmodel.rel_error.table.%s" % table, rel_error)
+    if table is not None:
+        metrics.incr("costmodel.audits.%s" % table)
+        metrics.observe("costmodel.rel_error.table.%s" % table, rel_error)
     cluster.tracer.annotate(cost_audit=dict(audit))
     return audit

@@ -237,7 +237,7 @@ class DualTableStore:
     def splits(self, files, projection=None):
         """A task's split per file plan: its ``row_spans``, how many
         stripes it pruned, ``scan_bytes``, and what it reads (the footer
-        and admitted stripes' bytes, the admitted rows)."""
+        and admitted stripes' bytes, the admitted rows, its delta scan)."""
         shard = {} if self.shard is None else {"shard": self.shard}
         return [InputSplit(payload=dict(
                     path=f.path, file_id=f.file_id, projection=projection,
@@ -245,8 +245,15 @@ class DualTableStore:
                     stripes_pruned=f.stripes[1] - f.stripes[0], **shard),
                            size_bytes=f.scan_bytes, label=f.path,
                            read_bytes=f.footer_bytes + f.read_bytes,
-                           rows=f.read_rows)
+                           rows=f.read_rows, **self._delta_scan(f))
                 for f in files]
+
+    def _delta_scan(self, f):
+        if (f.stripes[0] or not f.stripes[1]) \
+                and self.attached.has_entries_in_file(f.file_id):
+            nbytes, rows = self.attached.scan_size(f.file_id)
+            return {"hbase_bytes": nbytes, "hbase_rows": rows}
+        return {}
 
     def plan_files(self, projection=None, ranges=None, buckets=None,
                    paths=None):

@@ -5,14 +5,14 @@ attached rows because HBase keys are record IDs), so the merge is a single
 linear two-pointer pass per master file — the "simple MapReduce algorithm
 using a divide-and-conquer strategy" of Section III-C.
 
-:func:`union_read_file` is that algorithm as the paper states it — one
-record ID encoded per master row, the delta iterator walked beside it —
-and is kept as the *specification*: nothing in ``src/`` reads through
-it, the tests hold the production merge to it (rows, record ids and
-merge stats over adversarial delta distributions,
+``union_read_file`` in ``tests/delta_reference.py`` is that algorithm
+as the paper states it — one record ID encoded per master row, the
+delta iterator walked beside it — and is kept there as the
+*specification*: the tests hold the production merge to it (rows,
+record ids and merge stats over adversarial delta distributions,
 ``tests/test_merge_overlay.py``).
 
-The production merge is :func:`union_read_overlay`: the file's sorted
+The merge is :func:`union_read_overlay`: the file's sorted
 deltas are pre-resolved into a :class:`DeltaOverlay` — sorted delete
 positions plus per-column sparse patch lists — and applied to each
 ColumnBatch with binary search and slice-level column surgery, so the
@@ -36,91 +36,9 @@ from operator import not_
 from repro.common.errors import HBaseError
 from repro.core.attached import (DECODE_ERRORS, DELETE_MARKER, corrupt_delta,
                                  parse_qualifier, resolve_delta)
-from repro.core.record_id import (RECORD_ID_BYTES, decode_row_numbers,
-                                  encode_record_id)
+from repro.core.record_id import RECORD_ID_BYTES, decode_row_numbers
 from repro.hive.valuecodec import decode_values
 from repro.vector import ColumnBatch, spliced
-
-
-def apply_update(values, updates, projection_map):
-    """Apply one delta's update cells onto a projected row tuple.
-
-    Update cells whose column is not projected are dropped (the delta
-    still *counts* as applied; the caller owns the stats).
-    """
-    merged = list(values)
-    for column_index, new_value in updates.items():
-        position = projection_map.get(column_index)
-        if position is not None:
-            merged[position] = new_value
-    return tuple(merged)
-
-
-def union_read_file(file_id, orc_rows, delta_items, projection_map,
-                    num_rows, stats=None):
-    """Merge one master file with its attached deltas.
-
-    ``orc_rows``        — iterator of ``(row_number, values_tuple)`` from the
-                          ORC reader (values in projection order);
-    ``delta_items``     — iterator of ``(record_id, DeltaRecord)`` sorted by
-                          record id, covering this file's key range;
-    ``projection_map``  — ``{schema_column_index: projected_position}`` so
-                          update cells can be applied onto projected tuples.
-    ``num_rows``        — the file's row count (its footer's);
-    ``stats``           — optional dict; on exhaustion holds the merge
-                          counters ``deltas_applied``, ``rows_deleted``,
-                          ``deltas_skipped`` and ``trailing_deltas``
-                          (observability hooks, no cost impact).
-
-    Yields ``(record_id, merged_values_tuple)`` with deleted rows skipped.
-
-    Deltas whose record id never matches a master row cannot affect the
-    output (UNION READ is master-driven), but silently dropping them
-    hides real anomalies — an attached entry for a row COMPACT already
-    folded away, or a file that shrank underneath its deltas.  They are
-    therefore counted: ``deltas_skipped`` for ids passed over inside the
-    file's ``num_rows`` rows (pruned stripes' too, read or not),
-    ``trailing_deltas`` for ids beyond its last row (the iterator is
-    drained so the count — and the backing scan's charges — are
-    complete).
-    """
-    applied = 0
-    deleted = 0
-    skipped = 0
-    trailing = 0
-    delta_iter = iter(delta_items)
-    current = next(delta_iter, None)
-    try:
-        for row_number, values in orc_rows:
-            record_id = encode_record_id(file_id, row_number)
-            while current is not None and current[0] < record_id:
-                skipped += 1
-                current = next(delta_iter, None)
-            if current is not None and current[0] == record_id:
-                delta = current[1]
-                current = next(delta_iter, None)
-                if delta.deleted:
-                    deleted += 1
-                    continue
-                if delta.updates:
-                    applied += 1
-                    yield record_id, apply_update(values, delta.updates,
-                                                  projection_map)
-                    continue
-            yield record_id, values
-        end = encode_record_id(file_id, num_rows)
-        while current is not None:
-            if current[0] < end:
-                skipped += 1
-            else:
-                trailing += 1
-            current = next(delta_iter, None)
-    finally:
-        if stats is not None:
-            stats["deltas_applied"] = applied
-            stats["rows_deleted"] = deleted
-            stats["deltas_skipped"] = skipped
-            stats["trailing_deltas"] = trailing
 
 
 class DeltaOverlay:
@@ -140,7 +58,7 @@ class DeltaOverlay:
                              sparse per-column patch lists over the live
                              updates (delete-marked rows excluded:
                              delete wins over update, exactly as in
-                             :func:`union_read_file`).
+                             the paper's row merge).
 
     Overlays are immutable and memoized per (file, delta-epoch) in the
     delta-range cache (:meth:`AttachedTable.file_deltas`); callers must
@@ -219,7 +137,7 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
                        num_rows, stats=None):
     """Columnar UNION READ: apply one file's overlay batch by batch.
 
-    Yields the rows :func:`union_read_file` yields for a file of
+    Yields the rows the paper's row merge yields for a file of
     ``num_rows`` rows and fills the same ``stats`` dict, but a dirty
     batch costs binary searches plus slice-level column surgery instead
     of a per-row record-id merge:

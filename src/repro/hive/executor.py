@@ -14,7 +14,9 @@ a SELECT's leaf reads without side effects, and :func:`route_read`
 picks each read's access path — LOOKUP, a *fetch* of the map tasks in
 the client (Hive's fetch task conversion) when
 :class:`~repro.mapreduce.PlanCost` prices that below the job, or the
-job.  ``run`` executes those leaves and EXPLAIN prints the same ones.
+job.  A join or GROUP BY stage runs as a *local job* in the client when
+:func:`stage_choice` prices it below the job (Hive's auto local mode).
+``run`` executes those leaves and EXPLAIN prints the same ones.
 
 Intermediate results between chained jobs are "materialized": their
 estimated serialized size is charged as HDFS write+read, like Hive's
@@ -96,17 +98,18 @@ class MaterializedSource:
     rows: list
     env: Env
     bytes_estimate: int = 0
+    handler = None              # no table: nothing to merge, no shards
 
     def splits(self, chunk_rows=20000):
         if not self.rows:
             return [InputSplit(payload=[], size_bytes=0, label="mem[empty]")]
         per_row = max(1, self.bytes_estimate // max(1, len(self.rows)))
-        return [
-            InputSplit(payload=self.rows[i:i + chunk_rows],
-                       size_bytes=per_row * len(self.rows[i:i + chunk_rows]),
-                       label="mem[%d]" % i)
-            for i in range(0, len(self.rows), chunk_rows)
-        ]
+        chunks = [self.rows[i:i + chunk_rows]
+                  for i in range(0, len(self.rows), chunk_rows)]
+        return [InputSplit(payload=chunk, size_bytes=per_row * len(chunk),
+                           label="mem[%d]" % (i * chunk_rows),
+                           read_bytes=per_row * len(chunk), rows=len(chunk))
+                for i, chunk in enumerate(chunks)]
 
     def make_batch_reader(self, batch_rows=DEFAULT_BATCH_ROWS):
         width = self.env.width
@@ -167,8 +170,9 @@ class SelectExecutor:
         #: to sum, so the session adds this to the jobs' time).
         self.lookup_seconds = 0.0
         self.lookup_details = []
-        #: the verdict and audit of each scan that ran as a fetch.
-        self.fetch_details = []
+        #: the verdict and audit of each stage that ran in the client
+        #: (``plan`` 'fetch', or 'local' for a local job).
+        self.local_details = []
 
     @property
     def cluster(self):
@@ -288,6 +292,9 @@ class SelectExecutor:
         sub = SelectExecutor(self.session)
         result = sub.run(query)
         self.jobs.extend(sub.jobs)
+        self.lookup_seconds += sub.lookup_seconds
+        self.lookup_details.extend(sub.lookup_details)
+        self.local_details.extend(sub.local_details)
         return result
 
     # ------------------------------------------------------------------
@@ -473,12 +480,10 @@ class SelectExecutor:
         left_width, right_width = left_env.width, right_env.width
         kind = join.kind
 
-        splits = ([InputSplit(payload=("L", s), size_bytes=s.size_bytes,
-                              label="L:" + s.label)
-                   for s in self._splits(left)]
-                  + [InputSplit(payload=("R", s), size_bytes=s.size_bytes,
-                                label="R:" + s.label)
-                     for s in self._splits(right)])
+        inputs = [(left, self._splits(left)), (right, self._splits(right))]
+        splits = [InputSplit(payload=(tag, s), size_bytes=s.size_bytes,
+                             label="%s:%s" % (tag, s.label))
+                  for tag, (_, side) in zip("LR", inputs) for s in side]
         sides = {
             "L": (left.make_batch_reader(self.batch_rows),
                   [compile_batch(l, left_env) for l, _ in equi],
@@ -547,9 +552,7 @@ class SelectExecutor:
                   num_reducers=self.cluster.profile.total_reduce_slots,
                   properties={"shard_fanout": max(self._fanout(left),
                                                   self._fanout(right))})
-        result = self.runner.run(job)
-        self.jobs.append(result)
-        rows = result.outputs
+        rows = self._run(job, "a join", inputs).outputs
         source = MaterializedSource(rows, merged_env,
                                     estimate_record_bytes(rows))
         # Hive writes inter-job results to HDFS temp files.
@@ -665,24 +668,35 @@ class SelectExecutor:
         def map_fn(split, ctx):
             return _project(reader(split, ctx), bexprs)
 
-        properties = {"shard_fanout": self._fanout(relation)}
-        choice = chosen.fetch
-        if choice is not None:
-            properties["fetch"] = chosen.plan == "fetch"
         job = Job(name="select-scan", splits=chosen.splits, map_fn=map_fn,
-                  reduce_fn=None, properties=properties)
+                  reduce_fn=None,
+                  properties={"shard_fanout": self._fanout(relation)})
+        return self._run(job, None, [(relation, None)], chosen.fetch).outputs
+
+    def _run(self, job, shuffle, sides, choice=None):
+        """Run ``job``, a stage over ``sides`` (``(relation, splits)``
+        pairs), in the client when :func:`stage_choice` (or the route's
+        ``choice``) prices that cheaper; audit each stage that did."""
+        if shuffle is not None:
+            choice = stage_choice(self.cluster.profile,
+                                  self.session.plan_mode,
+                                  [(rel.handler, splits)
+                                   for rel, splits in sides], shuffle)
+        if choice is not None:
+            job.properties["local"] = choice.plan == "local"
         result = self.runner.run(job)
         self.jobs.append(result)
-        if result.fetch:
+        if result.local:
             from repro.core.cost_model import record_audit
-            self.fetch_details.append({
-                "plan": "fetch", "fetch_seconds": choice.fetch_seconds,
+            plan = "fetch" if result.fetch else "local"
+            table = sides[0][0].handler.table.name if result.fetch else None
+            self.local_details.append({
+                "plan": plan, "local_seconds": choice.local_seconds,
                 "job_seconds": choice.job_seconds,
-                "audit": record_audit(self.cluster,
-                                      relation.handler.table.name, "fetch",
-                                      choice.fetch_seconds,
+                "audit": record_audit(self.cluster, table, plan,
+                                      choice.local_seconds,
                                       result.sim_seconds)})
-        return result.outputs
+        return result
 
     # ------------------------------------------------------------------
     # Routing: LOOKUP (the plan that skips MapReduce), fetch or job.
@@ -690,9 +704,7 @@ class SelectExecutor:
     @staticmethod
     def _fanout(relation):
         """Scatter-gather width for this relation's jobs (makespan only)."""
-        if isinstance(relation, ScanSource):
-            return relation.handler.shard_fanout
-        return 1
+        return 1 if relation.handler is None else relation.handler.shard_fanout
 
     def _lookup(self, scan, plan):
         """The rows LOOKUP ``plan`` merges for ``scan`` (in ``scan.env``
@@ -745,12 +757,12 @@ class SelectExecutor:
             finals = [spec.finalize(m) for spec, m in zip(specs, merged)]
             yield tuple(key) + tuple(finals)
 
-        job = Job(name="groupby", splits=self._splits(relation),
+        splits = self._splits(relation)
+        job = Job(name="groupby", splits=splits,
                   map_fn=map_fn, reduce_fn=reduce_fn,
                   num_reducers=self.cluster.profile.total_reduce_slots,
                   properties={"shard_fanout": self._fanout(relation)})
-        result = self.runner.run(job)
-        self.jobs.append(result)
+        result = self._run(job, "an aggregation", [(relation, splits)])
         if not group_by and not result.outputs:
             # SQL: a global aggregate over zero rows yields one row
             # (COUNT = 0, SUM/MIN/MAX/AVG = NULL).
@@ -863,7 +875,7 @@ class Route:
 
     plan: str                   # 'lookup' | 'fetch' | 'job'
     lookup: object = None       # the LookupPlan weighed, or None
-    fetch: object = None        # the FetchChoice weighed, or None
+    fetch: object = None        # the LocalChoice of its scan, or None
     splits: list = None         # the splits of a fetch or job, if planned
     forced: bool = False        # SET dualtable.plan decided it
     refused: str = None         # why a forced LOOKUP cannot run, or None
@@ -917,19 +929,44 @@ def route_read(handler, projection, ranges, mode, shuffle=None, splits=None,
 
 def _fetch_or_job(handler, splits, mode, lookup=None):
     """The scan of a read LOOKUP does not serve: a fetch when
-    :meth:`~repro.mapreduce.PlanCost.choose_fetch` prices its splits'
-    serial sum below the job (metadata only, uncharged), else the job;
-    ``scan`` mode always runs the job."""
+    :func:`stage_choice` prices it below the job, else the job; ``scan``
+    mode always runs the job."""
     if splits is None:
         return Route("job", lookup=lookup, forced=mode == "scan")
     splits = splits()
-    if mode == "scan":
+    choice = stage_choice(handler.env.cluster.profile, mode,
+                          [(handler, splits)])
+    if choice is None:
         return Route("job", lookup=lookup, splits=splits, forced=True)
-    cost = PlanCost(handler.env.cluster.profile)
-    choice = cost.choose_fetch(
-        [cost.task_seconds(split.read_bytes, split.rows, handler.union_read)
-         for split in splits], handler.shard_fanout)
-    return Route(choice.plan, lookup=lookup, fetch=choice, splits=splits)
+    return Route("fetch" if choice.plan == "local" else "job", lookup=lookup,
+                 fetch=choice, splits=splits)
+
+
+def stage_choice(profile, mode, sides, shuffle=None):
+    """The :class:`~repro.mapreduce.LocalChoice` of a stage over ``sides``,
+    ``(handler, splits)`` pairs (handler None for an intermediate
+    relation), priced from the splits, uncharged; None under ``SET
+    dualtable.plan = scan``, which keeps the job.  ``shuffle``: None (a
+    fetch), ``"a join"`` (its reduce emits a row per map row) or ``"an
+    aggregation"`` (its map and reduce emit a few groups: no record
+    term)."""
+    if mode == "scan":
+        return None
+    cost = PlanCost(profile)
+    records = shuffle != "an aggregation"
+    pairs = [(split, handler is not None and handler.union_read)
+             for handler, splits in sides for split in splits]
+    tasks = [cost.task_seconds(split.read_bytes, split.rows, merge, records)
+             for split, merge in pairs]
+    reduces = ()
+    if shuffle is not None:
+        slots = profile.total_reduce_slots
+        rows = sum(split.rows for split, _ in pairs) if records else 0
+        reduces = [cost.task_seconds(0, rows / slots)] * slots
+    fanout = max(handler.shard_fanout if handler is not None else 1
+                 for handler, _ in sides)
+    return cost.choose_local(tasks, fanout, reduces,
+                             cost.hbase_seconds(split for split, _ in pairs))
 
 
 def _project(batches, bexprs):

@@ -16,7 +16,8 @@ cost of the chosen plan against the ledger-observed run time.
 
 from repro.common.units import fmt_bytes
 from repro.hive import ast_nodes as ast
-from repro.hive.executor import ScanSource, SelectExecutor, route_read
+from repro.hive.executor import (ScanSource, SelectExecutor, route_read,
+                                 stage_choice)
 from repro.hive.expressions import walk
 from repro.hive.rowedit import WhereEdit
 
@@ -95,22 +96,20 @@ def _analyze_lines(result, delta, spans, lines):
         summary += ", %d row(s) affected" % result.affected
     elif result.rows:
         summary += ", %d row(s)" % len(result.rows)
-    fetches = sum(job.fetch for job in result.jobs)
-    summary += ", %d job(s)" % (len(result.jobs) - fetches)
-    if fetches:
-        summary += ", %d fetch(es)" % fetches
+    kinds = ["fetch" if job.fetch else "local" if job.local else "job"
+             for job in result.jobs]
+    summary += ", %d job(s)" % kinds.count("job")
+    for kind, label in (("fetch", "fetch(es)"), ("local", "local job(s)")):
+        if kind in kinds:
+            summary += ", %d %s" % (kinds.count(kind), label)
     lines.append(summary)
     job_spans = _match_job_spans(result.jobs, spans)
-    for job, span in zip(result.jobs, job_spans):
-        if job.fetch:
-            line = ("fetch %s: %.2fs (%d task(s) in the client"
-                    % (job.name, job.sim_seconds, job.num_map_tasks))
-        else:
-            line = ("job %s: %.2fs (%d map + %d reduce tasks; map %.2fs, "
-                    "shuffle %.2fs, reduce %.2fs"
-                    % (job.name, job.sim_seconds, job.num_map_tasks,
-                       job.num_reduce_tasks, job.map_seconds,
-                       job.shuffle_seconds, job.reduce_seconds))
+    for job, kind, span in zip(result.jobs, kinds, job_spans):
+        line = ("%s %s: %.2fs (%d map + %d reduce tasks%s; map %.2fs, "
+                "shuffle %.2fs, reduce %.2fs"
+                % (kind, job.name, job.sim_seconds, job.num_map_tasks,
+                   job.num_reduce_tasks, " in the client" if job.local else "",
+                   job.map_seconds, job.shuffle_seconds, job.reduce_seconds))
         if span is not None:
             line += ", hbase %.2fs; %s charged" % (span.hbase_seconds,
                                                    fmt_bytes(span.nbytes))
@@ -132,8 +131,10 @@ def _analyze_lines(result, delta, spans, lines):
             "%s.%s %s / %.2fs"
             % (sub, op, fmt_bytes(delta["bytes"].get((sub, op), 0)), secs)
             for (sub, op), secs in io_parts[:8]))
-    audit = result.detail.get("audit")
-    if audit is not None:
+    for stage in result.detail.get("stages", [result.detail]):
+        audit = stage.get("audit")
+        if audit is None:
+            continue
         lines.append(
             "cost-model audit: plan=%s predicted=%.2fs observed=%.2fs "
             "rel_error=%.1f%%"
@@ -175,9 +176,16 @@ def _explain_select(session, stmt, lines, indent=0):
     plan = SelectExecutor(session).plan(stmt)
     lines.append(pad + "SELECT (%d output column(s)%s)"
                  % (len(plan.items), ", aggregate" if plan.aggregate else ""))
-    for leaf in plan.leaves:
+    # The first shuffle stage reads leaves; a later one (a second join,
+    # a GROUP BY after a join) reads a relation materialized at run time.
+    fed = 2 if stmt.joins else 1
+    stage = (_stage(session, plan.leaves[:fed], "a join" if stmt.joins
+                    else "an aggregation")
+             if stmt.joins or plan.aggregate else _AT_RUN_TIME)
+    for i, leaf in enumerate(plan.leaves):
         if isinstance(leaf, ScanSource):
-            _explain_scan(session, leaf, lines, indent + 1)
+            _explain_scan(session, leaf, lines, indent + 1,
+                          (stage if i < fed else _AT_RUN_TIME)[0])
         else:
             lines.append(pad + "  derived table %s:" % leaf.binding)
             _explain_select(session, leaf.subquery, lines, indent + 2)
@@ -186,10 +194,13 @@ def _explain_select(session, stmt, lines, indent=0):
                 if isinstance(n, ast.ColumnRef)]
         lines.append(pad + "  JOIN [%s] on %s"
                      % (join.kind, ", ".join(sorted(set(keys)))))
+        _explain_stage(stage if join is stmt.joins[0] else _AT_RUN_TIME,
+                       lines, pad)
     if plan.aggregate:
         lines.append(pad + "  GROUP BY %d key(s) (map-side hash "
                            "aggregation + merge reduce)"
                      % len(stmt.group_by))
+        _explain_stage(_AT_RUN_TIME if stmt.joins else stage, lines, pad)
     if stmt.having is not None:
         lines.append(pad + "  HAVING filter")
     if stmt.order_by:
@@ -198,7 +209,33 @@ def _explain_select(session, stmt, lines, indent=0):
         lines.append(pad + "  LIMIT %d" % stmt.limit)
 
 
-def _explain_scan(session, scan, lines, indent):
+#: the verdict of a stage whose input is materialized at run time.
+_AT_RUN_TIME = ("local or job, priced at run time", None)
+
+
+def _stage(session, leaves, shuffle):
+    """``(verdict, LocalChoice)`` of a shuffle stage over leaf scans,
+    priced from their planned splits as the run prices them."""
+    if not all(isinstance(leaf, ScanSource) for leaf in leaves):
+        return _AT_RUN_TIME             # a derived table
+    choice = stage_choice(session.cluster.profile, session.plan_mode, [
+        (leaf.handler, leaf.handler.plan_splits(leaf.projection, leaf.ranges))
+        for leaf in leaves], shuffle)
+    return ("job", None) if choice is None else (choice.plan, choice)
+
+
+def _explain_stage(stage, lines, pad):
+    verdict, choice = stage
+    if choice is not None:
+        _explain_choice(lines, pad + "    ", "LOCAL eligibility (shuffle "
+                        "stage):", "local", choice, verdict)
+    else:
+        lines.append(pad + "    plan: " + (
+            "job (forced by dualtable.plan)" if verdict == "job"
+            else verdict + " over the materialized input"))
+
+
+def _explain_scan(session, scan, lines, indent, stage=None):
     """One leaf scan and the route the run takes for it."""
     pad = _pad(indent)
     handler = scan.handler
@@ -214,12 +251,14 @@ def _explain_scan(session, scan, lines, indent):
     if chosen.lookup is not None:
         _explain_lookup(chosen, lines, pad + "  ")
     if chosen.fetch is not None:
-        _explain_fetch(chosen, lines, pad + "  ")
+        _explain_choice(lines, pad + "  ", "FETCH eligibility (no shuffle, "
+                        "%d split(s)):" % len(chosen.splits), "fetch",
+                        chosen.fetch, chosen.plan)
     elif chosen.refused is not None:
         lines.append(pad + "  plan: none, the statement will fail (%s)"
                      % chosen.refused)
     elif scan.shuffle is not None:
-        lines.append(pad + "  plan: job (feeds %s)" % scan.shuffle)
+        lines.append(pad + "  plan: %s (feeds %s)" % (stage, scan.shuffle))
     elif chosen.plan == "job":      # forced: scan mode prices no fetch
         lines.append(pad + "  plan: job (forced by dualtable.plan)")
 
@@ -255,14 +294,13 @@ def _explain_lookup(chosen, lines, pad):
                     " (forced by dualtable.plan)" if chosen.forced else ""))
 
 
-def _explain_fetch(chosen, lines, pad):
-    """The fetch-or-job verdict of a route's scan."""
-    choice = chosen.fetch
-    lines.append(pad + "FETCH eligibility (no shuffle, %d split(s)):"
-                 % len(chosen.splits))
-    lines.append(pad + "  fetch cost:       %.4fs" % choice.fetch_seconds)
+def _explain_choice(lines, pad, head, label, choice, plan):
+    """A client-or-cluster verdict (a ``LocalChoice``) and both costs."""
+    lines.append(pad + head)
+    lines.append(pad + "  %-18s%.4fs" % (label + " cost:",
+                                         choice.local_seconds))
     lines.append(pad + "  job cost:         %.4fs" % choice.job_seconds)
-    lines.append(pad + "  plan: %s" % chosen.plan)
+    lines.append(pad + "  plan: %s" % plan)
 
 
 def _buckets(plan):

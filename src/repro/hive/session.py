@@ -456,14 +456,13 @@ class HiveSession:
         result = executor.run(stmt)
         sim = (sum(job.sim_seconds for job in executor.jobs)
                + executor.lookup_seconds)
-        jobs = sum(not job.fetch for job in executor.jobs)
+        jobs = sum(not job.local for job in executor.jobs)
+        local = sorted({d["plan"] for d in executor.local_details})
         if executor.lookup_details and not executor.jobs:
             plan = "lookup"
         else:
-            plan = ("select(%d jobs)" % jobs if jobs or not executor.jobs
-                    else "select(fetch)")
-            if jobs and executor.fetch_details:
-                plan += "+fetch"
+            parts = (["%d jobs" % jobs] if jobs or not local else []) + local
+            plan = "+".join(["select(%s)" % parts[0]] + parts[1:])
             if executor.lookup_details:
                 plan += "+lookup"
         detail = {}
@@ -471,8 +470,10 @@ class HiveSession:
             detail = dict(executor.lookup_details[0])
             if len(executor.lookup_details) > 1:
                 detail["lookups"] = list(executor.lookup_details)
-        elif executor.fetch_details:
-            detail = dict(executor.fetch_details[0])
+        elif executor.local_details:
+            detail = dict(executor.local_details[0])
+            if len(executor.local_details) > 1:
+                detail["stages"] = list(executor.local_details)
         return QueryResult(names=result.names, rows=result.rows,
                            sim_seconds=sim, jobs=executor.jobs,
                            plan=plan, detail=detail)

@@ -78,13 +78,14 @@ class HBaseTableHandler(StorageHandler):
         splits = []
         for i, region in enumerate(htable.regions):
             # A region serves rows from HBase, not HDFS: the plan prices
-            # its rows, about one cell per column each.
+            # its scan and its rows, about one cell per column each.
+            rows = region.cell_count() // len(self.schema)
             splits.append(InputSplit(
                 payload={"start": bounds[i], "stop": bounds[i + 1],
                          "projection": list(projection) if projection else None},
                 size_bytes=total // nsplits,
-                label="%s[%d]" % (self.hbase_name, i),
-                rows=region.cell_count() // len(self.schema)))
+                label="%s[%d]" % (self.hbase_name, i), rows=rows,
+                hbase_bytes=region.store_bytes, hbase_rows=rows))
         return splits
 
     def read_split_batches(self, split, ctx, batch_rows=None):

@@ -2,7 +2,7 @@
 
 from repro.mapreduce.job import (InputSplit, Job, JobResult, TaskContext,
                                  estimate_record_bytes, stable_hash)
-from repro.mapreduce.runner import FetchChoice, JobRunner, PlanCost
+from repro.mapreduce.runner import JobRunner, LocalChoice, PlanCost
 
 __all__ = [
     "InputSplit",
@@ -12,6 +12,6 @@ __all__ = [
     "estimate_record_bytes",
     "stable_hash",
     "JobRunner",
-    "FetchChoice",
+    "LocalChoice",
     "PlanCost",
 ]

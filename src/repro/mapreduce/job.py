@@ -12,7 +12,8 @@ class InputSplit:
     file path, an ORC stripe range, an HBase key range...).  ``size_bytes``
     is the scheduler's locality/size hint.  ``read_bytes`` and ``rows``
     are what its task reads as the plan admitted it (HDFS bytes: footers
-    and admitted stripes; rows): what a plan prices
+    and admitted stripes; rows), ``hbase_bytes`` and ``hbase_rows`` its
+    HBase scan (a DualTable file's deltas, a region): what a plan prices
     (:class:`~repro.mapreduce.PlanCost`).
     """
 
@@ -21,6 +22,8 @@ class InputSplit:
     label: str = ""
     read_bytes: int = 0
     rows: int = 0
+    hbase_bytes: int = 0
+    hbase_rows: int = 0
 
 
 class TaskContext:
@@ -46,9 +49,10 @@ class Job:
     * ``combiner_fn`` (optional) has reduce semantics and runs per map task.
 
     ``properties``: ``shard_fanout`` widens the slots of the makespan;
-    ``parallel`` False keeps the tasks off the worker pool; ``fetch``
-    runs a map-only job's tasks in the client, one after another, as a
-    Hive fetch task (:class:`~repro.mapreduce.runner.JobRunner`).
+    ``parallel`` False keeps the tasks off the worker pool; ``local``
+    runs the job's tasks in the client, one after another: a local job,
+    or Hive's fetch task when the job is map-only
+    (:class:`~repro.mapreduce.runner.JobRunner`).
     """
 
     name: str
@@ -78,7 +82,8 @@ class JobResult:
     num_reduce_tasks: int
     shuffle_bytes: int
     counters: dict
-    fetch: bool = False
+    local: bool = False     # ran in the client
+    fetch: bool = False     # ran in the client with no reduce
 
 
 def _canonical_key(key):

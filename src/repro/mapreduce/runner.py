@@ -25,14 +25,14 @@ Fault tolerance mirrors Hadoop's task layer:
 Injection points: ``mapreduce.map`` / ``mapreduce.reduce`` fire at the
 start of every task attempt.
 
-A *fetch* (a map-only job with ``properties={"fetch": True}``) is Hive's
-fetch-task conversion: the client reads the splits itself.  Its map
-tasks run exactly as a job's (same splits, order, charges, faults,
-retries and parallel capture/replay), but no job is submitted and no
-task JVM starts: it charges no ``job_startup``, adds no task overhead
-and launches no speculative attempt, and its ``sim_seconds`` is the
-serial sum of its task durations plus its HBase seconds.  It counts
-``hive.fetches``, not ``mapreduce.jobs``.
+A *local job* (``properties={"local": True}``, Hive's auto local mode)
+runs its tasks exactly as a job's (same splits, order, charges, faults,
+retries and parallel capture/replay), in the client: it charges no
+``job_startup``, adds no task overhead and launches no speculative
+attempt, and its ``sim_seconds`` is the serial sum of its map tasks,
+its shuffle, the serial sum of its reduce tasks and its HBase seconds.
+A map-only one is Hive's fetch task and counts ``hive.fetches``, any
+other ``hive.local_jobs``; neither counts ``mapreduce.jobs``.
 
 Parallel execution (``profile.workers > 1``): task attempts run
 concurrently on the cluster's worker pool, each charging into a private
@@ -73,55 +73,72 @@ def _makespan(durations, slots, reused=0.0):
 
 
 @dataclass
-class FetchChoice:
-    """Whether a SELECT with no shuffle reads its splits in the client."""
+class LocalChoice:
+    """Whether a stage's tasks run in the client (a local job; a fetch
+    when it has no reduce) or as a MapReduce job."""
 
-    plan: str               # 'fetch' | 'job'
-    fetch_seconds: float
+    plan: str               # 'local' | 'job'
+    local_seconds: float
     job_seconds: float
 
 
 class PlanCost:
-    """What a plan's map tasks cost, run as a MapReduce job or as a fetch.
+    """What a plan's tasks cost, run as a MapReduce job or in the client.
 
     A task's estimate prices what its split admits at the rates the
     ledger charges inside a task: HDFS bytes at the per-slot read rate,
-    ``cpu_row_cost_s`` per row, plus ``unionread_row_cost_s`` when the
-    read merges deltas (a DualTable's UNION READ).  A job adds
-    ``job_startup_s`` and one ``task_overhead_s`` per task, scheduled
-    by the runner's own makespan over ``shard_fanout`` × the map slots
-    (a slot reuses its JVM).  A fetch is the tasks' serial sum: no job,
-    no task start-up (:class:`JobRunner`).
-    HBase seconds are in neither.
+    ``unionread_row_cost_s`` per row when the read merges deltas (a
+    DualTable's UNION READ), ``cpu_row_cost_s`` per row when it emits a
+    record per row (not a hash aggregation).  A job adds
+    ``job_startup_s`` and one ``task_overhead_s`` per task, scheduled by
+    the runner's own makespan over ``shard_fanout`` × the slots (a slot
+    reuses its JVM), and the splits' HBase seconds over ``shard_fanout``;
+    a local job is the serial sums and the HBase seconds
+    (:class:`JobRunner`).  The shuffle is the same either way.
     """
 
     def __init__(self, profile):
         self.profile = profile
         self._read_bps = profile.per_slot_rate(profile.hdfs_read_bps)
-        self._row_cost = (profile.cpu_row_cost_s,
-                          profile.cpu_row_cost_s
-                          + profile.unionread_row_cost_s)
+        cpu, merge = profile.cpu_row_cost_s, profile.unionread_row_cost_s
+        self._row_cost = {(False, True): cpu, (True, True): cpu + merge,
+                          (False, False): 0.0, (True, False): merge}
 
-    def task_seconds(self, read_bytes, rows, merge=False):
-        """One map task that reads ``read_bytes`` and ``rows``."""
+    def task_seconds(self, read_bytes, rows, merge=False, records=True):
+        """One task that reads ``read_bytes`` and ``rows``."""
         profile = self.profile
         return (read_bytes * profile.byte_scale / self._read_bps
-                + rows * profile.op_scale * self._row_cost[merge])
+                + rows * profile.op_scale * self._row_cost[merge, records])
 
-    def job_seconds(self, tasks, fanout=1):
-        """A map-only job over the task estimates ``tasks``."""
+    def hbase_seconds(self, splits):
+        """The HBase scans of ``splits``, as the scan charges them."""
+        profile = self.profile
+        return sum(split.hbase_bytes * profile.byte_scale
+                   / profile.hbase_read_bps + split.hbase_rows
+                   * profile.op_scale * profile.hbase_scan_row_latency_s
+                   for split in splits)
+
+    def job_seconds(self, tasks, fanout=1, reduces=(), hbase=0.0):
+        """A job of the map task estimates ``tasks``, the reduce task
+        estimates ``reduces`` and ``hbase`` HBase seconds."""
         profile = self.profile
         overhead = profile.task_overhead_s
-        return profile.job_startup_s + _makespan(
+        fanout = max(1, fanout)
+        seconds = profile.job_startup_s + _makespan(
             [overhead + task for task in tasks],
-            profile.total_map_slots * max(1, fanout), overhead)
+            profile.total_map_slots * fanout, overhead)
+        if reduces:
+            seconds += _makespan([overhead + task for task in reduces],
+                                 profile.total_reduce_slots * fanout, overhead)
+        return seconds + hbase / fanout
 
-    def choose_fetch(self, tasks, fanout=1):
-        """Fetch or job for the task estimates ``tasks`` (a
-        :class:`FetchChoice`); a tie keeps the job."""
-        fetch, job = sum(tasks), self.job_seconds(tasks, fanout)
-        return FetchChoice(plan="fetch" if fetch < job else "job",
-                           fetch_seconds=fetch, job_seconds=job)
+    def choose_local(self, tasks, fanout=1, reduces=(), hbase=0.0):
+        """Local job or job (a :class:`LocalChoice`); a tie keeps the
+        job."""
+        local = sum(tasks) + sum(reduces) + hbase
+        job = self.job_seconds(tasks, fanout, reduces, hbase)
+        return LocalChoice(plan="local" if local < job else "job",
+                           local_seconds=local, job_seconds=job)
 
 
 def _reduce_sort_key(key):
@@ -148,12 +165,12 @@ class JobRunner:
     def run(self, job):
         profile = self.cluster.profile
         counters = defaultdict(int)
-        fetch = bool(job.properties.get("fetch"))
+        local = bool(job.properties.get("local"))
         with self.cluster.tracer.span("job", job.name,
                                       splits=len(job.splits)) as job_span:
             with self.cluster.cost_scope("job:%s" % job.name) as job_scope:
-                if fetch:
-                    job_span.annotate(fetch=True)
+                if local:
+                    job_span.annotate(local=True)
                 else:
                     self.cluster.charge_fixed("mapreduce", "job_startup",
                                               profile.job_startup_s)
@@ -169,14 +186,14 @@ class JobRunner:
                      outputs) = self._run_reduces(job, map_outputs, counters)
 
             map_durations = self._finish_durations(map_entries, counters,
-                                                   speculate=not fetch)
-            reduce_durations = self._finish_durations(reduce_entries,
-                                                      counters)
-            if fetch:
-                # One client reads every split in turn.
+                                                   speculate=not local)
+            reduce_durations = self._finish_durations(
+                reduce_entries, counters, speculate=not local)
+            if local:
+                # One client runs every task in turn.
+                startup, fanout = 0.0, 1
                 map_seconds = sum(map_durations)
-                reduce_seconds = 0.0
-                sim_seconds = map_seconds + job_scope.hbase_seconds
+                reduce_seconds = sum(reduce_durations)
             else:
                 # A sharded table spreads its splits over ``shard_fanout``
                 # independent region servers, each bringing its own task
@@ -186,18 +203,18 @@ class JobRunner:
                 # still runs and charges the ledger exactly as on one
                 # server.
                 fanout = max(1, int(job.properties.get("shard_fanout", 1)))
+                startup = profile.job_startup_s
                 map_seconds = _makespan(map_durations,
                                         profile.total_map_slots * fanout,
                                         profile.task_overhead_s)
                 reduce_seconds = _makespan(
                     reduce_durations, profile.total_reduce_slots * fanout,
                     profile.task_overhead_s)
-                # HBase region servers are a shared resource: the job pays
-                # its total HBase time serially, on top of the parallel
-                # task phases.
-                sim_seconds = (profile.job_startup_s + map_seconds
-                               + shuffle_seconds + reduce_seconds
-                               + job_scope.hbase_seconds / fanout)
+            # HBase region servers are a shared resource: the job pays
+            # its total HBase time serially, on top of the parallel task
+            # phases.
+            sim_seconds = (startup + map_seconds + shuffle_seconds
+                           + reduce_seconds + job_scope.hbase_seconds / fanout)
             job_span.annotate(
                 sim_seconds=round(sim_seconds, 6),
                 map_seconds=round(map_seconds, 6),
@@ -209,8 +226,9 @@ class JobRunner:
                 task_retries=counters.get("task_retries", 0),
                 speculative_tasks=counters.get("speculative_tasks", 0))
         metrics = self.cluster.metrics
-        if fetch:
-            metrics.incr("hive.fetches")
+        if local:
+            metrics.incr("hive.fetches" if job.is_map_only
+                         else "hive.local_jobs")
         else:
             metrics.incr("mapreduce.jobs")
             metrics.incr("mapreduce.tasks",
@@ -231,7 +249,8 @@ class JobRunner:
             num_reduce_tasks=len(reduce_durations),
             shuffle_bytes=shuffle_bytes,
             counters=dict(counters),
-            fetch=fetch,
+            local=local,
+            fetch=local and job.is_map_only,
         )
 
     # ------------------------------------------------------------------
@@ -349,14 +368,14 @@ class JobRunner:
         return results
 
     def _task_overhead(self, job):
-        """Start-up seconds of one task attempt: none in a fetch."""
-        if job.properties.get("fetch"):
+        """Start-up seconds of one task attempt: none in a local job."""
+        if job.properties.get("local"):
             return 0.0
         return self.cluster.profile.task_overhead_s
 
     def _finish_durations(self, entries, counters, speculate=True):
         """(base, penalty) pairs -> per-task durations, with speculation
-        unless ``speculate`` is False (a fetch).
+        unless ``speculate`` is False (a local job).
 
         A straggler (base duration far above the job's median) gets a
         speculative backup attempt: the task effectively finishes at

@@ -4,7 +4,9 @@ the columnar overlay, kept verbatim as the reference for
 into ``(record_id, DeltaRecord)`` items (``scan_range`` -> ``_resolve``)
 and an overlay re-arranged from those objects (``build_overlay(items)``).
 
-It also keeps the stripe filter every read evaluated in its task
+It also keeps the paper's row-at-a-time UNION READ merge
+(:func:`union_read_file`), the specification the production overlay
+merge is held to, and the stripe filter every read evaluated in its task
 before a split carried the stripes its plan admitted
 (:func:`stripe_filter`), as the reference for that admission.
 
@@ -15,9 +17,90 @@ production kernel raises ``CorruptDeltaError``.
 
 from repro.core.attached import (DELETE_MARKER, DeltaRecord, parse_qualifier,
                                  update_qualifier)
-from repro.core.record_id import decode_record_id
-from repro.core.union_read import DeltaOverlay, union_read_file
+from repro.core.record_id import decode_record_id, encode_record_id
+from repro.core.union_read import DeltaOverlay
 from repro.hive.valuecodec import decode_value, encode_value
+
+
+def apply_update(values, updates, projection_map):
+    """Apply one delta's update cells onto a projected row tuple.
+
+    Update cells whose column is not projected are dropped (the delta
+    still *counts* as applied; the caller owns the stats).
+    """
+    merged = list(values)
+    for column_index, new_value in updates.items():
+        position = projection_map.get(column_index)
+        if position is not None:
+            merged[position] = new_value
+    return tuple(merged)
+
+
+def union_read_file(file_id, orc_rows, delta_items, projection_map,
+                    num_rows, stats=None):
+    """Merge one master file with its attached deltas.
+
+    ``orc_rows``        — iterator of ``(row_number, values_tuple)`` from the
+                          ORC reader (values in projection order);
+    ``delta_items``     — iterator of ``(record_id, DeltaRecord)`` sorted by
+                          record id, covering this file's key range;
+    ``projection_map``  — ``{schema_column_index: projected_position}`` so
+                          update cells can be applied onto projected tuples.
+    ``num_rows``        — the file's row count (its footer's);
+    ``stats``           — optional dict; on exhaustion holds the merge
+                          counters ``deltas_applied``, ``rows_deleted``,
+                          ``deltas_skipped`` and ``trailing_deltas``
+                          (observability hooks, no cost impact).
+
+    Yields ``(record_id, merged_values_tuple)`` with deleted rows skipped.
+
+    Deltas whose record id never matches a master row cannot affect the
+    output (UNION READ is master-driven), but silently dropping them
+    hides real anomalies — an attached entry for a row COMPACT already
+    folded away, or a file that shrank underneath its deltas.  They are
+    therefore counted: ``deltas_skipped`` for ids passed over inside the
+    file's ``num_rows`` rows (pruned stripes' too, read or not),
+    ``trailing_deltas`` for ids beyond its last row (the iterator is
+    drained so the count — and the backing scan's charges — are
+    complete).
+    """
+    applied = 0
+    deleted = 0
+    skipped = 0
+    trailing = 0
+    delta_iter = iter(delta_items)
+    current = next(delta_iter, None)
+    try:
+        for row_number, values in orc_rows:
+            record_id = encode_record_id(file_id, row_number)
+            while current is not None and current[0] < record_id:
+                skipped += 1
+                current = next(delta_iter, None)
+            if current is not None and current[0] == record_id:
+                delta = current[1]
+                current = next(delta_iter, None)
+                if delta.deleted:
+                    deleted += 1
+                    continue
+                if delta.updates:
+                    applied += 1
+                    yield record_id, apply_update(values, delta.updates,
+                                                  projection_map)
+                    continue
+            yield record_id, values
+        end = encode_record_id(file_id, num_rows)
+        while current is not None:
+            if current[0] < end:
+                skipped += 1
+            else:
+                trailing += 1
+            current = next(delta_iter, None)
+    finally:
+        if stats is not None:
+            stats["deltas_applied"] = applied
+            stats["rows_deleted"] = deleted
+            stats["deltas_skipped"] = skipped
+            stats["trailing_deltas"] = trailing
 
 
 def stripe_filter(schema_names, ranges):

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterProfile
 from repro.core import (AttachedTable, DeltaRecord, DualTableMetadata,
                         MasterTable, RECORD_ID_BYTES, decode_record_id,
-                        encode_record_id, file_key_range, union_read_file)
+                        encode_record_id, file_key_range)
 from repro.core.attached import (DELETE_MARKER, parse_qualifier,
                                  update_qualifier)
 from repro.core.master import FILE_ID_KEY
-from repro.core.union_read import apply_update
 from repro.hbase import HBaseService
 from repro.hdfs import HdfsFileSystem
 from repro.hive.types import TableSchema
+
+from tests.delta_reference import apply_update, union_read_file
 
 
 @pytest.fixture

@@ -159,7 +159,12 @@ class TestExplainAnalyze:
         out = text(result)
         assert "row(s)" in out
         assert "io: " in out
-        assert "cost-model audit" not in out  # SELECTs aren't audited
+        # The aggregation ran as a local job, which is audited; its job
+        # is not.
+        assert "cost-model audit: plan=local" in out
+        session.execute("SET dualtable.plan = scan")
+        out = text(session.execute("EXPLAIN ANALYZE SELECT count(*) FROM dt"))
+        assert "job groupby" in out and "cost-model audit" not in out
 
     def test_analyze_does_not_leak_spans_when_tracing_off(self, session):
         assert not session.cluster.tracer.enabled
@@ -217,8 +222,8 @@ def keyed_grid():
 
 def leaf_plans(lines):
     """The route EXPLAIN prints for each SCAN: its last ``plan:`` line,
-    normalized to ``lookup``, ``fetch``, ``job``, ``job (feeds ...)`` or
-    ``none`` (the statement fails)."""
+    normalized to ``lookup``, ``fetch``, ``job``, ``job (feeds ...)``,
+    ``local (feeds ...)`` or ``none`` (the statement fails)."""
     plans = []
     depth = None
     for line in lines:
@@ -230,13 +235,14 @@ def leaf_plans(lines):
             depth = None
         elif depth is not None and line.strip().startswith("plan: "):
             plans[-1] = line.strip()[len("plan: "):]
-    return [plan if plan is None or plan.startswith("job (feeds")
+    return [plan if plan is None or "(feeds" in plan
             else plan.split(",")[0].split(" ")[0] for plan in plans]
 
 
 def ran_leaves(session, monkeypatch, sql):
     """Run ``sql`` and return the reads each leaf took: a LOOKUP, a fetch,
-    a scan job, or its share of the join or aggregation job it fed."""
+    a scan job, or its share of the join or aggregation it fed, run as a
+    job or a local job."""
     from repro.core.handler import DualTableHandler
     runner = session.env.runner
     ran = []
@@ -244,14 +250,15 @@ def ran_leaves(session, monkeypatch, sql):
 
     def job(job_spec):
         result = run_job(job_spec)
+        stage = "local" if result.local else "job"
         if result.fetch:
             ran.append("fetch")
         elif job_spec.name == "select-scan":
             ran.append("job")
         elif job_spec.name == "join":
-            ran.extend(["job (feeds a join)"] * 2)
+            ran.extend([stage + " (feeds a join)"] * 2)
         elif job_spec.name == "groupby":
-            ran.append("job (feeds an aggregation)")
+            ran.append(stage + " (feeds an aggregation)")
         return result
 
     def lookup(handler, *args, **kwargs):
@@ -294,7 +301,7 @@ def test_explain_of_a_join_filters_each_side_by_its_own_conjuncts(
     lines = [line.strip() for (line,) in keyed_grid[1].execute(
         "EXPLAIN SELECT t.v, u.z FROM t JOIN u ON t.v = u.z "
         "WHERE u.k = 3").rows]
-    assert lines.count("plan: job (feeds a join)") == 2
+    assert lines.count("plan: local (feeds a join)") == 2
     assert lines.count("stripe-prunable predicate columns: k") == 1
     assert not any(line.startswith("LOOKUP") for line in lines)
 
@@ -309,7 +316,7 @@ def test_explain_select_star_prints_the_expanded_read(keyed_grid):
     result = session.execute("EXPLAIN ANALYZE " + sql)
     fetch_cost = next(line for (line,) in result.rows
                       if line.strip().startswith("fetch cost:"))
-    assert fetch_cost.split()[-1] == "%.4fs" % result.detail["fetch_seconds"]
+    assert fetch_cost.split()[-1] == "%.4fs" % result.detail["local_seconds"]
 
 
 def test_explain_of_a_view_leaves_the_view_as_stored(keyed_grid):

@@ -121,16 +121,17 @@ def test_a_map_fault_retries_in_a_fetch_as_in_a_job(kind):
 @pytest.mark.parametrize("kind", ["orc", "orc-partitioned", "dml", "shard4"])
 def test_the_estimate_prices_what_the_tasks_charge(kind):
     """With no filter and no deleted row, every admitted row is a
-    record: the fetch's predicted seconds are its observed seconds, bar
-    the HBase seconds the estimate leaves out."""
+    record: the fetch's predicted seconds are its observed seconds,
+    the delta scans' HBase seconds included."""
     session = make_session(kind, delete=False)
     result, delta, _ = run(session, "SELECT k, v FROM t")
     audit = result.detail["audit"]
     assert audit["plan"] == "fetch"
     hbase = sum(seconds for (subsystem, _), seconds
                 in delta["seconds"].items() if subsystem == "hbase")
+    assert hbase > 0 or kind.startswith("orc")
     assert audit["predicted_seconds"] == pytest.approx(
-        audit["observed_seconds"] - hbase, rel=1e-6)
+        audit["observed_seconds"], rel=1e-6)
     metrics = session.cluster.metrics
     assert metrics.histogram("costmodel.rel_error.fetch").count == 1
 
@@ -169,12 +170,15 @@ def test_explain_shows_the_verdict_and_analyze_the_fetch():
     lines = [line.strip() for (line,) in
              session.execute("EXPLAIN " + QUERY).rows]
     assert lines[-1] == "plan: job (forced by dualtable.plan)"
-    # An aggregation shuffles: no verdict, and it keeps its job.
+    # An aggregation shuffles: no fetch verdict; its stage's verdict is
+    # a local job (tests/test_local_job.py), and scan mode keeps the job.
+    assert session.execute("SELECT count(*) FROM t").plan == "select(1 jobs)"
     session.execute("SET dualtable.plan = cost")
     lines = [line.strip() for (line,) in session.execute(
         "EXPLAIN SELECT count(*) FROM t").rows]
     assert not any(line.startswith("FETCH") for line in lines)
-    assert session.execute("SELECT count(*) FROM t").plan == "select(1 jobs)"
+    assert "plan: local (feeds an aggregation)" in lines
+    assert session.execute("SELECT count(*) FROM t").plan == "select(local)"
 
 
 @pytest.mark.parametrize("shards", [1, 4])

@@ -1,7 +1,8 @@
 """Differential tests: overlay merge vs its specification (INTERNALS §14).
 
 The overlay merge (:func:`repro.core.union_read_overlay`) must yield
-what the paper's master-driven merge (:func:`repro.core.union_read_file`)
+what the paper's master-driven merge
+(:func:`tests.delta_reference.union_read_file`)
 yields: same rows, same record ids, same merge-stats dict.  These tests
 drive both over hand-built adversarial delta distributions and a seeded
 fuzz sweep at the unit level, then replay DML through SQL and hold the
@@ -14,13 +15,14 @@ import pytest
 from repro.cluster import ClusterProfile
 from repro.common.rng import make_rng
 from repro.common.errors import AnalysisError
-from repro.core import build_overlay, union_read_file, union_read_overlay
+from repro.core import build_overlay, union_read_overlay
 from repro.core.attached import DeltaRecord
 from repro.core.record_id import decode_record_id, encode_record_id
 from repro.hive import HiveSession
 from repro.vector import ColumnBatch
 
-from tests.delta_reference import cells_for_items, union_read_rows
+from tests.delta_reference import (cells_for_items, union_read_file,
+                                   union_read_rows)
 from tests.golden import golden, jsonable
 
 FILE_ID = 3

@@ -256,6 +256,9 @@ class TestSessionMetrics:
         assert audit["rel_error"] >= 0
 
     def test_statement_counters(self, dual_session):
+        # The job's counters: an aggregation this small runs as a local
+        # job unless the plan is forced.
+        dual_session.execute("SET dualtable.plan = scan")
         before = dual_session.cluster.metrics.counter("session.statements")
         dual_session.execute("SELECT count(*) FROM dt")
         metrics = dual_session.cluster.metrics
@@ -294,6 +297,7 @@ class TestSessionMetrics:
             start + result.sim_seconds)
 
     def test_show_metrics_statement(self, dual_session):
+        dual_session.execute("SET dualtable.plan = scan")
         dual_session.execute("SELECT count(*) FROM dt")
         result = dual_session.execute("SHOW METRICS")
         assert result.names == ["metric", "type", "value"]

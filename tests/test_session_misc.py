@@ -28,6 +28,7 @@ class TestIoReport:
     def test_report_shape(self, session):
         session.execute("CREATE TABLE t (a int)")
         session.execute("INSERT INTO t VALUES (1), (2)")
+        session.execute("SET dualtable.plan = scan")   # the job, not local
         session.execute("SELECT count(*) FROM t")
         report = io_report(session)
         assert report["total_seconds"] > 0

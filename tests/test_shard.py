@@ -193,6 +193,9 @@ class TestScatterGatherSpeedup:
     def scan(self, shards):
         session = make_session(shards, workers=4, rows=8000,
                                rows_per_file=50)
+        # The jobs' schedules: aggregations this small run as local jobs
+        # unless the plan is forced.
+        session.execute("SET dualtable.plan = scan")
         results = [session.execute(sql) for sql in self.SCANS]
         return (map_io_seconds(session, [job for r in results
                                          for job in r.jobs]),
