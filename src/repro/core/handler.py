@@ -15,7 +15,7 @@ their file plans (:meth:`~repro.core.store.DualTableStore.plan_files`).
 import itertools
 
 from repro.common.errors import CompactionInProgressError
-from repro.mapreduce import Job
+from repro.mapreduce import Job, stage_choice
 from repro.hive.catalog import register_handler
 from repro.hive.pushdown import (estimate_selection, extract_ranges,
                                  sample_selection)
@@ -215,10 +215,14 @@ class DualTableHandler(StorageHandler):
         """:meth:`scan_splits`' splits from the stores' file plans alone:
         no recovery, no scan counted."""
         projection = list(projection) if projection else None
-        return _canonical([
-            split for store in self.shards
-            for split in store.splits(store.plan_files(projection, ranges),
-                                      projection)])
+        return _canonical(self.splits(self.plan_files(projection, ranges),
+                                      projection))
+
+    def splits(self, files, projection=None):
+        """The splits of file plans ``files``, each by its own store."""
+        owner = {id(store.attached): store for store in self.shards}
+        return [owner[id(f.attached)].splits([f], projection)[0]
+                for f in files]
 
     def read_split_batches(self, split, ctx, batch_rows=None):
         """UNION READ of one master file, on the store the split names
@@ -578,14 +582,9 @@ class DualTableHandler(StorageHandler):
         selected) and drops only the folded files' deltas — record IDs
         of rewritten rows are remapped to the fresh file IDs the rewrite
         allocates, while untouched files keep their IDs and deltas.
-        Victims are picked table-wide: ordered by delta density, ties by
-        file basename (the file id, the same at every INTO n).
-
-        A COMPACT is one job over the stores it folds, then one manifest
-        2PC per store (:data:`~repro.core.store.FULL_COMPACT` /
-        :data:`~repro.core.store.PARTIAL_COMPACT`): :meth:`_compact`.
         ``store`` folds that one store alone (the auto-compaction daemon
-        works shard by shard).
+        works shard by shard).  :meth:`plan_compact` plans it and
+        :meth:`_compact` runs it.
         """
         self._check_not_compacting()
         self._ensure_recovered()
@@ -593,13 +592,14 @@ class DualTableHandler(StorageHandler):
             session, range(len(self.shards)) if store is None else [store],
             partial, max_files, victim_paths)
 
-    def _compact(self, session, indices, partial=False, max_files=None,
-                 victim_paths=None):
-        """Fold the stores at ``indices`` that have deltas, in that order:
-        one job over each store's file plans (every file, or its victims)
-        with ``shard_fanout`` one per store, then each store's
-        :meth:`~repro.core.store.DualTableStore.fold` over exactly the
-        rows its files produced."""
+    def plan_compact(self, mode, indices, partial=False, max_files=None,
+                     victim_paths=None):
+        """``(folds, victims, splits, choice)`` of a COMPACT of the stores
+        at ``indices`` with deltas, from file plans alone (None: nothing
+        folds).  ``victims`` (None: full) rank ``(store index, FilePlan)``
+        table-wide by delta density, then file id; ``folds`` pair each
+        store with its victims; ``choice`` is the job's ``stage_choice``
+        under ``mode`` at ``shard_fanout`` one per store."""
         stores = [i for i in indices if not self.shards[i].attached.is_empty()]
         victims = None
         if partial and stores:
@@ -612,10 +612,26 @@ class DualTableHandler(StorageHandler):
                 victims = victims[:max(1, int(max_files))]
             stores = [i for i in stores if any(v[0] == i for v in victims)]
         if not stores:
-            return self._compact_noop()
+            return None
         folds = [(i, None if victims is None
                   else [f for j, f in victims if j == i])
                  for i in stores]
+        splits = [split for i, mine in folds
+                  for split in self.shards[i].splits(
+                      self.shards[i].plan_files() if mine is None else mine)]
+        return folds, victims, splits, stage_choice(
+            self.env.cluster.profile, mode, [(True, splits)], len(folds))
+
+    def _compact(self, session, indices, partial=False, max_files=None,
+                 victim_paths=None):
+        """Run :meth:`plan_compact`'s COMPACT: its job, then each store's
+        :meth:`~repro.core.store.DualTableStore.fold` over exactly the
+        rows its files produced; the job's estimate is audited."""
+        planned = self.plan_compact(session.plan_mode, indices, partial,
+                                    max_files, victim_paths)
+        if planned is None:
+            return self._compact_noop()
+        folds, victims, splits, choice = planned
         # What each store folds, sized before the job reads it.
         folded = [self.shards[i].attached.size_bytes if mine is None
                   else sum(f.delta_bytes for f in mine)
@@ -631,13 +647,10 @@ class DualTableHandler(StorageHandler):
         try:
             with cluster.tracer.span("phase", "dualtable:" + plan,
                                      table=self.table.name, **span):
-                splits = [split for i, mine in folds
-                          for split in self.shards[i].splits(
-                              self.shards[i].plan_files() if mine is None
-                              else mine)]
                 job = Job(name=plan, splits=splits,
                           map_fn=self._compact_map_fn, reduce_fn=None,
-                          properties={"shard_fanout": len(folds)})
+                          properties={"shard_fanout": len(folds),
+                                      "local": choice.plan == "local"})
                 result = session.runner.run(job)
                 rows = result.outputs
                 sim_seconds = result.sim_seconds
@@ -661,7 +674,9 @@ class DualTableHandler(StorageHandler):
         detail = {"attached_bytes": attached_bytes,
                   "folded_bytes": sum(folded),
                   "mode": "full" if victims is None else "partial",
-                  "files": len(splits), "rows_written": len(rows)}
+                  "files": len(splits), "rows_written": len(rows),
+                  "audit": record_audit(cluster, None, "compact",
+                                        choice.seconds, result.sim_seconds)}
         if victims is not None:
             detail["file_ids"] = [f.file_id for _, f in victims]
         return QueryResult(sim_seconds=sim_seconds, jobs=[result],
@@ -673,7 +688,7 @@ class DualTableHandler(StorageHandler):
                            plan="compact-noop",
                            detail={"attached_bytes": 0, "folded_bytes": 0,
                                    "mode": "noop", "files": 0,
-                                   "rows_written": 0})
+                                   "rows_written": 0, "audit": None})
 
     def _compact_map_fn(self, split, ctx):
         """One master file's merged rows, read through batches and counted

@@ -13,9 +13,9 @@ Planning and running are two halves: :meth:`SelectExecutor.plan` builds
 a SELECT's leaf reads without side effects, and :func:`route_read`
 picks each read's access path — LOOKUP, a *fetch* of the map tasks in
 the client (Hive's fetch task conversion) when
-:class:`~repro.mapreduce.PlanCost` prices that below the job, or the
+:func:`~repro.mapreduce.stage_choice` prices that below the job, or the
 job.  A join or GROUP BY stage runs as a *local job* in the client when
-:func:`stage_choice` prices it below the job (Hive's auto local mode).
+``stage_choice`` prices it below the job (Hive's auto local mode).
 ``run`` executes those leaves and EXPLAIN prints the same ones.
 
 Intermediate results between chained jobs are "materialized": their
@@ -31,7 +31,8 @@ from math import isnan
 from operator import itemgetter, neg
 
 from repro.common.errors import AnalysisError, FaultInjectedError
-from repro.mapreduce import InputSplit, Job, PlanCost, estimate_record_bytes
+from repro.mapreduce import (InputSplit, Job, estimate_record_bytes,
+                             stage_choice)
 from repro.hive import ast_nodes as ast
 from repro.hive.aggregates import (AggregateSpec, rewrite_aggregates,
                                    validate_no_nested_aggregates)
@@ -676,20 +677,23 @@ class SelectExecutor:
     def _run(self, job, shuffle, sides, choice=None):
         """Run ``job``, a stage over ``sides`` (``(relation, splits)``
         pairs), in the client when :func:`stage_choice` (or the route's
-        ``choice``) prices that cheaper; audit each stage that did."""
+        ``choice``: a fetch) prices that cheaper; audit each that did."""
         if shuffle is not None:
-            choice = stage_choice(self.cluster.profile,
-                                  self.session.plan_mode,
-                                  [(rel.handler, splits)
-                                   for rel, splits in sides], shuffle)
+            choice = stage_choice(
+                self.cluster.profile, self.session.plan_mode,
+                [(getattr(rel.handler, "union_read", False), splits)
+                 for rel, splits in sides],
+                job.properties["shard_fanout"], shuffle)
         if choice is not None:
             job.properties["local"] = choice.plan == "local"
         result = self.runner.run(job)
         self.jobs.append(result)
         if result.local:
             from repro.core.cost_model import record_audit
-            plan = "fetch" if result.fetch else "local"
-            table = sides[0][0].handler.table.name if result.fetch else None
+            plan, table = "local", None
+            if shuffle is None:     # a map-only stage: a fetch
+                plan, table = "fetch", sides[0][0].handler.table.name
+                self.cluster.metrics.incr("hive.fetches")
             self.local_details.append({
                 "plan": plan, "local_seconds": choice.local_seconds,
                 "job_seconds": choice.job_seconds,
@@ -935,38 +939,11 @@ def _fetch_or_job(handler, splits, mode, lookup=None):
         return Route("job", lookup=lookup, forced=mode == "scan")
     splits = splits()
     choice = stage_choice(handler.env.cluster.profile, mode,
-                          [(handler, splits)])
-    if choice is None:
-        return Route("job", lookup=lookup, splits=splits, forced=True)
+                          [(handler.union_read, splits)],
+                          handler.shard_fanout)
     return Route("fetch" if choice.plan == "local" else "job", lookup=lookup,
-                 fetch=choice, splits=splits)
-
-
-def stage_choice(profile, mode, sides, shuffle=None):
-    """The :class:`~repro.mapreduce.LocalChoice` of a stage over ``sides``,
-    ``(handler, splits)`` pairs (handler None for an intermediate
-    relation), priced from the splits, uncharged; None under ``SET
-    dualtable.plan = scan``, which keeps the job.  ``shuffle``: None (a
-    fetch), ``"a join"`` (its reduce emits a row per map row) or ``"an
-    aggregation"`` (its map and reduce emit a few groups: no record
-    term)."""
-    if mode == "scan":
-        return None
-    cost = PlanCost(profile)
-    records = shuffle != "an aggregation"
-    pairs = [(split, handler is not None and handler.union_read)
-             for handler, splits in sides for split in splits]
-    tasks = [cost.task_seconds(split.read_bytes, split.rows, merge, records)
-             for split, merge in pairs]
-    reduces = ()
-    if shuffle is not None:
-        slots = profile.total_reduce_slots
-        rows = sum(split.rows for split, _ in pairs) if records else 0
-        reduces = [cost.task_seconds(0, rows / slots)] * slots
-    fanout = max(handler.shard_fanout if handler is not None else 1
-                 for handler, _ in sides)
-    return cost.choose_local(tasks, fanout, reduces,
-                             cost.hbase_seconds(split for split, _ in pairs))
+                 fetch=None if choice.forced else choice, splits=splits,
+                 forced=choice.forced)
 
 
 def _project(batches, bexprs):

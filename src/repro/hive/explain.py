@@ -16,10 +16,10 @@ cost of the chosen plan against the ledger-observed run time.
 
 from repro.common.units import fmt_bytes
 from repro.hive import ast_nodes as ast
-from repro.hive.executor import (ScanSource, SelectExecutor, route_read,
-                                 stage_choice)
+from repro.hive.executor import ScanSource, SelectExecutor, route_read
 from repro.hive.expressions import walk
 from repro.hive.rowedit import WhereEdit
+from repro.mapreduce import stage_choice
 
 
 def explain(session, stmt, analyze=False):
@@ -50,6 +50,8 @@ def explain(session, stmt, analyze=False):
         else:
             mode = "major" if stmt.major else "minor"
         lines.append("COMPACT %s (%s, %s)" % (stmt.table, info.storage, mode))
+        if hasattr(info.handler, "plan_compact"):   # a DualTable's
+            _explain_compact(session, info.handler, stmt, lines)
     else:
         lines.append("statement: %s" % type(stmt).__name__)
     if not analyze:
@@ -96,8 +98,9 @@ def _analyze_lines(result, delta, spans, lines):
         summary += ", %d row(s) affected" % result.affected
     elif result.rows:
         summary += ", %d row(s)" % len(result.rows)
-    kinds = ["fetch" if job.fetch else "local" if job.local else "job"
-             for job in result.jobs]
+    # A local ``select-scan``, the executor's map-only stage, is a fetch.
+    kinds = [("fetch" if job.name == "select-scan" else "local")
+             if job.local else "job" for job in result.jobs]
     summary += ", %d job(s)" % kinds.count("job")
     for kind, label in (("fetch", "fetch(es)"), ("local", "local job(s)")):
         if kind in kinds:
@@ -219,9 +222,10 @@ def _stage(session, leaves, shuffle):
     if not all(isinstance(leaf, ScanSource) for leaf in leaves):
         return _AT_RUN_TIME             # a derived table
     choice = stage_choice(session.cluster.profile, session.plan_mode, [
-        (leaf.handler, leaf.handler.plan_splits(leaf.projection, leaf.ranges))
-        for leaf in leaves], shuffle)
-    return ("job", None) if choice is None else (choice.plan, choice)
+        (leaf.handler.union_read, leaf.handler.plan_splits(
+            leaf.projection, leaf.ranges)) for leaf in leaves],
+        max(leaf.handler.shard_fanout for leaf in leaves), shuffle)
+    return ("job", None) if choice.forced else (choice.plan, choice)
 
 
 def _explain_stage(stage, lines, pad):
@@ -301,6 +305,20 @@ def _explain_choice(lines, pad, head, label, choice, plan):
                                          choice.local_seconds))
     lines.append(pad + "  job cost:         %.4fs" % choice.job_seconds)
     lines.append(pad + "  plan: %s" % plan)
+
+
+def _explain_compact(session, handler, stmt, lines):
+    """The job of the COMPACT the run plans and its verdict."""
+    planned = handler.plan_compact(session.plan_mode,
+                                   range(len(handler.shards)), stmt.partial,
+                                   stmt.max_files)
+    if planned is None:
+        lines.append("  plan: none, no deltas to fold")
+    else:
+        _, _, splits, choice = planned
+        _explain_choice(lines, "  ", "LOCAL eligibility (%d split(s)):"
+                        % len(splits), "local", choice, "job (forced by "
+                        "dualtable.plan)" if choice.forced else choice.plan)
 
 
 def _buckets(plan):

@@ -179,7 +179,8 @@ class AutoCompactionDaemon:
         name = target.name
         with cluster.tracer.span("phase", "autocompact:decide",
                                  table=name) as span:
-            decision = CompactionPolicy(target, options).decide(horizon)
+            decision = CompactionPolicy(target, options,
+                                        session.plan_mode).decide(horizon)
             attrs = {"action": decision.action,
                      "predicted_seconds": decision.predicted_seconds,
                      "benefit_seconds": decision.benefit_seconds,

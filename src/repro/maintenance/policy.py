@@ -26,7 +26,7 @@ Candidate plans, scored by net benefit:
 
 from dataclasses import dataclass, field
 
-from repro.mapreduce import PlanCost
+from repro.mapreduce import stage_choice
 
 
 @dataclass
@@ -47,11 +47,13 @@ class CompactionPolicy:
     """Scores compaction plans for one DualTable store (or a plain
     table's handler) from its file plans
     (:meth:`~repro.core.store.DualTableStore.plan_files`): metadata only,
-    free like plan choice, so the daemon re-scores tables every tick."""
+    free like plan choice, so the daemon re-scores tables every tick.
+    ``plan_mode`` is the session's ``SET dualtable.plan``."""
 
-    def __init__(self, handler, options=None):
+    def __init__(self, handler, options=None, plan_mode="cost"):
         self.handler = handler
         self.options = dict(options or {})
+        self.plan_mode = plan_mode
 
     # ------------------------------------------------------------------
     # Predicted costs (mirrors the charging model in mapreduce.runner
@@ -72,15 +74,15 @@ class CompactionPolicy:
             profile.byte_scale, profile.op_scale)
 
     def rewrite_job_seconds(self, files):
-        """Predicted compact-job time over ``files`` (read + write): one
-        UNION READ task per file, priced by :class:`PlanCost`."""
+        """Predicted compact time over ``files`` (read + write): the read
+        is the verdict's seconds, a job or a local job over the splits it
+        reads (:func:`~repro.mapreduce.stage_choice`; a store folds
+        alone)."""
         profile = self._profile()
-        cost = PlanCost(profile)
-        tasks = [cost.task_seconds(f.file_bytes, f.rows, merge=True)
-                 for f in files]
-        hbase_seconds = sum(self.per_read_overhead(f) for f in files)
+        read_seconds = stage_choice(
+            profile, self.plan_mode, [(True, self.handler.splits(files))],
+            1).seconds
         out_bytes = sum(f.file_bytes for f in files)
-        read_seconds = cost.job_seconds(tasks) + hbase_seconds
         write_seconds = (out_bytes * profile.byte_scale
                          / profile.hdfs_write_bps)
         return read_seconds + write_seconds
@@ -90,13 +92,10 @@ class CompactionPolicy:
         range scan to materialize the record IDs plus one bulk delete
         per entry (full truncate, by contrast, is free)."""
         profile = self._profile()
-        rates = self._rates()
-        bs, ops = profile.byte_scale, profile.op_scale
-        scan = rates.read_seconds(f.delta_bytes, f.delta_entries, bs, ops)
         # delete_row charges len(record_id) + 9 bytes per entry.
-        deletes = rates.write_seconds(21 * f.delta_entries, f.delta_entries,
-                                      bs, ops)
-        return scan + deletes
+        return self.per_read_overhead(f) + self._rates().write_seconds(
+            21 * f.delta_entries, f.delta_entries, profile.byte_scale,
+            profile.op_scale)
 
     # ------------------------------------------------------------------
     # The decision.

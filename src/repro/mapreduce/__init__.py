@@ -2,7 +2,8 @@
 
 from repro.mapreduce.job import (InputSplit, Job, JobResult, TaskContext,
                                  estimate_record_bytes, stable_hash)
-from repro.mapreduce.runner import JobRunner, LocalChoice, PlanCost
+from repro.mapreduce.runner import (JobRunner, LocalChoice, PlanCost,
+                                    stage_choice)
 
 __all__ = [
     "InputSplit",
@@ -14,4 +15,5 @@ __all__ = [
     "JobRunner",
     "LocalChoice",
     "PlanCost",
+    "stage_choice",
 ]

@@ -50,8 +50,7 @@ class Job:
 
     ``properties``: ``shard_fanout`` widens the slots of the makespan;
     ``parallel`` False keeps the tasks off the worker pool; ``local``
-    runs the job's tasks in the client, one after another: a local job,
-    or Hive's fetch task when the job is map-only
+    runs the job's tasks in the client, one after another: a local job
     (:class:`~repro.mapreduce.runner.JobRunner`).
     """
 
@@ -83,7 +82,6 @@ class JobResult:
     shuffle_bytes: int
     counters: dict
     local: bool = False     # ran in the client
-    fetch: bool = False     # ran in the client with no reduce
 
 
 def _canonical_key(key):

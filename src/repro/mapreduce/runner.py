@@ -31,8 +31,8 @@ retries and parallel capture/replay), in the client: it charges no
 ``job_startup``, adds no task overhead and launches no speculative
 attempt, and its ``sim_seconds`` is the serial sum of its map tasks,
 its shuffle, the serial sum of its reduce tasks and its HBase seconds.
-A map-only one is Hive's fetch task and counts ``hive.fetches``, any
-other ``hive.local_jobs``; neither counts ``mapreduce.jobs``.
+Every local job counts ``hive.local_jobs``, never ``mapreduce.jobs``;
+:func:`stage_choice` prices whether a stage runs as one.
 
 Parallel execution (``profile.workers > 1``): task attempts run
 concurrently on the cluster's worker pool, each charging into a private
@@ -74,12 +74,18 @@ def _makespan(durations, slots, reused=0.0):
 
 @dataclass
 class LocalChoice:
-    """Whether a stage's tasks run in the client (a local job; a fetch
-    when it has no reduce) or as a MapReduce job."""
+    """Whether a stage's tasks run in the client (a local job) or as a
+    MapReduce job."""
 
     plan: str               # 'local' | 'job'
     local_seconds: float
     job_seconds: float
+    forced: bool = False    # SET dualtable.plan = scan kept the job
+
+    @property
+    def seconds(self):
+        """The estimate of the plan it chose."""
+        return self.local_seconds if self.plan == "local" else self.job_seconds
 
 
 class PlanCost:
@@ -132,13 +138,29 @@ class PlanCost:
                                  profile.total_reduce_slots * fanout, overhead)
         return seconds + hbase / fanout
 
-    def choose_local(self, tasks, fanout=1, reduces=(), hbase=0.0):
-        """Local job or job (a :class:`LocalChoice`); a tie keeps the
-        job."""
-        local = sum(tasks) + sum(reduces) + hbase
-        job = self.job_seconds(tasks, fanout, reduces, hbase)
-        return LocalChoice(plan="local" if local < job else "job",
-                           local_seconds=local, job_seconds=job)
+
+def stage_choice(profile, mode, sides, fanout, shuffle=None):
+    """The :class:`LocalChoice` of a stage over ``sides``, ``(merge,
+    splits)`` pairs (``merge``: a DualTable's UNION READ), its job over
+    ``fanout`` shards' slots; uncharged.  A tie keeps the job, and so
+    does ``mode`` scan.  ``shuffle``: None (map-only), ``"a join"`` (a
+    record per row) or ``"an aggregation"`` (a few groups: no record
+    term)."""
+    cost = PlanCost(profile)
+    records = shuffle != "an aggregation"
+    pairs = [(split, merge) for merge, splits in sides for split in splits]
+    tasks = [cost.task_seconds(split.read_bytes, split.rows, merge, records)
+             for split, merge in pairs]
+    reduces = ()
+    if shuffle is not None:
+        slots = profile.total_reduce_slots
+        rows = sum(split.rows for split, _ in pairs) if records else 0
+        reduces = [cost.task_seconds(0, rows / slots)] * slots
+    hbase = cost.hbase_seconds(split for split, _ in pairs)
+    local = sum(tasks) + sum(reduces) + hbase
+    job = cost.job_seconds(tasks, fanout, reduces, hbase)
+    return LocalChoice("local" if local < job and mode != "scan" else "job",
+                       local, job, mode == "scan")
 
 
 def _reduce_sort_key(key):
@@ -227,8 +249,7 @@ class JobRunner:
                 speculative_tasks=counters.get("speculative_tasks", 0))
         metrics = self.cluster.metrics
         if local:
-            metrics.incr("hive.fetches" if job.is_map_only
-                         else "hive.local_jobs")
+            metrics.incr("hive.local_jobs")
         else:
             metrics.incr("mapreduce.jobs")
             metrics.incr("mapreduce.tasks",
@@ -250,7 +271,6 @@ class JobRunner:
             shuffle_bytes=shuffle_bytes,
             counters=dict(counters),
             local=local,
-            fetch=local and job.is_map_only,
         )
 
     # ------------------------------------------------------------------

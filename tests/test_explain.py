@@ -251,7 +251,7 @@ def ran_leaves(session, monkeypatch, sql):
     def job(job_spec):
         result = run_job(job_spec)
         stage = "local" if result.local else "job"
-        if result.fetch:
+        if result.local and job_spec.name == "select-scan":
             ran.append("fetch")
         elif job_spec.name == "select-scan":
             ran.append("job")

@@ -289,6 +289,11 @@ class OracleStore:
     def __init__(self, store):
         self.store, self.attached, self.env = store, store.attached, store.env
 
+    def splits(self, files):
+        """The job's splits of ``files``, held to their walk below."""
+        return self.store.splits(self.store.plan_files(
+            paths=[f.path for f in files]))
+
     def plan_files(self):
         return oracle_file_deltas(self.store)
 

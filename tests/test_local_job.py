@@ -1,4 +1,5 @@
-"""A GROUP BY or join stage runs as a local job when that costs less.
+"""A GROUP BY or join stage, or a COMPACT, runs as a local job when
+that costs less.
 
 The executor prices a SELECT's shuffle stage (the ``groupby`` job, the
 ``join`` job) two ways with :class:`~repro.mapreduce.PlanCost`: as a
@@ -9,11 +10,18 @@ same ledger bytes and ops.  A local job pays no job start-up, no task
 overhead and no speculation, and its ``sim_seconds`` is the serial sum
 of its map tasks, the shuffle, the serial sum of its reduce tasks and
 its HBase seconds.
+
+A COMPACT's job (the full COMPACT, ``PARTIAL k``, the daemon's per-store
+folds and REBALANCE's fold) is priced the same way over its splits, at
+a fan-out of one per store it folds; the manifest 2PC after it is the
+same either way.
 """
 
 import pytest
 
 from repro.cluster import ClusterProfile
+from repro.common.errors import ReproError
+from repro.core.store import FULL_COMPACT, PARTIAL_COMPACT
 from repro.faults.injector import Fault, FaultPlan
 from repro.hive import HiveSession
 
@@ -99,11 +107,12 @@ def test_local_job_equals_the_forced_job(shape, kind, workers):
     assert local.plan == "select(local)"
     assert job.plan == "select(%d jobs)" % len(stages)
     assert [stage.name for stage in local.jobs] == stages
-    assert all(stage.local and not stage.fetch for stage in local.jobs)
+    assert all(stage.local for stage in local.jobs)
     assert canonical(local.rows) == canonical(job.rows) and local.rows
     assert local_delta["bytes"] == job_delta["bytes"]
     assert local_delta["ops"] == job_delta["ops"]
     assert local_counts["hive.local_jobs"] == len(stages)
+    assert local_counts["hive.fetches"] == 0
     assert local_counts["mapreduce.jobs"] == 0
     assert local_counts["mapreduce.tasks"] == 0
     assert job_counts["mapreduce.jobs"] == len(stages)
@@ -304,3 +313,188 @@ def test_the_estimate_prices_the_delta_scans(shards):
     assert result.detail["audit"]["rel_error"] <= 0.1
     assert session.cluster.metrics.histogram(
         "costmodel.rel_error.fetch").vmax <= 0.1
+
+
+# ----------------------------------------------------------------------
+# COMPACT: the same job over the same splits, in the client.
+# ----------------------------------------------------------------------
+#: what folds -> (the statement that folds, the table kinds it runs on)
+FOLDS = {
+    "full": ("COMPACT TABLE t", ("dualtable", "shard1", "shard4", "shard8")),
+    "partial": ("COMPACT TABLE t PARTIAL 2",
+                ("dualtable", "shard1", "shard4", "shard8")),
+    # The daemon folds store by store after the statement that arms it;
+    # a horizon this long folds every store with deltas at either price.
+    "daemon": ("ALTER TABLE t SET AUTOCOMPACT (ON, mode = 'full', "
+               "horizon = 1000000000000)", ("dualtable", "shard1", "shard4",
+                                            "shard8")),
+    "rebalance": ("ALTER TABLE t REBALANCE", ("shard4", "shard8")),
+}
+FOLD_CASES = [(fold, kind) for fold in sorted(FOLDS)
+              for kind in FOLDS[fold][1]]
+
+
+def fold_session(kind, plan="cost", workers=1, profile=None):
+    """``make_session`` with the REBALANCE donor made hot: a keyed
+    UPDATE heats its keys' shard."""
+    session = make_session(kind, "cost", workers, profile)
+    if kind != "dualtable":
+        session.execute("UPDATE t SET v = v + 1 WHERE k IN (1, 2, 3)")
+    session.execute("SET dualtable.plan = %s" % plan)
+    return session
+
+
+def folded(session):
+    """What a fold leaves: every warehouse file's bytes and the rows."""
+    fs = session.fs
+    with session.cluster.faults.paused():
+        rows = session.execute("SELECT * FROM t").rows
+    return ({path: fs.read_file_silent(path)
+             for path in fs.list_files("/warehouse")}, canonical(rows))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("fold,kind", FOLD_CASES)
+def test_a_local_compact_equals_the_forced_job(fold, kind, workers):
+    sql = FOLDS[fold][0]
+    local_session = fold_session(kind, workers=workers)
+    job_session = fold_session(kind, "scan", workers)
+    local, local_delta, local_counts = run(local_session, sql)
+    job, job_delta, job_counts = run(job_session, sql)
+    assert local_delta["bytes"] == job_delta["bytes"]
+    assert local_delta["ops"] == job_delta["ops"]
+    assert folded(local_session) == folded(job_session)
+    folds = local_counts["hive.local_jobs"]
+    assert folds >= 1 and local_counts["mapreduce.jobs"] == 0
+    assert job_counts["mapreduce.jobs"] == folds
+    assert job_counts["hive.local_jobs"] == local_counts["hive.fetches"] == 0
+    assert ("mapreduce", "job_startup") not in local_delta["seconds"]
+    if fold == "daemon":
+        records = [row for row in local_session.execute(
+            "SHOW COMPACTIONS").rows if row[2] == "auto"]
+        assert len(records) == folds
+        assert all(row[3] == "full" and row[8] <= 0.25 for row in records)
+        return
+    assert local.jobs[0].local and not job.jobs[0].local
+    assert local.sim_seconds < job.sim_seconds
+    if fold != "rebalance":
+        assert local.detail["audit"]["plan"] == "compact"
+        assert local.detail["audit"]["rel_error"] <= 0.25
+
+
+@pytest.mark.parametrize("fold,kind", [
+    (fold, kind) for fold, kind in FOLD_CASES if fold != "daemon"])
+def test_a_local_compact_is_the_serial_sum(fold, kind):
+    [(job, span, tasks)] = stage_spans(fold_session(kind), FOLDS[fold][0])
+    assert job.local and job.num_reduce_tasks == 0
+    durations = [task.seconds - task.hbase_seconds for task in tasks]
+    assert len(durations) == job.num_map_tasks > 1
+    assert job.map_seconds == sum(durations)
+    assert job.sim_seconds == job.map_seconds + span.hbase_seconds
+    assert span.hbase_seconds > 0
+
+
+@pytest.mark.parametrize("plan", ["cost", "scan"])
+def test_a_daemon_fold_is_priced_at_fan_out_one(plan):
+    """The daemon folds an INTO 8 table store by store: each fold's job
+    runs over one region server, so its HBase seconds are its own, not
+    an eighth.  Slow HBase rows make that term the fold's cost."""
+    session = fold_session("shard8", plan, profile=ClusterProfile.laptop(
+        hbase_scan_row_latency_s=1.0))
+    _, _, counts = run(session, FOLDS["daemon"][0])
+    folds = counts["hive.local_jobs"] + counts["mapreduce.jobs"]
+    assert folds > 1
+    assert counts["hive.local_jobs"] == (folds if plan == "cost" else 0)
+    audits = session.cluster.metrics.histogram("costmodel.rel_error.compact")
+    assert audits.count == folds and audits.vmax <= 0.25
+
+
+def test_a_map_fault_in_a_local_compact_retries_with_no_task_overhead():
+    outcomes = {}
+    for plan in ("cost", "scan"):
+        session = fold_session("dualtable", plan)
+        session.cluster.faults.install(FaultPlan([
+            Fault("mapreduce.map", nth_hit=1, kind="crash")]))
+        try:
+            outcomes[plan] = (run(session, "COMPACT TABLE t PARTIAL 1"),
+                              folded(session))
+        finally:
+            session.cluster.faults.uninstall()
+    (local, local_delta, local_counts), local_state = outcomes["cost"]
+    (job, job_delta, job_counts), job_state = outcomes["scan"]
+    assert local.jobs[0].local and local_state == job_state
+    assert local_counts["mapreduce.task_retries"] == 1
+    assert job_counts["mapreduce.task_retries"] == 1
+    assert local_delta["bytes"] == job_delta["bytes"]
+    assert local_delta["ops"] == job_delta["ops"]
+    backoff = local_delta["seconds"][("mapreduce", "retry_backoff")]
+    assert backoff == job_delta["seconds"][("mapreduce", "retry_backoff")]
+    # One map task: the job pays a task start-up for the failed attempt
+    # and one for the retry; the local job pays neither.
+    overhead = session.cluster.profile.task_overhead_s
+    assert job.jobs[0].map_seconds == pytest.approx(
+        local.jobs[0].map_seconds + 2 * overhead, rel=1e-9)
+    assert local.jobs[0].map_seconds > backoff
+
+
+@pytest.mark.parametrize("kind", ["dualtable", "shard4"])
+@pytest.mark.parametrize("sql,point", [
+    ("COMPACT TABLE t", point) for point in FULL_COMPACT.steps] + [
+    ("COMPACT TABLE t PARTIAL 2", point) for point in PARTIAL_COMPACT.steps])
+def test_a_crashed_local_compact_recovers_as_the_job_does(sql, point, kind):
+    states = {}
+    for plan in ("cost", "scan"):
+        session = fold_session(kind, plan)
+        handler = session.table("t").handler
+        session.cluster.faults.install(FaultPlan([
+            Fault(point, nth_hit=1, kind="kill")]))
+        with pytest.raises(ReproError):
+            session.execute(sql)
+        with session.cluster.faults.paused():
+            handler.recover()
+        session.cluster.faults.uninstall()
+        states[plan] = folded(session)
+    assert states["cost"] == states["scan"]
+
+
+@pytest.mark.parametrize("sql", [FOLDS["full"][0], FOLDS["partial"][0]])
+def test_the_paper_profile_keeps_the_compact_job(sql):
+    """At bench scale the job's slots read the files faster than one
+    client: the COMPACT stays a job, and EXPLAIN says so."""
+    ran = {}
+    for name, scale in (("small", 1), ("large", 2e5)):
+        session = fold_session("dualtable", profile=ClusterProfile
+                               .paper_tpch_cluster(byte_scale=scale,
+                                                   op_scale=scale))
+        explain = [line.strip() for (line,) in
+                   session.execute("EXPLAIN " + sql).rows]
+        ran[name] = (session.execute(sql).jobs[0].local, explain[-1])
+    assert ran == {"small": (True, "plan: local"),
+                   "large": (False, "plan: job")}
+
+
+@pytest.mark.parametrize("kind", ["dualtable", "shard4"])
+@pytest.mark.parametrize("plan", ["cost", "scan"])
+@pytest.mark.parametrize("fold", ["full", "partial"])
+def test_explain_compact_prints_the_verdict_that_runs(fold, plan, kind):
+    sql = FOLDS[fold][0]
+    session = fold_session(kind, plan)
+    lines = [line.strip() for (line,) in
+             session.execute("EXPLAIN " + sql).rows]
+    analyzed = [line.strip() for (line,) in
+                session.execute("EXPLAIN ANALYZE " + sql).rows]
+    assert analyzed[:len(lines)] == lines
+    job = [line for line in analyzed if " compact" in line
+           and line.split()[0] in ("job", "local")]
+    assert len(job) == 1
+    ran = job[0].split()[0]
+    assert lines[1].startswith("LOCAL eligibility (")
+    assert lines[-1] == ("plan: job (forced by dualtable.plan)"
+                         if plan == "scan" else "plan: " + ran)
+    assert ran == ("job" if plan == "scan" else "local")
+    assert any(line.startswith("cost-model audit: plan=compact ")
+               for line in analyzed)
+    if fold == "full":      # nothing left to fold: EXPLAIN says so
+        assert [line.strip() for (line,) in session.execute(
+            "EXPLAIN " + sql).rows][-1] == "plan: none, no deltas to fold"
+        assert session.execute(sql).plan == "compact-noop"

@@ -967,8 +967,8 @@ class TestKeyedCostModel:
     def test_no_keyed_statement_launches_a_job(self):
         """The exact-count gate on an ``htap_serve``-shaped mix, as
         ``(jobs, fetches, local jobs)``: a SELECT with no shuffle that
-        LOOKUP does not serve reads its splits in the client, and so
-        does a GROUP BY this small, as a local job."""
+        LOOKUP does not serve reads its splits in the client, a fetch,
+        and so does a GROUP BY this small; both are local jobs."""
         session = self.serve_session()
         counter = session.cluster.metrics.counter
         counts = lambda: (counter("mapreduce.jobs"), counter("hive.fetches"),
@@ -981,10 +981,10 @@ class TestKeyedCostModel:
             ((0, 0, 0), "DELETE FROM t WHERE k = 3999"),
             ((0, 0, 0), "DELETE FROM t WHERE k IN (100, 200, 300)"),
             ((0, 0, 0), "SELECT k, v, name FROM t WHERE k IN (17, 18)"),
-            ((0, 1, 0), "SELECT k, v FROM t WHERE k >= 500 AND k <= 540"),
+            ((0, 1, 1), "SELECT k, v FROM t WHERE k >= 500 AND k <= 540"),
             ((0, 0, 1), "SELECT name, count(*), sum(v) FROM t "
                         "GROUP BY name"),
-            ((0, 1, 0), "SELECT * FROM t"),
+            ((0, 1, 1), "SELECT * FROM t"),
             ((1, 0, 0), "UPDATE t SET v = 0 WHERE v = 999"),
         ]
         for expected, sql in mix:

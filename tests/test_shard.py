@@ -216,13 +216,16 @@ class TestScatterGatherSpeedup:
 
 class TestCompactSpeedup:
     """A COMPACT is one job over every store it folds, its splits spread
-    over one region server per store — the makespan side of COMPACT."""
+    over one region server per store — the makespan side of COMPACT.
+    ``SET dualtable.plan = scan`` keeps the job this small a fold would
+    otherwise run local."""
 
     def compact(self, shards):
         session = make_session(shards, workers=4, rows=8000,
                                rows_per_file=50)
         session.execute("UPDATE t SET v = -1 WHERE k IN (%s)" % ", ".join(
             str(k) for k in range(0, 8000, 50)))
+        session.execute("SET dualtable.plan = scan")
         result = session.execute("COMPACT TABLE t")
         assert result.detail["rows_written"] == 8000
         assert len(result.jobs) == 1
